@@ -1,8 +1,7 @@
 // Ablation benches for the design choices called out in DESIGN.md:
 //   1. incidence-index engine vs paper-faithful recount engine,
-//   2. restricted ("-R") vs full candidate scope,
-//   3. lazy (CELF) vs eager SGB evaluation.
-// All three produce identical protector sequences (differential-tested in
+//   2. restricted ("-R") vs full candidate scope.
+// Both produce identical protector sequences (differential-tested in
 // tests/); this bench quantifies the cost differences.
 
 #include <cstdio>
@@ -39,7 +38,7 @@ Row Measure(const core::TppInstance& instance, const std::string& label,
 }
 
 int Run() {
-  std::printf("== Ablation: engine / candidate-scope / laziness, SGB with "
+  std::printf("== Ablation: engine / candidate-scope, SGB with "
               "k=%zu, Arenas-email-like, |T|=%zu ==\n\n",
               kBudget, kNumTargets);
   Result<graph::Graph> graph = graph::MakeArenasEmailLike(1);
@@ -54,11 +53,6 @@ int Run() {
     {
       RunConfig c;  // indexed + restricted (library default)
       rows.push_back(Measure(instance, "indexed + restricted", c));
-    }
-    {
-      RunConfig c;
-      c.lazy = true;
-      rows.push_back(Measure(instance, "indexed + restricted + lazy", c));
     }
     {
       RunConfig c;

@@ -42,7 +42,7 @@
 #include "core/tpp.h"
 #include "graph/datasets.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp::bench {
 namespace {

@@ -51,7 +51,6 @@ Result<ProtectionResult> RunMethod(const TppInstance& instance,
   spec.algorithm = std::string(MethodSolverName(method));
   spec.scope = config.restricted ? CandidateScope::kTargetSubgraphEdges
                                  : CandidateScope::kAllEdges;
-  spec.lazy = config.lazy;
   spec.budget = k;
   return core::RunSolver(spec, *engine, instance, rng);
 }

@@ -57,8 +57,6 @@ struct RunConfig {
   /// Use the paper-faithful recount engine instead of the incidence index
   /// (only relevant for timing experiments; results are identical).
   bool naive_engine = false;
-  /// Use CELF lazy evaluation for SGB (extension; results identical).
-  bool lazy = false;
 };
 
 /// Builds the engine dictated by `config` for `instance`.

@@ -14,7 +14,7 @@
 #include "metrics/spectral.h"
 #include "motif/enumerate.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp {
 namespace {

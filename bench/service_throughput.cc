@@ -11,7 +11,8 @@
 // A second scenario models the nightly repeated-request workload: a
 // batch with 50% duplicate requests run on two consecutive "nights",
 // served by the staged pipeline (in-batch dedup + instance sharing +
-// content-addressed PlanCache) vs the uncached build-per-request path.
+// content-addressed PlanCache) vs the uncached build-per-request path (a
+// ParallelFor over PlanService::RunOne).
 // Emits BENCH_plan_cache.json with the cache hit-rate and the aggregate
 // speedup, and cross-checks that every cached/shared response is
 // bit-identical to the uncached one.
@@ -43,16 +44,10 @@ using service::PlanResponse;
 using service::PlanService;
 
 // The solver mix cycled across the batch: the three greedy families, both
-// budget divisions, the lazy SGB variant, and both random baselines —
-// roughly what a mixed protection workload looks like.
-struct MixEntry {
-  const char* algorithm;
-  bool lazy;
-};
-constexpr MixEntry kSolverMix[] = {
-    {"sgb", false}, {"ct-tbd", false}, {"wt-dbd", false}, {"rdt", false},
-    {"sgb", true},  {"ct-dbd", false}, {"wt-tbd", false}, {"rd", false},
-};
+// budget divisions, and both random baselines — roughly what a mixed
+// protection workload looks like.
+constexpr const char* kSolverMix[] = {"sgb", "ct-tbd", "wt-dbd", "rdt",
+                                      "sgb", "ct-dbd", "wt-tbd", "rd"};
 
 // `heavy` (the non-quick mode) skews the mix toward Rectangle/RecTri
 // motifs and larger target sets so per-request solver work dominates
@@ -62,7 +57,6 @@ std::vector<PlanRequest> MakeRequests(size_t count, size_t budget,
   std::vector<PlanRequest> requests;
   requests.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    const MixEntry& mix = kSolverMix[i % std::size(kSolverMix)];
     PlanRequest request;
     request.name = "q" + std::to_string(i);
     request.sample = (heavy ? 20 : 10) + (i % 3) * 5;
@@ -73,8 +67,7 @@ std::vector<PlanRequest> MakeRequests(size_t count, size_t budget,
       request.motif = i % 4 == 3 ? motif::MotifKind::kRectangle
                                  : motif::MotifKind::kTriangle;
     }
-    request.spec.algorithm = mix.algorithm;
-    request.spec.lazy = mix.lazy;
+    request.spec.algorithm = kSolverMix[i % std::size(kSolverMix)];
     request.spec.budget = budget;
     request.seed = 1000 + i;
     // Carry the released graph so the bit-identity checks compare it too.
@@ -101,9 +94,9 @@ struct ScalingPoint {
 
 // Nightly repeated-request scenario: `unique` distinct requests, each
 // issued twice per night (50% duplicates), run on two consecutive nights.
-// The uncached PR 2 path (no cache, build-per-request) re-solves all of
-// it; the staged pipeline dedups within the night and serves the second
-// night from the PlanCache. Responses are cross-checked bit-identical.
+// The uncached path (a RunOne per request) re-solves all of it; the
+// staged pipeline dedups within the night and serves the second night
+// from the PlanCache. Responses are cross-checked bit-identical.
 int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
                          size_t budget, bool quick,
                          const std::string& out_path) {
@@ -124,15 +117,21 @@ int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
       "== plan cache: %d nights x %zu requests (50%% duplicates) ==\n",
       kNights, night.size());
 
-  // Baseline: the uncached PR 2 call pattern — every request solved from
-  // scratch, no dedup, no sharing, no memo.
-  service::BatchOptions uncached;
-  uncached.share_instances = false;
-  uncached.dedup = false;
+  // Baseline: every request solved from scratch by its own RunOne — no
+  // dedup, no sharing, no memo — on the same worker budget the pipeline
+  // gets.
   std::vector<std::vector<PlanResponse>> reference;
   WallTimer uncached_timer;
   for (int n = 0; n < kNights; ++n) {
-    reference.push_back(plan_service.RunBatch(night, uncached));
+    std::vector<PlanResponse>& responses =
+        reference.emplace_back(night.size());
+    GlobalThreadPool().ParallelFor(
+        night.size(), GlobalThreadCount(), /*grain=*/1,
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            responses[i] = plan_service.RunOne(night[i]);
+          }
+        });
   }
   const double uncached_seconds = uncached_timer.Seconds();
   for (const auto& responses : reference) {

@@ -1,38 +1,20 @@
-// Round-loop benchmark of the greedy selection strategies: for every
-// (solver, motif) pair on the Fig. 5 Arenas-like fixture the bench times
-// the full matrix of round modes against the historical cold sweep and
-// emits a machine-readable BENCH_solver_rounds.json so the perf
-// trajectory of the solve loop — the half of serving the round engine
-// owns — is tracked across PRs (tools/bench_guard.cc fails CI on
-// regressions against the committed floors).
+// Round-loop benchmark of the greedy selectors: for every (solver, motif)
+// pair on the Fig. 5 Arenas-like fixture the bench times the production
+// loop (core/greedy.h: incremental rounds over Engine::BeginRound with a
+// flat first-strict-max scan) against the cold reference sweep
+// (tests/reference/greedy_reference.h: every candidate re-evaluated every
+// round) and emits a machine-readable BENCH_solver_rounds.json so the perf
+// trajectory of the solve loop is tracked across PRs (tools/bench_guard.cc
+// fails CI on regressions against the committed floors).
 //
-//   cold         — GreedyOptions{rounds = kColdSweep}: the hoisted
-//                  candidate sweep re-evaluating every candidate each
-//                  round.
-//   incremental  — GreedyOptions{rounds = kIncremental}: per-candidate
-//                  gains persist across rounds; each committed deletion's
-//                  dirty set is the only re-evaluation work, selection is
-//                  a flat O(universe) scan.
-//   heap         — GreedyOptions{rounds = kHeap}: same gain maintenance,
-//                  selection on the addressable SelectionHeap — only
-//                  dirtied entries are re-keyed, the pick is the heap
-//                  top. Heap operation counters are reported per run.
-//   sgb only:
-//   lazy-classic — the historical CELF loop (std::priority_queue of
-//                  stale bounds, re-push on every stale pop).
-//   lazy-dirty   — dirty-aware CELF (the default --lazy path): the
-//                  selection heap re-keyed from the dirty set, no stale
-//                  pops at all.
+// Each row reports its repetition count and, per loop, the median and the
+// interquartile range of the per-rep wall times; reps alternate which loop
+// runs first. EVERY rep cross-checks bit-identity: picks, realized gains,
+// charged targets, similarity trajectory, final similarity, and the
+// gain-evaluation work metric of the production loop must match the cold
+// reference (a mismatch aborts the bench, failing CI).
 //
-// EVERY rep cross-checks bit-identity: picks, realized gains, charged
-// targets, similarity trajectory, final similarity, and the
-// gain-evaluation work metric must match the cold sweep for incremental,
-// heap, and lazy-dirty (a mismatch aborts the bench, failing CI).
-// lazy-classic is pick-identical but performs a different number of
-// evaluations by construction (stale pops), so only its picks are
-// checked.
-//
-// The bench also replays the incremental run's picks through a fresh
+// The bench also replays the production run's picks through a fresh
 // IncidenceIndex collecting each round's dirty set, reporting its
 // mean/max size next to the live candidate count — the measured locality
 // that makes dirty-driven rounds pay off.
@@ -50,25 +32,19 @@
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/selection_heap.h"
 #include "core/tpp.h"
 #include "graph/datasets.h"
 #include "motif/incidence_index.h"
+#include "reference/greedy_reference.h"
 
 namespace tpp::bench {
 namespace {
 
 using core::CandidateScope;
-using core::CelfMode;
-using core::CtGreedy;
 using core::GreedyOptions;
 using core::IndexedEngine;
 using core::ProtectionResult;
-using core::RoundMode;
-using core::SelectionHeapStats;
-using core::SgbGreedy;
 using core::TppInstance;
-using core::WtGreedy;
 using graph::EdgeKey;
 using motif::IncidenceIndex;
 using motif::MotifKind;
@@ -81,6 +57,28 @@ constexpr size_t kNumTargets = 200;
 constexpr size_t kSgbBudget = 600;
 constexpr size_t kPerTargetBudget = 2;
 
+// Median and quartiles of one loop's per-rep wall times.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+  double Iqr() const { return q3 - q1; }
+};
+
+// Quartiles by linear interpolation between the order statistics.
+Spread SpreadOf(std::vector<double> samples) {
+  TPP_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
 struct SolverResult {
   std::string solver;
   std::string motif;
@@ -89,18 +87,12 @@ struct SolverResult {
   double candidates_mean = 0; ///< live candidates per round
   double dirty_mean = 0;      ///< dirty-set size per committed pick
   size_t dirty_max = 0;
-  double cold_ms = 0;
-  double incremental_ms = 0;
-  double heap_ms = 0;
-  double lazy_classic_ms = 0;  ///< sgb only; 0 elsewhere
-  double lazy_dirty_ms = 0;    ///< sgb only; 0 elsewhere
-  SelectionHeapStats heap_stats;  ///< one heap-mode run's counters
+  size_t reps = 0;
+  Spread cold_ms;        ///< cold reference sweep
+  Spread production_ms;  ///< production loop
   double Speedup() const {
-    return incremental_ms > 0 ? cold_ms / incremental_ms : 0;
-  }
-  double HeapSpeedup() const { return heap_ms > 0 ? cold_ms / heap_ms : 0; }
-  double LazyDirtySpeedup() const {
-    return lazy_dirty_ms > 0 ? lazy_classic_ms / lazy_dirty_ms : 0;
+    return production_ms.median > 0 ? cold_ms.median / production_ms.median
+                                    : 0;
   }
 };
 
@@ -112,27 +104,31 @@ TppInstance MakeArenas(MotifKind kind) {
   return *core::MakeInstance(*g, targets, kind);
 }
 
-Result<ProtectionResult> RunSolverOnce(std::string_view solver,
+// Runs `solver` through the cold reference sweep or the production loop.
+Result<ProtectionResult> RunSolverOnce(std::string_view solver, bool cold,
                                        IndexedEngine& engine,
                                        const GreedyOptions& options) {
-  if (solver == "sgb") return SgbGreedy(engine, kSgbBudget, options);
+  if (solver == "sgb") {
+    return cold ? core::SgbGreedyCold(engine, kSgbBudget, options)
+                : core::SgbGreedy(engine, kSgbBudget, options);
+  }
   std::vector<size_t> budgets(kNumTargets, kPerTargetBudget);
-  if (solver == "ct") return CtGreedy(engine, budgets, options);
+  if (solver == "ct") {
+    return cold ? core::CtGreedyCold(engine, budgets, options)
+                : core::CtGreedy(engine, budgets, options);
+  }
   TPP_CHECK(solver == "wt");
-  return WtGreedy(engine, budgets, options);
+  return cold ? core::WtGreedyCold(engine, budgets, options)
+              : core::WtGreedy(engine, budgets, options);
 }
 
 // The bit-identity contract: everything the cold sweep reports except
-// wall-clock timestamps. `work_metric_too` additionally requires equal
-// gain-evaluation counts (all modes except classic CELF, whose stale pops
-// legitimately cost extra point queries).
+// wall-clock timestamps, the gain-evaluation work metric included.
 void CheckBitIdentical(const ProtectionResult& cold,
-                       const ProtectionResult& other, bool work_metric_too) {
+                       const ProtectionResult& other) {
   TPP_CHECK_EQ(cold.initial_similarity, other.initial_similarity);
   TPP_CHECK_EQ(cold.final_similarity, other.final_similarity);
-  if (work_metric_too) {
-    TPP_CHECK_EQ(cold.gain_evaluations, other.gain_evaluations);
-  }
+  TPP_CHECK_EQ(cold.gain_evaluations, other.gain_evaluations);
   TPP_CHECK_EQ(cold.picks.size(), other.picks.size());
   for (size_t i = 0; i < cold.picks.size(); ++i) {
     TPP_CHECK(cold.protectors[i] == other.protectors[i]);
@@ -147,84 +143,41 @@ void CheckBitIdentical(const ProtectionResult& cold,
 SolverResult RunConfig(std::string_view solver, MotifKind kind, bool quick) {
   const TppInstance inst = MakeArenas(kind);
   const IndexedEngine prototype = *IndexedEngine::Create(inst);
-  const CandidateScope scope = CandidateScope::kTargetSubgraphEdges;
-  GreedyOptions cold_opts, incr_opts, heap_opts, classic_opts, dirty_opts;
-  cold_opts.scope = incr_opts.scope = heap_opts.scope = classic_opts.scope =
-      dirty_opts.scope = scope;
-  cold_opts.rounds = RoundMode::kColdSweep;
-  incr_opts.rounds = RoundMode::kIncremental;
-  heap_opts.rounds = RoundMode::kHeap;
-  classic_opts.lazy = true;
-  classic_opts.celf = CelfMode::kClassic;
-  dirty_opts.lazy = true;
-  dirty_opts.celf = CelfMode::kDirtyAware;
+  GreedyOptions options;
+  options.scope = CandidateScope::kTargetSubgraphEdges;
 
   SolverResult out;
   out.solver = std::string(solver);
   out.motif = std::string(motif::MotifName(kind));
   out.universe = prototype.index().NumInternedEdges();
-  heap_opts.heap_stats = &out.heap_stats;
-  const bool sgb = solver == "sgb";
+  out.reps = quick ? 3 : 31;
 
-  const size_t reps = quick ? 3 : 12;
-  double cold_ms = 0, incr_ms = 0, heap_ms = 0, classic_ms = 0, dirty_ms = 0;
+  std::vector<double> cold_ms, production_ms;
   ProtectionResult reference;
-  for (size_t r = 0; r < reps; ++r) {
-    IndexedEngine cold_engine = prototype.Clone();
-    WallTimer cold_timer;
-    ProtectionResult cold = *RunSolverOnce(solver, cold_engine, cold_opts);
-    cold_ms += cold_timer.Millis();
-
-    IndexedEngine incr_engine = prototype.Clone();
-    WallTimer incr_timer;
-    ProtectionResult incr = *RunSolverOnce(solver, incr_engine, incr_opts);
-    incr_ms += incr_timer.Millis();
-
-    // The heap-ops counters accumulate across reps; divide by reps when
-    // reading per-run numbers (WriteJson reports them normalized).
-    IndexedEngine heap_engine = prototype.Clone();
-    WallTimer heap_timer;
-    ProtectionResult heap = *RunSolverOnce(solver, heap_engine, heap_opts);
-    heap_ms += heap_timer.Millis();
-
-    CheckBitIdentical(cold, incr, /*work_metric_too=*/true);
-    CheckBitIdentical(cold, heap, /*work_metric_too=*/true);
-
-    if (sgb) {
-      IndexedEngine classic_engine = prototype.Clone();
-      WallTimer classic_timer;
-      ProtectionResult classic =
-          *RunSolverOnce(solver, classic_engine, classic_opts);
-      classic_ms += classic_timer.Millis();
-
-      IndexedEngine dirty_engine = prototype.Clone();
-      WallTimer dirty_timer;
-      ProtectionResult dirty =
-          *RunSolverOnce(solver, dirty_engine, dirty_opts);
-      dirty_ms += dirty_timer.Millis();
-
-      // Classic CELF's stale pops cost extra point queries; its picks are
-      // identical but its work metric is its own.
-      CheckBitIdentical(cold, classic, /*work_metric_too=*/false);
-      CheckBitIdentical(cold, dirty, /*work_metric_too=*/true);
+  auto timed_run = [&](bool cold, std::vector<double>& samples) {
+    IndexedEngine engine = prototype.Clone();
+    WallTimer timer;
+    ProtectionResult result = *RunSolverOnce(solver, cold, engine, options);
+    samples.push_back(timer.Millis());
+    return result;
+  };
+  for (size_t r = 0; r < out.reps; ++r) {
+    // Alternate which loop runs first so neither always inherits the
+    // other's warm caches.
+    ProtectionResult cold, production;
+    if (r % 2 == 0) {
+      cold = timed_run(/*cold=*/true, cold_ms);
+      production = timed_run(/*cold=*/false, production_ms);
+    } else {
+      production = timed_run(/*cold=*/false, production_ms);
+      cold = timed_run(/*cold=*/true, cold_ms);
     }
-    if (r == 0) reference = std::move(incr);
+    CheckBitIdentical(cold, production);
+    if (r == 0) reference = std::move(production);
   }
-  const double n = static_cast<double>(reps);
-  out.cold_ms = cold_ms / n;
-  out.incremental_ms = incr_ms / n;
-  out.heap_ms = heap_ms / n;
-  out.lazy_classic_ms = classic_ms / n;
-  out.lazy_dirty_ms = dirty_ms / n;
+  out.cold_ms = SpreadOf(cold_ms);
+  out.production_ms = SpreadOf(production_ms);
   out.rounds = reference.picks.size();
-  // Normalize the accumulated heap counters to one run.
-  out.heap_stats.builds /= reps;
-  out.heap_stats.built_rows /= reps;
-  out.heap_stats.rekeys /= reps;
-  out.heap_stats.inserts /= reps;
-  out.heap_stats.removes /= reps;
-  out.heap_stats.noops /= reps;
-  out.heap_stats.sift_steps /= reps;
 
   // Replay the picks on a fresh index to measure each round's dirty set
   // and live candidate count — the locality the dirty-driven rounds
@@ -249,29 +202,17 @@ SolverResult RunConfig(std::string_view solver, MotifKind kind, bool quick) {
   return out;
 }
 
-// Total cold vs incremental time of the CT/WT round loops across motifs —
-// the acceptance headline of the incremental engine (SGB rounds were
-// already a single flat scan, so they gain little and are excluded).
+// Total cold vs production median time of the CT/WT round loops across
+// motifs — the acceptance headline of the incremental engine (SGB rounds
+// were already a single flat scan, so they gain little and are excluded).
 double AggregateCtWtSpeedup(const std::vector<SolverResult>& results) {
-  double cold = 0, incr = 0;
+  double cold = 0, production = 0;
   for (const SolverResult& result : results) {
     if (result.solver == "sgb") continue;
-    cold += result.cold_ms;
-    incr += result.incremental_ms;
+    cold += result.cold_ms.median;
+    production += result.production_ms.median;
   }
-  return incr > 0 ? cold / incr : 0;
-}
-
-// Same aggregate with heap-mode selection — the tentpole headline of the
-// selection heap.
-double AggregateCtWtHeapSpeedup(const std::vector<SolverResult>& results) {
-  double cold = 0, heap = 0;
-  for (const SolverResult& result : results) {
-    if (result.solver == "sgb") continue;
-    cold += result.cold_ms;
-    heap += result.heap_ms;
-  }
-  return heap > 0 ? cold / heap : 0;
+  return production > 0 ? cold / production : 0;
 }
 
 void WriteJson(const std::string& path, bool quick,
@@ -293,39 +234,22 @@ void WriteJson(const std::string& path, bool quick,
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const SolverResult& r = results[i];
-    const SelectionHeapStats& h = r.heap_stats;
     std::fprintf(
         f,
         "    {\"solver\": \"%s\", \"motif\": \"%s\", \"rounds\": %zu, "
         "\"universe_edges\": %zu, \"candidates_mean\": %.1f, "
-        "\"dirty_mean\": %.1f, \"dirty_max\": %zu, \"cold_ms\": %.3f, "
-        "\"incremental_ms\": %.3f, \"heap_ms\": %.3f, \"speedup\": %.2f, "
-        "\"heap_speedup\": %.2f, \"heap_builds\": %llu, "
-        "\"heap_built_rows\": %llu, \"heap_rekeys\": %llu, "
-        "\"heap_inserts\": %llu, \"heap_removes\": %llu, "
-        "\"heap_noops\": %llu, \"heap_sift_steps\": %llu",
+        "\"dirty_mean\": %.1f, \"dirty_max\": %zu, \"reps\": %zu, "
+        "\"cold_ms\": %.3f, \"cold_iqr_ms\": %.3f, "
+        "\"incremental_ms\": %.3f, \"incremental_iqr_ms\": %.3f, "
+        "\"speedup\": %.2f}%s\n",
         r.solver.c_str(), r.motif.c_str(), r.rounds, r.universe,
-        r.candidates_mean, r.dirty_mean, r.dirty_max, r.cold_ms,
-        r.incremental_ms, r.heap_ms, r.Speedup(), r.HeapSpeedup(),
-        static_cast<unsigned long long>(h.builds),
-        static_cast<unsigned long long>(h.built_rows),
-        static_cast<unsigned long long>(h.rekeys),
-        static_cast<unsigned long long>(h.inserts),
-        static_cast<unsigned long long>(h.removes),
-        static_cast<unsigned long long>(h.noops),
-        static_cast<unsigned long long>(h.sift_steps));
-    if (r.solver == "sgb") {
-      std::fprintf(f,
-                   ", \"lazy_classic_ms\": %.3f, \"lazy_dirty_ms\": %.3f, "
-                   "\"lazy_dirty_vs_classic\": %.2f",
-                   r.lazy_classic_ms, r.lazy_dirty_ms, r.LazyDirtySpeedup());
-    }
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
+        r.candidates_mean, r.dirty_mean, r.dirty_max, r.reps,
+        r.cold_ms.median, r.cold_ms.Iqr(), r.production_ms.median,
+        r.production_ms.Iqr(), r.Speedup(),
+        i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"ct_wt_aggregate_speedup\": %.2f,\n",
+  std::fprintf(f, "  ],\n  \"ct_wt_aggregate_speedup\": %.2f\n}\n",
                AggregateCtWtSpeedup(results));
-  std::fprintf(f, "  \"ct_wt_heap_aggregate_speedup\": %.2f\n}\n",
-               AggregateCtWtHeapSpeedup(results));
   std::fclose(f);
   std::printf("[json] %s\n", path.c_str());
 }
@@ -345,40 +269,28 @@ int Run(int argc, char** argv) {
   const std::string out_path =
       args->GetString("out", "BENCH_solver_rounds.json");
 
-  std::printf("== solver rounds: cold vs incremental vs heap selection "
-              "(sgb: + classic/dirty CELF), Arenas-email-like, |T|=%zu, "
-              "scope=subgraph%s ==\n\n",
+  std::printf("== solver rounds: cold reference vs production loop, "
+              "Arenas-email-like, |T|=%zu, scope=subgraph%s ==\n\n",
               kNumTargets, quick ? ", quick" : "");
   std::vector<SolverResult> results;
   for (std::string_view solver : {"sgb", "ct", "wt"}) {
     for (MotifKind kind : motif::kPaperMotifs) {
       SolverResult result = RunConfig(solver, kind, quick);
       std::printf("%-4s %-9s %3zu rounds  %6zu edges  "
-                  "dirty %7.1f (max %5zu)  cold %9.3f ms  "
-                  "incr %8.3f ms (%5.2fx)  heap %8.3f ms (%5.2fx)\n",
+                  "dirty %7.1f (max %5zu)  %2zu reps  "
+                  "cold %9.3f ms (iqr %7.3f)  "
+                  "production %8.3f ms (iqr %7.3f)  %5.2fx\n",
                   result.solver.c_str(), result.motif.c_str(), result.rounds,
                   result.universe, result.dirty_mean, result.dirty_max,
-                  result.cold_ms, result.incremental_ms, result.Speedup(),
-                  result.heap_ms, result.HeapSpeedup());
-      if (result.solver == "sgb") {
-        std::printf("     %-9s lazy-classic %8.3f ms  lazy-dirty %8.3f ms "
-                    "(%5.2fx)  heap ops: %llu rekeys, %llu removes, "
-                    "%llu sift steps\n",
-                    result.motif.c_str(), result.lazy_classic_ms,
-                    result.lazy_dirty_ms, result.LazyDirtySpeedup(),
-                    static_cast<unsigned long long>(result.heap_stats.rekeys),
-                    static_cast<unsigned long long>(
-                        result.heap_stats.removes),
-                    static_cast<unsigned long long>(
-                        result.heap_stats.sift_steps));
-      }
+                  result.reps, result.cold_ms.median, result.cold_ms.Iqr(),
+                  result.production_ms.median, result.production_ms.Iqr(),
+                  result.Speedup());
       results.push_back(std::move(result));
     }
   }
-  std::printf("\nct/wt aggregate round-loop speedup: %.2fx incremental, "
-              "%.2fx heap; every run bit-identical to the cold sweep\n",
-              AggregateCtWtSpeedup(results),
-              AggregateCtWtHeapSpeedup(results));
+  std::printf("\nct/wt aggregate round-loop speedup: %.2fx (medians); "
+              "every run bit-identical to the cold reference\n",
+              AggregateCtWtSpeedup(results));
   WriteJson(out_path, quick, results);
   return 0;
 }

@@ -1,20 +1,14 @@
 #include "core/greedy.h"
 
-#include <algorithm>
-#include <queue>
-
-#include "common/check.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "graph/edge.h"
 
 namespace tpp::core {
 
-using graph::Edge;
 using graph::EdgeKey;
 using graph::EdgeKeyU;
 using graph::EdgeKeyV;
-using motif::IncidenceIndex;
 
 namespace {
 
@@ -38,45 +32,16 @@ void FinalizeResult(Engine& engine, const WallTimer& timer,
   result.total_seconds = timer.Seconds();
 }
 
-// Cold SGB iteration: evaluate every candidate, take the best. The whole
-// round's query work goes through CandidateGains: IndexedEngine answers
-// the restricted scope with one scan of its alive-count cache, and the
-// full-edge scope falls back to a (possibly threaded) BatchGain sweep.
-// Candidate order is preserved, so the first-max tie-break is identical to
-// the historical serial loop.
-Result<ProtectionResult> SgbGreedyEagerCold(Engine& engine, size_t budget,
-                                            const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-  std::vector<EdgeKey> candidates;
-  std::vector<size_t> gains;
-  while (result.protectors.size() < budget) {
-    TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "sgb-greedy"));
-    engine.CandidateGains(options.scope, &candidates, &gains);
-    EdgeKey best_edge = 0;
-    size_t best_gain = 0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (gains[i] > best_gain) {  // strict: first max wins => smallest key
-        best_gain = gains[i];
-        best_edge = candidates[i];
-      }
-    }
-    if (best_gain == 0) break;
-    CommitPick(engine, best_edge, PickTrace::kNoTarget, timer, result);
-  }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
+}  // namespace
 
-// Incremental SGB: one BeginRound per pick. The round view's universe is a
-// static ascending superset of the cold candidate set in which dead or
-// deleted candidates hold total 0, so the first-strict-max scan reproduces
-// the cold sweep's smallest-key tie-break exactly; on the indexed engine
-// the totals alias the eagerly-maintained alive counts and a round costs
-// one flat scan, with no candidate-vector rebuild at all.
-Result<ProtectionResult> SgbGreedyEagerIncremental(
-    Engine& engine, size_t budget, const GreedyOptions& options) {
+// SGB: one BeginRound per pick. The round view's universe is a static
+// ascending superset of the cold candidate set in which dead or deleted
+// candidates hold total 0, so the first-strict-max scan reproduces the
+// cold sweep's smallest-key tie-break exactly; on the indexed engine the
+// totals alias the eagerly-maintained alive counts and a round costs one
+// flat scan, with no candidate-vector rebuild at all.
+Result<ProtectionResult> SgbGreedy(Engine& engine, size_t budget,
+                                   const GreedyOptions& options) {
   WallTimer timer;
   ProtectionResult result;
   result.initial_similarity = engine.TotalSimilarity();
@@ -100,185 +65,15 @@ Result<ProtectionResult> SgbGreedyEagerIncremental(
   return result;
 }
 
-// Heap-selection SGB — both the eager RoundMode::kHeap strategy and the
-// dirty-aware CELF path (CelfMode::kDirtyAware): one loop serves both
-// because once gains are maintained incrementally the CELF "stale upper
-// bound" of an edge IS its exact current gain — submodularity says gains
-// only shrink, and the dirty set tells us exactly which ones did — so
-// lazy re-evaluation degenerates to re-keying the dirtied heap entries.
-// Per round: consume BeginRound's dirty set, Update() each dirtied row to
-// its new total (0 removes it, covering the committed pick itself), and
-// read the pick off the heap top. The heap's (priority desc, row asc)
-// order over the ascending-key universe reproduces the flat scan's
-// first-strict-max rule, so picks/traces are bit-identical to the cold
-// sweep; BeginRound charges one evaluation per live candidate, so the
-// work metric is too. Selection cost: O(|dirty| log universe) per round
-// instead of the flat O(universe) scan.
-Result<ProtectionResult> SgbGreedyHeap(Engine& engine, size_t budget,
-                                       const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-  SelectionHeap heap;
-  heap.set_stats(options.heap_stats);
-  bool built = false;
-  while (result.protectors.size() < budget) {
-    TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "sgb-greedy"));
-    const RoundGains& round = engine.BeginRound(options.scope,
-                                                /*per_target=*/false);
-    const size_t universe = round.edges.size();
-    if (round.all_dirty || !built) {
-      heap.BuildBegin(universe);
-      for (size_t i = 0; i < universe; ++i) {
-        heap.BuildAdd(static_cast<uint32_t>(i), round.totals[i]);
-      }
-      heap.BuildFinish();
-      built = true;
-    } else {
-      for (uint32_t i : round.dirty) heap.Update(i, round.totals[i]);
-    }
-    if (heap.Empty()) break;  // no positive gain left
-    CommitPick(engine, round.edges[heap.TopRow()], PickTrace::kNoTarget,
-               timer, result);
-  }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
-
-Result<ProtectionResult> SgbGreedyEager(Engine& engine, size_t budget,
-                                        const GreedyOptions& options) {
-  switch (options.rounds) {
-    case RoundMode::kColdSweep:
-      return SgbGreedyEagerCold(engine, budget, options);
-    case RoundMode::kHeap:
-      return SgbGreedyHeap(engine, budget, options);
-    case RoundMode::kIncremental:
-      break;
-  }
-  return SgbGreedyEagerIncremental(engine, budget, options);
-}
-
-// Classic CELF lazy-greedy SGB: keep stale upper bounds in a max-heap;
-// re-evaluate only the top element. Valid because the gain of a fixed edge
-// can only shrink as deletions accumulate (submodularity, Lemma 2). Kept
-// as the CelfMode::kClassic baseline of the dirty-aware path: it
-// re-evaluates whatever surfaces at the top — every popped entry whose
-// bound predates the current round costs one point Gain() query — so its
-// evaluation count depends on how often stale bounds surface, where the
-// dirty-aware loop's accounting matches the eager sweep exactly.
-Result<ProtectionResult> SgbGreedyLazyClassic(Engine& engine, size_t budget,
-                                              const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-
-  struct HeapEntry {
-    size_t bound;
-    EdgeKey edge;
-    uint64_t round;  // deletion round the bound was computed in
-  };
-  auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
-    if (a.bound != b.bound) return a.bound < b.bound;
-    return a.edge > b.edge;  // prefer smaller key on ties
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(cmp)> heap(
-      cmp);
-  {
-    // Initial bounds come from one batched sweep (first-round full scan).
-    std::vector<EdgeKey> candidates;
-    std::vector<size_t> gains;
-    engine.CandidateGains(options.scope, &candidates, &gains);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (gains[i] > 0) heap.push({gains[i], candidates[i], 0});
-    }
-  }
-  uint64_t round = 0;
-  while (result.protectors.size() < budget && !heap.empty()) {
-    TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "sgb-celf"));
-    HeapEntry top = heap.top();
-    heap.pop();
-    if (top.round != round) {
-      size_t fresh = engine.Gain(top.edge);
-      if (fresh > 0) heap.push({fresh, top.edge, round});
-      continue;
-    }
-    if (top.bound == 0) break;
-    CommitPick(engine, top.edge, PickTrace::kNoTarget, timer, result);
-    ++round;
-  }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
-
-// Lexicographic comparison of (own, cross) gains, the exact-arithmetic
-// form of the paper's own + cross / C score.
-bool SplitGainLess(const IncidenceIndex::SplitGain& a,
-                   const IncidenceIndex::SplitGain& b) {
-  if (a.own != b.own) return a.own < b.own;
-  return a.cross < b.cross;
-}
-
-// Cold CT rounds: one GainVector per candidate per round, with the
-// candidate list and the diff buffer hoisted out of the loops (reused
-// capacity, no per-candidate allocation).
-Result<ProtectionResult> CtGreedyCold(Engine& engine,
-                                      const std::vector<size_t>& budgets,
-                                      const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-
-  std::vector<size_t> spent(budgets.size(), 0);
-  size_t total_budget = 0;
-  for (size_t b : budgets) total_budget += b;
-
-  std::vector<EdgeKey> candidates;
-  std::vector<size_t> diffs(budgets.size());
-  while (result.protectors.size() < total_budget) {
-    TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "ct-greedy"));
-    engine.CandidatesInto(options.scope, &candidates);
-    bool found = false;
-    size_t best_target = 0;
-    EdgeKey best_edge = 0;
-    IncidenceIndex::SplitGain best_gain;
-    for (EdgeKey e : candidates) {
-      // One evaluation yields the per-target split for every (t, e) pair —
-      // this is what keeps CT at the paper's O(k n m (log N)^2). No
-      // batched prefilter here: on the recount engine a total-gain sweep
-      // would double the per-round motif enumeration work and distort the
-      // paper-cost-model runtime benches (Figs. 5-6).
-      engine.GainVectorInto(e, diffs);
-      size_t total = 0;
-      for (size_t d : diffs) total += d;
-      if (total == 0) continue;
-      for (size_t t = 0; t < budgets.size(); ++t) {
-        if (spent[t] >= budgets[t]) continue;  // budget used up (set T')
-        IncidenceIndex::SplitGain gain{diffs[t], total - diffs[t]};
-        if (!found || SplitGainLess(best_gain, gain)) {
-          found = true;
-          best_gain = gain;
-          best_edge = e;
-          best_target = t;
-        }
-      }
-    }
-    if (!found) break;  // best delta is zero everywhere
-    ++spent[best_target];
-    CommitPick(engine, best_edge, best_target, timer, result);
-  }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
-
-// Incremental CT. Each candidate's winning (target, own, cross) triple is
-// determined by its per-target gain row and the unspent-target set, both
-// of which change rarely: rows change only for the committed deletion's
+// CT. Each candidate's winning (target, own, cross) triple is determined
+// by its per-target gain row and the unspent-target set, both of which
+// change rarely: rows change only for the committed deletion's
 // dirty set, the unspent set only when a pick exhausts a target. The loop
 // caches (own, best target) per universe row and patches exactly those
 // events, so a round is one flat (own, cross) scan instead of a
 // |candidates| x |targets| re-evaluation.
 //
-// Equivalence to the cold loop: for a fixed candidate the pairs
+// Equivalence to the cold reference loop: for a fixed candidate the pairs
 // (row[t], total - row[t]) over unspent t are lexicographically maximized
 // at the FIRST argmax of row[t] (larger own implies smaller cross), which
 // is exactly what the cold (e, t) scan's strict-improvement rule selects;
@@ -286,9 +81,14 @@ Result<ProtectionResult> CtGreedyCold(Engine& engine,
 // key order. Removing an exhausted target re-seats only rows whose cached
 // best target was that target (values are unchanged and a first-argmax
 // elsewhere stays the first argmax), which is the re-seat set below.
-Result<ProtectionResult> CtGreedyIncremental(
-    Engine& engine, const std::vector<size_t>& budgets,
-    const GreedyOptions& options) {
+Result<ProtectionResult> CtGreedy(Engine& engine,
+                                  const std::vector<size_t>& budgets,
+                                  const GreedyOptions& options) {
+  if (budgets.size() != engine.NumTargets()) {
+    return Status::InvalidArgument(
+        StrFormat("budget vector size %zu != target count %zu",
+                  budgets.size(), engine.NumTargets()));
+  }
   WallTimer timer;
   ProtectionResult result;
   result.initial_similarity = engine.TotalSimilarity();
@@ -353,7 +153,7 @@ Result<ProtectionResult> CtGreedyIncremental(
       if (total == 0) continue;
       const uint32_t o = own[i];
       const uint32_t c = total - o;
-      if (!found || bo < o || (bo == o && bc < c)) {  // SplitGainLess
+      if (!found || bo < o || (bo == o && bc < c)) {  // lexicographic
         found = true;
         bo = o;
         bc = c;
@@ -372,147 +172,19 @@ Result<ProtectionResult> CtGreedyIncremental(
   return result;
 }
 
-// Heap-selection CT: CtGreedyIncremental's cached (own, best target)
-// pairs, with the flat (own, cross) selection scan replaced by a
-// SelectionHeap keyed PackSplit(own, cross) — the packed integer order
-// equals the lexicographic SplitGain order, and priority 0 coincides with
-// total 0 (own and cross are both zero exactly when the total is), so the
-// heap holds precisely the rows the flat scan would consider and its top
-// is the scan's first strict maximum. Rows are re-keyed on the same two
-// events the cache is patched on: the round's dirty set and the
-// exhausted-target re-seat (the latter stays a flat best_t scan — it
-// fires at most once per target over the whole run).
-Result<ProtectionResult> CtGreedyHeap(Engine& engine,
-                                      const std::vector<size_t>& budgets,
-                                      const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-
-  const size_t num_targets = budgets.size();
-  std::vector<size_t> spent(num_targets, 0);
-  size_t total_budget = 0;
-  for (size_t b : budgets) total_budget += b;
-
-  constexpr uint32_t kNoExhaust = 0xffffffffu;
-  std::vector<uint32_t> own;     // cached best own gain per universe row
-  std::vector<uint32_t> best_t;  // cached first-argmax target per row
-  SelectionHeap heap;
-  heap.set_stats(options.heap_stats);
-  bool rebuild_all = true;
-  uint32_t exhausted = kNoExhaust;
-
-  while (result.protectors.size() < total_budget) {
-    TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "ct-greedy"));
-    const RoundGains& round = engine.BeginRound(options.scope,
-                                                /*per_target=*/true);
-    const size_t universe = round.edges.size();
-    auto recompute = [&](size_t i) {
-      const uint32_t* row = round.rows.data() + i * round.num_targets;
-      uint32_t o = 0;
-      uint32_t bt = 0;
-      bool seen = false;
-      for (size_t t = 0; t < num_targets; ++t) {
-        if (spent[t] >= budgets[t]) continue;
-        if (!seen || row[t] > o) {
-          seen = true;
-          o = row[t];
-          bt = static_cast<uint32_t>(t);
-        }
-      }
-      own[i] = seen ? o : 0;
-      best_t[i] = seen ? bt : kNoExhaust;
-    };
-    auto priority = [&](size_t i) -> uint64_t {
-      const uint32_t total = round.totals[i];
-      if (total == 0) return 0;
-      return SelectionHeap::PackSplit(own[i], total - own[i]);
-    };
-    if (round.all_dirty || rebuild_all || own.size() != universe) {
-      own.assign(universe, 0);
-      best_t.assign(universe, kNoExhaust);
-      heap.BuildBegin(universe);
-      for (size_t i = 0; i < universe; ++i) {
-        if (round.totals[i] > 0) recompute(i);
-        heap.BuildAdd(static_cast<uint32_t>(i), priority(i));
-      }
-      heap.BuildFinish();
-      rebuild_all = false;
-    } else {
-      for (uint32_t i : round.dirty) {
-        if (round.totals[i] > 0) recompute(i);
-        heap.Update(i, priority(i));
-      }
-      if (exhausted != kNoExhaust) {
-        for (size_t i = 0; i < universe; ++i) {
-          if (round.totals[i] > 0 && best_t[i] == exhausted) {
-            recompute(i);
-            heap.Update(static_cast<uint32_t>(i), priority(i));
-          }
-        }
-      }
-    }
-    exhausted = kNoExhaust;
-
-    if (heap.Empty()) break;  // best delta is zero everywhere
-    const size_t best_i = heap.TopRow();
-    const size_t best_target = best_t[best_i];
-    ++spent[best_target];
-    if (spent[best_target] >= budgets[best_target]) {
-      exhausted = static_cast<uint32_t>(best_target);
-    }
-    CommitPick(engine, round.edges[best_i], best_target, timer, result);
+// WT: the focal target is fixed until its budget is spent, so the cached
+// own gain of a row is just its rows[] cell for that target — re-read for
+// the dirty set each round and for every row on a target switch. Selection
+// is the same first-strict-max scan as CT restricted to candidates with
+// positive own gain (the cold loop's diffs[t] == 0 skip).
+Result<ProtectionResult> WtGreedy(Engine& engine,
+                                  const std::vector<size_t>& budgets,
+                                  const GreedyOptions& options) {
+  if (budgets.size() != engine.NumTargets()) {
+    return Status::InvalidArgument(
+        StrFormat("budget vector size %zu != target count %zu",
+                  budgets.size(), engine.NumTargets()));
   }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
-
-// Cold WT rounds, with the same buffer hoisting as CtGreedyCold.
-Result<ProtectionResult> WtGreedyCold(Engine& engine,
-                                      const std::vector<size_t>& budgets,
-                                      const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-
-  std::vector<EdgeKey> candidates;
-  std::vector<size_t> diffs(budgets.size());
-  for (size_t t = 0; t < budgets.size(); ++t) {
-    for (size_t b = 0; b < budgets[t]; ++b) {
-      TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "wt-greedy"));
-      engine.CandidatesInto(options.scope, &candidates);
-      bool found = false;
-      EdgeKey best_edge = 0;
-      IncidenceIndex::SplitGain best_gain;
-      for (EdgeKey e : candidates) {
-        // Single GainVector per candidate, as in CT (see the note there).
-        engine.GainVectorInto(e, diffs);
-        if (diffs[t] == 0) continue;  // within-target: own gain required
-        size_t total = 0;
-        for (size_t d : diffs) total += d;
-        IncidenceIndex::SplitGain gain{diffs[t], total - diffs[t]};
-        if (!found || SplitGainLess(best_gain, gain)) {
-          found = true;
-          best_gain = gain;
-          best_edge = e;
-        }
-      }
-      if (!found) break;  // target t fully protected; move to next target
-      CommitPick(engine, best_edge, t, timer, result);
-    }
-  }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
-
-// Incremental WT: the focal target is fixed until its budget is spent, so
-// the cached own gain of a row is just its rows[] cell for that target —
-// re-read for the dirty set each round and for every row on a target
-// switch. Selection is the same first-strict-max scan as CT restricted to
-// candidates with positive own gain (the cold loop's diffs[t] == 0 skip).
-Result<ProtectionResult> WtGreedyIncremental(
-    Engine& engine, const std::vector<size_t>& budgets,
-    const GreedyOptions& options) {
   WallTimer timer;
   ProtectionResult result;
   result.initial_similarity = engine.TotalSimilarity();
@@ -545,7 +217,7 @@ Result<ProtectionResult> WtGreedyIncremental(
         const uint32_t o = own[i];
         if (o == 0) continue;  // within-target: own gain required
         const uint32_t c = total - o;
-        if (!found || bo < o || (bo == o && bc < c)) {  // SplitGainLess
+        if (!found || bo < o || (bo == o && bc < c)) {  // lexicographic
           found = true;
           bo = o;
           bc = c;
@@ -558,115 +230,6 @@ Result<ProtectionResult> WtGreedyIncremental(
   }
   FinalizeResult(engine, timer, result);
   return result;
-}
-
-// Heap-selection WT: WtGreedyIncremental's per-target own-gain column
-// behind a SelectionHeap keyed PackSplit(own, cross). The own > 0
-// requirement (within-target picks must help the focal target) folds
-// into the priority — PackSplit(0, anything) maps to "unselectable" by
-// clamping to 0 — so the heap holds exactly the rows the flat scan's
-// `o == 0` skip would keep. The heap is rebuilt whenever the focal
-// target switches (priorities are a function of t) and patched from the
-// dirty set otherwise.
-Result<ProtectionResult> WtGreedyHeap(Engine& engine,
-                                      const std::vector<size_t>& budgets,
-                                      const GreedyOptions& options) {
-  WallTimer timer;
-  ProtectionResult result;
-  result.initial_similarity = engine.TotalSimilarity();
-
-  std::vector<uint32_t> own;
-  SelectionHeap heap;
-  heap.set_stats(options.heap_stats);
-  for (size_t t = 0; t < budgets.size(); ++t) {
-    bool target_cached = false;
-    for (size_t b = 0; b < budgets[t]; ++b) {
-      TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "wt-greedy"));
-      const RoundGains& round = engine.BeginRound(options.scope,
-                                                  /*per_target=*/true);
-      const size_t universe = round.edges.size();
-      const uint32_t* rows = round.rows.data();
-      const size_t stride = round.num_targets;
-      auto priority = [&](size_t i) -> uint64_t {
-        const uint32_t total = round.totals[i];
-        const uint32_t o = own[i];
-        if (total == 0 || o == 0) return 0;
-        return SelectionHeap::PackSplit(o, total - o);
-      };
-      if (round.all_dirty || !target_cached || own.size() != universe) {
-        own.resize(universe);
-        heap.BuildBegin(universe);
-        for (size_t i = 0; i < universe; ++i) {
-          own[i] = rows[i * stride + t];
-          heap.BuildAdd(static_cast<uint32_t>(i), priority(i));
-        }
-        heap.BuildFinish();
-        target_cached = true;
-      } else {
-        for (uint32_t i : round.dirty) {
-          own[i] = rows[i * stride + t];
-          heap.Update(i, priority(i));
-        }
-      }
-      if (heap.Empty()) break;  // target t fully protected; next target
-      CommitPick(engine, round.edges[heap.TopRow()], t, timer, result);
-    }
-  }
-  FinalizeResult(engine, timer, result);
-  return result;
-}
-
-}  // namespace
-
-Result<ProtectionResult> SgbGreedy(Engine& engine, size_t budget,
-                                   const GreedyOptions& options) {
-  if (options.lazy) {
-    // Dirty-aware CELF is the heap loop: incremental gain maintenance
-    // collapses CELF's stale-bound re-evaluation into dirty re-keying.
-    if (options.celf == CelfMode::kClassic) {
-      return SgbGreedyLazyClassic(engine, budget, options);
-    }
-    return SgbGreedyHeap(engine, budget, options);
-  }
-  return SgbGreedyEager(engine, budget, options);
-}
-
-Result<ProtectionResult> CtGreedy(Engine& engine,
-                                  const std::vector<size_t>& budgets,
-                                  const GreedyOptions& options) {
-  if (budgets.size() != engine.NumTargets()) {
-    return Status::InvalidArgument(
-        StrFormat("budget vector size %zu != target count %zu",
-                  budgets.size(), engine.NumTargets()));
-  }
-  switch (options.rounds) {
-    case RoundMode::kColdSweep:
-      return CtGreedyCold(engine, budgets, options);
-    case RoundMode::kHeap:
-      return CtGreedyHeap(engine, budgets, options);
-    case RoundMode::kIncremental:
-      break;
-  }
-  return CtGreedyIncremental(engine, budgets, options);
-}
-
-Result<ProtectionResult> WtGreedy(Engine& engine,
-                                  const std::vector<size_t>& budgets,
-                                  const GreedyOptions& options) {
-  if (budgets.size() != engine.NumTargets()) {
-    return Status::InvalidArgument(
-        StrFormat("budget vector size %zu != target count %zu",
-                  budgets.size(), engine.NumTargets()));
-  }
-  switch (options.rounds) {
-    case RoundMode::kColdSweep:
-      return WtGreedyCold(engine, budgets, options);
-    case RoundMode::kHeap:
-      return WtGreedyHeap(engine, budgets, options);
-    case RoundMode::kIncremental:
-      break;
-  }
-  return WtGreedyIncremental(engine, budgets, options);
 }
 
 Result<ProtectionResult> FullProtection(Engine& engine,

@@ -8,8 +8,16 @@
 //
 // Each runs against any Engine; the candidate scope selects between the
 // base algorithms (kAllEdges) and their scalable "-R" variants
-// (kTargetSubgraphEdges, Lemma 5). SGB additionally supports lazy (CELF)
-// evaluation, valid because f is monotone submodular.
+// (kTargetSubgraphEdges, Lemma 5).
+//
+// Every algorithm has exactly one loop: incremental rounds over
+// Engine::BeginRound, where per-candidate gains persist across rounds and
+// only the dirty set of each committed deletion is re-evaluated, followed
+// by a flat first-strict-max scan over the round's ascending-key universe.
+// The loops are bit-identical in picks, traces and gain-evaluation counts
+// to the textbook cold sweeps (re-evaluate every candidate every round),
+// which live in the test-only reference library (tests/reference/) as
+// their differential baseline.
 
 #ifndef TPP_CORE_GREEDY_H_
 #define TPP_CORE_GREEDY_H_
@@ -21,64 +29,14 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "core/engine.h"
-#include "core/selection_heap.h"
 
 namespace tpp::core {
-
-/// Round evaluation strategy of the eager greedy loops.
-enum class RoundMode {
-  /// Incremental rounds on Engine::BeginRound: per-candidate gains
-  /// persist across rounds and only the dirty set of each committed
-  /// deletion is re-evaluated. Picks, traces, and gain-evaluation
-  /// accounting are bit-identical to the cold sweep; only wall time
-  /// differs (bench/solver_rounds tracks the gap).
-  kIncremental,
-  /// The historical loop: re-evaluate every candidate every round. Kept
-  /// as the differential baseline of the incremental engine.
-  kColdSweep,
-  /// Incremental rounds with SELECTION on an addressable max-heap
-  /// (core/selection_heap.h) layered over the same BeginRound gain
-  /// table: each round re-keys only the dirtied entries and reads the
-  /// pick off the heap top, so selection costs O(|dirty| log n) instead
-  /// of the kIncremental flat O(universe) scan. Picks, traces, and
-  /// accounting remain bit-identical to the cold sweep (the heap order
-  /// is exactly the flat scan's first-strict-max rule).
-  kHeap,
-};
-
-/// How the lazy (CELF) SGB path evaluates stale upper bounds.
-enum class CelfMode {
-  /// Dirty-aware CELF: the selection heap is invalidated from the dirty
-  /// set each committed deletion emits (IncidenceIndex deferred-count
-  /// flush via Engine::BeginRound), so only genuinely changed bounds are
-  /// re-keyed and the work metric matches the eager sweep exactly. The
-  /// default, and the only mode whose gain-evaluation accounting is
-  /// bit-identical to the eager paths.
-  kDirtyAware,
-  /// The historical CELF loop: a std::priority_queue of stale bounds,
-  /// re-evaluating whatever surfaces at the top. Kept as the
-  /// differential/bench baseline of the dirty-aware path; evaluation
-  /// counts depend on how often stale bounds surface.
-  kClassic,
-};
 
 /// Shared knobs for the greedy algorithms.
 struct GreedyOptions {
   /// Candidate protector scope; kTargetSubgraphEdges gives the "-R"
   /// variants with identical output (Lemma 5).
   CandidateScope scope = CandidateScope::kAllEdges;
-  /// SGB only: use CELF lazy evaluation (upper bounds from submodularity).
-  bool lazy = false;
-  /// Eager rounds only (SGB non-lazy, CT, WT, FullProtection): how each
-  /// round's candidate gains are produced and the pick is selected.
-  RoundMode rounds = RoundMode::kIncremental;
-  /// Lazy SGB only: stale-bound strategy of the CELF loop.
-  CelfMode celf = CelfMode::kDirtyAware;
-  /// When set, heap-backed selection paths (RoundMode::kHeap and the
-  /// dirty-aware CELF) accumulate their operation counters here —
-  /// bench/solver_rounds' heap-ops / dirty-repush telemetry. Never
-  /// touched by the flat-scan or classic paths.
-  SelectionHeapStats* heap_stats = nullptr;
   /// Cooperative cancellation: when set, every greedy loop polls the
   /// token at each round boundary and returns its status (deadline
   /// exceeded / aborted) instead of committing further picks. Polling is

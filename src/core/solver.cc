@@ -24,9 +24,6 @@ size_t EffectiveBudget(const SolverSpec& spec, Engine& engine) {
 GreedyOptions OptionsOf(const SolverSpec& spec) {
   GreedyOptions opts;
   opts.scope = spec.scope;
-  opts.lazy = spec.lazy;
-  opts.rounds = spec.rounds;
-  opts.celf = spec.celf;
   opts.cancel = spec.cancel;
   return opts;
 }
@@ -134,7 +131,7 @@ class FullProtectionSolver : public Solver {
 // graph; the picks are then replayed through `engine` so the returned
 // ProtectionResult reports the same motif-similarity trajectory (and
 // leaves engine.CurrentGraph() == the defended graph) as every other
-// solver. Scope and lazy flags do not apply to this solver.
+// solver. The scope does not apply to this solver.
 class KatzDefenseSolver : public Solver {
  public:
   std::string_view Name() const override { return "katz"; }
@@ -196,23 +193,6 @@ Result<CandidateScope> ParseCandidateScope(std::string_view name) {
                 std::string(name).c_str()));
 }
 
-Result<RoundMode> ParseRoundMode(std::string_view name) {
-  if (name == "incremental") return RoundMode::kIncremental;
-  if (name == "cold") return RoundMode::kColdSweep;
-  if (name == "heap") return RoundMode::kHeap;
-  return Status::InvalidArgument(
-      StrFormat("rounds '%s' (want incremental|cold|heap)",
-                std::string(name).c_str()));
-}
-
-Result<CelfMode> ParseCelfMode(std::string_view name) {
-  if (name == "dirty") return CelfMode::kDirtyAware;
-  if (name == "classic") return CelfMode::kClassic;
-  return Status::InvalidArgument(
-      StrFormat("celf '%s' (want dirty|classic)",
-                std::string(name).c_str()));
-}
-
 size_t BudgetFromFlag(int64_t budget) {
   return budget <= 0 ? SolverSpec::kFullProtection
                      : static_cast<size_t>(budget);
@@ -246,13 +226,7 @@ std::vector<std::string_view> SolverNames() {
 }
 
 Status ValidateSolverSpec(const SolverSpec& spec) {
-  TPP_ASSIGN_OR_RETURN(const Solver* solver, GetSolver(spec.algorithm));
-  if (spec.lazy && solver->Name() != "sgb" && solver->Name() != "full") {
-    return Status::InvalidArgument(
-        StrFormat("solver '%s' does not support lazy (CELF) evaluation",
-                  std::string(solver->Name()).c_str()));
-  }
-  return Status::Ok();
+  return GetSolver(spec.algorithm).status();
 }
 
 Result<ProtectionResult> RunSolver(const SolverSpec& spec, Engine& engine,

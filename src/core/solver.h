@@ -7,7 +7,7 @@
 // dispatch switches. Registered solvers:
 //
 //   key      display          budgeting    notes
-//   sgb      SGB-Greedy       global k     supports lazy (CELF)
+//   sgb      SGB-Greedy       global k
 //   ct-tbd   CT-Greedy:TBD    per-target   k divided by target-subgraph count
 //   ct-dbd   CT-Greedy:DBD    per-target   k divided by degree product
 //   wt-tbd   WT-Greedy:TBD    per-target   within-target, TBD division
@@ -60,24 +60,14 @@ struct SolverSpec {
   /// Candidate protector scope; kTargetSubgraphEdges gives the scalable
   /// "-R" variants with identical output (Lemma 5).
   CandidateScope scope = CandidateScope::kTargetSubgraphEdges;
-  bool lazy = false;              ///< CELF evaluation (SGB-based only)
-  /// Round strategy of the eager greedy loops (CLI --rounds flag:
-  /// incremental|cold|heap). Every mode is bit-identical in output; only
-  /// wall time differs, so plan caching ignores this field.
-  RoundMode rounds = RoundMode::kIncremental;
-  /// Stale-bound strategy when `lazy` is set (CLI --celf flag:
-  /// dirty|classic). Bit-identical picks; dirty matches the eager paths'
-  /// evaluation accounting exactly, classic is the historical
-  /// re-push-on-pop loop.
-  CelfMode celf = CelfMode::kDirtyAware;
   /// Total deletion budget k. 0 is legal and selects nothing (budget-grid
   /// sweeps evaluate it); the kFullProtection default is unbounded.
   size_t budget = kFullProtection;
   /// Cooperative cancellation (common/cancellation.h): solvers poll the
   /// token at round boundaries and return kDeadlineExceeded / kAborted
   /// instead of running on. Not owned; must outlive the Run call.
-  /// Wall-clock only — like `rounds`, it never changes the output of a
-  /// run that completes, so plan caching ignores this field.
+  /// Wall-clock only — it never changes the output of a run that
+  /// completes, so plan caching ignores this field.
   const CancellationToken* cancel = nullptr;
 };
 
@@ -116,15 +106,6 @@ class Solver {
 /// request-file scope= key.
 Result<CandidateScope> ParseCandidateScope(std::string_view name);
 
-/// Parses a round-mode name: "incremental" (kIncremental), "cold"
-/// (kColdSweep), or "heap" (kHeap) — the vocabulary of the CLI --rounds
-/// flag and the bench harnesses.
-Result<RoundMode> ParseRoundMode(std::string_view name);
-
-/// Parses a CELF-mode name: "dirty" (kDirtyAware) or "classic"
-/// (kClassic) — the vocabulary of the CLI --celf flag.
-Result<CelfMode> ParseCelfMode(std::string_view name);
-
 /// Maps an integer budget knob to a spec budget: values <= 0 mean
 /// "protect fully" (kFullProtection), matching the CLI --budget flag and
 /// the request-file budget= key.
@@ -140,8 +121,7 @@ Result<const Solver*> GetSolver(std::string_view name);
 /// above).
 std::vector<std::string_view> SolverNames();
 
-/// Checks a spec against the registry: the algorithm must exist and the
-/// flag combination must be supported (lazy is SGB-based only).
+/// Checks a spec against the registry: the algorithm must exist.
 Status ValidateSolverSpec(const SolverSpec& spec);
 
 /// Validates `spec` and runs the named solver. The one dispatch path all

@@ -85,12 +85,10 @@ bool IsTimingDependent(const Status& status) {
 std::string CanonicalRequestKey(uint64_t base_fingerprint,
                                 const PlanRequest& request) {
   std::string key = StrFormat(
-      "tpp-plan-v1|fp=%016llx|motif=%s|alg=%s|scope=%d|lazy=%d|seed=%llu|"
-      "rel=%d|",
+      "tpp-plan-v1|fp=%016llx|motif=%s|alg=%s|scope=%d|seed=%llu|rel=%d|",
       static_cast<unsigned long long>(base_fingerprint),
       std::string(motif::MotifName(request.motif)).c_str(),
       request.spec.algorithm.c_str(), static_cast<int>(request.spec.scope),
-      request.spec.lazy ? 1 : 0,
       static_cast<unsigned long long>(request.seed),
       request.want_released ? 1 : 0);
   if (request.spec.budget == core::SolverSpec::kFullProtection) {

@@ -57,8 +57,8 @@ class WarmStore;
 /// Canonical content key of one request against one base graph: a pure
 /// function of the fingerprint and the request payload (name excluded).
 /// Equal keys imply bit-identical responses; any field that can change
-/// the response — including seed, scope, lazy, budget, and whether the
-/// released graph is wanted — changes the key.
+/// the response — including seed, scope, budget, and whether the released
+/// graph is wanted — changes the key.
 std::string CanonicalRequestKey(uint64_t base_fingerprint,
                                 const PlanRequest& request);
 

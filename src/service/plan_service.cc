@@ -33,8 +33,6 @@ using graph::Edge;
 
 namespace {
 
-constexpr size_t kNoGroup = std::numeric_limits<size_t>::max();
-
 // The solve tail shared by RunOne and the batch pipeline: everything
 // after the targets are resolved and an engine over the instance exists.
 // Keeping it one function makes "pipeline output == sequential RunOne
@@ -155,11 +153,8 @@ std::vector<PlanResponse> PlanService::RunPipeline(
 
   // -- Stage 1: canonicalize. One content key per request, a pure
   // function of the base-graph fingerprint and the request payload.
-  // Keys feed dedup and the cache only; with both disabled the stage is
-  // skipped entirely.
-  const bool need_keys = options.dedup || options.cache != nullptr;
-  std::vector<std::string> keys(need_keys ? n : 0);
-  for (size_t i = 0; i < keys.size(); ++i) {
+  std::vector<std::string> keys(n);
+  for (size_t i = 0; i < n; ++i) {
     keys[i] = CanonicalRequestKey(fingerprint_, requests[i]);
   }
 
@@ -167,16 +162,12 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   // representative; later occurrences share its response. Identical keys
   // imply identical payloads, so sharing is bit-identical to re-solving.
   std::vector<size_t> rep(n);
-  if (options.dedup) {
-    std::unordered_map<std::string_view, size_t> first;
-    first.reserve(n * 2);
-    for (size_t i = 0; i < n; ++i) {
-      auto [it, inserted] = first.try_emplace(keys[i], i);
-      rep[i] = it->second;
-      if (!inserted) ++stats.dedup_shared;
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) rep[i] = i;
+  std::unordered_map<std::string_view, size_t> first;
+  first.reserve(n * 2);
+  for (size_t i = 0; i < n; ++i) {
+    auto [it, inserted] = first.try_emplace(keys[i], i);
+    rep[i] = it->second;
+    if (!inserted) ++stats.dedup_shared;
   }
 
   // -- Stage 3: cache probe (representatives only). Hits are final
@@ -184,7 +175,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   struct Unit {
     size_t index = 0;        // the representative's input position
     std::optional<Rng> rng;  // stream already advanced past sampling
-    size_t group = kNoGroup;
+    size_t group = 0;        // repository group (valid unless failed)
     bool failed = false;     // resolution failed; status already recorded
     const CancellationToken* cancel = nullptr;  // effective deadline/cancel
   };
@@ -269,9 +260,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     } else {
       response.targets = request.targets;
     }
-    if (options.share_instances) {
-      unit.group = repository.Intern(response.targets, request.motif);
-    }
+    unit.group = repository.Intern(response.targets, request.motif);
   }
 
   // -- Stages 5-7: build-once, solve, serialize, cache-fill. Units are
@@ -296,34 +285,13 @@ std::vector<PlanResponse> PlanService::RunPipeline(
       response.status = PollCancellation(unit.cancel, "pipeline:solve");
     }
     if (!unit.failed && response.status.ok()) {
-      if (unit.group != kNoGroup) {
-        Result<IndexedEngine> engine =
-            repository.AcquireEngine(unit.group, unit.cancel);
-        if (!engine.ok()) {
-          response.status = engine.status();
-        } else {
-          SolveWithEngine(request, repository.instance(unit.group), *engine,
-                          *unit.rng, unit.cancel, &response);
-        }
+      Result<IndexedEngine> engine =
+          repository.AcquireEngine(unit.group, unit.cancel);
+      if (!engine.ok()) {
+        response.status = engine.status();
       } else {
-        // Unshared path (share_instances off): the per-request build of
-        // RunOne.
-        Result<TppInstance> instance =
-            core::MakeInstance(base_, response.targets, request.motif);
-        if (!instance.ok()) {
-          response.status = instance.status();
-        } else {
-          motif::IncidenceIndex::BuildOptions build_options;
-          build_options.cancel = unit.cancel;
-          Result<IndexedEngine> engine =
-              IndexedEngine::Create(*instance, build_options);
-          if (!engine.ok()) {
-            response.status = engine.status();
-          } else {
-            SolveWithEngine(request, *instance, *engine, *unit.rng,
-                            unit.cancel, &response);
-          }
-        }
+        SolveWithEngine(request, repository.instance(unit.group), *engine,
+                        *unit.rng, unit.cancel, &response);
       }
       if (response.status.ok()) response.seconds = timer.Seconds();
     }
@@ -546,6 +514,80 @@ Result<std::vector<Edge>> ParseLinkList(std::string_view value) {
   return links;
 }
 
+namespace {
+
+// Applies one key=value token of a request line to `request`. Errors name
+// the key but not the line; ParsePlanRequestLine adds the line prefix, so
+// every key reports failures the same way.
+Status ApplyRequestKey(std::string_view key, std::string_view value,
+                       PlanRequest& request) {
+  if (key == "name") {
+    // Names become `<plan-dir>/<name>.plan` paths; restrict them so a
+    // request file cannot write outside the plan directory.
+    for (char c : value) {
+      bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+      if (!ok) {
+        return Status::InvalidArgument(
+            StrFormat("name '%s' has characters outside [A-Za-z0-9._-]",
+                      std::string(value).c_str()));
+      }
+    }
+    if (value == "." || value == "..") {
+      return Status::InvalidArgument(
+          StrFormat("name '%s' is reserved", std::string(value).c_str()));
+    }
+    request.name = std::string(value);
+  } else if (key == "algorithm") {
+    request.spec.algorithm = std::string(value);
+  } else if (key == "motif") {
+    TPP_ASSIGN_OR_RETURN(request.motif, motif::ParseMotifKind(value));
+  } else if (key == "sample") {
+    TPP_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
+    if (n < 0) {
+      return Status::InvalidArgument(
+          StrFormat("sample=%lld is negative", static_cast<long long>(n)));
+    }
+    request.sample = static_cast<size_t>(n);
+  } else if (key == "links") {
+    TPP_ASSIGN_OR_RETURN(request.targets, ParseLinkList(value));
+  } else if (key == "seed") {
+    TPP_ASSIGN_OR_RETURN(int64_t seed, ParseInt64(value));
+    request.seed = static_cast<uint64_t>(seed);
+  } else if (key == "budget") {
+    if (value == "full") {
+      request.spec.budget = SolverSpec::kFullProtection;
+    } else {
+      TPP_ASSIGN_OR_RETURN(int64_t budget, ParseInt64(value));
+      request.spec.budget = core::BudgetFromFlag(budget);
+    }
+  } else if (key == "scope") {
+    TPP_ASSIGN_OR_RETURN(request.spec.scope, core::ParseCandidateScope(value));
+  } else if (key == "deadline_ms") {
+    // Wall-clock knob: excluded from the cache key (a deadline changes
+    // whether a run finishes, not what it produces).
+    TPP_ASSIGN_OR_RETURN(request.deadline_ms, ParseInt64(value));
+  } else if (key == "released") {
+    // Carrying the released graph costs O(graph) memory per response;
+    // batches opt in per request.
+    if (value == "1" || value == "true") {
+      request.want_released = true;
+    } else if (value == "0" || value == "false") {
+      request.want_released = false;
+    } else {
+      return Status::InvalidArgument(
+          StrFormat("released '%s' (want 0|1|true|false)",
+                    std::string(value).c_str()));
+    }
+  } else {
+    return Status::InvalidArgument(
+        StrFormat("unknown key '%s'", std::string(key).c_str()));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
                                          size_t index) {
   PlanRequest request;
@@ -557,103 +599,19 @@ Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
           StrFormat("line %zu: token '%s' is not key=value", line,
                     std::string(token).c_str()));
     }
-    std::string_view key = token.substr(0, eq);
-    std::string_view value = token.substr(eq + 1);
-    if (key == "name") {
-      // Names become `<plan-dir>/<name>.plan` paths; restrict them so a
-      // request file cannot write outside the plan directory.
-      for (char c : value) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                  c == '-';
-        if (!ok) {
-          return Status::InvalidArgument(StrFormat(
-              "line %zu: name '%s' has characters outside [A-Za-z0-9._-]",
-              line, std::string(value).c_str()));
-        }
-      }
-      if (value == "." || value == "..") {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: name '%s' is reserved", line,
-                      std::string(value).c_str()));
-      }
-      request.name = std::string(value);
-    } else if (key == "algorithm") {
-      request.spec.algorithm = std::string(value);
-    } else if (key == "motif") {
-      TPP_ASSIGN_OR_RETURN(request.motif, motif::ParseMotifKind(value));
-    } else if (key == "sample") {
-      TPP_ASSIGN_OR_RETURN(int64_t n, ParseInt64(value));
-      request.sample = static_cast<size_t>(n);
-    } else if (key == "links") {
-      Result<std::vector<Edge>> links = ParseLinkList(value);
-      if (!links.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      links.status().ToString().c_str()));
-      }
-      request.targets = std::move(*links);
-    } else if (key == "seed") {
-      TPP_ASSIGN_OR_RETURN(int64_t seed, ParseInt64(value));
-      request.seed = static_cast<uint64_t>(seed);
-    } else if (key == "budget") {
-      if (value == "full") {
-        request.spec.budget = SolverSpec::kFullProtection;
-      } else {
-        TPP_ASSIGN_OR_RETURN(int64_t budget, ParseInt64(value));
-        request.spec.budget = core::BudgetFromFlag(budget);
-      }
-    } else if (key == "scope") {
-      Result<core::CandidateScope> scope = core::ParseCandidateScope(value);
-      if (!scope.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      scope.status().ToString().c_str()));
-      }
-      request.spec.scope = *scope;
-    } else if (key == "lazy") {
-      request.spec.lazy = value == "1" || value == "true";
-    } else if (key == "rounds") {
-      // Wall-clock knob only: every round mode is bit-identical in
-      // output, so the plan-cache fingerprint ignores it (requests
-      // differing only here share a cache entry, correctly).
-      Result<core::RoundMode> rounds = core::ParseRoundMode(value);
-      if (!rounds.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      rounds.status().ToString().c_str()));
-      }
-      request.spec.rounds = *rounds;
-    } else if (key == "celf") {
-      Result<core::CelfMode> celf = core::ParseCelfMode(value);
-      if (!celf.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: %s", line,
-                      celf.status().ToString().c_str()));
-      }
-      request.spec.celf = *celf;
-    } else if (key == "deadline_ms") {
-      // Wall-clock knob like rounds=: excluded from the cache key (a
-      // deadline changes whether a run finishes, not what it produces).
-      TPP_ASSIGN_OR_RETURN(int64_t deadline, ParseInt64(value));
-      request.deadline_ms = deadline;
-    } else if (key == "released") {
-      // Carrying the released graph costs O(graph) memory per response;
-      // batches opt in per request.
-      request.want_released = value == "1" || value == "true";
-    } else {
+    Status applied =
+        ApplyRequestKey(token.substr(0, eq), token.substr(eq + 1), request);
+    if (!applied.ok()) {
       return Status::InvalidArgument(
-          StrFormat("line %zu: unknown key '%s'", line,
-                    std::string(key).c_str()));
+          StrFormat("line %zu: %s", line, applied.message().c_str()));
     }
   }
-  // Validate the whole spec early: a typo'd solver name or an
-  // unsupported flag combination should fail at parse time, not
-  // mid-batch.
+  // Validate the whole spec early: a typo'd solver name should fail at
+  // parse time, not mid-batch.
   Status valid = core::ValidateSolverSpec(request.spec);
   if (!valid.ok()) {
     return Status::InvalidArgument(
-        StrFormat("line %zu: %s", line, valid.ToString().c_str()));
+        StrFormat("line %zu: %s", line, valid.message().c_str()));
   }
   return request;
 }

@@ -79,7 +79,7 @@ struct PlanRequest {
   std::vector<graph::Edge> targets;
   size_t sample = 10;  ///< number of targets to sample (targets empty)
   motif::MotifKind motif = motif::MotifKind::kTriangle;
-  core::SolverSpec spec;  ///< algorithm, scope, lazy flag, budget
+  core::SolverSpec spec;  ///< algorithm, scope, budget
   uint64_t seed = 1;      ///< per-request RNG stream seed
   /// Copy the final released graph into PlanResponse::released. Off by
   /// default so large batches do not hold O(batch x graph) memory; `tpp
@@ -150,16 +150,6 @@ struct BatchOptions {
   /// keys embed the base-graph fingerprint). nullptr disables the
   /// cache-probe and cache-fill stages.
   PlanCache* cache = nullptr;
-  /// Build each distinct (targets, motif) instance once and clone engines
-  /// (instance_repository.h). Off reproduces the build-per-request path,
-  /// kept for benchmarking the sharing gain; output is identical either
-  /// way.
-  bool share_instances = true;
-  /// Solve identical in-batch requests once and share the response. Off
-  /// solves every request individually (with dedup, sharing, and cache
-  /// all off, the pipeline degenerates to the historical
-  /// one-solve-per-request batch); output is identical either way.
-  bool dedup = true;
   /// Optional disk-backed warm-start store (store/warm_store.h). The
   /// build-once stage probes it for IncidenceIndex snapshots before
   /// building (writing cold builds back), making the expensive index

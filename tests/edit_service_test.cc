@@ -287,12 +287,12 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
   // Segment 1: a live-fingerprint plan key (seals on overflow).
   // Segment 2: a stale-fingerprint key. Segment 3: stays active.
   std::string live_key = StrFormat(
-      "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|lazy=0|"
-      "seed=1|rel=0|budget=3|links=0-1",
+      "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|seed=1|"
+      "rel=0|budget=3|links=0-1",
       static_cast<unsigned long long>(live_fp));
   std::string stale_key = StrFormat(
-      "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|lazy=0|"
-      "seed=1|rel=0|budget=3|links=0-1",
+      "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|seed=1|"
+      "rel=0|budget=3|links=0-1",
       static_cast<unsigned long long>(stale_fp));
   std::string pad(200, 'x');
   ASSERT_TRUE((*store)->AppendPlan(live_key, pad).ok());

@@ -14,7 +14,7 @@
 #include "core/problem.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp::motif {
 namespace {

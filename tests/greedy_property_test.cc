@@ -96,20 +96,6 @@ TEST_P(GreedyPropertyTest, RestrictedScopeMatchesFullScope) {
   }
 }
 
-TEST_P(GreedyPropertyTest, LazyMatchesEagerOnRandomInstances) {
-  TppInstance inst = RandomInstance(19, 22, 0.3, 4);
-  IndexedEngine eager_engine = *IndexedEngine::Create(inst);
-  IndexedEngine lazy_engine = *IndexedEngine::Create(inst);
-  GreedyOptions lazy_opts;
-  lazy_opts.lazy = true;
-  ProtectionResult eager = *SgbGreedy(eager_engine, 8);
-  ProtectionResult lazy = *SgbGreedy(lazy_engine, 8, lazy_opts);
-  ASSERT_EQ(eager.protectors.size(), lazy.protectors.size());
-  for (size_t i = 0; i < eager.protectors.size(); ++i) {
-    EXPECT_EQ(eager.protectors[i], lazy.protectors[i]) << "pick " << i;
-  }
-}
-
 TEST_P(GreedyPropertyTest, CtRespectsPerTargetBudgets) {
   TppInstance inst = RandomInstance(23, 24, 0.3, 4);
   IndexedEngine probe = *IndexedEngine::Create(inst);

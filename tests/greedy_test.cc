@@ -3,12 +3,16 @@
 
 #include "core/greedy.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/indexed_engine.h"
 #include "core/naive_engine.h"
 #include "core/problem.h"
 #include "graph/fixtures.h"
+#include "reference/greedy_reference.h"
 #include "test_util.h"
 
 namespace tpp::core {
@@ -91,21 +95,52 @@ TEST(SgbGreedyTest, ZeroBudgetDeletesNothing) {
   EXPECT_EQ(result.final_similarity, result.initial_similarity);
 }
 
-TEST(SgbGreedyTest, LazyMatchesEagerPickForPick) {
-  TppInstance inst = InstanceFromFig2();
-  IndexedEngine eager_engine = *IndexedEngine::Create(inst);
-  IndexedEngine lazy_engine = *IndexedEngine::Create(inst);
-  GreedyOptions eager_opts, lazy_opts;
-  lazy_opts.lazy = true;
-  ProtectionResult eager = *SgbGreedy(eager_engine, 4, eager_opts);
-  ProtectionResult lazy = *SgbGreedy(lazy_engine, 4, lazy_opts);
-  ASSERT_EQ(eager.protectors.size(), lazy.protectors.size());
-  for (size_t i = 0; i < eager.protectors.size(); ++i) {
-    EXPECT_EQ(eager.protectors[i], lazy.protectors[i]) << "pick " << i;
+// Equal-gain tie-break regression: a star gadget where EVERY candidate has
+// the same gain, so selection order is decided purely by the tie-break.
+// Nodes u=0, v=1 share neighbors w=2..5; the hidden target is (0,1), so
+// each w forms one triangle target subgraph {(0,w), (1,w)}. All 8 released
+// edges start at gain 1; the required picks are (0,2),(0,3),(0,4),(0,5) —
+// smallest edge key first, with each pick zeroing its partner edge. The
+// production loop and the cold reference must both produce exactly this
+// order, on both engines and both scopes.
+TEST(SgbGreedyTest, EqualGainTieBreaksBySmallestEdgeKey) {
+  Graph g(6);
+  for (graph::NodeId w = 2; w <= 5; ++w) {
+    ASSERT_TRUE(g.AddEdge(0, w).ok());
+    ASSERT_TRUE(g.AddEdge(1, w).ok());
   }
-  EXPECT_EQ(eager.final_similarity, lazy.final_similarity);
-  // Lazy evaluation must not do more work than eager.
-  EXPECT_LE(lazy.gain_evaluations, eager.gain_evaluations);
+  TppInstance inst;
+  inst.released = g;
+  inst.targets = {Edge(0, 1)};
+  inst.motif = motif::MotifKind::kTriangle;
+  const std::vector<Edge> expected = {Edge(0, 2), Edge(0, 3), Edge(0, 4),
+                                      Edge(0, 5)};
+  for (CandidateScope scope :
+       {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
+    GreedyOptions options;
+    options.scope = scope;
+    for (bool cold : {false, true}) {
+      for (int engine_kind = 0; engine_kind < 2; ++engine_kind) {
+        SCOPED_TRACE(std::string(cold ? "cold" : "production") +
+                     (scope == CandidateScope::kAllEdges ? "/all"
+                                                         : "/subgraph") +
+                     (engine_kind == 0 ? "/indexed" : "/naive"));
+        IndexedEngine indexed = *IndexedEngine::Create(inst);
+        NaiveEngine naive(inst);
+        Engine& engine =
+            engine_kind == 0 ? static_cast<Engine&>(indexed) : naive;
+        auto result = cold ? SgbGreedyCold(engine, 4, options)
+                           : SgbGreedy(engine, 4, options);
+        ASSERT_TRUE(result.ok());
+        ASSERT_EQ(result->protectors.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(result->protectors[i], expected[i]) << "pick " << i;
+          EXPECT_EQ(result->picks[i].realized_gain, 1u);
+        }
+        EXPECT_EQ(result->final_similarity, 0u);
+      }
+    }
+  }
 }
 
 TEST(SgbGreedyTest, RestrictedScopeSameResult) {

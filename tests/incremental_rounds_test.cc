@@ -1,6 +1,7 @@
 // Differential coverage of the incremental round engine: dirty-set gain
 // maintenance (Engine::BeginRound on the persistent GainTable) against the
-// cold sweeps, over every solver x motif x candidate scope, plus the
+// cold reference sweeps (tests/reference/), over every solver x motif x
+// candidate scope, plus the
 // deferred-maintenance protocol of the IncidenceIndex (count and cell
 // flushes, dirty-set exactness under randomized delete orders) and the
 // interleaving of deferred flushes with the parallel BatchGain /
@@ -19,7 +20,8 @@
 #include "graph/fixtures.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/greedy_reference.h"
+#include "reference/legacy_incidence_index.h"
 #include "test_util.h"
 
 namespace tpp::core {
@@ -62,12 +64,22 @@ void ExpectBitIdentical(const ProtectionResult& a, const ProtectionResult& b,
   }
 }
 
-Result<ProtectionResult> RunSolver(const std::string& solver, Engine& engine,
+// Runs `solver` through the production loop, or through the cold
+// reference sweep when `cold` is set.
+Result<ProtectionResult> RunSolver(const std::string& solver, bool cold,
+                                   Engine& engine,
                                    const GreedyOptions& options) {
-  if (solver == "sgb") return SgbGreedy(engine, 25, options);
+  if (solver == "sgb") {
+    return cold ? SgbGreedyCold(engine, 25, options)
+                : SgbGreedy(engine, 25, options);
+  }
   std::vector<size_t> budgets(engine.NumTargets(), 2);
-  if (solver == "ct") return CtGreedy(engine, budgets, options);
-  return WtGreedy(engine, budgets, options);
+  if (solver == "ct") {
+    return cold ? CtGreedyCold(engine, budgets, options)
+                : CtGreedy(engine, budgets, options);
+  }
+  return cold ? WtGreedyCold(engine, budgets, options)
+              : WtGreedy(engine, budgets, options);
 }
 
 class IncrementalRoundsTest : public ::testing::TestWithParam<MotifKind> {};
@@ -83,14 +95,13 @@ TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
   for (CandidateScope scope :
        {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
     for (const std::string solver : {"sgb", "ct", "wt"}) {
-      GreedyOptions cold, incremental;
-      cold.scope = incremental.scope = scope;
-      cold.rounds = RoundMode::kColdSweep;
-      incremental.rounds = RoundMode::kIncremental;
+      GreedyOptions options;
+      options.scope = scope;
       IndexedEngine cold_engine = prototype.Clone();
       IndexedEngine incr_engine = prototype.Clone();
-      auto cold_result = RunSolver(solver, cold_engine, cold);
-      auto incr_result = RunSolver(solver, incr_engine, incremental);
+      auto cold_result = RunSolver(solver, /*cold=*/true, cold_engine, options);
+      auto incr_result =
+          RunSolver(solver, /*cold=*/false, incr_engine, options);
       ASSERT_TRUE(cold_result.ok());
       ASSERT_TRUE(incr_result.ok());
       ExpectBitIdentical(
@@ -111,15 +122,13 @@ TEST_P(IncrementalRoundsTest, NaiveFallbackMatchesColdAndIndexed) {
   inst.targets = fx.targets;
   inst.motif = kind;
   for (const std::string solver : {"sgb", "ct", "wt"}) {
-    GreedyOptions cold, incremental;
-    cold.rounds = RoundMode::kColdSweep;
-    incremental.rounds = RoundMode::kIncremental;
+    const GreedyOptions options;
     NaiveEngine naive_cold(inst);
     NaiveEngine naive_incr(inst);
     IndexedEngine indexed = *IndexedEngine::Create(inst);
-    auto rc = RunSolver(solver, naive_cold, cold);
-    auto ri = RunSolver(solver, naive_incr, incremental);
-    auto rx = RunSolver(solver, indexed, incremental);
+    auto rc = RunSolver(solver, /*cold=*/true, naive_cold, options);
+    auto ri = RunSolver(solver, /*cold=*/false, naive_incr, options);
+    auto rx = RunSolver(solver, /*cold=*/false, indexed, options);
     ASSERT_TRUE(rc.ok());
     ASSERT_TRUE(ri.ok());
     ASSERT_TRUE(rx.ok());
@@ -306,21 +315,19 @@ TEST_P(IncrementalRoundsTest, CountReadBetweenRoundsRestartsSession) {
   // End-to-end form: split solver runs with an interleaved read must
   // match the cold sweep doing the same.
   for (const std::string solver : {"sgb", "ct", "wt"}) {
-    GreedyOptions cold, incremental;
-    cold.scope = incremental.scope = CandidateScope::kTargetSubgraphEdges;
-    cold.rounds = RoundMode::kColdSweep;
-    incremental.rounds = RoundMode::kIncremental;
+    GreedyOptions options;
+    options.scope = CandidateScope::kTargetSubgraphEdges;
     IndexedEngine cold_engine = prototype.Clone();
     IndexedEngine incr_engine = prototype.Clone();
-    auto run_split = [&](IndexedEngine& engine, const GreedyOptions& options)
-        -> ProtectionResult {
-      ProtectionResult first = *RunSolver(solver, engine, options);
+    auto run_split = [&](IndexedEngine& engine, bool cold) -> ProtectionResult {
+      ProtectionResult first = *RunSolver(solver, cold, engine, options);
       (void)engine.SimilarityOf(0);        // count read mid-sequence
       (void)engine.Gain(graph::MakeEdgeKey(0, 1));
-      return *RunSolver(solver, engine, options);  // continue on same engine
+      // Continue on the same engine.
+      return *RunSolver(solver, cold, engine, options);
     };
-    ProtectionResult cold_second = run_split(cold_engine, cold);
-    ProtectionResult incr_second = run_split(incr_engine, incremental);
+    ProtectionResult cold_second = run_split(cold_engine, /*cold=*/true);
+    ProtectionResult incr_second = run_split(incr_engine, /*cold=*/false);
     ExpectBitIdentical(cold_second, incr_second, solver + "/split+read");
     EXPECT_EQ(cold_engine.TotalSimilarity(), incr_engine.TotalSimilarity());
   }

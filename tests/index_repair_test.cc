@@ -24,7 +24,7 @@
 #include "core/solver.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 namespace tpp::core {
 namespace {

@@ -61,9 +61,6 @@ TEST(CanonicalRequestKeyTest, EveryResponseRelevantFieldChangesTheKey) {
   changed.spec.scope = core::CandidateScope::kAllEdges;
   EXPECT_NE(CanonicalRequestKey(fp, changed), key);
   changed = request;
-  changed.spec.lazy = true;
-  EXPECT_NE(CanonicalRequestKey(fp, changed), key);
-  changed = request;
   changed.spec.budget = 5;
   EXPECT_NE(CanonicalRequestKey(fp, changed), key);
   changed = request;

@@ -22,8 +22,8 @@ const Graph& ArenasBase() {
 }
 
 // A 16-request mixed-solver batch: all greedy families, both random
-// baselines, a lazy SGB, an explicit-target request, and varying seeds,
-// samples, motifs, and budgets.
+// baselines, an explicit-target request, and varying seeds, samples,
+// motifs, and budgets.
 std::vector<PlanRequest> MixedBatch() {
   const char* algorithms[] = {"sgb",    "ct-tbd", "ct-dbd", "wt-tbd",
                               "wt-dbd", "rd",     "rdt",    "full"};
@@ -35,7 +35,6 @@ std::vector<PlanRequest> MixedBatch() {
     request.motif = i % 5 == 4 ? motif::MotifKind::kRectangle
                                : motif::MotifKind::kTriangle;
     request.spec.algorithm = algorithms[i % 8];
-    request.spec.lazy = i == 8;  // one lazy SGB
     request.spec.budget = i % 8 == 7 ? SolverSpec::kFullProtection
                                      : 4 + i % 3;
     request.seed = 100 + i;
@@ -145,9 +144,8 @@ TEST(PlanServiceTest, ParsesRequestFile) {
       "# tpp batch request file v1\n"
       "\n"
       "name=alpha algorithm=sgb motif=Rectangle sample=20 seed=5 "
-      "budget=10 lazy=1 celf=classic\n"
-      "links=3-14;15-92 algorithm=ct-tbd budget=full scope=all "
-      "rounds=heap\n"
+      "budget=10\n"
+      "links=3-14;15-92 algorithm=ct-tbd budget=full scope=all\n"
       "algorithm=katz\n";
   Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
   ASSERT_TRUE(requests.ok()) << requests.status().ToString();
@@ -160,9 +158,6 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(alpha.sample, 20u);
   EXPECT_EQ(alpha.seed, 5u);
   EXPECT_EQ(alpha.spec.budget, 10u);
-  EXPECT_TRUE(alpha.spec.lazy);
-  EXPECT_EQ(alpha.spec.celf, core::CelfMode::kClassic);
-  EXPECT_EQ(alpha.spec.rounds, core::RoundMode::kIncremental);
 
   const PlanRequest& second = (*requests)[1];
   EXPECT_EQ(second.name, "r1");  // defaulted from line index
@@ -171,29 +166,48 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(second.targets[1], Edge(15, 92));
   EXPECT_EQ(second.spec.budget, SolverSpec::kFullProtection);
   EXPECT_EQ(second.spec.scope, core::CandidateScope::kAllEdges);
-  EXPECT_EQ(second.spec.rounds, core::RoundMode::kHeap);
 
   EXPECT_EQ((*requests)[2].spec.algorithm, "katz");
 }
 
+// Every bad token fails at parse time with the line prefix, whichever
+// parser rejected it; `want` is a substring of the message.
 TEST(PlanServiceTest, ParseErrorsNameTheLine) {
-  EXPECT_FALSE(ParsePlanRequests("algorithm=not-a-solver\n").ok());
-  Result<std::vector<PlanRequest>> bad_key =
-      ParsePlanRequests("# ok\nbudget=3 frobnicate=1\n");
-  ASSERT_FALSE(bad_key.ok());
-  EXPECT_NE(bad_key.status().ToString().find("line 2"),
-            std::string::npos);
-  EXPECT_FALSE(ParsePlanRequests("links=1-2;3\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("scope=sideways\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("motif=Heptagon\n").ok());
-  // Names become plan-file paths; separators must not escape --plan-dir.
-  EXPECT_FALSE(ParsePlanRequests("name=../evil algorithm=sgb\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("name=a/b algorithm=sgb\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("name=..\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("rounds=sideways\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("celf=eager\n").ok());
-  // Unsupported flag combinations fail at parse time, not mid-batch.
-  EXPECT_FALSE(ParsePlanRequests("algorithm=ct-tbd lazy=1\n").ok());
+  const struct {
+    const char* token;
+    const char* want;
+  } cases[] = {
+      {"frobnicate=1", "unknown key 'frobnicate'"},
+      {"algorithm=not-a-solver", "unknown solver"},
+      {"motif=Foo", "unknown motif: Foo"},
+      {"seed=x", "not an integer"},
+      {"budget=y", "not an integer"},
+      {"sample=z", "not an integer"},
+      {"sample=-1", "sample=-1 is negative"},
+      {"released=yes", "released 'yes'"},
+      {"released=TRUE", "released 'TRUE'"},
+      {"released=", "released ''"},
+      {"scope=sideways", "scope 'sideways'"},
+      {"links=1-2;3", "not of the form u-v"},
+      // Names become plan-file paths; separators must not escape
+      // --plan-dir.
+      {"name=../evil", "outside [A-Za-z0-9._-]"},
+      {"name=a/b", "outside [A-Za-z0-9._-]"},
+      {"name=..", "reserved"},
+      // The greedy loop-selection knobs are gone: their keys are unknown.
+      {"lazy=1", "unknown key 'lazy'"},
+      {"rounds=heap", "unknown key 'rounds'"},
+      {"celf=classic", "unknown key 'celf'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.token);
+    Result<std::vector<PlanRequest>> parsed = ParsePlanRequests(
+        std::string("# header\nalgorithm=sgb ") + c.token + "\n");
+    ASSERT_FALSE(parsed.ok());
+    const std::string message = parsed.status().message();
+    EXPECT_EQ(message.rfind("line 2: ", 0), 0u) << message;
+    EXPECT_NE(message.find(c.want), std::string::npos) << message;
+  }
 }
 
 TEST(PlanServiceTest, ParseLinkListRoundTrip) {
@@ -232,15 +246,21 @@ TEST(PlanServiceTest, ParseRequestLineEdgeCases) {
   EXPECT_FALSE(ParsePlanRequests("links=7-7\n").ok());
   EXPECT_FALSE(ParsePlanRequests("links=1-99999999999\n").ok());
 
-  // released= toggles the want_released payload flag (off by default).
+  // released= toggles the want_released payload flag (off by default)
+  // and takes 0|1|true|false; sample=0 is a legal (empty) sample.
   Result<std::vector<PlanRequest>> parsed = ParsePlanRequests(
       "algorithm=sgb sample=5\n"
       "algorithm=sgb sample=5 released=1\n"
-      "algorithm=sgb sample=5 released=0\n");
+      "algorithm=sgb sample=5 released=0\n"
+      "algorithm=sgb sample=5 released=true\n"
+      "algorithm=sgb sample=0 released=false\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_FALSE((*parsed)[0].want_released);
   EXPECT_TRUE((*parsed)[1].want_released);
   EXPECT_FALSE((*parsed)[2].want_released);
+  EXPECT_TRUE((*parsed)[3].want_released);
+  EXPECT_FALSE((*parsed)[4].want_released);
+  EXPECT_EQ((*parsed)[4].sample, 0u);
 }
 
 TEST(PlanServiceTest, OutOfRangeNodeIdsFailPerRequestNotPerBatch) {

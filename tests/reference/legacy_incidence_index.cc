@@ -1,4 +1,4 @@
-#include "motif/legacy_incidence_index.h"
+#include "reference/legacy_incidence_index.h"
 
 #include <algorithm>
 

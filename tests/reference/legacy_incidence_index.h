@@ -1,5 +1,6 @@
 // LegacyIncidenceIndex: the original unordered_map posting-list incidence
-// index, kept as a reference implementation.
+// index, kept as a test-only reference implementation (the tpp_reference
+// library; libtpp does not compile it).
 //
 // This is the pre-CSR layout: edge -> vector<instance id> in a hash map,
 // with every gain query walking the posting list and testing per-instance
@@ -12,8 +13,8 @@
 //     against an independently maintained implementation.
 // See motif/incidence_index.h for the production CSR index.
 
-#ifndef TPP_MOTIF_LEGACY_INCIDENCE_INDEX_H_
-#define TPP_MOTIF_LEGACY_INCIDENCE_INDEX_H_
+#ifndef TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_
+#define TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_
 
 #include <cstdint>
 #include <unordered_map>
@@ -68,4 +69,4 @@ class LegacyIncidenceIndex {
 
 }  // namespace tpp::motif
 
-#endif  // TPP_MOTIF_LEGACY_INCIDENCE_INDEX_H_
+#endif  // TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_

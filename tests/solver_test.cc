@@ -139,15 +139,14 @@ TEST(SolverRegistryTest, LookupErrors) {
   EXPECT_NE(missing.status().ToString().find("sgb"), std::string::npos);
 }
 
-TEST(SolverRegistryTest, ValidateRejectsLazyOnNonSgb) {
+TEST(SolverRegistryTest, ValidateChecksTheAlgorithmName) {
   SolverSpec spec;
-  spec.algorithm = "ct-tbd";
-  spec.lazy = true;
+  for (std::string_view name : SolverNames()) {
+    spec.algorithm = std::string(name);
+    EXPECT_TRUE(ValidateSolverSpec(spec).ok()) << name;
+  }
+  spec.algorithm = "does-not-exist";
   EXPECT_FALSE(ValidateSolverSpec(spec).ok());
-  spec.algorithm = "sgb";
-  EXPECT_TRUE(ValidateSolverSpec(spec).ok());
-  spec.algorithm = "full";
-  EXPECT_TRUE(ValidateSolverSpec(spec).ok());
 }
 
 TEST(SolverRegistryTest, FullProtectionSentinelReachesZero) {

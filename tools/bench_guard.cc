@@ -11,11 +11,9 @@
 //               [--mode=solver_rounds] [--tolerance=0.2] [--min-cold-ms=1.0]
 //
 // --mode=solver_rounds (default) guards BENCH_solver_rounds.json:
-//   per (solver, motif) row:  "speedup" (incremental vs cold) and
-//                             "heap_speedup" (heap selection vs cold),
-//                             plus "lazy_dirty_vs_classic" on sgb rows
-//   aggregates:               "ct_wt_aggregate_speedup" and
-//                             "ct_wt_heap_aggregate_speedup"
+//   per (solver, motif) row:  "speedup" (production loop vs the cold
+//                             reference sweep, ratio of medians)
+//   aggregate:                "ct_wt_aggregate_speedup"
 //
 // --mode=graph_mutation guards BENCH_graph_mutation.json:
 //   per (motif, churn) row:   "repair_speedup" (in-place index repair vs
@@ -72,14 +70,11 @@ struct BenchRun {
   std::string motif;
   double cold_ms = 0;
   double speedup = 0;
-  double heap_speedup = 0;
-  std::optional<double> lazy_dirty_vs_classic;  // sgb rows only
 };
 
 struct BenchFile {
   std::vector<BenchRun> runs;
   double ct_wt_aggregate_speedup = 0;
-  double ct_wt_heap_aggregate_speedup = 0;
 };
 
 // Minimal field extraction over the bench's own fixed JSON shape (flat
@@ -157,8 +152,7 @@ bool ParseBenchFile(const std::string& path, BenchFile* out) {
     auto motif = FindString(obj, "motif");
     auto cold = FindNumber(obj, "cold_ms");
     auto speedup = FindNumber(obj, "speedup");
-    auto heap_speedup = FindNumber(obj, "heap_speedup");
-    if (!solver || !motif || !cold || !speedup || !heap_speedup) {
+    if (!solver || !motif || !cold || !speedup) {
       std::fprintf(stderr, "bench_guard: malformed run row in %s: %s\n",
                    path.c_str(), obj.c_str());
       return false;
@@ -167,22 +161,18 @@ bool ParseBenchFile(const std::string& path, BenchFile* out) {
     run.motif = *motif;
     run.cold_ms = *cold;
     run.speedup = *speedup;
-    run.heap_speedup = *heap_speedup;
-    run.lazy_dirty_vs_classic = FindNumber(obj, "lazy_dirty_vs_classic");
     out->runs.push_back(std::move(run));
   }
   const std::string tail = text.substr(runs_end == std::string::npos
                                            ? runs_at
                                            : runs_end);
   auto aggregate = FindNumber(tail, "ct_wt_aggregate_speedup");
-  auto heap_aggregate = FindNumber(tail, "ct_wt_heap_aggregate_speedup");
-  if (!aggregate || !heap_aggregate) {
-    std::fprintf(stderr, "bench_guard: %s is missing aggregate speedups\n",
+  if (!aggregate) {
+    std::fprintf(stderr, "bench_guard: %s is missing the aggregate speedup\n",
                  path.c_str());
     return false;
   }
   out->ct_wt_aggregate_speedup = *aggregate;
-  out->ct_wt_heap_aggregate_speedup = *heap_aggregate;
   return true;
 }
 
@@ -716,28 +706,10 @@ int Run(int argc, char** argv) {
     const bool enforced = floor.cold_ms >= *min_cold_ms;
     ok &= CheckMetric(where, "speedup", now->speedup, floor.speedup,
                       *tolerance, enforced);
-    ok &= CheckMetric(where, "heap_speedup", now->heap_speedup,
-                      floor.heap_speedup, *tolerance, enforced);
-    if (floor.lazy_dirty_vs_classic.has_value()) {
-      if (!now->lazy_dirty_vs_classic.has_value()) {
-        std::printf("  %-24s lazy_dirty_vs_classic missing: FAIL\n",
-                    where.c_str());
-        ok = false;
-      } else {
-        ok &= CheckMetric(where, "lazy_dirty_vs_classic",
-                          *now->lazy_dirty_vs_classic,
-                          *floor.lazy_dirty_vs_classic, *tolerance,
-                          enforced);
-      }
-    }
   }
   ok &= CheckMetric("aggregate", "ct_wt_aggregate_speedup",
                     fresh.ct_wt_aggregate_speedup,
                     baseline.ct_wt_aggregate_speedup, *tolerance,
-                    /*enforced=*/true);
-  ok &= CheckMetric("aggregate", "ct_wt_heap_aggregate_speedup",
-                    fresh.ct_wt_heap_aggregate_speedup,
-                    baseline.ct_wt_heap_aggregate_speedup, *tolerance,
                     /*enforced=*/true);
   if (!ok) {
     std::printf("bench_guard: REGRESSION — a tracked speedup fell more "

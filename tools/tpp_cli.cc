@@ -6,11 +6,7 @@
 //       (core/solver.h), writes the deletion plan and (optionally) the
 //       released graph. Flags: --algorithm=NAME (see `tpp solvers`),
 //       --motif=Triangle|Rectangle|RecTri|Pentagon, --budget=K (<= 0 =
-//       protect fully), --seed=N, --scope=all|subgraph, --lazy,
-//       --rounds=incremental|cold|heap (round strategy of the eager
-//       greedy loops; heap = addressable-heap selection, all modes
-//       bit-identical), --celf=dirty|classic (stale-bound strategy when
-//       --lazy is set; dirty re-keys only dirtied entries),
+//       protect fully), --seed=N, --scope=all|subgraph,
 //       --deadline-ms=N (wall-clock budget; past it the solver stops at
 //       its next round boundary and the run reports DeadlineExceeded),
 //       --plan-out=FILE, --release-out=FILE, --relabel.
@@ -221,12 +217,6 @@ Result<SolverSpec> SpecFromFlags(const ParsedArgs& args) {
   TPP_ASSIGN_OR_RETURN(
       spec.scope,
       core::ParseCandidateScope(args.GetString("scope", "subgraph")));
-  spec.lazy = args.GetBool("lazy");
-  TPP_ASSIGN_OR_RETURN(
-      spec.rounds,
-      core::ParseRoundMode(args.GetString("rounds", "incremental")));
-  TPP_ASSIGN_OR_RETURN(spec.celf,
-                       core::ParseCelfMode(args.GetString("celf", "dirty")));
   TPP_RETURN_IF_ERROR(core::ValidateSolverSpec(spec));
   return spec;
 }
