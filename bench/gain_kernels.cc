@@ -1,16 +1,9 @@
 // Gain-kernel benchmark: CSR IncidenceIndex vs the map-based
-// LegacyIncidenceIndex on the Fig. 5 Arenas fixture, plus the threaded
-// Engine::BatchGain sweep. Emits a machine-readable BENCH_gain_kernels.json
-// so the perf trajectory of the gain oracle is tracked across PRs.
+// LegacyIncidenceIndex on the Fig. 5 Arenas fixture. Emits a
+// machine-readable BENCH_gain_kernels.json so the perf trajectory of the
+// gain oracle is tracked across PRs.
 //
 // Kernels (per paper motif):
-//   gain_query     — the whole query side of one eager greedy round:
-//                    enumerate the alive candidate set and evaluate every
-//                    gain, exactly what Candidates()+Gain() cost per round
-//                    in the Fig. 5/6 loops. Legacy pays a map traversal,
-//                    per-edge liveness walks, a sort, and a hash+walk per
-//                    gain; CSR answers everything with one scan of the
-//                    cached alive-count array (AliveCandidateGains).
 //   point_query    — a single keyed Gain(e) lookup: hash+posting-walk vs
 //                    hash+cached-count read.
 //   gain_vector    — sweep AccumulateGains(e) (the CT/WT inner query);
@@ -24,11 +17,9 @@
 //                    the static probe table, so the CSR side now beats
 //                    the legacy map on every motif instead of paying
 //                    ~0.8x for eager sibling-count upkeep.
-// Each kernel reports ns/op for legacy and CSR and the speedup ratio; the
-// JSON also records the batch_gain sweep at 1 and GlobalThreadCount()
-// threads.
+// Each kernel reports ns/op for legacy and CSR and the speedup ratio.
 //
-// Flags: --quick (fewer repetitions, CI smoke mode), --threads=N,
+// Flags: --quick (fewer repetitions, CI smoke mode),
 //        --out=PATH (default BENCH_gain_kernels.json).
 
 #include <algorithm>
@@ -47,7 +38,6 @@
 namespace tpp::bench {
 namespace {
 
-using core::IndexedEngine;
 using core::TppInstance;
 using graph::EdgeKey;
 using motif::IncidenceIndex;
@@ -82,8 +72,7 @@ TppInstance MakeArenas(MotifKind kind) {
   return *core::MakeInstance(*g, targets, kind);
 }
 
-std::vector<KernelResult> RunMotif(MotifKind kind, bool quick,
-                                   std::vector<double>* batch_ns) {
+std::vector<KernelResult> RunMotif(MotifKind kind, bool quick) {
   TppInstance inst = MakeArenas(kind);
   LegacyIncidenceIndex legacy =
       *LegacyIncidenceIndex::Build(inst.released, inst.targets, kind);
@@ -98,25 +87,6 @@ std::vector<KernelResult> RunMotif(MotifKind kind, bool quick,
   // many rounds for stable ns/op numbers.
   const size_t sweep_reps =
       (quick ? 20000 : 400000) / std::max<size_t>(1, candidates.size()) + 1;
-  {
-    // One greedy round's query work, using each layout's natural API.
-    KernelResult k{motif, "gain_query", candidates.size()};
-    size_t sum_legacy = 0, sum_csr = 0;
-    k.legacy_ns = TimeNsPerOp(sweep_reps, candidates.size(), [&] {
-      for (EdgeKey e : legacy.AliveCandidateEdges()) {
-        sum_legacy += legacy.Gain(e);
-      }
-    });
-    std::vector<EdgeKey> sweep_edges;
-    std::vector<size_t> sweep_gains;
-    k.csr_ns = TimeNsPerOp(sweep_reps, candidates.size(), [&] {
-      csr.AliveCandidateGains(&sweep_edges, &sweep_gains);
-      for (size_t g : sweep_gains) sum_csr += g;
-    });
-    TPP_CHECK_EQ(sum_legacy, sum_csr);
-    TPP_CHECK(sweep_edges == candidates);
-    out.push_back(k);
-  }
   {
     // Single keyed lookup: hash + posting walk vs hash + cached count.
     KernelResult k{motif, "point_query", candidates.size()};
@@ -168,39 +138,11 @@ std::vector<KernelResult> RunMotif(MotifKind kind, bool quick,
     k.csr_ns = csr_ns / static_cast<double>(reps * candidates.size());
     out.push_back(k);
   }
-  if (batch_ns) {
-    // Engine-level batched sweep, serial vs a forced multi-thread
-    // partition (set_threads bypasses the batch-size heuristic, so the
-    // parallel path genuinely runs even on small candidate sets).
-    IndexedEngine engine = *IndexedEngine::Create(inst);
-    const size_t reps = quick ? 5 : 100;
-    engine.set_threads(1);
-    batch_ns->push_back(TimeNsPerOp(reps, candidates.size(), [&] {
-      engine.BatchGain(candidates);
-    }));
-    engine.set_threads(std::max(2, GlobalThreadCount()));
-    batch_ns->push_back(TimeNsPerOp(reps, candidates.size(), [&] {
-      engine.BatchGain(candidates);
-    }));
-  }
   return out;
 }
 
-// Total legacy vs CSR time of the per-round gain-query kernel across all
-// measured motifs — the Fig. 5 headline number.
-double AggregateGainQuerySpeedup(const std::vector<KernelResult>& kernels) {
-  double legacy = 0, csr = 0;
-  for (const KernelResult& k : kernels) {
-    if (k.name != "gain_query") continue;
-    legacy += k.legacy_ns * static_cast<double>(k.ops);
-    csr += k.csr_ns * static_cast<double>(k.ops);
-  }
-  return csr > 0 ? legacy / csr : 0;
-}
-
 void WriteJson(const std::string& path, bool quick,
-               const std::vector<KernelResult>& kernels,
-               const std::vector<double>& batch_ns) {
+               const std::vector<KernelResult>& kernels) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -210,7 +152,6 @@ void WriteJson(const std::string& path, bool quick,
   std::fprintf(f, "  \"fixture\": \"arenas_email_like\",\n");
   std::fprintf(f, "  \"num_targets\": %zu,\n", kNumTargets);
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"threads\": %d,\n", GlobalThreadCount());
   std::fprintf(f, "  \"kernels\": [\n");
   for (size_t i = 0; i < kernels.size(); ++i) {
     const KernelResult& k = kernels[i];
@@ -221,12 +162,7 @@ void WriteJson(const std::string& path, bool quick,
                  k.motif.c_str(), k.name.c_str(), k.ops, k.legacy_ns,
                  k.csr_ns, k.Speedup(), i + 1 < kernels.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"batch_gain_ns_per_op\": [");
-  for (size_t i = 0; i < batch_ns.size(); ++i) {
-    std::fprintf(f, "%s%.2f", i ? ", " : "", batch_ns[i]);
-  }
-  std::fprintf(f, "],\n  \"gain_query_aggregate_speedup\": %.2f\n}\n",
-               AggregateGainQuerySpeedup(kernels));
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("[json] %s\n", path.c_str());
 }
@@ -237,11 +173,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", args.status().ToString().c_str());
     return 2;
   }
-  Status threads_status = ApplyThreadsFlag(*args);
-  if (!threads_status.ok()) {
-    std::fprintf(stderr, "error: %s\n", threads_status.ToString().c_str());
-    return 2;
-  }
   const bool quick = args->GetBool("quick");
   const std::string out_path =
       args->GetString("out", "BENCH_gain_kernels.json");
@@ -250,10 +181,8 @@ int Run(int argc, char** argv) {
               "Arenas-email-like, |T|=%zu%s ==\n\n",
               kNumTargets, quick ? ", quick" : "");
   std::vector<KernelResult> kernels;
-  std::vector<double> batch_ns;
   for (MotifKind kind : motif::kPaperMotifs) {
-    std::vector<KernelResult> motif_kernels =
-        RunMotif(kind, quick, &batch_ns);
+    std::vector<KernelResult> motif_kernels = RunMotif(kind, quick);
     for (const KernelResult& k : motif_kernels) {
       std::printf("%-9s %-14s %6zu ops  legacy %9.1f ns/op  "
                   "csr %8.1f ns/op  speedup %6.2fx\n",
@@ -262,11 +191,7 @@ int Run(int argc, char** argv) {
       kernels.push_back(k);
     }
   }
-  std::printf("batch_gain serial vs %d-thread ns/op:", GlobalThreadCount());
-  for (double ns : batch_ns) std::printf(" %.1f", ns);
-  std::printf("\naggregate gain_query speedup: %.2fx\n",
-              AggregateGainQuerySpeedup(kernels));
-  WriteJson(out_path, quick, kernels, batch_ns);
+  WriteJson(out_path, quick, kernels);
   return 0;
 }
 

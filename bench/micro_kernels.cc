@@ -59,41 +59,6 @@ void BM_IncidenceIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IncidenceIndexBuild)->Arg(0)->Arg(1)->Arg(2);
 
-// One eager greedy round's query work on the historical map-based index:
-// enumerate alive candidates (map traversal + liveness walks + sort), then
-// a hash+posting-walk Gain per candidate.
-void BM_LegacyGainSweep(benchmark::State& state) {
-  MotifKind kind = static_cast<MotifKind>(state.range(0));
-  TppInstance inst = MakeArenasInstance(kind, 20);
-  auto index =
-      *motif::LegacyIncidenceIndex::Build(inst.released, inst.targets, kind);
-  for (auto _ : state) {
-    size_t sum = 0;
-    for (graph::EdgeKey e : index.AliveCandidateEdges()) {
-      sum += index.Gain(e);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_LegacyGainSweep)->Arg(0)->Arg(1)->Arg(2);
-
-// The same round on the CSR index: one scan of the cached alive counts.
-void BM_CsrGainSweep(benchmark::State& state) {
-  MotifKind kind = static_cast<MotifKind>(state.range(0));
-  TppInstance inst = MakeArenasInstance(kind, 20);
-  auto index =
-      *motif::IncidenceIndex::Build(inst.released, inst.targets, kind);
-  std::vector<graph::EdgeKey> edges;
-  std::vector<size_t> gains;
-  for (auto _ : state) {
-    index.AliveCandidateGains(&edges, &gains);
-    size_t sum = 0;
-    for (size_t g : gains) sum += g;
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_CsrGainSweep)->Arg(0)->Arg(1)->Arg(2);
-
 // Delete-commit kernels: kill every instance, edge by edge. The CSR path
 // additionally maintains the per-edge alive-count caches.
 void BM_LegacyDeleteCommit(benchmark::State& state) {
@@ -125,19 +90,6 @@ void BM_CsrDeleteCommit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsrDeleteCommit);
-
-// Batched keyed sweep at an explicit thread budget.
-void BM_IndexedBatchGain(benchmark::State& state) {
-  TppInstance inst = MakeArenasInstance(MotifKind::kRectangle, 20);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
-  engine.set_threads(static_cast<int>(state.range(0)));
-  auto candidates =
-      engine.Candidates(core::CandidateScope::kTargetSubgraphEdges);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.BatchGain(candidates));
-  }
-}
-BENCHMARK(BM_IndexedBatchGain)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_IndexedGainVector(benchmark::State& state) {
   TppInstance inst = MakeArenasInstance(MotifKind::kRectangle, 20);

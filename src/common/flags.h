@@ -47,8 +47,8 @@ class ParsedArgs {
   mutable std::map<std::string, bool> read_;
 };
 
-/// Process-wide worker-thread budget for parallel batch evaluation
-/// (Engine::BatchGain). Resolution order: an explicit
+/// Process-wide worker-thread budget for the parallel sweeps (index
+/// builds, per-target row fills, batch serving). Resolution order: an explicit
 /// SetGlobalThreadCount(), else the TPP_THREADS environment variable, else
 /// std::thread::hardware_concurrency(). Always returns >= 1.
 int GlobalThreadCount();

@@ -2,12 +2,12 @@
 //
 // Threads are created once per process (growing lazily up to the largest
 // parallelism any caller requests) instead of once per batch, so hot
-// paths like IndexedEngine::BatchGain and PlanService::RunBatch pay no
-// spawn cost per call. ParallelFor is the only coordination primitive the
-// library needs: a blocking chunked loop in which the CALLING thread
-// always participates, which makes nested ParallelFor calls (a service
-// request running a batched gain sweep) deadlock-free even when every
-// pool thread is busy — the caller simply drains the chunks itself.
+// paths like IndexedEngine's per-target row fill and PlanService::RunBatch
+// pay no spawn cost per call. ParallelFor is the only coordination
+// primitive the library needs: a blocking chunked loop in which the
+// CALLING thread always participates, which makes nested ParallelFor calls
+// (a service request running a parallel row fill) deadlock-free even when
+// every pool thread is busy — the caller simply drains the chunks itself.
 
 #ifndef TPP_COMMON_THREAD_POOL_H_
 #define TPP_COMMON_THREAD_POOL_H_

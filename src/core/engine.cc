@@ -1,48 +1,34 @@
 #include "core/engine.h"
 
-#include <algorithm>
-
 namespace tpp::core {
-
-using graph::EdgeKey;
-
-void Engine::BatchGainVector(std::span<const EdgeKey> edges,
-                             std::vector<uint32_t>* out) {
-  const size_t num_targets = NumTargets();
-  out->resize(edges.size() * num_targets);
-  std::vector<size_t> diffs(num_targets);
-  for (size_t i = 0; i < edges.size(); ++i) {
-    GainVectorInto(edges[i], diffs);
-    uint32_t* row = out->data() + i * num_targets;
-    for (size_t t = 0; t < num_targets; ++t) {
-      row[t] = static_cast<uint32_t>(diffs[t]);
-    }
-  }
-}
 
 const RoundGains& Engine::BeginRound(CandidateScope scope, bool per_target) {
   // Trivial always-dirty fallback: rebuild the candidate universe and
-  // re-evaluate everything through the counting query APIs, so the work
-  // metric matches the cold sweep this stands in for (one evaluation per
-  // live candidate). NaiveEngine keeps the paper's recount cost model this
-  // way; only engines with dirty tracking override.
+  // re-evaluate every candidate in order through the counting queries, so
+  // the work metric matches the cold sweep this stands in for (one
+  // evaluation per live candidate). NaiveEngine keeps the paper's recount
+  // cost model this way; only engines with dirty tracking override.
   GainTable& table = fallback_table_;
   CandidatesInto(scope, &table.edges);
   const size_t num_targets = NumTargets();
   table.totals.resize(table.edges.size());
   if (per_target) {
-    BatchGainVector(table.edges, &table.rows);
+    table.rows.resize(table.edges.size() * num_targets);
+    std::vector<size_t> diffs(num_targets);
     for (size_t i = 0; i < table.edges.size(); ++i) {
+      GainVectorInto(table.edges[i], diffs);
+      uint32_t* row = table.rows.data() + i * num_targets;
       uint32_t total = 0;
-      const uint32_t* row = table.rows.data() + i * num_targets;
-      for (size_t t = 0; t < num_targets; ++t) total += row[t];
+      for (size_t t = 0; t < num_targets; ++t) {
+        row[t] = static_cast<uint32_t>(diffs[t]);
+        total += row[t];
+      }
       table.totals[i] = total;
     }
   } else {
     table.rows.clear();
-    std::vector<size_t> gains = BatchGain(table.edges);
-    for (size_t i = 0; i < gains.size(); ++i) {
-      table.totals[i] = static_cast<uint32_t>(gains[i]);
+    for (size_t i = 0; i < table.edges.size(); ++i) {
+      table.totals[i] = static_cast<uint32_t>(Gain(table.edges[i]));
     }
   }
   table.dirty.clear();

@@ -1,5 +1,11 @@
 // Engine: the similarity oracle the greedy algorithms run against.
 //
+// The contract is exactly what the paper's Algorithms 1-3 and the
+// baselines need: similarity reads, a per-candidate gain (Gain) and its
+// per-target split (GainVector / GainVectorInto), the candidate set
+// (Candidates / CandidatesInto), committed deletions, and the incremental
+// round view (BeginRound) the production greedy loops select from.
+//
 // Two implementations share this contract:
 //   * NaiveEngine  (naive_engine.h)   — recounts motifs on the live graph
 //     for every gain query, reproducing the paper's cost model;
@@ -27,7 +33,6 @@
 #include "core/engine_scope.h"
 #include "core/gain_table.h"
 #include "graph/graph.h"
-#include "motif/incidence_index.h"
 
 namespace tpp::core {
 
@@ -50,25 +55,6 @@ class Engine {
   /// Does not commit the deletion.
   virtual size_t Gain(graph::EdgeKey e) = 0;
 
-  /// Batch form of Gain: out[i] == Gain(edges[i]), evaluated against the
-  /// current graph state (no deletion is committed between elements).
-  /// Counts one gain evaluation per queried edge. The base implementation
-  /// is a serial loop; IndexedEngine overrides it with a partitioned
-  /// evaluation on the shared process pool (common/thread_pool.h) so
-  /// first-round full sweeps saturate cores (thread budget: --threads /
-  /// tpp::GlobalThreadCount()).
-  virtual std::vector<size_t> BatchGain(std::span<const graph::EdgeKey> edges) {
-    std::vector<size_t> out;
-    out.reserve(edges.size());
-    for (graph::EdgeKey e : edges) out.push_back(Gain(e));
-    return out;
-  }
-
-  /// Gain split into the part benefiting target `t` (own) and everyone
-  /// else (cross). own + cross == Gain(e).
-  virtual motif::IncidenceIndex::SplitGain GainFor(graph::EdgeKey e,
-                                                   size_t t) = 0;
-
   /// Per-target gains of deleting `e`: out[t] = s(P,t) - s(P + e, t).
   /// One evaluation yields the gain split for EVERY target, which is what
   /// keeps CT-Greedy at the same asymptotic cost as SGB-Greedy (the
@@ -77,23 +63,9 @@ class Engine {
 
   /// Allocation-free form of GainVector: writes the per-target gains into
   /// `out` (size NumTargets()). Counts one gain evaluation, exactly like
-  /// GainVector — the hoisted CT/WT cold loops reuse one buffer across the
-  /// whole run through this. The base implementation copies out of
-  /// GainVector; engines override it to fill in place.
-  virtual void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) {
-    std::vector<size_t> diffs = GainVector(e);
-    std::copy(diffs.begin(), diffs.end(), out.begin());
-  }
-
-  /// Batch form of GainVector: fills `out` with edges.size() rows of
-  /// NumTargets() gains, row-major (resized to edges.size()*NumTargets()).
-  /// Evaluated against the current graph state; counts one gain evaluation
-  /// per queried edge. The base implementation is a serial loop;
-  /// IndexedEngine overrides it with a pure-read fan-out on the shared
-  /// pool (it flushes deferred index maintenance once, then every row fill
-  /// is a read) — the wide-dirty-set path of incremental rounds.
-  virtual void BatchGainVector(std::span<const graph::EdgeKey> edges,
-                               std::vector<uint32_t>* out);
+  /// GainVector — the BeginRound fallback and the cold CT/WT reference
+  /// loops reuse one buffer across the whole run through this.
+  virtual void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) = 0;
 
   /// Commits the deletion of `e` from the released graph. Returns the
   /// number of target subgraphs broken (== the gain it realized); returns
@@ -111,19 +83,6 @@ class Engine {
     *out = Candidates(scope);
   }
 
-  /// The whole query side of one eager greedy round: fills `edges` with
-  /// Candidates(scope) and `gains` with the aligned Gain of each. Counts
-  /// one gain evaluation per returned edge, exactly like the historical
-  /// Candidates()+Gain() loop. Base implementation composes Candidates and
-  /// BatchGain; IndexedEngine answers the restricted scope with a single
-  /// hash-free scan of its cached alive-count array.
-  virtual void CandidateGains(CandidateScope scope,
-                              std::vector<graph::EdgeKey>* edges,
-                              std::vector<size_t>* gains) {
-    *edges = Candidates(scope);
-    *gains = BatchGain(*edges);
-  }
-
   /// The whole query side of one INCREMENTAL greedy round. Returns a view
   /// whose totals (and per-target rows, when `per_target` is set) reflect
   /// the current graph state, re-evaluating only candidates dirtied by the
@@ -139,9 +98,11 @@ class Engine {
   /// numbers on both paths; only wall time changes.
   ///
   /// The base implementation is the trivial always-dirty fallback
-  /// (NaiveEngine uses it as-is): it rebuilds the candidate universe and
-  /// re-evaluates every gain each round through the counting query APIs,
-  /// returning all_dirty views — bit-identical results, cold-sweep cost.
+  /// (NaiveEngine uses it as-is): it rebuilds the candidate universe with
+  /// CandidatesInto and re-evaluates every candidate each round with one
+  /// Gain (or, for per-target rows, one GainVectorInto) in candidate
+  /// order, returning all_dirty views — bit-identical results, cold-sweep
+  /// cost.
   /// IndexedEngine overrides it with dirty-set maintenance on its
   /// persistent GainTable.
   virtual const RoundGains& BeginRound(CandidateScope scope, bool per_target);
@@ -151,12 +112,11 @@ class Engine {
   virtual const graph::Graph& CurrentGraph() const = 0;
 
   /// Number of gain evaluations performed so far; the work metric reported
-  /// by the running-time experiments. Each Gain/GainFor/GainVector call
-  /// counts 1, the batch paths count one per queried edge (BatchGain,
-  /// BatchGainVector) or per returned edge (CandidateGains), and
-  /// BeginRound counts one per live candidate, so every greedy round still
-  /// reports |candidates| evaluations exactly as the historical serial
-  /// loops did — the paper's work metric stays comparable across PRs.
+  /// by the running-time experiments. Each Gain/GainVector/GainVectorInto
+  /// call counts 1 and BeginRound counts one per live candidate, so every
+  /// greedy round reports |candidates| evaluations exactly as the
+  /// historical serial loops did — the paper's work metric stays
+  /// comparable across PRs.
   virtual uint64_t GainEvaluations() const = 0;
 
  protected:

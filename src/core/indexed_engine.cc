@@ -12,11 +12,8 @@ using graph::EdgeKey;
 
 namespace {
 
-// Below this batch size thread spawn overhead dominates the O(1) lookups.
-constexpr size_t kMinEdgesPerThread = 2048;
-
-// Row fills read a whole CSR-2 segment each, so they amortize fan-out at
-// a much smaller batch than the O(1) Gain lookups do.
+// Below this many rows the pool fan-out costs more than the CSR-2 segment
+// reads it spreads.
 constexpr size_t kMinRowsPerThread = 256;
 
 constexpr uint32_t kNoRow = motif::IncidenceIndex::kNoEdge;
@@ -75,40 +72,6 @@ Status IndexedEngine::ApplyEdit(const graph::GraphDelta& delta,
   return Status::Ok();
 }
 
-std::vector<size_t> IndexedEngine::BatchGain(std::span<const EdgeKey> edges) {
-  std::vector<size_t> out(edges.size());
-  // An explicit set_threads() is honored exactly (benchmarks and tests
-  // exercise the parallel partition on small batches); the global default
-  // only parallelizes batches big enough to amortize thread spawns.
-  // One count flush up front keeps the fan-out below a pure read: every
-  // worker's Gain call then sees an empty maintenance queue.
-  index_.FlushDeferredCounts();
-  size_t workers =
-      threads_ > 0
-          ? std::min(static_cast<size_t>(threads_), edges.size())
-          : std::min(static_cast<size_t>(GlobalThreadCount()),
-                     edges.size() / kMinEdgesPerThread);
-  if (workers <= 1) {
-    for (size_t i = 0; i < edges.size(); ++i) out[i] = index_.Gain(edges[i]);
-    gain_evals_ += edges.size();
-    return out;
-  }
-  // Chunked dynamic partition on the shared process pool: workers claim
-  // contiguous ranges, writing disjoint slots of `out` (no synchronization
-  // on reads — gain queries never mutate the index). The pool's threads
-  // are created once per process, not once per sweep.
-  GlobalThreadPool().ParallelFor(
-      edges.size(), static_cast<int>(workers), /*grain=*/1024,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) out[i] = index_.Gain(edges[i]);
-      });
-  // Work accounting folds in after the parallel region: ParallelFor
-  // covers all of [0, n) before returning, so the count is exactly the
-  // batch size and pool workers never write unsynchronized engine state.
-  gain_evals_ += edges.size();
-  return out;
-}
-
 std::vector<size_t> IndexedEngine::GainVector(EdgeKey e) {
   ++gain_evals_;
   std::vector<size_t> diffs(index_.NumTargets(), 0);
@@ -145,8 +108,8 @@ void IndexedEngine::FillGainRows(std::span<const uint32_t> ids,
   // Blocked pass: maximal runs of consecutive ids (with consecutive
   // output rows by construction here) go through one streaming
   // ReadGainRows walk of their contiguous CSR-2 block instead of per-row
-  // offset re-derivation. Whole-universe fills are one run per chunk;
-  // dirty-set fills get runs wherever dirtied ids cluster.
+  // offset re-derivation; a restricted-scope universe is one run per
+  // chunk.
   ParallelRowJob(ids.size(), [&](size_t begin, size_t end) {
     size_t i = begin;
     while (i < end) {
@@ -161,20 +124,6 @@ void IndexedEngine::FillGainRows(std::span<const uint32_t> ids,
       i += len;
     }
   });
-}
-
-void IndexedEngine::BatchGainVector(std::span<const EdgeKey> edges,
-                                    std::vector<uint32_t>* out) {
-  const size_t num_targets = index_.NumTargets();
-  out->resize(edges.size() * num_targets);
-  std::vector<uint32_t> ids(edges.size());
-  for (size_t i = 0; i < edges.size(); ++i) {
-    ids[i] = index_.InternedIdOf(edges[i]);
-  }
-  FillGainRows(ids, num_targets, out->data());
-  // Work accounting folds in after the parallel region, exactly like
-  // BatchGain: no pool worker writes unsynchronized engine state.
-  gain_evals_ += edges.size();
 }
 
 size_t IndexedEngine::DeleteEdge(EdgeKey e) {
@@ -199,17 +148,6 @@ void IndexedEngine::CandidatesInto(CandidateScope scope,
     return;
   }
   index_.AliveCandidateEdgesInto(out);
-}
-
-void IndexedEngine::CandidateGains(CandidateScope scope,
-                                   std::vector<EdgeKey>* edges,
-                                   std::vector<size_t>* gains) {
-  if (scope != CandidateScope::kTargetSubgraphEdges) {
-    Engine::CandidateGains(scope, edges, gains);
-    return;
-  }
-  index_.AliveCandidateGains(edges, gains);
-  gain_evals_ += edges->size();
 }
 
 void IndexedEngine::InitRoundSession(CandidateScope scope, bool per_target) {
@@ -270,7 +208,7 @@ void IndexedEngine::InitRoundSession(CandidateScope scope, bool per_target) {
 const RoundGains& IndexedEngine::BeginRound(CandidateScope scope,
                                             bool per_target) {
   // A count-flush epoch different from the one this session recorded
-  // means some other read (Gain, BatchGain, SimilarityOf, Candidates, a
+  // means some other read (Gain, GainVector, SimilarityOf, Candidates, a
   // direct index access, ...) flushed queued kills WITHOUT dirty
   // collection since the last round — that dirty information is gone, so
   // the only correct continuation is a full re-evaluation. Sessions

@@ -16,7 +16,7 @@ namespace tpp::core {
 
 /// Engine that enumerates all target subgraphs once at construction and
 /// then answers every query from the CSR IncidenceIndex: Gain is an O(1)
-/// cached-count lookup, GainFor/GainVector scan one short per-target count
+/// cached-count lookup, GainVector scans one short per-target count
 /// segment, and DeleteEdge does work proportional to the instances it
 /// kills. Returns exactly the same values as NaiveEngine
 /// (differential-tested) at a fraction of the cost; this is the engine the
@@ -50,39 +50,14 @@ class IndexedEngine : public Engine {
     ++gain_evals_;
     return index_.Gain(e);
   }
-  /// Partitioned parallel batch evaluation on the shared process pool
-  /// (common/thread_pool.h; budget: set_threads(), default
-  /// tpp::GlobalThreadCount(), i.e. the --threads flag). Safe because gain
-  /// queries are pure reads of the index. Falls back to a serial loop for
-  /// small batches or a thread budget of 1.
-  std::vector<size_t> BatchGain(std::span<const graph::EdgeKey> edges)
-      override;
-  motif::IncidenceIndex::SplitGain GainFor(graph::EdgeKey e,
-                                           size_t t) override {
-    ++gain_evals_;
-    return index_.GainFor(e, t);
-  }
   std::vector<size_t> GainVector(graph::EdgeKey e) override;
   /// In-place GainVector: zero-fill plus one pass over the edge's CSR-2
   /// segment, no allocation. Counts one evaluation.
   void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) override;
-  /// Parallel pure-read row fill on the shared pool: deferred index
-  /// maintenance is flushed once up front, then every row is a read of
-  /// the edge's CSR-2 segment into a disjoint output slice. Falls back to
-  /// a serial loop for small batches (same heuristic as BatchGain).
-  void BatchGainVector(std::span<const graph::EdgeKey> edges,
-                       std::vector<uint32_t>* out) override;
   size_t DeleteEdge(graph::EdgeKey e) override;
   std::vector<graph::EdgeKey> Candidates(CandidateScope scope) override;
   void CandidatesInto(CandidateScope scope,
                       std::vector<graph::EdgeKey>* out) override;
-  /// Restricted scope: one hash-free scan of the index's alive-count
-  /// array produces the candidate set and every gain simultaneously (see
-  /// IncidenceIndex::AliveCandidateGains). Full-edge scope falls back to
-  /// the Candidates+BatchGain composition.
-  void CandidateGains(CandidateScope scope,
-                      std::vector<graph::EdgeKey>* edges,
-                      std::vector<size_t>* gains) override;
   /// Incremental rounds on the persistent gain table. The candidate
   /// universe is static for a whole session — the interned edge set
   /// (restricted scope, where totals alias the index's eagerly-maintained
@@ -135,11 +110,11 @@ class IndexedEngine : public Engine {
   Status ApplyEdit(const graph::GraphDelta& delta,
                    const CancellationToken* cancel = nullptr);
 
-  /// Overrides the worker-thread budget for BatchGain on this engine and
-  /// disables the batch-size heuristic (exactly this many workers, capped
-  /// by the batch length); 0 (the default) defers to
-  /// tpp::GlobalThreadCount(), which only parallelizes batches large
-  /// enough to amortize thread spawns.
+  /// Overrides the worker-thread budget of BeginRound's per-target row
+  /// fills on this engine and disables the job-size heuristic (exactly
+  /// this many workers, capped by the row count); 0 (the default) defers
+  /// to tpp::GlobalThreadCount(), which only parallelizes fills large
+  /// enough to amortize the fan-out.
   void set_threads(int threads) { threads_ = threads; }
 
   /// Access to the underlying index (for reporting and differential
@@ -164,9 +139,9 @@ class IndexedEngine : public Engine {
   void ParallelRowJob(size_t n,
                       const std::function<void(size_t, size_t)>& body);
 
-  // Parallel CSR-2 row fill behind BatchGainVector and the dirty-row
-  // refresh of BeginRound: ids[i] is written to out[i * stride] (kNoEdge
-  // ids produce zero rows). Flushes deferred maintenance, then fans out.
+  // Parallel CSR-2 row fill behind a round session's first per-target
+  // BeginRound: ids[i] is written to out[i * stride] (kNoEdge ids produce
+  // zero rows). Flushes deferred maintenance, then fans out.
   void FillGainRows(std::span<const uint32_t> ids, size_t stride,
                     uint32_t* out);
 

@@ -1,5 +1,6 @@
 #include "core/naive_engine.h"
 
+#include <algorithm>
 #include <numeric>
 #include <unordered_set>
 
@@ -41,19 +42,6 @@ size_t NaiveEngine::Gain(EdgeKey e) {
   size_t total = 0;
   for (size_t diff : GainVector(e)) total += diff;
   return total;
-}
-
-motif::IncidenceIndex::SplitGain NaiveEngine::GainFor(EdgeKey e, size_t t) {
-  motif::IncidenceIndex::SplitGain gain;
-  std::vector<size_t> diffs = GainVector(e);
-  for (size_t i = 0; i < diffs.size(); ++i) {
-    if (i == t) {
-      gain.own += diffs[i];
-    } else {
-      gain.cross += diffs[i];
-    }
-  }
-  return gain;
 }
 
 std::vector<size_t> NaiveEngine::GainVector(EdgeKey e) {

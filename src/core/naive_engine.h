@@ -26,27 +26,18 @@ class NaiveEngine : public Engine {
   size_t SimilarityOf(size_t t) override;
   size_t TotalSimilarity() override;
   size_t Gain(graph::EdgeKey e) override;
-  /// Serial fallback: evaluates one candidate at a time through the
-  /// recount path, preserving the paper's per-query cost model (timing
-  /// experiments must not be accelerated by threading).
-  std::vector<size_t> BatchGain(std::span<const graph::EdgeKey> edges)
-      override {
-    return Engine::BatchGain(edges);
-  }
-  motif::IncidenceIndex::SplitGain GainFor(graph::EdgeKey e,
-                                           size_t t) override;
   std::vector<size_t> GainVector(graph::EdgeKey e) override;
   /// In-place recount: same temporary-deletion sweep as GainVector,
-  /// written straight into `out` — the hoisted cold CT/WT loops reuse one
+  /// written straight into `out` — the BeginRound fallback reuses one
   /// buffer instead of allocating a vector per (candidate, round).
   void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) override;
   size_t DeleteEdge(graph::EdgeKey e) override;
   std::vector<graph::EdgeKey> Candidates(CandidateScope scope) override;
   // BeginRound is intentionally NOT overridden: the base class's trivial
-  // always-dirty fallback re-enumerates every candidate's gain each round
-  // through the counting recount queries above, which is exactly the
-  // paper's cost model — incremental callers get bit-identical picks and
-  // work accounting, and the timing experiments stay honest.
+  // always-dirty fallback re-enumerates every candidate's gain each round,
+  // one serial recount query at a time, which is exactly the paper's cost
+  // model — incremental callers get bit-identical picks and work
+  // accounting, and the timing experiments stay honest (no threading).
   const graph::Graph& CurrentGraph() const override { return g_; }
   uint64_t GainEvaluations() const override { return gain_evals_; }
 

@@ -518,22 +518,6 @@ void IncidenceIndex::BuildProbeTable() {
   probe_ids_ = std::move(ids);
 }
 
-IncidenceIndex::SplitGain IncidenceIndex::GainFor(EdgeKey e, size_t t) {
-  FlushDeferredMaintenance();
-  SplitGain gain;
-  const uint32_t id = EdgeIdOf(e);
-  if (id == kNoEdge) return gain;
-  size_t total = alive_count_[id];
-  for (uint32_t p = tgt_offsets_[id]; p < tgt_offsets_[id + 1]; ++p) {
-    if (tgt_ids_[p] == static_cast<uint32_t>(t)) {
-      gain.own = tgt_counts_[p];
-      break;
-    }
-  }
-  gain.cross = total - gain.own;
-  return gain;
-}
-
 size_t IncidenceIndex::DeleteEdge(EdgeKey e) {
   const uint32_t id = EdgeIdOf(e);
   if (id == kNoEdge) return 0;
@@ -701,13 +685,6 @@ void IncidenceIndex::AccumulateGains(EdgeKey e, std::span<size_t> out) {
   }
 }
 
-void IncidenceIndex::ReadGainRow(uint32_t id, std::span<uint32_t> out) const {
-  std::fill(out.begin(), out.end(), 0u);
-  for (uint32_t p = tgt_offsets_[id]; p < tgt_offsets_[id + 1]; ++p) {
-    out[tgt_ids_[p]] = tgt_counts_[p];
-  }
-}
-
 void IncidenceIndex::ReadGainRows(uint32_t first, size_t count, size_t stride,
                                   uint32_t* out) const {
   const size_t num_targets = alive_per_target_.size();
@@ -723,7 +700,6 @@ void IncidenceIndex::ReadGainRows(uint32_t first, size_t count, size_t stride,
   }
 }
 
-
 std::vector<EdgeKey> IncidenceIndex::AliveCandidateEdges() {
   std::vector<EdgeKey> out;
   AliveCandidateEdgesInto(&out);
@@ -736,21 +712,6 @@ void IncidenceIndex::AliveCandidateEdgesInto(std::vector<EdgeKey>* out) {
   out->reserve(alive_edges_);
   for (size_t e = 0; e < alive_count_.size(); ++e) {
     if (alive_count_[e] > 0) out->push_back(edge_keys_[e]);
-  }
-}
-
-void IncidenceIndex::AliveCandidateGains(std::vector<EdgeKey>* edges,
-                                         std::vector<size_t>* gains) {
-  FlushDeferredCounts();
-  edges->clear();
-  gains->clear();
-  edges->reserve(alive_edges_);
-  gains->reserve(alive_edges_);
-  for (size_t e = 0; e < alive_count_.size(); ++e) {
-    if (alive_count_[e] > 0) {
-      edges->push_back(edge_keys_[e]);
-      gains->push_back(alive_count_[e]);
-    }
   }
 }
 

@@ -16,8 +16,8 @@
 //   * tgt_offsets_ / tgt_ids_ / tgt_counts_ — the per-target split of each
 //     edge's alive count: for edge id e, the segment holds one
 //     (target, alive count) pair per target that had an instance through e
-//     at build time. GainFor and AccumulateGains scan one short segment
-//     instead of the full posting list.
+//     at build time. AccumulateGains and the row reads (ReadGainRows)
+//     scan one short segment instead of the full posting list.
 //
 // On top of the layout the index caches alive_count_[e], the number of
 // alive instances containing edge id e. The maintained invariant is
@@ -44,15 +44,15 @@
 //   * FlushDeferredCounts — restores alive_count_, alive_per_target_, and
 //     alive_edges_ by walking the queued edges' posting lists once per
 //     killed instance. Runs implicitly before every count-level read
-//     (Gain, AliveCandidateGains, NumAliveEdges, AliveForTarget, ...) and
+//     (Gain, AliveCandidateEdges, NumAliveEdges, AliveForTarget, ...) and
 //     can emit the DIRTY SET: the ids of every edge whose cached count
 //     changed — exactly the candidates an incremental round engine must
 //     re-evaluate (core/gain_table.h).
 //   * FlushDeferredMaintenance — additionally restores the CSR-2 per-
 //     target cells (zero the dead edges' segments wholesale, then replay
 //     the queued kills against the slot table). Runs implicitly before
-//     every per-target read (GainFor, AccumulateGains); ReadGainRow
-//     assumes it already ran so parallel row fans stay pure reads.
+//     every per-target read (AccumulateGains); ReadGainRows assumes it
+//     already ran so parallel row fans stay pure reads.
 //
 // The deferral costs nothing it would not pay eagerly — each killed
 // instance is processed exactly once per granularity — but moves the work
@@ -61,8 +61,9 @@
 // that never reads per-target splits (SGB, the random baselines) never
 // pays the CSR-2 half at all, and delete-only bursts (the delete_commit
 // kernel, bulk phase-1 deletions) pay only the kill marks. Steady-state
-// Gain stays an O(1) cached read, and BatchGain flushes once up front so
-// its parallel partition remains synchronization-free.
+// Gain stays an O(1) cached read, and the incremental round engine's
+// per-target row fill flushes once up front so its parallel fan-out
+// remains synchronization-free.
 //
 // Construction is parallel and deterministic: enumeration fans out over
 // the shared thread pool in per-target tasks (hub targets split by
@@ -78,7 +79,6 @@
 // T(e) = distinct targets through e, T(e) <= min(NumTargets(), I(e))):
 //   Gain                 O(1) flushed (amortized: the first call after a
 //                        delete pays that delete's count flush)
-//   GainFor              O(T(e)) flushed
 //   AccumulateGains      O(T(e)) flushed
 //   DeleteEdge           O(I(e)) kill marks; the deferred flushes later
 //                        pay O(arity) per killed instance per
@@ -88,8 +88,6 @@
 //                        the result needs no sort); the result vector is
 //                        reserved from the maintained alive-edge count,
 //                        not the build-time edge count
-//   AliveCandidateGains  O(E) — candidates AND their gains in one scan,
-//                        the whole query side of an eager greedy round
 //   AllParticipatingEdges O(E) copy
 //
 // The previous unordered_map posting-list implementation is preserved as
@@ -122,13 +120,6 @@ class IndexSnapshotCodec;
 /// the index is self-contained after Build and does not retain the graph.
 class IncidenceIndex {
  public:
-  /// Marginal gain of deleting an edge, split by beneficiary.
-  struct SplitGain {
-    size_t own = 0;    ///< alive instances of the focal target containing e
-    size_t cross = 0;  ///< alive instances of all other targets containing e
-    size_t total() const { return own + cross; }
-  };
-
   /// Knobs of one Build call.
   struct BuildOptions {
     /// Worker budget for the enumeration and CSR passes; <= 0 resolves to
@@ -232,10 +223,6 @@ class IncidenceIndex {
     return id == kNoEdge ? 0 : alive_count_[id];
   }
 
-  /// Gain split into own-target (t) and cross-target parts. O(T(e)).
-  /// Flushes deferred CSR-2 maintenance first (hence non-const).
-  SplitGain GainFor(graph::EdgeKey e, size_t t);
-
   /// Adds the per-target gains of deleting `e` into `out` (size
   /// NumTargets()): one pass over the edge's per-target count segment.
   /// Flushes deferred CSR-2 maintenance first (hence non-const).
@@ -320,7 +307,7 @@ class IncidenceIndex {
   void FlushDeferredCounts(std::vector<uint32_t>* dirty = nullptr);
 
   /// FlushDeferredCounts plus the queued CSR-2 cell maintenance. Reading
-  /// cells concurrently (ReadGainRow from a parallel fan-out) is safe
+  /// cells concurrently (ReadGainRows from a parallel fan-out) is safe
   /// only after this returns and before the next DeleteEdge. Idempotent.
   void FlushDeferredMaintenance();
 
@@ -337,20 +324,15 @@ class IncidenceIndex {
   /// instead of serving stale gains. See IndexedEngine::BeginRound.
   uint64_t CountsFlushEpoch() const { return counts_flush_epoch_; }
 
-  /// Writes edge id `id`'s per-target gains into `out` (size
-  /// NumTargets()), zero-filling targets without alive instances through
-  /// the edge. PURE READ: requires !HasDeferredMaintenance() (call
-  /// FlushDeferredMaintenance first); safe to call concurrently from pool
-  /// workers under that precondition — the row fill of BatchGainVector.
-  void ReadGainRow(uint32_t id, std::span<uint32_t> out) const;
-
-  /// Blocked form of ReadGainRow: writes the per-target gain rows of the
-  /// CONSECUTIVE edge ids [first, first + count) to out, out + stride,
-  /// out + 2 * stride, ... Because ids are dense and CSR-2 segments are
-  /// laid out in id order, the run's (target, count) cells are one
-  /// contiguous block walked by a single running cursor — a streaming
-  /// kernel instead of `count` point queries re-deriving offsets. Same
-  /// PURE READ precondition and concurrency contract as ReadGainRow; the
+  /// Writes the per-target gain rows of the CONSECUTIVE edge ids
+  /// [first, first + count) to out, out + stride, out + 2 * stride, ...
+  /// (NumTargets() entries each, zero for targets without alive instances
+  /// through the edge). Because ids are dense and CSR-2 segments are laid
+  /// out in id order, the run's (target, count) cells are one contiguous
+  /// block walked by a single running cursor — a streaming kernel instead
+  /// of `count` point queries re-deriving offsets. PURE READ: requires
+  /// !HasDeferredMaintenance() (call FlushDeferredMaintenance first); safe
+  /// to call concurrently from pool workers under that precondition. The
   /// incremental round engine decomposes its dirty set into such runs
   /// (dirty ids cluster: an instance's edges intern near each other).
   void ReadGainRows(uint32_t first, size_t count, size_t stride,
@@ -370,15 +352,6 @@ class IncidenceIndex {
   /// this is a single scan of the alive-count array, after a count
   /// flush).
   std::vector<graph::EdgeKey> AliveCandidateEdges();
-
-  /// One-pass gain sweep: fills `edges` with every alive candidate edge
-  /// (sorted ascending, identical to AliveCandidateEdges()) and `gains`
-  /// with the aligned alive counts. This is the entire per-round query
-  /// work of an eager greedy iteration, answered by a single hash-free,
-  /// sort-free scan of the cached count array: O(E) total, not
-  /// O(E log E + sum I(e)) as the map-based layout required.
-  void AliveCandidateGains(std::vector<graph::EdgeKey>* edges,
-                           std::vector<size_t>* gains);
 
   /// Fill form of AliveCandidateEdges: reuses `out`'s capacity across
   /// rounds instead of allocating a fresh vector per call.

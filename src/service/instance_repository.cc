@@ -104,6 +104,16 @@ void InstanceRepository::BuildGroup(Group& group,
 
 Result<IndexedEngine> InstanceRepository::AcquireEngine(
     size_t group_id, const CancellationToken* cancel) {
+  return Acquire(group_id, cancel, /*take=*/false);
+}
+
+Result<IndexedEngine> InstanceRepository::TakeEngine(
+    size_t group_id, const CancellationToken* cancel) {
+  return Acquire(group_id, cancel, /*take=*/true);
+}
+
+Result<IndexedEngine> InstanceRepository::Acquire(
+    size_t group_id, const CancellationToken* cancel, bool take) {
   Group& group = groups_[group_id];
   {
     std::lock_guard<std::mutex> lock(group.build_mu);
@@ -122,6 +132,16 @@ Result<IndexedEngine> InstanceRepository::AcquireEngine(
       ResetGroup(group);
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
       return failed;
+    }
+    if (group.status.ok() && !group.engine) {
+      return Status::FailedPrecondition(
+          "instance group's prototype engine was already taken");
+    }
+    if (take && group.status.ok()) {
+      acquisitions_.fetch_add(1, std::memory_order_relaxed);
+      IndexedEngine engine = std::move(*group.engine);
+      group.engine.reset();
+      return engine;
     }
   }
   // Past the gate the group is immutable until the next ApplyEdit (which
@@ -158,9 +178,10 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
         break;
       }
     }
-    if (hits_target || !group.status.ok()) {
+    if (hits_target || !group.status.ok() || !group.engine) {
       // The edit changed the problem (or may have cured a memoized build
-      // failure): back to unbuilt, next acquisition cold-builds.
+      // failure, or TakeEngine left no prototype to repair): back to
+      // unbuilt, next acquisition cold-builds.
       ResetGroup(group);
       ++edit_resets_;
       continue;

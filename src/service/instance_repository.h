@@ -96,6 +96,14 @@ class InstanceRepository {
   Result<core::IndexedEngine> AcquireEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
+  /// AcquireEngine for a group with exactly one user in a repository that
+  /// dies with its batch: hands over the freshly built prototype itself
+  /// instead of a clone, so a single-request batch holds one engine, not
+  /// two. The instance stays valid; the group cannot be acquired again
+  /// (FailedPrecondition), and ApplyEdit resets it.
+  Result<core::IndexedEngine> TakeEngine(
+      size_t group, const CancellationToken* cancel = nullptr);
+
   /// The group's problem instance; valid only after AcquireEngine(group)
   /// returned OK, immutable from then on (safe to read concurrently).
   const core::TppInstance& instance(size_t group) const {
@@ -111,8 +119,8 @@ class InstanceRepository {
     return builds_.load(std::memory_order_relaxed);
   }
 
-  /// Engine clones handed out; NumAcquisitions() - NumBuilds() full index
-  /// builds were avoided by sharing.
+  /// Engines handed out (clones or taken prototypes); NumAcquisitions() -
+  /// NumBuilds() full index builds were avoided by sharing.
   size_t NumAcquisitions() const {
     return acquisitions_.load(std::memory_order_relaxed);
   }
@@ -179,8 +187,16 @@ class InstanceRepository {
     bool built = false;  // guarded by build_mu
     Status status = Status::Ok();
     std::optional<core::TppInstance> instance;
-    std::optional<core::IndexedEngine> engine;  // the shared prototype
+    // The shared prototype; empty in a built, OK group once TakeEngine
+    // moved it out.
+    std::optional<core::IndexedEngine> engine;
   };
+
+  /// Shared body of AcquireEngine (`take` false: clone the prototype)
+  /// and TakeEngine (`take` true: move it out).
+  Result<core::IndexedEngine> Acquire(size_t group_id,
+                                      const CancellationToken* cancel,
+                                      bool take);
 
   /// The build-once body: try the store, else cold-build + write back.
   void BuildGroup(Group& group, const CancellationToken* cancel);

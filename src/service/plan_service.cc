@@ -262,6 +262,15 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     }
     unit.group = repository.Intern(response.targets, request.motif);
   }
+  // The batch-local repository dies with this run, so a group only one
+  // unit uses hands that unit its prototype rather than a clone of it.
+  std::vector<size_t> local_uses;
+  if (options.repository == nullptr) {
+    local_uses.assign(repository.NumGroups(), 0);
+    for (const Unit& unit : units) {
+      if (!unit.failed) ++local_uses[unit.group];
+    }
+  }
 
   // -- Stages 5-7: build-once, solve, serialize, cache-fill. Units are
   // claimed dynamically by up to max_workers workers. Mirroring
@@ -286,7 +295,9 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     }
     if (!unit.failed && response.status.ok()) {
       Result<IndexedEngine> engine =
-          repository.AcquireEngine(unit.group, unit.cancel);
+          !local_uses.empty() && local_uses[unit.group] == 1
+              ? repository.TakeEngine(unit.group, unit.cancel)
+              : repository.AcquireEngine(unit.group, unit.cancel);
       if (!engine.ok()) {
         response.status = engine.status();
       } else {

@@ -466,6 +466,10 @@ void PlanServer::IoLoop(int listener_fd, int wake_fd) {
 }
 
 Status PlanServer::Serve() {
+  // A zero pickup size would leave every admitted request queued forever.
+  if (options_.max_batch == 0) {
+    return Status::InvalidArgument("max_batch must be at least 1");
+  }
   int listener_fd = -1;
   if (!options_.socket_path.empty()) {
     sockaddr_un addr;

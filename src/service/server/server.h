@@ -108,7 +108,7 @@ struct ServerOptions {
   int signal_fd = -1;
   AdmissionOptions admission;
   /// Requests per solve-loop pickup (one RunBatch call); bounds how long
-  /// a pending edit waits behind the barrier.
+  /// a pending edit waits behind the barrier. Serve rejects 0.
   size_t max_batch = 8;
   /// Worker budget passed through to BatchOptions::max_workers.
   int max_workers = 0;

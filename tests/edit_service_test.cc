@@ -234,6 +234,33 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   EXPECT_EQ(second[0].plan_text, reference.plan_text);
 }
 
+TEST(PlanServiceEditTest, EditResetsAGroupWhosePrototypeWasTaken) {
+  PlanService service(TwoClusters());
+  InstanceRepository repository(&service.base());
+  size_t taken = repository.Intern({E(0, 1), E(5, 6)},
+                                   motif::MotifKind::kTriangle);
+  size_t shared = repository.Intern({E(0, 1)}, motif::MotifKind::kTriangle);
+  ASSERT_TRUE(repository.TakeEngine(taken).ok());
+  ASSERT_TRUE(repository.AcquireEngine(shared).ok());
+
+  // The taken group has no prototype left to repair, so it resets; the
+  // other group repairs in place as usual.
+  Result<EditSummary> summary =
+      service.ApplyEdit(ClusterBDelta(), nullptr, &repository);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->groups_repaired, 1u);
+  EXPECT_EQ(summary->groups_reset, 1u);
+
+  // After the reset the group cold-builds on the edited base again.
+  Result<core::IndexedEngine> rebuilt = repository.AcquireEngine(taken);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  Result<core::IndexedEngine> cold =
+      core::IndexedEngine::Create(repository.instance(taken));
+  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE(rebuilt->index().BitIdentical(cold->index()));
+  EXPECT_EQ(repository.NumBuilds(), 3u);
+}
+
 TEST(PlanServiceEditTest, TargetTouchingEditResetsTheGroup) {
   PlanService service(TwoClusters());
   InstanceRepository repository(&service.base());

@@ -46,11 +46,8 @@ TEST_P(EngineDifferentialTest, IdenticalUnderRandomDeletions) {
     for (int q = 0; q < 5 && !candidates.empty(); ++q) {
       EdgeKey e = candidates[rng.UniformIndex(candidates.size())];
       ASSERT_EQ(naive.Gain(e), indexed.Gain(e)) << "gain mismatch";
-      size_t t = rng.UniformIndex(targets.size());
-      auto sn = naive.GainFor(e, t);
-      auto si = indexed.GainFor(e, t);
-      ASSERT_EQ(sn.own, si.own) << "own-gain mismatch";
-      ASSERT_EQ(sn.cross, si.cross) << "cross-gain mismatch";
+      ASSERT_EQ(naive.GainVector(e), indexed.GainVector(e))
+          << "per-target gain mismatch";
     }
     // Delete one random edge in both engines.
     EdgeKey victim = candidates[rng.UniformIndex(candidates.size())];
@@ -64,40 +61,54 @@ TEST_P(EngineDifferentialTest, IdenticalUnderRandomDeletions) {
   }
 }
 
-TEST_P(EngineDifferentialTest, BatchGainMatchesPointQueries) {
-  auto [kind, seed] = GetParam();
-  Rng rng(seed + 1000);
-  Graph g = *graph::ErdosRenyiGnp(25, 0.25, rng);
-  if (g.NumEdges() < 8) GTEST_SKIP();
-  std::vector<Edge> targets = rng.SampleK(g.Edges(), 4);
-  TppInstance inst = *MakeInstance(g, targets, kind);
-  NaiveEngine naive(inst);
-  IndexedEngine indexed = *IndexedEngine::Create(inst);
+// The live rows of a round view: (edge, total, per-target row) for every
+// candidate with a positive gain. The engines' views differ in which dead
+// candidates they keep (the indexed session's universe is static), so the
+// comparison is over live rows only.
+struct LiveRow {
+  EdgeKey edge;
+  uint32_t total;
+  std::vector<uint32_t> row;
+  bool operator==(const LiveRow&) const = default;
+};
 
-  for (int round = 0; round < 3; ++round) {
-    std::vector<EdgeKey> candidates =
-        indexed.Candidates(CandidateScope::kAllEdges);
-    if (candidates.empty()) break;
-    // The batched sweep must agree elementwise with serial point queries
-    // on both engines.
-    std::vector<size_t> batch_naive = naive.BatchGain(candidates);
-    std::vector<size_t> batch_indexed = indexed.BatchGain(candidates);
-    ASSERT_EQ(batch_naive, batch_indexed);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      ASSERT_EQ(batch_indexed[i], indexed.Gain(candidates[i]));
+std::vector<LiveRow> LiveRows(const RoundGains& view) {
+  std::vector<LiveRow> out;
+  for (size_t i = 0; i < view.edges.size(); ++i) {
+    if (view.totals[i] == 0) continue;
+    out.push_back({view.edges[i], view.totals[i],
+                   std::vector<uint32_t>(
+                       view.rows.begin() + i * view.num_targets,
+                       view.rows.begin() + (i + 1) * view.num_targets)});
+  }
+  return out;
+}
+
+// The recount engine's always-dirty BeginRound fallback and the indexed
+// engine's dirty-set rounds must agree on every live candidate's gain and
+// per-target split, and charge the same work, round after round.
+TEST_P(EngineDifferentialTest, RoundViewsAgree) {
+  auto [kind, seed] = GetParam();
+  for (CandidateScope scope : {CandidateScope::kTargetSubgraphEdges,
+                               CandidateScope::kAllEdges}) {
+    Rng rng(seed + 1000);
+    Graph g = *graph::ErdosRenyiGnp(25, 0.25, rng);
+    if (g.NumEdges() < 8) GTEST_SKIP();
+    std::vector<Edge> targets = rng.SampleK(g.Edges(), 4);
+    TppInstance inst = *MakeInstance(g, targets, kind);
+    NaiveEngine naive(inst);
+    IndexedEngine indexed = *IndexedEngine::Create(inst);
+    for (int round = 0; round < 3; ++round) {
+      const RoundGains& vn = naive.BeginRound(scope, /*per_target=*/true);
+      const RoundGains& vi = indexed.BeginRound(scope, /*per_target=*/true);
+      ASSERT_EQ(vn.num_candidates, vi.num_candidates) << "round " << round;
+      std::vector<LiveRow> live = LiveRows(vn);
+      ASSERT_EQ(live, LiveRows(vi)) << "round " << round;
+      ASSERT_EQ(naive.GainEvaluations(), indexed.GainEvaluations());
+      if (live.empty()) break;
+      EdgeKey victim = live[rng.UniformIndex(live.size())].edge;
+      ASSERT_EQ(naive.DeleteEdge(victim), indexed.DeleteEdge(victim));
     }
-    // The single-scan restricted round must agree with the composed
-    // Candidates + BatchGain answer of the recount engine.
-    std::vector<EdgeKey> edges_naive, edges_indexed;
-    std::vector<size_t> gains_naive, gains_indexed;
-    naive.CandidateGains(CandidateScope::kTargetSubgraphEdges, &edges_naive,
-                         &gains_naive);
-    indexed.CandidateGains(CandidateScope::kTargetSubgraphEdges,
-                           &edges_indexed, &gains_indexed);
-    ASSERT_EQ(edges_naive, edges_indexed);
-    ASSERT_EQ(gains_naive, gains_indexed);
-    EdgeKey victim = candidates[rng.UniformIndex(candidates.size())];
-    ASSERT_EQ(naive.DeleteEdge(victim), indexed.DeleteEdge(victim));
   }
 }
 

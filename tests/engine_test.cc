@@ -57,9 +57,7 @@ TYPED_TEST(EngineContractTest, GainValues) {
   EXPECT_EQ(engine->Gain(MakeEdgeKey(0, 2)), 1u);
   EXPECT_EQ(engine->Gain(MakeEdgeKey(2, 1)), 1u);
   EXPECT_EQ(engine->Gain(MakeEdgeKey(3, 4)), 0u);
-  auto split = engine->GainFor(MakeEdgeKey(0, 2), 0);
-  EXPECT_EQ(split.own, 1u);
-  EXPECT_EQ(split.cross, 0u);
+  EXPECT_EQ(engine->GainVector(MakeEdgeKey(0, 2)), std::vector<size_t>{1});
 }
 
 TYPED_TEST(EngineContractTest, DeleteEdgeRealizesGain) {
@@ -101,11 +99,11 @@ TYPED_TEST(EngineContractTest, GainVectorSplitsPerTarget) {
   ASSERT_EQ(diffs.size(), 2u);
   EXPECT_EQ(diffs[0], 1u);
   EXPECT_EQ(diffs[1], 1u);
-  // Consistency with Gain and GainFor.
+  // Consistency with Gain and the allocation-free form.
   EXPECT_EQ(engine->Gain(MakeEdgeKey(0, 2)), 2u);
-  auto split = engine->GainFor(MakeEdgeKey(0, 2), 1);
-  EXPECT_EQ(split.own, 1u);
-  EXPECT_EQ(split.cross, 1u);
+  std::vector<size_t> into(2, 7);
+  engine->GainVectorInto(MakeEdgeKey(0, 2), into);
+  EXPECT_EQ(into, diffs);
   // Edge not in any instance: all-zero vector.
   std::vector<size_t> zero = engine->GainVector(MakeEdgeKey(2, 4));
   EXPECT_EQ(zero[0] + zero[1], engine->Gain(MakeEdgeKey(2, 4)));
@@ -116,8 +114,10 @@ TYPED_TEST(EngineContractTest, GainEvaluationCounter) {
   auto engine = MakeEngine<TypeParam>(inst);
   uint64_t before = engine->GainEvaluations();
   engine->Gain(MakeEdgeKey(0, 2));
-  engine->GainFor(MakeEdgeKey(2, 1), 0);
-  EXPECT_EQ(engine->GainEvaluations(), before + 2);
+  engine->GainVector(MakeEdgeKey(2, 1));
+  std::vector<size_t> into(1);
+  engine->GainVectorInto(MakeEdgeKey(2, 1), into);
+  EXPECT_EQ(engine->GainEvaluations(), before + 3);
 }
 
 TEST(IndexedEngineTest, CreateFailsOnPresentTarget) {

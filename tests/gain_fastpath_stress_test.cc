@@ -1,12 +1,13 @@
 // Randomized stress test for the CSR gain fast path: interleaves
-// BatchGain, Gain, CandidateGains, and DeleteEdge on generated graphs and
-// cross-checks the index's cached alive counts against a from-scratch
-// recount after every deletion. Guards the alive-count invariant
+// BeginRound's threaded row fill, Gain, GainVector, and DeleteEdge on
+// generated graphs and cross-checks the index's cached alive counts
+// against a from-scratch recount after every deletion. Guards the alive-count invariant
 // documented in motif/incidence_index.h:
 //   alive_count_[e] == |{i : alive_[i] and e in instance i}|.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +22,7 @@ namespace {
 
 using core::CandidateScope;
 using core::IndexedEngine;
+using core::RoundGains;
 using core::TppInstance;
 using graph::Edge;
 using graph::EdgeKey;
@@ -47,9 +49,9 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 5);
   TppInstance inst = *core::MakeInstance(g, targets, kind);
   IndexedEngine engine = *IndexedEngine::Create(inst);
-  // Force the std::thread partitioned BatchGain path (an explicit budget
-  // bypasses the batch-size heuristic), so the parallel chunking is
-  // exercised against the serial oracle on every step.
+  // Force the partitioned row fill (an explicit budget bypasses the
+  // job-size heuristic), so the parallel chunking is exercised against
+  // the serial oracles on every step.
   engine.set_threads(3);
 
   for (int step = 0; step < 20; ++step) {
@@ -57,24 +59,29 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
         engine.Candidates(CandidateScope::kAllEdges);
     if (candidates.empty()) break;
 
-    // Threaded batched sweep == cached counts == brute recount per edge.
-    std::vector<size_t> batch = engine.BatchGain(candidates);
-    ASSERT_EQ(batch.size(), candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      ASSERT_EQ(batch[i], engine.index().Gain(candidates[i]));
-      ASSERT_EQ(batch[i], BruteGain(engine.index(), candidates[i]))
+    // Threaded round view == cached counts == brute recount per edge. The
+    // view's universe is the graph's edge set at session start, which
+    // covers every current candidate.
+    const RoundGains& view =
+        engine.BeginRound(CandidateScope::kAllEdges, /*per_target=*/true);
+    const std::vector<EdgeKey> edges(view.edges.begin(), view.edges.end());
+    const std::vector<uint32_t> totals(view.totals.begin(),
+                                       view.totals.end());
+    const std::vector<uint32_t> rows(view.rows.begin(), view.rows.end());
+    ASSERT_TRUE(std::ranges::includes(edges, candidates));
+    for (size_t i = 0; i < edges.size(); ++i) {
+      ASSERT_EQ(totals[i], engine.index().Gain(edges[i]));
+      ASSERT_EQ(totals[i], BruteGain(engine.index(), edges[i]))
           << "cached count diverged from instance recount";
+      std::vector<size_t> diffs = engine.GainVector(edges[i]);
+      for (size_t t = 0; t < targets.size(); ++t) {
+        ASSERT_EQ(rows[i * targets.size() + t], diffs[t]);
+      }
     }
 
-    // The one-scan restricted round agrees with its own spec.
-    std::vector<EdgeKey> sweep_edges;
-    std::vector<size_t> sweep_gains;
-    engine.CandidateGains(CandidateScope::kTargetSubgraphEdges, &sweep_edges,
-                          &sweep_gains);
-    ASSERT_EQ(sweep_edges, engine.index().AliveCandidateEdges());
-    for (size_t i = 0; i < sweep_edges.size(); ++i) {
-      ASSERT_GT(sweep_gains[i], 0u);
-      ASSERT_EQ(sweep_gains[i], engine.index().Gain(sweep_edges[i]));
+    // The restricted candidate set is exactly the positive-gain edges.
+    for (EdgeKey e : engine.index().AliveCandidateEdges()) {
+      ASSERT_GT(engine.index().Gain(e), 0u);
     }
 
     // Per-target splits stay consistent with the total.
@@ -83,10 +90,6 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
     size_t total = 0;
     for (size_t d : diffs) total += d;
     ASSERT_EQ(total, engine.index().Gain(probe));
-    size_t t = rng.UniformIndex(targets.size());
-    auto split = engine.GainFor(probe, t);
-    ASSERT_EQ(split.own, diffs[t]);
-    ASSERT_EQ(split.total(), total);
 
     // Commit a deletion (occasionally re-deleting a dead edge) and
     // cross-check every maintained count against a from-scratch rebuild
@@ -134,11 +137,6 @@ TEST_P(GainFastPathStressTest, CsrMatchesLegacyReference) {
     if (candidates.empty()) break;
     for (EdgeKey e : candidates) {
       ASSERT_EQ(csr->Gain(e), legacy->Gain(e));
-      size_t t = rng.UniformIndex(targets.size());
-      auto sc = csr->GainFor(e, t);
-      auto sl = legacy->GainFor(e, t);
-      ASSERT_EQ(sc.own, sl.own);
-      ASSERT_EQ(sc.cross, sl.cross);
       std::vector<size_t> ac(targets.size(), 0), al(targets.size(), 0);
       csr->AccumulateGains(e, &ac);
       legacy->AccumulateGains(e, &al);

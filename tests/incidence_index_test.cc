@@ -72,10 +72,9 @@ TEST(IncidenceIndexTest, SharedEdgeAcrossTargets) {
       *IncidenceIndex::Build(g, {E(0, 1), E(0, 4)}, MotifKind::kTriangle);
   EXPECT_EQ(idx.TotalAlive(), 2u);
   EXPECT_EQ(idx.Gain(MakeEdgeKey(0, 2)), 2u);
-  auto split = idx.GainFor(MakeEdgeKey(0, 2), 0);
-  EXPECT_EQ(split.own, 1u);
-  EXPECT_EQ(split.cross, 1u);
-  EXPECT_EQ(split.total(), 2u);
+  std::vector<size_t> split(2, 0);
+  idx.AccumulateGains(MakeEdgeKey(0, 2), &split);
+  EXPECT_EQ(split, (std::vector<size_t>{1, 1}));
   // Deleting the shared edge kills both instances at once.
   EXPECT_EQ(idx.DeleteEdge(MakeEdgeKey(0, 2)), 2u);
   EXPECT_EQ(idx.AliveForTarget(0), 0u);
@@ -96,23 +95,23 @@ TEST(IncidenceIndexTest, CandidateEdgesTrackAliveness) {
   EXPECT_EQ(idx.AllParticipatingEdges().size(), 4u);
 }
 
-TEST(IncidenceIndexTest, AliveCandidateGainsMatchesPointQueries) {
+TEST(IncidenceIndexTest, PerEdgeAliveCountsMatchPointQueries) {
   Graph g = Diamond();
   auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
   EXPECT_EQ(idx.NumInternedEdges(), 4u);  // pendant (3,4) never interned
-  std::vector<graph::EdgeKey> edges;
-  std::vector<size_t> gains;
-  idx.AliveCandidateGains(&edges, &gains);
-  EXPECT_EQ(edges, idx.AliveCandidateEdges());
-  ASSERT_EQ(gains.size(), edges.size());
-  for (size_t i = 0; i < edges.size(); ++i) {
-    EXPECT_EQ(gains[i], idx.Gain(edges[i]));
+  std::span<const graph::EdgeKey> keys = idx.InternedEdgeKeys();
+  for (size_t id = 0; id < keys.size(); ++id) {
+    EXPECT_EQ(idx.PerEdgeAliveCounts()[id], idx.Gain(keys[id]));
   }
-  // The sweep tracks deletions: dead edges drop out, counts shrink.
+  // The counts track deletions: dead edges drop to zero and out of the
+  // candidate set.
   idx.DeleteEdge(MakeEdgeKey(0, 2));
-  idx.AliveCandidateGains(&edges, &gains);
+  std::vector<graph::EdgeKey> edges = idx.AliveCandidateEdges();
   EXPECT_EQ(edges.size(), 2u);
-  for (size_t gain : gains) EXPECT_EQ(gain, 1u);
+  for (graph::EdgeKey e : edges) EXPECT_EQ(idx.Gain(e), 1u);
+  for (size_t id = 0; id < keys.size(); ++id) {
+    EXPECT_EQ(idx.PerEdgeAliveCounts()[id], idx.Gain(keys[id]));
+  }
   EXPECT_EQ(idx.NumInternedEdges(), 4u);  // interning is immutable
 }
 

@@ -4,8 +4,8 @@
 // candidate scope, plus the
 // deferred-maintenance protocol of the IncidenceIndex (count and cell
 // flushes, dirty-set exactness under randomized delete orders) and the
-// interleaving of deferred flushes with the parallel BatchGain /
-// BatchGainVector fans (exercised under TSan in CI).
+// interleaving of deferred flushes with BeginRound's parallel per-target
+// row fan (exercised under TSan in CI).
 
 #include <algorithm>
 #include <string>
@@ -201,80 +201,56 @@ TEST_P(IncrementalRoundsTest, DeferredFlushGranularity) {
   EXPECT_EQ(idx.NumAliveEdges(), eager.NumAliveEdges());
   EXPECT_TRUE(idx.HasDeferredMaintenance());
   // ...and a per-target read settles everything.
-  for (size_t t = 0; t < idx.NumTargets(); ++t) {
-    auto split = idx.GainFor(candidates.front(), t);
-    auto expected = eager.GainFor(candidates.front(), t);
-    EXPECT_EQ(split.own, expected.own);
-    EXPECT_EQ(split.cross, expected.cross);
-  }
+  std::vector<size_t> split(idx.NumTargets(), 0);
+  std::vector<size_t> expected(eager.NumTargets(), 0);
+  idx.AccumulateGains(candidates.front(), &split);
+  eager.AccumulateGains(candidates.front(), &expected);
+  EXPECT_EQ(split, expected);
   EXPECT_FALSE(idx.HasDeferredMaintenance());
   EXPECT_TRUE(idx.BitIdentical(eager));
 }
 
-// Deferred flushes interleaved with the parallel read fans: DeleteEdge
-// queues maintenance, BatchGain / BatchGainVector flush once up front and
-// then fan out pure reads on the pool. TSan (CI job) checks the
-// synchronization story; the values are differentially checked against
-// NaiveEngine here.
-TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithParallelBatches) {
+// Deferred flushes interleaved with the production row fan: each round's
+// DeleteEdge queues maintenance, and the next BeginRound flushes it, then
+// patches the dirty per-target rows on the pool. An engine forced onto
+// four workers must report exactly what a single-worker engine does —
+// totals, rows and dirty lists — every round, under both scopes. TSan (CI
+// job) checks the synchronization story.
+TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithParallelRowFan) {
   const MotifKind kind = GetParam();
   const Graph g = TestGraph(47);
   const TppInstance inst = SampledInstance(g, 6, 13, kind);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
-  NaiveEngine naive(inst);
-  engine.set_threads(4);
-  Rng rng(99);
-  for (int round = 0; round < 6; ++round) {
-    std::vector<EdgeKey> candidates =
-        engine.Candidates(CandidateScope::kTargetSubgraphEdges);
-    if (candidates.empty()) break;
-    const EdgeKey victim = candidates[rng.UniformIndex(candidates.size())];
-    ASSERT_EQ(engine.DeleteEdge(victim), naive.DeleteEdge(victim));
-    // Parallel keyed sweep straight after the (unflushed) delete.
-    std::vector<size_t> batch = engine.BatchGain(candidates);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      ASSERT_EQ(batch[i], naive.Gain(candidates[i])) << candidates[i];
-    }
-    // Parallel row sweep: per-target gains for every candidate.
-    std::vector<uint32_t> rows;
-    engine.BatchGainVector(candidates, &rows);
-    const size_t stride = engine.NumTargets();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      std::vector<size_t> expected = naive.GainVector(candidates[i]);
-      for (size_t t = 0; t < stride; ++t) {
-        ASSERT_EQ(rows[i * stride + t], expected[t])
-            << candidates[i] << " target " << t;
+  const IndexedEngine prototype = *IndexedEngine::Create(inst);
+  for (CandidateScope scope : {CandidateScope::kTargetSubgraphEdges,
+                               CandidateScope::kAllEdges}) {
+    SCOPED_TRACE(scope == CandidateScope::kAllEdges ? "all" : "restricted");
+    IndexedEngine fanned = prototype.Clone();
+    IndexedEngine serial = prototype.Clone();
+    fanned.set_threads(4);
+    serial.set_threads(1);
+    Rng rng(99);
+    int fanned_patches = 0;  // incremental rounds with >= 2 dirty rows
+    for (int round = 0; round < 8; ++round) {
+      const RoundGains& a = fanned.BeginRound(scope, /*per_target=*/true);
+      const RoundGains& b = serial.BeginRound(scope, /*per_target=*/true);
+      ASSERT_EQ(a.all_dirty, b.all_dirty) << "round " << round;
+      ASSERT_EQ(a.num_candidates, b.num_candidates) << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.edges, b.edges)) << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.totals, b.totals))
+          << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.rows, b.rows)) << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.dirty, b.dirty)) << "round " << round;
+      if (!a.all_dirty && a.dirty.size() >= 2) ++fanned_patches;
+      std::vector<EdgeKey> live;
+      for (size_t i = 0; i < a.edges.size(); ++i) {
+        if (a.totals[i] > 0) live.push_back(a.edges[i]);
       }
+      if (live.empty()) break;
+      const EdgeKey victim = live[rng.UniformIndex(live.size())];
+      ASSERT_EQ(fanned.DeleteEdge(victim), serial.DeleteEdge(victim));
     }
-  }
-}
-
-// GainVectorInto and BatchGainVector must agree with GainVector on both
-// engines, including the per-edge work accounting.
-TEST_P(IncrementalRoundsTest, GainVectorVariantsAgree) {
-  const MotifKind kind = GetParam();
-  const Graph g = TestGraph(53);
-  const TppInstance inst = SampledInstance(g, 5, 17, kind);
-  IndexedEngine indexed = *IndexedEngine::Create(inst);
-  NaiveEngine naive(inst);
-  std::vector<EdgeKey> candidates =
-      indexed.Candidates(CandidateScope::kTargetSubgraphEdges);
-  candidates.resize(std::min<size_t>(candidates.size(), 24));
-  std::vector<size_t> into(indexed.NumTargets());
-  for (Engine* engine : {static_cast<Engine*>(&indexed),
-                         static_cast<Engine*>(&naive)}) {
-    const uint64_t evals0 = engine->GainEvaluations();
-    std::vector<uint32_t> rows;
-    engine->BatchGainVector(candidates, &rows);
-    EXPECT_EQ(engine->GainEvaluations(), evals0 + candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      std::vector<size_t> direct = engine->GainVector(candidates[i]);
-      engine->GainVectorInto(candidates[i], into);
-      for (size_t t = 0; t < direct.size(); ++t) {
-        EXPECT_EQ(direct[t], into[t]);
-        EXPECT_EQ(direct[t], rows[i * direct.size() + t]);
-      }
-    }
+    EXPECT_EQ(fanned.GainEvaluations(), serial.GainEvaluations());
+    EXPECT_GT(fanned_patches, 0) << "the dirty-row patch never fanned out";
   }
 }
 

@@ -204,13 +204,11 @@ TEST(IndexBuildDeleteTest, DeleteSequencesMatchSerialBuild) {
                                            inst.motif, options);
     // Greedily delete the current best candidate until nothing is alive.
     while (serial.TotalAlive() > 0) {
-      std::vector<graph::EdgeKey> edges;
-      std::vector<size_t> gains;
-      serial.AliveCandidateGains(&edges, &gains);
+      std::vector<graph::EdgeKey> edges = serial.AliveCandidateEdges();
       ASSERT_FALSE(edges.empty());
       size_t best = 0;
       for (size_t i = 1; i < edges.size(); ++i) {
-        if (gains[i] > gains[best]) best = i;
+        if (serial.Gain(edges[i]) > serial.Gain(edges[best])) best = i;
       }
       EXPECT_EQ(parallel.DeleteEdge(edges[best]),
                 serial.DeleteEdge(edges[best]));

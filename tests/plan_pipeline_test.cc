@@ -300,5 +300,27 @@ TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
   EXPECT_EQ(e1.status().ToString(), e2.status().ToString());
 }
 
+TEST(PlanPipelineTest, TakeEngineHandsOverThePrototypeOnce) {
+  const Graph& base = ArenasBase();
+  InstanceRepository repository(&base);
+  std::vector<Edge> targets = {base.Edges()[0], base.Edges()[1]};
+  size_t group = repository.Intern(targets, motif::MotifKind::kTriangle);
+
+  Result<IndexedEngine> taken = repository.TakeEngine(group);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  Result<IndexedEngine> built = IndexedEngine::Create(
+      repository.instance(group));  // the instance outlives the take
+  ASSERT_TRUE(built.ok());
+  EXPECT_TRUE(taken->index().BitIdentical(built->index()));
+  EXPECT_EQ(taken->GainEvaluations(), 0u);
+  EXPECT_EQ(repository.NumAcquisitions(), 1u);
+
+  // The prototype is gone: a second user is refused, never handed a
+  // moved-from engine.
+  Result<IndexedEngine> again = repository.AcquireEngine(group);
+  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(repository.NumBuilds(), 1u);
+}
+
 }  // namespace
 }  // namespace tpp::service

@@ -1,16 +1,16 @@
 #include "reference/greedy_reference.h"
 
+#include <utility>
+
 #include "common/strings.h"
 #include "common/timer.h"
 #include "graph/edge.h"
-#include "motif/incidence_index.h"
 
 namespace tpp::core {
 
 using graph::EdgeKey;
 using graph::EdgeKeyU;
 using graph::EdgeKeyV;
-using motif::IncidenceIndex;
 
 namespace {
 
@@ -34,38 +34,31 @@ void FinalizeResult(Engine& engine, const WallTimer& timer,
   result.total_seconds = timer.Seconds();
 }
 
-// Lexicographic comparison of (own, cross) gains, the exact-arithmetic
-// form of the paper's own + cross / C score.
-bool SplitGainLess(const IncidenceIndex::SplitGain& a,
-                   const IncidenceIndex::SplitGain& b) {
-  if (a.own != b.own) return a.own < b.own;
-  return a.cross < b.cross;
-}
+// A candidate's gain split for one target: (own, cross) alive instances.
+// std::pair's lexicographic order is the exact-arithmetic form of the
+// paper's own + cross / C score.
+using OwnCross = std::pair<size_t, size_t>;
 
 }  // namespace
 
-// Cold SGB iteration: evaluate every candidate, take the best. The whole
-// round's query work goes through CandidateGains: IndexedEngine answers
-// the restricted scope with one scan of its alive-count cache, and the
-// full-edge scope falls back to a (possibly threaded) BatchGain sweep.
-// Candidate order is preserved, so the first-max tie-break is identical to
-// the historical serial loop.
+// Cold SGB iteration, the plain Alg. 1 sweep: one Gain per candidate in
+// ascending key order, take the first strict maximum.
 Result<ProtectionResult> SgbGreedyCold(Engine& engine, size_t budget,
                                        const GreedyOptions& options) {
   WallTimer timer;
   ProtectionResult result;
   result.initial_similarity = engine.TotalSimilarity();
   std::vector<EdgeKey> candidates;
-  std::vector<size_t> gains;
   while (result.protectors.size() < budget) {
     TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "sgb-greedy"));
-    engine.CandidateGains(options.scope, &candidates, &gains);
+    engine.CandidatesInto(options.scope, &candidates);
     EdgeKey best_edge = 0;
     size_t best_gain = 0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (gains[i] > best_gain) {  // strict: first max wins => smallest key
-        best_gain = gains[i];
-        best_edge = candidates[i];
+    for (EdgeKey e : candidates) {
+      const size_t gain = engine.Gain(e);
+      if (gain > best_gain) {  // strict: first max wins => smallest key
+        best_gain = gain;
+        best_edge = e;
       }
     }
     if (best_gain == 0) break;
@@ -102,7 +95,7 @@ Result<ProtectionResult> CtGreedyCold(Engine& engine,
     bool found = false;
     size_t best_target = 0;
     EdgeKey best_edge = 0;
-    IncidenceIndex::SplitGain best_gain;
+    OwnCross best_gain;
     for (EdgeKey e : candidates) {
       // One evaluation yields the per-target split for every (t, e) pair —
       // this is what keeps CT at the paper's O(k n m (log N)^2). No
@@ -114,8 +107,8 @@ Result<ProtectionResult> CtGreedyCold(Engine& engine,
       if (total == 0) continue;
       for (size_t t = 0; t < budgets.size(); ++t) {
         if (spent[t] >= budgets[t]) continue;  // budget used up (set T')
-        IncidenceIndex::SplitGain gain{diffs[t], total - diffs[t]};
-        if (!found || SplitGainLess(best_gain, gain)) {
+        OwnCross gain{diffs[t], total - diffs[t]};
+        if (!found || best_gain < gain) {
           found = true;
           best_gain = gain;
           best_edge = e;
@@ -152,15 +145,15 @@ Result<ProtectionResult> WtGreedyCold(Engine& engine,
       engine.CandidatesInto(options.scope, &candidates);
       bool found = false;
       EdgeKey best_edge = 0;
-      IncidenceIndex::SplitGain best_gain;
+      OwnCross best_gain;
       for (EdgeKey e : candidates) {
         // Single GainVector per candidate, as in CT (see the note there).
         engine.GainVectorInto(e, diffs);
         if (diffs[t] == 0) continue;  // within-target: own gain required
         size_t total = 0;
         for (size_t d : diffs) total += d;
-        IncidenceIndex::SplitGain gain{diffs[t], total - diffs[t]};
-        if (!found || SplitGainLess(best_gain, gain)) {
+        OwnCross gain{diffs[t], total - diffs[t]};
+        if (!found || best_gain < gain) {
           found = true;
           best_gain = gain;
           best_edge = e;

@@ -1,8 +1,9 @@
 // Cold-sweep reference loops of the paper's three greedy selectors.
 //
 // Each round re-evaluates every candidate from scratch (Engine::
-// CandidateGains / GainVectorInto) and takes the first strict maximum in
-// ascending key order: the textbook form of Algorithms 1-3. Production
+// CandidatesInto, then one Gain or GainVectorInto per candidate) and takes
+// the first strict maximum in ascending key order: the textbook form of
+// Algorithms 1-3. Production
 // (core/greedy.h) runs incremental rounds over Engine::BeginRound instead;
 // these loops exist only as the differential baseline that production
 // must match bit for bit in picks, traces and gain-evaluation counts.

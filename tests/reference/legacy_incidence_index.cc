@@ -49,22 +49,6 @@ size_t LegacyIncidenceIndex::Gain(EdgeKey e) const {
   return gain;
 }
 
-LegacyIncidenceIndex::SplitGain LegacyIncidenceIndex::GainFor(
-    EdgeKey e, size_t t) const {
-  SplitGain gain;
-  auto it = edge_to_instances_.find(e);
-  if (it == edge_to_instances_.end()) return gain;
-  for (uint32_t i : it->second) {
-    if (!alive_[i]) continue;
-    if (instances_[i].target == static_cast<int32_t>(t)) {
-      ++gain.own;
-    } else {
-      ++gain.cross;
-    }
-  }
-  return gain;
-}
-
 void LegacyIncidenceIndex::AccumulateGains(EdgeKey e,
                                            std::vector<size_t>* out) const {
   auto it = edge_to_instances_.find(e);

@@ -23,19 +23,16 @@
 #include "common/result.h"
 #include "graph/graph.h"
 #include "motif/enumerate.h"
-#include "motif/incidence_index.h"
 #include "motif/motif.h"
 #include "motif/target_subgraph.h"
 
 namespace tpp::motif {
 
 /// Map-based reference incidence index; same contract and query surface as
-/// IncidenceIndex (SplitGain is shared), different complexity: every gain
-/// query is O(instances incident to the edge).
+/// IncidenceIndex, different complexity: every gain query is O(instances
+/// incident to the edge).
 class LegacyIncidenceIndex {
  public:
-  using SplitGain = IncidenceIndex::SplitGain;
-
   /// Same contract as IncidenceIndex::Build.
   static Result<LegacyIncidenceIndex> Build(
       const graph::Graph& g, const std::vector<graph::Edge>& targets,
@@ -50,7 +47,6 @@ class LegacyIncidenceIndex {
 
   /// O(instances incident to e) posting-list walk.
   size_t Gain(graph::EdgeKey e) const;
-  SplitGain GainFor(graph::EdgeKey e, size_t t) const;
   void AccumulateGains(graph::EdgeKey e, std::vector<size_t>* out) const;
   size_t DeleteEdge(graph::EdgeKey e);
   std::vector<graph::EdgeKey> AliveCandidateEdges() const;

@@ -342,6 +342,25 @@ std::vector<std::string> OfflineTranscript(
   return out;
 }
 
+// A zero pickup size would never take a request off the queue, so the
+// solve loop would spin forever, even past EOF. Serve refuses it before
+// it reads anything.
+TEST(PlanServer, ZeroMaxBatchIsRejectedUpFront) {
+  int in_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ::close(in_pipe[1]);  // EOF at once: a wedged loop is the only hang
+  PlanService service(TestBase());
+  ServerOptions options;
+  options.stdio = true;
+  options.stdio_in = in_pipe[0];
+  options.max_batch = 0;
+  PlanServer server(&service, std::move(options));
+  Status served = server.Serve();
+  ::close(in_pipe[0]);
+  EXPECT_EQ(served.code(), StatusCode::kInvalidArgument)
+      << served.ToString();
+}
+
 TEST(PlanServer, StdioTranscriptMatchesOfflinePipeline) {
   std::vector<std::string> script(std::begin(kScript), std::end(kScript));
   StdioServer server(ServerOptions{});

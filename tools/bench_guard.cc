@@ -121,52 +121,60 @@ bool ReadWholeFile(const std::string& path, std::string* out) {
   return true;
 }
 
-bool ParseBenchFile(const std::string& path, BenchFile* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_guard: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+// The shared shape of the bench JSONs: one `"key": [` array of flat
+// `{...}` rows, then the summary sections. Reads `path` and splits it into
+// the row objects and the text after the array (`tail`).
+struct JsonRows {
+  std::vector<std::string> rows;
+  std::string tail;
+};
 
-  const size_t runs_at = text.find("\"runs\": [");
-  if (runs_at == std::string::npos) {
-    std::fprintf(stderr, "bench_guard: %s has no \"runs\" array\n",
-                 path.c_str());
+bool ReadRows(const std::string& path, const std::string& key,
+              JsonRows* out) {
+  std::string text;
+  if (!ReadWholeFile(path, &text)) return false;
+  const size_t rows_at = text.find("\"" + key + "\": [");
+  if (rows_at == std::string::npos) {
+    std::fprintf(stderr, "bench_guard: %s has no \"%s\" array\n",
+                 path.c_str(), key.c_str());
     return false;
   }
-  const size_t runs_end = text.find("\n  ]", runs_at);
-  size_t cursor = runs_at;
+  const size_t rows_end = text.find("\n  ]", rows_at);
+  size_t cursor = rows_at;
   while (true) {
     const size_t open = text.find('{', cursor);
-    if (open == std::string::npos || open > runs_end) break;
+    if (open == std::string::npos || open > rows_end) break;
     const size_t close = text.find('}', open);
     if (close == std::string::npos) break;
-    const std::string obj = text.substr(open, close - open + 1);
+    out->rows.push_back(text.substr(open, close - open + 1));
     cursor = close + 1;
+  }
+  out->tail =
+      text.substr(rows_end == std::string::npos ? rows_at : rows_end);
+  return true;
+}
 
-    BenchRun run;
+bool MalformedRow(const char* noun, const std::string& path,
+                  const std::string& obj) {
+  std::fprintf(stderr, "bench_guard: malformed %s row in %s: %s\n", noun,
+               path.c_str(), obj.c_str());
+  return false;
+}
+
+bool ParseBenchFile(const std::string& path, BenchFile* out) {
+  JsonRows json;
+  if (!ReadRows(path, "runs", &json)) return false;
+  for (const std::string& obj : json.rows) {
     auto solver = FindString(obj, "solver");
     auto motif = FindString(obj, "motif");
     auto cold = FindNumber(obj, "cold_ms");
     auto speedup = FindNumber(obj, "speedup");
     if (!solver || !motif || !cold || !speedup) {
-      std::fprintf(stderr, "bench_guard: malformed run row in %s: %s\n",
-                   path.c_str(), obj.c_str());
-      return false;
+      return MalformedRow("run", path, obj);
     }
-    run.solver = *solver;
-    run.motif = *motif;
-    run.cold_ms = *cold;
-    run.speedup = *speedup;
-    out->runs.push_back(std::move(run));
+    out->runs.push_back({*solver, *motif, *cold, *speedup});
   }
-  const std::string tail = text.substr(runs_end == std::string::npos
-                                           ? runs_at
-                                           : runs_end);
-  auto aggregate = FindNumber(tail, "ct_wt_aggregate_speedup");
+  auto aggregate = FindNumber(json.tail, "ct_wt_aggregate_speedup");
   if (!aggregate) {
     std::fprintf(stderr, "bench_guard: %s is missing the aggregate speedup\n",
                  path.c_str());
@@ -199,54 +207,21 @@ struct MutationFile {
 };
 
 bool ParseMutationFile(const std::string& path, MutationFile* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_guard: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  const size_t runs_at = text.find("\"runs\": [");
-  if (runs_at == std::string::npos) {
-    std::fprintf(stderr, "bench_guard: %s has no \"runs\" array\n",
-                 path.c_str());
-    return false;
-  }
-  const size_t runs_end = text.find("\n  ]", runs_at);
-  size_t cursor = runs_at;
-  while (true) {
-    const size_t open = text.find('{', cursor);
-    if (open == std::string::npos || open > runs_end) break;
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) break;
-    const std::string obj = text.substr(open, close - open + 1);
-    cursor = close + 1;
-
-    MutationRun run;
+  JsonRows json;
+  if (!ReadRows(path, "runs", &json)) return false;
+  for (const std::string& obj : json.rows) {
     auto motif = FindString(obj, "motif");
     auto churn = FindNumber(obj, "churn_pct");
     auto rebuild = FindNumber(obj, "rebuild_ms");
     auto speedup = FindNumber(obj, "repair_speedup");
     auto identical = FindBool(obj, "plan_byte_identical");
     if (!motif || !churn || !rebuild || !speedup || !identical) {
-      std::fprintf(stderr, "bench_guard: malformed run row in %s: %s\n",
-                   path.c_str(), obj.c_str());
-      return false;
+      return MalformedRow("run", path, obj);
     }
-    run.motif = *motif;
-    run.churn_pct = *churn;
-    run.rebuild_ms = *rebuild;
-    run.repair_speedup = *speedup;
-    run.plan_byte_identical = *identical;
-    out->runs.push_back(std::move(run));
+    out->runs.push_back({*motif, *churn, *rebuild, *speedup, *identical});
   }
-  const std::string tail = text.substr(runs_end == std::string::npos
-                                           ? runs_at
-                                           : runs_end);
-  auto hit_rate = FindNumber(tail, "post_edit_cache_hit_rate");
-  auto survivors = FindBool(tail, "survivor_plans_byte_identical");
+  auto hit_rate = FindNumber(json.tail, "post_edit_cache_hit_rate");
+  auto survivors = FindBool(json.tail, "survivor_plans_byte_identical");
   if (!hit_rate || !survivors) {
     std::fprintf(stderr,
                  "bench_guard: %s is missing the cache-survival section\n",
@@ -289,49 +264,19 @@ struct WarmstartFile {
 };
 
 bool ParseWarmstartFile(const std::string& path, WarmstartFile* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_guard: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  const size_t rows_at = text.find("\"motifs\": [");
-  if (rows_at == std::string::npos) {
-    std::fprintf(stderr, "bench_guard: %s has no \"motifs\" array\n",
-                 path.c_str());
-    return false;
-  }
-  const size_t rows_end = text.find("\n  ]", rows_at);
-  size_t cursor = rows_at;
-  while (true) {
-    const size_t open = text.find('{', cursor);
-    if (open == std::string::npos || open > rows_end) break;
-    const size_t close = text.find('}', open);
-    if (close == std::string::npos) break;
-    const std::string obj = text.substr(open, close - open + 1);
-    cursor = close + 1;
-
-    WarmstartRow row;
+  JsonRows json;
+  if (!ReadRows(path, "motifs", &json)) return false;
+  for (const std::string& obj : json.rows) {
     auto motif = FindString(obj, "motif");
     auto cold = FindNumber(obj, "cold_build_ms");
     auto speedup = FindNumber(obj, "speedup");
     auto identical = FindBool(obj, "bit_identical_to_cold_build");
     if (!motif || !cold || !speedup || !identical) {
-      std::fprintf(stderr, "bench_guard: malformed motif row in %s: %s\n",
-                   path.c_str(), obj.c_str());
-      return false;
+      return MalformedRow("motif", path, obj);
     }
-    row.motif = *motif;
-    row.cold_build_ms = *cold;
-    row.speedup = *speedup;
-    row.bit_identical = *identical;
-    out->rows.push_back(std::move(row));
+    out->rows.push_back({*motif, *cold, *speedup, *identical});
   }
-  const std::string tail =
-      text.substr(rows_end == std::string::npos ? rows_at : rows_end);
+  const std::string& tail = json.tail;
   auto identical = FindBool(tail, "responses_byte_identical");
   if (!identical) {
     std::fprintf(stderr, "bench_guard: %s is missing the batch section\n",

@@ -143,6 +143,20 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// Integer flag that must be at least `min`. Out-of-range values fail
+// before any work starts instead of wrapping when cast to size_t.
+Result<int64_t> GetIntAtLeast(const ParsedArgs& args, const std::string& key,
+                              int64_t fallback, int64_t min) {
+  TPP_ASSIGN_OR_RETURN(int64_t value, args.GetInt(key, fallback));
+  if (value < min) {
+    return Status::InvalidArgument(
+        StrFormat("--%s=%lld is out of range (must be >= %lld)", key.c_str(),
+                  static_cast<long long>(value),
+                  static_cast<long long>(min)));
+  }
+  return value;
+}
+
 Result<Graph> LoadGraphFlag(const ParsedArgs& args) {
   std::string path = args.GetString("graph", "");
   if (path.empty()) return Status::InvalidArgument("--graph is required");
@@ -157,7 +171,7 @@ Result<Graph> LoadGraphFlag(const ParsedArgs& args) {
 Result<std::unique_ptr<service::store::WarmStore>> OpenStoreFromFlags(
     const ParsedArgs& args) {
   std::string dir = args.GetString("store", "");
-  Result<int64_t> cap = args.GetInt("store-cap", 0);
+  Result<int64_t> cap = GetIntAtLeast(args, "store-cap", 0, 0);
   if (!cap.ok()) return cap.status();
   if (dir.empty()) {
     if (*cap > 0) {
@@ -234,7 +248,7 @@ int RunProtect(const ParsedArgs& args) {
   if (!motif_kind.ok()) return Fail(motif_kind.status());
   request.motif = *motif_kind;
 
-  Result<int64_t> num_targets = args.GetInt("targets", 10);
+  Result<int64_t> num_targets = GetIntAtLeast(args, "targets", 10, 0);
   Result<int64_t> seed = args.GetInt("seed", 1);
   if (!num_targets.ok()) return Fail(num_targets.status());
   if (!seed.ok()) return Fail(seed.status());
@@ -263,29 +277,25 @@ int RunProtect(const ParsedArgs& args) {
       OpenStoreFromFlags(args);
   if (!store.ok()) return Fail(store.status());
 
+  // The single request always routes through the batch pipeline (whose
+  // responses are bit-identical to RunOne); with --store its warm-start
+  // hooks engage.
   PlanService plan_service(*g);
-  PlanResponse response;
+  std::unique_ptr<service::PlanCache> cache;
+  service::BatchStats stats;
+  service::BatchOptions options;
+  options.stats = &stats;
   if (*store != nullptr) {
-    // With a store the single request routes through the pipeline so the
-    // warm-start hooks engage; responses are bit-identical to RunOne.
-    service::PlanCache cache(/*capacity=*/16);
-    cache.set_backing_store(store->get());
-    cache.set_cache_failures(args.GetBool("cache-failures"));
-    service::BatchStats stats;
-    service::BatchOptions options;
-    options.cache = &cache;
+    cache = std::make_unique<service::PlanCache>(/*capacity=*/16);
+    cache->set_backing_store(store->get());
+    cache->set_cache_failures(args.GetBool("cache-failures"));
+    options.cache = cache.get();
     options.store = store->get();
-    options.stats = &stats;
-    std::vector<PlanResponse> responses =
-        plan_service.RunBatch(std::span<const PlanRequest>(&request, 1),
-                              options);
-    response = std::move(responses[0]);
-    if (!response.status.ok()) return Fail(response.status);
-    PrintStoreStats(**store, stats, &cache);
-  } else {
-    response = plan_service.RunOne(request);
-    if (!response.status.ok()) return Fail(response.status);
   }
+  PlanResponse response = std::move(plan_service.RunBatch(
+      std::span<const PlanRequest>(&request, 1), options)[0]);
+  if (!response.status.ok()) return Fail(response.status);
+  if (*store != nullptr) PrintStoreStats(**store, stats, cache.get());
 
   core::TppInstance instance = {
       plan_service.base(), response.targets, request.motif};
@@ -327,7 +337,7 @@ int RunBatch(const ParsedArgs& args) {
     return Fail(Status::InvalidArgument("--requests is required"));
   }
   const bool stream = args.GetBool("stream");
-  Result<int64_t> cache_size = args.GetInt("cache-size", 0);
+  Result<int64_t> cache_size = GetIntAtLeast(args, "cache-size", 0, 0);
   if (!cache_size.ok()) return Fail(cache_size.status());
   // Whole-batch wall-clock budget (per script step): work past the
   // deadline returns DeadlineExceeded, finished requests keep their
@@ -543,11 +553,17 @@ int RunServe(const ParsedArgs& args) {
   service::server::ServerOptions server_options;
   server_options.socket_path = socket_path;
   server_options.stdio = stdio;
-  Result<int64_t> queue_depth = args.GetInt("queue-depth", 256);
-  Result<int64_t> queued_bytes = args.GetInt("queued-bytes", 4 << 20);
-  Result<int64_t> per_client = args.GetInt("per-client", 64);
-  Result<int64_t> est_request_ms = args.GetInt("est-request-ms", 50);
-  Result<int64_t> max_batch = args.GetInt("max-batch", 8);
+  // A zero queue depth or byte cap would shed every request and a zero
+  // batch would wedge the solve loop, so those floors are 1; a zero
+  // per-client cap means "no cap" and a zero estimate disables the
+  // deadline-hopeless rule.
+  Result<int64_t> queue_depth = GetIntAtLeast(args, "queue-depth", 256, 1);
+  Result<int64_t> queued_bytes =
+      GetIntAtLeast(args, "queued-bytes", 4 << 20, 1);
+  Result<int64_t> per_client = GetIntAtLeast(args, "per-client", 64, 0);
+  Result<int64_t> est_request_ms =
+      GetIntAtLeast(args, "est-request-ms", 50, 0);
+  Result<int64_t> max_batch = GetIntAtLeast(args, "max-batch", 8, 1);
   for (const auto* flag : {&queue_depth, &queued_bytes, &per_client,
                            &est_request_ms, &max_batch}) {
     if (!flag->ok()) return Fail(flag->status());
@@ -564,7 +580,7 @@ int RunServe(const ParsedArgs& args) {
   Result<std::unique_ptr<service::store::WarmStore>> store =
       OpenStoreFromFlags(args);
   if (!store.ok()) return Fail(store.status());
-  Result<int64_t> cache_size = args.GetInt("cache-size", 0);
+  Result<int64_t> cache_size = GetIntAtLeast(args, "cache-size", 0, 0);
   if (!cache_size.ok()) return Fail(cache_size.status());
 
   PlanService plan_service(std::move(*g));
@@ -650,7 +666,7 @@ int RunStore(const ParsedArgs& args) {
   if (dir.empty()) {
     return Fail(Status::InvalidArgument("--store=DIR is required"));
   }
-  Result<int64_t> cap = args.GetInt("store-cap", 0);
+  Result<int64_t> cap = GetIntAtLeast(args, "store-cap", 0, 0);
   if (!cap.ok()) return Fail(cap.status());
   service::store::StoreOptions store_options;
   store_options.capacity_bytes = static_cast<uint64_t>(*cap);
