@@ -50,6 +50,7 @@
 #include "graph/fingerprint.h"
 #include "graph/graph.h"
 #include "motif/incidence_index.h"
+#include "reference/run_one_cold.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -318,16 +319,16 @@ CacheResult RunCacheSurvival() {
   std::vector<service::PlanResponse> warm =
       plan_service.RunBatch(requests, options);
 
-  // Reference: a cold service over the edited graph, no cache, no
+  // Reference: a cold solve over the edited graph, no cache, no
   // sharing. Every response — served from the rekeyed cache or re-solved
   // — must match it byte for byte.
   graph::Graph edited = *base;
   TPP_CHECK(edited.ApplyDelta(delta).ok());
-  service::PlanService cold_service(std::move(edited));
   for (size_t i = 0; i < requests.size(); ++i) {
     TPP_CHECK(warm[i].status.ok());
     if (i < kFarRequests) TPP_CHECK(warm[i].from_cache);
-    service::PlanResponse reference = cold_service.RunOne(requests[i]);
+    service::PlanResponse reference =
+        service::RunOneCold(edited, requests[i]);
     TPP_CHECK(reference.status.ok());
     TPP_CHECK(warm[i].plan_text == reference.plan_text);
   }

@@ -4,6 +4,7 @@
 
 #include "common/env.h"
 #include "common/strings.h"
+#include "reference/naive_engine.h"
 
 namespace tpp::bench {
 

@@ -5,7 +5,7 @@
 // the serving path — is tracked across PRs.
 //
 // For every motif the bench times:
-//   reference      — IncidenceIndex::BuildSerialReference: serial
+//   reference      — motif::BuildIndexSerialReference: serial
 //                    per-target enumeration with materialized
 //                    common-neighbor vectors, hash-map edge-id resolution
 //                    in the CSR fill, per-edge scratch sort for the
@@ -36,6 +36,7 @@
 #include "core/problem.h"
 #include "graph/datasets.h"
 #include "motif/incidence_index.h"
+#include "reference/serial_index_build.h"
 
 namespace tpp::bench {
 namespace {
@@ -83,13 +84,13 @@ MotifResult RunMotif(MotifKind kind, bool quick, int max_threads) {
       quick ? (kind == MotifKind::kPentagon ? 1 : 3)
             : (kind == MotifKind::kPentagon ? 3 : 10);
 
-  const IncidenceIndex reference = *IncidenceIndex::BuildSerialReference(
+  const IncidenceIndex reference = *motif::BuildIndexSerialReference(
       inst.released, inst.targets, inst.motif);
   {
     double total = 0;
     for (size_t r = 0; r < reps; ++r) {
       WallTimer timer;
-      IncidenceIndex idx = *IncidenceIndex::BuildSerialReference(
+      IncidenceIndex idx = *motif::BuildIndexSerialReference(
           inst.released, inst.targets, inst.motif);
       total += timer.Millis();
       TPP_CHECK_EQ(idx.TotalAlive(), reference.TotalAlive());

@@ -15,6 +15,7 @@
 #include "motif/enumerate.h"
 #include "motif/incidence_index.h"
 #include "reference/legacy_incidence_index.h"
+#include "reference/naive_engine.h"
 
 namespace tpp {
 namespace {

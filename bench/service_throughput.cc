@@ -12,7 +12,7 @@
 // batch with 50% duplicate requests run on two consecutive "nights",
 // served by the staged pipeline (in-batch dedup + instance sharing +
 // content-addressed PlanCache) vs the uncached build-per-request path (a
-// ParallelFor over PlanService::RunOne).
+// ParallelFor over the cold oracle RunOneCold).
 // Emits BENCH_plan_cache.json with the cache hit-rate and the aggregate
 // speedup, and cross-checks that every cached/shared response is
 // bit-identical to the uncached one.
@@ -33,6 +33,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/datasets.h"
+#include "reference/run_one_cold.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
 
@@ -94,7 +95,7 @@ struct ScalingPoint {
 
 // Nightly repeated-request scenario: `unique` distinct requests, each
 // issued twice per night (50% duplicates), run on two consecutive nights.
-// The uncached path (a RunOne per request) re-solves all of it; the
+// The uncached path (a RunOneCold per request) re-solves all of it; the
 // staged pipeline dedups within the night and serves the second night
 // from the PlanCache. Responses are cross-checked bit-identical.
 int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
@@ -117,7 +118,7 @@ int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
       "== plan cache: %d nights x %zu requests (50%% duplicates) ==\n",
       kNights, night.size());
 
-  // Baseline: every request solved from scratch by its own RunOne — no
+  // Baseline: every request solved from scratch by its own RunOneCold — no
   // dedup, no sharing, no memo — on the same worker budget the pipeline
   // gets.
   std::vector<std::vector<PlanResponse>> reference;
@@ -129,7 +130,8 @@ int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
         night.size(), GlobalThreadCount(), /*grain=*/1,
         [&](size_t begin, size_t end) {
           for (size_t i = begin; i < end; ++i) {
-            responses[i] = plan_service.RunOne(night[i]);
+            responses[i] =
+                service::RunOneCold(plan_service.base(), night[i]);
           }
         });
   }
@@ -265,7 +267,8 @@ int Run(int argc, char** argv) {
     std::vector<PlanResponse> responses;
     responses.reserve(requests.size());
     for (const PlanRequest& request : requests) {
-      responses.push_back(plan_service.RunOne(request));
+      responses.push_back(
+          service::RunOneCold(plan_service.base(), request));
     }
     reference = std::move(responses);
     return timer.Seconds();

@@ -8,11 +8,13 @@
 // fails CI on regressions against the committed floors).
 //
 // Each row reports its repetition count and, per loop, the median and the
-// interquartile range of the per-rep wall times; reps alternate which loop
-// runs first. EVERY rep cross-checks bit-identity: picks, realized gains,
-// charged targets, similarity trajectory, final similarity, and the
-// gain-evaluation work metric of the production loop must match the cold
-// reference (a mismatch aborts the bench, failing CI).
+// interquartile range of the per-rep wall times. Each loop is timed in its
+// own pass — all production reps, then all cold reps — so neither loop's
+// timings depend on what the other left in the caches and the allocator.
+// EVERY rep of either loop cross-checks bit-identity against the first
+// production result: picks, realized gains, charged targets, similarity
+// trajectory, final similarity, and the gain-evaluation work metric must
+// match (a mismatch aborts the bench, failing CI).
 //
 // The bench also replays the production run's picks through a fresh
 // IncidenceIndex collecting each round's dirty set, reporting its
@@ -122,20 +124,21 @@ Result<ProtectionResult> RunSolverOnce(std::string_view solver, bool cold,
               : core::WtGreedy(engine, budgets, options);
 }
 
-// The bit-identity contract: everything the cold sweep reports except
+// The bit-identity contract: everything a greedy run reports except
 // wall-clock timestamps, the gain-evaluation work metric included.
-void CheckBitIdentical(const ProtectionResult& cold,
+void CheckBitIdentical(const ProtectionResult& reference,
                        const ProtectionResult& other) {
-  TPP_CHECK_EQ(cold.initial_similarity, other.initial_similarity);
-  TPP_CHECK_EQ(cold.final_similarity, other.final_similarity);
-  TPP_CHECK_EQ(cold.gain_evaluations, other.gain_evaluations);
-  TPP_CHECK_EQ(cold.picks.size(), other.picks.size());
-  for (size_t i = 0; i < cold.picks.size(); ++i) {
-    TPP_CHECK(cold.protectors[i] == other.protectors[i]);
-    TPP_CHECK_EQ(cold.picks[i].edge, other.picks[i].edge);
-    TPP_CHECK_EQ(cold.picks[i].realized_gain, other.picks[i].realized_gain);
-    TPP_CHECK_EQ(cold.picks[i].for_target, other.picks[i].for_target);
-    TPP_CHECK_EQ(cold.picks[i].similarity_after,
+  TPP_CHECK_EQ(reference.initial_similarity, other.initial_similarity);
+  TPP_CHECK_EQ(reference.final_similarity, other.final_similarity);
+  TPP_CHECK_EQ(reference.gain_evaluations, other.gain_evaluations);
+  TPP_CHECK_EQ(reference.picks.size(), other.picks.size());
+  for (size_t i = 0; i < reference.picks.size(); ++i) {
+    TPP_CHECK(reference.protectors[i] == other.protectors[i]);
+    TPP_CHECK_EQ(reference.picks[i].edge, other.picks[i].edge);
+    TPP_CHECK_EQ(reference.picks[i].realized_gain,
+                 other.picks[i].realized_gain);
+    TPP_CHECK_EQ(reference.picks[i].for_target, other.picks[i].for_target);
+    TPP_CHECK_EQ(reference.picks[i].similarity_after,
                  other.picks[i].similarity_after);
   }
 }
@@ -153,7 +156,6 @@ SolverResult RunConfig(std::string_view solver, MotifKind kind, bool quick) {
   out.reps = quick ? 3 : 31;
 
   std::vector<double> cold_ms, production_ms;
-  ProtectionResult reference;
   auto timed_run = [&](bool cold, std::vector<double>& samples) {
     IndexedEngine engine = prototype.Clone();
     WallTimer timer;
@@ -161,19 +163,13 @@ SolverResult RunConfig(std::string_view solver, MotifKind kind, bool quick) {
     samples.push_back(timer.Millis());
     return result;
   };
+  // One pass per loop: every production rep, then every cold rep.
+  const ProtectionResult reference = timed_run(/*cold=*/false, production_ms);
+  for (size_t r = 1; r < out.reps; ++r) {
+    CheckBitIdentical(reference, timed_run(/*cold=*/false, production_ms));
+  }
   for (size_t r = 0; r < out.reps; ++r) {
-    // Alternate which loop runs first so neither always inherits the
-    // other's warm caches.
-    ProtectionResult cold, production;
-    if (r % 2 == 0) {
-      cold = timed_run(/*cold=*/true, cold_ms);
-      production = timed_run(/*cold=*/false, production_ms);
-    } else {
-      production = timed_run(/*cold=*/false, production_ms);
-      cold = timed_run(/*cold=*/true, cold_ms);
-    }
-    CheckBitIdentical(cold, production);
-    if (r == 0) reference = std::move(production);
+    CheckBitIdentical(reference, timed_run(/*cold=*/true, cold_ms));
   }
   out.cold_ms = SpreadOf(cold_ms);
   out.production_ms = SpreadOf(production_ms);

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
   // The audit below inspects the released graph, so ask the service to
   // carry it in the response (off by default to keep batches lean).
   request.want_released = true;
-  tpp::service::PlanResponse response = plan_service.RunOne(request);
+  const tpp::service::PlanResponse response =
+      plan_service.RunBatch({&request, 1}).front();
   if (!response.status.ok()) {
     std::fprintf(stderr, "protection failed: %s\n",
                  response.status.ToString().c_str());

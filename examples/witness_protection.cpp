@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "core/node_privacy.h"
 #include "core/tpp.h"
 #include "graph/datasets.h"
 

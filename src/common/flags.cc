@@ -5,6 +5,7 @@
 
 #include "common/env.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 
 namespace tpp {
 
@@ -101,6 +102,11 @@ void SetGlobalThreadCount(int threads) {
 Status ApplyThreadsFlag(const ParsedArgs& args) {
   if (!args.Has("threads")) return Status::Ok();
   TPP_ASSIGN_OR_RETURN(int64_t threads, args.GetInt("threads", 0));
+  if (threads < 0 || threads > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(
+        StrFormat("--threads=%lld is out of range (must be 0..%d; 0 = auto)",
+                  static_cast<long long>(threads), ThreadPool::kMaxThreads));
+  }
   SetGlobalThreadCount(static_cast<int>(threads));
   return Status::Ok();
 }

@@ -58,8 +58,9 @@ int GlobalThreadCount();
 void SetGlobalThreadCount(int threads);
 
 /// Standard --threads flag hookup: when `args` carries --threads=N,
-/// installs N via SetGlobalThreadCount (N <= 0 resets to auto). Returns an
-/// error on unparsable values; absent flag leaves the setting untouched.
+/// installs N via SetGlobalThreadCount (N == 0 resets to auto). Returns
+/// InvalidArgument on unparsable values and on N outside
+/// [0, ThreadPool::kMaxThreads]; absent flag leaves the setting untouched.
 Status ApplyThreadsFlag(const ParsedArgs& args);
 
 }  // namespace tpp

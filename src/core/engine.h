@@ -2,21 +2,21 @@
 //
 // The contract is exactly what the paper's Algorithms 1-3 and the
 // baselines need: similarity reads, a per-candidate gain (Gain) and its
-// per-target split (GainVector / GainVectorInto), the candidate set
-// (Candidates / CandidatesInto), committed deletions, and the incremental
-// round view (BeginRound) the production greedy loops select from.
+// per-target split (GainVectorInto), the candidate set (CandidatesInto),
+// committed deletions, and the incremental round view (BeginRound) the
+// production greedy loops select from. GainVector and Candidates are
+// non-virtual allocating conveniences over the two Into forms.
 //
-// Two implementations share this contract:
-//   * NaiveEngine  (naive_engine.h)   — recounts motifs on the live graph
-//     for every gain query, reproducing the paper's cost model;
-//   * IndexedEngine (indexed_engine.h) — answers from the precomputed
-//     CSR incidence index (our scalable engine): Gain is an O(1) cached
-//     alive-count lookup, GainVector scans the edge's short per-target
-//     count segment, and DeleteEdge pays the index-maintenance cost once
-//     per killed instance (see motif/incidence_index.h for the layout and
-//     the alive-count invariant).
-// Both must return identical values for every query; this is enforced by
-// differential tests.
+// IndexedEngine (indexed_engine.h) is the production implementation: it
+// answers from the precomputed CSR incidence index — Gain is an O(1)
+// cached alive-count lookup, GainVectorInto scans the edge's short
+// per-target count segment, and DeleteEdge pays the index-maintenance
+// cost once per killed instance (see motif/incidence_index.h for the
+// layout and the alive-count invariant). The test-only NaiveEngine
+// (tests/reference/naive_engine.h) recounts motifs on the live graph for
+// every gain query, reproducing the paper's cost model. Both must return
+// identical values for every query; this is enforced by differential
+// tests.
 //
 // Deletion contract: DeleteEdge on an edge that is absent from the current
 // graph — never present, or already deleted — returns 0 and changes
@@ -55,32 +55,37 @@ class Engine {
   /// Does not commit the deletion.
   virtual size_t Gain(graph::EdgeKey e) = 0;
 
-  /// Per-target gains of deleting `e`: out[t] = s(P,t) - s(P + e, t).
-  /// One evaluation yields the gain split for EVERY target, which is what
-  /// keeps CT-Greedy at the same asymptotic cost as SGB-Greedy (the
-  /// paper's O(k n m (log N)^2) analysis assumes this).
-  virtual std::vector<size_t> GainVector(graph::EdgeKey e) = 0;
-
-  /// Allocation-free form of GainVector: writes the per-target gains into
-  /// `out` (size NumTargets()). Counts one gain evaluation, exactly like
-  /// GainVector — the BeginRound fallback and the cold CT/WT reference
-  /// loops reuse one buffer across the whole run through this.
+  /// Per-target gains of deleting `e`, written into `out` (size
+  /// NumTargets()): out[t] = s(P,t) - s(P + e, t). One evaluation yields
+  /// the gain split for EVERY target, which is what keeps CT-Greedy at
+  /// the same asymptotic cost as SGB-Greedy (the paper's O(k n m (log N)^2)
+  /// analysis assumes this). Counts one gain evaluation.
   virtual void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) = 0;
+
+  /// Allocating form of GainVectorInto; counts one gain evaluation.
+  std::vector<size_t> GainVector(graph::EdgeKey e) {
+    std::vector<size_t> out(NumTargets(), 0);
+    GainVectorInto(e, out);
+    return out;
+  }
 
   /// Commits the deletion of `e` from the released graph. Returns the
   /// number of target subgraphs broken (== the gain it realized); returns
   /// 0 without failing when `e` is absent or already deleted.
   virtual size_t DeleteEdge(graph::EdgeKey e) = 0;
 
-  /// Candidate protector edges under `scope`, sorted ascending by key for
+  /// Candidate protector edges under `scope`, written into `out` (its
+  /// capacity is reused across rounds), sorted ascending by key for
   /// deterministic tie-breaking. Already-deleted edges never appear.
-  virtual std::vector<graph::EdgeKey> Candidates(CandidateScope scope) = 0;
-
-  /// Fill form of Candidates: reuses `out`'s capacity across rounds. Same
-  /// contents and accounting (none) as Candidates.
+  /// Counts no gain evaluations.
   virtual void CandidatesInto(CandidateScope scope,
-                              std::vector<graph::EdgeKey>* out) {
-    *out = Candidates(scope);
+                              std::vector<graph::EdgeKey>* out) = 0;
+
+  /// Allocating form of CandidatesInto.
+  std::vector<graph::EdgeKey> Candidates(CandidateScope scope) {
+    std::vector<graph::EdgeKey> out;
+    CandidatesInto(scope, &out);
+    return out;
   }
 
   /// The whole query side of one INCREMENTAL greedy round. Returns a view
@@ -97,32 +102,22 @@ class Engine {
   /// re-evaluated. The paper's work metric therefore reports the same
   /// numbers on both paths; only wall time changes.
   ///
-  /// The base implementation is the trivial always-dirty fallback
-  /// (NaiveEngine uses it as-is): it rebuilds the candidate universe with
-  /// CandidatesInto and re-evaluates every candidate each round with one
-  /// Gain (or, for per-target rows, one GainVectorInto) in candidate
-  /// order, returning all_dirty views — bit-identical results, cold-sweep
-  /// cost.
-  /// IndexedEngine overrides it with dirty-set maintenance on its
-  /// persistent GainTable.
-  virtual const RoundGains& BeginRound(CandidateScope scope, bool per_target);
+  /// IndexedEngine implements it with dirty-set maintenance on its
+  /// persistent GainTable; NaiveEngine with an always-dirty cold sweep.
+  virtual const RoundGains& BeginRound(CandidateScope scope,
+                                       bool per_target) = 0;
 
   /// The current (phase-1 + committed deletions) graph; used by the random
   /// baselines and by utility analysis of the final release.
   virtual const graph::Graph& CurrentGraph() const = 0;
 
   /// Number of gain evaluations performed so far; the work metric reported
-  /// by the running-time experiments. Each Gain/GainVector/GainVectorInto
-  /// call counts 1 and BeginRound counts one per live candidate, so every
+  /// by the running-time experiments. Each Gain/GainVectorInto call
+  /// counts 1 and BeginRound counts one per live candidate, so every
   /// greedy round reports |candidates| evaluations exactly as the
   /// historical serial loops did — the paper's work metric stays
   /// comparable across PRs.
   virtual uint64_t GainEvaluations() const = 0;
-
- protected:
-  /// Storage behind the base-class BeginRound fallback; engines that
-  /// override BeginRound carry their own table instead.
-  GainTable fallback_table_;
 };
 
 }  // namespace tpp::core

@@ -60,7 +60,7 @@ struct RoundGains {
 
 /// Engine-owned storage behind RoundGains. Engines that answer from an
 /// index may alias `view` spans straight into index internals and leave
-/// the vectors here empty; the base-class fallback fills them per round.
+/// the vectors here empty; NaiveEngine's cold rounds fill them per round.
 struct GainTable {
   std::vector<graph::EdgeKey> edges;
   std::vector<uint32_t> totals;

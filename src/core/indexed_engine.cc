@@ -72,13 +72,6 @@ Status IndexedEngine::ApplyEdit(const graph::GraphDelta& delta,
   return Status::Ok();
 }
 
-std::vector<size_t> IndexedEngine::GainVector(EdgeKey e) {
-  ++gain_evals_;
-  std::vector<size_t> diffs(index_.NumTargets(), 0);
-  index_.AccumulateGains(e, &diffs);
-  return diffs;
-}
-
 void IndexedEngine::GainVectorInto(EdgeKey e, std::span<size_t> out) {
   ++gain_evals_;
   std::fill(out.begin(), out.end(), size_t{0});
@@ -134,11 +127,6 @@ size_t IndexedEngine::DeleteEdge(EdgeKey e) {
   // until the next gain read (BeginRound collects the dirty set from the
   // flush it performs then).
   return index_.DeleteEdge(e);
-}
-
-std::vector<EdgeKey> IndexedEngine::Candidates(CandidateScope scope) {
-  if (scope == CandidateScope::kAllEdges) return g_.EdgeKeys();
-  return index_.AliveCandidateEdges();
 }
 
 void IndexedEngine::CandidatesInto(CandidateScope scope,

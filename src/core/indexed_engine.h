@@ -16,7 +16,7 @@ namespace tpp::core {
 
 /// Engine that enumerates all target subgraphs once at construction and
 /// then answers every query from the CSR IncidenceIndex: Gain is an O(1)
-/// cached-count lookup, GainVector scans one short per-target count
+/// cached-count lookup, GainVectorInto scans one short per-target count
 /// segment, and DeleteEdge does work proportional to the instances it
 /// kills. Returns exactly the same values as NaiveEngine
 /// (differential-tested) at a fraction of the cost; this is the engine the
@@ -50,12 +50,10 @@ class IndexedEngine : public Engine {
     ++gain_evals_;
     return index_.Gain(e);
   }
-  std::vector<size_t> GainVector(graph::EdgeKey e) override;
-  /// In-place GainVector: zero-fill plus one pass over the edge's CSR-2
-  /// segment, no allocation. Counts one evaluation.
+  /// Zero-fill plus one pass over the edge's CSR-2 segment, no
+  /// allocation. Counts one evaluation.
   void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) override;
   size_t DeleteEdge(graph::EdgeKey e) override;
-  std::vector<graph::EdgeKey> Candidates(CandidateScope scope) override;
   void CandidatesInto(CandidateScope scope,
                       std::vector<graph::EdgeKey>* out) override;
   /// Incremental rounds on the persistent gain table. The candidate

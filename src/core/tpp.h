@@ -1,4 +1,6 @@
-// Umbrella header for the TPP core library.
+// Umbrella header for the TPP core library: the engine, solver and report
+// headers of libtpp. Test oracles (tests/reference/) and the paper-
+// evaluation modules (paper/) have their own headers.
 //
 // Typical use:
 //
@@ -16,19 +18,14 @@
 #ifndef TPP_CORE_TPP_H_
 #define TPP_CORE_TPP_H_
 
-#include "core/alternatives.h"   // IWYU pragma: export
 #include "core/baselines.h"      // IWYU pragma: export
 #include "core/budget.h"         // IWYU pragma: export
 #include "core/engine.h"         // IWYU pragma: export
-#include "core/exhaustive.h"     // IWYU pragma: export
 #include "core/greedy.h"         // IWYU pragma: export
 #include "core/indexed_engine.h" // IWYU pragma: export
 #include "core/katz_defense.h"   // IWYU pragma: export
-#include "core/naive_engine.h"   // IWYU pragma: export
-#include "core/node_privacy.h"   // IWYU pragma: export
 #include "core/problem.h"        // IWYU pragma: export
 #include "core/report.h"         // IWYU pragma: export
 #include "core/solver.h"         // IWYU pragma: export
-#include "core/weighted.h"       // IWYU pragma: export
 
 #endif  // TPP_CORE_TPP_H_

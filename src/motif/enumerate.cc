@@ -206,80 +206,6 @@ std::vector<TargetSubgraph> EnumerateTargetSubgraphs(const Graph& g,
   return out;
 }
 
-std::vector<TargetSubgraph> EnumerateTargetSubgraphsReference(
-    const Graph& g, Edge target, MotifKind kind, int32_t target_index) {
-  // The pre-optimization implementation, frozen as the bench baseline: a
-  // CommonNeighbors vector per probe and a HasEdge binary search per
-  // adjacency test. Do not "fix" this to use EnumerateScratch — its whole
-  // point is to keep costing what the old build cost.
-  const NodeId u = target.u;
-  const NodeId v = target.v;
-  TPP_CHECK_NE(u, v);
-  std::vector<TargetSubgraph> out;
-  switch (kind) {
-    case MotifKind::kTriangle: {
-      for (NodeId w : g.CommonNeighbors(u, v)) {
-        out.push_back(TargetSubgraph(
-            target_index, {MakeEdgeKey(u, w), MakeEdgeKey(w, v)}));
-      }
-      break;
-    }
-    case MotifKind::kRectangle: {
-      for (NodeId a : g.Neighbors(u)) {
-        if (a == v) continue;
-        for (NodeId b : g.Neighbors(a)) {
-          if (b == u || b == v) continue;
-          if (g.HasEdge(b, v)) {
-            out.push_back(TargetSubgraph(
-                target_index,
-                {MakeEdgeKey(u, a), MakeEdgeKey(a, b), MakeEdgeKey(b, v)}));
-          }
-        }
-      }
-      break;
-    }
-    case MotifKind::kPentagon: {
-      for (NodeId a : g.Neighbors(u)) {
-        if (a == v) continue;
-        for (NodeId b : g.Neighbors(a)) {
-          if (b == u || b == v) continue;
-          for (NodeId c : g.Neighbors(b)) {
-            if (c == u || c == v || c == a) continue;
-            if (g.HasEdge(c, v)) {
-              out.push_back(TargetSubgraph(
-                  target_index,
-                  {MakeEdgeKey(u, a), MakeEdgeKey(a, b), MakeEdgeKey(b, c),
-                   MakeEdgeKey(c, v)}));
-            }
-          }
-        }
-      }
-      break;
-    }
-    case MotifKind::kRecTri: {
-      for (NodeId w : g.CommonNeighbors(u, v)) {
-        const EdgeKey uw = MakeEdgeKey(u, w);
-        const EdgeKey wv = MakeEdgeKey(w, v);
-        for (NodeId x : g.Neighbors(w)) {
-          if (x == u || x == v) continue;
-          if (g.HasEdge(x, v)) {
-            out.push_back(TargetSubgraph(
-                target_index,
-                {uw, wv, MakeEdgeKey(w, x), MakeEdgeKey(x, v)}));
-          }
-          if (g.HasEdge(u, x)) {
-            out.push_back(TargetSubgraph(
-                target_index,
-                {uw, wv, MakeEdgeKey(u, x), MakeEdgeKey(x, w)}));
-          }
-        }
-      }
-      break;
-    }
-  }
-  return out;
-}
-
 size_t CountTargetSubgraphs(const Graph& g, Edge target, MotifKind kind) {
   EnumerateScratch scratch;
   return CountTargetSubgraphs(g, target, kind, scratch);

@@ -83,15 +83,6 @@ void AppendTargetSubgraphs(const graph::Graph& g, graph::Edge target,
                            EnumerateScratch& scratch,
                            std::vector<TargetSubgraph>& out);
 
-/// The pre-optimization enumerator, frozen verbatim: materializes
-/// CommonNeighbors vectors and answers every adjacency probe with a
-/// HasEdge binary search. Output is identical to EnumerateTargetSubgraphs
-/// (differential-tested); kept as the honest baseline of the index_build
-/// bench and of IncidenceIndex::BuildSerialReference.
-std::vector<TargetSubgraph> EnumerateTargetSubgraphsReference(
-    const graph::Graph& g, graph::Edge target, MotifKind kind,
-    int32_t target_index = 0);
-
 /// Counts target subgraphs without materializing them: s({}, t) on the
 /// current graph. Same complexity as enumeration.
 size_t CountTargetSubgraphs(const graph::Graph& g, graph::Edge target,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/flags.h"
@@ -318,134 +317,6 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
   idx.FinishAliveState(targets.size());
   idx.PopulateRepairCaches(targets);
   if (stats) stats->csr_seconds = timer.Seconds();
-  return idx;
-}
-
-Result<IncidenceIndex> IncidenceIndex::BuildSerialReference(
-    const Graph& g, const std::vector<Edge>& targets, MotifKind kind) {
-  TPP_RETURN_IF_ERROR(ValidateTargetsAbsent(g, targets));
-  IncidenceIndex idx;
-  std::vector<TargetSubgraph> instances;
-  for (size_t t = 0; t < targets.size(); ++t) {
-    std::vector<TargetSubgraph> ts = EnumerateTargetSubgraphsReference(
-        g, targets[t], kind, static_cast<int32_t>(t));
-    for (TargetSubgraph& inst : ts) {
-      instances.push_back(inst);
-    }
-  }
-
-  // Intern participating edges in ascending key order so edge id order is
-  // key order.
-  std::vector<EdgeKey> edge_keys;
-  for (const TargetSubgraph& inst : instances) {
-    for (uint8_t j = 0; j < inst.num_edges; ++j) {
-      edge_keys.push_back(inst.edges[j]);
-    }
-  }
-  std::sort(edge_keys.begin(), edge_keys.end());
-  edge_keys.erase(std::unique(edge_keys.begin(), edge_keys.end()),
-                  edge_keys.end());
-  edge_keys.shrink_to_fit();
-  idx.edge_keys_ = std::move(edge_keys);
-  // The old hash-map interner, kept local: the reference pays its
-  // construction and per-occurrence lookups exactly as the pre-parallel
-  // build did, then derives the bucket table the final layout carries.
-  idx.BuildProbeTable();
-  std::unordered_map<EdgeKey, uint32_t> edge_id;
-  edge_id.reserve(idx.edge_keys_.size());
-  for (uint32_t id = 0; id < idx.edge_keys_.size(); ++id) {
-    edge_id.emplace(idx.edge_keys_[id], id);
-  }
-  const size_t num_edges = idx.edge_keys_.size();
-
-  // CSR 1 (edge -> instances), counting pass then fill pass, resolving
-  // ids through the hash map.
-  std::vector<uint32_t> inst_offsets(num_edges + 1, 0);
-  idx.arity_ = static_cast<uint8_t>(MotifEdgeCount(kind));
-  std::vector<InstanceMaintenance> maint(instances.size());
-  for (uint32_t i = 0; i < instances.size(); ++i) {
-    const TargetSubgraph& inst = instances[i];
-    maint[i].target = static_cast<uint32_t>(inst.target);
-    for (uint8_t j = 0; j < inst.num_edges; ++j) {
-      uint32_t e = edge_id.at(inst.edges[j]);
-      maint[i].edge_ids[j] = e;
-      ++inst_offsets[e + 1];
-    }
-  }
-  for (size_t e = 0; e < num_edges; ++e) {
-    inst_offsets[e + 1] += inst_offsets[e];
-  }
-  std::vector<uint32_t> instance_ids(inst_offsets.back());
-  {
-    std::vector<uint32_t> cursor(inst_offsets.begin(),
-                                 inst_offsets.end() - 1);
-    for (uint32_t i = 0; i < instances.size(); ++i) {
-      const TargetSubgraph& inst = instances[i];
-      for (uint8_t j = 0; j < inst.num_edges; ++j) {
-        instance_ids[cursor[maint[i].edge_ids[j]]++] = i;
-      }
-    }
-  }
-
-  // Alive-count cache: everything is alive at build time, so the count is
-  // just the posting-list length.
-  idx.alive_count_.resize(num_edges);
-  for (size_t e = 0; e < num_edges; ++e) {
-    idx.alive_count_[e] = inst_offsets[e + 1] - inst_offsets[e];
-  }
-
-  // CSR 2 (edge -> per-target counts): aggregate each posting list into
-  // (target, count) pairs, kept in ascending target order.
-  std::vector<uint32_t> tgt_offsets(num_edges + 1, 0);
-  std::vector<uint32_t> tgt_ids;
-  std::vector<uint32_t> tgts;  // scratch per edge
-  for (size_t e = 0; e < num_edges; ++e) {
-    tgts.clear();
-    for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-      tgts.push_back(
-          static_cast<uint32_t>(instances[instance_ids[p]].target));
-    }
-    std::sort(tgts.begin(), tgts.end());
-    for (size_t k = 0; k < tgts.size(); ++k) {
-      if (k > 0 && tgts[k] == tgts[k - 1]) {
-        ++idx.tgt_counts_.back();
-      } else {
-        tgt_ids.push_back(tgts[k]);
-        idx.tgt_counts_.push_back(1);
-      }
-    }
-    tgt_offsets[e + 1] = static_cast<uint32_t>(tgt_ids.size());
-  }
-
-  // Slot table (the serial form of the parallel build's last pass).
-  for (uint32_t i = 0; i < instances.size(); ++i) {
-    InstanceMaintenance& m = maint[i];
-    for (uint8_t j = 0; j < instances[i].num_edges; ++j) {
-      const uint32_t e = m.edge_ids[j];
-      uint32_t slot = tgt_offsets[e];
-      while (tgt_ids[slot] != m.target) ++slot;
-      m.slots[j] = slot;
-    }
-  }
-
-  // Bucket table for the keyed query API (see EdgeIdOf).
-  std::vector<uint32_t> u_offsets(g.NumNodes() + 1, 0);
-  for (EdgeKey key : idx.edge_keys_) {
-    ++u_offsets[graph::EdgeKeyU(key) + 1];
-  }
-  for (size_t u = 0; u < g.NumNodes(); ++u) {
-    u_offsets[u + 1] += u_offsets[u];
-  }
-
-  idx.instances_ = std::move(instances);
-  idx.inst_offsets_ = std::move(inst_offsets);
-  idx.instance_ids_ = std::move(instance_ids);
-  idx.tgt_offsets_ = std::move(tgt_offsets);
-  idx.tgt_ids_ = std::move(tgt_ids);
-  idx.maint_ = std::move(maint);
-  idx.u_offsets_ = std::move(u_offsets);
-  idx.FinishAliveState(targets.size());
-  idx.PopulateRepairCaches(targets);
   return idx;
 }
 

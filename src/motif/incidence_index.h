@@ -72,8 +72,10 @@
 // instance-edge array with binary-search id resolution in the fill passes;
 // and both CSR structures are built with parallel count-then-fill passes
 // whose stable per-block cursors reproduce the serial layout exactly. The
-// result is bit-identical to BuildSerialReference at any thread count
-// (differential-tested in tests/index_build_parallel_test.cc).
+// result is bit-identical to the serial pre-parallel build at any thread
+// count (BuildIndexSerialReference in the test-only tpp_reference library,
+// tests/reference/serial_index_build.h; differential-tested in
+// tests/index_build_parallel_test.cc).
 //
 // Complexity per query (E = interned edges, I(e) = instances through e,
 // T(e) = distinct targets through e, T(e) <= min(NumTargets(), I(e))):
@@ -161,15 +163,6 @@ class IncidenceIndex {
                                       MotifKind kind,
                                       const BuildOptions& options,
                                       BuildStats* stats = nullptr);
-
-  /// The single-threaded pre-parallel build: serial per-target enumeration
-  /// with materialized common-neighbor vectors and hash-map edge-id
-  /// resolution. Kept verbatim as the baseline of the index_build bench
-  /// and the reference of the parallel-vs-serial differential tests; its
-  /// result is required to be bit-identical to Build at any thread count.
-  static Result<IncidenceIndex> BuildSerialReference(
-      const graph::Graph& g, const std::vector<graph::Edge>& targets,
-      MotifKind kind);
 
   /// Number of targets the index was built over.
   size_t NumTargets() const { return alive_per_target_.size(); }
@@ -393,6 +386,11 @@ class IncidenceIndex {
   // layout verbatim and reconstitutes it by adopting mmap'd file bytes
   // into the FlatArray members below.
   friend class IndexSnapshotCodec;
+  // The serial reference build (tests/reference/serial_index_build.h)
+  // fills the same private layout.
+  friend Result<IncidenceIndex> BuildIndexSerialReference(
+      const graph::Graph& g, const std::vector<graph::Edge>& targets,
+      MotifKind kind);
 
   IncidenceIndex() = default;
 
@@ -429,7 +427,7 @@ class IncidenceIndex {
   // both build paths call it right after interning.
   void BuildProbeTable();
 
-  // Shared tail of Build and BuildSerialReference: sizes and fills the
+  // Shared tail of Build and BuildIndexSerialReference: sizes and fills the
   // alive state (alive_, total_alive_, alive_per_target_, alive_edges_)
   // from the enumerated instances in O(instances + E).
   void FinishAliveState(size_t num_targets);

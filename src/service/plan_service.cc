@@ -33,10 +33,8 @@ using graph::Edge;
 
 namespace {
 
-// The solve tail shared by RunOne and the batch pipeline: everything
-// after the targets are resolved and an engine over the instance exists.
-// Keeping it one function makes "pipeline output == sequential RunOne
-// loop" an identity by construction, not by coincidence.
+// The pipeline's solve tail: everything after the targets are resolved
+// and an engine over the instance exists.
 void SolveWithEngine(const PlanRequest& request, const TppInstance& instance,
                      IndexedEngine& engine, Rng& rng,
                      const CancellationToken* cancel,
@@ -82,7 +80,7 @@ PlanService::PlanService(graph::Graph base)
 
 namespace {
 
-// Marks a RunBatch/RunOne execution live for the ApplyEdit guard.
+// Marks a RunBatch execution live for the ApplyEdit guard.
 struct ActiveRunGuard {
   explicit ActiveRunGuard(std::atomic<int>& counter) : counter(counter) {
     counter.fetch_add(1, std::memory_order_acq_rel);
@@ -92,51 +90,6 @@ struct ActiveRunGuard {
 };
 
 }  // namespace
-
-PlanResponse PlanService::RunOne(const PlanRequest& request) const {
-  ActiveRunGuard active(active_runs_);
-  WallTimer timer;
-  PlanResponse response;
-  CancellationToken deadline_token;
-  const CancellationToken* cancel = ArmRequestToken(
-      request, /*batch_deadline=*/false, {}, deadline_token);
-  // Everything below depends only on the base graph and the request, so
-  // concurrent execution order cannot change any response.
-  Rng rng = RequestRng(request.seed);
-  if (request.targets.empty()) {
-    Result<std::vector<Edge>> sampled =
-        core::SampleTargets(base_, request.sample, rng);
-    if (!sampled.ok()) {
-      response.status = sampled.status();
-      return response;
-    }
-    response.targets = std::move(*sampled);
-  } else {
-    response.targets = request.targets;
-  }
-  // Stage-boundary poll before the expensive build; the solver polls at
-  // its own round boundaries from here on.
-  response.status = PollCancellation(cancel, "plan:build");
-  if (!response.status.ok()) return response;
-  Result<TppInstance> instance =
-      core::MakeInstance(base_, response.targets, request.motif);
-  if (!instance.ok()) {
-    response.status = instance.status();
-    return response;
-  }
-  motif::IncidenceIndex::BuildOptions build_options;
-  build_options.cancel = cancel;
-  Result<IndexedEngine> engine =
-      IndexedEngine::Create(*instance, build_options);
-  if (!engine.ok()) {
-    response.status = engine.status();
-    return response;
-  }
-  SolveWithEngine(request, *instance, *engine, rng, cancel, &response);
-  if (!response.status.ok()) return response;
-  response.seconds = timer.Seconds();
-  return response;
-}
 
 std::vector<PlanResponse> PlanService::RunPipeline(
     std::span<const PlanRequest> requests, const BatchOptions& options,
@@ -217,7 +170,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   }
 
   // -- Stage 4: resolve targets and group by instance. Sampling draws
-  // come from the request's own stream exactly as RunOne draws them, and
+  // come from the request's own stream (RequestRng of its seed), and
   // the advanced stream is kept for the solve stage. Units with the same
   // resolved (targets, motif) land in one repository group and will share
   // a single TppInstance + IncidenceIndex build.
@@ -435,7 +388,7 @@ Result<EditSummary> PlanService::ApplyEdit(const graph::GraphDelta& delta,
   // forbids that interleaving; the guard catches the accidental case.
   if (active_runs_.load(std::memory_order_acquire) != 0) {
     return Status::FailedPrecondition(
-        "ApplyEdit while a RunBatch/RunOne is in flight; drain the batch "
+        "ApplyEdit while a RunBatch is in flight; drain the batch "
         "before editing");
   }
   EditSummary summary;

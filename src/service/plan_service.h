@@ -23,8 +23,10 @@
 //   cache-fill    — insert fresh responses into the cache
 //
 // Every stage is a pure optimization: responses are bit-identical to a
-// sequential RunOne loop at any worker count, cache state, or sharing
-// group (regression-tested in tests/plan_pipeline_test.cc).
+// sequential loop of cold one-request solves (RunOneCold, the test-only
+// oracle in tests/reference/run_one_cold.h) at any worker count, cache
+// state, or sharing group (regression-tested in
+// tests/plan_pipeline_test.cc).
 //
 // Determinism: every request derives its own RNG stream purely from its
 // seed (Rng(SplitMix64(seed)), see common/rng.h), so responses are
@@ -86,10 +88,10 @@ struct PlanRequest {
   /// protect` and the request-file key `released=1` turn it on.
   bool want_released = false;
   /// Wall-clock budget for this request in milliseconds; <= 0 means
-  /// unlimited. The clock starts when the pipeline (or RunOne) picks the
-  /// request up; past the deadline the solver stops at its next round
-  /// boundary and the response carries kDeadlineExceeded — the rest of
-  /// the batch is unaffected. Request-file key `deadline_ms=`, CLI flag
+  /// unlimited. The clock starts when the pipeline picks the request up;
+  /// past the deadline the solver stops at its next round boundary and
+  /// the response carries kDeadlineExceeded — the rest of the batch is
+  /// unaffected. Request-file key `deadline_ms=`, CLI flag
   /// --deadline-ms. Excluded from the cache key: a deadline changes
   /// whether a run finishes, never what a finished run produces.
   int64_t deadline_ms = 0;
@@ -218,12 +220,6 @@ class PlanService {
   /// content-address prefix of every cache key this service produces.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Executes one request cold: sample/validate targets, build the
-  /// TppInstance and IndexedEngine, run the spec'd solver, serialize the
-  /// plan. No cache, no sharing — this is the reference semantics every
-  /// pipeline configuration must reproduce bit-for-bit.
-  PlanResponse RunOne(const PlanRequest& request) const;
-
   /// Executes all requests through the pipeline (default BatchOptions
   /// with `max_workers`) and returns responses in input order.
   std::vector<PlanResponse> RunBatch(std::span<const PlanRequest> requests,
@@ -258,9 +254,9 @@ class PlanService {
   ///     the edit touches reset to a cold build.
   /// On a delta that fails validation (an absent removal, a present
   /// insertion) nothing changes and the error is returned. Must not run
-  /// concurrently with RunBatch/RunOne — edits sit between batches. The
+  /// concurrently with RunBatch — edits sit between batches. The
   /// restriction is ENFORCED, not conventional: an ApplyEdit that
-  /// overlaps an in-flight RunBatch/RunOne returns kFailedPrecondition
+  /// overlaps an in-flight RunBatch returns kFailedPrecondition
   /// and changes nothing, instead of mutating the base graph under a
   /// running solve. Callers that interleave edits with serving (the plan
   /// server's epoch barrier, the CLI's edit sessions) retry or sequence
@@ -276,7 +272,7 @@ class PlanService {
 
   graph::Graph base_;
   uint64_t fingerprint_ = 0;
-  // Live RunBatch/RunOne executions; ApplyEdit refuses while nonzero.
+  // Live RunBatch executions; ApplyEdit refuses while nonzero.
   mutable std::atomic<int> active_runs_{0};
 };
 

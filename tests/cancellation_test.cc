@@ -16,6 +16,7 @@
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "motif/incidence_index.h"
+#include "reference/run_one_cold.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -160,18 +161,20 @@ TEST(PlanServiceDeadlineTest, PreCanceledRequestAborts) {
   CancellationToken token;
   token.Cancel();
   requests[0].cancel = &token;
-  PlanResponse response = plan_service.RunOne(requests[0]);
-  EXPECT_EQ(response.status.code(), StatusCode::kAborted);
+  std::vector<PlanResponse> responses = plan_service.RunBatch(requests);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kAborted);
 }
 
-TEST(PlanServiceDeadlineTest, ExpiredTokenFailsFastViaRunOne) {
+TEST(PlanServiceDeadlineTest, ExpiredTokenFailsFastViaRunBatch) {
   PlanService plan_service(HeavyBase());
   std::vector<PlanRequest> requests =
       Parse(std::string("name=r ") + kHeavyRequest + "\n");
   CancellationToken token(Clock::now() - std::chrono::seconds(1));
   requests[0].cancel = &token;
-  PlanResponse response = plan_service.RunOne(requests[0]);
-  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  std::vector<PlanResponse> responses = plan_service.RunBatch(requests);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(PlanServiceDeadlineTest, TightDeadlineExpiresWithoutStallingBatch) {
@@ -184,8 +187,8 @@ TEST(PlanServiceDeadlineTest, TightDeadlineExpiresWithoutStallingBatch) {
 
   // No-deadline references for the neighbors of the expiring request.
   PlanRequest fast0 = requests[0], fast1 = requests[2];
-  const PlanResponse want0 = plan_service.RunOne(fast0);
-  const PlanResponse want1 = plan_service.RunOne(fast1);
+  const PlanResponse want0 = RunOneCold(plan_service.base(), fast0);
+  const PlanResponse want1 = RunOneCold(plan_service.base(), fast1);
 
   PlanCache cache(16);
   for (int pass = 0; pass < 2; ++pass) {

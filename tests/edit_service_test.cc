@@ -13,6 +13,7 @@
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "motif/incidence_index.h"
+#include "reference/run_one_cold.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -192,7 +193,7 @@ TEST(PlanServiceEditTest, CacheSurvivalFollowsTheDeltaNeighborhood) {
   ASSERT_TRUE(second[0].status.ok());
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_TRUE(second[0].from_cache);
-  PlanResponse cold = service.RunOne(requests[0]);
+  PlanResponse cold = RunOneCold(service.base(), requests[0]);
   EXPECT_EQ(second[0].plan_text, cold.plan_text);
 
   PlanCache::Stats cache_stats = cache.stats();
@@ -221,7 +222,7 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   EXPECT_EQ(summary->groups_reset, 0u);
 
   // The follow-up batch re-clones the repaired prototype: zero builds,
-  // and the response is byte-identical to a cold service on the edited
+  // and the response is byte-identical to a cold solve on the edited
   // graph.
   BatchStats stats2;
   options.stats = &stats2;
@@ -229,8 +230,7 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   ASSERT_TRUE(second[0].status.ok());
   EXPECT_EQ(stats2.instance_builds, 0u);
 
-  PlanService cold(service.base());
-  PlanResponse reference = cold.RunOne(requests[0]);
+  PlanResponse reference = RunOneCold(service.base(), requests[0]);
   EXPECT_EQ(second[0].plan_text, reference.plan_text);
 }
 

@@ -6,9 +6,9 @@
 #include <tuple>
 
 #include "core/indexed_engine.h"
-#include "core/naive_engine.h"
 #include "core/problem.h"
 #include "graph/generators.h"
+#include "reference/naive_engine.h"
 
 namespace tpp::core {
 namespace {

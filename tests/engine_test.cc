@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/indexed_engine.h"
-#include "core/naive_engine.h"
 #include "core/problem.h"
 #include "graph/fixtures.h"
+#include "reference/naive_engine.h"
 #include "test_util.h"
 
 namespace tpp::core {

@@ -1,6 +1,6 @@
 // Tests for the exhaustive optimal solver.
 
-#include "core/exhaustive.h"
+#include "reference/exhaustive.h"
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace tpp {
 namespace {
@@ -84,7 +85,7 @@ TEST(ThreadsFlagTest, AppliesAndResets) {
   ParsedArgs args = MustParse({"--threads=2"});
   ASSERT_TRUE(ApplyThreadsFlag(args).ok());
   EXPECT_EQ(GlobalThreadCount(), 2);
-  // <= 0 resets to auto, which is always at least one worker.
+  // 0 resets to auto, which is always at least one worker.
   ParsedArgs reset = MustParse({"--threads=0"});
   ASSERT_TRUE(ApplyThreadsFlag(reset).ok());
   EXPECT_GE(GlobalThreadCount(), 1);
@@ -99,8 +100,20 @@ TEST(ThreadsFlagTest, AbsentFlagLeavesSettingUntouched) {
 }
 
 TEST(ThreadsFlagTest, BadValueErrors) {
-  ParsedArgs args = MustParse({"--threads=lots"});
-  EXPECT_FALSE(ApplyThreadsFlag(args).ok());
+  SetGlobalThreadCount(5);
+  // Unparsable, negative, and past the pool's cap (2^32 + 1 used to
+  // truncate to one worker).
+  for (const char* flag : {"--threads=lots", "--threads=-2",
+                           "--threads=4294967297", "--threads=257"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_EQ(ApplyThreadsFlag(MustParse({flag})).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(GlobalThreadCount(), 5);  // the setting is untouched
+  }
+  // The cap itself is accepted.
+  ASSERT_TRUE(ApplyThreadsFlag(MustParse({"--threads=256"})).ok());
+  EXPECT_EQ(GlobalThreadCount(), ThreadPool::kMaxThreads);
+  SetGlobalThreadCount(0);  // restore auto for other tests
 }
 
 TEST(FlagsTest, EmptyArgvIsFine) {

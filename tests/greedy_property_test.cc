@@ -7,11 +7,11 @@
 #include <tuple>
 
 #include "core/budget.h"
-#include "core/exhaustive.h"
 #include "core/greedy.h"
 #include "core/indexed_engine.h"
 #include "core/problem.h"
 #include "graph/generators.h"
+#include "reference/exhaustive.h"
 
 namespace tpp::core {
 namespace {

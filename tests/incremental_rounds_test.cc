@@ -15,13 +15,13 @@
 
 #include "core/greedy.h"
 #include "core/indexed_engine.h"
-#include "core/naive_engine.h"
 #include "core/problem.h"
 #include "graph/fixtures.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
 #include "reference/greedy_reference.h"
 #include "reference/legacy_incidence_index.h"
+#include "reference/naive_engine.h"
 #include "test_util.h"
 
 namespace tpp::core {

@@ -15,6 +15,7 @@
 #include "graph/generators.h"
 #include "motif/enumerate.h"
 #include "motif/incidence_index.h"
+#include "reference/serial_index_build.h"
 #include "service/plan_service.h"
 #include "test_util.h"
 
@@ -44,7 +45,7 @@ TEST_P(IndexBuildParallelTest, BitIdenticalToSerialOnRandomGraphs) {
     Result<Graph> g = graph::HolmeKim(250, 4, 0.3, rng);
     ASSERT_TRUE(g.ok());
     TppInstance inst = SampledInstance(*g, 12, seed + 100, kind);
-    auto serial = IncidenceIndex::BuildSerialReference(
+    auto serial = BuildIndexSerialReference(
         inst.released, inst.targets, inst.motif);
     ASSERT_TRUE(serial.ok());
     for (int threads : {1, 2, 4, 8}) {
@@ -66,7 +67,7 @@ TEST_P(IndexBuildParallelTest, BitIdenticalOnSparseRandomGraph) {
   Result<Graph> g = graph::ErdosRenyiGnm(400, 1200, rng);
   ASSERT_TRUE(g.ok());
   TppInstance inst = SampledInstance(*g, 15, 7, kind);
-  auto serial = IncidenceIndex::BuildSerialReference(
+  auto serial = BuildIndexSerialReference(
       inst.released, inst.targets, inst.motif);
   ASSERT_TRUE(serial.ok());
   for (int threads : {2, 8}) {
@@ -156,7 +157,7 @@ TEST(EnumerationTaskTest, HubTargetsSplitForHeavyMotifs) {
 
   // And the split build is still bit-identical to the serial one.
   for (MotifKind kind : kAllMotifs) {
-    auto serial = IncidenceIndex::BuildSerialReference(g, targets, kind);
+    auto serial = BuildIndexSerialReference(g, targets, kind);
     ASSERT_TRUE(serial.ok());
     IncidenceIndex::BuildOptions options;
     options.threads = 4;
@@ -175,7 +176,7 @@ TEST(EnumerationTaskTest, IsolatedTargetEndpointIsHandled) {
   EXPECT_EQ(PlanEnumerationTasks(g, targets, MotifKind::kTriangle).size(),
             1u);  // target 0's u has degree 0
   auto serial =
-      IncidenceIndex::BuildSerialReference(g, targets, MotifKind::kTriangle);
+      BuildIndexSerialReference(g, targets, MotifKind::kTriangle);
   ASSERT_TRUE(serial.ok());
   IncidenceIndex::BuildOptions options;
   options.threads = 4;
@@ -196,7 +197,7 @@ TEST(IndexBuildDeleteTest, DeleteSequencesMatchSerialBuild) {
     Result<Graph> g = graph::HolmeKim(180, 4, 0.35, rng);
     ASSERT_TRUE(g.ok());
     TppInstance inst = SampledInstance(*g, 10, 17, kind);
-    auto serial = *IncidenceIndex::BuildSerialReference(
+    auto serial = *BuildIndexSerialReference(
         inst.released, inst.targets, inst.motif);
     IncidenceIndex::BuildOptions options;
     options.threads = 4;

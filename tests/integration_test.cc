@@ -9,6 +9,7 @@
 #include "linkpred/attack.h"
 #include "metrics/utility.h"
 #include "motif/enumerate.h"
+#include "reference/naive_engine.h"
 
 namespace tpp {
 namespace {

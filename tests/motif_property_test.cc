@@ -9,8 +9,8 @@
 
 #include "common/rng.h"
 #include "graph/generators.h"
-#include "motif/brute_force.h"
 #include "motif/enumerate.h"
+#include "reference/brute_force.h"
 
 namespace tpp::motif {
 namespace {

@@ -1,6 +1,6 @@
 // Tests for the staged plan pipeline: instance sharing, in-batch dedup,
 // content-addressed caching, and streaming delivery must all reproduce a
-// cold sequential RunOne loop bit for bit.
+// cold sequential RunOneCold loop bit for bit.
 
 #include <string>
 #include <vector>
@@ -9,6 +9,7 @@
 #include "core/tpp.h"
 #include "graph/datasets.h"
 #include "gtest/gtest.h"
+#include "reference/run_one_cold.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -67,15 +68,15 @@ void ExpectSameResponse(const PlanResponse& got, const PlanResponse& want,
 
 // The acceptance check of the pipeline: instance sharing + warm cache +
 // streaming delivery at several worker counts, byte-identical to a cold
-// sequential RunOne loop over the same parsed request file.
+// sequential RunOneCold loop over the same parsed request file.
 TEST(PlanPipelineTest, EndToEndBitIdenticalToColdSequentialLoop) {
   PlanService plan_service(ArenasBase());
   std::vector<PlanRequest> requests = PipelineBatch();
 
-  // The reference: one cold RunOne per request, nothing shared.
+  // The reference: one RunOneCold per request, nothing shared.
   std::vector<PlanResponse> reference;
   for (const PlanRequest& request : requests) {
-    reference.push_back(plan_service.RunOne(request));
+    reference.push_back(RunOneCold(plan_service.base(), request));
   }
 
   PlanCache cache(64);
@@ -180,11 +181,11 @@ TEST(PlanPipelineTest, InstanceSharingBuildsOncePerGroup) {
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   }
 
-  // Sharing changes no output: each response equals a cold RunOne, which
+  // Sharing changes no output: each response equals a RunOneCold, which
   // builds its own instance.
   for (size_t i = 0; i < responses.size(); ++i) {
     EXPECT_EQ(responses[i].plan_text,
-              plan_service.RunOne(requests[i]).plan_text);
+              RunOneCold(plan_service.base(), requests[i]).plan_text);
   }
 }
 
@@ -195,12 +196,12 @@ TEST(PlanPipelineTest, WantReleasedGatesTheGraphCopy) {
   request.seed = 9;
   request.spec.budget = 3;
 
-  PlanResponse lean = plan_service.RunOne(request);
+  PlanResponse lean = plan_service.RunBatch({&request, 1}).front();
   ASSERT_TRUE(lean.status.ok());
   EXPECT_EQ(lean.released.NumNodes(), 0u);  // not carried by default
 
   request.want_released = true;
-  PlanResponse full = plan_service.RunOne(request);
+  PlanResponse full = plan_service.RunBatch({&request, 1}).front();
   ASSERT_TRUE(full.status.ok());
   EXPECT_EQ(full.released.NumNodes(), ArenasBase().NumNodes());
   // Same plan either way; the flag only gates the response payload.

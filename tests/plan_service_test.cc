@@ -8,6 +8,7 @@
 #include "core/tpp.h"
 #include "graph/datasets.h"
 #include "gtest/gtest.h"
+#include "reference/run_one_cold.h"
 
 namespace tpp::service {
 namespace {
@@ -57,7 +58,7 @@ TEST(PlanServiceTest, BatchIsBitIdenticalToSequentialRuns) {
   // `tpp protect` invocations would compute.
   std::vector<PlanResponse> sequential;
   for (const PlanRequest& request : requests) {
-    sequential.push_back(plan_service.RunOne(request));
+    sequential.push_back(RunOneCold(plan_service.base(), request));
   }
   for (const PlanResponse& response : sequential) {
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
@@ -104,7 +105,7 @@ TEST(PlanServiceTest, SameSeedIdenticalDifferentSeedsIndependent) {
   EXPECT_NE(responses[0].targets, responses[2].targets);
 
   // And the derivation matches a standalone run.
-  PlanResponse solo = plan_service.RunOne(a);
+  PlanResponse solo = RunOneCold(plan_service.base(), a);
   EXPECT_EQ(solo.plan_text, responses[0].plan_text);
 }
 
@@ -115,7 +116,7 @@ TEST(PlanServiceTest, SampledTargetsComeFromSplitmixStream) {
   PlanRequest request;
   request.sample = 12;
   request.seed = 31337;
-  PlanResponse response = plan_service.RunOne(request);
+  PlanResponse response = plan_service.RunBatch({&request, 1}).front();
   ASSERT_TRUE(response.status.ok());
   Rng rng = RequestRng(31337);
   std::vector<Edge> expected =

@@ -1,4 +1,4 @@
-#include "motif/brute_force.h"
+#include "reference/brute_force.h"
 
 namespace tpp::motif {
 

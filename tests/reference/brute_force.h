@@ -1,8 +1,9 @@
 // Brute-force reference enumerators: independent O(n^2)-per-target
-// implementations used as differential-test oracles for enumerate.h.
+// implementations used as differential-test oracles for enumerate.h
+// (test-only tpp_reference library).
 
-#ifndef TPP_MOTIF_BRUTE_FORCE_H_
-#define TPP_MOTIF_BRUTE_FORCE_H_
+#ifndef TPP_REFERENCE_BRUTE_FORCE_H_
+#define TPP_REFERENCE_BRUTE_FORCE_H_
 
 #include <vector>
 
@@ -25,4 +26,4 @@ size_t BruteForceCount(const graph::Graph& g, graph::Edge target,
 
 }  // namespace tpp::motif
 
-#endif  // TPP_MOTIF_BRUTE_FORCE_H_
+#endif  // TPP_REFERENCE_BRUTE_FORCE_H_

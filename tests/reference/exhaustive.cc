@@ -1,4 +1,4 @@
-#include "core/exhaustive.h"
+#include "reference/exhaustive.h"
 
 #include <algorithm>
 

@@ -1,11 +1,12 @@
 // Exhaustive optimal protector selection for tiny instances.
 //
-// Used only by tests and the approximation-ratio experiments: enumerates
-// all candidate subsets of size <= k and returns the best achievable
+// The greedy-bound oracle of the approximation-ratio tests: enumerates all
+// candidate subsets of size <= k and returns the best achievable
 // dissimilarity gain. Exponential — guarded by an explicit work limit.
+// Lives in the test-only tpp_reference library.
 
-#ifndef TPP_CORE_EXHAUSTIVE_H_
-#define TPP_CORE_EXHAUSTIVE_H_
+#ifndef TPP_REFERENCE_EXHAUSTIVE_H_
+#define TPP_REFERENCE_EXHAUSTIVE_H_
 
 #include <vector>
 
@@ -31,4 +32,4 @@ Result<ExhaustiveResult> ExhaustiveOptimal(const TppInstance& instance,
 
 }  // namespace tpp::core
 
-#endif  // TPP_CORE_EXHAUSTIVE_H_
+#endif  // TPP_REFERENCE_EXHAUSTIVE_H_

@@ -1,4 +1,4 @@
-#include "core/naive_engine.h"
+#include "reference/naive_engine.h"
 
 #include <algorithm>
 #include <numeric>
@@ -44,12 +44,6 @@ size_t NaiveEngine::Gain(EdgeKey e) {
   return total;
 }
 
-std::vector<size_t> NaiveEngine::GainVector(EdgeKey e) {
-  std::vector<size_t> diffs(targets_.size(), 0);
-  GainVectorInto(e, diffs);
-  return diffs;
-}
-
 void NaiveEngine::GainVectorInto(EdgeKey e, std::span<size_t> out) {
   std::fill(out.begin(), out.end(), size_t{0});
   if (!g_.HasEdgeKey(e)) return;
@@ -78,9 +72,11 @@ size_t NaiveEngine::DeleteEdge(EdgeKey e) {
   return before - after;
 }
 
-std::vector<EdgeKey> NaiveEngine::Candidates(CandidateScope scope) {
+void NaiveEngine::CandidatesInto(CandidateScope scope,
+                                 std::vector<EdgeKey>* out) {
   if (scope == CandidateScope::kAllEdges) {
-    return g_.EdgeKeys();  // already sorted ascending
+    *out = g_.EdgeKeys();  // already sorted ascending
+    return;
   }
   // Restricted scope (Lemma 5): collect the edges of all currently alive
   // target subgraphs by re-enumeration.
@@ -91,9 +87,52 @@ std::vector<EdgeKey> NaiveEngine::Candidates(CandidateScope scope) {
       for (uint8_t j = 0; j < inst.num_edges; ++j) set.insert(inst.edges[j]);
     }
   }
-  std::vector<EdgeKey> out(set.begin(), set.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  out->assign(set.begin(), set.end());
+  std::sort(out->begin(), out->end());
+}
+
+const RoundGains& NaiveEngine::BeginRound(CandidateScope scope,
+                                          bool per_target) {
+  // Trivial always-dirty rounds: rebuild the candidate universe and
+  // re-evaluate every candidate in order through the counting queries, so
+  // the work metric matches the cold sweep this stands in for (one
+  // evaluation per live candidate).
+  GainTable& table = table_;
+  CandidatesInto(scope, &table.edges);
+  const size_t num_targets = NumTargets();
+  table.totals.resize(table.edges.size());
+  if (per_target) {
+    table.rows.resize(table.edges.size() * num_targets);
+    std::vector<size_t> diffs(num_targets);
+    for (size_t i = 0; i < table.edges.size(); ++i) {
+      GainVectorInto(table.edges[i], diffs);
+      uint32_t* row = table.rows.data() + i * num_targets;
+      uint32_t total = 0;
+      for (size_t t = 0; t < num_targets; ++t) {
+        row[t] = static_cast<uint32_t>(diffs[t]);
+        total += row[t];
+      }
+      table.totals[i] = total;
+    }
+  } else {
+    table.rows.clear();
+    for (size_t i = 0; i < table.edges.size(); ++i) {
+      table.totals[i] = static_cast<uint32_t>(Gain(table.edges[i]));
+    }
+  }
+  table.dirty.clear();
+  table.active = true;
+  table.scope = scope;
+  table.per_target = per_target;
+  table.view.edges = table.edges;
+  table.view.totals = table.totals;
+  table.view.rows = per_target ? std::span<const uint32_t>(table.rows)
+                               : std::span<const uint32_t>();
+  table.view.num_targets = per_target ? num_targets : 0;
+  table.view.dirty = {};
+  table.view.all_dirty = true;
+  table.view.num_candidates = table.edges.size();
+  return table.view;
 }
 
 }  // namespace tpp::core

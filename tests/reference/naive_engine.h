@@ -1,13 +1,16 @@
 // NaiveEngine: recount-based similarity oracle (paper-faithful cost model).
+//
+// Test-only (tpp_reference library): the differential oracle of
+// IndexedEngine and the engine of the paper's running-time benches.
 
-#ifndef TPP_CORE_NAIVE_ENGINE_H_
-#define TPP_CORE_NAIVE_ENGINE_H_
+#ifndef TPP_REFERENCE_NAIVE_ENGINE_H_
+#define TPP_REFERENCE_NAIVE_ENGINE_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/gain_table.h"
 #include "core/problem.h"
 
 namespace tpp::core {
@@ -26,18 +29,20 @@ class NaiveEngine : public Engine {
   size_t SimilarityOf(size_t t) override;
   size_t TotalSimilarity() override;
   size_t Gain(graph::EdgeKey e) override;
-  std::vector<size_t> GainVector(graph::EdgeKey e) override;
-  /// In-place recount: same temporary-deletion sweep as GainVector,
-  /// written straight into `out` — the BeginRound fallback reuses one
-  /// buffer instead of allocating a vector per (candidate, round).
+  /// Temporarily deletes `e` and recounts every target into `out`.
   void GainVectorInto(graph::EdgeKey e, std::span<size_t> out) override;
   size_t DeleteEdge(graph::EdgeKey e) override;
-  std::vector<graph::EdgeKey> Candidates(CandidateScope scope) override;
-  // BeginRound is intentionally NOT overridden: the base class's trivial
-  // always-dirty fallback re-enumerates every candidate's gain each round,
-  // one serial recount query at a time, which is exactly the paper's cost
-  // model — incremental callers get bit-identical picks and work
-  // accounting, and the timing experiments stay honest (no threading).
+  void CandidatesInto(CandidateScope scope,
+                      std::vector<graph::EdgeKey>* out) override;
+  /// Trivial always-dirty rounds: rebuilds the candidate universe with
+  /// CandidatesInto and re-evaluates every candidate each round with one
+  /// Gain (or, for per-target rows, one GainVectorInto) in candidate
+  /// order, one serial recount query at a time — exactly the paper's cost
+  /// model. Returns all_dirty views: incremental callers get bit-identical
+  /// picks and work accounting, and the timing experiments stay honest
+  /// (no threading).
+  const RoundGains& BeginRound(CandidateScope scope,
+                               bool per_target) override;
   const graph::Graph& CurrentGraph() const override { return g_; }
   uint64_t GainEvaluations() const override { return gain_evals_; }
 
@@ -51,8 +56,9 @@ class NaiveEngine : public Engine {
   std::vector<size_t> sims_;  // cached s(P, t), valid when !dirty_
   bool dirty_ = true;
   uint64_t gain_evals_ = 0;
+  GainTable table_;  // storage behind BeginRound's views
 };
 
 }  // namespace tpp::core
 
-#endif  // TPP_CORE_NAIVE_ENGINE_H_
+#endif  // TPP_REFERENCE_NAIVE_ENGINE_H_

@@ -22,6 +22,7 @@
 #include "graph/fingerprint.h"
 #include "gtest/gtest.h"
 #include "motif/incidence_index.h"
+#include "reference/run_one_cold.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -445,8 +446,7 @@ TEST(PlanCodecTest, ResponseRoundTrips) {
   request.spec.algorithm = "sgb";
   request.spec.budget = 4;
   request.want_released = true;
-  PlanService plan_service(ArenasBase());
-  PlanResponse response = plan_service.RunOne(request);
+  PlanResponse response = RunOneCold(ArenasBase(), request);
   ASSERT_TRUE(response.status.ok());
   ASSERT_GT(response.released.NumNodes(), 0u);
 
@@ -473,8 +473,7 @@ TEST(PlanCodecTest, MalformedPayloadsAreRejectedNotCrashes) {
   request.sample = 3;
   request.spec.algorithm = "sgb";
   request.spec.budget = 2;
-  PlanService plan_service(ArenasBase());
-  PlanResponse response = plan_service.RunOne(request);
+  PlanResponse response = RunOneCold(ArenasBase(), request);
   ASSERT_TRUE(response.status.ok());
   const std::string payload = EncodePlanResponse(response);
 
@@ -533,7 +532,7 @@ TEST(PlanCacheStoreTest, OkResponsesServeFromDiskAfterRestart) {
   request.spec.algorithm = "sgb";
   request.spec.budget = 3;
   PlanService plan_service(ArenasBase());
-  PlanResponse response = plan_service.RunOne(request);
+  PlanResponse response = RunOneCold(plan_service.base(), request);
   ASSERT_TRUE(response.status.ok());
   const std::string key =
       CanonicalRequestKey(plan_service.fingerprint(), request);

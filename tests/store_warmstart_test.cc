@@ -15,6 +15,7 @@
 #include "graph/fingerprint.h"
 #include "gtest/gtest.h"
 #include "motif/incidence_index.h"
+#include "reference/serial_index_build.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
 #include "service/store/plan_codec.h"
@@ -68,7 +69,7 @@ IndexSnapshotMeta MetaFor(const TppInstance& inst) {
 TEST(WarmStartBitIdentityTest, EveryMotifAndThreadCountMatchesSerial) {
   for (MotifKind kind : motif::kAllMotifs) {
     const TppInstance inst = MakeArenasInstance(kind, 30);
-    const IncidenceIndex serial = *IncidenceIndex::BuildSerialReference(
+    const IncidenceIndex serial = *motif::BuildIndexSerialReference(
         inst.released, inst.targets, inst.motif);
     for (int threads : {1, 4}) {
       IncidenceIndex::BuildOptions options;

@@ -111,7 +111,6 @@
 #include "graph/relabel.h"
 #include "linkpred/attack.h"
 #include "metrics/summary.h"
-#include "metrics/utility.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -278,8 +277,8 @@ int RunProtect(const ParsedArgs& args) {
   if (!store.ok()) return Fail(store.status());
 
   // The single request always routes through the batch pipeline (whose
-  // responses are bit-identical to RunOne); with --store its warm-start
-  // hooks engage.
+  // responses are bit-identical to a cold one-request solve); with --store
+  // its warm-start hooks engage.
   PlanService plan_service(*g);
   std::unique_ptr<service::PlanCache> cache;
   service::BatchStats stats;
