@@ -1,10 +1,10 @@
-// Instance-construction benchmark: the parallel, allocation-lean
-// IncidenceIndex build path vs the serial reference build on the Fig. 5
-// Arenas fixture. Emits a machine-readable BENCH_index_build.json so the
-// perf trajectory of the cold build stage — the last major serial stage in
-// the serving path — is tracked across PRs.
+// Instance-construction benchmark: the production IncidenceIndex build
+// paths vs the serial reference build on the Fig. 5 Arenas fixture. Emits
+// a machine-readable BENCH_index_build.json so the perf trajectory of the
+// cold build stage — the dominant cost of distinct-target-set serving — is
+// tracked across PRs.
 //
-// For every motif the bench times:
+// For every motif the bench times one 200-target set with these rows:
 //   reference      — motif::BuildIndexSerialReference: serial
 //                    per-target enumeration with materialized
 //                    common-neighbor vectors, hash-map edge-id resolution
@@ -13,12 +13,25 @@
 //   build @ T      — IncidenceIndex::Build at T = 1, 2, 4, 8 threads:
 //                    task-parallel enumeration (hub targets split by
 //                    first-neighbor chunk), marker-based O(1) adjacency
-//                    probes, counting-sort interning with bucket-table id
-//                    resolution, blocked count-then-fill CSR passes. The
-//                    per-stage breakdown (enumerate / intern / csr) comes
-//                    from IncidenceIndex::BuildStats.
-// Every measured build is verified BitIdentical to the reference, so the
-// speedups never come from computing something different.
+//                    probes, counting-sort interning with probe-table id
+//                    resolution, count-then-fill CSR passes writing the
+//                    slot table in the CSR-2 fill; each stage fans out
+//                    only above its work estimate.
+//   cold @ T       — IncidenceIndex::BuildCached with an empty
+//                    LinkInstanceCache: every link misses, so the row
+//                    shows the all-miss overhead (base-graph enumeration,
+//                    publishing the lists, the filter) over `build`.
+//   cached @ T     — BuildCached after three other target sets, each half
+//                    of this set's links plus 100 others, warmed the
+//                    cache (untimed, per rep): the serving case, where
+//                    most links were enumerated by earlier groups. The row
+//                    records the hit rate it saw.
+// cold and cached run at 1 thread and at the widest point <= 4. The
+// per-stage breakdown (enumerate = collect / intern / csr) comes from
+// IncidenceIndex::BuildStats. Every row records its reps, median and
+// interquartile range; the stage columns are medians. Every measured build
+// is verified BitIdentical to the reference, so the speedups never come
+// from computing something different.
 //
 // Flags: --quick (fewer repetitions, CI smoke mode), --threads=N (caps
 //        the measured thread points at N — the TSan job passes 4 so the
@@ -27,6 +40,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,25 +51,55 @@
 #include "core/problem.h"
 #include "graph/datasets.h"
 #include "motif/incidence_index.h"
+#include "motif/link_instances.h"
 #include "reference/serial_index_build.h"
 
 namespace tpp::bench {
 namespace {
 
 using core::TppInstance;
+using graph::Edge;
+using graph::Graph;
 using motif::IncidenceIndex;
+using motif::LinkInstanceCache;
 using motif::MotifKind;
 
 constexpr size_t kNumTargets = 200;
 constexpr int kThreadPoints[] = {1, 2, 4, 8};
+constexpr size_t kWarmSets = 3;
+constexpr size_t kWarmOtherLinks = 100;
 
-struct BuildPoint {
-  int threads = 0;
-  double total_ms = 0;
-  double enumerate_ms = 0;
+// Median and quartiles of one row's per-rep samples.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+  double Iqr() const { return q3 - q1; }
+};
+
+// Quartiles by linear interpolation between the order statistics.
+Spread SpreadOf(std::vector<double> samples) {
+  TPP_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+struct Row {
+  std::string kind;  ///< "reference", "build", "cold" or "cached"
+  int threads = 1;
+  size_t reps = 0;
+  Spread total_ms;
+  double enumerate_ms = 0;  ///< stage medians (0 for the reference)
   double intern_ms = 0;
   double csr_ms = 0;
-  double speedup = 0;  ///< reference_ms / total_ms
+  double hit_rate = -1;  ///< cached rows: cache hits / lists probed
 };
 
 struct MotifResult {
@@ -62,81 +107,163 @@ struct MotifResult {
   size_t instances = 0;
   size_t interned_edges = 0;
   size_t tasks = 0;
-  double reference_ms = 0;
-  std::vector<BuildPoint> points;
+  std::vector<Row> rows;
+
+  const Row* Find(const std::string& kind, int threads) const {
+    for (const Row& row : rows) {
+      if (row.kind == kind && row.threads == threads) return &row;
+    }
+    return nullptr;
+  }
+  double SpeedupOf(const Row& row) const {
+    const Row* reference = Find("reference", 1);
+    return row.total_ms.median > 0
+               ? reference->total_ms.median / row.total_ms.median
+               : 0;
+  }
 };
 
-TppInstance MakeArenas(MotifKind kind) {
-  Result<graph::Graph> g = graph::MakeArenasEmailLike(1);
-  TPP_CHECK(g.ok());
-  Rng rng(7);
-  auto targets = *core::SampleTargets(*g, kNumTargets, rng);
-  return *core::MakeInstance(*g, targets, kind);
+// Times `reps` builds, each after an untimed `prepare` (when set), and
+// checks the first against the reference.
+using BuildFn =
+    std::function<Result<IncidenceIndex>(IncidenceIndex::BuildStats*)>;
+
+Row TimeRow(const std::string& kind, int threads, size_t reps,
+            const IncidenceIndex& reference,
+            const std::function<void()>& prepare, const BuildFn& build,
+            MotifResult* result) {
+  Row row;
+  row.kind = kind;
+  row.threads = threads;
+  row.reps = reps;
+  std::vector<double> total, enumerate, intern, csr;
+  for (size_t r = 0; r < reps; ++r) {
+    if (prepare) prepare();
+    IncidenceIndex::BuildStats stats;
+    WallTimer timer;
+    Result<IncidenceIndex> idx = build(&stats);
+    total.push_back(timer.Millis());
+    TPP_CHECK(idx.ok());
+    enumerate.push_back(stats.enumerate_seconds * 1e3);
+    intern.push_back(stats.intern_seconds * 1e3);
+    csr.push_back(stats.csr_seconds * 1e3);
+    if (r == 0) {
+      TPP_CHECK(idx->BitIdentical(reference));
+      if (kind == "build" && threads == 1) {
+        result->instances = stats.instances;
+        result->interned_edges = stats.interned_edges;
+        result->tasks = stats.tasks;
+      }
+    }
+  }
+  row.total_ms = SpreadOf(total);
+  row.enumerate_ms = SpreadOf(enumerate).median;
+  row.intern_ms = SpreadOf(intern).median;
+  row.csr_ms = SpreadOf(csr).median;
+  return row;
 }
 
-MotifResult RunMotif(MotifKind kind, bool quick, int max_threads) {
-  const TppInstance inst = MakeArenas(kind);
+MotifResult RunMotif(const Graph& base, MotifKind kind, bool quick,
+                     int max_threads, int wide_threads) {
+  Rng rng(7);
+  const std::vector<Edge> targets =
+      *core::SampleTargets(base, kNumTargets, rng);
+  const TppInstance inst = *core::MakeInstance(base, targets, kind);
+  // The cached rows' warm sets: each half of this set's links plus links
+  // no set here names, so about 1 - 2^-kWarmSets of the probes hit.
+  std::vector<TppInstance> warm_sets;
+  {
+    Rng warm_rng(11);
+    std::vector<Edge> others;
+    for (const Edge& e : base.Edges()) {
+      if (std::find(targets.begin(), targets.end(), e) == targets.end()) {
+        others.push_back(e);
+      }
+    }
+    for (size_t k = 0; k < kWarmSets; ++k) {
+      std::vector<Edge> warm = warm_rng.SampleK(targets, kNumTargets / 2);
+      for (const Edge& e : warm_rng.SampleK(others, kWarmOtherLinks)) {
+        warm.push_back(e);
+      }
+      warm_rng.Shuffle(warm);
+      warm_sets.push_back(*core::MakeInstance(base, warm, kind));
+    }
+  }
+
   MotifResult out;
   out.motif = std::string(motif::MotifName(kind));
-  // Pentagon probes O(deg^3) per target; keep its repetitions low so the
-  // full sweep stays seconds, not minutes.
-  const size_t reps =
-      quick ? (kind == MotifKind::kPentagon ? 1 : 3)
-            : (kind == MotifKind::kPentagon ? 3 : 10);
+  // Pentagon probes O(deg^3) per target; keep its repetitions lower so
+  // the full sweep stays seconds, not minutes.
+  const size_t reps = quick ? (kind == MotifKind::kPentagon ? 3 : 5)
+                            : (kind == MotifKind::kPentagon ? 15 : 31);
 
   const IncidenceIndex reference = *motif::BuildIndexSerialReference(
       inst.released, inst.targets, inst.motif);
-  {
-    double total = 0;
-    for (size_t r = 0; r < reps; ++r) {
-      WallTimer timer;
-      IncidenceIndex idx = *motif::BuildIndexSerialReference(
-          inst.released, inst.targets, inst.motif);
-      total += timer.Millis();
-      TPP_CHECK_EQ(idx.TotalAlive(), reference.TotalAlive());
-    }
-    out.reference_ms = total / static_cast<double>(reps);
-  }
+  out.rows.push_back(TimeRow(
+      "reference", 1, reps, reference, nullptr,
+      [&](IncidenceIndex::BuildStats*) {
+        return motif::BuildIndexSerialReference(inst.released, inst.targets,
+                                                inst.motif);
+      },
+      &out));
 
   for (int threads : kThreadPoints) {
     if (threads > max_threads && threads != 1) continue;
     IncidenceIndex::BuildOptions options;
     options.threads = threads;
-    BuildPoint point;
-    point.threads = threads;
-    double total = 0, enumerate = 0, intern = 0, csr = 0;
-    for (size_t r = 0; r < reps; ++r) {
-      IncidenceIndex::BuildStats stats;
-      WallTimer timer;
-      IncidenceIndex idx = *IncidenceIndex::Build(
-          inst.released, inst.targets, inst.motif, options, &stats);
-      total += timer.Millis();
-      enumerate += stats.enumerate_seconds * 1e3;
-      intern += stats.intern_seconds * 1e3;
-      csr += stats.csr_seconds * 1e3;
-      if (r == 0) {
-        TPP_CHECK(idx.BitIdentical(reference));
-        out.instances = stats.instances;
-        out.interned_edges = stats.interned_edges;
-        out.tasks = stats.tasks;
-      }
-    }
-    point.total_ms = total / static_cast<double>(reps);
-    point.enumerate_ms = enumerate / static_cast<double>(reps);
-    point.intern_ms = intern / static_cast<double>(reps);
-    point.csr_ms = csr / static_cast<double>(reps);
-    point.speedup =
-        point.total_ms > 0 ? out.reference_ms / point.total_ms : 0;
-    out.points.push_back(point);
+    out.rows.push_back(TimeRow(
+        "build", threads, reps, reference, nullptr,
+        [&](IncidenceIndex::BuildStats* stats) {
+          return IncidenceIndex::Build(inst.released, inst.targets,
+                                       inst.motif, options, stats);
+        },
+        &out));
+  }
+
+  std::vector<int> cache_points = {1};
+  if (wide_threads > 1) cache_points.push_back(wide_threads);
+  for (int threads : cache_points) {
+    IncidenceIndex::BuildOptions options;
+    options.threads = threads;
+    auto cache = std::make_unique<LinkInstanceCache>();
+    auto build_cached = [&](IncidenceIndex::BuildStats* stats) {
+      return IncidenceIndex::BuildCached(inst.released, base, inst.targets,
+                                         inst.motif, *cache, options, stats);
+    };
+    out.rows.push_back(TimeRow(
+        "cold", threads, reps, reference,
+        [&] { cache = std::make_unique<LinkInstanceCache>(); }, build_cached,
+        &out));
+    // Hits and probes of the timed builds only, not of the warm-ups.
+    size_t hits = 0;
+    size_t probes = 0;
+    size_t warm_hits = 0;
+    size_t warm_probes = 0;
+    out.rows.push_back(TimeRow(
+        "cached", threads, reps, reference,
+        [&] {
+          cache = std::make_unique<LinkInstanceCache>();
+          for (const TppInstance& warm : warm_sets) {
+            TPP_CHECK(IncidenceIndex::BuildCached(warm.released, base,
+                                                  warm.targets, warm.motif,
+                                                  *cache, options)
+                          .ok());
+          }
+          warm_hits = cache->hits();
+          warm_probes = cache->hits() + cache->misses();
+        },
+        [&](IncidenceIndex::BuildStats* stats) {
+          Result<IncidenceIndex> idx = build_cached(stats);
+          hits += cache->hits() - warm_hits;
+          probes += cache->hits() + cache->misses() - warm_probes;
+          return idx;
+        },
+        &out));
+    out.rows.back().hit_rate =
+        probes > 0 ? static_cast<double>(hits) / static_cast<double>(probes)
+                   : 0;
   }
   return out;
-}
-
-double SpeedupAt(const MotifResult& result, int threads) {
-  for (const BuildPoint& point : result.points) {
-    if (point.threads == threads) return point.speedup;
-  }
-  return 0;
 }
 
 void WriteJson(const std::string& path, bool quick,
@@ -157,19 +284,23 @@ void WriteJson(const std::string& path, bool quick,
     const MotifResult& result = results[m];
     std::fprintf(f,
                  "    {\"motif\": \"%s\", \"instances\": %zu, "
-                 "\"interned_edges\": %zu, \"tasks\": %zu, "
-                 "\"reference_ms\": %.3f, \"builds\": [\n",
+                 "\"interned_edges\": %zu, \"tasks\": %zu, \"rows\": [\n",
                  result.motif.c_str(), result.instances,
-                 result.interned_edges, result.tasks, result.reference_ms);
-    for (size_t p = 0; p < result.points.size(); ++p) {
-      const BuildPoint& point = result.points[p];
+                 result.interned_edges, result.tasks);
+    for (size_t p = 0; p < result.rows.size(); ++p) {
+      const Row& row = result.rows[p];
       std::fprintf(f,
-                   "      {\"threads\": %d, \"total_ms\": %.3f, "
+                   "      {\"row\": \"%s\", \"threads\": %d, \"reps\": %zu, "
+                   "\"median_ms\": %.3f, \"iqr_ms\": %.3f, "
                    "\"enumerate_ms\": %.3f, \"intern_ms\": %.3f, "
-                   "\"csr_ms\": %.3f, \"speedup_vs_reference\": %.2f}%s\n",
-                   point.threads, point.total_ms, point.enumerate_ms,
-                   point.intern_ms, point.csr_ms, point.speedup,
-                   p + 1 < result.points.size() ? "," : "");
+                   "\"csr_ms\": %.3f, \"speedup_vs_reference\": %.2f",
+                   row.kind.c_str(), row.threads, row.reps,
+                   row.total_ms.median, row.total_ms.Iqr(), row.enumerate_ms,
+                   row.intern_ms, row.csr_ms, result.SpeedupOf(row));
+      if (row.hit_rate >= 0) {
+        std::fprintf(f, ", \"hit_rate\": %.3f", row.hit_rate);
+      }
+      std::fprintf(f, "}%s\n", p + 1 < result.rows.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", m + 1 < results.size() ? "," : "");
   }
@@ -198,42 +329,51 @@ int Run(int argc, char** argv) {
       *max_threads_flag <= 0 ? 8 : static_cast<int>(*max_threads_flag);
   const std::string out_path =
       args->GetString("out", "BENCH_index_build.json");
+  // The widest measured point <= 4: the headline and the second thread
+  // point of the cache rows. When --threads capped the sweep below 4, the
+  // widest point that actually ran stands in.
+  int wide_threads = 1;
+  for (int threads : kThreadPoints) {
+    if (threads <= max_threads && threads <= 4) wide_threads = threads;
+  }
 
-  std::printf("== index build: parallel allocation-lean path vs serial "
-              "reference, Arenas-email-like, |T|=%zu%s ==\n\n",
+  std::printf("== index build: production paths vs serial reference, "
+              "Arenas-email-like, |T|=%zu%s ==\n\n",
               kNumTargets, quick ? ", quick" : "");
+  Result<Graph> base = graph::MakeArenasEmailLike(1);
+  TPP_CHECK(base.ok());
   std::vector<MotifResult> results;
   for (MotifKind kind : motif::kAllMotifs) {
-    MotifResult result = RunMotif(kind, quick, max_threads);
-    std::printf("%-9s %7zu inst %6zu edges %4zu tasks  reference %9.2f ms\n",
+    MotifResult result = RunMotif(*base, kind, quick, max_threads,
+                                  wide_threads);
+    std::printf("%-9s %7zu inst %6zu edges %4zu tasks\n",
                 result.motif.c_str(), result.instances,
-                result.interned_edges, result.tasks, result.reference_ms);
-    for (const BuildPoint& point : result.points) {
-      std::printf("          threads=%d  total %9.2f ms  "
-                  "(enum %7.2f + intern %6.2f + csr %6.2f)  "
-                  "speedup %5.2fx\n",
-                  point.threads, point.total_ms, point.enumerate_ms,
-                  point.intern_ms, point.csr_ms, point.speedup);
+                result.interned_edges, result.tasks);
+    for (const Row& row : result.rows) {
+      std::printf("  %-9s threads=%d  median %8.2f ms (IQR %6.2f, %2zu reps)"
+                  "  enum %6.2f + intern %5.2f + csr %5.2f  "
+                  "speedup %5.2fx",
+                  row.kind.c_str(), row.threads, row.total_ms.median,
+                  row.total_ms.Iqr(), row.reps, row.enumerate_ms,
+                  row.intern_ms, row.csr_ms, result.SpeedupOf(row));
+      if (row.hit_rate >= 0) std::printf("  hits %.0f%%", row.hit_rate * 100);
+      std::printf("\n");
     }
     results.push_back(std::move(result));
   }
-  // Headline: the better of Rectangle/RecTri at 4 threads (the acceptance
-  // bar of the cold-build work; Triangle builds are too small to matter
-  // and Pentagon is not in the paper's evaluation). When --threads capped
-  // the sweep below 4, the widest point that actually ran stands in.
-  int headline_threads = 1;
-  for (int threads : kThreadPoints) {
-    if (threads <= max_threads && threads <= 4) headline_threads = threads;
-  }
+  // Headline: the better of Rectangle/RecTri build at the wide point (the
+  // acceptance bar of the cold-build work; Triangle builds are too small
+  // to matter and Pentagon is not in the paper's evaluation).
   double headline = 0;
   for (const MotifResult& result : results) {
     if (result.motif == "Rectangle" || result.motif == "RecTri") {
-      headline = std::max(headline, SpeedupAt(result, headline_threads));
+      headline = std::max(
+          headline, result.SpeedupOf(*result.Find("build", wide_threads)));
     }
   }
-  std::printf("\nheadline (best of Rectangle/RecTri at %d threads): "
+  std::printf("\nheadline (best of Rectangle/RecTri build at %d threads): "
               "%.2fx, all builds bit-identical to serial\n",
-              headline_threads, headline);
+              wide_threads, headline);
   WriteJson(out_path, quick, results, headline);
   return 0;
 }

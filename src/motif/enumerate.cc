@@ -238,6 +238,24 @@ std::vector<EnumerationTask> PlanEnumerationTasks(
   return tasks;
 }
 
+size_t EstimateEnumerationWork(const Graph& g,
+                               const std::vector<Edge>& targets,
+                               MotifKind kind) {
+  const size_t mean_degree =
+      g.NumNodes() == 0 ? 0 : (2 * g.NumEdges()) / g.NumNodes() + 1;
+  size_t work = 0;
+  for (const Edge& t : targets) {
+    if (kind == MotifKind::kTriangle) {
+      work += g.Degree(t.u);
+      continue;
+    }
+    size_t second = 0;
+    for (NodeId a : g.Neighbors(t.u)) second += g.Degree(a);
+    work += kind == MotifKind::kPentagon ? second * mean_degree : second;
+  }
+  return work;
+}
+
 std::vector<TargetSubgraph> EnumerateAllTargetSubgraphs(
     const Graph& g, const std::vector<Edge>& targets, MotifKind kind,
     int threads, size_t* num_tasks) {

@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "motif/link_instances.h"
 
 namespace tpp::motif {
 
@@ -114,6 +115,36 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
                                              MotifKind kind,
                                              const BuildOptions& options,
                                              BuildStats* stats) {
+  return BuildFrom(g, targets, kind, options, stats,
+                   [&](int workers, size_t* num_tasks) {
+                     // Per-target tasks (hub targets split by
+                     // first-neighbor chunk) fan out over the shared pool
+                     // once the estimated probes pay for the dispatch.
+                     const int enumerate_workers =
+                         EstimateEnumerationWork(g, targets, kind) >=
+                                 kMinParallelEnumerationWork
+                             ? workers
+                             : 1;
+                     return EnumerateAllTargetSubgraphs(
+                         g, targets, kind, enumerate_workers, num_tasks);
+                   });
+}
+
+Result<IncidenceIndex> IncidenceIndex::BuildCached(
+    const Graph& released, const Graph& base, const std::vector<Edge>& targets,
+    MotifKind kind, LinkInstanceCache& cache, const BuildOptions& options,
+    BuildStats* stats) {
+  return BuildFrom(released, targets, kind, options, stats,
+                   [&](int workers, size_t* num_tasks) {
+                     return cache.Collect(base, targets, kind, workers,
+                                          num_tasks);
+                   });
+}
+
+template <typename Collect>
+Result<IncidenceIndex> IncidenceIndex::BuildFrom(
+    const Graph& g, const std::vector<Edge>& targets, MotifKind kind,
+    const BuildOptions& options, BuildStats* stats, Collect collect) {
   TPP_RETURN_IF_ERROR(ValidateTargetsAbsent(g, targets));
   // In-build cancellation: polled here and between the stages below, so
   // a deadline that expires mid-construction stops at the next stage
@@ -122,23 +153,29 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
   // token armed.
   TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "index:build"));
   IncidenceIndex idx;
-  const int workers =
+  const int threads =
       options.threads > 0 ? options.threads : GlobalThreadCount();
   ThreadPool& pool = GlobalThreadPool();
   WallTimer timer;
 
-  // -- Stage 1: enumerate. Per-target tasks (hub targets split by
-  // first-neighbor chunk) fan out over the shared pool; the merged array
-  // is in the serial (target, emit) order at any thread count.
+  // -- Stage 1: collect the instances in the serial (target, emit) order,
+  // whatever the thread count: enumerated, or filtered from cached
+  // per-link lists (BuildCached).
   size_t num_tasks = 0;
-  idx.instances_ =
-      EnumerateAllTargetSubgraphs(g, targets, kind, workers, &num_tasks);
+  idx.instances_ = collect(threads, &num_tasks);
   const size_t num_instances = idx.instances_.size();
   if (stats) {
     stats->enumerate_seconds = timer.Seconds();
     stats->tasks = num_tasks;
     stats->instances = num_instances;
   }
+
+  // The layout stages below fan out only over kMinParallelLayoutKeys
+  // instance keys — a count fixed by the graph and targets, so the same
+  // build takes the same path at every thread budget.
+  const size_t arity = MotifEdgeCount(kind);
+  const int workers =
+      num_instances * arity >= kMinParallelLayoutKeys ? threads : 1;
 
   TPP_RETURN_IF_ERROR(PollCancellation(options.cancel,
                                        "index:build:intern"));
@@ -151,7 +188,6 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
   // The keyed query API and the CSR fill passes resolve ids through the
   // static flat probe table built from the sorted keys (see EdgeIdOf).
   timer.Restart();
-  const size_t arity = MotifEdgeCount(kind);
   const TargetSubgraph* const instances = idx.instances_.data();
   std::vector<EdgeKey> flat_keys(num_instances * arity);
   pool.ParallelFor(num_instances, workers, /*grain=*/4096,
@@ -270,6 +306,11 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
   for (size_t e = 0; e < num_edges; ++e) {
     tgt_offsets[e + 1] += tgt_offsets[e];
   }
+  // Fill pass, which also writes the slot table: the CSR-2 cell of
+  // (edge j of instance i, target of i) is the run cell the posting walks
+  // through, and j is the position of e among the instance's <= 4 edge
+  // ids. Each (i, j) pair lies on exactly one posting list (an instance's
+  // edges are distinct), so the parallel writes are disjoint.
   std::vector<uint32_t> tgt_ids(tgt_offsets.back());
   idx.tgt_counts_.resize(tgt_ids.size());
   pool.ParallelFor(
@@ -277,34 +318,17 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
         for (size_t e = begin; e < end; ++e) {
           uint32_t slot = tgt_offsets[e];
           for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-            const uint32_t target = maint[instance_ids[p]].target;
-            if (slot == tgt_offsets[e] || tgt_ids[slot - 1] != target) {
-              tgt_ids[slot] = target;
+            InstanceMaintenance& m = maint[instance_ids[p]];
+            if (slot == tgt_offsets[e] || tgt_ids[slot - 1] != m.target) {
+              tgt_ids[slot] = m.target;
               idx.tgt_counts_[slot] = 1;
               ++slot;
             } else {
               ++idx.tgt_counts_[slot - 1];
             }
-          }
-        }
-      });
-
-  // Slot table: the CSR-2 cell of (edge j of instance i, target of i),
-  // found once here by binary search over the edge's ascending target
-  // segment so DeleteEdge never scans it.
-  pool.ParallelFor(
-      num_instances, workers, /*grain=*/2048, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          InstanceMaintenance& m = maint[i];
-          for (size_t j = 0; j < arity; ++j) {
-            const uint32_t e = m.edge_ids[j];
-            const uint32_t* seg_begin = tgt_ids.data() + tgt_offsets[e];
-            const uint32_t* seg_end = tgt_ids.data() + tgt_offsets[e + 1];
-            const uint32_t* it =
-                std::lower_bound(seg_begin, seg_end, m.target);
-            TPP_CHECK(it != seg_end && *it == m.target);
-            m.slots[j] =
-                static_cast<uint32_t>(tgt_offsets[e] + (it - seg_begin));
+            size_t j = 0;
+            while (m.edge_ids[j] != e) ++j;
+            m.slots[j] = slot - 1;
           }
         }
       });

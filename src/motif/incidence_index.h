@@ -68,14 +68,19 @@
 // Construction is parallel and deterministic: enumeration fans out over
 // the shared thread pool in per-target tasks (hub targets split by
 // first-neighbor chunk, see motif/enumerate.h) whose outputs merge in the
-// serial (target, emit) order; edge interning is sort+unique over the flat
-// instance-edge array with binary-search id resolution in the fill passes;
-// and both CSR structures are built with parallel count-then-fill passes
-// whose stable per-block cursors reproduce the serial layout exactly. The
-// result is bit-identical to the serial pre-parallel build at any thread
-// count (BuildIndexSerialReference in the test-only tpp_reference library,
-// tests/reference/serial_index_build.h; differential-tested in
-// tests/index_build_parallel_test.cc).
+// serial (target, emit) order — or, in BuildCached, the instances are
+// filtered from per-link base-graph lists (motif/link_instances.h) into
+// that same order; edge interning is a counting sort + unique over the
+// flat instance-edge array with probe-table id resolution; and both CSR
+// structures are built with count-then-fill passes whose stable per-block
+// cursors reproduce the serial layout exactly, the CSR-2 fill writing the
+// slot table as it goes. Each stage fans out only above a work estimate
+// that depends on the graph and targets alone, never on the thread
+// budget. The result is bit-identical to the serial pre-parallel build at
+// any thread count (BuildIndexSerialReference in the test-only
+// tpp_reference library, tests/reference/serial_index_build.h;
+// differential-tested in tests/index_build_parallel_test.cc and, for
+// BuildCached, tests/link_instance_cache_test.cc).
 //
 // Complexity per query (E = interned edges, I(e) = instances through e,
 // T(e) = distinct targets through e, T(e) <= min(NumTargets(), I(e))):
@@ -117,6 +122,7 @@
 namespace tpp::motif {
 
 class IndexSnapshotCodec;
+class LinkInstanceCache;  // motif/link_instances.h
 
 /// See file comment. Build once per (graph, targets, motif) experiment;
 /// the index is self-contained after Build and does not retain the graph.
@@ -137,13 +143,20 @@ class IncidenceIndex {
     const CancellationToken* cancel = nullptr;
   };
 
+  /// Instance keys (instances x arity) below which the intern and CSR
+  /// stages run on the calling thread. Their passes cost a few nanoseconds
+  /// per key and are memory-bound: on a 4-thread box no build up to 236k
+  /// keys (Arenas Pentagon, 1,000 targets) ran them faster at 4 threads
+  /// than at 1.
+  static constexpr size_t kMinParallelLayoutKeys = size_t{1} << 19;
+
   /// Per-stage wall-time breakdown of one Build call (the index_build
   /// bench reports these).
   struct BuildStats {
-    double enumerate_seconds = 0;  ///< task fan-out + instance merge
+    double enumerate_seconds = 0;  ///< collect: enumerate, or cache filter
     double intern_seconds = 0;     ///< sort+unique edge keys + id map
     double csr_seconds = 0;        ///< CSR 1/2 count-then-fill + slot table
-    size_t instances = 0;          ///< enumerated instances
+    size_t instances = 0;          ///< collected instances
     size_t interned_edges = 0;     ///< distinct participating edges
     size_t tasks = 0;              ///< enumeration work units
   };
@@ -163,6 +176,20 @@ class IncidenceIndex {
                                       MotifKind kind,
                                       const BuildOptions& options,
                                       BuildStats* stats = nullptr);
+
+  /// Build whose instances come from `cache` instead of an enumeration of
+  /// `released`: each target's base-graph list (enumerated on `base` and
+  /// published on a miss) minus the instances using a target link — the
+  /// same array, so the result is bit-identical to Build(released, ...).
+  /// `released` must be `base` minus exactly `targets`, and `cache` must
+  /// hold lists of this `base` only (LinkInstanceCache). Same validation,
+  /// cancellation polls and stage timings as Build; enumerate_seconds
+  /// times the collect step.
+  static Result<IncidenceIndex> BuildCached(
+      const graph::Graph& released, const graph::Graph& base,
+      const std::vector<graph::Edge>& targets, MotifKind kind,
+      LinkInstanceCache& cache, const BuildOptions& options,
+      BuildStats* stats = nullptr);
 
   /// Number of targets the index was built over.
   size_t NumTargets() const { return alive_per_target_.size(); }
@@ -393,6 +420,16 @@ class IncidenceIndex {
       MotifKind kind);
 
   IncidenceIndex() = default;
+
+  // Shared body of Build and BuildCached: validates `g` (the released
+  // graph), takes the instance array from `collect(threads, &num_tasks)`
+  // — timed as the enumerate stage — then interns and lays out both CSR
+  // structures with the slot table.
+  template <typename Collect>
+  static Result<IncidenceIndex> BuildFrom(
+      const graph::Graph& g, const std::vector<graph::Edge>& targets,
+      MotifKind kind, const BuildOptions& options, BuildStats* stats,
+      Collect collect);
 
   /// Dense id of key `e`, or kNoEdge, resolved through a STATIC open-
   /// addressing table built once after interning: multiply-shift hash

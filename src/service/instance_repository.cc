@@ -80,8 +80,12 @@ void InstanceRepository::BuildGroup(Group& group,
   motif::IncidenceIndex::BuildOptions build_options;
   build_options.threads = build_threads_;
   build_options.cancel = cancel;
+  Result<motif::IncidenceIndex> index = motif::IncidenceIndex::BuildCached(
+      group.instance->released, *base_, group.instance->targets, group.motif,
+      link_instances_, build_options);
   Result<IndexedEngine> engine =
-      IndexedEngine::Create(*group.instance, build_options);
+      index.ok() ? IndexedEngine::Adopt(*group.instance, std::move(*index))
+                 : Result<IndexedEngine>(index.status());
   if (!engine.ok()) {
     group.status = engine.status();
     group.instance.reset();
@@ -163,6 +167,8 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
                                    uint64_t new_fingerprint) {
   base_fingerprint_ = new_fingerprint;
   if (delta.empty()) return;
+  // Every cached list is a base-graph enumeration; the base just changed.
+  link_instances_.Clear();
   std::vector<graph::EdgeKey> touched;
   touched.reserve(delta.size());
   for (const graph::Edge& e : delta.inserted) touched.push_back(e.Key());

@@ -18,6 +18,13 @@
 // and plan serialization follow target positions, so reordered target
 // lists are distinct instances — collapsing them would change responses.
 //
+// Cold builds share one more level down: the repository owns a
+// LinkInstanceCache (motif/link_instances.h) of per-(link, motif)
+// base-graph instance lists, so a group whose links other groups already
+// enumerated builds its index by filtering cached lists instead of
+// enumerating (IncidenceIndex::BuildCached; bit-identical either way).
+// The cache is byte-capped and cleared by ApplyEdit.
+//
 // A repository lives for one RunBatch pipeline execution by default, but
 // can be owned externally (BatchOptions::repository) and carried across
 // batches: between batches, ApplyEdit advances every built group across a
@@ -43,6 +50,7 @@
 #include "core/indexed_engine.h"
 #include "core/problem.h"
 #include "graph/graph.h"
+#include "motif/link_instances.h"
 #include "motif/motif.h"
 
 namespace tpp::service {
@@ -119,6 +127,18 @@ class InstanceRepository {
     return builds_.load(std::memory_order_relaxed);
   }
 
+  /// Per-link instance lists cold builds took from the link cache
+  /// (cumulative).
+  size_t NumLinkCacheHits() const { return link_instances_.hits(); }
+
+  /// Per-link instance lists cold builds enumerated on a link-cache miss
+  /// (cumulative).
+  size_t NumLinkCacheMisses() const { return link_instances_.misses(); }
+
+  /// Bytes the link cache holds now (bounded by
+  /// motif::LinkInstanceCache::kMaxBytes).
+  size_t LinkCacheBytes() const { return link_instances_.bytes(); }
+
   /// Engines handed out (clones or taken prototypes); NumAcquisitions() -
   /// NumBuilds() full index builds were avoided by sharing.
   size_t NumAcquisitions() const {
@@ -167,8 +187,10 @@ class InstanceRepository {
   ///     exactly as if the group had been cold-built on the edited base.
   ///     A repair failure degrades to a reset, never an error.
   /// Repaired indexes write back to the store (best effort) under the new
-  /// fingerprint. NOT thread-safe against AcquireEngine — call between
-  /// batches, exactly where PlanService::ApplyEdit sits.
+  /// fingerprint, and a non-empty delta clears the link cache (its lists
+  /// are enumerations of the old base). NOT thread-safe against
+  /// AcquireEngine — call between batches, exactly where
+  /// PlanService::ApplyEdit sits.
   void ApplyEdit(const graph::GraphDelta& delta, uint64_t new_fingerprint);
 
   /// Built groups ApplyEdit repaired in place (cumulative).
@@ -205,6 +227,8 @@ class InstanceRepository {
   static void ResetGroup(Group& group);
 
   const graph::Graph* base_;
+  // Base-graph instance lists shared by every group's cold build.
+  motif::LinkInstanceCache link_instances_;
   int build_threads_ = 0;
   store::WarmStore* store_ = nullptr;  // not owned
   uint64_t base_fingerprint_ = 0;

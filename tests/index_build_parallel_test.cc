@@ -133,6 +133,33 @@ INSTANTIATE_TEST_SUITE_P(AllMotifs, IndexBuildParallelTest,
 
 // A hub target (deg > 128) must split into several first-neighbor-chunk
 // tasks for the heavy motifs and stay one task for Triangle.
+// Small builds stay on the calling thread whatever the budget, so the
+// fanned-out stages need a build past both work thresholds: a dense
+// Pentagon instance, checked at 1 and 4 threads against the serial
+// reference.
+TEST(IndexBuildFanOutTest, BitIdenticalAboveFanOutThresholds) {
+  Rng rng(71);
+  Result<Graph> g = graph::HolmeKim(1500, 6, 0.3, rng);
+  ASSERT_TRUE(g.ok());
+  TppInstance inst = SampledInstance(*g, 480, 72, MotifKind::kPentagon);
+  ASSERT_GE(EstimateEnumerationWork(inst.released, inst.targets, inst.motif),
+            kMinParallelEnumerationWork);
+  auto serial = BuildIndexSerialReference(inst.released, inst.targets,
+                                          inst.motif);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GE(serial->instances().size() * MotifEdgeCount(inst.motif),
+            IncidenceIndex::kMinParallelLayoutKeys);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    IncidenceIndex::BuildOptions options;
+    options.threads = threads;
+    auto built = IncidenceIndex::Build(inst.released, inst.targets,
+                                       inst.motif, options);
+    ASSERT_TRUE(built.ok());
+    EXPECT_TRUE(built->BitIdentical(*serial));
+  }
+}
+
 TEST(EnumerationTaskTest, HubTargetsSplitForHeavyMotifs) {
   Graph g(300);
   for (graph::NodeId w = 2; w < 300; ++w) {
