@@ -17,9 +17,15 @@
 //                    the static probe table, so the CSR side now beats
 //                    the legacy map on every motif instead of paying
 //                    ~0.8x for eager sibling-count upkeep.
-// Each kernel reports ns/op for legacy and CSR and the speedup ratio.
+// Each kernel row reports its op count (the candidate set: 396-1951 edges
+// at 200 targets), its sample count, and per index the median and
+// interquartile range of the per-sample ns/op; the speedup is the ratio
+// of the medians. Legacy and CSR samples alternate, so both meet the same
+// machine state. A query sample sweeps the candidate set enough times to
+// run kSampleOps ops; a delete_commit sample deletes every candidate of
+// a fresh copy once (the copy is untimed).
 //
-// Flags: --quick (fewer repetitions, CI smoke mode),
+// Flags: --quick (fewer samples, CI smoke mode),
 //        --out=PATH (default BENCH_gain_kernels.json).
 
 #include <algorithm>
@@ -32,6 +38,7 @@
 #include "common/timer.h"
 #include "core/tpp.h"
 #include "graph/datasets.h"
+#include "harness_common.h"
 #include "motif/incidence_index.h"
 #include "reference/legacy_incidence_index.h"
 
@@ -44,24 +51,50 @@ using motif::IncidenceIndex;
 using motif::LegacyIncidenceIndex;
 using motif::MotifKind;
 
-constexpr size_t kNumTargets = 20;
+constexpr size_t kNumTargets = 200;
+// Ops per query-kernel sample (rounded up to whole sweeps).
+constexpr size_t kSampleOps = 1000000;
 
 struct KernelResult {
   std::string motif;
   std::string name;
   size_t ops = 0;
-  double legacy_ns = 0;  ///< ns/op on LegacyIncidenceIndex
-  double csr_ns = 0;     ///< ns/op on IncidenceIndex
-  double Speedup() const { return csr_ns > 0 ? legacy_ns / csr_ns : 0; }
+  size_t samples = 0;
+  Spread legacy_ns{};  ///< ns/op on LegacyIncidenceIndex
+  Spread csr_ns{};     ///< ns/op on IncidenceIndex
+  double Speedup() const {
+    return csr_ns.median > 0 ? legacy_ns.median / csr_ns.median : 0;
+  }
 };
 
-// Runs `body` `reps` times and returns ns per op for `ops_per_rep` ops.
-template <typename Body>
-double TimeNsPerOp(size_t reps, size_t ops_per_rep, Body&& body) {
-  WallTimer timer;
-  for (size_t r = 0; r < reps; ++r) body();
-  double ns = timer.Seconds() * 1e9;
-  return ns / static_cast<double>(reps * (ops_per_rep ? ops_per_rep : 1));
+// Times `samples` alternating samples of `legacy_op` and `csr_op`, each
+// sample `sweeps` passes over `candidates`, into the row's per-index
+// spreads of ns/op.
+template <typename LegacyOp, typename CsrOp>
+void TimeSweeps(size_t samples, size_t sweeps,
+                const std::vector<EdgeKey>& candidates, LegacyOp legacy_op,
+                CsrOp csr_op, KernelResult& k) {
+  auto sweep = [&](auto& op) {
+    for (size_t r = 0; r < sweeps; ++r) {
+      for (EdgeKey e : candidates) op(e);
+    }
+  };
+  std::vector<double> legacy_ns, csr_ns;
+  auto sample = [&](auto& op, std::vector<double>& out) {
+    WallTimer timer;
+    sweep(op);
+    out.push_back(timer.Seconds() * 1e9 /
+                  static_cast<double>(sweeps * candidates.size()));
+  };
+  sweep(legacy_op);  // untimed warm-up: caches, branch history, clock ramp
+  sweep(csr_op);
+  for (size_t r = 0; r < samples; ++r) {
+    sample(legacy_op, legacy_ns);
+    sample(csr_op, csr_ns);
+  }
+  k.samples = samples;
+  k.legacy_ns = SpreadOf(std::move(legacy_ns));
+  k.csr_ns = SpreadOf(std::move(csr_ns));
 }
 
 TppInstance MakeArenas(MotifKind kind) {
@@ -80,37 +113,32 @@ std::vector<KernelResult> RunMotif(MotifKind kind, bool quick) {
       *IncidenceIndex::Build(inst.released, inst.targets, kind);
   const std::vector<EdgeKey> candidates = csr.AliveCandidateEdges();
   TPP_CHECK(candidates == legacy.AliveCandidateEdges());
+  TPP_CHECK(!candidates.empty());
   const std::string motif(motif::MotifName(kind));
   std::vector<KernelResult> out;
 
-  // Adaptive repetitions: small candidate sets (Triangle has ~26) need
-  // many rounds for stable ns/op numbers.
-  const size_t sweep_reps =
-      (quick ? 20000 : 400000) / std::max<size_t>(1, candidates.size()) + 1;
+  const size_t samples = quick ? 5 : 31;
+  const size_t sweeps = (kSampleOps + candidates.size() - 1) /
+                        candidates.size();
   {
     // Single keyed lookup: hash + posting walk vs hash + cached count.
     KernelResult k{motif, "point_query", candidates.size()};
     size_t sum_legacy = 0, sum_csr = 0;
-    k.legacy_ns = TimeNsPerOp(sweep_reps, candidates.size(), [&] {
-      for (EdgeKey e : candidates) sum_legacy += legacy.Gain(e);
-    });
-    k.csr_ns = TimeNsPerOp(sweep_reps, candidates.size(), [&] {
-      for (EdgeKey e : candidates) sum_csr += csr.Gain(e);
-    });
-    TPP_CHECK_EQ(sum_legacy, sum_csr);
+    TimeSweeps(
+        samples, sweeps, candidates,
+        [&](EdgeKey e) { sum_legacy += legacy.Gain(e); },
+        [&](EdgeKey e) { sum_csr += csr.Gain(e); }, k);
+    TPP_CHECK_EQ(sum_legacy, sum_csr);  // same sweeps -> same sums
     out.push_back(k);
   }
   {
     KernelResult k{motif, "gain_vector", candidates.size()};
     std::vector<size_t> acc_legacy(kNumTargets, 0), acc_csr(kNumTargets, 0);
-    const size_t reps = sweep_reps;
-    k.legacy_ns = TimeNsPerOp(reps, candidates.size(), [&] {
-      for (EdgeKey e : candidates) legacy.AccumulateGains(e, &acc_legacy);
-    });
-    k.csr_ns = TimeNsPerOp(reps, candidates.size(), [&] {
-      for (EdgeKey e : candidates) csr.AccumulateGains(e, &acc_csr);
-    });
-    TPP_CHECK(acc_legacy == acc_csr);  // same reps -> identical accumulators
+    TimeSweeps(
+        samples, sweeps, candidates,
+        [&](EdgeKey e) { legacy.AccumulateGains(e, &acc_legacy); },
+        [&](EdgeKey e) { csr.AccumulateGains(e, &acc_csr); }, k);
+    TPP_CHECK(acc_legacy == acc_csr);  // same sweeps -> same accumulators
     out.push_back(k);
   }
   {
@@ -118,24 +146,22 @@ std::vector<KernelResult> RunMotif(MotifKind kind, bool quick) {
     // CSR count maintenance. The scratch copies are made outside the
     // timed region so only DeleteEdge work is measured.
     KernelResult k{motif, "delete_commit", candidates.size()};
-    const size_t reps = quick ? 20 : 200;
-    double legacy_ns = 0, csr_ns = 0;
-    for (size_t r = 0; r < reps; ++r) {
-      LegacyIncidenceIndex scratch = legacy;
+    std::vector<double> legacy_ns, csr_ns;
+    const size_t delete_samples = quick ? 20 : 201;
+    auto time_delete_all = [&](auto index, std::vector<double>& samples_ns) {
       WallTimer timer;
-      for (EdgeKey e : candidates) scratch.DeleteEdge(e);
-      legacy_ns += timer.Seconds() * 1e9;
-      TPP_CHECK_EQ(scratch.TotalAlive(), 0u);
+      for (EdgeKey e : candidates) index.DeleteEdge(e);
+      samples_ns.push_back(timer.Seconds() * 1e9 /
+                           static_cast<double>(candidates.size()));
+      TPP_CHECK_EQ(index.TotalAlive(), 0u);
+    };
+    for (size_t r = 0; r < delete_samples; ++r) {
+      time_delete_all(legacy, legacy_ns);
+      time_delete_all(csr, csr_ns);
     }
-    for (size_t r = 0; r < reps; ++r) {
-      IncidenceIndex scratch = csr;
-      WallTimer timer;
-      for (EdgeKey e : candidates) scratch.DeleteEdge(e);
-      csr_ns += timer.Seconds() * 1e9;
-      TPP_CHECK_EQ(scratch.TotalAlive(), 0u);
-    }
-    k.legacy_ns = legacy_ns / static_cast<double>(reps * candidates.size());
-    k.csr_ns = csr_ns / static_cast<double>(reps * candidates.size());
+    k.samples = delete_samples;
+    k.legacy_ns = SpreadOf(std::move(legacy_ns));
+    k.csr_ns = SpreadOf(std::move(csr_ns));
     out.push_back(k);
   }
   return out;
@@ -157,10 +183,13 @@ void WriteJson(const std::string& path, bool quick,
     const KernelResult& k = kernels[i];
     std::fprintf(f,
                  "    {\"motif\": \"%s\", \"name\": \"%s\", \"ops\": %zu, "
-                 "\"legacy_ns_per_op\": %.2f, \"csr_ns_per_op\": %.2f, "
-                 "\"speedup\": %.2f}%s\n",
-                 k.motif.c_str(), k.name.c_str(), k.ops, k.legacy_ns,
-                 k.csr_ns, k.Speedup(), i + 1 < kernels.size() ? "," : "");
+                 "\"reps\": %zu, \"legacy_ns_per_op\": %.2f, "
+                 "\"legacy_iqr_ns\": %.2f, \"csr_ns_per_op\": %.2f, "
+                 "\"csr_iqr_ns\": %.2f, \"speedup\": %.2f}%s\n",
+                 k.motif.c_str(), k.name.c_str(), k.ops, k.samples,
+                 k.legacy_ns.median, k.legacy_ns.Iqr(), k.csr_ns.median,
+                 k.csr_ns.Iqr(), k.Speedup(),
+                 i + 1 < kernels.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -184,10 +213,11 @@ int Run(int argc, char** argv) {
   for (MotifKind kind : motif::kPaperMotifs) {
     std::vector<KernelResult> motif_kernels = RunMotif(kind, quick);
     for (const KernelResult& k : motif_kernels) {
-      std::printf("%-9s %-14s %6zu ops  legacy %9.1f ns/op  "
-                  "csr %8.1f ns/op  speedup %6.2fx\n",
-                  k.motif.c_str(), k.name.c_str(), k.ops, k.legacy_ns,
-                  k.csr_ns, k.Speedup());
+      std::printf("%-9s %-14s %5zu ops %3zu reps  legacy %7.2f ns/op "
+                  "(iqr %5.2f)  csr %7.2f ns/op (iqr %5.2f)  %5.2fx\n",
+                  k.motif.c_str(), k.name.c_str(), k.ops, k.samples,
+                  k.legacy_ns.median, k.legacy_ns.Iqr(), k.csr_ns.median,
+                  k.csr_ns.Iqr(), k.Speedup());
       kernels.push_back(k);
     }
   }

@@ -1,7 +1,9 @@
 #include "harness_common.h"
 
+#include <algorithm>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/env.h"
 #include "common/strings.h"
 #include "reference/naive_engine.h"
@@ -132,6 +134,19 @@ size_t BenchSamples(size_t fallback) {
 double BenchScale(double fallback) {
   double v = EnvDouble("TPP_BENCH_SCALE", fallback);
   return (v <= 0.0 || v > 1.0) ? fallback : v;
+}
+
+Spread SpreadOf(std::vector<double> samples) {
+  TPP_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
 }
 
 std::string ResultsDir() { return EnvString("TPP_RESULTS_DIR", "results"); }

@@ -96,6 +96,18 @@ size_t BenchSamples(size_t fallback);     ///< TPP_BENCH_SAMPLES
 double BenchScale(double fallback);       ///< TPP_BENCH_SCALE (DBLP size)
 std::string ResultsDir();                 ///< TPP_RESULTS_DIR (default results)
 
+/// Median and quartiles of one bench row's per-rep samples.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+  double Iqr() const { return q3 - q1; }
+};
+
+/// Quartiles of `samples` (non-empty) by linear interpolation between the
+/// order statistics.
+Spread SpreadOf(std::vector<double> samples);
+
 /// Builds an evenly spaced budget grid {0, ..., k_max} with at most
 /// `max_points` points, always containing 0 and k_max.
 std::vector<size_t> MakeBudgetGrid(size_t k_max, size_t max_points);

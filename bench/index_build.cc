@@ -50,6 +50,7 @@
 #include "common/timer.h"
 #include "core/problem.h"
 #include "graph/datasets.h"
+#include "harness_common.h"
 #include "motif/incidence_index.h"
 #include "motif/link_instances.h"
 #include "reference/serial_index_build.h"
@@ -68,28 +69,6 @@ constexpr size_t kNumTargets = 200;
 constexpr int kThreadPoints[] = {1, 2, 4, 8};
 constexpr size_t kWarmSets = 3;
 constexpr size_t kWarmOtherLinks = 100;
-
-// Median and quartiles of one row's per-rep samples.
-struct Spread {
-  double median = 0;
-  double q1 = 0;
-  double q3 = 0;
-  double Iqr() const { return q3 - q1; }
-};
-
-// Quartiles by linear interpolation between the order statistics.
-Spread SpreadOf(std::vector<double> samples) {
-  TPP_CHECK(!samples.empty());
-  std::sort(samples.begin(), samples.end());
-  auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, samples.size() - 1);
-    return samples[lo] + (pos - static_cast<double>(lo)) *
-                             (samples[hi] - samples[lo]);
-  };
-  return {quantile(0.5), quantile(0.25), quantile(0.75)};
-}
 
 struct Row {
   std::string kind;  ///< "reference", "build", "cold" or "cached"

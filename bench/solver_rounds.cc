@@ -1,7 +1,10 @@
 // Round-loop benchmark of the greedy selectors: for every (solver, motif)
-// pair on the Fig. 5 Arenas-like fixture the bench times the production
-// loop (core/greedy.h: incremental rounds over Engine::BeginRound with a
-// flat first-strict-max scan) against the cold reference sweep
+// pair on the Fig. 5 Arenas-like fixture — solvers sgb, full (SGB until
+// similarity reaches zero), ct and wt; motifs Triangle, Rectangle, RecTri
+// and Pentagon — the bench times the production loop (core/greedy.h:
+// incremental rounds over Engine::BeginRound, picking through the
+// block-max selector of core/round_argmax.h) against the cold reference
+// sweep
 // (tests/reference/greedy_reference.h: every candidate re-evaluated every
 // round) and emits a machine-readable BENCH_solver_rounds.json so the perf
 // trajectory of the solve loop is tracked across PRs (tools/bench_guard.cc
@@ -36,6 +39,7 @@
 #include "common/timer.h"
 #include "core/tpp.h"
 #include "graph/datasets.h"
+#include "harness_common.h"
 #include "motif/incidence_index.h"
 #include "reference/greedy_reference.h"
 
@@ -58,28 +62,6 @@ using motif::MotifKind;
 constexpr size_t kNumTargets = 200;
 constexpr size_t kSgbBudget = 600;
 constexpr size_t kPerTargetBudget = 2;
-
-// Median and quartiles of one loop's per-rep wall times.
-struct Spread {
-  double median = 0;
-  double q1 = 0;
-  double q3 = 0;
-  double Iqr() const { return q3 - q1; }
-};
-
-// Quartiles by linear interpolation between the order statistics.
-Spread SpreadOf(std::vector<double> samples) {
-  TPP_CHECK(!samples.empty());
-  std::sort(samples.begin(), samples.end());
-  auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(samples.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, samples.size() - 1);
-    return samples[lo] + (pos - static_cast<double>(lo)) *
-                             (samples[hi] - samples[lo]);
-  };
-  return {quantile(0.5), quantile(0.25), quantile(0.75)};
-}
 
 struct SolverResult {
   std::string solver;
@@ -113,6 +95,11 @@ Result<ProtectionResult> RunSolverOnce(std::string_view solver, bool cold,
   if (solver == "sgb") {
     return cold ? core::SgbGreedyCold(engine, kSgbBudget, options)
                 : core::SgbGreedy(engine, kSgbBudget, options);
+  }
+  if (solver == "full") {
+    return cold ? core::SgbGreedyCold(engine, engine.TotalSimilarity(),
+                                      options)
+                : core::FullProtection(engine, options);
   }
   std::vector<size_t> budgets(kNumTargets, kPerTargetBudget);
   if (solver == "ct") {
@@ -199,12 +186,12 @@ SolverResult RunConfig(std::string_view solver, MotifKind kind, bool quick) {
 }
 
 // Total cold vs production median time of the CT/WT round loops across
-// motifs — the acceptance headline of the incremental engine (SGB rounds
-// were already a single flat scan, so they gain little and are excluded).
+// motifs — the acceptance headline of the incremental engine (the SGB and
+// full rows select from totals alone and are excluded).
 double AggregateCtWtSpeedup(const std::vector<SolverResult>& results) {
   double cold = 0, production = 0;
   for (const SolverResult& result : results) {
-    if (result.solver == "sgb") continue;
+    if (result.solver != "ct" && result.solver != "wt") continue;
     cold += result.cold_ms.median;
     production += result.production_ms.median;
   }
@@ -269,8 +256,9 @@ int Run(int argc, char** argv) {
               "Arenas-email-like, |T|=%zu, scope=subgraph%s ==\n\n",
               kNumTargets, quick ? ", quick" : "");
   std::vector<SolverResult> results;
-  for (std::string_view solver : {"sgb", "ct", "wt"}) {
-    for (MotifKind kind : motif::kPaperMotifs) {
+  for (std::string_view solver : {"sgb", "full", "ct", "wt"}) {
+    for (MotifKind kind : {MotifKind::kTriangle, MotifKind::kRectangle,
+                           MotifKind::kRecTri, MotifKind::kPentagon}) {
       SolverResult result = RunConfig(solver, kind, quick);
       std::printf("%-4s %-9s %3zu rounds  %6zu edges  "
                   "dirty %7.1f (max %5zu)  %2zu reps  "

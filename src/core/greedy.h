@@ -12,8 +12,9 @@
 //
 // Every algorithm has exactly one loop: incremental rounds over
 // Engine::BeginRound, where per-candidate gains persist across rounds and
-// only the dirty set of each committed deletion is re-evaluated, followed
-// by a flat first-strict-max scan over the round's ascending-key universe.
+// only the dirty set of each committed deletion is re-evaluated, and the
+// pick is the first max of the round's ascending-key universe, kept by a
+// block-max selector (core/round_argmax.h) patched for the same dirty set.
 // The loops are bit-identical in picks, traces and gain-evaluation counts
 // to the textbook cold sweeps (re-evaluate every candidate every round),
 // which live in the test-only reference library (tests/reference/) as

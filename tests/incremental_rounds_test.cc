@@ -16,6 +16,7 @@
 #include "core/greedy.h"
 #include "core/indexed_engine.h"
 #include "core/problem.h"
+#include "core/round_argmax.h"
 #include "graph/fixtures.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
@@ -65,15 +66,21 @@ void ExpectBitIdentical(const ProtectionResult& a, const ProtectionResult& b,
 }
 
 // Runs `solver` through the production loop, or through the cold
-// reference sweep when `cold` is set.
+// reference sweep when `cold` is set. `full` is checked against the cold
+// SGB sweep at budget = the current similarity, which is what
+// FullProtection runs.
 Result<ProtectionResult> RunSolver(const std::string& solver, bool cold,
                                    Engine& engine,
-                                   const GreedyOptions& options) {
+                                   const GreedyOptions& options,
+                                   const std::vector<size_t>& budgets) {
   if (solver == "sgb") {
     return cold ? SgbGreedyCold(engine, 25, options)
                 : SgbGreedy(engine, 25, options);
   }
-  std::vector<size_t> budgets(engine.NumTargets(), 2);
+  if (solver == "full") {
+    return cold ? SgbGreedyCold(engine, engine.TotalSimilarity(), options)
+                : FullProtection(engine, options);
+  }
   if (solver == "ct") {
     return cold ? CtGreedyCold(engine, budgets, options)
                 : CtGreedy(engine, budgets, options);
@@ -82,32 +89,89 @@ Result<ProtectionResult> RunSolver(const std::string& solver, bool cold,
               : WtGreedy(engine, budgets, options);
 }
 
+// The same with CT/WT budgets of 2 per target.
+Result<ProtectionResult> RunSolver(const std::string& solver, bool cold,
+                                   Engine& engine,
+                                   const GreedyOptions& options) {
+  return RunSolver(solver, cold, engine, options,
+                   std::vector<size_t>(engine.NumTargets(), 2));
+}
+
+// Number of CT picks that spent their target's last unit of budget.
+size_t Exhaustions(const ProtectionResult& result,
+                   const std::vector<size_t>& budgets) {
+  std::vector<size_t> spent(budgets.size(), 0);
+  size_t exhaustions = 0;
+  for (const PickTrace& pick : result.picks) {
+    if (++spent[pick.for_target] == budgets[pick.for_target]) ++exhaustions;
+  }
+  return exhaustions;
+}
+
 class IncrementalRoundsTest : public ::testing::TestWithParam<MotifKind> {};
 
 // The tentpole differential: incremental rounds must reproduce the cold
 // sweep bit for bit — picks, traces, and the gain-evaluation work metric —
-// for all three solvers under both candidate scopes.
+// for all four solvers under both candidate scopes, on two instances:
+//   - a small one with CT/WT budgets of 2 per target;
+//   - a wide one whose full-scope universe spans at least 16 selector
+//     blocks, with CT/WT budgets mostly 0 or 1, so that CT exhausts a
+//     target (and re-seats the rows that had it as best target) on most
+//     rounds. Its production runs go at 1 and 4 engine threads.
 TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
   const MotifKind kind = GetParam();
-  const Graph g = TestGraph(11);
-  const TppInstance inst = SampledInstance(g, 10, 5, kind);
-  const IndexedEngine prototype = *IndexedEngine::Create(inst);
-  for (CandidateScope scope :
-       {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
-    for (const std::string solver : {"sgb", "ct", "wt"}) {
-      GreedyOptions options;
-      options.scope = scope;
-      IndexedEngine cold_engine = prototype.Clone();
-      IndexedEngine incr_engine = prototype.Clone();
-      auto cold_result = RunSolver(solver, /*cold=*/true, cold_engine, options);
-      auto incr_result =
-          RunSolver(solver, /*cold=*/false, incr_engine, options);
-      ASSERT_TRUE(cold_result.ok());
-      ASSERT_TRUE(incr_result.ok());
-      ExpectBitIdentical(
-          *cold_result, *incr_result,
-          solver + (scope == CandidateScope::kAllEdges ? "/all" : "/subgraph"));
-      ASSERT_GT(incr_result->picks.size(), 0u);
+  struct Case {
+    std::string name;
+    TppInstance inst;
+    std::vector<size_t> budgets;
+    std::vector<int> threads;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"small", SampledInstance(TestGraph(11), 10, 5, kind),
+                   std::vector<size_t>(10, 2), {0}});
+  {
+    Rng rng(17);
+    const Graph g = *graph::HolmeKim(300, 4, 0.3, rng);
+    Case wide{"wide", SampledInstance(g, 40, 3, kind), {}, {1, 4}};
+    for (size_t t = 0; t < 40; ++t) {
+      wide.budgets.push_back(t % 8 == 0 ? 2 : rng.UniformIndex(2));
+    }
+    ASSERT_GE(wide.inst.released.NumEdges(), 16 * RoundArgmax::kBlock);
+    cases.push_back(std::move(wide));
+  }
+  for (const Case& c : cases) {
+    const IndexedEngine prototype = *IndexedEngine::Create(c.inst);
+    for (CandidateScope scope :
+         {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
+      for (const std::string solver : {"sgb", "full", "ct", "wt"}) {
+        const std::string what =
+            c.name + "/" + solver +
+            (scope == CandidateScope::kAllEdges ? "/all" : "/subgraph");
+        GreedyOptions options;
+        options.scope = scope;
+        IndexedEngine cold_engine = prototype.Clone();
+        auto cold_result = RunSolver(solver, /*cold=*/true, cold_engine,
+                                     options, c.budgets);
+        ASSERT_TRUE(cold_result.ok()) << what;
+        for (int threads : c.threads) {
+          IndexedEngine incr_engine = prototype.Clone();
+          incr_engine.set_threads(threads);
+          auto incr_result = RunSolver(solver, /*cold=*/false, incr_engine,
+                                       options, c.budgets);
+          ASSERT_TRUE(incr_result.ok()) << what;
+          ExpectBitIdentical(*cold_result, *incr_result,
+                             what + "/threads=" + std::to_string(threads));
+          ASSERT_GT(incr_result->picks.size(), 0u) << what;
+        }
+        if (solver == "full") {
+          EXPECT_EQ(cold_result->final_similarity, 0u) << what;
+        }
+        if (c.name == "wide" && solver == "ct") {
+          EXPECT_GE(2 * Exhaustions(*cold_result, c.budgets),
+                    cold_result->picks.size())
+              << what;
+        }
+      }
     }
   }
 }
