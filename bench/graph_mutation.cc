@@ -7,13 +7,15 @@
 //                 released edge count: a committed edit session's delta
 //                 (half removals of existing edges, half insertions of
 //                 absent pairs, never touching a target link) is applied
-//                 to a fresh prototype clone via IndexedEngine::ApplyEdit
-//                 (graph advance + delta-neighborhood index repair) and
-//                 timed against IncidenceIndex::Build on the edited graph
-//                 at the same thread budget. EVERY rep proves equivalence
-//                 the strong way: an sgb restricted solve on the repaired
-//                 engine must serialize a byte-identical deletion plan to
-//                 the same solve on an engine adopting the rebuilt index.
+//                 the way InstanceRepository applies it: to a copy of the
+//                 released graph, then to a copy of the built index via
+//                 IncidenceIndex::ApplyGraphDelta (delta-neighborhood
+//                 repair), timed together against IncidenceIndex::Build
+//                 on the edited graph at the same thread budget. EVERY rep
+//                 proves equivalence the strong way: an sgb restricted
+//                 solve on an engine adopting the repaired index must
+//                 serialize a byte-identical deletion plan to the same
+//                 solve on an engine adopting the rebuilt index.
 //   cache-survival — a PlanService batch (explicit far-target requests +
 //                 one sampled and one near-target request) runs against a
 //                 PlanCache and an external InstanceRepository, a small
@@ -133,35 +135,37 @@ GraphDelta RandomChurn(const graph::Graph& g,
   return delta;
 }
 
-// The strong equivalence check: repaired engine and rebuilt index must
-// drive the sgb restricted greedy to a byte-identical deletion plan.
-void CheckPlansByteIdentical(IndexedEngine& repaired,
-                             IncidenceIndex rebuilt,
+// The strong equivalence check: repaired and rebuilt index must drive
+// the sgb restricted greedy to a byte-identical deletion plan.
+void CheckPlansByteIdentical(IncidenceIndex repaired, IncidenceIndex rebuilt,
                              const TppInstance& edited_inst) {
   core::SolverSpec spec;
   spec.algorithm = "sgb";
   spec.budget = 8;
   Rng rng_a(99), rng_b(99);
+  Result<IndexedEngine> via_repair =
+      IndexedEngine::Adopt(edited_inst, std::move(repaired));
+  TPP_CHECK(via_repair.ok());
   Result<core::ProtectionResult> a =
-      core::RunSolver(spec, repaired, edited_inst, rng_a);
+      core::RunSolver(spec, *via_repair, edited_inst, rng_a);
   TPP_CHECK(a.ok());
-  Result<IndexedEngine> adopted =
+  Result<IndexedEngine> via_rebuild =
       IndexedEngine::Adopt(edited_inst, std::move(rebuilt));
-  TPP_CHECK(adopted.ok());
+  TPP_CHECK(via_rebuild.ok());
   Result<core::ProtectionResult> b =
-      core::RunSolver(spec, *adopted, edited_inst, rng_b);
+      core::RunSolver(spec, *via_rebuild, edited_inst, rng_b);
   TPP_CHECK(b.ok());
   TPP_CHECK(core::SerializeDeletionPlan(edited_inst, *a) ==
             core::SerializeDeletionPlan(edited_inst, *b));
 }
 
 ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
-                          const IndexedEngine& prototype, double churn_pct,
+                          const IncidenceIndex& prototype, double churn_pct,
                           bool quick, int build_threads) {
   ChurnResult out;
   out.motif = std::string(motif::MotifName(kind));
   out.churn_pct = churn_pct;
-  out.instances = prototype.index().instances().size();
+  out.instances = prototype.instances().size();
   out.edits = std::max<size_t>(
       2, static_cast<size_t>(static_cast<double>(inst.released.NumEdges()) *
                              churn_pct / 100.0));
@@ -188,28 +192,31 @@ ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
     GraphDelta delta = RandomChurn(inst.released, target_keys, out.edits,
                                    rng);
 
-    IndexedEngine repaired = prototype.Clone();
+    TppInstance edited_inst = inst;
+    IncidenceIndex repaired = prototype;
     {
       WallTimer timer;
-      TPP_CHECK(repaired.ApplyEdit(delta).ok());
+      TPP_CHECK(edited_inst.released.ApplyDelta(delta).ok());
+      TPP_CHECK(repaired
+                    .ApplyGraphDelta(edited_inst.released, inst.targets,
+                                     kind, delta)
+                    .ok());
       const double ms = timer.Millis();
       repair_best = r == 0 ? ms : std::min(repair_best, ms);
     }
 
-    graph::Graph edited = inst.released;
-    TPP_CHECK(edited.ApplyDelta(delta).ok());
     IncidenceIndex rebuilt = [&] {
       WallTimer timer;
-      IncidenceIndex idx =
-          *IncidenceIndex::Build(edited, inst.targets, kind, options);
+      IncidenceIndex idx = *IncidenceIndex::Build(
+          edited_inst.released, inst.targets, kind, options);
       const double ms = timer.Millis();
       rebuild_best = r == 0 ? ms : std::min(rebuild_best, ms);
       return idx;
     }();
-    TPP_CHECK_EQ(repaired.index().TotalAlive(), rebuilt.TotalAlive());
+    TPP_CHECK_EQ(repaired.TotalAlive(), rebuilt.TotalAlive());
 
-    TppInstance edited_inst{std::move(edited), inst.targets, kind};
-    CheckPlansByteIdentical(repaired, std::move(rebuilt), edited_inst);
+    CheckPlansByteIdentical(std::move(repaired), std::move(rebuilt),
+                            edited_inst);
   }
   out.repair_ms = repair_best;
   out.rebuild_ms = rebuild_best;
@@ -432,7 +439,8 @@ int Run(int argc, char** argv) {
   double min_speedup_at_1pct = 0;
   for (MotifKind kind : motif::kAllMotifs) {
     const TppInstance inst = MakeArenas(kind);
-    const IndexedEngine prototype = *IndexedEngine::Create(inst);
+    const IncidenceIndex prototype =
+        *IncidenceIndex::Build(inst.released, inst.targets, kind);
     for (double churn : kChurnLevels) {
       ChurnResult result = RunChurnLevel(kind, inst, prototype, churn,
                                          quick, build_threads);

@@ -76,7 +76,7 @@ struct GainTable {
 
   /// Forgets the session (the next BeginRound is a full evaluation) and
   /// releases the storage — what IndexedEngine::Clone applies to the copy
-  /// so prototype sessions never leak into per-request clones.
+  /// so an engine's session never leaks into its clones.
   void Reset() {
     edges = {};
     totals = {};

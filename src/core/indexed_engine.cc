@@ -12,10 +12,6 @@ using graph::EdgeKey;
 
 namespace {
 
-// Below this many rows the pool fan-out costs more than the CSR-2 segment
-// reads it spreads.
-constexpr size_t kMinRowsPerThread = 256;
-
 constexpr uint32_t kNoRow = motif::IncidenceIndex::kNoEdge;
 
 }  // namespace
@@ -32,8 +28,7 @@ Result<IndexedEngine> IndexedEngine::Create(
                        motif::IncidenceIndex::Build(
                            instance.released, instance.targets,
                            instance.motif, build_options, build_stats));
-  return IndexedEngine(instance.released, std::move(index), instance.targets,
-                       instance.motif);
+  return IndexedEngine(instance.released, std::move(index));
 }
 
 Result<IndexedEngine> IndexedEngine::Adopt(const TppInstance& instance,
@@ -42,34 +37,7 @@ Result<IndexedEngine> IndexedEngine::Adopt(const TppInstance& instance,
     return Status::InvalidArgument(
         "adopted index was built over a different target count");
   }
-  return IndexedEngine(instance.released, std::move(index), instance.targets,
-                       instance.motif);
-}
-
-Status IndexedEngine::ApplyEdit(const graph::GraphDelta& delta,
-                                const CancellationToken* cancel) {
-  // Graph first (the repair enumerates created instances on the post-edit
-  // graph), index second; a repair failure rolls the graph back by
-  // replaying the inverse delta, so errors leave the engine unchanged.
-  TPP_RETURN_IF_ERROR(g_.ApplyDelta(delta));
-  Status repaired = index_.ApplyGraphDelta(g_, targets_, motif_, delta, cancel);
-  if (!repaired.ok()) {
-    graph::GraphDelta inverse;
-    inverse.inserted = delta.removed;
-    inverse.removed = delta.inserted;
-    Status rollback = g_.ApplyDelta(inverse);
-    TPP_CHECK(rollback.ok());
-    return repaired;
-  }
-  // The candidate universe and count arrays the session aliases changed
-  // shape: reset, exactly as Clone does, so the next BeginRound is a full
-  // evaluation against the repaired layout.
-  table_.Reset();
-  session_dirty_.clear();
-  row_ids_ = {};
-  id_to_row_ = {};
-  session_flush_epoch_ = 0;
-  return Status::Ok();
+  return IndexedEngine(instance.released, std::move(index));
 }
 
 void IndexedEngine::GainVectorInto(EdgeKey e, std::span<size_t> out) {
@@ -80,9 +48,7 @@ void IndexedEngine::GainVectorInto(EdgeKey e, std::span<size_t> out) {
 
 void IndexedEngine::ParallelRowJob(
     size_t n, const std::function<void(size_t, size_t)>& body) {
-  size_t workers = threads_ > 0
-                       ? std::min(static_cast<size_t>(threads_), n)
-                       : std::min(static_cast<size_t>(GlobalThreadCount()),
+  const size_t workers = std::min(static_cast<size_t>(GlobalThreadCount()),
                                   n / kMinRowsPerThread);
   if (workers <= 1) {
     body(0, n);

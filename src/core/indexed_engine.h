@@ -75,10 +75,8 @@ class IndexedEngine : public Engine {
   /// freshly-built engine is indistinguishable from building a second
   /// engine from the same instance — same graph, same index contents,
   /// work counter at zero — at the cost of a flat-array copy instead of a
-  /// full motif re-enumeration. The thread budget is inherited; any
-  /// incremental round session is RESET on the copy (the clone's first
-  /// BeginRound is a full evaluation), so prototype engines shared by the
-  /// batch pipeline never leak round state into per-request clones.
+  /// full motif re-enumeration. Any incremental round session is RESET on
+  /// the copy (the clone's first BeginRound is a full evaluation).
   IndexedEngine Clone() const {
     IndexedEngine copy(*this);
     copy.gain_evals_ = 0;
@@ -90,30 +88,11 @@ class IndexedEngine : public Engine {
     return copy;
   }
 
-  /// Applies a committed base-graph edit (graph::Graph::EditSession
-  /// delta) to this engine IN PLACE: advances the engine's graph copy and
-  /// repairs the incidence index around the delta neighborhood
-  /// (motif::IncidenceIndex::ApplyGraphDelta) instead of re-enumerating —
-  /// the result answers every query exactly as an engine freshly built
-  /// from the edited graph would (plans come out byte-identical;
-  /// bench/graph_mutation.cc checks this every rep). Requires a FRESH
-  /// engine — no deletions committed yet (prototype engines between
-  /// batches, not per-request clones mid-solve); errors leave both graph
-  /// and index unchanged. Any incremental round session is reset, exactly
-  /// as on Clone. The delta must not touch a target link: edits to target
-  /// links change the problem itself, so the owning service rebuilds
-  /// those groups instead (service/instance_repository.h). `cancel`
-  /// (optional) is polled before the repair mutates anything; once the
-  /// repair starts it runs to completion.
-  Status ApplyEdit(const graph::GraphDelta& delta,
-                   const CancellationToken* cancel = nullptr);
-
-  /// Overrides the worker-thread budget of BeginRound's per-target row
-  /// fills on this engine and disables the job-size heuristic (exactly
-  /// this many workers, capped by the row count); 0 (the default) defers
-  /// to tpp::GlobalThreadCount(), which only parallelizes fills large
-  /// enough to amortize the fan-out.
-  void set_threads(int threads) { threads_ = threads; }
+  /// BeginRound's per-target row fills fan out over the shared pool at
+  /// tpp::GlobalThreadCount() workers, each taking at least this many
+  /// rows; below that the fan-out costs more than the CSR-2 segment reads
+  /// it spreads, so smaller fills run inline.
+  static constexpr size_t kMinRowsPerThread = 256;
 
   /// Access to the underlying index (for reporting and differential
   /// tests). Non-const because count-level reads flush the index's
@@ -123,17 +102,13 @@ class IndexedEngine : public Engine {
   const motif::IncidenceIndex& index() const { return index_; }
 
  private:
-  IndexedEngine(graph::Graph g, motif::IncidenceIndex index,
-                std::vector<graph::Edge> targets, motif::MotifKind motif)
-      : g_(std::move(g)),
-        index_(std::move(index)),
-        targets_(std::move(targets)),
-        motif_(motif) {}
+  IndexedEngine(graph::Graph g, motif::IncidenceIndex index)
+      : g_(std::move(g)), index_(std::move(index)) {}
 
   // Shared worker-sizing and dispatch of the row-granular parallel jobs
-  // (FillGainRows, BeginRound's dirty-row patch): honors set_threads()
-  // exactly, otherwise parallelizes only jobs big enough to amortize the
-  // fan-out (kMinRowsPerThread).
+  // (FillGainRows, BeginRound's dirty-row patch): up to
+  // tpp::GlobalThreadCount() workers, each given at least
+  // kMinRowsPerThread rows, so small jobs run inline.
   void ParallelRowJob(size_t n,
                       const std::function<void(size_t, size_t)>& body);
 
@@ -148,13 +123,7 @@ class IndexedEngine : public Engine {
 
   graph::Graph g_;
   motif::IncidenceIndex index_;
-  // Build identity retained for ApplyEdit: the index repair re-derives
-  // created instances per target, and the index itself only records the
-  // motif's arity.
-  std::vector<graph::Edge> targets_;
-  motif::MotifKind motif_ = motif::MotifKind::kTriangle;
   uint64_t gain_evals_ = 0;
-  int threads_ = 0;
 
   // Incremental round session state (see BeginRound). table_.edges /
   // totals stay empty under the restricted scope: the view aliases the

@@ -181,7 +181,7 @@ class Graph {
   /// present and every `inserted` edge absent, else the graph is left
   /// untouched and an error returned. Removals apply first. This is how a
   /// delta committed against one copy of a graph replays onto another
-  /// (e.g. the engine-owned released graphs inside a PlanService).
+  /// (e.g. the released graphs of InstanceRepository groups).
   Status ApplyDelta(const GraphDelta& delta);
 
   /// Structural equality: same node count and same edge set.

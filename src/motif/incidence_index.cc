@@ -214,7 +214,7 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   flat_keys.erase(std::unique(flat_keys.begin(), flat_keys.end()),
                   flat_keys.end());
   // Release the pre-dedup capacity (instances x arity keys) before the
-  // buffer becomes a long-lived member — prototype indexes live for a
+  // buffer becomes a long-lived member — built indexes live for a
   // whole batch inside InstanceRepository.
   flat_keys.shrink_to_fit();
   idx.edge_keys_ = std::move(flat_keys);

@@ -304,13 +304,9 @@ class IncidenceIndex {
   /// removed edges absent. Cost: O(E + I + cells) merge passes plus the
   /// delta-neighborhood enumeration — independent of the number of
   /// targets touched, and far below a rebuild's full enumeration.
-  /// `cancel` (optional) is polled BEFORE the repair mutates anything —
-  /// a repair cannot back out halfway, so an expired token fails the
-  /// call with the index untouched rather than aborting mid-mutation.
   Status ApplyGraphDelta(const graph::Graph& g,
                          const std::vector<graph::Edge>& targets,
-                         MotifKind kind, const graph::GraphDelta& delta,
-                         const CancellationToken* cancel = nullptr);
+                         MotifKind kind, const graph::GraphDelta& delta);
 
   /// DeleteEdge followed by a dirty-emitting count flush: appends to
   /// `dirty` the dense id of every edge whose cached alive count changed

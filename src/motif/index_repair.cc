@@ -418,13 +418,7 @@ Status ValidateDeltaList(const std::vector<Edge>& list, const char* what,
 Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
                                        const std::vector<Edge>& targets,
                                        MotifKind kind,
-                                       const GraphDelta& delta,
-                                       const CancellationToken* cancel) {
-  // Cancellation is honored only here, before anything mutates: a repair
-  // rewires live CSR state in place and cannot back out halfway, so once
-  // the delta starts applying it runs to completion even if the caller's
-  // deadline lapses mid-way.
-  TPP_RETURN_IF_ERROR(PollCancellation(cancel, "index:repair"));
+                                       const GraphDelta& delta) {
   // --- Validation: any failure leaves the index untouched. ---
   if (MotifEdgeCount(kind) != arity_) {
     return Status::InvalidArgument(

@@ -30,6 +30,27 @@ size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
   return it->second;
 }
 
+motif::IndexSnapshotMeta InstanceRepository::SnapshotMeta(
+    const Group& group) const {
+  motif::IndexSnapshotMeta meta;
+  meta.graph_fingerprint = base_fingerprint_;
+  meta.target_hash = graph::TargetSetHash(group.targets);
+  meta.motif = group.motif;
+  meta.num_targets = static_cast<uint32_t>(group.targets.size());
+  return meta;
+}
+
+void InstanceRepository::WriteBack(const Group& group) {
+  Status saved = store_->SaveIndex(*group.index, SnapshotMeta(group));
+  if (saved.ok()) {
+    snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    store_write_failures_.fetch_add(1, std::memory_order_relaxed);
+    std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
+                 saved.ToString().c_str());
+  }
+}
+
 void InstanceRepository::BuildGroup(Group& group,
                                     const CancellationToken* cancel) {
   builds_.fetch_add(1, std::memory_order_relaxed);
@@ -46,26 +67,20 @@ void InstanceRepository::BuildGroup(Group& group,
   }
   group.instance.emplace(std::move(*instance));
 
-  motif::IndexSnapshotMeta meta;
   if (store_ != nullptr) {
-    meta.graph_fingerprint = base_fingerprint_;
-    meta.target_hash = graph::TargetSetHash(group.instance->targets);
-    meta.motif = group.motif;
-    meta.num_targets = static_cast<uint32_t>(group.instance->targets.size());
-    Result<motif::IncidenceIndex> snapshot = store_->LoadIndex(meta);
+    Result<motif::IncidenceIndex> snapshot =
+        store_->LoadIndex(SnapshotMeta(group));
     if (snapshot.ok()) {
-      Result<IndexedEngine> adopted =
-          IndexedEngine::Adopt(*group.instance, std::move(*snapshot));
-      if (adopted.ok()) {
+      if (snapshot->NumTargets() == group.targets.size()) {
         snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-        group.engine.emplace(std::move(*adopted));
+        group.index.emplace(std::move(*snapshot));
         return;
       }
       store_degradations_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr,
-                   "tpp: warm store snapshot rejected at adoption (%s); "
-                   "cold-building\n",
-                   adopted.status().ToString().c_str());
+                   "tpp: warm store snapshot rejected at adoption (index "
+                   "was built over %zu targets, not %zu); cold-building\n",
+                   snapshot->NumTargets(), group.targets.size());
     } else if (snapshot.status().code() != StatusCode::kNotFound) {
       // Present but invalid (corrupt file, format/fingerprint mismatch)
       // or unreadable after retries: one rung down the degradation
@@ -83,27 +98,13 @@ void InstanceRepository::BuildGroup(Group& group,
   Result<motif::IncidenceIndex> index = motif::IncidenceIndex::BuildCached(
       group.instance->released, *base_, group.instance->targets, group.motif,
       link_instances_, build_options);
-  Result<IndexedEngine> engine =
-      index.ok() ? IndexedEngine::Adopt(*group.instance, std::move(*index))
-                 : Result<IndexedEngine>(index.status());
-  if (!engine.ok()) {
-    group.status = engine.status();
+  if (!index.ok()) {
+    group.status = index.status();
     group.instance.reset();
     return;
   }
-  group.engine.emplace(std::move(*engine));
-  if (store_ != nullptr) {
-    // Best-effort write-back: the warm start is an optimization, so a
-    // full disk or I/O error must not fail the request.
-    Status saved = store_->SaveIndex(group.engine->index(), meta);
-    if (saved.ok()) {
-      snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      store_write_failures_.fetch_add(1, std::memory_order_relaxed);
-      std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
-                   saved.ToString().c_str());
-    }
-  }
+  group.index.emplace(std::move(*index));
+  if (store_ != nullptr) WriteBack(group);
 }
 
 Result<IndexedEngine> InstanceRepository::AcquireEngine(
@@ -137,29 +138,28 @@ Result<IndexedEngine> InstanceRepository::Acquire(
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
       return failed;
     }
-    if (group.status.ok() && !group.engine) {
+    if (group.status.ok() && !group.index) {
       return Status::FailedPrecondition(
-          "instance group's prototype engine was already taken");
+          "instance group's index was already taken");
     }
     if (take && group.status.ok()) {
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      IndexedEngine engine = std::move(*group.engine);
-      group.engine.reset();
-      return engine;
+      motif::IncidenceIndex index = std::move(*group.index);
+      group.index.reset();
+      return IndexedEngine::Adopt(*group.instance, std::move(index));
     }
   }
   // Past the gate the group is immutable until the next ApplyEdit (which
-  // never overlaps acquisitions), so the clone runs unlocked exactly as
-  // the once_flag version did.
+  // never overlaps acquisitions), so the copy runs unlocked.
   acquisitions_.fetch_add(1, std::memory_order_relaxed);
   if (!group.status.ok()) return group.status;
-  return group.engine->Clone();
+  return IndexedEngine::Adopt(*group.instance, *group.index);
 }
 
 void InstanceRepository::ResetGroup(Group& group) {
   group.built = false;
   group.status = Status::Ok();
-  group.engine.reset();
+  group.index.reset();
   group.instance.reset();
 }
 
@@ -184,18 +184,23 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
         break;
       }
     }
-    if (hits_target || !group.status.ok() || !group.engine) {
+    if (hits_target || !group.status.ok() || !group.index) {
       // The edit changed the problem (or may have cured a memoized build
-      // failure, or TakeEngine left no prototype to repair): back to
+      // failure, or TakeEngine left no index to repair): back to
       // unbuilt, next acquisition cold-builds.
       ResetGroup(group);
       ++edit_resets_;
       continue;
     }
-    // In-place repair: released graph first, then the engine (its own
-    // graph copy + incidence-index repair around the delta neighborhood).
+    // In-place repair: released graph first (the index repair enumerates
+    // created instances on the post-edit graph), then the index around
+    // the delta neighborhood. Either failing leaves a half-edited group,
+    // which the reset discards.
     Status repaired = group.instance->released.ApplyDelta(delta);
-    if (repaired.ok()) repaired = group.engine->ApplyEdit(delta);
+    if (repaired.ok()) {
+      repaired = group.index->ApplyGraphDelta(
+          group.instance->released, group.targets, group.motif, delta);
+    }
     if (!repaired.ok()) {
       std::fprintf(stderr,
                    "tpp: in-place instance repair failed (%s); group will "
@@ -206,26 +211,9 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       continue;
     }
     ++edit_repairs_;
-    if (store_ != nullptr) {
-      // Re-home the snapshot under the post-edit fingerprint (best
-      // effort, like the cold-build write-back) so the NEXT process
-      // start warm-loads the repaired index.
-      motif::IndexSnapshotMeta meta;
-      meta.graph_fingerprint = base_fingerprint_;
-      meta.target_hash = graph::TargetSetHash(group.instance->targets);
-      meta.motif = group.motif;
-      meta.num_targets = static_cast<uint32_t>(group.instance->targets.size());
-      const motif::IncidenceIndex& index =
-          std::as_const(*group.engine).index();
-      Status saved = store_->SaveIndex(index, meta);
-      if (saved.ok()) {
-        snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        store_write_failures_.fetch_add(1, std::memory_order_relaxed);
-        std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
-                     saved.ToString().c_str());
-      }
-    }
+    // Re-home the snapshot under the post-edit fingerprint so the NEXT
+    // process start warm-loads the repaired index.
+    if (store_ != nullptr) WriteBack(group);
   }
 }
 

@@ -5,14 +5,15 @@
 // rebuild the same TppInstance and CSR IncidenceIndex — the dominant
 // serving cost on large graphs (a full motif enumeration per request).
 // The repository interns each distinct (ordered target list, motif) pair
-// into a group, builds the group's instance and a prototype IndexedEngine
-// exactly once (thread-safe: the first acquirer builds, concurrent
-// acquirers wait on the same per-group build mutex), and hands every
-// request a private engine clone (IndexedEngine::Clone) whose committed
-// deletions cannot leak across requests. Clone carries the graph and index state
-// but RESETS the incremental round session (the persistent gain table of
-// Engine::BeginRound), so every request's solver starts its rounds from
-// a full evaluation rather than a sibling request's dirty tracking.
+// into a group and builds the group exactly once (thread-safe: the first
+// acquirer builds, concurrent acquirers wait on the same per-group build
+// mutex). A built group is the paper's two phases and nothing more: the
+// TppInstance (phase 1 — the released graph, targets deleted) and the
+// IncidenceIndex of its target subgraphs (phase 2's candidates). Every
+// request gets a private engine over copies of both
+// (IndexedEngine::Adopt), so its committed deletions cannot leak across
+// requests, and its solver starts from a full evaluation with no round
+// state of a sibling request.
 //
 // Target ORDER is part of the group identity: per-target budget division
 // and plan serialization follow target positions, so reordered target
@@ -28,12 +29,12 @@
 // A repository lives for one RunBatch pipeline execution by default, but
 // can be owned externally (BatchOptions::repository) and carried across
 // batches: between batches, ApplyEdit advances every built group across a
-// committed base-graph edit by repairing its released graph and prototype
-// engine IN PLACE (IndexedEngine::ApplyEdit — O(delta-neighborhood), not
-// a re-enumeration), so churn-then-solve workloads never pay a cold
-// build for untouched instances. Build errors (e.g. a target link absent
-// from the base) are memoized per group so every member request reports
-// the same status a standalone run would.
+// committed base-graph edit by applying the delta to its released graph
+// and repairing its index IN PLACE (IncidenceIndex::ApplyGraphDelta —
+// O(delta-neighborhood), not a re-enumeration), so churn-then-solve
+// workloads never pay a cold build for untouched instances. Build errors
+// (e.g. a target link absent from the base) are memoized per group so
+// every member request reports the same status a standalone run would.
 
 #ifndef TPP_SERVICE_INSTANCE_REPOSITORY_H_
 #define TPP_SERVICE_INSTANCE_REPOSITORY_H_
@@ -50,6 +51,8 @@
 #include "core/indexed_engine.h"
 #include "core/problem.h"
 #include "graph/graph.h"
+#include "motif/incidence_index.h"
+#include "motif/index_snapshot.h"
 #include "motif/link_instances.h"
 #include "motif/motif.h"
 
@@ -93,21 +96,21 @@ class InstanceRepository {
   size_t Intern(const std::vector<graph::Edge>& targets,
                 motif::MotifKind motif);
 
-  /// Builds the group's TppInstance + prototype engine on first call
-  /// (thread-safe build-once) and returns a private clone. Build errors
-  /// are memoized: every acquirer of a failed group gets the same status
-  /// — EXCEPT cancellation/deadline failures (kAborted, kDeadlineExceeded
-  /// from `cancel`, polled at the build's internal stage boundaries).
-  /// Those depend on the requesting caller's clock, not the group, so the
-  /// group resets to unbuilt and the next acquirer rebuilds under its own
-  /// deadline.
+  /// Builds the group's TppInstance + IncidenceIndex on first call
+  /// (thread-safe build-once) and returns a private engine over copies of
+  /// both. Build errors are memoized: every acquirer of a failed group
+  /// gets the same status — EXCEPT cancellation/deadline failures
+  /// (kAborted, kDeadlineExceeded from `cancel`, polled at the build's
+  /// internal stage boundaries). Those depend on the requesting caller's
+  /// clock, not the group, so the group resets to unbuilt and the next
+  /// acquirer rebuilds under its own deadline.
   Result<core::IndexedEngine> AcquireEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
   /// AcquireEngine for a group with exactly one user in a repository that
-  /// dies with its batch: hands over the freshly built prototype itself
-  /// instead of a clone, so a single-request batch holds one engine, not
-  /// two. The instance stays valid; the group cannot be acquired again
+  /// dies with its batch: moves the group's index into the engine instead
+  /// of copying it, so a single-request batch holds one index, not two.
+  /// The instance stays valid; the group cannot be acquired again
   /// (FailedPrecondition), and ApplyEdit resets it.
   Result<core::IndexedEngine> TakeEngine(
       size_t group, const CancellationToken* cancel = nullptr);
@@ -121,7 +124,7 @@ class InstanceRepository {
   /// Distinct (targets, motif) groups interned.
   size_t NumGroups() const { return groups_.size(); }
 
-  /// Prototype builds performed (<= NumGroups(): only acquired groups
+  /// Group builds performed (<= NumGroups(): only acquired groups
   /// build).
   size_t NumBuilds() const {
     return builds_.load(std::memory_order_relaxed);
@@ -139,7 +142,7 @@ class InstanceRepository {
   /// motif::LinkInstanceCache::kMaxBytes).
   size_t LinkCacheBytes() const { return link_instances_.bytes(); }
 
-  /// Engines handed out (clones or taken prototypes); NumAcquisitions() -
+  /// Engines handed out (copies or taken indexes); NumAcquisitions() -
   /// NumBuilds() full index builds were avoided by sharing.
   size_t NumAcquisitions() const {
     return acquisitions_.load(std::memory_order_relaxed);
@@ -181,11 +184,11 @@ class InstanceRepository {
   ///     unbuilt (the edit changed the problem itself, so the next
   ///     acquisition cold-builds), as are groups holding a memoized build
   ///     error (the edit may have cured it);
-  ///   * every other built group is repaired in place: the delta replays
-  ///     onto the instance's released graph and the prototype engine's
-  ///     index (IndexedEngine::ApplyEdit), after which clones answer
-  ///     exactly as if the group had been cold-built on the edited base.
-  ///     A repair failure degrades to a reset, never an error.
+  ///   * every other built group is repaired in place: the delta applies
+  ///     once to the instance's released graph, then the index repairs
+  ///     around it (IncidenceIndex::ApplyGraphDelta), after which engines
+  ///     answer exactly as if the group had been cold-built on the edited
+  ///     base. A repair failure degrades to a reset, never an error.
   /// Repaired indexes write back to the store (best effort) under the new
   /// fingerprint, and a non-empty delta clears the link cache (its lists
   /// are enumerations of the old base). NOT thread-safe against
@@ -209,19 +212,25 @@ class InstanceRepository {
     bool built = false;  // guarded by build_mu
     Status status = Status::Ok();
     std::optional<core::TppInstance> instance;
-    // The shared prototype; empty in a built, OK group once TakeEngine
-    // moved it out.
-    std::optional<core::IndexedEngine> engine;
+    // Empty in a built, OK group once TakeEngine moved it out.
+    std::optional<motif::IncidenceIndex> index;
   };
 
-  /// Shared body of AcquireEngine (`take` false: clone the prototype)
-  /// and TakeEngine (`take` true: move it out).
+  /// Shared body of AcquireEngine (`take` false: copy the index) and
+  /// TakeEngine (`take` true: move it out).
   Result<core::IndexedEngine> Acquire(size_t group_id,
                                       const CancellationToken* cancel,
                                       bool take);
 
   /// The build-once body: try the store, else cold-build + write back.
   void BuildGroup(Group& group, const CancellationToken* cancel);
+
+  /// The store key of `group`'s index under the current fingerprint.
+  motif::IndexSnapshotMeta SnapshotMeta(const Group& group) const;
+
+  /// Best-effort write-back of `group`'s index to the store: a full disk
+  /// or I/O error is counted and warned, never returned.
+  void WriteBack(const Group& group);
 
   /// Returns `group` to the unbuilt state; the next acquisition rebuilds.
   static void ResetGroup(Group& group);

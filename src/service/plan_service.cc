@@ -177,7 +177,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   int max_workers =
       options.max_workers > 0 ? options.max_workers : GlobalThreadCount();
   InstanceRepository local_repository(&base_);
-  // An external repository (options.repository) carries prototype engines
+  // An external repository (options.repository) carries built groups
   // across batches; its counters are cumulative, so stats report the
   // deltas this run produced.
   InstanceRepository& repository = options.repository != nullptr
@@ -216,7 +216,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     unit.group = repository.Intern(response.targets, request.motif);
   }
   // The batch-local repository dies with this run, so a group only one
-  // unit uses hands that unit its prototype rather than a clone of it.
+  // unit uses hands that unit its index rather than a copy of it.
   std::vector<size_t> local_uses;
   if (options.repository == nullptr) {
     local_uses.assign(repository.NumGroups(), 0);

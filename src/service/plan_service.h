@@ -17,9 +17,10 @@
 //   group-by-instance — requests with the same (targets, motif) share one
 //                   TppInstance + IncidenceIndex build
 //                   (instance_repository.h)
-//   build-once / solve / serialize — build each group's prototype engine
-//                   once, hand every request a private IndexedEngine
-//                   clone, run the spec'd solver, serialize the plan
+//   build-once / solve / serialize — build each group once, hand every
+//                   request a private IndexedEngine over copies of its
+//                   instance and index, run the spec'd solver, serialize
+//                   the plan
 //   cache-fill    — insert fresh responses into the cache
 //
 // Every stage is a pure optimization: responses are bit-identical to a
@@ -166,7 +167,7 @@ struct BatchOptions {
   /// service's base graph and, between batches, kept in step with every
   /// PlanService::ApplyEdit (which repairs its built groups in place).
   /// With an external repository a follow-up batch naming the same
-  /// (targets, motif) groups re-clones the surviving prototype engines
+  /// (targets, motif) groups copies the surviving instances and indexes
   /// instead of re-enumerating — the stats report builds performed BY
   /// THIS RUN, so a fully warm batch shows instance_builds == 0. The
   /// pipeline (re)applies its build-thread budget and store attachment on

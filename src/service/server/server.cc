@@ -55,6 +55,12 @@ uint64_t ScanDeadlineMs(std::string_view line) {
   return out;
 }
 
+#if TPP_SERVER_POSIX
+// Upper bound on the input a closing session still reads: a peer that
+// keeps streaming cannot hold the closing thread.
+constexpr size_t kMaxCloseDrainBytes = 1 << 20;
+#endif
+
 }  // namespace
 
 std::string FormatResponseLine(const PlanRequest& request,
@@ -287,22 +293,16 @@ void PlanServer::HandleSessionReadable(
     if (got.status().code() == StatusCode::kUnavailable) {
       return;  // transient (injected or spurious poll): try next round
     }
-    // Permanent read error: the connection is unusable. A buffered
-    // partial line is a torn frame, discarded unparsed.
-    if (session->assembler.pending_bytes() > 0) {
-      torn_frames_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // Permanent read error: the connection is unusable. CloseSession
+    // counts a buffered partial line as a torn frame.
     CloseSession(session);
     return;
   }
   if (*got == 0) {  // EOF: the client finished sending
+    // A partial line still buffered means the client died mid-line. The
+    // tail is NOT a request — a torn frame must never become a
+    // truncated-but-valid one; CloseSession counts and drops it.
     session->input_closed = true;
-    if (session->assembler.pending_bytes() > 0) {
-      // Died mid-line. The tail is NOT a request — a torn frame must
-      // never become a truncated-but-valid one.
-      torn_frames_.fetch_add(1, std::memory_order_relaxed);
-      session->assembler.Reset();
-    }
     if (session->is_stdio) {
       // `tpp serve --stdio < script`: end of script means drain — finish
       // everything admitted, then exit. This makes the stdio server a
@@ -313,8 +313,12 @@ void PlanServer::HandleSessionReadable(
     // (shutdown(SHUT_WR) clients read responses after sending).
     return;
   }
-  std::vector<std::string> lines =
-      session->assembler.Feed(std::string_view(buffer, *got));
+  ConsumeInput(session, std::string_view(buffer, *got));
+}
+
+void PlanServer::ConsumeInput(const std::shared_ptr<Session>& session,
+                              std::string_view bytes) {
+  std::vector<std::string> lines = session->assembler.Feed(bytes);
   if (session->assembler.TakeOverflow()) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
     // The discarded line still advances the session's line/request
@@ -332,6 +336,34 @@ void PlanServer::HandleSessionReadable(
 }
 
 void PlanServer::CloseSession(const std::shared_ptr<Session>& session) {
+#if TPP_SERVER_POSIX
+  if (session->fd_in >= 0 && !session->input_closed) {
+    // A session can die on a failed write, or the server can finish,
+    // before the IO thread has read all the peer sent: more lines, a torn
+    // tail, its EOF. Read that input now, without blocking, and handle it
+    // as if it had been read in time, so what is admitted (a dead
+    // session's work is then dropped with the rest of its queue) and what
+    // counts as torn do not depend on which thread got there first.
+    char buffer[4096];
+    for (size_t drained = 0; drained < kMaxCloseDrainBytes;) {
+      pollfd ready{session->fd_in, POLLIN, 0};
+      if (::poll(&ready, 1, /*timeout_ms=*/0) <= 0 || ready.revents == 0) {
+        break;
+      }
+      Result<size_t> got =
+          net::ReadSome(session->fd_in, buffer, sizeof(buffer), "");
+      if (!got.ok() || *got == 0) break;
+      ConsumeInput(session, std::string_view(buffer, *got));
+      drained += *got;
+    }
+  }
+#endif
+  // The one place every session ends: a partial line still buffered is a
+  // torn frame, counted once and discarded unparsed.
+  if (session->assembler.pending_bytes() > 0) {
+    torn_frames_.fetch_add(1, std::memory_order_relaxed);
+  }
+  session->assembler.Reset();
   session->input_closed = true;
   const size_t orphaned = queue_.DropClient(session->id);
   dropped_responses_.fetch_add(orphaned, std::memory_order_relaxed);
@@ -356,29 +388,38 @@ void PlanServer::CloseSession(const std::shared_ptr<Session>& session) {
 }
 
 void PlanServer::PruneSessions() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    const std::shared_ptr<Session>& session = it->second;
-    bool retire = session->dead.load(std::memory_order_acquire);
-    if (!retire && session->input_closed && queue_.ClientIdle(session->id)) {
-      // Input done and every admitted request answered (in-flight items
-      // hold their slot until AFTER their response is written, so an
-      // idle client has nothing left to receive) — unless a pending
-      // edit still owes this session its reply.
-      retire = true;
-      for (const PendingEdit& edit : edits_) {
-        if (edit.session == session) {
-          retire = false;
-          break;
+  // Closed outside mu_: closing handles a dead session's unread lines,
+  // and an edit line takes mu_.
+  std::vector<std::shared_ptr<Session>> retired;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      const std::shared_ptr<Session>& session = it->second;
+      bool retire = session->dead.load(std::memory_order_acquire);
+      if (!retire && session->input_closed &&
+          queue_.ClientIdle(session->id)) {
+        // Input done and every admitted request answered (in-flight
+        // items hold their slot until AFTER their response is written,
+        // so an idle client has nothing left to receive) — unless a
+        // pending edit still owes this session its reply.
+        retire = true;
+        for (const PendingEdit& edit : edits_) {
+          if (edit.session == session) {
+            retire = false;
+            break;
+          }
         }
       }
+      if (retire) {
+        retired.push_back(session);
+        it = sessions_.erase(it);
+      } else {
+        ++it;
+      }
     }
-    if (retire) {
-      CloseSession(session);
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
+  }
+  for (const std::shared_ptr<Session>& session : retired) {
+    CloseSession(session);
   }
 }
 
@@ -472,24 +513,29 @@ Status PlanServer::Serve() {
   }
   int listener_fd = -1;
   if (!options_.socket_path.empty()) {
+    // Bind under a sibling name and rename into place once listening: a
+    // client that waits for the path to appear never meets a bound socket
+    // that still refuses connections. The rename also replaces a stale
+    // socket file, the expected debris after kill -9, so restart just
+    // works.
+    const std::string staging = options_.socket_path + "~";
     sockaddr_un addr;
     std::memset(&addr, 0, sizeof(addr));
-    if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
+    if (staging.size() >= sizeof(addr.sun_path)) {
       return Status::InvalidArgument("socket path too long: " +
                                      options_.socket_path);
     }
     listener_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listener_fd < 0) return Status::IoError("cannot create socket");
     addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-                options_.socket_path.size());
-    // A stale socket file is the expected debris after kill -9; replace
-    // it so restart just works.
-    ::unlink(options_.socket_path.c_str());
+    std::memcpy(addr.sun_path, staging.c_str(), staging.size());
+    ::unlink(staging.c_str());
     if (::bind(listener_fd, reinterpret_cast<sockaddr*>(&addr),
                sizeof(addr)) != 0 ||
-        ::listen(listener_fd, 64) != 0) {
+        ::listen(listener_fd, 64) != 0 ||
+        ::rename(staging.c_str(), options_.socket_path.c_str()) != 0) {
       ::close(listener_fd);
+      ::unlink(staging.c_str());
       return Status::IoError("cannot bind/listen on " + options_.socket_path);
     }
   }
@@ -527,22 +573,12 @@ Status PlanServer::Serve() {
   Wake();
   io_thread.join();
 
+  std::unordered_map<uint64_t, std::shared_ptr<Session>> open;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [id, session] : sessions_) {
-      std::lock_guard<std::mutex> wlock(session->write_mu);
-      if (session->owns_fds) {
-        if (session->fd_in >= 0) ::close(session->fd_in);
-        if (session->fd_out >= 0 && session->fd_out != session->fd_in) {
-          ::close(session->fd_out);
-        }
-      }
-      session->fd_in = -1;
-      session->fd_out = -1;
-      session->dead.store(true, std::memory_order_release);
-    }
-    sessions_.clear();
+    open.swap(sessions_);
   }
+  for (const auto& [id, session] : open) CloseSession(session);
   if (listener_fd >= 0) {
     ::close(listener_fd);
     ::unlink(options_.socket_path.c_str());

@@ -40,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -93,7 +94,9 @@ struct ServerStats {
 struct ServerOptions {
   /// Unix-domain listener path; empty disables the socket listener. An
   /// existing socket file at the path is replaced (the expected state
-  /// after kill -9).
+  /// after kill -9). The path appears only once the server accepts
+  /// connections; it is bound as `<path>~` first, so that name must fit
+  /// sun_path too.
   std::string socket_path;
   /// Serve one session over a pipe/terminal pair instead of (or in
   /// addition to) the socket: reads requests from `stdio_in`, writes
@@ -178,6 +181,14 @@ class PlanServer {
   void IoLoop(int listener_fd, int wake_fd);
   void HandleSessionReadable(const std::shared_ptr<Session>& session);
   void HandleLine(const std::shared_ptr<Session>& session, std::string line);
+  /// Frames `bytes` read from the session and handles every line they
+  /// complete.
+  void ConsumeInput(const std::shared_ptr<Session>& session,
+                    std::string_view bytes);
+  /// Ends a session; every close goes through here. First reads and
+  /// handles what the peer already sent (without blocking), then counts a
+  /// buffered partial line as a torn frame, drops the session's queued
+  /// work and closes its fds. Must not be called under mu_.
   void CloseSession(const std::shared_ptr<Session>& session);
   /// Retires finished sessions: dead ones (write failure, read error)
   /// and half-closed ones whose every admitted request has answered and

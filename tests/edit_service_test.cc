@@ -3,13 +3,16 @@
 // instance repository consistent across a committed base-graph edit, and
 // WarmStore::EvictStale dropping entries no live caller can match.
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/strings.h"
 #include "core/problem.h"
 #include "graph/fingerprint.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "motif/incidence_index.h"
@@ -221,7 +224,7 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   EXPECT_EQ(summary->groups_repaired, 1u);
   EXPECT_EQ(summary->groups_reset, 0u);
 
-  // The follow-up batch re-clones the repaired prototype: zero builds,
+  // The follow-up batch copies the repaired group: zero builds,
   // and the response is byte-identical to a cold solve on the edited
   // graph.
   BatchStats stats2;
@@ -234,7 +237,7 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   EXPECT_EQ(second[0].plan_text, reference.plan_text);
 }
 
-TEST(PlanServiceEditTest, EditResetsAGroupWhosePrototypeWasTaken) {
+TEST(PlanServiceEditTest, EditResetsAGroupWhoseIndexWasTaken) {
   PlanService service(TwoClusters());
   InstanceRepository repository(&service.base());
   size_t taken = repository.Intern({E(0, 1), E(5, 6)},
@@ -243,7 +246,7 @@ TEST(PlanServiceEditTest, EditResetsAGroupWhosePrototypeWasTaken) {
   ASSERT_TRUE(repository.TakeEngine(taken).ok());
   ASSERT_TRUE(repository.AcquireEngine(shared).ok());
 
-  // The taken group has no prototype left to repair, so it resets; the
+  // The taken group has no index left to repair, so it resets; the
   // other group repairs in place as usual.
   Result<EditSummary> summary =
       service.ApplyEdit(ClusterBDelta(), nullptr, &repository);
@@ -281,6 +284,118 @@ TEST(PlanServiceEditTest, TargetTouchingEditResetsTheGroup) {
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->groups_repaired, 0u);
   EXPECT_EQ(summary->groups_reset, 1u);
+}
+
+// A seeded random edit: up to `removes` present edges out and up to
+// `inserts` absent pairs in, normalized by an edit session on a copy of
+// `g`. Target links are fair game — those edits reset their groups.
+GraphDelta RandomEdit(const Graph& g, size_t removes, size_t inserts,
+                      Rng& rng) {
+  Graph copy = g;
+  Graph::EditSession session = copy.BeginEdit();
+  const std::vector<Edge> edges = g.Edges();
+  for (size_t i = 0; i < removes; ++i) {
+    const Edge& e = edges[rng.UniformIndex(edges.size())];
+    (void)session.Remove(e.u, e.v);  // a repeat pick is refused: skip it
+  }
+  for (size_t i = 0; i < inserts; ++i) {
+    const auto u = static_cast<graph::NodeId>(rng.UniformIndex(g.NumNodes()));
+    const auto v = static_cast<graph::NodeId>(rng.UniformIndex(g.NumNodes()));
+    (void)session.Insert(u, v);  // self-loops and present pairs: skip
+  }
+  return *session.Commit();
+}
+
+// The differential behind in-place repair: a repository carried across a
+// seeded random edit script must, after every edit, hold for each group
+// it repaired exactly the released graph a cold MakeInstance on the
+// edited base produces, and must answer every request byte-identically
+// to a fresh repository built on that base.
+TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
+  Rng rng(20261017);
+  PlanService service(*graph::HolmeKim(120, 3, 0.5, rng));
+  InstanceRepository repository(&service.base());
+
+  const char* const kSolvers[] = {"sgb", "full", "ct-tbd", "wt-dbd"};
+  std::vector<PlanRequest> requests;
+  for (size_t i = 0; i < 12; ++i) {
+    PlanRequest request =
+        ExplicitRequest(StrFormat("q%zu", i),
+                        rng.SampleK(service.base().Edges(), 2 + i % 3));
+    request.motif = motif::kAllMotifs[i % std::size(motif::kAllMotifs)];
+    request.spec.algorithm = kSolvers[i % std::size(kSolvers)];
+    request.spec.scope = i % 2 == 0 ? core::CandidateScope::kAllEdges
+                                    : core::CandidateScope::kTargetSubgraphEdges;
+    request.seed = 100 + i;
+    requests.push_back(std::move(request));
+  }
+  std::vector<size_t> groups;
+  for (const PlanRequest& request : requests) {
+    groups.push_back(repository.Intern(request.targets, request.motif));
+  }
+
+  BatchOptions options;
+  options.repository = &repository;
+  std::vector<PlanResponse> responses = service.RunBatch(requests, options);
+  size_t repairs_seen = 0;
+  size_t resets_seen = 0;
+  for (int step = 0; step < 10; ++step) {
+    SCOPED_TRACE(StrFormat("edit %d", step));
+    const GraphDelta delta = RandomEdit(service.base(), 3, 3, rng);
+    auto touches = [&](const std::vector<Edge>& targets) {
+      for (const Edge& t : targets) {
+        for (const std::vector<Edge>* list :
+             {&delta.inserted, &delta.removed}) {
+          if (std::find(list->begin(), list->end(), t) != list->end()) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    // Groups built OK whose targets the edit leaves alone are the ones
+    // the repository must repair rather than reset.
+    std::vector<bool> repairable(repository.NumGroups(), false);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      repairable[groups[i]] =
+          responses[i].status.ok() && !touches(requests[i].targets);
+    }
+    Result<EditSummary> summary =
+        service.ApplyEdit(delta, nullptr, &repository);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    const size_t expected_repairs = static_cast<size_t>(
+        std::count(repairable.begin(), repairable.end(), true));
+    EXPECT_EQ(summary->groups_repaired, expected_repairs);
+    EXPECT_EQ(summary->groups_reset,
+              repository.NumGroups() - expected_repairs);
+    repairs_seen += summary->groups_repaired;
+    resets_seen += summary->groups_reset;
+
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (!repairable[groups[i]]) continue;
+      Result<core::TppInstance> cold = core::MakeInstance(
+          service.base(), requests[i].targets, requests[i].motif);
+      ASSERT_TRUE(cold.ok());
+      EXPECT_EQ(repository.instance(groups[i]).released, cold->released)
+          << requests[i].name;
+    }
+
+    responses = service.RunBatch(requests, options);
+    InstanceRepository fresh(&service.base());
+    BatchOptions fresh_options;
+    fresh_options.repository = &fresh;
+    std::vector<PlanResponse> expected =
+        service.RunBatch(requests, fresh_options);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(responses[i].status.ToString(),
+                expected[i].status.ToString())
+          << requests[i].name;
+      EXPECT_EQ(responses[i].plan_text, expected[i].plan_text)
+          << requests[i].name;
+    }
+  }
+  EXPECT_GT(repairs_seen, 0u);
+  EXPECT_GT(resets_seen, 0u);
 }
 
 TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {

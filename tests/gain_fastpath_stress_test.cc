@@ -1,14 +1,15 @@
 // Randomized stress test for the CSR gain fast path: interleaves
 // BeginRound's threaded row fill, Gain, GainVector, and DeleteEdge on
 // generated graphs and cross-checks the index's cached alive counts
-// against a from-scratch recount after every deletion. Guards the alive-count invariant
-// documented in motif/incidence_index.h:
+// against a from-scratch recount after every deletion. Guards the
+// alive-count invariant documented in motif/incidence_index.h:
 //   alive_count_[e] == |{i : alive_[i] and e in instance i}|.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/indexed_engine.h"
@@ -16,6 +17,7 @@
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
 #include "reference/legacy_incidence_index.h"
+#include "test_util.h"
 
 namespace tpp::motif {
 namespace {
@@ -27,15 +29,20 @@ using core::TppInstance;
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
+using ::tpp::testing::ScopedGlobalThreads;
 
-// Independent per-edge recount straight off the instance list: the gain of
-// `e` is the number of alive instances containing it.
-size_t BruteGain(const IncidenceIndex& idx, EdgeKey e) {
-  size_t gain = 0;
+// Independent recount straight off the instance list: the gain of an
+// edge is the number of alive instances containing it.
+std::unordered_map<EdgeKey, size_t> BruteGains(const IncidenceIndex& idx) {
+  std::unordered_map<EdgeKey, size_t> gains;
   for (size_t i = 0; i < idx.instances().size(); ++i) {
-    if (idx.IsAlive(i) && idx.instances()[i].ContainsEdge(e)) ++gain;
+    if (!idx.IsAlive(i)) continue;
+    const TargetSubgraph& instance = idx.instances()[i];
+    for (size_t k = 0; k < instance.num_edges; ++k) {
+      ++gains[instance.edges[k]];
+    }
   }
-  return gain;
+  return gains;
 }
 
 class GainFastPathStressTest
@@ -44,15 +51,17 @@ class GainFastPathStressTest
 TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
   auto [kind, seed] = GetParam();
   Rng rng(seed);
-  Graph g = *graph::ErdosRenyiGnp(32, 0.18, rng);
-  if (g.NumEdges() < 12) GTEST_SKIP();
+  Graph g = *graph::HolmeKim(300, 4, 0.3, rng);
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 5);
   TppInstance inst = *core::MakeInstance(g, targets, kind);
+  // Every round below restarts its session (the checks flush counts
+  // between rounds), so each BeginRound refills the whole full-scope
+  // universe. With at least four workers' worth of rows at a budget of
+  // four, that fill is partitioned across the pool on every step and
+  // checked against the serial oracles.
+  ASSERT_GE(inst.released.NumEdges(), 4 * IndexedEngine::kMinRowsPerThread);
+  ScopedGlobalThreads threads(4);
   IndexedEngine engine = *IndexedEngine::Create(inst);
-  // Force the partitioned row fill (an explicit budget bypasses the
-  // job-size heuristic), so the parallel chunking is exercised against
-  // the serial oracles on every step.
-  engine.set_threads(3);
 
   for (int step = 0; step < 20; ++step) {
     std::vector<EdgeKey> candidates =
@@ -69,9 +78,12 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
                                        view.totals.end());
     const std::vector<uint32_t> rows(view.rows.begin(), view.rows.end());
     ASSERT_TRUE(std::ranges::includes(edges, candidates));
+    const std::unordered_map<EdgeKey, size_t> brute =
+        BruteGains(engine.index());
     for (size_t i = 0; i < edges.size(); ++i) {
       ASSERT_EQ(totals[i], engine.index().Gain(edges[i]));
-      ASSERT_EQ(totals[i], BruteGain(engine.index(), edges[i]))
+      const auto it = brute.find(edges[i]);
+      ASSERT_EQ(totals[i], it == brute.end() ? 0 : it->second)
           << "cached count diverged from instance recount";
       std::vector<size_t> diffs = engine.GainVector(edges[i]);
       for (size_t t = 0; t < targets.size(); ++t) {

@@ -34,6 +34,7 @@ using graph::Graph;
 using motif::IncidenceIndex;
 using motif::LegacyIncidenceIndex;
 using motif::MotifKind;
+using ::tpp::testing::ScopedGlobalThreads;
 
 TppInstance SampledInstance(const Graph& g, size_t count, uint64_t seed,
                             MotifKind kind) {
@@ -117,7 +118,8 @@ class IncrementalRoundsTest : public ::testing::TestWithParam<MotifKind> {};
 //   - a wide one whose full-scope universe spans at least 16 selector
 //     blocks, with CT/WT budgets mostly 0 or 1, so that CT exhausts a
 //     target (and re-seats the rows that had it as best target) on most
-//     rounds. Its production runs go at 1 and 4 engine threads.
+//     rounds. Its production runs go at global thread budgets of 1 and
+//     4; at 4 its full-scope row fills fan out over the pool.
 TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
   const MotifKind kind = GetParam();
   struct Case {
@@ -137,6 +139,8 @@ TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
       wide.budgets.push_back(t % 8 == 0 ? 2 : rng.UniformIndex(2));
     }
     ASSERT_GE(wide.inst.released.NumEdges(), 16 * RoundArgmax::kBlock);
+    ASSERT_GE(wide.inst.released.NumEdges(),
+              4 * IndexedEngine::kMinRowsPerThread);
     cases.push_back(std::move(wide));
   }
   for (const Case& c : cases) {
@@ -154,8 +158,8 @@ TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
                                      options, c.budgets);
         ASSERT_TRUE(cold_result.ok()) << what;
         for (int threads : c.threads) {
+          ScopedGlobalThreads budget(threads);
           IndexedEngine incr_engine = prototype.Clone();
-          incr_engine.set_threads(threads);
           auto incr_result = RunSolver(solver, /*cold=*/false, incr_engine,
                                        options, c.budgets);
           ASSERT_TRUE(incr_result.ok()) << what;
@@ -275,28 +279,43 @@ TEST_P(IncrementalRoundsTest, DeferredFlushGranularity) {
 }
 
 // Deferred flushes interleaved with the production row fan: each round's
-// DeleteEdge queues maintenance, and the next BeginRound flushes it, then
-// patches the dirty per-target rows on the pool. An engine forced onto
-// four workers must report exactly what a single-worker engine does —
-// totals, rows and dirty lists — every round, under both scopes. TSan (CI
-// job) checks the synchronization story.
+// batch of DeleteEdge calls queues maintenance, and the next BeginRound
+// flushes it, then patches the dirty per-target rows on the pool. An
+// engine run at a global budget of four workers must report exactly what
+// it reports at one — totals, rows and dirty lists — every round, under
+// both scopes. The instance (500 targets on a dense clustered graph) is
+// wide enough — at least four workers' worth of universe rows under
+// either scope, for every motif — that the first fill fans out, and each
+// round deletes half the live candidates so that the dirty-row patches
+// fan out too. TSan (CI job) checks the synchronization story.
 TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithParallelRowFan) {
   const MotifKind kind = GetParam();
-  const Graph g = TestGraph(47);
-  const TppInstance inst = SampledInstance(g, 6, 13, kind);
+  Rng graph_rng(47);
+  const Graph g = *graph::HolmeKim(300, 8, 1.0, graph_rng);
+  const TppInstance inst = SampledInstance(g, 500, 13, kind);
   const IndexedEngine prototype = *IndexedEngine::Create(inst);
+  constexpr size_t kRowsPerWorker = IndexedEngine::kMinRowsPerThread;
   for (CandidateScope scope : {CandidateScope::kTargetSubgraphEdges,
                                CandidateScope::kAllEdges}) {
     SCOPED_TRACE(scope == CandidateScope::kAllEdges ? "all" : "restricted");
     IndexedEngine fanned = prototype.Clone();
     IndexedEngine serial = prototype.Clone();
-    fanned.set_threads(4);
-    serial.set_threads(1);
     Rng rng(99);
-    int fanned_patches = 0;  // incremental rounds with >= 2 dirty rows
+    int fanned_fills = 0;    // full fills over >= 4 workers' rows
+    int fanned_patches = 0;  // dirty patches over >= 2 workers' rows
     for (int round = 0; round < 8; ++round) {
-      const RoundGains& a = fanned.BeginRound(scope, /*per_target=*/true);
-      const RoundGains& b = serial.BeginRound(scope, /*per_target=*/true);
+      const RoundGains* fanned_view = nullptr;
+      const RoundGains* serial_view = nullptr;
+      {
+        ScopedGlobalThreads budget(4);
+        fanned_view = &fanned.BeginRound(scope, /*per_target=*/true);
+      }
+      {
+        ScopedGlobalThreads budget(1);
+        serial_view = &serial.BeginRound(scope, /*per_target=*/true);
+      }
+      const RoundGains& a = *fanned_view;
+      const RoundGains& b = *serial_view;
       ASSERT_EQ(a.all_dirty, b.all_dirty) << "round " << round;
       ASSERT_EQ(a.num_candidates, b.num_candidates) << "round " << round;
       ASSERT_TRUE(std::ranges::equal(a.edges, b.edges)) << "round " << round;
@@ -304,16 +323,24 @@ TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithParallelRowFan) {
           << "round " << round;
       ASSERT_TRUE(std::ranges::equal(a.rows, b.rows)) << "round " << round;
       ASSERT_TRUE(std::ranges::equal(a.dirty, b.dirty)) << "round " << round;
-      if (!a.all_dirty && a.dirty.size() >= 2) ++fanned_patches;
+      if (a.all_dirty && a.edges.size() >= 4 * kRowsPerWorker) {
+        ++fanned_fills;
+      }
+      if (!a.all_dirty && a.dirty.size() >= 2 * kRowsPerWorker) {
+        ++fanned_patches;
+      }
       std::vector<EdgeKey> live;
       for (size_t i = 0; i < a.edges.size(); ++i) {
         if (a.totals[i] > 0) live.push_back(a.edges[i]);
       }
       if (live.empty()) break;
-      const EdgeKey victim = live[rng.UniformIndex(live.size())];
-      ASSERT_EQ(fanned.DeleteEdge(victim), serial.DeleteEdge(victim));
+      for (EdgeKey victim :
+           rng.SampleK(live, std::max<size_t>(1, live.size() / 2))) {
+        ASSERT_EQ(fanned.DeleteEdge(victim), serial.DeleteEdge(victim));
+      }
     }
     EXPECT_EQ(fanned.GainEvaluations(), serial.GainEvaluations());
+    EXPECT_GT(fanned_fills, 0) << "the first row fill never fanned out";
     EXPECT_GT(fanned_patches, 0) << "the dirty-row patch never fanned out";
   }
 }

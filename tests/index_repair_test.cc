@@ -1,14 +1,15 @@
 // Randomized churn fuzz for the in-place index repair
-// (IncidenceIndex::ApplyGraphDelta via IndexedEngine::ApplyEdit): after
-// any committed base-graph edit the repaired index must be semantically
-// identical to a cold Build on the edited graph — same per-key gains,
-// same per-target splits, same alive candidate set, same dirty sets —
-// and greedy plans solved on the repaired engine must come out
-// byte-identical to plans solved on a freshly built engine. The interned
-// universe itself is an ascending SUPERSET of the cold one (keys whose
-// last instance died keep their dense id with alive count 0, so repairs
-// never renumber survivors); the checks below therefore compare by KEY,
-// never by dense id.
+// (IncidenceIndex::ApplyGraphDelta, driven the way InstanceRepository
+// drives it: the delta applies to the released graph first, then the
+// index repairs around it): after any committed base-graph edit the
+// repaired index must be semantically identical to a cold Build on the
+// edited graph — same per-key gains, same per-target splits, same alive
+// candidate set, same dirty sets — and greedy plans solved over the
+// repaired index must come out byte-identical to plans solved on a
+// freshly built engine. The interned universe itself is an ascending
+// SUPERSET of the cold one (keys whose last instance died keep their
+// dense id with alive count 0, so repairs never renumber survivors); the
+// checks below therefore compare by KEY, never by dense id.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +43,7 @@ using motif::MotifKind;
 // Builds a random normalized delta against `g`: removes up to
 // `max_removes` present edges and inserts up to `max_inserts` absent
 // non-target pairs. Never touches a key in `forbidden` (the target
-// links), honoring the ApplyEdit contract.
+// links), honoring the ApplyGraphDelta contract.
 GraphDelta RandomDelta(const Graph& g, const std::set<EdgeKey>& forbidden,
                        size_t max_removes, size_t max_inserts, Rng& rng) {
   GraphDelta delta;
@@ -75,6 +76,15 @@ GraphDelta RandomDelta(const Graph& g, const std::set<EdgeKey>& forbidden,
   return delta;
 }
 
+// One committed edit: the graph advances first (the repair enumerates
+// created instances on the post-edit graph), then the index repairs.
+Status CommitEdit(Graph& g, IncidenceIndex& index,
+                  const std::vector<Edge>& targets, MotifKind kind,
+                  const GraphDelta& delta) {
+  TPP_RETURN_IF_ERROR(g.ApplyDelta(delta));
+  return index.ApplyGraphDelta(g, targets, kind, delta);
+}
+
 class IndexRepairTest
     : public ::testing::TestWithParam<std::tuple<MotifKind, uint64_t>> {};
 
@@ -87,20 +97,21 @@ TEST_P(IndexRepairTest, RepairedMatchesColdBuildUnderChurn) {
   std::set<EdgeKey> target_keys;
   for (const Edge& t : targets) target_keys.insert(t.Key());
   TppInstance inst = *MakeInstance(g, targets, kind);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
+  IncidenceIndex repaired =
+      *IncidenceIndex::Build(inst.released, targets, kind);
 
   for (int commit = 0; commit < 6; ++commit) {
-    GraphDelta delta =
-        RandomDelta(engine.CurrentGraph(), target_keys, 3, 3, rng);
+    GraphDelta delta = RandomDelta(inst.released, target_keys, 3, 3, rng);
     if (delta.empty()) continue;
-    ASSERT_TRUE(engine.ApplyEdit(delta).ok()) << "commit " << commit;
+    ASSERT_TRUE(CommitEdit(inst.released, repaired, targets, kind, delta)
+                    .ok())
+        << "commit " << commit;
 
     Result<IncidenceIndex> cold =
-        IncidenceIndex::Build(engine.CurrentGraph(), targets, kind);
+        IncidenceIndex::Build(inst.released, targets, kind);
     ASSERT_TRUE(cold.ok());
-    LegacyIncidenceIndex legacy = *LegacyIncidenceIndex::Build(
-        engine.CurrentGraph(), targets, kind);
-    IncidenceIndex& repaired = engine.index();
+    LegacyIncidenceIndex legacy =
+        *LegacyIncidenceIndex::Build(inst.released, targets, kind);
 
     // The repaired universe is an ascending superset of the cold one:
     // every cold key embeds in order, and the extra keys (edges whose
@@ -144,19 +155,17 @@ TEST_P(IndexRepairTest, DirtySetsMatchColdBuildAfterRepair) {
   std::set<EdgeKey> target_keys;
   for (const Edge& t : targets) target_keys.insert(t.Key());
   TppInstance inst = *MakeInstance(g, targets, kind);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
+  IncidenceIndex repaired =
+      *IncidenceIndex::Build(inst.released, targets, kind);
 
-  GraphDelta delta =
-      RandomDelta(engine.CurrentGraph(), target_keys, 2, 3, rng);
+  GraphDelta delta = RandomDelta(inst.released, target_keys, 2, 3, rng);
   if (delta.empty()) GTEST_SKIP();
-  ASSERT_TRUE(engine.ApplyEdit(delta).ok());
+  ASSERT_TRUE(CommitEdit(inst.released, repaired, targets, kind, delta).ok());
 
-  // Deep-copy the repaired index and cold-build its twin; identical
-  // deletion sequences must report identical dirty sets (the incremental
-  // round engine's re-evaluation contract) and identical count arrays.
-  IncidenceIndex repaired = engine.index();
-  IncidenceIndex cold =
-      *IncidenceIndex::Build(engine.CurrentGraph(), targets, kind);
+  // Cold-build the repaired index's twin; identical deletion sequences
+  // must report identical dirty sets (the incremental round engine's
+  // re-evaluation contract) and identical count arrays.
+  IncidenceIndex cold = *IncidenceIndex::Build(inst.released, targets, kind);
   // Dense ids differ between the two universes (the repaired one is a
   // superset), so dirty sets and count arrays compare by KEY.
   auto dirty_keys = [](const IncidenceIndex& idx,
@@ -197,8 +206,9 @@ TEST_P(IndexRepairTest, PlansByteIdenticalAfterRepair) {
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 4);
   std::set<EdgeKey> target_keys;
   for (const Edge& t : targets) target_keys.insert(t.Key());
-  TppInstance inst = *MakeInstance(g, targets, kind);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
+  TppInstance edited = *MakeInstance(g, targets, kind);
+  IncidenceIndex repaired =
+      *IncidenceIndex::Build(edited.released, targets, kind);
 
   SolverSpec spec;
   spec.algorithm = "sgb";
@@ -206,20 +216,17 @@ TEST_P(IndexRepairTest, PlansByteIdenticalAfterRepair) {
   spec.budget = 6;
 
   for (int commit = 0; commit < 4; ++commit) {
-    GraphDelta delta =
-        RandomDelta(engine.CurrentGraph(), target_keys, 2, 3, rng);
+    GraphDelta delta = RandomDelta(edited.released, target_keys, 2, 3, rng);
     if (delta.empty()) continue;
-    ASSERT_TRUE(engine.ApplyEdit(delta).ok());
+    ASSERT_TRUE(
+        CommitEdit(edited.released, repaired, targets, kind, delta).ok());
 
-    TppInstance edited;
-    edited.released = engine.CurrentGraph();
-    edited.targets = targets;
-    edited.motif = kind;
-
-    IndexedEngine repaired_clone = engine.Clone();
+    // The repository hands requests an engine over copies of the edited
+    // instance and the repaired index.
+    IndexedEngine via_repair_engine = *IndexedEngine::Adopt(edited, repaired);
     Rng solve_rng_a(7);
     Result<ProtectionResult> via_repair =
-        RunSolver(spec, repaired_clone, edited, solve_rng_a);
+        RunSolver(spec, via_repair_engine, edited, solve_rng_a);
     ASSERT_TRUE(via_repair.ok());
 
     IndexedEngine fresh = *IndexedEngine::Create(edited);
@@ -234,33 +241,50 @@ TEST_P(IndexRepairTest, PlansByteIdenticalAfterRepair) {
   }
 }
 
-TEST(IndexRepairErrorTest, TargetLinkDeltaRejectedAndEngineUntouched) {
-  Rng rng(11);
+// A fresh index over a small random graph for the rejection cases.
+struct ErrorFixture {
+  Graph released;
+  std::vector<Edge> targets;
+  IncidenceIndex index;
+};
+
+ErrorFixture MakeErrorFixture(uint64_t seed) {
+  Rng rng(seed);
   Graph g = *graph::ErdosRenyiGnp(20, 0.25, rng);
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 3);
   TppInstance inst = *MakeInstance(g, targets, MotifKind::kTriangle);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
-  const size_t before = engine.TotalSimilarity();
-  const Graph graph_before = engine.CurrentGraph();
-
-  GraphDelta delta;
-  delta.inserted = {targets[0]};  // re-inserting a target link is an edit
-                                  // to the problem, not the base graph
-  Status s = engine.ApplyEdit(delta);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(engine.TotalSimilarity(), before);
-  EXPECT_EQ(engine.CurrentGraph(), graph_before);
+  IncidenceIndex index =
+      *IncidenceIndex::Build(inst.released, targets, MotifKind::kTriangle);
+  return {std::move(inst.released), std::move(targets), std::move(index)};
 }
 
-TEST(IndexRepairErrorTest, MismatchedDeltaRejectedAndEngineUntouched) {
-  Rng rng(12);
-  Graph g = *graph::ErdosRenyiGnp(20, 0.25, rng);
-  std::vector<Edge> targets = rng.SampleK(g.Edges(), 3);
-  TppInstance inst = *MakeInstance(g, targets, MotifKind::kTriangle);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
-  const Graph graph_before = engine.CurrentGraph();
+// A rejected repair must leave the index exactly as it was.
+TEST(IndexRepairErrorTest, TargetLinkDeltaRejectedAndIndexUntouched) {
+  ErrorFixture fx = MakeErrorFixture(11);
+  const IncidenceIndex before = fx.index;
+  const Graph graph_before = fx.released;
 
-  // Find a pair absent from the released graph and "remove" it.
+  GraphDelta delta;
+  delta.inserted = {fx.targets[0]};  // re-inserting a target link is an
+                                     // edit to the problem, not the base
+  Graph edited = fx.released;
+  ASSERT_TRUE(edited.ApplyDelta(delta).ok());
+  EXPECT_FALSE(fx.index
+                   .ApplyGraphDelta(edited, fx.targets, MotifKind::kTriangle,
+                                    delta)
+                   .ok());
+  EXPECT_TRUE(fx.index.BitIdentical(before));
+  EXPECT_EQ(fx.released, graph_before);
+}
+
+TEST(IndexRepairErrorTest, MismatchedDeltaRejectedAndIndexUntouched) {
+  ErrorFixture fx = MakeErrorFixture(12);
+  const IncidenceIndex before = fx.index;
+  const Graph graph_before = fx.released;
+
+  // A pair absent from the released graph: "removing" it fails at the
+  // graph, which stays unchanged; claiming it was inserted without
+  // inserting it fails at the index, which stays unchanged.
   GraphDelta delta;
   for (NodeId u = 0; delta.removed.empty(); ++u) {
     for (NodeId v = u + 1; v < 20; ++v) {
@@ -270,25 +294,36 @@ TEST(IndexRepairErrorTest, MismatchedDeltaRejectedAndEngineUntouched) {
       }
     }
   }
-  EXPECT_FALSE(engine.ApplyEdit(delta).ok());
-  EXPECT_EQ(engine.CurrentGraph(), graph_before);
+  Graph edited = fx.released;
+  EXPECT_FALSE(edited.ApplyDelta(delta).ok());
+  EXPECT_EQ(edited, graph_before);
+
+  GraphDelta phantom;
+  phantom.inserted = delta.removed;
+  EXPECT_FALSE(fx.index
+                   .ApplyGraphDelta(fx.released, fx.targets,
+                                    MotifKind::kTriangle, phantom)
+                   .ok());
+  EXPECT_TRUE(fx.index.BitIdentical(before));
+  EXPECT_EQ(fx.released, graph_before);
 }
 
-TEST(IndexRepairErrorTest, NonFreshEngineRejected) {
-  Rng rng(13);
-  Graph g = *graph::ErdosRenyiGnp(20, 0.25, rng);
-  std::vector<Edge> targets = rng.SampleK(g.Edges(), 3);
-  TppInstance inst = *MakeInstance(g, targets, MotifKind::kTriangle);
-  IndexedEngine engine = *IndexedEngine::Create(inst);
-  std::vector<EdgeKey> candidates =
-      engine.Candidates(CandidateScope::kTargetSubgraphEdges);
+TEST(IndexRepairErrorTest, NonFreshIndexRejected) {
+  ErrorFixture fx = MakeErrorFixture(13);
+  std::vector<EdgeKey> candidates = fx.index.AliveCandidateEdges();
   if (candidates.empty()) GTEST_SKIP();
-  engine.DeleteEdge(candidates[0]);
+  fx.index.DeleteEdge(candidates[0]);
+  const IncidenceIndex before = fx.index;
 
   GraphDelta delta;
   delta.removed = {graph::Edge(graph::EdgeKeyU(candidates.back()),
                                graph::EdgeKeyV(candidates.back()))};
-  EXPECT_FALSE(engine.ApplyEdit(delta).ok());
+  ASSERT_TRUE(fx.released.ApplyDelta(delta).ok());
+  EXPECT_FALSE(fx.index
+                   .ApplyGraphDelta(fx.released, fx.targets,
+                                    MotifKind::kTriangle, delta)
+                   .ok());
+  EXPECT_TRUE(fx.index.BitIdentical(before));
 }
 
 INSTANTIATE_TEST_SUITE_P(

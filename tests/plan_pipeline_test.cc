@@ -288,7 +288,7 @@ TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
   Result<IndexedEngine> second = repository.AcquireEngine(a);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(repository.NumBuilds(), 1u);  // built once, cloned twice
+  EXPECT_EQ(repository.NumBuilds(), 1u);  // built once, copied twice
   EXPECT_EQ(repository.NumAcquisitions(), 2u);
   EXPECT_EQ(first->TotalSimilarity(), second->TotalSimilarity());
 
@@ -301,7 +301,7 @@ TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
   EXPECT_EQ(e1.status().ToString(), e2.status().ToString());
 }
 
-TEST(PlanPipelineTest, TakeEngineHandsOverThePrototypeOnce) {
+TEST(PlanPipelineTest, TakeEngineHandsOverTheIndexOnce) {
   const Graph& base = ArenasBase();
   InstanceRepository repository(&base);
   std::vector<Edge> targets = {base.Edges()[0], base.Edges()[1]};
@@ -316,8 +316,8 @@ TEST(PlanPipelineTest, TakeEngineHandsOverThePrototypeOnce) {
   EXPECT_EQ(taken->GainEvaluations(), 0u);
   EXPECT_EQ(repository.NumAcquisitions(), 1u);
 
-  // The prototype is gone: a second user is refused, never handed a
-  // moved-from engine.
+  // The index is gone: a second user is refused, never handed a
+  // moved-from index.
   Result<IndexedEngine> again = repository.AcquireEngine(group);
   EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(repository.NumBuilds(), 1u);

@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -822,6 +823,16 @@ TEST(PlanServer, SoakConcurrentClientsWithDisconnects) {
     });
   }
   for (std::thread& t : clients) t.join();
+  // A dead client returns as soon as its bytes are written, before the
+  // server has necessarily read them; drain only once every request is
+  // in (bounded, so a lost request fails the count below, not the run).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.snapshot_stats().admitted <
+             static_cast<uint64_t>(kClients * kPerClient) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
   server.RequestDrain();
   serve.join();
   ::unlink(path.c_str());

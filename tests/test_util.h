@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "graph/graph.h"
 
 namespace tpp::testing {
@@ -31,6 +32,15 @@ inline graph::Edge E(int u, int v) {
   return graph::Edge(static_cast<graph::NodeId>(u),
                      static_cast<graph::NodeId>(v));
 }
+
+/// Pins the global thread budget (which sizes the parallel sweeps, e.g.
+/// IndexedEngine::BeginRound's row fan-out) and restores the automatic
+/// resolution on scope exit, so an assertion that returns early cannot
+/// leak the setting into later tests.
+struct ScopedGlobalThreads {
+  explicit ScopedGlobalThreads(int threads) { SetGlobalThreadCount(threads); }
+  ~ScopedGlobalThreads() { SetGlobalThreadCount(0); }
+};
 
 }  // namespace tpp::testing
 

@@ -362,9 +362,9 @@ int RunBatch(const ParsedArgs& args) {
   if (!store.ok()) return Fail(store.status());
 
   PlanService plan_service(std::move(*g));
-  // One repository for the whole script: prototype engines survive the
-  // edit boundaries (repaired in place by ApplyEdit), so a step re-naming
-  // an untouched instance re-clones instead of re-enumerating.
+  // One repository for the whole script: built instances and indexes
+  // survive the edit boundaries (repaired in place by ApplyEdit), so a
+  // step re-naming an untouched instance copies instead of re-enumerating.
   service::InstanceRepository repository(&plan_service.base());
   std::unique_ptr<service::PlanCache> cache;
   if (*cache_size > 0 || *store != nullptr) {
@@ -584,7 +584,7 @@ int RunServe(const ParsedArgs& args) {
 
   PlanService plan_service(std::move(*g));
   // The same serving state `tpp batch` wires up, held for the server's
-  // whole life: prototype engines survive edit barriers, and with
+  // whole life: built groups survive edit barriers, and with
   // --store a restart re-serves scripts byte-identically from snapshots
   // and the plan log.
   service::InstanceRepository repository(&plan_service.base());
