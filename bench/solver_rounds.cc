@@ -25,8 +25,7 @@
 // that makes dirty-driven rounds pay off.
 //
 // Flags: --quick (fewer repetitions, CI smoke mode), --threads=N,
-//        --out=PATH (default BENCH_solver_rounds.json). TPP_PIN_THREADS=1
-//        pins pool workers (recorded in the JSON).
+//        --out=PATH (default BENCH_solver_rounds.json).
 
 #include <algorithm>
 #include <cstdio>
@@ -35,7 +34,6 @@
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/tpp.h"
 #include "graph/datasets.h"
@@ -211,8 +209,6 @@ void WriteJson(const std::string& path, bool quick,
   std::fprintf(f, "  \"scope\": \"subgraph\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"threads\": %d,\n", GlobalThreadCount());
-  std::fprintf(f, "  \"pinned_threads\": %s,\n",
-               ThreadPinningEnabled() ? "true" : "false");
   std::fprintf(f, "  \"bit_identical_to_cold_sweep\": true,\n");
   std::fprintf(f, "  \"runs\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {

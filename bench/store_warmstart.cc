@@ -211,7 +211,6 @@ BatchResult RunBatchComparison(const std::string& store_dir) {
     std::unique_ptr<WarmStore> store = WarmStore::Open(store_dir).value();
     service::PlanCache cache(1024);
     cache.set_backing_store(store.get());
-    cache.set_cache_failures(false);
     service::BatchOptions options;
     options.cache = &cache;
     options.store = store.get();

@@ -4,42 +4,9 @@
 #include <atomic>
 #include <memory>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
-#include "common/env.h"
 #include "common/flags.h"
 
 namespace tpp {
-
-namespace {
-
-// Pins the calling worker to one CPU when TPP_PIN_THREADS=1 (Linux only;
-// silently a no-op elsewhere or when the affinity call fails). Worker i
-// takes core (i + 1) mod hardware_concurrency so the caller-participates
-// ParallelFor keeps core 0 for the calling thread.
-void MaybePinWorker(size_t worker_index) {
-  if (!ThreadPinningEnabled()) return;
-#if defined(__linux__)
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET((worker_index + 1) % cores, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker_index;
-#endif
-}
-
-}  // namespace
-
-bool ThreadPinningEnabled() {
-  static const bool enabled = EnvInt("TPP_PIN_THREADS", 0) != 0;
-  return enabled;
-}
 
 ThreadPool::ThreadPool(int num_threads) {
   EnsureThreads(num_threads);
@@ -63,11 +30,7 @@ void ThreadPool::EnsureThreads(int num_threads) {
   num_threads = std::min(num_threads, kMaxThreads);
   std::lock_guard<std::mutex> lock(mu_);
   while (!stopping_ && static_cast<int>(threads_.size()) < num_threads) {
-    const size_t worker_index = threads_.size();
-    threads_.emplace_back([this, worker_index] {
-      MaybePinWorker(worker_index);
-      WorkerLoop();
-    });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

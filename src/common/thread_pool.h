@@ -79,14 +79,6 @@ class ThreadPool {
 /// the initial size.
 ThreadPool& GlobalThreadPool();
 
-/// True iff TPP_PIN_THREADS=1: pool workers pin themselves to one CPU each
-/// (worker i to core (i + 1) mod hardware_concurrency, leaving core 0 to
-/// the calling thread) via pthread_setaffinity_np on Linux; a no-op
-/// elsewhere. Off by default — the first measurement toward the
-/// NUMA/affinity roadmap item; bench/solver_rounds records this flag in
-/// its JSON so pinned and unpinned runs are distinguishable.
-bool ThreadPinningEnabled();
-
 }  // namespace tpp
 
 #endif  // TPP_COMMON_THREAD_POOL_H_

@@ -215,78 +215,31 @@ Status Graph::ApplyDelta(const GraphDelta& delta) {
   return Status::Ok();
 }
 
-Status Graph::EditSession::Insert(NodeId u, NodeId v) {
-  if (u >= g_->NumNodes() || v >= g_->NumNodes()) {
-    return Status::InvalidArgument(StrFormat(
-        "edge (%u,%u) out of range for n=%zu", u, v, g_->NumNodes()));
+Result<GraphDelta> MakeGraphDelta(std::vector<Edge> inserted,
+                                  std::vector<Edge> removed) {
+  auto by_key = [](const Edge& a, const Edge& b) { return a.Key() < b.Key(); };
+  for (std::vector<Edge>* edges : {&inserted, &removed}) {
+    for (Edge& e : *edges) {
+      if (e.u == e.v) {
+        return Status::InvalidArgument(
+            StrFormat("self-loop at node %u", e.u));
+      }
+      if (e.u > e.v) std::swap(e.u, e.v);
+    }
+    std::sort(edges->begin(), edges->end(), by_key);
+    auto dup = std::adjacent_find(edges->begin(), edges->end());
+    if (dup != edges->end()) {
+      return Status::InvalidArgument(
+          StrFormat("edge %u-%u listed twice", dup->u, dup->v));
+    }
   }
-  if (u == v) {
-    return Status::InvalidArgument(StrFormat("self-loop at node %u", u));
+  for (const Edge& e : inserted) {
+    if (std::binary_search(removed.begin(), removed.end(), e, by_key)) {
+      return Status::InvalidArgument(
+          StrFormat("edge %u-%u both inserted and removed", e.u, e.v));
+    }
   }
-  const EdgeKey key = MakeEdgeKey(u, v);
-  auto it = std::lower_bound(
-      pending_.begin(), pending_.end(), key,
-      [](const std::pair<EdgeKey, bool>& p, EdgeKey k) { return p.first < k; });
-  const bool present =
-      (it != pending_.end() && it->first == key) ? it->second
-                                                 : g_->HasEdgeKey(key);
-  if (present) {
-    return Status::AlreadyExists(StrFormat("edge (%u,%u) exists", u, v));
-  }
-  if (it != pending_.end() && it->first == key) {
-    it->second = true;
-  } else {
-    pending_.insert(it, {key, true});
-  }
-  return Status::Ok();
-}
-
-Status Graph::EditSession::Remove(NodeId u, NodeId v) {
-  if (u >= g_->NumNodes() || v >= g_->NumNodes()) {
-    return Status::InvalidArgument(StrFormat(
-        "edge (%u,%u) out of range for n=%zu", u, v, g_->NumNodes()));
-  }
-  if (u == v) {
-    return Status::InvalidArgument(StrFormat("self-loop at node %u", u));
-  }
-  const EdgeKey key = MakeEdgeKey(u, v);
-  auto it = std::lower_bound(
-      pending_.begin(), pending_.end(), key,
-      [](const std::pair<EdgeKey, bool>& p, EdgeKey k) { return p.first < k; });
-  const bool present =
-      (it != pending_.end() && it->first == key) ? it->second
-                                                 : g_->HasEdgeKey(key);
-  if (!present) {
-    return Status::NotFound(StrFormat("edge (%u,%u) absent", u, v));
-  }
-  if (it != pending_.end() && it->first == key) {
-    it->second = false;
-  } else {
-    pending_.insert(it, {key, false});
-  }
-  return Status::Ok();
-}
-
-size_t Graph::EditSession::NumPendingChanges() const {
-  size_t n = 0;
-  for (const auto& [key, present] : pending_) {
-    if (present != g_->HasEdgeKey(key)) ++n;
-  }
-  return n;
-}
-
-Result<GraphDelta> Graph::EditSession::Commit() {
-  GraphDelta delta;
-  // pending_ is key-sorted, so the delta lists come out sorted for free.
-  for (const auto& [key, present] : pending_) {
-    const bool now = g_->HasEdgeKey(key);
-    if (present == now) continue;  // insert+remove (or the reverse) cancelled
-    Edge e(EdgeKeyU(key), EdgeKeyV(key));
-    (present ? delta.inserted : delta.removed).push_back(e);
-  }
-  pending_.clear();
-  TPP_RETURN_IF_ERROR(g_->ApplyDelta(delta));
-  return delta;
+  return GraphDelta{std::move(inserted), std::move(removed)};
 }
 
 bool operator==(const Graph& a, const Graph& b) {

@@ -22,12 +22,11 @@
 
 namespace tpp::graph {
 
-/// The normalized outcome of one committed edit session: the NET edge
-/// changes relative to the pre-commit graph. Both lists hold canonical
-/// (u < v) edges, sorted ascending by key, duplicate-free and disjoint —
-/// an edge inserted and removed inside the same session cancels out and
-/// appears in neither. Consumers (fingerprint update, index repair, cache
-/// invalidation) rely on exactly this contract.
+/// One normalized base-graph edit: the edges it inserts and removes. Both
+/// lists hold canonical (u < v) edges, sorted ascending by key,
+/// duplicate-free and disjoint (MakeGraphDelta builds exactly this).
+/// Consumers (Graph::ApplyDelta, fingerprint update, index repair, cache
+/// invalidation) rely on the contract.
 struct GraphDelta {
   std::vector<Edge> inserted;
   std::vector<Edge> removed;
@@ -35,6 +34,13 @@ struct GraphDelta {
   bool empty() const { return inserted.empty() && removed.empty(); }
   size_t size() const { return inserted.size() + removed.size(); }
 };
+
+/// Normalizes raw insert/remove lists to the GraphDelta contract: puts
+/// endpoints in canonical order and sorts each list by key. A self-loop,
+/// an edge listed twice in one list, or an edge in both lists is an
+/// InvalidArgument. Validation against a graph is Graph::ApplyDelta's job.
+Result<GraphDelta> MakeGraphDelta(std::vector<Edge> inserted,
+                                  std::vector<Edge> removed);
 
 /// Mutable undirected simple graph on nodes 0..NumNodes()-1.
 ///
@@ -138,50 +144,12 @@ class Graph {
   /// ascending at all times.
   Status AddEdges(std::span<const Edge> edges);
 
-  /// Batched edit session against this graph. Queue Insert/Remove ops —
-  /// each validated against the graph AS EDITED by the ops queued before
-  /// it, so inserting a queued-removed edge is legal and an op that would
-  /// no-op is an error surfaced immediately — then Commit() applies the
-  /// net changes and returns the normalized GraphDelta. The session holds
-  /// a pointer to the graph: do not mutate the graph directly while a
-  /// session is open.
-  class EditSession {
-   public:
-    /// Queues insertion of {u,v}. Errors: InvalidArgument (range,
-    /// self-loop), AlreadyExists (present in the pending view).
-    Status Insert(NodeId u, NodeId v);
-
-    /// Queues removal of {u,v}. Errors: InvalidArgument (range,
-    /// self-loop), NotFound (absent from the pending view).
-    Status Remove(NodeId u, NodeId v);
-
-    /// Net pending changes so far (cancelling pairs excluded).
-    size_t NumPendingChanges() const;
-
-    /// Applies the net changes (removals first, then one batched
-    /// AddEdges) and returns the normalized delta. The session is empty
-    /// afterwards and may be reused for a further edit.
-    Result<GraphDelta> Commit();
-
-   private:
-    friend class Graph;
-    explicit EditSession(Graph* g) : g_(g) {}
-
-    Graph* g_;
-    // Desired post-commit presence per touched key, sorted by key. Small
-    // batches dominate, so a sorted vector beats a hash map here.
-    std::vector<std::pair<EdgeKey, bool>> pending_;
-  };
-
-  /// Opens an edit session. See EditSession.
-  EditSession BeginEdit() { return EditSession(this); }
-
   /// Applies an already-normalized delta (the GraphDelta contract:
   /// canonical sorted unique disjoint lists): every `removed` edge must be
   /// present and every `inserted` edge absent, else the graph is left
-  /// untouched and an error returned. Removals apply first. This is how a
-  /// delta committed against one copy of a graph replays onto another
-  /// (e.g. the released graphs of InstanceRepository groups).
+  /// untouched and an error returned. Removals apply first. The same
+  /// delta replays onto every copy of the graph (e.g. the released graphs
+  /// of InstanceRepository groups).
   Status ApplyDelta(const GraphDelta& delta);
 
   /// Structural equality: same node count and same edge set.

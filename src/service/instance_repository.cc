@@ -42,10 +42,7 @@ motif::IndexSnapshotMeta InstanceRepository::SnapshotMeta(
 
 void InstanceRepository::WriteBack(const Group& group) {
   Status saved = store_->SaveIndex(*group.index, SnapshotMeta(group));
-  if (saved.ok()) {
-    snapshot_stores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    store_write_failures_.fetch_add(1, std::memory_order_relaxed);
+  if (!saved.ok()) {
     std::fprintf(stderr, "tpp: warm store snapshot write failed (%s)\n",
                  saved.ToString().c_str());
   }
@@ -72,11 +69,9 @@ void InstanceRepository::BuildGroup(Group& group,
         store_->LoadIndex(SnapshotMeta(group));
     if (snapshot.ok()) {
       if (snapshot->NumTargets() == group.targets.size()) {
-        snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
         group.index.emplace(std::move(*snapshot));
         return;
       }
-      store_degradations_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr,
                    "tpp: warm store snapshot rejected at adoption (index "
                    "was built over %zu targets, not %zu); cold-building\n",
@@ -84,8 +79,7 @@ void InstanceRepository::BuildGroup(Group& group,
     } else if (snapshot.status().code() != StatusCode::kNotFound) {
       // Present but invalid (corrupt file, format/fingerprint mismatch)
       // or unreadable after retries: one rung down the degradation
-      // ladder — warn, count, cold-build.
-      store_degradations_.fetch_add(1, std::memory_order_relaxed);
+      // ladder — warn (the store counts it), cold-build.
       std::fprintf(stderr,
                    "tpp: warm store snapshot rejected (%s); cold-building\n",
                    snapshot.status().ToString().c_str());

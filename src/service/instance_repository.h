@@ -148,32 +148,6 @@ class InstanceRepository {
     return acquisitions_.load(std::memory_order_relaxed);
   }
 
-  /// Builds satisfied by adopting a store snapshot (<= NumBuilds()).
-  size_t NumSnapshotHits() const {
-    return snapshot_hits_.load(std::memory_order_relaxed);
-  }
-
-  /// Cold builds whose index was written back to the store.
-  size_t NumSnapshotStores() const {
-    return snapshot_stores_.load(std::memory_order_relaxed);
-  }
-
-  /// Snapshot write-backs that failed (after the store's retry policy
-  /// gave up). Every failure is also warned on stderr, but warnings
-  /// cannot be gated on — this counter feeds BatchStats and the batch
-  /// footer so CI can assert on it.
-  size_t NumStoreWriteFailures() const {
-    return store_write_failures_.load(std::memory_order_relaxed);
-  }
-
-  /// Snapshot loads that degraded to a cold build: the file existed but
-  /// failed validation or I/O (kNotFound clean misses excluded). One
-  /// step of the degradation ladder — service continues, warm start is
-  /// lost.
-  size_t NumStoreDegradations() const {
-    return store_degradations_.load(std::memory_order_relaxed);
-  }
-
   /// Advances every group across a committed base-graph edit. The caller
   /// has already applied `delta` to the base graph this repository points
   /// at; `new_fingerprint` is the post-edit graph::Fingerprint (the key
@@ -229,7 +203,7 @@ class InstanceRepository {
   motif::IndexSnapshotMeta SnapshotMeta(const Group& group) const;
 
   /// Best-effort write-back of `group`'s index to the store: a full disk
-  /// or I/O error is counted and warned, never returned.
+  /// or I/O error is warned, never returned (the store counts it).
   void WriteBack(const Group& group);
 
   /// Returns `group` to the unbuilt state; the next acquisition rebuilds.
@@ -247,10 +221,6 @@ class InstanceRepository {
   std::unordered_map<std::string, size_t> ids_;
   std::atomic<size_t> builds_{0};
   std::atomic<size_t> acquisitions_{0};
-  std::atomic<size_t> snapshot_hits_{0};
-  std::atomic<size_t> snapshot_stores_{0};
-  std::atomic<size_t> store_write_failures_{0};
-  std::atomic<size_t> store_degradations_{0};
   // Mutated only by ApplyEdit, which runs single-threaded between
   // batches; plain counters suffice.
   size_t edit_repairs_ = 0;

@@ -66,9 +66,9 @@ bool SurvivesEdit(std::string_view key,
 
 // Whether a failed response's status depends on when (not what) was
 // asked: a deadline that expired, a cancellation, or a transient store
-// hiccup. Memoizing these — even with cache_failures on — would poison
-// the cache: the same request retried with a fresh deadline would be
-// served the stale failure instead of being solved.
+// hiccup. Memoizing these would poison the cache: the same request
+// retried with a fresh deadline would be served the stale failure
+// instead of being solved.
 bool IsTimingDependent(const Status& status) {
   switch (status.code()) {
     case StatusCode::kDeadlineExceeded:
@@ -173,8 +173,7 @@ void PlanCache::InsertInMemory(const std::string& key, Entry entry,
 
 void PlanCache::Insert(const std::string& key, PlanResponse response) {
   const bool ok_response = response.status.ok();
-  if (!ok_response &&
-      (!cache_failures_ || IsTimingDependent(response.status))) {
+  if (!ok_response && IsTimingDependent(response.status)) {
     return;  // never memoize (timing-dependent) failures
   }
   Entry entry = std::make_shared<const PlanResponse>(std::move(response));
@@ -184,8 +183,8 @@ void PlanCache::Insert(const std::string& key, PlanResponse response) {
     InsertInMemory(key, entry, &evicted);
   }
   // Write-through happens outside the lock (encode + append are the slow
-  // half); failures are never persisted regardless of cache_failures_ —
-  // a transient error must not outlive the process that saw it.
+  // half); failures are never persisted — a transient error must not
+  // outlive the process that saw it.
   if (backing_ != nullptr && ok_response) {
     Status appended = backing_->AppendPlan(key, store::EncodePlanResponse(*entry));
     if (!appended.ok()) {

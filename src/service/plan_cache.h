@@ -13,20 +13,19 @@
 // abbreviated by its 64-bit fingerprint, whose ~2^-64 collision risk the
 // cache accepts (see graph/fingerprint.h).
 //
-// Failed responses are cached too by default: a request that
-// deterministically fails (e.g. sampling more targets than the graph has
-// edges) fails identically on recomputation, so serving the memoized
-// status preserves bit-identity. set_cache_failures(false) turns that
-// memoization off for deployments where failures can be transient (an
-// OOM-killed build, a disk hiccup); the disk-backed store runs in that
-// mode so a transient error is never persisted and served across runs.
+// Failed responses are cached too: a request that deterministically
+// fails (e.g. sampling more targets than the graph has edges) fails
+// identically on recomputation, so serving the memoized status preserves
+// bit-identity. TIMING-DEPENDENT failures (deadline exceeded, canceled,
+// transient unavailability) are never memoized — a retry with a fresh
+// deadline must re-solve, not replay the stale verdict.
 //
 // An optional backing store (service/store/warm_store.h) extends the
 // in-memory LRU across process restarts: OK responses write through to
 // the store's plan log, and an in-memory miss probes the store before
 // reporting a miss — a disk hit decodes, refills the memory tier, and
-// serves. Failed responses NEVER reach the store regardless of
-// cache_failures.
+// serves. Failed responses NEVER reach the store: a failure stays in the
+// process that saw it.
 //
 // Thread-safe: PlanService pipeline workers probe and fill one cache
 // concurrently; a single mutex suffices because entries are coarse (one
@@ -150,15 +149,6 @@ class PlanCache {
   /// Not owned; must outlive the cache or be detached first.
   void set_backing_store(store::WarmStore* backing) { backing_ = backing; }
 
-  /// Whether failed responses are memoized in memory (default true; see
-  /// file comment). Failures never reach the backing store either way,
-  /// and TIMING-DEPENDENT failures (deadline exceeded, canceled,
-  /// transient unavailability) are never memoized at all — a retry with
-  /// a fresh deadline must re-solve, not replay the stale verdict.
-  void set_cache_failures(bool cache_failures) {
-    cache_failures_ = cache_failures;
-  }
-
  private:
   // Entries are immutable once inserted; shared_ptr ownership lets
   // Lookup hand the payload out of the critical section safely even if
@@ -184,7 +174,6 @@ class PlanCache {
   uint64_t rekeyed_by_edit_ = 0;
   std::atomic<uint64_t> backing_write_failures_{0};  // bumped outside mu_
   store::WarmStore* backing_ = nullptr;  // not owned
-  bool cache_failures_ = true;
 };
 
 }  // namespace tpp::service

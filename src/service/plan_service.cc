@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <fstream>
 #include <limits>
@@ -22,7 +21,6 @@
 #include "graph/fingerprint.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
-#include "service/store/warm_store.h"
 
 namespace tpp::service {
 
@@ -184,12 +182,6 @@ std::vector<PlanResponse> PlanService::RunPipeline(
                                        ? *options.repository
                                        : local_repository;
   const size_t builds_before = repository.NumBuilds();
-  const size_t snapshot_hits_before = repository.NumSnapshotHits();
-  const size_t snapshot_stores_before = repository.NumSnapshotStores();
-  // Store health counters are cumulative on the store; report this run's
-  // deltas (retries absorbed, writes lost, degradations) alongside.
-  store::WarmStore::Stats store_before;
-  if (options.store != nullptr) store_before = options.store->stats();
   // A cold group's one-time index build parallelizes over the same pool
   // budget the solve stage gets; nesting inside a pool worker is safe
   // (the building worker drains its own ParallelFor chunks).
@@ -225,17 +217,12 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     }
   }
 
-  // -- Stages 5-7: build-once, solve, serialize, cache-fill. Units are
-  // claimed dynamically by up to max_workers workers. Mirroring
-  // ThreadPool::ParallelFor, the calling thread always participates, so
-  // progress never depends on a free pool thread; between its own units
-  // (and while waiting at the end) it also delivers the completed
-  // in-order prefix to the sink.
-  std::mutex mu;
-  std::condition_variable cv;
-  int helpers_left = 0;  // guarded by mu
-  std::atomic<size_t> next{0};
-
+  // -- Stages 5-8: build-once, solve, serialize, cache-fill, deliver.
+  // ParallelFor hands units to up to max_workers workers, the calling
+  // thread always among them. A finished unit marks its slot done and,
+  // under the same mutex, delivers the ready prefix in input order, so
+  // the sink sees every request once, in order, and never concurrently.
+  // With one worker the whole loop runs inline: solve one, deliver one.
   auto run_unit = [&](Unit& unit) {
     WallTimer timer;
     const PlanRequest& request = requests[unit.index];
@@ -263,91 +250,32 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     // deterministically, so a cached failure equals a recomputed one.
     if (options.cache) options.cache->Insert(keys[unit.index], response);
   };
-  // -- Stage 8 (interleaved): deliver in input order. `delivered` is only
-  // touched by the calling thread; a done flag observed under the mutex
-  // happens-after the worker's writes to that response slot, and final
-  // slots are never written again, so the copy/sink below runs unlocked.
-  size_t delivered = 0;
+  std::mutex mu;
+  size_t delivered = 0;  // guarded by mu once workers run
   auto deliver_ready = [&] {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (delivered >= n || !done[rep[delivered]]) return;
-      }
-      size_t i = delivered++;
+    for (; delivered < n && done[rep[delivered]]; ++delivered) {
+      const size_t i = delivered;
       if (rep[i] != i) responses[i] = responses[rep[i]];
       if (sink) (*sink)(i, responses[i]);
     }
   };
-  // `deliver` is true only on the calling thread: it flushes the ready
-  // prefix between its own units, so a 1-worker run streams
-  // solve-one-deliver-one and a parallel run streams at request
-  // granularity.
-  auto claim_units = [&](bool deliver) {
-    for (;;) {
-      if (deliver) deliver_ready();
-      size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= units.size()) break;
-      run_unit(units[k]);
-      {
-        // Notify under the lock: the caller destroys cv right after its
-        // exit predicate holds, so a notify outside the critical section
-        // could touch a dead condition variable.
-        std::lock_guard<std::mutex> lock(mu);
-        done[units[k].index] = 1;
-        cv.notify_all();
-      }
-    }
-  };
-
-  int helpers = 0;
-  if (units.size() > 1 && max_workers > 1) {
-    helpers = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(max_workers - 1), units.size() - 1));
-  }
-  if (helpers > 0) {
-    helpers_left = helpers;
-    ThreadPool& pool = GlobalThreadPool();
-    pool.EnsureThreads(helpers);
-    for (int h = 0; h < helpers; ++h) {
-      // Helpers capture the local pipeline state by reference; the final
-      // wait below does not return until every helper task has finished,
-      // so nothing of this frame escapes the call.
-      pool.Run([&] {
-        claim_units(/*deliver=*/false);
-        // Notify under the lock (see claim_units): after the caller sees
-        // helpers_left == 0 this frame — cv included — may be gone.
-        std::lock_guard<std::mutex> lock(mu);
-        --helpers_left;
-        cv.notify_all();
+  // No worker runs outside the loop, so these two calls need no lock.
+  // The first delivers the leading cache hits; the second anything still
+  // undelivered (normally the last unit to finish flushed it all).
+  deliver_ready();
+  GlobalThreadPool().ParallelFor(
+      units.size(), max_workers, /*grain=*/1, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          run_unit(units[k]);
+          std::lock_guard<std::mutex> lock(mu);
+          done[units[k].index] = 1;
+          deliver_ready();
+        }
       });
-    }
-  }
-
-  claim_units(/*deliver=*/true);  // the caller is always worker 0
-  for (;;) {
-    deliver_ready();
-    std::unique_lock<std::mutex> lock(mu);
-    if (delivered == n && helpers_left == 0) break;
-    cv.wait(lock, [&] {
-      return helpers_left == 0 ||
-             (delivered < n && done[rep[delivered]]);
-    });
-  }
+  deliver_ready();
 
   stats.instance_groups = repository.NumGroups();
   stats.instance_builds = repository.NumBuilds() - builds_before;
-  stats.snapshot_hits = repository.NumSnapshotHits() - snapshot_hits_before;
-  stats.snapshot_stores =
-      repository.NumSnapshotStores() - snapshot_stores_before;
-  if (options.store != nullptr) {
-    store::WarmStore::Stats store_now = options.store->stats();
-    stats.store_retries = store_now.io_retries - store_before.io_retries;
-    stats.store_write_failures =
-        store_now.write_failures - store_before.write_failures;
-    stats.store_degradations =
-        store_now.degradations() - store_before.degradations();
-  }
   for (const PlanResponse& response : responses) {
     if (response.status.code() == StatusCode::kDeadlineExceeded) {
       ++stats.deadline_exceeded;
@@ -580,31 +508,9 @@ Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
   return request;
 }
 
-Result<std::vector<PlanRequest>> ParsePlanRequests(std::istream& stream) {
-  std::vector<PlanRequest> requests;
-  size_t line_number = 0;
-  std::string line;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped.front() == '#') continue;
-    TPP_ASSIGN_OR_RETURN(
-        PlanRequest request,
-        ParsePlanRequestLine(stripped, line_number, requests.size()));
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
-Result<std::vector<PlanRequest>> ParsePlanRequests(const std::string& text) {
-  std::istringstream stream(text);
-  return ParsePlanRequests(stream);
-}
-
-Result<std::vector<PlanRequest>> LoadPlanRequests(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) return Status::IoError("cannot open " + path);
-  return ParsePlanRequests(f);
+bool IsEditDirective(std::string_view line) {
+  return line == "edit" || line.starts_with("edit ") ||
+         line.starts_with("edit\t");
 }
 
 Result<graph::GraphDelta> ParseEditLine(std::string_view text, size_t line) {
@@ -653,29 +559,13 @@ Result<graph::GraphDelta> ParseEditLine(std::string_view text, size_t line) {
     return Status::InvalidArgument(StrFormat(
         "line %zu: edit needs at least one of insert=/remove=", line));
   }
-  // Normalize to the GraphDelta contract: canonical endpoints, each list
-  // key-sorted (ParseLinkList already rejected within-list duplicates),
-  // lists disjoint.
-  auto canonicalize = [](std::vector<Edge>* edges) {
-    for (Edge& e : *edges) {
-      if (e.u > e.v) std::swap(e.u, e.v);
-    }
-    std::sort(edges->begin(), edges->end(),
-              [](const Edge& a, const Edge& b) { return a.Key() < b.Key(); });
-  };
-  canonicalize(&delta.inserted);
-  canonicalize(&delta.removed);
-  for (const Edge& e : delta.inserted) {
-    if (std::binary_search(delta.removed.begin(), delta.removed.end(), e,
-                           [](const Edge& a, const Edge& b) {
-                             return a.Key() < b.Key();
-                           })) {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: edge %u-%u both inserted and removed", line,
-                    e.u, e.v));
-    }
+  Result<graph::GraphDelta> normalized = graph::MakeGraphDelta(
+      std::move(delta.inserted), std::move(delta.removed));
+  if (!normalized.ok()) {
+    return Status::InvalidArgument(StrFormat(
+        "line %zu: %s", line, normalized.status().message().c_str()));
   }
-  return delta;
+  return normalized;
 }
 
 Result<std::vector<PlanScriptStep>> ParsePlanScript(std::istream& stream) {
@@ -688,8 +578,7 @@ Result<std::vector<PlanScriptStep>> ParsePlanScript(std::istream& stream) {
     ++line_number;
     std::string_view stripped = StripWhitespace(line);
     if (stripped.empty() || stripped.front() == '#') continue;
-    if (stripped == "edit" || stripped.rfind("edit ", 0) == 0 ||
-        stripped.rfind("edit\t", 0) == 0) {
+    if (IsEditDirective(stripped)) {
       TPP_ASSIGN_OR_RETURN(current.edit, ParseEditLine(stripped, line_number));
       steps.push_back(std::move(current));
       current = PlanScriptStep{};

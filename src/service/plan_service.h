@@ -116,9 +116,11 @@ struct PlanResponse {
   bool from_cache = false;    ///< served by a PlanCache hit
 };
 
-/// Counters one pipeline run fills when BatchOptions::stats is set. Every
-/// request is accounted exactly once among cache_hits, dedup_shared, and
-/// solved.
+/// Counters one pipeline run fills when BatchOptions::stats is set: what
+/// the pipeline decided, plus the repository's builds and groups (a
+/// batch-local repository reports them nowhere else). Store events are
+/// the store's own count (WarmStore::stats()). Every request is accounted
+/// exactly once among cache_hits, dedup_shared, and solved.
 struct BatchStats {
   size_t requests = 0;        ///< batch size
   size_t cache_hits = 0;      ///< served straight from the PlanCache
@@ -126,23 +128,10 @@ struct BatchStats {
   size_t solved = 0;          ///< executed by the solve stage (incl. failures)
   size_t instance_groups = 0; ///< distinct (targets, motif) groups solved
   size_t instance_builds = 0; ///< TppInstance + index builds performed
-  size_t snapshot_hits = 0;   ///< builds satisfied by a warm-store snapshot
-  size_t snapshot_stores = 0; ///< cold builds written back to the store
   /// Requests whose response is kDeadlineExceeded (their own deadline_ms
   /// or the batch deadline fired). Dedup followers of an expired
   /// representative count too — they carry the same response.
   size_t deadline_exceeded = 0;
-  /// Transient store I/O errors this run absorbed via the retry policy
-  /// (store attached only; see RetryPolicy in store/retry_policy.h).
-  size_t store_retries = 0;
-  /// Store writes (snapshot save, plan append, segment seal) that failed
-  /// even after retries. Requests still succeed — the write degrades to
-  /// "not persisted".
-  size_t store_write_failures = 0;
-  /// Every store shortfall this run: write failures + reads degraded to
-  /// cold builds/solves + rejected snapshots. Zero in a healthy run; the
-  /// batch footer prints it and CI gates on it.
-  size_t store_degradations = 0;
 };
 
 /// Knobs of one RunBatch pipeline execution.
@@ -197,9 +186,10 @@ struct EditSummary {
 };
 
 /// Streaming delivery callback: invoked once per request, in input order,
-/// on the calling thread, as the completed prefix of the batch grows —
+/// never concurrently, as the completed prefix of the batch grows —
 /// response i is delivered as soon as requests 0..i have all finished, so
 /// long batches can be tailed without waiting for the slowest request.
+/// The call comes from the calling thread or from a pool worker.
 using ResponseSink =
     std::function<void(size_t index, const PlanResponse& response)>;
 
@@ -232,15 +222,14 @@ class PlanService {
 
   /// Streaming pipeline execution: delivers each response to `sink` (see
   /// ResponseSink for the ordering contract) instead of collecting them.
-  /// The calling thread participates in solving, so delivery granularity
-  /// is one request; with max_workers == 1 this is exact
-  /// solve-one-deliver-one streaming.
+  /// Delivery granularity is one request; with max_workers == 1 everything
+  /// runs on the calling thread, solve one then deliver one.
   void RunBatch(std::span<const PlanRequest> requests,
                 const BatchOptions& options, const ResponseSink& sink) const;
 
   /// Commits a normalized base-graph edit (the GraphDelta contract —
-  /// typically a graph::Graph::EditSession::Commit result replayed here)
-  /// to the LIVE service: applies the delta to the base graph, advances
+  /// typically a ParseEditLine or graph::MakeGraphDelta result) to the
+  /// LIVE service: applies the delta to the base graph, advances
   /// the fingerprint in O(|delta|) (graph::UpdateFingerprint — no
   /// re-walk), and keeps the serving state consistent:
   ///   * `cache` (if given): entries under the old fingerprint whose
@@ -260,8 +249,8 @@ class PlanService {
   /// overlaps an in-flight RunBatch returns kFailedPrecondition
   /// and changes nothing, instead of mutating the base graph under a
   /// running solve. Callers that interleave edits with serving (the plan
-  /// server's epoch barrier, the CLI's edit sessions) retry or sequence
-  /// at their own drain point.
+  /// server's epoch barrier, the batch script's edit steps) retry or
+  /// sequence at their own drain point.
   Result<EditSummary> ApplyEdit(const graph::GraphDelta& delta,
                                 PlanCache* cache = nullptr,
                                 InstanceRepository* repository = nullptr);
@@ -286,32 +275,24 @@ Result<std::vector<graph::Edge>> ParseLinkList(std::string_view value);
 /// Parses one request line (the format above, already stripped of
 /// comments and surrounding whitespace). `line` is the 1-based line
 /// number used in error messages; `index` names the request "r<index>"
-/// when the line has no name= token. The building block of the stream
-/// overload below, exposed for feeds that arrive a line at a time.
+/// when the line has no name= token. The building block of
+/// ParsePlanScript, exposed for feeds that arrive a line at a time.
 Result<PlanRequest> ParsePlanRequestLine(std::string_view text, size_t line,
                                          size_t index);
 
-/// Parses a request stream line by line (format above; see
-/// docs/SERVICE.md) — each line is read, validated, and appended before
-/// the next is pulled from the stream, so arbitrarily long files never
-/// need a second in-memory copy. Errors name the offending line.
-Result<std::vector<PlanRequest>> ParsePlanRequests(std::istream& stream);
-
-/// Parses an in-memory request file.
-Result<std::vector<PlanRequest>> ParsePlanRequests(const std::string& text);
-
-/// Loads and parses a request file from disk (line by line).
-Result<std::vector<PlanRequest>> LoadPlanRequests(const std::string& path);
+/// True iff the (stripped) script line is an `edit` directive rather
+/// than a request: the word `edit`, alone or followed by whitespace.
+bool IsEditDirective(std::string_view line);
 
 /// Parses one `edit` directive line of a batch script:
 ///
 ///   edit insert=u-v;u-v remove=u-v
 ///
 /// At least one of insert=/remove= must be present; both take the
-/// ParseLinkList syntax. The result is normalized to the GraphDelta
-/// contract (canonical u<v endpoints, each list sorted by key and
-/// duplicate-free, lists disjoint); violations are parse errors, so a
-/// parsed delta is always directly applicable.
+/// ParseLinkList syntax. The result is normalized by graph::MakeGraphDelta
+/// (canonical u<v endpoints, each list sorted by key and duplicate-free,
+/// lists disjoint); violations are parse errors, so a parsed delta is
+/// always directly applicable.
 Result<graph::GraphDelta> ParseEditLine(std::string_view text, size_t line);
 
 /// One step of a batch script: the requests to run, then (optionally) the

@@ -217,8 +217,7 @@ void PlanServer::HandleLine(const std::shared_ptr<Session>& session,
     return;
   }
 
-  if (stripped == "edit" || stripped.rfind("edit ", 0) == 0 ||
-      stripped.rfind("edit\t", 0) == 0) {
+  if (IsEditDirective(stripped)) {
     Result<graph::GraphDelta> delta =
         ParseEditLine(stripped, session->line_number);
     if (!delta.ok()) {

@@ -324,6 +324,7 @@ Status WarmStore::SaveIndex(const motif::IncidenceIndex& index,
     ++stats_.write_failures;
     return written;
   }
+  ++stats_.index_writes;
   EnforceCapacity();
   return Status::Ok();
 }

@@ -93,6 +93,7 @@ class WarmStore {
     uint64_t index_hits = 0;
     uint64_t index_misses = 0;   ///< no snapshot file for the key
     uint64_t index_rejects = 0;  ///< snapshot present but failed validation
+    uint64_t index_writes = 0;   ///< snapshot files SaveIndex wrote
     uint64_t plan_hits = 0;
     uint64_t plan_misses = 0;
     uint64_t evicted_files = 0;
@@ -134,7 +135,8 @@ class WarmStore {
 
   /// Writes the snapshot for `meta` atomically (complete file or
   /// nothing), then enforces the capacity. Oversized snapshots are not
-  /// admitted (OK is still returned; the store just declines).
+  /// admitted (OK is still returned; the store just declines, and only
+  /// a written file counts in index_writes).
   Status SaveIndex(const motif::IncidenceIndex& index,
                    const motif::IndexSnapshotMeta& meta);
 

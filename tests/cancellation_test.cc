@@ -51,9 +51,9 @@ constexpr const char* kHeavyRequest =
     "algorithm=sgb sample=1500 seed=3 budget=300 motif=Rectangle";
 
 std::vector<PlanRequest> Parse(const std::string& text) {
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  EXPECT_TRUE(requests.ok()) << requests.status().ToString();
-  return *requests;
+  Result<std::vector<PlanScriptStep>> script = ParsePlanScript(text);
+  EXPECT_TRUE(script.ok()) << script.status().ToString();
+  return script->front().requests;  // no edit lines: one step
 }
 
 void ExpectSameResponse(const PlanResponse& got, const PlanResponse& want,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -81,8 +82,20 @@ TEST(ParseEditLineTest, RejectsMalformedDirectives) {
   EXPECT_FALSE(ParseEditLine("edit insert=1-1", 1).ok());
   EXPECT_FALSE(ParseEditLine("edit insert=1-2;2-1", 1).ok());
   // Inserting and removing the same edge in one directive is
-  // contradictory, not a cancellation.
-  EXPECT_FALSE(ParseEditLine("edit insert=1-2 remove=2-1", 1).ok());
+  // contradictory, not a cancellation; the error names the line.
+  Result<GraphDelta> overlap = ParseEditLine("edit insert=1-2 remove=2-1", 3);
+  ASSERT_FALSE(overlap.ok());
+  EXPECT_EQ(overlap.status().message(),
+            "line 3: edge 1-2 both inserted and removed");
+}
+
+TEST(ParseEditLineTest, EditDirectiveIsTheWordEditAlone) {
+  EXPECT_TRUE(IsEditDirective("edit"));
+  EXPECT_TRUE(IsEditDirective("edit insert=1-2"));
+  EXPECT_TRUE(IsEditDirective("edit\tremove=1-2"));
+  EXPECT_FALSE(IsEditDirective("editor=1"));
+  EXPECT_FALSE(IsEditDirective("edits insert=1-2"));
+  EXPECT_FALSE(IsEditDirective("algorithm=sgb edit"));
 }
 
 TEST(ParsePlanScriptTest, SplitsRequestsIntoStepsAtEditLines) {
@@ -287,23 +300,27 @@ TEST(PlanServiceEditTest, TargetTouchingEditResetsTheGroup) {
 }
 
 // A seeded random edit: up to `removes` present edges out and up to
-// `inserts` absent pairs in, normalized by an edit session on a copy of
-// `g`. Target links are fair game — those edits reset their groups.
+// `inserts` absent pairs in, normalized by graph::MakeGraphDelta. Target
+// links are fair game — those edits reset their groups.
 GraphDelta RandomEdit(const Graph& g, size_t removes, size_t inserts,
                       Rng& rng) {
-  Graph copy = g;
-  Graph::EditSession session = copy.BeginEdit();
+  std::set<graph::EdgeKey> touched;  // each edge at most once per edit
+  std::vector<Edge> inserted;
+  std::vector<Edge> removed;
   const std::vector<Edge> edges = g.Edges();
   for (size_t i = 0; i < removes; ++i) {
     const Edge& e = edges[rng.UniformIndex(edges.size())];
-    (void)session.Remove(e.u, e.v);  // a repeat pick is refused: skip it
+    if (touched.insert(e.Key()).second) removed.push_back(e);
   }
   for (size_t i = 0; i < inserts; ++i) {
     const auto u = static_cast<graph::NodeId>(rng.UniformIndex(g.NumNodes()));
     const auto v = static_cast<graph::NodeId>(rng.UniformIndex(g.NumNodes()));
-    (void)session.Insert(u, v);  // self-loops and present pairs: skip
+    if (u == v || g.HasEdge(u, v)) continue;  // self-loops, present pairs
+    if (touched.insert(graph::MakeEdgeKey(u, v)).second) {
+      inserted.emplace_back(u, v);
+    }
   }
-  return *session.Commit();
+  return *graph::MakeGraphDelta(std::move(inserted), std::move(removed));
 }
 
 // The differential behind in-place repair: a repository carried across a

@@ -1,4 +1,4 @@
-// Tests for batched edit sessions (Graph::BeginEdit), delta replay
+// Tests for edit normalization (MakeGraphDelta), delta application
 // (Graph::ApplyDelta), and the edit-commutative fingerprint update.
 
 #include <gtest/gtest.h>
@@ -20,86 +20,52 @@ using ::tpp::testing::MakeGraph;
 
 Graph Path5() { return MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}); }
 
-TEST(GraphEditTest, CommitAppliesNetChanges) {
+TEST(GraphEditTest, ApplyDeltaAppliesInsertsAndRemoves) {
   Graph g = Path5();
-  Graph::EditSession session = g.BeginEdit();
-  ASSERT_TRUE(session.Insert(0, 4).ok());
-  ASSERT_TRUE(session.Remove(1, 2).ok());
-  ASSERT_TRUE(session.Insert(2, 4).ok());
-  EXPECT_EQ(session.NumPendingChanges(), 3u);
-
-  Result<GraphDelta> delta = session.Commit();
+  Result<GraphDelta> delta =
+      MakeGraphDelta({E(0, 4), E(2, 4)}, {E(1, 2)});
   ASSERT_TRUE(delta.ok());
-  EXPECT_EQ(delta->inserted, (std::vector<Edge>{E(0, 4), E(2, 4)}));
-  EXPECT_EQ(delta->removed, (std::vector<Edge>{E(1, 2)}));
+  ASSERT_TRUE(g.ApplyDelta(*delta).ok());
   EXPECT_EQ(g, MakeGraph(5, {{0, 1}, {2, 3}, {3, 4}, {0, 4}, {2, 4}}));
 }
 
 TEST(GraphEditTest, DeltaListsAreCanonicalAndSorted) {
-  Graph g = Path5();
-  Graph::EditSession session = g.BeginEdit();
-  // Queue in descending, endpoint-swapped order; the delta must come out
-  // canonical (u < v) and ascending by key regardless.
-  ASSERT_TRUE(session.Insert(4, 1).ok());
-  ASSERT_TRUE(session.Insert(2, 0).ok());
-  ASSERT_TRUE(session.Remove(3, 2).ok());
-  ASSERT_TRUE(session.Remove(1, 0).ok());
-  Result<GraphDelta> delta = session.Commit();
+  // Descending, endpoint-swapped input; the delta must come out canonical
+  // (u < v) and ascending by key regardless.
+  Result<GraphDelta> delta =
+      MakeGraphDelta({E(4, 1), E(2, 0)}, {E(3, 2), E(1, 0)});
   ASSERT_TRUE(delta.ok());
   EXPECT_EQ(delta->inserted, (std::vector<Edge>{E(0, 2), E(1, 4)}));
   EXPECT_EQ(delta->removed, (std::vector<Edge>{E(0, 1), E(2, 3)}));
+  for (const std::vector<Edge>* list : {&delta->inserted, &delta->removed}) {
+    for (const Edge& e : *list) EXPECT_LT(e.u, e.v);
+  }
 }
 
-TEST(GraphEditTest, InsertThenRemoveCancels) {
-  Graph g = Path5();
-  const Graph before = g;
-  Graph::EditSession session = g.BeginEdit();
-  ASSERT_TRUE(session.Insert(0, 3).ok());
-  ASSERT_TRUE(session.Remove(0, 3).ok());  // legal: present in pending view
-  ASSERT_TRUE(session.Remove(1, 2).ok());
-  ASSERT_TRUE(session.Insert(1, 2).ok());  // legal: absent in pending view
-  EXPECT_EQ(session.NumPendingChanges(), 0u);
-  Result<GraphDelta> delta = session.Commit();
-  ASSERT_TRUE(delta.ok());
-  EXPECT_TRUE(delta->empty());
-  EXPECT_EQ(g, before);
+TEST(GraphEditTest, MakeGraphDeltaRejectsDuplicatesOverlapAndSelfLoops) {
+  // Listed twice, including as its reversal.
+  EXPECT_EQ(MakeGraphDelta({E(1, 2), E(2, 1)}, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MakeGraphDelta({}, {E(3, 4), E(3, 4)}).status().code(),
+            StatusCode::kInvalidArgument);
+  // In both lists: contradictory, not a cancellation.
+  Result<GraphDelta> overlap = MakeGraphDelta({E(0, 3)}, {E(3, 0)});
+  ASSERT_FALSE(overlap.ok());
+  EXPECT_EQ(overlap.status().message(), "edge 0-3 both inserted and removed");
+  EXPECT_EQ(MakeGraphDelta({E(2, 2)}, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MakeGraphDelta({}, {}).ok());
 }
 
-TEST(GraphEditTest, ValidatesAgainstPendingView) {
-  Graph g = Path5();
-  Graph::EditSession session = g.BeginEdit();
-  EXPECT_EQ(session.Insert(0, 1).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(session.Remove(0, 2).code(), StatusCode::kNotFound);
-  EXPECT_EQ(session.Insert(2, 2).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.Insert(0, 9).code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(session.Insert(0, 2).ok());
-  EXPECT_EQ(session.Insert(2, 0).code(), StatusCode::kAlreadyExists);
-  ASSERT_TRUE(session.Remove(0, 1).ok());
-  EXPECT_EQ(session.Remove(0, 1).code(), StatusCode::kNotFound);
-}
-
-TEST(GraphEditTest, SessionReusableAfterCommit) {
-  Graph g = Path5();
-  Graph::EditSession session = g.BeginEdit();
-  ASSERT_TRUE(session.Insert(0, 2).ok());
-  ASSERT_TRUE(session.Commit().ok());
-  EXPECT_EQ(session.NumPendingChanges(), 0u);
-  ASSERT_TRUE(session.Remove(0, 2).ok());
-  Result<GraphDelta> delta = session.Commit();
-  ASSERT_TRUE(delta.ok());
-  EXPECT_EQ(delta->removed, (std::vector<Edge>{E(0, 2)}));
-  EXPECT_EQ(g, Path5());
-}
-
-TEST(GraphEditTest, CommitKeepsAdjacencySorted) {
+TEST(GraphEditTest, ApplyDeltaKeepsAdjacencySorted) {
   // Many inserts into one hub exercise the batched backward-merge path.
   Graph g(50);
   for (NodeId v = 10; v < 20; ++v) ASSERT_TRUE(g.AddEdge(0, v).ok());
-  Graph::EditSession session = g.BeginEdit();
-  for (NodeId v : {45u, 5u, 25u, 1u, 35u, 9u, 49u}) {
-    ASSERT_TRUE(session.Insert(0, v).ok());
-  }
-  ASSERT_TRUE(session.Commit().ok());
+  std::vector<Edge> inserts;
+  for (NodeId v : {45u, 5u, 25u, 1u, 35u, 9u, 49u}) inserts.push_back(E(0, v));
+  Result<GraphDelta> delta = MakeGraphDelta(std::move(inserts), {});
+  ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(g.ApplyDelta(*delta).ok());
   std::span<const NodeId> nbrs = g.Neighbors(0);
   EXPECT_EQ(nbrs.size(), 17u);
   EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
@@ -110,11 +76,9 @@ TEST(GraphEditTest, CommitKeepsAdjacencySorted) {
 TEST(GraphEditTest, ApplyDeltaReplaysOntoACopy) {
   Graph original = Path5();
   Graph copy = original;
-  Graph::EditSession session = original.BeginEdit();
-  ASSERT_TRUE(session.Insert(0, 3).ok());
-  ASSERT_TRUE(session.Remove(3, 4).ok());
-  Result<GraphDelta> delta = session.Commit();
+  Result<GraphDelta> delta = MakeGraphDelta({E(0, 3)}, {E(3, 4)});
   ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(original.ApplyDelta(*delta).ok());
   ASSERT_TRUE(copy.ApplyDelta(*delta).ok());
   EXPECT_EQ(copy, original);
 }
@@ -136,17 +100,19 @@ TEST(GraphEditTest, ApplyDeltaErrorsLeaveGraphUntouched) {
   EXPECT_EQ(g.ApplyDelta(inserts_present).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(g, before);
+
+  GraphDelta out_of_range;
+  out_of_range.inserted = {E(0, 9)};
+  EXPECT_EQ(g.ApplyDelta(out_of_range).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g, before);
 }
 
 TEST(GraphEditTest, UpdateFingerprintMatchesFullRecompute) {
   Graph g = Path5();
   uint64_t fp = Fingerprint(g);
-  Graph::EditSession session = g.BeginEdit();
-  ASSERT_TRUE(session.Insert(0, 2).ok());
-  ASSERT_TRUE(session.Insert(1, 4).ok());
-  ASSERT_TRUE(session.Remove(2, 3).ok());
-  Result<GraphDelta> delta = session.Commit();
+  Result<GraphDelta> delta = MakeGraphDelta({E(0, 2), E(1, 4)}, {E(2, 3)});
   ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(g.ApplyDelta(*delta).ok());
   fp = UpdateFingerprint(fp, delta->inserted, delta->removed);
   EXPECT_EQ(fp, Fingerprint(g));
 }
@@ -180,35 +146,40 @@ TEST(GraphEditTest, FingerprintUpdateIsCommutative) {
 }
 
 TEST(GraphEditTest, RandomizedChurnMatchesReferenceModel) {
-  // Fuzz: random insert/remove churn through edit sessions must track a
-  // plain std::set edge model, and the O(delta) fingerprint must track
-  // the full recompute across every commit.
+  // Fuzz: random insert/remove churn through MakeGraphDelta + ApplyDelta
+  // must track a plain std::set edge model, and the O(delta) fingerprint
+  // must track the full recompute across every edit.
   Rng rng(20260809);
   Graph g = *ErdosRenyiGnp(24, 0.15, rng);
   std::set<EdgeKey> model;
   for (const Edge& e : g.Edges()) model.insert(e.Key());
   uint64_t fp = Fingerprint(g);
 
-  for (int commit = 0; commit < 40; ++commit) {
-    Graph::EditSession session = g.BeginEdit();
-    std::set<EdgeKey> pending = model;
+  for (int edit = 0; edit < 40; ++edit) {
+    std::set<EdgeKey> next = model;
+    std::set<EdgeKey> touched;  // an edit names each edge at most once
+    std::vector<Edge> inserted;
+    std::vector<Edge> removed;
     const size_t ops = 1 + rng.UniformIndex(8);
     for (size_t i = 0; i < ops; ++i) {
       NodeId u = static_cast<NodeId>(rng.UniformIndex(24));
       NodeId v = static_cast<NodeId>(rng.UniformIndex(24));
       if (u == v) continue;
       EdgeKey key = MakeEdgeKey(u, v);
-      if (pending.count(key)) {
-        ASSERT_TRUE(session.Remove(u, v).ok());
-        pending.erase(key);
+      if (!touched.insert(key).second) continue;
+      if (model.count(key)) {
+        removed.push_back(E(u, v));
+        next.erase(key);
       } else {
-        ASSERT_TRUE(session.Insert(u, v).ok());
-        pending.insert(key);
+        inserted.push_back(E(u, v));
+        next.insert(key);
       }
     }
-    Result<GraphDelta> delta = session.Commit();
+    Result<GraphDelta> delta =
+        MakeGraphDelta(std::move(inserted), std::move(removed));
     ASSERT_TRUE(delta.ok());
-    model = pending;
+    ASSERT_TRUE(g.ApplyDelta(*delta).ok());
+    model = next;
     fp = UpdateFingerprint(fp, delta->inserted, delta->removed);
 
     ASSERT_EQ(g.NumEdges(), model.size());

@@ -2,7 +2,10 @@
 // content-addressed caching, and streaming delivery must all reproduce a
 // cold sequential RunOneCold loop bit for bit.
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/indexed_engine.h"
@@ -44,9 +47,10 @@ std::vector<PlanRequest> PipelineBatch() {
       "name=r6 algorithm=rdt sample=8 seed=12 budget=4 motif=Rectangle\n"
       "name=r7 algorithm=sgb sample=999999 seed=14 budget=2\n"
       "name=r8 algorithm=full sample=4 seed=15\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  EXPECT_TRUE(requests.ok()) << requests.status().ToString();
-  return *requests;
+  Result<std::vector<PlanScriptStep>> script = ParsePlanScript(text);
+  EXPECT_TRUE(script.ok()) << script.status().ToString();
+  EXPECT_EQ(script->size(), 1u);  // no edit lines: one step
+  return script->front().requests;
 }
 
 void ExpectSameResponse(const PlanResponse& got, const PlanResponse& want,
@@ -120,6 +124,69 @@ TEST(PlanPipelineTest, EndToEndBitIdenticalToColdSequentialLoop) {
     }
     cache.Clear();
   }
+}
+
+// The ResponseSink contract under real concurrency: four workers, 18
+// solve units, a leading and an interior cache hit, and dedup followers
+// (the last one trailing, of a cache hit). The sink must see every index
+// exactly once, in input order, never re-entered, and the same bytes as
+// a one-worker run.
+TEST(PlanPipelineTest, ParallelSinkIsSerialInOrderAndExactlyOnce) {
+  PlanService plan_service(ArenasBase());
+  std::vector<PlanRequest> requests;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    PlanRequest request;
+    request.name = "s" + std::to_string(seed);
+    request.spec.algorithm = seed % 2 == 1 ? "sgb" : "ct-tbd";
+    request.spec.budget = 3;
+    request.sample = 3;
+    request.seed = seed;
+    requests.push_back(std::move(request));
+  }
+  requests.insert(requests.begin() + 7, requests[2]);
+  requests.push_back(requests[10]);
+  requests.push_back(requests[0]);
+  const std::vector<PlanRequest> warm = {requests[0], requests[9]};
+
+  auto run = [&](int workers) {
+    PlanCache cache(0);
+    BatchOptions options;
+    options.cache = &cache;
+    plan_service.RunBatch(warm, options);  // the two cache hits
+    BatchStats stats;
+    options.stats = &stats;
+    options.max_workers = workers;
+    std::atomic<int> inside{0};
+    std::vector<size_t> order;
+    std::vector<PlanResponse> got(requests.size());
+    plan_service.RunBatch(
+        requests, options, [&](size_t i, const PlanResponse& response) {
+          EXPECT_EQ(inside.fetch_add(1), 0) << "sink re-entered at " << i;
+          // Widen the window a concurrent delivery would hit.
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          order.push_back(i);
+          got[i] = response;
+          inside.fetch_sub(1);
+        });
+    EXPECT_EQ(stats.cache_hits, 2u);
+    EXPECT_EQ(stats.dedup_shared, 3u);
+    EXPECT_EQ(stats.solved, 18u);
+    EXPECT_EQ(order.size(), requests.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i], i) << "workers=" << workers;
+    }
+    return got;
+  };
+
+  const std::vector<PlanResponse> serial = run(1);
+  const std::vector<PlanResponse> parallel = run(4);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(serial[i].status.ok()) << serial[i].status.ToString();
+    ExpectSameResponse(parallel[i], serial[i], requests[i].name);
+    EXPECT_EQ(parallel[i].from_cache, serial[i].from_cache);
+  }
+  EXPECT_TRUE(serial.front().from_cache);
+  EXPECT_TRUE(serial.back().from_cache);
 }
 
 TEST(PlanPipelineTest, DedupSolvesEachDistinctRequestOnce) {

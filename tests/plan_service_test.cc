@@ -148,11 +148,13 @@ TEST(PlanServiceTest, ParsesRequestFile) {
       "budget=10\n"
       "links=3-14;15-92 algorithm=ct-tbd budget=full scope=all\n"
       "algorithm=katz\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
-  ASSERT_EQ(requests->size(), 3u);
+  Result<std::vector<PlanScriptStep>> script = ParsePlanScript(text);
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  ASSERT_EQ(script->size(), 1u);  // no edit lines: one step
+  const std::vector<PlanRequest>& requests = script->front().requests;
+  ASSERT_EQ(requests.size(), 3u);
 
-  const PlanRequest& alpha = (*requests)[0];
+  const PlanRequest& alpha = requests[0];
   EXPECT_EQ(alpha.name, "alpha");
   EXPECT_EQ(alpha.spec.algorithm, "sgb");
   EXPECT_EQ(alpha.motif, motif::MotifKind::kRectangle);
@@ -160,7 +162,7 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(alpha.seed, 5u);
   EXPECT_EQ(alpha.spec.budget, 10u);
 
-  const PlanRequest& second = (*requests)[1];
+  const PlanRequest& second = requests[1];
   EXPECT_EQ(second.name, "r1");  // defaulted from line index
   ASSERT_EQ(second.targets.size(), 2u);
   EXPECT_EQ(second.targets[0], Edge(3, 14));
@@ -168,7 +170,7 @@ TEST(PlanServiceTest, ParsesRequestFile) {
   EXPECT_EQ(second.spec.budget, SolverSpec::kFullProtection);
   EXPECT_EQ(second.spec.scope, core::CandidateScope::kAllEdges);
 
-  EXPECT_EQ((*requests)[2].spec.algorithm, "katz");
+  EXPECT_EQ(requests[2].spec.algorithm, "katz");
 }
 
 // Every bad token fails at parse time with the line prefix, whichever
@@ -202,7 +204,7 @@ TEST(PlanServiceTest, ParseErrorsNameTheLine) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.token);
-    Result<std::vector<PlanRequest>> parsed = ParsePlanRequests(
+    Result<std::vector<PlanScriptStep>> parsed = ParsePlanScript(
         std::string("# header\nalgorithm=sgb ") + c.token + "\n");
     ASSERT_FALSE(parsed.ok());
     const std::string message = parsed.status().message();
@@ -240,28 +242,29 @@ TEST(PlanServiceTest, ParseLinkListRejectsMalformedAndDegenerateLinks) {
 TEST(PlanServiceTest, ParseRequestLineEdgeCases) {
   // Duplicate/degenerate links= values fail at parse time, naming the
   // line.
-  Result<std::vector<PlanRequest>> dup =
-      ParsePlanRequests("# header\nalgorithm=sgb links=1-2;2-1\n");
+  Result<std::vector<PlanScriptStep>> dup =
+      ParsePlanScript("# header\nalgorithm=sgb links=1-2;2-1\n");
   ASSERT_FALSE(dup.ok());
   EXPECT_NE(dup.status().ToString().find("line 2"), std::string::npos);
-  EXPECT_FALSE(ParsePlanRequests("links=7-7\n").ok());
-  EXPECT_FALSE(ParsePlanRequests("links=1-99999999999\n").ok());
+  EXPECT_FALSE(ParsePlanRequestLine("links=7-7", 1, 0).ok());
+  EXPECT_FALSE(ParsePlanRequestLine("links=1-99999999999", 1, 0).ok());
 
   // released= toggles the want_released payload flag (off by default)
   // and takes 0|1|true|false; sample=0 is a legal (empty) sample.
-  Result<std::vector<PlanRequest>> parsed = ParsePlanRequests(
+  Result<std::vector<PlanScriptStep>> script = ParsePlanScript(
       "algorithm=sgb sample=5\n"
       "algorithm=sgb sample=5 released=1\n"
       "algorithm=sgb sample=5 released=0\n"
       "algorithm=sgb sample=5 released=true\n"
       "algorithm=sgb sample=0 released=false\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_FALSE((*parsed)[0].want_released);
-  EXPECT_TRUE((*parsed)[1].want_released);
-  EXPECT_FALSE((*parsed)[2].want_released);
-  EXPECT_TRUE((*parsed)[3].want_released);
-  EXPECT_FALSE((*parsed)[4].want_released);
-  EXPECT_EQ((*parsed)[4].sample, 0u);
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  const std::vector<PlanRequest>& parsed = script->front().requests;
+  EXPECT_FALSE(parsed[0].want_released);
+  EXPECT_TRUE(parsed[1].want_released);
+  EXPECT_FALSE(parsed[2].want_released);
+  EXPECT_TRUE(parsed[3].want_released);
+  EXPECT_FALSE(parsed[4].want_released);
+  EXPECT_EQ(parsed[4].sample, 0u);
 }
 
 TEST(PlanServiceTest, OutOfRangeNodeIdsFailPerRequestNotPerBatch) {

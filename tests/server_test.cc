@@ -303,7 +303,6 @@ class StdioServer {
 
   PlanServer& server() { return *server_; }
   PlanService& service() { return service_; }
-  InstanceRepository& repository() { return repository_; }
 
  private:
   PlanService service_;
@@ -757,6 +756,7 @@ TEST(PlanServer, KillAndRestartOverStoreIsByteIdentical) {
   fs::remove_all(dir);
   std::vector<std::string> script(std::begin(kScript), std::end(kScript));
   std::vector<std::string> first;
+  uint64_t snapshot_writes = 0;
   {
     Result<std::unique_ptr<store::WarmStore>> store =
         store::WarmStore::Open(dir.string(), {});
@@ -765,9 +765,10 @@ TEST(PlanServer, KillAndRestartOverStoreIsByteIdentical) {
     for (const std::string& line : script) server.Send(line + "\n");
     first = server.ReadLines(script.size());
     EXPECT_TRUE(server.Join().ok());
+    snapshot_writes = (*store)->stats().index_writes;
   }
   std::vector<std::string> second;
-  size_t snapshot_hits = 0;
+  uint64_t snapshot_hits = 0;
   {
     Result<std::unique_ptr<store::WarmStore>> store =
         store::WarmStore::Open(dir.string(), {});
@@ -776,10 +777,11 @@ TEST(PlanServer, KillAndRestartOverStoreIsByteIdentical) {
     for (const std::string& line : script) server.Send(line + "\n");
     second = server.ReadLines(script.size());
     EXPECT_TRUE(server.Join().ok());
-    snapshot_hits = server.repository().NumSnapshotHits();
+    snapshot_hits = (*store)->stats().index_hits;
   }
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, OfflineTranscript(script));
+  EXPECT_GT(snapshot_writes, 0u) << "first run persisted no snapshot";
   EXPECT_GT(snapshot_hits, 0u) << "restart did not warm-start from the store";
   fs::remove_all(dir);
 }

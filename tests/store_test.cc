@@ -149,9 +149,9 @@ void ExpectCorruptionFallsBack(const std::string& dir_name,
   Result<core::IndexedEngine> engine = repository.AcquireEngine(group);
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_TRUE(engine->index().BitIdentical(built));
-  EXPECT_EQ(repository.NumSnapshotHits(), 0u);
+  EXPECT_EQ(store->stats().index_hits, 0u);
   // The cold build re-wrote a good snapshot over the corrupt one.
-  EXPECT_EQ(repository.NumSnapshotStores(), 1u);
+  EXPECT_EQ(store->stats().index_writes, 1u);
   Result<IncidenceIndex> healed = store->LoadIndex(meta);
   ASSERT_TRUE(healed.ok()) << healed.status();
   EXPECT_TRUE(healed->BitIdentical(built));
@@ -241,8 +241,8 @@ TEST(WarmStoreRepositoryTest, ColdBuildWritesBackAndSecondRunAdopts) {
     repository.set_store(store.get(), meta.graph_fingerprint);
     const size_t group = repository.Intern(inst.targets, inst.motif);
     ASSERT_TRUE(repository.AcquireEngine(group).ok());
-    EXPECT_EQ(repository.NumSnapshotHits(), 0u);
-    EXPECT_EQ(repository.NumSnapshotStores(), 1u);
+    EXPECT_EQ(store->stats().index_hits, 0u);
+    EXPECT_EQ(store->stats().index_writes, 1u);
   }
   // "Restart": a fresh store handle and repository adopt the snapshot.
   std::unique_ptr<WarmStore> store = OpenStore(dir);
@@ -251,8 +251,8 @@ TEST(WarmStoreRepositoryTest, ColdBuildWritesBackAndSecondRunAdopts) {
   const size_t group = repository.Intern(inst.targets, inst.motif);
   Result<core::IndexedEngine> engine = repository.AcquireEngine(group);
   ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(repository.NumSnapshotHits(), 1u);
-  EXPECT_EQ(repository.NumSnapshotStores(), 0u);
+  EXPECT_EQ(store->stats().index_hits, 1u);
+  EXPECT_EQ(store->stats().index_writes, 0u);
   IncidenceIndex built =
       *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
   EXPECT_TRUE(engine->index().BitIdentical(built));
@@ -368,7 +368,8 @@ TEST(WarmStoreTest, CapacityEvictsOldestFirstAndSkipsOversized) {
   Result<std::string> bytes = IndexSnapshotCodec::Serialize(built, meta);
   ASSERT_TRUE(bytes.ok());
 
-  // Capacity below one snapshot: the save is declined outright.
+  // Capacity below one snapshot: the save is declined outright, and a
+  // declined snapshot is not a write.
   {
     StoreOptions options;
     options.capacity_bytes = bytes->size() / 2;
@@ -376,6 +377,7 @@ TEST(WarmStoreTest, CapacityEvictsOldestFirstAndSkipsOversized) {
         OpenStore(TempStoreDir("oversized"), options);
     ASSERT_TRUE(store->SaveIndex(built, meta).ok());
     EXPECT_EQ(store->stats().admission_rejects, 1u);
+    EXPECT_EQ(store->stats().index_writes, 0u);
     EXPECT_EQ(store->LoadIndex(meta).status().code(), StatusCode::kNotFound);
   }
 
@@ -388,6 +390,7 @@ TEST(WarmStoreTest, CapacityEvictsOldestFirstAndSkipsOversized) {
     std::unique_ptr<WarmStore> store =
         OpenStore(TempStoreDir("evict"), options);
     ASSERT_TRUE(store->SaveIndex(built, meta).ok());
+    EXPECT_EQ(store->stats().index_writes, 1u);
     ASSERT_TRUE(store->LoadIndex(meta).ok());  // bump the snapshot's LRU
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(store
@@ -497,7 +500,7 @@ TEST(PlanCacheStoreTest, FailuresAreNeverPersistedOrServedAcrossRuns) {
     std::unique_ptr<WarmStore> store = OpenStore(dir);
     PlanCache cache(8);
     cache.set_backing_store(store.get());
-    // Default (cache_failures on): the failure memoizes in memory only.
+    // The failure memoizes in memory only.
     cache.Insert(key, failed);
     PlanResponse out;
     EXPECT_TRUE(cache.Lookup(key, &out));
@@ -511,14 +514,6 @@ TEST(PlanCacheStoreTest, FailuresAreNeverPersistedOrServedAcrossRuns) {
     std::unique_ptr<WarmStore> store = OpenStore(dir);
     PlanCache cache(8);
     cache.set_backing_store(store.get());
-    PlanResponse out;
-    EXPECT_FALSE(cache.Lookup(key, &out));
-  }
-  {
-    // cache_failures off: not even the in-memory tier memoizes.
-    PlanCache cache(8);
-    cache.set_cache_failures(false);
-    cache.Insert(key, failed);
     PlanResponse out;
     EXPECT_FALSE(cache.Lookup(key, &out));
   }
@@ -798,23 +793,22 @@ TEST(FaultToleranceServiceTest, TotalStoreFailureDegradesToBaseline) {
       "name=a algorithm=sgb sample=8 seed=5 budget=4\n"
       "name=b algorithm=rdt sample=6 seed=6 budget=3 motif=Rectangle\n"
       "name=c algorithm=wt-dbd sample=5 seed=7 budget=4\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  ASSERT_TRUE(requests.ok());
+  Result<std::vector<PlanScriptStep>> script = ParsePlanScript(text);
+  ASSERT_TRUE(script.ok());
+  const std::vector<PlanRequest>& requests = script->front().requests;
   PlanService plan_service(ArenasBase());
   const std::vector<PlanResponse> reference =
-      plan_service.RunBatch(*requests, BatchOptions{});
+      plan_service.RunBatch(requests, BatchOptions{});
 
   ASSERT_TRUE(fault::FaultInjector::Global().Arm("*:p=1:permanent", 1).ok());
   std::unique_ptr<WarmStore> store = OpenStore(TempStoreDir("ft_total"));
   PlanCache cache(16);
   cache.set_backing_store(store.get());
-  BatchStats stats;
   BatchOptions options;
   options.cache = &cache;
   options.store = store.get();
-  options.stats = &stats;
   const std::vector<PlanResponse> degraded =
-      plan_service.RunBatch(*requests, options);
+      plan_service.RunBatch(requests, options);
   fault::FaultInjector::Global().Disarm();
 
   ASSERT_EQ(degraded.size(), reference.size());
@@ -828,8 +822,7 @@ TEST(FaultToleranceServiceTest, TotalStoreFailureDegradesToBaseline) {
   }
   // The shortfall is visible, not silent.
   EXPECT_GT(store->stats().write_failures, 0u);
-  EXPECT_GT(stats.store_write_failures, 0u);
-  EXPECT_GT(stats.store_degradations, 0u);
+  EXPECT_GT(store->stats().degradations(), 0u);
   EXPECT_GT(cache.stats().backing_write_failures, 0u);
 }
 
@@ -841,11 +834,12 @@ TEST(FaultToleranceServiceTest, TransientFaultProfileIsInvisible) {
       "name=a algorithm=sgb sample=8 seed=5 budget=4\n"
       "name=b algorithm=rdt sample=6 seed=6 budget=3 motif=Rectangle\n"
       "name=c algorithm=wt-dbd sample=5 seed=7 budget=4\n";
-  Result<std::vector<PlanRequest>> requests = ParsePlanRequests(text);
-  ASSERT_TRUE(requests.ok());
+  Result<std::vector<PlanScriptStep>> script = ParsePlanScript(text);
+  ASSERT_TRUE(script.ok());
+  const std::vector<PlanRequest>& requests = script->front().requests;
   PlanService plan_service(ArenasBase());
   const std::vector<PlanResponse> reference =
-      plan_service.RunBatch(*requests, BatchOptions{});
+      plan_service.RunBatch(requests, BatchOptions{});
 
   ASSERT_TRUE(fault::FaultInjector::Global()
                   .Arm("*:p=0.05:transient", 20260809)
@@ -856,21 +850,18 @@ TEST(FaultToleranceServiceTest, TransientFaultProfileIsInvisible) {
     std::unique_ptr<WarmStore> store = OpenStore(dir);
     PlanCache cache(16);
     cache.set_backing_store(store.get());
-    BatchStats stats;
     BatchOptions options;
     options.max_workers = 1;  // keep the injected call sequence stable
     options.cache = &cache;
     options.store = store.get();
-    options.stats = &stats;
     const std::vector<PlanResponse> run =
-        plan_service.RunBatch(*requests, options);
+        plan_service.RunBatch(requests, options);
     ASSERT_EQ(run.size(), reference.size());
     for (size_t i = 0; i < reference.size(); ++i) {
       ASSERT_TRUE(run[i].status.ok()) << run[i].status.ToString();
       EXPECT_EQ(run[i].plan_text, reference[i].plan_text);
     }
     EXPECT_EQ(store->stats().degradations(), 0u);
-    EXPECT_EQ(stats.store_degradations, 0u);
     EXPECT_EQ(cache.stats().backing_write_failures, 0u);
   }
   fault::FaultInjector::Global().Disarm();

@@ -113,7 +113,6 @@ std::vector<PlanResponse> RunWithStore(PlanService& plan_service,
   std::unique_ptr<WarmStore> store = WarmStore::Open(dir).value();
   PlanCache cache(64);
   cache.set_backing_store(store.get());
-  cache.set_cache_failures(false);
   BatchOptions options;
   options.cache = &cache;
   options.store = store.get();

@@ -36,14 +36,13 @@
 //       stalling the rest of the batch. When any request fails, the
 //       batch exits non-zero and prints a per-status-code failure
 //       breakdown footer (docs/ROBUSTNESS.md).
-//       Both protect and batch take --store=DIR [--store-cap=BYTES]
-//       [--cache-failures]: a disk-backed warm-start store
-//       (service/store/warm_store.h, docs/STORAGE.md) that persists built
-//       IncidenceIndex snapshots and solved plans across process runs.
-//       A warm run mmaps the snapshot instead of re-enumerating motifs
-//       and serves repeated requests from the on-disk plan log; output is
-//       bit-identical either way. Failed responses are never persisted;
-//       --cache-failures re-enables their in-memory memoization only.
+//       Both protect and batch take --store=DIR [--store-cap=BYTES]: a
+//       disk-backed warm-start store (service/store/warm_store.h,
+//       docs/STORAGE.md) that persists built IncidenceIndex snapshots and
+//       solved plans across process runs. A warm run mmaps the snapshot
+//       instead of re-enumerating motifs and serves repeated requests
+//       from the on-disk plan log; output is bit-identical either way.
+//       Failed responses are memoized in memory only, never persisted.
 //   tpp store <ls|verify|evict> --store=DIR
 //       Store maintenance: `ls` lists entries (fingerprint, motif, bytes,
 //       age), `verify` checksums every entry (exit 0 = clean, 1 =
@@ -54,11 +53,12 @@
 //       (superseded by edits, or written under an old format version).
 //   tpp edit --graph=G.edges [--insert=u-v;u-v] [--remove=u-v;u-v]
 //            [--out=FILE]
-//       Offline batched graph edit: applies the inserts/removes through
-//       one Graph::EditSession commit, prints the old and new structural
-//       fingerprints (the new one advanced in O(delta) and cross-checked
-//       against a full recompute), and optionally writes the edited edge
-//       list.
+//       Offline batched graph edit: normalizes the inserts/removes into
+//       one GraphDelta exactly as an `edit` directive does (an edge in
+//       both lists is an error), applies it all-or-nothing, prints the old
+//       and new structural fingerprints (the new one advanced in O(delta)
+//       and cross-checked against a full recompute), and optionally
+//       writes the edited edge list.
 //   tpp serve --graph=G.edges (--socket=PATH | --stdio) [batch flags]
 //             [--queue-depth=N] [--queued-bytes=B] [--per-client=N]
 //             [--est-request-ms=MS] [--max-batch=N]
@@ -192,14 +192,16 @@ Result<std::unique_ptr<service::store::WarmStore>> OpenStoreFromFlags(
   return store;
 }
 
+// The store footer: every number is the store's or the cache's own count
+// for this process.
 void PrintStoreStats(const service::store::WarmStore& store,
-                     const service::BatchStats& stats,
                      const service::PlanCache* cache) {
   service::store::WarmStore::Stats ss = store.stats();
   std::printf(
-      "warm store %s: %zu snapshot hits, %zu snapshot writes, "
+      "warm store %s: %llu snapshot hits, %llu snapshot writes, "
       "%llu plan hits, %llu rejects, %llu evicted files\n",
-      store.dir().c_str(), stats.snapshot_hits, stats.snapshot_stores,
+      store.dir().c_str(), static_cast<unsigned long long>(ss.index_hits),
+      static_cast<unsigned long long>(ss.index_writes),
       static_cast<unsigned long long>(ss.plan_hits),
       static_cast<unsigned long long>(ss.index_rejects +
                                       ss.admission_rejects),
@@ -281,20 +283,17 @@ int RunProtect(const ParsedArgs& args) {
   // its warm-start hooks engage.
   PlanService plan_service(*g);
   std::unique_ptr<service::PlanCache> cache;
-  service::BatchStats stats;
   service::BatchOptions options;
-  options.stats = &stats;
   if (*store != nullptr) {
     cache = std::make_unique<service::PlanCache>(/*capacity=*/16);
     cache->set_backing_store(store->get());
-    cache->set_cache_failures(args.GetBool("cache-failures"));
     options.cache = cache.get();
     options.store = store->get();
   }
   PlanResponse response = std::move(plan_service.RunBatch(
       std::span<const PlanRequest>(&request, 1), options)[0]);
   if (!response.status.ok()) return Fail(response.status);
-  if (*store != nullptr) PrintStoreStats(**store, stats, cache.get());
+  if (*store != nullptr) PrintStoreStats(**store, cache.get());
 
   core::TppInstance instance = {
       plan_service.base(), response.targets, request.motif};
@@ -373,11 +372,8 @@ int RunBatch(const ParsedArgs& args) {
     cache = std::make_unique<service::PlanCache>(
         static_cast<size_t>(*cache_size > 0 ? *cache_size : 1024));
   }
-  if (*store != nullptr) {
-    cache->set_backing_store(store->get());
-    cache->set_cache_failures(args.GetBool("cache-failures"));
-  }
-  service::BatchStats stats;  // accumulated across every script step
+  if (*store != nullptr) cache->set_backing_store(store->get());
+  service::BatchStats stats;  // footer fields, summed over script steps
 
   std::string plan_dir = args.GetString("plan-dir", "");
   Status plan_io = Status::Ok();
@@ -475,18 +471,9 @@ int RunBatch(const ParsedArgs& args) {
         write_plan(request, response);
       }
     }
-    stats.requests += step_stats.requests;
-    stats.cache_hits += step_stats.cache_hits;
     stats.dedup_shared += step_stats.dedup_shared;
-    stats.solved += step_stats.solved;
     stats.instance_groups = step_stats.instance_groups;  // cumulative total
     stats.instance_builds += step_stats.instance_builds;
-    stats.snapshot_hits += step_stats.snapshot_hits;
-    stats.snapshot_stores += step_stats.snapshot_stores;
-    stats.deadline_exceeded += step_stats.deadline_exceeded;
-    stats.store_retries += step_stats.store_retries;
-    stats.store_write_failures += step_stats.store_write_failures;
-    stats.store_degradations += step_stats.store_degradations;
     if (step.edit.has_value()) {
       Result<service::EditSummary> summary =
           plan_service.ApplyEdit(*step.edit, cache.get(), &repository);
@@ -524,7 +511,7 @@ int RunBatch(const ParsedArgs& args) {
                 stats.dedup_shared, stats.instance_builds,
                 stats.instance_groups);
   }
-  if (*store != nullptr) PrintStoreStats(**store, stats, cache.get());
+  if (*store != nullptr) PrintStoreStats(**store, cache.get());
   if (failures > 0) {
     // One stable line, codes in name order: "failures: 2/10
     // (DeadlineExceeded=1 InvalidArgument=1)".
@@ -593,10 +580,7 @@ int RunServe(const ParsedArgs& args) {
     cache = std::make_unique<service::PlanCache>(
         static_cast<size_t>(*cache_size > 0 ? *cache_size : 1024));
   }
-  if (*store != nullptr) {
-    cache->set_backing_store(store->get());
-    cache->set_cache_failures(args.GetBool("cache-failures"));
-  }
+  if (*store != nullptr) cache->set_backing_store(store->get());
   server_options.cache = cache.get();
   server_options.store = store->get();
   server_options.repository = &repository;
@@ -649,9 +633,7 @@ int RunServe(const ParsedArgs& args) {
       static_cast<unsigned long long>(stats.edits_applied),
       static_cast<unsigned long long>(stats.edits_failed),
       stats.max_client_load, stats.max_queue_depth);
-  if (*store != nullptr) {
-    PrintStoreStats(**store, service::BatchStats{}, cache.get());
-  }
+  if (*store != nullptr) PrintStoreStats(**store, cache.get());
   return 0;
 }
 
@@ -775,27 +757,17 @@ int RunEdit(const ParsedArgs& args) {
               g->DebugString().c_str(),
               static_cast<unsigned long long>(old_fingerprint));
 
-  // One edit session, every op validated against the pending view; the
-  // commit applies the net changes through one batched insert/remove.
-  Graph::EditSession session = g->BeginEdit();
-  if (!insert.empty()) {
-    Result<std::vector<Edge>> edges = service::ParseLinkList(insert);
-    if (!edges.ok()) return Fail(edges.status());
-    for (const Edge& e : *edges) {
-      Status queued = session.Insert(e.u, e.v);
-      if (!queued.ok()) return Fail(queued);
-    }
-  }
-  if (!remove.empty()) {
-    Result<std::vector<Edge>> edges = service::ParseLinkList(remove);
-    if (!edges.ok()) return Fail(edges.status());
-    for (const Edge& e : *edges) {
-      Status queued = session.Remove(e.u, e.v);
-      if (!queued.ok()) return Fail(queued);
-    }
-  }
-  Result<graph::GraphDelta> delta = session.Commit();
+  // The same normalizer an `edit` directive goes through, then one
+  // all-or-nothing ApplyDelta (absent removals, present inserts refused).
+  Result<std::vector<Edge>> inserted = service::ParseLinkList(insert);
+  if (!inserted.ok()) return Fail(inserted.status());
+  Result<std::vector<Edge>> removed = service::ParseLinkList(remove);
+  if (!removed.ok()) return Fail(removed.status());
+  Result<graph::GraphDelta> delta =
+      graph::MakeGraphDelta(std::move(*inserted), std::move(*removed));
   if (!delta.ok()) return Fail(delta.status());
+  Status applied = g->ApplyDelta(*delta);
+  if (!applied.ok()) return Fail(applied);
 
   const uint64_t updated = graph::UpdateFingerprint(
       old_fingerprint, delta->inserted, delta->removed);
