@@ -5,9 +5,10 @@
 // interned keys, maintenance records) in arrays that are never mutated
 // after construction. Storing them as FlatArrays gives two things at
 // once:
-//   * copies of the index (IndexedEngine::Clone, one per batch request)
-//     share one backing allocation instead of deep-copying every posting
-//     list — only the genuinely mutable count arrays stay per-copy; and
+//   * copies of the index (one per served request, which Adopts a copy
+//     of its group's index; IndexedEngine::Clone) share one backing
+//     allocation instead of deep-copying every posting list — only the
+//     genuinely mutable count arrays stay per-copy; and
 //   * a snapshot loaded from disk can ADOPT the mmap'd file bytes in
 //     place (motif/index_snapshot.h): the array views the mapping and the
 //     shared owner handle keeps the mapping alive for as long as any view

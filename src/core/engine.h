@@ -92,9 +92,10 @@ class Engine {
   /// whose totals (and per-target rows, when `per_target` is set) reflect
   /// the current graph state, re-evaluating only candidates dirtied by the
   /// deletions committed since the previous BeginRound of the same session
-  /// (same scope and per_target). The view's `dirty` lists exactly those
-  /// row indices, so selection layers can patch their own cached
-  /// aggregates instead of rescanning per-target data.
+  /// (same per_target; the scope is no session key, it decides only
+  /// `num_candidates`). The view's `dirty` lists exactly those row
+  /// indices, so selection layers can patch their own cached aggregates
+  /// instead of rescanning per-target data.
   ///
   /// Accounting: counts `num_candidates` gain evaluations — one per LIVE
   /// candidate, identical to the cold Candidates()+GainVector()/Gain()

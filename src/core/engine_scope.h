@@ -1,6 +1,6 @@
 // CandidateScope: which edges a greedy algorithm may consider. Split out
-// of core/engine.h so the gain-table types (core/gain_table.h) can name a
-// scope without pulling in the whole Engine interface.
+// of core/engine.h so code that only names a scope (the plan cache's
+// request fingerprint) does not pull in the whole Engine interface.
 
 #ifndef TPP_CORE_ENGINE_SCOPE_H_
 #define TPP_CORE_ENGINE_SCOPE_H_

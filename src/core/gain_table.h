@@ -11,14 +11,16 @@
 // RoundGains is the per-round view greedy loops consume: a STATIC,
 // ascending candidate universe with aligned total gains (and per-target
 // rows when requested), plus the dirty row indices since the previous
-// round. The universe may be a superset of the live candidate set — dead
-// or deleted candidates keep a total of zero, which no greedy selection
-// rule can pick (every pick requires a positive gain), so scanning the
-// full universe reproduces the cold sweep's first-max tie-breaking
-// exactly. `num_candidates` is the live candidate count — the cold
-// sweep's |Candidates(scope)| — which is what the engine charges to the
-// gain-evaluation work metric per round, keeping the paper's accounting
-// identical between the incremental and cold paths.
+// round. The universe holds every candidate that can have a positive gain
+// and may hold more: dead or deleted candidates keep a total of zero,
+// which no greedy selection rule can pick (every pick requires a positive
+// gain), so scanning the universe reproduces the cold sweep's first-max
+// tie-breaking exactly. Under kAllEdges it may leave out live zero-gain
+// edges for the same reason — an edge outside every target subgraph has
+// gain 0 forever (Lemma 5). `num_candidates` is the live candidate count —
+// the cold sweep's |Candidates(scope)| — which is what the engine charges
+// to the gain-evaluation work metric per round, keeping the paper's
+// accounting identical between the incremental and cold paths.
 
 #ifndef TPP_CORE_GAIN_TABLE_H_
 #define TPP_CORE_GAIN_TABLE_H_
@@ -27,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "core/engine_scope.h"
 #include "graph/edge.h"
 
 namespace tpp::core {
@@ -35,9 +36,11 @@ namespace tpp::core {
 /// One round's gain view. Spans point into engine-owned storage and stay
 /// valid until the next BeginRound/DeleteEdge on that engine.
 struct RoundGains {
-  /// Candidate universe, ascending by edge key. Identical across rounds of
-  /// one session unless `all_dirty` is set (an engine that rebuilds its
-  /// universe each round always sets all_dirty).
+  /// Candidate universe, ascending by edge key: every candidate of the
+  /// round's scope with a positive gain, plus any number of zero-gain
+  /// keys (dead candidates, or live edges outside every target subgraph).
+  /// Identical across rounds of one session unless `all_dirty` is set (an
+  /// engine that rebuilds its universe each round always sets all_dirty).
   std::span<const graph::EdgeKey> edges;
   /// totals[i] == Gain(edges[i]) against the current graph state.
   std::span<const uint32_t> totals;
@@ -51,7 +54,7 @@ struct RoundGains {
   /// (sorted ascending, deduplicated). Meaningful only when !all_dirty.
   std::span<const uint32_t> dirty;
   /// True when every row must be treated as changed: the session's first
-  /// round, a scope switch, or an engine without dirty tracking.
+  /// round, a per_target switch, or an engine without dirty tracking.
   bool all_dirty = true;
   /// Live candidates this round == |Candidates(scope)| of the cold sweep;
   /// the engine charges exactly this many gain evaluations for the round.
@@ -68,10 +71,10 @@ struct GainTable {
   std::vector<uint32_t> dirty;
   RoundGains view;
 
-  /// Session key: a BeginRound under a different scope/per_target restarts
-  /// the session (all_dirty) instead of serving stale state.
+  /// Session key: a BeginRound with a different per_target restarts the
+  /// session (all_dirty) instead of serving stale state. The scope is no
+  /// key: it changes only `num_candidates`, never the universe.
   bool active = false;
-  CandidateScope scope = CandidateScope::kAllEdges;
   bool per_target = false;
 
   /// Forgets the session (the next BeginRound is a full evaluation) and

@@ -57,33 +57,34 @@ class IndexedEngine : public Engine {
   void CandidatesInto(CandidateScope scope,
                       std::vector<graph::EdgeKey>* out) override;
   /// Incremental rounds on the persistent gain table. The candidate
-  /// universe is static for a whole session — the interned edge set
-  /// (restricted scope, where totals alias the index's eagerly-maintained
-  /// alive counts and need no per-round work at all) or the graph's edge
-  /// set at session start (full scope) — and per-target rows are patched
-  /// only for the dirty ids the round's deferred-count flush reports,
-  /// through the parallel row fill when the dirty set is wide. Charges
-  /// one evaluation per live candidate (see Engine::BeginRound).
+  /// universe is the interned edge set under EITHER scope, static for a
+  /// whole session: totals alias the index's eagerly-maintained alive
+  /// counts and need no per-round work at all, and per-target rows are
+  /// patched only for the dirty ids the round's deferred-count flush
+  /// reports, through the parallel row fill when the dirty set is wide.
+  /// Graph edges outside every target subgraph have gain 0 forever
+  /// (Lemma 5), so a full-scope round leaves them out and still picks
+  /// exactly what the literal full sweep picks. The scope decides only
+  /// `num_candidates`: one evaluation is charged per live candidate of
+  /// that scope (see Engine::BeginRound).
   const RoundGains& BeginRound(CandidateScope scope,
                                bool per_target) override;
   const graph::Graph& CurrentGraph() const override { return g_; }
   uint64_t GainEvaluations() const override { return gain_evals_; }
 
-  /// Cheap private copy for shared-instance batching: duplicates the
-  /// current graph and the index's alive-count state so the clone can
-  /// commit deletions without touching this engine. Cloning a
-  /// freshly-built engine is indistinguishable from building a second
-  /// engine from the same instance — same graph, same index contents,
-  /// work counter at zero — at the cost of a flat-array copy instead of a
-  /// full motif re-enumeration. Any incremental round session is RESET on
-  /// the copy (the clone's first BeginRound is a full evaluation).
+  /// Private copy of the current graph and the index's alive-count state,
+  /// so the copy can commit deletions without touching this engine —
+  /// what tests, benches and the serving trace use to run several solves
+  /// from one built engine (the serving path itself Adopts a copied
+  /// index). Cloning a freshly-built engine is indistinguishable from
+  /// building a second engine from the same instance: same graph, same
+  /// index contents, work counter at zero. Any incremental round session
+  /// is RESET on the copy (the clone's first BeginRound is a full
+  /// evaluation).
   IndexedEngine Clone() const {
     IndexedEngine copy(*this);
     copy.gain_evals_ = 0;
     copy.table_.Reset();
-    copy.session_dirty_.clear();
-    copy.row_ids_ = {};
-    copy.id_to_row_ = {};
     copy.session_flush_epoch_ = 0;
     return copy;
   }
@@ -106,32 +107,23 @@ class IndexedEngine : public Engine {
       : g_(std::move(g)), index_(std::move(index)) {}
 
   // Shared worker-sizing and dispatch of the row-granular parallel jobs
-  // (FillGainRows, BeginRound's dirty-row patch): up to
+  // (a session's first per-target row fill, the dirty-row patch): up to
   // tpp::GlobalThreadCount() workers, each given at least
   // kMinRowsPerThread rows, so small jobs run inline.
   void ParallelRowJob(size_t n,
                       const std::function<void(size_t, size_t)>& body);
 
-  // Parallel CSR-2 row fill behind a round session's first per-target
-  // BeginRound: ids[i] is written to out[i * stride] (kNoEdge ids produce
-  // zero rows). Flushes deferred maintenance, then fans out.
-  void FillGainRows(std::span<const uint32_t> ids, size_t stride,
-                    uint32_t* out);
-
-  // (Re)starts an incremental round session for (scope, per_target).
-  void InitRoundSession(CandidateScope scope, bool per_target);
+  // (Re)starts an incremental round session for `per_target`.
+  void InitRoundSession(bool per_target);
 
   graph::Graph g_;
   motif::IncidenceIndex index_;
   uint64_t gain_evals_ = 0;
 
   // Incremental round session state (see BeginRound). table_.edges /
-  // totals stay empty under the restricted scope: the view aliases the
-  // index's interned key and alive-count arrays directly.
+  // totals stay empty: the view aliases the index's interned key and
+  // alive-count arrays directly.
   GainTable table_;
-  std::vector<uint32_t> session_dirty_;  // flush-emitted ids, per round
-  std::vector<uint32_t> row_ids_;    // full scope: row -> interned id
-  std::vector<uint32_t> id_to_row_;  // full scope: interned id -> row
   // Index count-flush epoch as of this session's last BeginRound; a
   // mismatch means a non-dirty flush intervened (its dirty set is lost)
   // and the session restarts. See BeginRound.

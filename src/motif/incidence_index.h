@@ -95,7 +95,6 @@
 //                        the result needs no sort); the result vector is
 //                        reserved from the maintained alive-edge count,
 //                        not the build-time edge count
-//   AllParticipatingEdges O(E) copy
 //
 // The previous unordered_map posting-list implementation is preserved as
 // LegacyIncidenceIndex in the test-only reference library
@@ -286,12 +285,11 @@ class IncidenceIndex {
   /// interned universe is an ascending SUPERSET of the cold build's whose
   /// extra keys hold alive count 0 — exactly the zero rows the greedy
   /// sweeps and incremental round sessions already skip, so every
-  /// deterministic solver reproduces the cold plan byte-for-byte.
-  /// (AllParticipatingEdges, the RDT sampling pool, correspondingly keeps
-  /// historical participants instead of shrinking to the edited graph's;
-  /// only that randomized baseline can observe the difference.) The
-  /// instance-row order (and therefore CSR-1 posting ids) may differ too,
-  /// which no gain or candidate query observes. The repaired index is
+  /// deterministic solver reproduces the cold plan byte-for-byte. (The
+  /// RDT baseline draws from the restricted candidate set,
+  /// AliveCandidateEdges, so it cannot observe the extra keys either.)
+  /// The instance-row order (and therefore CSR-1 posting ids) may differ
+  /// too, which no gain or candidate query observes. The repaired index is
   /// fresh again (every instance alive, no deferred work), so further
   /// edits compose. CountsFlushEpoch() is bumped so open round sessions
   /// restart rather than serve stale layouts.
@@ -373,27 +371,17 @@ class IncidenceIndex {
   /// rounds instead of allocating a fresh vector per call.
   void AliveCandidateEdgesInto(std::vector<graph::EdgeKey>* out);
 
-  /// Edges that appeared in any instance at build time (sorted); the RDT
-  /// baseline samples from this set. After an ApplyGraphDelta repair the
-  /// set keeps historical participants (the universe only grows), so the
-  /// randomized baseline may sample edges with zero alive instances —
-  /// harmless: such picks simply score a gain of 0.
-  std::vector<graph::EdgeKey> AllParticipatingEdges() const {
-    return std::vector<graph::EdgeKey>(edge_keys_.begin(), edge_keys_.end());
-  }
-
-  /// The interned edge keys themselves, ascending — the STATIC candidate
-  /// universe of an incremental round session (dense ids are positions in
-  /// this span). Lives as long as the index (or any copy sharing its
-  /// backing).
+  /// The interned edge keys, ascending: every edge that appeared in an
+  /// instance at build time, plus (after an ApplyGraphDelta repair) keys
+  /// whose instances have all died — the universe only grows. This is
+  /// the STATIC candidate universe of an incremental round session under
+  /// either scope (dense ids are positions in this span). Lives as long
+  /// as the index (or any copy sharing its backing).
   std::span<const graph::EdgeKey> InternedEdgeKeys() const {
     return edge_keys_.span();
   }
 
-  /// Dense id of `e`, or kNoEdge when it was never interned.
-  uint32_t InternedIdOf(graph::EdgeKey e) const { return EdgeIdOf(e); }
-
-  /// Sentinel of InternedIdOf: the key was never interned.
+  /// Sentinel of EdgeIdOf: the key was never interned.
   static constexpr uint32_t kNoEdge = 0xffffffffu;
 
   /// True iff every internal structure of this index equals `other`'s —
@@ -472,9 +460,9 @@ class IncidenceIndex {
   void PopulateRepairCaches(const std::vector<graph::Edge>& targets);
 
   // Storage split: everything immutable after build is a FlatArray —
-  // copies of the index (IndexedEngine::Clone) alias one backing
-  // allocation, and a snapshot load (motif/index_snapshot.h) adopts the
-  // mmap'd file bytes in place. Only the genuinely mutable state (alive
+  // copies of the index (a request's Adopted copy, IndexedEngine::Clone)
+  // alias one backing allocation, and a snapshot load
+  // (motif/index_snapshot.h) adopts the mmap'd file bytes in place. Only the genuinely mutable state (alive
   // flags, cached counts, CSR-2 cells, deferral queues) stays in
   // std::vectors that deep-copy per clone.
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/budget.h"
@@ -12,6 +13,7 @@
 #include "core/problem.h"
 #include "graph/generators.h"
 #include "reference/exhaustive.h"
+#include "reference/naive_engine.h"
 
 namespace tpp::core {
 namespace {
@@ -82,17 +84,36 @@ TEST_P(GreedyPropertyTest, GreedyGainsAreNonIncreasing) {
 
 TEST_P(GreedyPropertyTest, RestrictedScopeMatchesFullScope) {
   // Lemma 5: restricting candidates to target-subgraph edges changes
-  // nothing about the selected protectors.
+  // nothing about the selected protectors, for SGB and for CT/WT under
+  // per-target budgets. The full-scope side runs NaiveEngine's literal
+  // sweep over every graph edge, so this does not compare IndexedEngine's
+  // one round universe with itself.
   TppInstance inst = RandomInstance(17, 20, 0.3, 4);
-  IndexedEngine full_engine = *IndexedEngine::Create(inst);
-  IndexedEngine r_engine = *IndexedEngine::Create(inst);
+  const std::vector<size_t> budgets = {2, 1, 0, 2};
   GreedyOptions r_opts;
   r_opts.scope = CandidateScope::kTargetSubgraphEdges;
-  ProtectionResult full = *SgbGreedy(full_engine, 6);
-  ProtectionResult restricted = *SgbGreedy(r_engine, 6, r_opts);
-  ASSERT_EQ(full.protectors.size(), restricted.protectors.size());
-  for (size_t i = 0; i < full.protectors.size(); ++i) {
-    EXPECT_EQ(full.protectors[i], restricted.protectors[i]);
+  for (const std::string solver : {"sgb", "ct", "wt"}) {
+    SCOPED_TRACE(solver);
+    NaiveEngine full_engine(inst);
+    IndexedEngine r_engine = *IndexedEngine::Create(inst);
+    ProtectionResult full, restricted;
+    if (solver == "sgb") {
+      full = *SgbGreedy(full_engine, 6);
+      restricted = *SgbGreedy(r_engine, 6, r_opts);
+    } else if (solver == "ct") {
+      full = *CtGreedy(full_engine, budgets);
+      restricted = *CtGreedy(r_engine, budgets, r_opts);
+    } else {
+      full = *WtGreedy(full_engine, budgets);
+      restricted = *WtGreedy(r_engine, budgets, r_opts);
+    }
+    ASSERT_GT(full.picks.size(), 0u);
+    ASSERT_EQ(full.protectors.size(), restricted.protectors.size());
+    for (size_t i = 0; i < full.protectors.size(); ++i) {
+      EXPECT_EQ(full.protectors[i], restricted.protectors[i]) << "pick " << i;
+      EXPECT_EQ(full.picks[i].for_target, restricted.picks[i].for_target)
+          << "pick " << i;
+    }
   }
 }
 

@@ -91,8 +91,8 @@ TEST(IncidenceIndexTest, CandidateEdgesTrackAliveness) {
   idx.DeleteEdge(MakeEdgeKey(0, 2));
   auto after = idx.AliveCandidateEdges();
   EXPECT_EQ(after.size(), 2u);  // only the second triangle's edges remain
-  // All edges that ever participated are still reported by the RDT pool.
-  EXPECT_EQ(idx.AllParticipatingEdges().size(), 4u);
+  // The interned universe keeps every edge that ever participated.
+  EXPECT_EQ(idx.InternedEdgeKeys().size(), 4u);
 }
 
 TEST(IncidenceIndexTest, PerEdgeAliveCountsMatchPointQueries) {

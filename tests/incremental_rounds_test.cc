@@ -115,11 +115,13 @@ class IncrementalRoundsTest : public ::testing::TestWithParam<MotifKind> {};
 // sweep bit for bit — picks, traces, and the gain-evaluation work metric —
 // for all four solvers under both candidate scopes, on two instances:
 //   - a small one with CT/WT budgets of 2 per target;
-//   - a wide one whose full-scope universe spans at least 16 selector
-//     blocks, with CT/WT budgets mostly 0 or 1, so that CT exhausts a
-//     target (and re-seats the rows that had it as best target) on most
-//     rounds. Its production runs go at global thread budgets of 1 and
-//     4; at 4 its full-scope row fills fan out over the pool.
+//   - a wide one (180 targets on a dense clustered graph) whose interned
+//     universe — the round universe under either scope — spans at least
+//     16 selector blocks for every motif, with CT/WT budgets mostly 0 or
+//     1, so that CT exhausts a target (and re-seats the rows that had it
+//     as best target) across many blocks on most rounds. Its production
+//     runs go at global thread budgets of 1 and 4; at 4 its row fills
+//     fan out over the pool.
 TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
   const MotifKind kind = GetParam();
   struct Case {
@@ -133,18 +135,20 @@ TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
                    std::vector<size_t>(10, 2), {0}});
   {
     Rng rng(17);
-    const Graph g = *graph::HolmeKim(300, 4, 0.3, rng);
-    Case wide{"wide", SampledInstance(g, 40, 3, kind), {}, {1, 4}};
-    for (size_t t = 0; t < 40; ++t) {
+    const Graph g = *graph::HolmeKim(400, 8, 1.0, rng);
+    Case wide{"wide", SampledInstance(g, 180, 3, kind), {}, {1, 4}};
+    for (size_t t = 0; t < 180; ++t) {
       wide.budgets.push_back(t % 8 == 0 ? 2 : rng.UniformIndex(2));
     }
-    ASSERT_GE(wide.inst.released.NumEdges(), 16 * RoundArgmax::kBlock);
-    ASSERT_GE(wide.inst.released.NumEdges(),
-              4 * IndexedEngine::kMinRowsPerThread);
     cases.push_back(std::move(wide));
   }
   for (const Case& c : cases) {
     const IndexedEngine prototype = *IndexedEngine::Create(c.inst);
+    if (c.name == "wide") {
+      const size_t universe = prototype.index().NumInternedEdges();
+      ASSERT_GE(universe, 16 * RoundArgmax::kBlock);
+      ASSERT_GE(universe, 4 * IndexedEngine::kMinRowsPerThread);
+    }
     for (CandidateScope scope :
          {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
       for (const std::string solver : {"sgb", "full", "ct", "wt"}) {
@@ -218,12 +222,14 @@ TEST_P(IncrementalRoundsTest, DirtySetsExactUnderRandomDeleteOrders) {
         *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
     LegacyIncidenceIndex legacy = *LegacyIncidenceIndex::Build(
         inst.released, inst.targets, inst.motif);
-    std::vector<EdgeKey> order = idx.AllParticipatingEdges();
+    // Dense ids are positions in the interned key span: all[k] has id k.
+    const std::vector<EdgeKey> all(idx.InternedEdgeKeys().begin(),
+                                   idx.InternedEdgeKeys().end());
+    std::vector<EdgeKey> order = all;
     Rng shuffle(seed);
     for (size_t i = order.size(); i > 1; --i) {
       std::swap(order[i - 1], order[shuffle.UniformIndex(i)]);
     }
-    const std::vector<EdgeKey> all = idx.AllParticipatingEdges();
     std::vector<size_t> before(all.size());
     std::vector<uint32_t> dirty;
     for (EdgeKey victim : order) {
@@ -235,9 +241,8 @@ TEST_P(IncrementalRoundsTest, DirtySetsExactUnderRandomDeleteOrders) {
       for (size_t k = 0; k < all.size(); ++k) {
         const size_t now = idx.Gain(all[k]);
         ASSERT_EQ(now, legacy.Gain(all[k])) << "edge " << all[k];
-        const bool is_dirty =
-            std::binary_search(dirty.begin(), dirty.end(),
-                               idx.InternedIdOf(all[k]));
+        const bool is_dirty = std::binary_search(
+            dirty.begin(), dirty.end(), static_cast<uint32_t>(k));
         ASSERT_EQ(now != before[k], is_dirty)
             << "edge " << all[k] << " changed=" << (now != before[k]);
       }
@@ -284,10 +289,10 @@ TEST_P(IncrementalRoundsTest, DeferredFlushGranularity) {
 // engine run at a global budget of four workers must report exactly what
 // it reports at one — totals, rows and dirty lists — every round, under
 // both scopes. The instance (500 targets on a dense clustered graph) is
-// wide enough — at least four workers' worth of universe rows under
-// either scope, for every motif — that the first fill fans out, and each
-// round deletes half the live candidates so that the dirty-row patches
-// fan out too. TSan (CI job) checks the synchronization story.
+// wide enough — at least four workers' worth of interned universe rows
+// for every motif — that the first fill fans out, and each round deletes
+// half the live candidates so that the dirty-row patches fan out too.
+// TSan (CI job) checks the synchronization story.
 TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithParallelRowFan) {
   const MotifKind kind = GetParam();
   Rng graph_rng(47);

@@ -122,7 +122,6 @@ const RoundGains& NaiveEngine::BeginRound(CandidateScope scope,
   }
   table.dirty.clear();
   table.active = true;
-  table.scope = scope;
   table.per_target = per_target;
   table.view.edges = table.edges;
   table.view.totals = table.totals;
