@@ -104,7 +104,8 @@ class Engine {
   /// numbers on both paths; only wall time changes.
   ///
   /// IndexedEngine implements it with dirty-set maintenance on its
-  /// persistent GainTable; NaiveEngine with an always-dirty cold sweep.
+  /// persistent per-session gain rows; NaiveEngine with an always-dirty
+  /// cold sweep.
   virtual const RoundGains& BeginRound(CandidateScope scope,
                                        bool per_target) = 0;
 

@@ -1,10 +1,10 @@
-// GainTable: the persistent per-candidate gain state of an incremental
-// round session (core/engine.h BeginRound).
+// RoundGains: the per-round gain view of an incremental round session
+// (core/engine.h BeginRound). Each engine owns the storage behind it.
 //
 // The cold greedy loops re-evaluate every candidate every round, although a
 // committed deletion only changes the gains of edges that co-occurred with
 // it in a killed target subgraph. An incremental round session keeps the
-// previous round's gains alive in this table and re-evaluates only the
+// previous round's gains alive in its engine and re-evaluates only the
 // DIRTY candidates the deletion reported (IncidenceIndex::DeleteEdge's
 // dirty set, or everything for engines that cannot track dirtiness).
 //
@@ -25,9 +25,9 @@
 #ifndef TPP_CORE_GAIN_TABLE_H_
 #define TPP_CORE_GAIN_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/edge.h"
 
@@ -59,36 +59,6 @@ struct RoundGains {
   /// Live candidates this round == |Candidates(scope)| of the cold sweep;
   /// the engine charges exactly this many gain evaluations for the round.
   size_t num_candidates = 0;
-};
-
-/// Engine-owned storage behind RoundGains. Engines that answer from an
-/// index may alias `view` spans straight into index internals and leave
-/// the vectors here empty; NaiveEngine's cold rounds fill them per round.
-struct GainTable {
-  std::vector<graph::EdgeKey> edges;
-  std::vector<uint32_t> totals;
-  std::vector<uint32_t> rows;
-  std::vector<uint32_t> dirty;
-  RoundGains view;
-
-  /// Session key: a BeginRound with a different per_target restarts the
-  /// session (all_dirty) instead of serving stale state. The scope is no
-  /// key: it changes only `num_candidates`, never the universe.
-  bool active = false;
-  bool per_target = false;
-
-  /// Forgets the session (the next BeginRound is a full evaluation) and
-  /// releases the storage — what IndexedEngine::Clone applies to the copy
-  /// so an engine's session never leaks into its clones.
-  void Reset() {
-    edges = {};
-    totals = {};
-    rows = {};
-    dirty = {};
-    view = RoundGains{};
-    active = false;
-    per_target = false;
-  }
 };
 
 }  // namespace tpp::core

@@ -71,20 +71,29 @@ void IndexedEngine::CandidatesInto(CandidateScope scope,
   index_.AliveCandidateEdgesInto(out);
 }
 
+void IndexedEngine::ResetSession() {
+  view_ = RoundGains{};
+  rows_ = {};
+  dirty_ = {};
+  session_active_ = false;
+  session_per_target_ = false;
+  session_flush_epoch_ = 0;
+}
+
 void IndexedEngine::InitRoundSession(bool per_target) {
-  table_.Reset();
+  ResetSession();
   // The universe is the interned edge set under either scope: row index ==
   // dense edge id, so the totals span aliases the index's eagerly-maintained
   // alive counts and needs NO per-round upkeep. Dead candidates keep total
   // 0 and can never win a pick, and neither can a graph edge outside every
   // target subgraph (gain 0 forever, Lemma 5), so full-scope rounds need
   // no rows for those.
-  table_.view.edges = index_.InternedEdgeKeys();
-  table_.view.totals = index_.PerEdgeAliveCounts();
+  view_.edges = index_.InternedEdgeKeys();
+  view_.totals = index_.PerEdgeAliveCounts();
   if (per_target) {
     const size_t num_targets = index_.NumTargets();
-    table_.rows.resize(index_.NumInternedEdges() * num_targets);
-    uint32_t* rows = table_.rows.data();
+    rows_.resize(index_.NumInternedEdges() * num_targets);
+    uint32_t* rows = rows_.data();
     // One flush up front makes every row read below a pure read of the
     // index, so the fan-out needs no synchronization: workers write
     // disjoint output rows and only read CSR-2 cells. Each chunk is one
@@ -94,13 +103,13 @@ void IndexedEngine::InitRoundSession(bool per_target) {
       index_.ReadGainRows(static_cast<uint32_t>(begin), end - begin,
                           num_targets, rows + begin * num_targets);
     });
-    table_.view.rows = table_.rows;
-    table_.view.num_targets = num_targets;
+    view_.rows = rows_;
+    view_.num_targets = num_targets;
   }
-  table_.active = true;
-  table_.per_target = per_target;
-  table_.view.all_dirty = true;
-  table_.view.dirty = {};
+  session_active_ = true;
+  session_per_target_ = per_target;
+  view_.all_dirty = true;
+  view_.dirty = {};
 }
 
 const RoundGains& IndexedEngine::BeginRound(CandidateScope scope,
@@ -113,7 +122,7 @@ const RoundGains& IndexedEngine::BeginRound(CandidateScope scope,
   // whose rounds only interleave DeleteEdge with BeginRound (the greedy
   // loops) never trip this. The scope is no session key: both scopes
   // share the universe and differ only in `num_candidates`.
-  const bool restart = !table_.active || table_.per_target != per_target ||
+  const bool restart = !session_active_ || session_per_target_ != per_target ||
                        index_.CountsFlushEpoch() != session_flush_epoch_;
   if (restart) {
     index_.FlushDeferredCounts();
@@ -125,39 +134,39 @@ const RoundGains& IndexedEngine::BeginRound(CandidateScope scope,
     // else keeps last round's state, and a session without per-target
     // rows (SGB-style) never triggers the CSR-2 half of the maintenance
     // at all.
-    table_.dirty.clear();
-    index_.FlushDeferredCounts(&table_.dirty);
-    std::sort(table_.dirty.begin(), table_.dirty.end());
-    if (per_target && !table_.dirty.empty()) {
+    dirty_.clear();
+    index_.FlushDeferredCounts(&dirty_);
+    std::sort(dirty_.begin(), dirty_.end());
+    if (per_target && !dirty_.empty()) {
       index_.FlushDeferredMaintenance();
-      const size_t num_targets = table_.view.num_targets;
-      uint32_t* rows = table_.rows.data();
+      const size_t num_targets = view_.num_targets;
+      uint32_t* rows = rows_.data();
       // Blocked dirty refresh: the dirty rows are sorted, so consecutive
       // dirty rows are consecutive ids — one streaming ReadGainRows per
       // run. Dirty ids cluster naturally: a killed instance dirties arity
       // edges interned near each other.
-      ParallelRowJob(table_.dirty.size(), [&](size_t begin, size_t end) {
+      ParallelRowJob(dirty_.size(), [&](size_t begin, size_t end) {
         size_t k = begin;
         while (k < end) {
-          const uint32_t row = table_.dirty[k];
+          const uint32_t row = dirty_[k];
           size_t len = 1;
-          while (k + len < end && table_.dirty[k + len] == row + len) ++len;
+          while (k + len < end && dirty_[k + len] == row + len) ++len;
           index_.ReadGainRows(row, len, num_targets,
                               rows + row * num_targets);
           k += len;
         }
       });
     }
-    table_.view.dirty = table_.dirty;
-    table_.view.all_dirty = false;
+    view_.dirty = dirty_;
+    view_.all_dirty = false;
   }
   session_flush_epoch_ = index_.CountsFlushEpoch();
-  table_.view.num_candidates =
+  view_.num_candidates =
       scope == CandidateScope::kTargetSubgraphEdges ? index_.NumAliveEdges()
                                                     : g_.NumEdges();
   // One evaluation per live candidate, exactly the cold sweep's count.
-  gain_evals_ += table_.view.num_candidates;
-  return table_.view;
+  gain_evals_ += view_.num_candidates;
+  return view_;
 }
 
 }  // namespace tpp::core

@@ -84,8 +84,7 @@ class IndexedEngine : public Engine {
   IndexedEngine Clone() const {
     IndexedEngine copy(*this);
     copy.gain_evals_ = 0;
-    copy.table_.Reset();
-    copy.session_flush_epoch_ = 0;
+    copy.ResetSession();
     return copy;
   }
 
@@ -116,14 +115,23 @@ class IndexedEngine : public Engine {
   // (Re)starts an incremental round session for `per_target`.
   void InitRoundSession(bool per_target);
 
+  // Forgets the round session (the next BeginRound is a full evaluation)
+  // and releases its storage.
+  void ResetSession();
+
   graph::Graph g_;
   motif::IncidenceIndex index_;
   uint64_t gain_evals_ = 0;
 
-  // Incremental round session state (see BeginRound). table_.edges /
-  // totals stay empty: the view aliases the index's interned key and
-  // alive-count arrays directly.
-  GainTable table_;
+  // Incremental round session state (see BeginRound). view_.edges and
+  // view_.totals alias the index's interned key and alive-count arrays;
+  // rows_ and dirty_ back view_.rows and view_.dirty. A BeginRound with a
+  // different per_target restarts the session.
+  RoundGains view_;
+  std::vector<uint32_t> rows_;
+  std::vector<uint32_t> dirty_;
+  bool session_active_ = false;
+  bool session_per_target_ = false;
   // Index count-flush epoch as of this session's last BeginRound; a
   // mismatch means a non-dirty flush intervened (its dirty set is lost)
   // and the session restarts. See BeginRound.

@@ -369,25 +369,26 @@ void IncidenceIndex::FinishAliveState(size_t num_targets) {
 }
 
 void IncidenceIndex::PopulateRepairCaches(const std::vector<Edge>& targets) {
-  target_keys_sorted_.clear();
-  target_keys_sorted_.reserve(targets.size());
-  for (const Edge& t : targets) {
-    target_keys_sorted_.push_back(graph::MakeEdgeKey(t.u, t.v));
-  }
-  std::sort(target_keys_sorted_.begin(), target_keys_sorted_.end());
+  std::vector<graph::EdgeKey> keys;
+  keys.reserve(targets.size());
+  for (const Edge& t : targets) keys.push_back(graph::MakeEdgeKey(t.u, t.v));
+  std::sort(keys.begin(), keys.end());
   const size_t n = u_offsets_.size() == 0 ? 0 : u_offsets_.size() - 1;
-  node_tgt_off_.assign(n + 1, 0);
+  std::vector<uint32_t> off(n + 1, 0);
   for (const Edge& t : targets) {
-    ++node_tgt_off_[t.u + 1];
-    ++node_tgt_off_[t.v + 1];
+    ++off[t.u + 1];
+    ++off[t.v + 1];
   }
-  for (size_t x = 0; x < n; ++x) node_tgt_off_[x + 1] += node_tgt_off_[x];
-  node_tgt_.assign(node_tgt_off_.back(), 0);
-  std::vector<uint32_t> cursor(node_tgt_off_.begin(), node_tgt_off_.end() - 1);
+  for (size_t x = 0; x < n; ++x) off[x + 1] += off[x];
+  std::vector<uint32_t> node_tgt(off.back(), 0);
+  std::vector<uint32_t> cursor(off.begin(), off.end() - 1);
   for (size_t t = 0; t < targets.size(); ++t) {
-    node_tgt_[cursor[targets[t].u]++] = static_cast<uint32_t>(t);
-    node_tgt_[cursor[targets[t].v]++] = static_cast<uint32_t>(t);
+    node_tgt[cursor[targets[t].u]++] = static_cast<uint32_t>(t);
+    node_tgt[cursor[targets[t].v]++] = static_cast<uint32_t>(t);
   }
+  target_keys_sorted_ = std::move(keys);
+  node_tgt_off_ = std::move(off);
+  node_tgt_ = std::move(node_tgt);
 }
 
 void IncidenceIndex::BuildProbeTable() {
@@ -608,6 +609,19 @@ void IncidenceIndex::AliveCandidateEdgesInto(std::vector<EdgeKey>* out) {
   for (size_t e = 0; e < alive_count_.size(); ++e) {
     if (alive_count_[e] > 0) out->push_back(edge_keys_[e]);
   }
+}
+
+size_t IncidenceIndex::MemoryBytes() const {
+  auto bytes = [](const auto& array) {
+    return array.size() * sizeof(array[0]);
+  };
+  return bytes(instances_) + bytes(alive_) + bytes(alive_per_target_) +
+         bytes(edge_keys_) + bytes(u_offsets_) + bytes(probe_keys_) +
+         bytes(probe_ids_) + bytes(inst_offsets_) + bytes(instance_ids_) +
+         bytes(alive_count_) + bytes(tgt_offsets_) + bytes(tgt_ids_) +
+         bytes(tgt_counts_) + bytes(counts_queue_) + bytes(cells_queue_) +
+         bytes(dirty_stamp_) + bytes(target_keys_sorted_) +
+         bytes(node_tgt_off_) + bytes(node_tgt_) + bytes(maint_);
 }
 
 bool IncidenceIndex::BitIdentical(const IncidenceIndex& other) const {

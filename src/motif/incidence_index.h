@@ -384,6 +384,12 @@ class IncidenceIndex {
   /// Sentinel of EdgeIdOf: the key was never interned.
   static constexpr uint32_t kNoEdge = 0xffffffffu;
 
+  /// Bytes of this index's own arrays (element bytes, not capacity or
+  /// allocator slack). Arrays aliased with other copies or adopted from a
+  /// snapshot mapping count in full: the figure is what this index keeps
+  /// reachable, the instance repository's charge for a built group.
+  size_t MemoryBytes() const;
+
   /// True iff every internal structure of this index equals `other`'s —
   /// instances, interning, both CSR layouts, slot tables, and all alive
   /// state. Deferred CSR-2 maintenance is compared by EFFECT, not by
@@ -545,10 +551,12 @@ class IncidenceIndex {
   // list — populated by PopulateRepairCaches in both build tails, lazily
   // rebuilt on the first repair of a snapshot-loaded index — and
   // deliberately absent from the serialized form AND from BitIdentical
-  // (a loaded index must compare equal to the built one).
-  std::vector<graph::EdgeKey> target_keys_sorted_;
-  std::vector<uint32_t> node_tgt_off_;  // size NumNodes() + 1 once filled
-  std::vector<uint32_t> node_tgt_;     // flat target indexes
+  // (a loaded index must compare equal to the built one). Never mutated
+  // in place, so they are FlatArrays: index copies alias them, and a
+  // (re)population assigns fresh arrays.
+  FlatArray<graph::EdgeKey> target_keys_sorted_;
+  FlatArray<uint32_t> node_tgt_off_;  // size NumNodes() + 1 once filled
+  FlatArray<uint32_t> node_tgt_;      // flat target indexes
 
   // Everything DeleteEdge needs per killed instance, in one compact
   // record (one cache line instead of three scattered structures): the

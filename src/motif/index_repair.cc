@@ -492,7 +492,8 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
   // --- Phase 2: enumerate instances created by inserted edges (on the
   // post-edit graph, which the caller already advanced).
   std::vector<TargetSubgraph> created = EnumerateCreatedInstances(
-      g, targets, kind, delta.inserted, node_tgt_off_, node_tgt_);
+      g, targets, kind, delta.inserted, node_tgt_off_.span(),
+      node_tgt_.span());
 
   if (killed == 0 && created.empty()) return Status::Ok();  // structural no-op
 

@@ -14,6 +14,18 @@ namespace tpp::service {
 using core::IndexedEngine;
 using core::TppInstance;
 
+namespace {
+
+// A released graph's heap, roughly: per node, its adjacency vector's
+// header plus a malloc chunk header; per edge, two NodeId entries.
+size_t GraphBytes(const graph::Graph& g) {
+  constexpr size_t kPerNode =
+      sizeof(std::vector<graph::NodeId>) + 2 * sizeof(void*);
+  return g.NumNodes() * kPerNode + 2 * g.NumEdges() * sizeof(graph::NodeId);
+}
+
+}  // namespace
+
 size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
                                   motif::MotifKind motif) {
   std::string key =
@@ -116,9 +128,11 @@ Result<IndexedEngine> InstanceRepository::Acquire(
   Group& group = groups_[group_id];
   {
     std::lock_guard<std::mutex> lock(group.build_mu);
+    group.last_use = use_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (!group.built) {
       BuildGroup(group, cancel);
       group.built = true;
+      Recharge(group);
     }
     const StatusCode code = group.status.code();
     if (code == StatusCode::kAborted || code == StatusCode::kDeadlineExceeded) {
@@ -140,6 +154,7 @@ Result<IndexedEngine> InstanceRepository::Acquire(
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
       motif::IncidenceIndex index = std::move(*group.index);
       group.index.reset();
+      Recharge(group);
       return IndexedEngine::Adopt(*group.instance, std::move(index));
     }
   }
@@ -155,6 +170,33 @@ void InstanceRepository::ResetGroup(Group& group) {
   group.status = Status::Ok();
   group.index.reset();
   group.instance.reset();
+  Recharge(group);
+}
+
+void InstanceRepository::Recharge(Group& group) {
+  size_t bytes = 0;
+  if (group.instance) bytes += GraphBytes(group.instance->released);
+  if (group.index) bytes += group.index->MemoryBytes();
+  resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  resident_bytes_.fetch_sub(group.bytes, std::memory_order_relaxed);
+  group.bytes = bytes;
+}
+
+void InstanceRepository::Trim() {
+  if (ResidentBytes() <= max_bytes_) return;
+  std::vector<Group*> resident;
+  for (Group& group : groups_) {
+    if (group.bytes > 0) resident.push_back(&group);
+  }
+  std::sort(resident.begin(), resident.end(),
+            [](const Group* a, const Group* b) {
+              return a->last_use < b->last_use;
+            });
+  for (Group* group : resident) {
+    if (ResidentBytes() <= max_bytes_) break;
+    ResetGroup(*group);
+    ++evictions_;
+  }
 }
 
 void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
@@ -205,6 +247,7 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       continue;
     }
     ++edit_repairs_;
+    Recharge(group);
     // Re-home the snapshot under the post-edit fingerprint so the NEXT
     // process start warm-loads the repaired index.
     if (store_ != nullptr) WriteBack(group);

@@ -1,11 +1,11 @@
 // InstanceRepository: build-once sharing of (targets, motif) problem
-// instances within a batch.
+// instances within and across batches, bounded in bytes.
 //
 // Requests naming the same resolved target list and motif would each
 // rebuild the same TppInstance and CSR IncidenceIndex — the dominant
 // serving cost on large graphs (a full motif enumeration per request).
 // The repository interns each distinct (ordered target list, motif) pair
-// into a group and builds the group exactly once (thread-safe: the first
+// into a group and builds the group once (thread-safe: the first
 // acquirer builds, concurrent acquirers wait on the same per-group build
 // mutex). A built group is the paper's two phases and nothing more: the
 // TppInstance (phase 1 — the released graph, targets deleted) and the
@@ -35,6 +35,17 @@
 // workloads never pay a cold build for untouched instances. Build errors
 // (e.g. a target link absent from the base) are memoized per group so
 // every member request reports the same status a standalone run would.
+//
+// Built groups are bounded: each is charged the bytes of its released
+// graph and its index (ResidentBytes), and Trim — which RunBatch calls on
+// an external repository once the batch's last engine is gone — evicts
+// the least recently acquired groups until the charge is back under the
+// cap (kMaxBytes unless the constructor says otherwise). An evicted
+// group returns to the unbuilt state and keeps only its key, so memory
+// per distinct target set is that O(|T|) key once evicted. Its next
+// acquisition rebuilds it (or re-adopts its warm-store snapshot), and
+// responses are byte-identical either way; ApplyEdit skips it like any
+// unbuilt group.
 
 #ifndef TPP_SERVICE_INSTANCE_REPOSITORY_H_
 #define TPP_SERVICE_INSTANCE_REPOSITORY_H_
@@ -64,8 +75,17 @@ class WarmStore;
 
 class InstanceRepository {
  public:
-  /// `base` must outlive the repository.
-  explicit InstanceRepository(const graph::Graph* base) : base_(base) {}
+  /// Default cap on ResidentBytes() between batches. It holds about a
+  /// hundred groups whose released graph has 10^5 nodes and 4*10^5 edges
+  /// (8 MB charged each), so a working set of 64 such groups never
+  /// evicts.
+  static constexpr size_t kMaxBytes = size_t{768} << 20;
+
+  /// `base` must outlive the repository. `max_bytes` caps ResidentBytes()
+  /// after each Trim; tests pass a small cap to force evictions.
+  explicit InstanceRepository(const graph::Graph* base,
+                              size_t max_bytes = kMaxBytes)
+      : base_(base), max_bytes_(max_bytes) {}
 
   /// Worker budget for each group's one-time IncidenceIndex build
   /// (<= 0: tpp::GlobalThreadCount()). The pipeline sets this to its own
@@ -116,7 +136,9 @@ class InstanceRepository {
       size_t group, const CancellationToken* cancel = nullptr);
 
   /// The group's problem instance; valid only after AcquireEngine(group)
-  /// returned OK, immutable from then on (safe to read concurrently).
+  /// returned OK, and until the next ApplyEdit or Trim (either may evict,
+  /// reset or repair the group). Immutable in between, so safe to read
+  /// concurrently.
   const core::TppInstance& instance(size_t group) const {
     return *groups_[group].instance;
   }
@@ -124,11 +146,29 @@ class InstanceRepository {
   /// Distinct (targets, motif) groups interned.
   size_t NumGroups() const { return groups_.size(); }
 
-  /// Group builds performed (<= NumGroups(): only acquired groups
-  /// build).
+  /// Group builds performed: one per acquisition of an unbuilt group, so
+  /// a group evicted or reset and then acquired again builds again.
   size_t NumBuilds() const {
     return builds_.load(std::memory_order_relaxed);
   }
+
+  /// Evicts least recently acquired built groups until ResidentBytes()
+  /// is at most the cap; each evicted group returns to the unbuilt state
+  /// and keeps only its key. NOT thread-safe against AcquireEngine, and
+  /// it ends the life of every instance() reference it evicts: call
+  /// between batches, after the last engine is gone (RunBatch does so on
+  /// an external repository).
+  void Trim();
+
+  /// Bytes charged to the built groups now: per group, its released
+  /// graph (one adjacency vector per node plus one NodeId per edge
+  /// endpoint) and IncidenceIndex::MemoryBytes().
+  size_t ResidentBytes() const {
+    return resident_bytes_.load(std::memory_order_relaxed);
+  }
+
+  /// Groups Trim evicted (cumulative).
+  size_t NumEvictions() const { return evictions_; }
 
   /// Per-link instance lists cold builds took from the link cache
   /// (cumulative).
@@ -152,7 +192,8 @@ class InstanceRepository {
   /// has already applied `delta` to the base graph this repository points
   /// at; `new_fingerprint` is the post-edit graph::Fingerprint (the key
   /// future snapshot probes and write-backs use). Per group:
-  ///   * unbuilt groups are untouched — their eventual build reads the
+  ///   * unbuilt groups, evicted ones included, are untouched — counted
+  ///     neither repaired nor reset; their eventual build reads the
   ///     edited base;
   ///   * groups whose TARGET links intersect the delta are reset to
   ///     unbuilt (the edit changed the problem itself, so the next
@@ -188,6 +229,11 @@ class InstanceRepository {
     std::optional<core::TppInstance> instance;
     // Empty in a built, OK group once TakeEngine moved it out.
     std::optional<motif::IncidenceIndex> index;
+    // What this group adds to resident_bytes_ (0 while unbuilt).
+    size_t bytes = 0;
+    // use_clock_ at the group's last acquisition; Trim evicts the
+    // smallest first. Written under build_mu, read by Trim.
+    uint64_t last_use = 0;
   };
 
   /// Shared body of AcquireEngine (`take` false: copy the index) and
@@ -207,9 +253,14 @@ class InstanceRepository {
   void WriteBack(const Group& group);
 
   /// Returns `group` to the unbuilt state; the next acquisition rebuilds.
-  static void ResetGroup(Group& group);
+  void ResetGroup(Group& group);
+
+  /// Re-charges `group`'s bytes to resident_bytes_ after its instance or
+  /// index changed.
+  void Recharge(Group& group);
 
   const graph::Graph* base_;
+  const size_t max_bytes_;
   // Base-graph instance lists shared by every group's cold build.
   motif::LinkInstanceCache link_instances_;
   int build_threads_ = 0;
@@ -221,10 +272,13 @@ class InstanceRepository {
   std::unordered_map<std::string, size_t> ids_;
   std::atomic<size_t> builds_{0};
   std::atomic<size_t> acquisitions_{0};
-  // Mutated only by ApplyEdit, which runs single-threaded between
+  std::atomic<size_t> resident_bytes_{0};
+  std::atomic<uint64_t> use_clock_{0};
+  // Mutated only by ApplyEdit and Trim, which run single-threaded between
   // batches; plain counters suffice.
   size_t edit_repairs_ = 0;
   size_t edit_resets_ = 0;
+  size_t evictions_ = 0;
 };
 
 }  // namespace tpp::service

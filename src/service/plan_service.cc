@@ -273,6 +273,9 @@ std::vector<PlanResponse> PlanService::RunPipeline(
         }
       });
   deliver_ready();
+  // Every engine of this batch is gone: bring a repository that outlives
+  // the batch back under its byte cap.
+  if (options.repository != nullptr) repository.Trim();
 
   stats.instance_groups = repository.NumGroups();
   stats.instance_builds = repository.NumBuilds() - builds_before;

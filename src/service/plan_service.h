@@ -160,7 +160,8 @@ struct BatchOptions {
   /// instead of re-enumerating — the stats report builds performed BY
   /// THIS RUN, so a fully warm batch shows instance_builds == 0. The
   /// pipeline (re)applies its build-thread budget and store attachment on
-  /// every run.
+  /// every run, and ends it with InstanceRepository::Trim, which evicts
+  /// least recently acquired groups past the repository's byte cap.
   InstanceRepository* repository = nullptr;
   /// Optional out-param for pipeline counters.
   BatchStats* stats = nullptr;

@@ -1,7 +1,7 @@
 // Differential coverage of the incremental round engine: dirty-set gain
-// maintenance (Engine::BeginRound on the persistent GainTable) against the
-// cold reference sweeps (tests/reference/), over every solver x motif x
-// candidate scope, plus the
+// maintenance (Engine::BeginRound on IndexedEngine's persistent session
+// state) against the cold reference sweeps (tests/reference/), over every
+// solver x motif x candidate scope, plus the
 // deferred-maintenance protocol of the IncidenceIndex (count and cell
 // flushes, dirty-set exactness under randomized delete orders) and the
 // interleaving of deferred flushes with BeginRound's parallel per-target

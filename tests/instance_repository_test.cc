@@ -1,0 +1,249 @@
+// The instance repository's byte cap: Trim evicts least recently acquired
+// groups, an evicted group keeps only its key and rebuilds on its next
+// acquisition, ApplyEdit skips it, and no response byte depends on any of
+// this — a repository under a tiny cap answers a random script of
+// requests and edits exactly like an uncapped one, at 1 and 4 workers.
+
+#include <cstddef>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/strings.h"
+#include "core/problem.h"
+#include "core/solver.h"
+#include "graph/generators.h"
+#include "graph/graph.h"
+#include "gtest/gtest.h"
+#include "service/instance_repository.h"
+#include "service/plan_service.h"
+#include "test_util.h"
+
+namespace tpp::service {
+namespace {
+
+using graph::Edge;
+using graph::Graph;
+using graph::GraphDelta;
+using motif::MotifKind;
+
+Graph ScriptGraph() {
+  Rng rng(2302);
+  return *graph::HolmeKim(160, 3, 0.5, rng);
+}
+
+// One step of a script: a batch, then an edit of the base graph (empty
+// on odd steps, so groups evicted by one batch are acquired again by the
+// next without an edit in between).
+struct Step {
+  std::vector<PlanRequest> requests;
+  GraphDelta edit;
+};
+
+// Up to `removes` present edges out and up to `inserts` absent pairs in.
+GraphDelta RandomEdit(const Graph& g, size_t removes, size_t inserts,
+                      Rng& rng) {
+  std::set<graph::EdgeKey> touched;
+  std::vector<Edge> inserted;
+  std::vector<Edge> removed;
+  const std::vector<Edge> edges = g.Edges();
+  for (size_t i = 0; i < removes; ++i) {
+    const Edge& e = edges[rng.UniformIndex(edges.size())];
+    if (touched.insert(e.Key()).second) removed.push_back(e);
+  }
+  for (size_t i = 0; i < inserts; ++i) {
+    const auto u = static_cast<graph::NodeId>(rng.UniformIndex(g.NumNodes()));
+    const auto v = static_cast<graph::NodeId>(rng.UniformIndex(g.NumNodes()));
+    if (u == v || g.HasEdge(u, v)) continue;
+    if (touched.insert(graph::MakeEdgeKey(u, v)).second) {
+      inserted.emplace_back(u, v);
+    }
+  }
+  return *graph::MakeGraphDelta(std::move(inserted), std::move(removed));
+}
+
+// A seeded script over every solver, motif and scope. Requests draw their
+// targets from a small pool, so groups recur across batches: a capped
+// repository re-acquires groups it evicted, an uncapped one copies them.
+// Edits may remove pooled target links; those groups then fail to build,
+// the same way under both repositories.
+std::vector<Step> RandomScript(uint64_t seed) {
+  Rng rng(seed);
+  Graph g = ScriptGraph();
+  std::vector<std::vector<Edge>> pool;
+  for (size_t i = 0; i < 8; ++i) {
+    pool.push_back(rng.SampleK(g.Edges(), 2 + i % 3));
+  }
+  const std::vector<std::string_view> solvers = core::SolverNames();
+  std::vector<Step> script(6);
+  size_t next = 0;
+  for (size_t s = 0; s < script.size(); ++s) {
+    Step& step = script[s];
+    for (size_t i = 0; i < 9; ++i, ++next) {
+      PlanRequest request;
+      request.name = StrFormat("q%zu", next);
+      request.targets = pool[rng.UniformIndex(pool.size())];
+      request.motif = motif::kAllMotifs[next % std::size(motif::kAllMotifs)];
+      request.spec.algorithm = std::string(solvers[next % solvers.size()]);
+      request.spec.scope = next % 2 == 0
+                               ? core::CandidateScope::kAllEdges
+                               : core::CandidateScope::kTargetSubgraphEdges;
+      request.spec.budget = 3;
+      request.seed = 100 + next;
+      step.requests.push_back(std::move(request));
+    }
+    if (s % 2 == 1) continue;
+    step.edit = RandomEdit(g, 3, 3, rng);
+    TPP_CHECK(g.ApplyDelta(step.edit).ok());
+  }
+  return script;
+}
+
+// The script's transcript — per request its status and plan — through one
+// repository carried across every batch and edit.
+struct ScriptRun {
+  std::vector<std::string> transcript;
+  std::vector<size_t> evictions_after_batch;
+  size_t edit_repairs = 0;
+};
+
+ScriptRun RunScript(const std::vector<Step>& script, size_t max_bytes,
+                    int workers) {
+  PlanService service(ScriptGraph());
+  InstanceRepository repository(&service.base(), max_bytes);
+  BatchOptions options;
+  options.repository = &repository;
+  options.max_workers = workers;
+  ScriptRun run;
+  for (size_t s = 0; s < script.size(); ++s) {
+    for (const PlanResponse& response :
+         service.RunBatch(script[s].requests, options)) {
+      run.transcript.push_back(response.status.ToString() + "\n" +
+                               response.plan_text);
+    }
+    run.evictions_after_batch.push_back(repository.NumEvictions());
+    EXPECT_LE(repository.ResidentBytes(), max_bytes);
+    if (script[s].edit.empty()) continue;
+    Result<EditSummary> summary =
+        service.ApplyEdit(script[s].edit, nullptr, &repository);
+    TPP_CHECK(summary.ok());
+    run.edit_repairs += summary->groups_repaired;
+  }
+  return run;
+}
+
+TEST(InstanceRepositoryCapTest, TinyCapAnswersARandomScriptByteIdentically) {
+  const std::vector<Step> script = RandomScript(20261018);
+  const ScriptRun reference =
+      RunScript(script, InstanceRepository::kMaxBytes, 1);
+  EXPECT_EQ(reference.evictions_after_batch.back(), 0u);
+  EXPECT_GT(reference.edit_repairs, 0u);
+  size_t ok = 0;
+  for (const std::string& reply : reference.transcript) {
+    ok += reply.starts_with("Ok\n") ? 1 : 0;
+  }
+  EXPECT_GE(2 * ok, reference.transcript.size());  // mostly real solves
+
+  // A cap of about two groups: every batch touches more than two groups,
+  // so every batch evicts, and the survivors still repair at each edit.
+  size_t group_bytes = 0;
+  {
+    PlanService service(ScriptGraph());
+    InstanceRepository repository(&service.base());
+    BatchOptions options;
+    options.repository = &repository;
+    service.RunBatch(script[0].requests, options);
+    group_bytes = repository.ResidentBytes() / repository.NumGroups();
+  }
+  ASSERT_GT(group_bytes, 0u);
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(StrFormat("workers=%d", workers));
+    const ScriptRun capped = RunScript(script, 2 * group_bytes, workers);
+    EXPECT_EQ(capped.transcript, reference.transcript);
+    size_t before = 0;
+    for (size_t evictions : capped.evictions_after_batch) {
+      EXPECT_GT(evictions, before);
+      before = evictions;
+    }
+    EXPECT_GT(capped.edit_repairs, 0u);
+    EXPECT_EQ(RunScript(script, InstanceRepository::kMaxBytes, workers)
+                  .transcript,
+              reference.transcript);
+  }
+}
+
+std::vector<Edge> Targets(size_t first) {
+  const std::vector<Edge> edges = ScriptGraph().Edges();
+  return {edges[first], edges[first + 40]};
+}
+
+// The bytes a Triangle group over `targets` is charged on `base`.
+size_t ChargeOf(const Graph& base, const std::vector<Edge>& targets) {
+  InstanceRepository probe(&base);
+  TPP_CHECK(
+      probe.AcquireEngine(probe.Intern(targets, MotifKind::kTriangle)).ok());
+  return probe.ResidentBytes();
+}
+
+TEST(InstanceRepositoryCapTest, TrimKeepsTheMostRecentlyAcquiredGroup) {
+  const Graph base = ScriptGraph();
+  const size_t a_bytes = ChargeOf(base, Targets(0));
+  // Room for A alone: of two built groups, Trim must evict one.
+  InstanceRepository repository(&base, a_bytes);
+  const size_t a = repository.Intern(Targets(0), MotifKind::kTriangle);
+  const size_t b = repository.Intern(Targets(1), MotifKind::kTriangle);
+  ASSERT_TRUE(repository.AcquireEngine(a).ok());
+  ASSERT_TRUE(repository.AcquireEngine(b).ok());
+  ASSERT_TRUE(repository.AcquireEngine(a).ok());  // A is now the newest
+  EXPECT_EQ(repository.NumBuilds(), 2u);
+  EXPECT_GT(repository.ResidentBytes(), a_bytes);
+
+  repository.Trim();
+  EXPECT_EQ(repository.NumEvictions(), 1u);
+  EXPECT_EQ(repository.ResidentBytes(), a_bytes);
+  ASSERT_TRUE(repository.AcquireEngine(a).ok());
+  EXPECT_EQ(repository.NumBuilds(), 2u);  // A survived: a copy, no build
+  ASSERT_TRUE(repository.AcquireEngine(b).ok());
+  EXPECT_EQ(repository.NumBuilds(), 3u);  // B was evicted: it rebuilds
+  EXPECT_EQ(repository.NumGroups(), 2u);  // and kept its key
+}
+
+TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
+  PlanService service(ScriptGraph());
+  InstanceRepository repository(&service.base(),
+                                ChargeOf(service.base(), Targets(0)));
+  const size_t a = repository.Intern(Targets(0), MotifKind::kTriangle);
+  const size_t b = repository.Intern(Targets(1), MotifKind::kTriangle);
+  ASSERT_TRUE(repository.AcquireEngine(b).ok());
+  ASSERT_TRUE(repository.AcquireEngine(a).ok());
+  repository.Trim();  // evicts B
+  ASSERT_EQ(repository.NumEvictions(), 1u);
+
+  // An edit away from both groups' targets: A repairs in place, and the
+  // evicted B is neither repaired nor reset.
+  const std::vector<Edge> edges = service.base().Edges();
+  GraphDelta delta;
+  delta.removed = {edges[100]};
+  Result<EditSummary> summary = service.ApplyEdit(delta, nullptr, &repository);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->groups_repaired, 1u);
+  EXPECT_EQ(summary->groups_reset, 0u);
+
+  // B rebuilds on the edited base, A's repair is what a cold build gives.
+  Result<core::IndexedEngine> rebuilt = repository.AcquireEngine(b);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_EQ(repository.NumBuilds(), 3u);
+  for (size_t group : {a, b}) {
+    Result<core::TppInstance> cold = core::MakeInstance(
+        service.base(), repository.instance(group).targets,
+        MotifKind::kTriangle);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_EQ(repository.instance(group).released, cold->released);
+  }
+}
+
+}  // namespace
+}  // namespace tpp::service

@@ -56,7 +56,11 @@ class NaiveEngine : public Engine {
   std::vector<size_t> sims_;  // cached s(P, t), valid when !dirty_
   bool dirty_ = true;
   uint64_t gain_evals_ = 0;
-  GainTable table_;  // storage behind BeginRound's views
+  // Storage behind BeginRound's views, refilled every round.
+  std::vector<graph::EdgeKey> edges_;
+  std::vector<uint32_t> totals_;
+  std::vector<uint32_t> rows_;
+  RoundGains view_;
 };
 
 }  // namespace tpp::core

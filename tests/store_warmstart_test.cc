@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "motif/incidence_index.h"
 #include "reference/serial_index_build.h"
+#include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
 #include "service/store/plan_codec.h"
@@ -162,6 +163,35 @@ TEST(WarmStartBatchTest, RestartResponsesAreByteIdentical) {
     EXPECT_EQ(EncodeWithoutTimings(warm[i]), reference) << batch[i].name;
     EXPECT_TRUE(warm[i].from_cache) << batch[i].name;
   }
+}
+
+// An evicted group keeps only its key; its next acquisition re-adopts the
+// snapshot its cold build wrote back — a store hit, not a second cold
+// build (no link-cache enumeration, no second write).
+TEST(WarmStartRepositoryTest, EvictedGroupReadoptsItsSnapshot) {
+  const TppInstance inst = MakeArenasInstance(MotifKind::kRectangle, 20);
+  const std::string dir = TempStoreDir("evicted_readopts");
+  std::unique_ptr<WarmStore> store = WarmStore::Open(dir).value();
+  InstanceRepository repository(&ArenasBase(), /*max_bytes=*/0);
+  repository.set_store(store.get(), MetaFor(inst).graph_fingerprint);
+  const size_t group = repository.Intern(inst.targets, inst.motif);
+  ASSERT_TRUE(repository.AcquireEngine(group).ok());
+  EXPECT_EQ(store->stats().index_writes, 1u);
+  const size_t misses = repository.NumLinkCacheMisses();
+  EXPECT_GT(misses, 0u);
+
+  repository.Trim();
+  EXPECT_EQ(repository.NumEvictions(), 1u);
+  EXPECT_EQ(repository.ResidentBytes(), 0u);
+
+  Result<core::IndexedEngine> engine = repository.AcquireEngine(group);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_EQ(store->stats().index_hits, 1u);
+  EXPECT_EQ(store->stats().index_writes, 1u);
+  EXPECT_EQ(repository.NumLinkCacheMisses(), misses);
+  EXPECT_EQ(repository.NumLinkCacheHits(), 0u);
+  EXPECT_TRUE(engine->index().BitIdentical(*IncidenceIndex::Build(
+      inst.released, inst.targets, inst.motif)));
 }
 
 }  // namespace

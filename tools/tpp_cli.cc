@@ -28,7 +28,8 @@
 //       (service/plan_cache.h) and prints its counters; within a single
 //       invocation duplicate requests are already deduped before the
 //       probe, so the flag is mostly a way to observe the memo that
-//       long-lived embedders share across batches. Output plans are
+//       long-lived embedders share across batches. --plan-dir must name
+//       an existing directory (checked before any work). Output plans are
 //       bit-identical to running each request through `tpp protect` on
 //       its own, at any worker count, cache state, or sharing group.
 //       Per-request `deadline_ms=` keys and --batch-deadline-ms bound
@@ -94,6 +95,7 @@
 //   tpp stats --graph=social.released.edges
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <span>
@@ -221,6 +223,15 @@ void PrintStoreStats(const service::store::WarmStore& store,
                 static_cast<unsigned long long>(cs.hits),
                 static_cast<unsigned long long>(cs.backing_hits));
   }
+}
+
+// The repository footer of `batch` and `serve`: the repository's own
+// counts for this process.
+void PrintRepositoryStats(const service::InstanceRepository& repository) {
+  std::printf("instance repository: %zu groups, %zu bytes resident, "
+              "%zu evictions\n",
+              repository.NumGroups(), repository.ResidentBytes(),
+              repository.NumEvictions());
 }
 
 // Reads the solver-selection flags shared by `protect` into a SolverSpec.
@@ -359,6 +370,15 @@ int RunBatch(const ParsedArgs& args) {
   Result<std::unique_ptr<service::store::WarmStore>> store =
       OpenStoreFromFlags(args);
   if (!store.ok()) return Fail(store.status());
+  // Every flag is read by now, so a bad --plan-dir fails with one line
+  // instead of one per plan after the whole solve.
+  const std::string plan_dir = args.GetString("plan-dir", "");
+  std::error_code plan_dir_error;
+  if (!plan_dir.empty() &&
+      !std::filesystem::is_directory(plan_dir, plan_dir_error)) {
+    return Fail(Status::InvalidArgument(
+        StrFormat("--plan-dir=%s is not a directory", plan_dir.c_str())));
+  }
 
   PlanService plan_service(std::move(*g));
   // One repository for the whole script: built instances and indexes
@@ -375,7 +395,6 @@ int RunBatch(const ParsedArgs& args) {
   if (*store != nullptr) cache->set_backing_store(store->get());
   service::BatchStats stats;  // footer fields, summed over script steps
 
-  std::string plan_dir = args.GetString("plan-dir", "");
   Status plan_io = Status::Ok();
   auto write_plan = [&](const PlanRequest& request,
                         const PlanResponse& response) {
@@ -511,6 +530,7 @@ int RunBatch(const ParsedArgs& args) {
                 stats.dedup_shared, stats.instance_builds,
                 stats.instance_groups);
   }
+  PrintRepositoryStats(repository);
   if (*store != nullptr) PrintStoreStats(**store, cache.get());
   if (failures > 0) {
     // One stable line, codes in name order: "failures: 2/10
@@ -633,6 +653,7 @@ int RunServe(const ParsedArgs& args) {
       static_cast<unsigned long long>(stats.edits_applied),
       static_cast<unsigned long long>(stats.edits_failed),
       stats.max_client_load, stats.max_queue_depth);
+  PrintRepositoryStats(repository);
   if (*store != nullptr) PrintStoreStats(**store, cache.get());
   return 0;
 }
