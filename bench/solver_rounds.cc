@@ -55,8 +55,8 @@ using motif::MotifKind;
 
 // 200 sampled targets, like bench/index_build: the round loops only
 // differentiate on candidate sets big enough that a per-round sweep is
-// real work (the 20-target gain_kernels fixture has 26 Triangle
-// candidates — setup noise dominates there).
+// real work (a 20-target Arenas sample has 26 Triangle candidates —
+// setup noise dominates there).
 constexpr size_t kNumTargets = 200;
 constexpr size_t kSgbBudget = 600;
 constexpr size_t kPerTargetBudget = 2;

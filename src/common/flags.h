@@ -48,7 +48,7 @@ class ParsedArgs {
 };
 
 /// Process-wide worker-thread budget for the parallel sweeps (index
-/// builds, per-target row fills, batch serving). Resolution order: an explicit
+/// builds, batch serving). Resolution order: an explicit
 /// SetGlobalThreadCount(), else the TPP_THREADS environment variable, else
 /// std::thread::hardware_concurrency(). Always returns >= 1.
 int GlobalThreadCount();

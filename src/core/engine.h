@@ -89,8 +89,9 @@ class Engine {
   }
 
   /// The whole query side of one INCREMENTAL greedy round. Returns a view
-  /// whose totals (and per-target rows, when `per_target` is set) reflect
-  /// the current graph state, re-evaluating only candidates dirtied by the
+  /// whose totals (and per-target cells — each row's sparse (target, gain)
+  /// pairs, see core/gain_table.h — when `per_target` is set) reflect the
+  /// current graph state, re-evaluating only candidates dirtied by the
   /// deletions committed since the previous BeginRound of the same session
   /// (same per_target; the scope is no session key, it decides only
   /// `num_candidates`). The view's `dirty` lists exactly those row
@@ -103,9 +104,9 @@ class Engine {
   /// re-evaluated. The paper's work metric therefore reports the same
   /// numbers on both paths; only wall time changes.
   ///
-  /// IndexedEngine implements it with dirty-set maintenance on its
-  /// persistent per-session gain rows; NaiveEngine with an always-dirty
-  /// cold sweep.
+  /// IndexedEngine implements it with dirty-set maintenance, its view
+  /// aliasing the index's own counts and CSR-2 cells; NaiveEngine with an
+  /// always-dirty cold sweep that writes its nonzero cells.
   virtual const RoundGains& BeginRound(CandidateScope scope,
                                        bool per_target) = 0;
 

@@ -9,18 +9,21 @@
 // dirty set, or everything for engines that cannot track dirtiness).
 //
 // RoundGains is the per-round view greedy loops consume: a STATIC,
-// ascending candidate universe with aligned total gains (and per-target
-// rows when requested), plus the dirty row indices since the previous
-// round. The universe holds every candidate that can have a positive gain
-// and may hold more: dead or deleted candidates keep a total of zero,
-// which no greedy selection rule can pick (every pick requires a positive
-// gain), so scanning the universe reproduces the cold sweep's first-max
-// tie-breaking exactly. Under kAllEdges it may leave out live zero-gain
-// edges for the same reason — an edge outside every target subgraph has
-// gain 0 forever (Lemma 5). `num_candidates` is the live candidate count —
-// the cold sweep's |Candidates(scope)| — which is what the engine charges
-// to the gain-evaluation work metric per round, keeping the paper's
-// accounting identical between the incremental and cold paths.
+// ascending candidate universe with aligned total gains (and, when
+// requested, each row's per-target cells), plus the dirty row indices since
+// the previous round. The universe holds every candidate that can have a
+// positive gain and may hold more: dead or deleted candidates keep a total
+// of zero, which no greedy selection rule can pick (every pick requires a
+// positive gain), so scanning the universe reproduces the cold sweep's
+// first-max tie-breaking exactly. Under kAllEdges it may leave out live
+// zero-gain edges for the same reason — an edge outside every target
+// subgraph has gain 0 forever (Lemma 5). `num_candidates` is the live
+// candidate count — the cold sweep's |Candidates(scope)| — which is what
+// the engine charges to the gain-evaluation work metric per round, keeping
+// the paper's accounting identical between the incremental and cold paths.
+// The per-target split is sparse (cells below): IndexedEngine's cells are
+// the index's own CSR-2 segments, NaiveEngine writes its nonzero cells
+// afresh every round.
 
 #ifndef TPP_CORE_GAIN_TABLE_H_
 #define TPP_CORE_GAIN_TABLE_H_
@@ -44,13 +47,16 @@ struct RoundGains {
   std::span<const graph::EdgeKey> edges;
   /// totals[i] == Gain(edges[i]) against the current graph state.
   std::span<const uint32_t> totals;
-  /// Per-target gains, row-major with stride `num_targets`:
-  /// rows[i * num_targets + t] == GainVector(edges[i])[t]. Empty unless
-  /// the round was begun with per_target set.
-  std::span<const uint32_t> rows;
-  /// Row stride of `rows`.
-  size_t num_targets = 0;
-  /// Universe indices whose totals/rows changed since the previous round
+  /// Per-target cells, empty unless the round was begun with per_target
+  /// set. Row i owns cells [cell_offsets[i], cell_offsets[i + 1]), one
+  /// (target, gain) pair each in strictly ascending target order:
+  /// GainVector(edges[i])[t] is the gain of row i's cell for t, or 0 when
+  /// the row has none (a cell's gain may be 0 too). The layout — which
+  /// rows hold which targets — changes only on all_dirty rounds.
+  std::span<const uint32_t> cell_offsets;
+  std::span<const uint32_t> cell_targets;
+  std::span<const uint32_t> cell_gains;
+  /// Universe indices whose totals/cells changed since the previous round
   /// (sorted ascending, deduplicated). Meaningful only when !all_dirty.
   std::span<const uint32_t> dirty;
   /// True when every row must be treated as changed: the session's first

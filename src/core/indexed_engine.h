@@ -3,7 +3,6 @@
 #ifndef TPP_CORE_INDEXED_ENGINE_H_
 #define TPP_CORE_INDEXED_ENGINE_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -56,13 +55,13 @@ class IndexedEngine : public Engine {
   size_t DeleteEdge(graph::EdgeKey e) override;
   void CandidatesInto(CandidateScope scope,
                       std::vector<graph::EdgeKey>* out) override;
-  /// Incremental rounds on the persistent gain table. The candidate
+  /// Incremental rounds read in place from the index. The candidate
   /// universe is the interned edge set under EITHER scope, static for a
   /// whole session: totals alias the index's eagerly-maintained alive
-  /// counts and need no per-round work at all, and per-target rows are
-  /// patched only for the dirty ids the round's deferred-count flush
-  /// reports, through the parallel row fill when the dirty set is wide.
-  /// Graph edges outside every target subgraph have gain 0 forever
+  /// counts, the per-target cells alias its CSR-2 segments (brought
+  /// current by one FlushDeferredMaintenance per round), and the dirty
+  /// rows are the ids the round's deferred-count flush reports. Graph
+  /// edges outside every target subgraph have gain 0 forever
   /// (Lemma 5), so a full-scope round leaves them out and still picks
   /// exactly what the literal full sweep picks. The scope decides only
   /// `num_candidates`: one evaluation is charged per live candidate of
@@ -84,15 +83,9 @@ class IndexedEngine : public Engine {
   IndexedEngine Clone() const {
     IndexedEngine copy(*this);
     copy.gain_evals_ = 0;
-    copy.ResetSession();
+    copy.session_active_ = false;
     return copy;
   }
-
-  /// BeginRound's per-target row fills fan out over the shared pool at
-  /// tpp::GlobalThreadCount() workers, each taking at least this many
-  /// rows; below that the fan-out costs more than the CSR-2 segment reads
-  /// it spreads, so smaller fills run inline.
-  static constexpr size_t kMinRowsPerThread = 256;
 
   /// Access to the underlying index (for reporting and differential
   /// tests). Non-const because count-level reads flush the index's
@@ -105,30 +98,15 @@ class IndexedEngine : public Engine {
   IndexedEngine(graph::Graph g, motif::IncidenceIndex index)
       : g_(std::move(g)), index_(std::move(index)) {}
 
-  // Shared worker-sizing and dispatch of the row-granular parallel jobs
-  // (a session's first per-target row fill, the dirty-row patch): up to
-  // tpp::GlobalThreadCount() workers, each given at least
-  // kMinRowsPerThread rows, so small jobs run inline.
-  void ParallelRowJob(size_t n,
-                      const std::function<void(size_t, size_t)>& body);
-
-  // (Re)starts an incremental round session for `per_target`.
-  void InitRoundSession(bool per_target);
-
-  // Forgets the round session (the next BeginRound is a full evaluation)
-  // and releases its storage.
-  void ResetSession();
-
   graph::Graph g_;
   motif::IncidenceIndex index_;
   uint64_t gain_evals_ = 0;
 
-  // Incremental round session state (see BeginRound). view_.edges and
-  // view_.totals alias the index's interned key and alive-count arrays;
-  // rows_ and dirty_ back view_.rows and view_.dirty. A BeginRound with a
-  // different per_target restarts the session.
+  // Incremental round session state (see BeginRound). view_.edges,
+  // view_.totals and the view's cells alias the index's interned key,
+  // alive-count and CSR-2 arrays; dirty_ backs view_.dirty. A BeginRound
+  // with a different per_target restarts the session.
   RoundGains view_;
-  std::vector<uint32_t> rows_;
   std::vector<uint32_t> dirty_;
   bool session_active_ = false;
   bool session_per_target_ = false;

@@ -581,21 +581,6 @@ void IncidenceIndex::AccumulateGains(EdgeKey e, std::span<size_t> out) {
   }
 }
 
-void IncidenceIndex::ReadGainRows(uint32_t first, size_t count, size_t stride,
-                                  uint32_t* out) const {
-  const size_t num_targets = alive_per_target_.size();
-  // One running cursor covers the run's whole contiguous cell range
-  // [tgt_offsets_[first], tgt_offsets_[first + count]); the offsets array
-  // is only read once per row to find each row's end.
-  uint32_t p = tgt_offsets_[first];
-  for (size_t k = 0; k < count; ++k) {
-    uint32_t* const row = out + k * stride;
-    std::fill(row, row + num_targets, 0u);
-    const uint32_t end = tgt_offsets_[first + k + 1];
-    for (; p < end; ++p) row[tgt_ids_[p]] = tgt_counts_[p];
-  }
-}
-
 std::vector<EdgeKey> IncidenceIndex::AliveCandidateEdges() {
   std::vector<EdgeKey> out;
   AliveCandidateEdgesInto(&out);

@@ -16,8 +16,10 @@
 //   * tgt_offsets_ / tgt_ids_ / tgt_counts_ — the per-target split of each
 //     edge's alive count: for edge id e, the segment holds one
 //     (target, alive count) pair per target that had an instance through e
-//     at build time. AccumulateGains and the row reads (ReadGainRows)
-//     scan one short segment instead of the full posting list.
+//     at build time, targets ascending. AccumulateGains and the CT/WT
+//     round views (TargetCellOffsets/Ids/Counts, read in place by
+//     IndexedEngine::BeginRound) scan one short segment instead of the
+//     full posting list.
 //
 // On top of the layout the index caches alive_count_[e], the number of
 // alive instances containing edge id e. The maintained invariant is
@@ -51,19 +53,18 @@
 //   * FlushDeferredMaintenance — additionally restores the CSR-2 per-
 //     target cells (zero the dead edges' segments wholesale, then replay
 //     the queued kills against the slot table). Runs implicitly before
-//     every per-target read (AccumulateGains); ReadGainRows assumes it
-//     already ran so parallel row fans stay pure reads.
+//     every per-target read (AccumulateGains); the raw cell accessors
+//     assume it already ran.
 //
 // The deferral costs nothing it would not pay eagerly — each killed
 // instance is processed exactly once per granularity — but moves the work
 // out of the commit: a greedy round flushes once before its first gain
 // read instead of scattering decrements inside every DeleteEdge, a run
 // that never reads per-target splits (SGB, the random baselines) never
-// pays the CSR-2 half at all, and delete-only bursts (the delete_commit
-// kernel, bulk phase-1 deletions) pay only the kill marks. Steady-state
-// Gain stays an O(1) cached read, and the incremental round engine's
-// per-target row fill flushes once up front so its parallel fan-out
-// remains synchronization-free.
+// pays the CSR-2 half at all, and delete-only bursts (bulk phase-1
+// deletions) pay only the kill marks. Steady-state Gain stays an O(1)
+// cached read, and a per-target round (CT/WT) flushes once, then reads
+// the cells in place.
 //
 // Construction is parallel and deterministic: enumeration fans out over
 // the shared thread pool in per-target tasks (hub targets split by
@@ -98,8 +99,8 @@
 //
 // The previous unordered_map posting-list implementation is preserved as
 // LegacyIncidenceIndex in the test-only reference library
-// (tests/reference/legacy_incidence_index.h) and serves as the baseline
-// in the gain-kernel benchmarks and differential tests.
+// (tests/reference/legacy_incidence_index.h) and serves as the oracle of
+// the differential tests.
 
 #ifndef TPP_MOTIF_INCIDENCE_INDEX_H_
 #define TPP_MOTIF_INCIDENCE_INDEX_H_
@@ -320,9 +321,9 @@ class IncidenceIndex {
   /// O(1) when nothing is queued.
   void FlushDeferredCounts(std::vector<uint32_t>* dirty = nullptr);
 
-  /// FlushDeferredCounts plus the queued CSR-2 cell maintenance. Reading
-  /// cells concurrently (ReadGainRows from a parallel fan-out) is safe
-  /// only after this returns and before the next DeleteEdge. Idempotent.
+  /// FlushDeferredCounts plus the queued CSR-2 cell maintenance. The raw
+  /// cell accessors (TargetCellCounts) read current counts only after this
+  /// returns and before the next DeleteEdge. Idempotent.
   void FlushDeferredMaintenance();
 
   /// True iff any maintenance (counts or cells) is queued but unapplied.
@@ -338,19 +339,19 @@ class IncidenceIndex {
   /// instead of serving stale gains. See IndexedEngine::BeginRound.
   uint64_t CountsFlushEpoch() const { return counts_flush_epoch_; }
 
-  /// Writes the per-target gain rows of the CONSECUTIVE edge ids
-  /// [first, first + count) to out, out + stride, out + 2 * stride, ...
-  /// (NumTargets() entries each, zero for targets without alive instances
-  /// through the edge). Because ids are dense and CSR-2 segments are laid
-  /// out in id order, the run's (target, count) cells are one contiguous
-  /// block walked by a single running cursor — a streaming kernel instead
-  /// of `count` point queries re-deriving offsets. PURE READ: requires
-  /// !HasDeferredMaintenance() (call FlushDeferredMaintenance first); safe
-  /// to call concurrently from pool workers under that precondition. The
-  /// incremental round engine decomposes its dirty set into such runs
-  /// (dirty ids cluster: an instance's edges intern near each other).
-  void ReadGainRows(uint32_t first, size_t count, size_t stride,
-                    uint32_t* out) const;
+  /// The CSR-2 per-target cells, indexed by dense edge id: edge id e owns
+  /// cells [TargetCellOffsets()[e], TargetCellOffsets()[e + 1]) of
+  /// TargetCellIds() (strictly ascending targets) and TargetCellCounts()
+  /// (their alive counts; a target without a cell has none). PURE READS of
+  /// the incremental round session's per-target view: the counts are
+  /// current only after FlushDeferredMaintenance and until the next
+  /// DeleteEdge. The layout (offsets and ids) changes only in
+  /// ApplyGraphDelta, which bumps CountsFlushEpoch().
+  std::span<const uint32_t> TargetCellOffsets() const {
+    return tgt_offsets_.span();
+  }
+  std::span<const uint32_t> TargetCellIds() const { return tgt_ids_.span(); }
+  std::span<const uint32_t> TargetCellCounts() const { return tgt_counts_; }
 
   /// The cached per-edge-id alive counts, indexed by dense edge id. PURE
   /// READ of the incremental round session's total-gain table: requires a

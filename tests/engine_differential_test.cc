@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "core/indexed_engine.h"
 #include "core/problem.h"
 #include "graph/generators.h"
 #include "reference/naive_engine.h"
+#include "test_util.h"
 
 namespace tpp::core {
 namespace {
@@ -62,24 +64,25 @@ TEST_P(EngineDifferentialTest, IdenticalUnderRandomDeletions) {
 }
 
 // The live rows of a round view: (edge, total, per-target row) for every
-// candidate with a positive gain. The engines' views differ in which dead
-// candidates they keep (the indexed session's universe is static), so the
-// comparison is over live rows only.
+// candidate with a positive gain, the row expanded from the view's cells.
+// The engines' views differ in which dead candidates they keep (the
+// indexed session's universe is static) and in which zero cells they
+// carry (the indexed cells are the index's CSR-2 segments, the recount
+// engine writes nonzero cells only), so the comparison is over live rows
+// and per-target gains.
 struct LiveRow {
   EdgeKey edge;
   uint32_t total;
-  std::vector<uint32_t> row;
+  std::vector<size_t> row;
   bool operator==(const LiveRow&) const = default;
 };
 
-std::vector<LiveRow> LiveRows(const RoundGains& view) {
+std::vector<LiveRow> LiveRows(const RoundGains& view, size_t num_targets) {
   std::vector<LiveRow> out;
   for (size_t i = 0; i < view.edges.size(); ++i) {
     if (view.totals[i] == 0) continue;
     out.push_back({view.edges[i], view.totals[i],
-                   std::vector<uint32_t>(
-                       view.rows.begin() + i * view.num_targets,
-                       view.rows.begin() + (i + 1) * view.num_targets)});
+                   ::tpp::testing::DenseRow(view, i, num_targets)});
   }
   return out;
 }
@@ -102,8 +105,8 @@ TEST_P(EngineDifferentialTest, RoundViewsAgree) {
       const RoundGains& vn = naive.BeginRound(scope, /*per_target=*/true);
       const RoundGains& vi = indexed.BeginRound(scope, /*per_target=*/true);
       ASSERT_EQ(vn.num_candidates, vi.num_candidates) << "round " << round;
-      std::vector<LiveRow> live = LiveRows(vn);
-      ASSERT_EQ(live, LiveRows(vi)) << "round " << round;
+      std::vector<LiveRow> live = LiveRows(vn, targets.size());
+      ASSERT_EQ(live, LiveRows(vi, targets.size())) << "round " << round;
       ASSERT_EQ(naive.GainEvaluations(), indexed.GainEvaluations());
       if (live.empty()) break;
       EdgeKey victim = live[rng.UniformIndex(live.size())].edge;

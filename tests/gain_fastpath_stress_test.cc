@@ -1,5 +1,5 @@
 // Randomized stress test for the CSR gain fast path: interleaves
-// BeginRound's threaded row fill, Gain, GainVector, and DeleteEdge on
+// BeginRound's per-target cell views, Gain, GainVector, and DeleteEdge on
 // generated graphs and cross-checks the index's cached alive counts
 // against a from-scratch recount after every deletion. Guards the
 // alive-count invariant documented in motif/incidence_index.h:
@@ -30,7 +30,6 @@ using core::TppInstance;
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
-using ::tpp::testing::ScopedGlobalThreads;
 
 // Independent recount straight off the instance list: the gain of an
 // edge is the number of alive instances containing it.
@@ -56,11 +55,7 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 5);
   TppInstance inst = *core::MakeInstance(g, targets, kind);
   // Every round below restarts its session (the checks flush counts
-  // between rounds), so each BeginRound refills the whole universe at a
-  // thread budget of four. The interned universes here are too small for
-  // that fill to fan out; DeferredFlushInterleavesWithParallelRowFan
-  // (incremental_rounds_test) asserts that the fan-out happens.
-  ScopedGlobalThreads threads(4);
+  // between rounds), so each BeginRound is a full per-target view.
   IndexedEngine engine = *IndexedEngine::Create(inst);
 
   for (int step = 0; step < 20; ++step) {
@@ -68,15 +63,18 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
         engine.Candidates(CandidateScope::kAllEdges);
     if (candidates.empty()) break;
 
-    // Threaded round view == cached counts == brute recount per edge. The
-    // view's universe is the interned edge set: every candidate outside it
-    // has gain 0.
+    // Round view == cached counts == brute recount per edge, and each
+    // row's cells == its gain vector. The view's universe is the interned
+    // edge set: every candidate outside it has gain 0.
     const RoundGains& view =
         engine.BeginRound(CandidateScope::kAllEdges, /*per_target=*/true);
     const std::vector<EdgeKey> edges(view.edges.begin(), view.edges.end());
     const std::vector<uint32_t> totals(view.totals.begin(),
                                        view.totals.end());
-    const std::vector<uint32_t> rows(view.rows.begin(), view.rows.end());
+    std::vector<std::vector<size_t>> rows;
+    for (size_t i = 0; i < edges.size(); ++i) {
+      rows.push_back(::tpp::testing::DenseRow(view, i, targets.size()));
+    }
     for (EdgeKey e : candidates) {
       if (!std::ranges::binary_search(edges, e)) {
         ASSERT_EQ(engine.index().Gain(e), 0u)
@@ -90,10 +88,7 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
       const auto it = brute.find(edges[i]);
       ASSERT_EQ(totals[i], it == brute.end() ? 0 : it->second)
           << "cached count diverged from instance recount";
-      std::vector<size_t> diffs = engine.GainVector(edges[i]);
-      for (size_t t = 0; t < targets.size(); ++t) {
-        ASSERT_EQ(rows[i * targets.size() + t], diffs[t]);
-      }
+      ASSERT_EQ(rows[i], engine.GainVector(edges[i]));
     }
 
     // The restricted candidate set is exactly the positive-gain edges.
@@ -165,6 +160,22 @@ TEST_P(GainFastPathStressTest, CsrMatchesLegacyReference) {
     ASSERT_EQ(csr->DeleteEdge(victim), legacy->DeleteEdge(victim));
     ASSERT_EQ(csr->TotalAlive(), legacy->TotalAlive());
     ASSERT_EQ(csr->AliveCounts(), legacy->AliveCounts());
+  }
+  // Deleting every remaining candidate in key order, with no read in
+  // between (the deferred queues absorb the whole burst), kills every
+  // instance on both indexes and leaves every per-target split at zero.
+  const std::vector<EdgeKey> remaining = csr->AliveCandidateEdges();
+  ASSERT_EQ(remaining, legacy->AliveCandidateEdges());
+  for (EdgeKey e : remaining) {
+    ASSERT_EQ(csr->DeleteEdge(e), legacy->DeleteEdge(e));
+  }
+  ASSERT_EQ(csr->TotalAlive(), 0u);
+  ASSERT_EQ(legacy->TotalAlive(), 0u);
+  ASSERT_EQ(csr->AliveCounts(), legacy->AliveCounts());
+  for (EdgeKey e : interned) {
+    std::vector<size_t> ac(targets.size(), 0);
+    csr->AccumulateGains(e, &ac);
+    ASSERT_EQ(ac, std::vector<size_t>(targets.size(), 0));
   }
 }
 

@@ -3,9 +3,9 @@
 // state) against the cold reference sweeps (tests/reference/), over every
 // solver x motif x candidate scope, plus the
 // deferred-maintenance protocol of the IncidenceIndex (count and cell
-// flushes, dirty-set exactness under randomized delete orders) and the
-// interleaving of deferred flushes with BeginRound's parallel per-target
-// row fan (exercised under TSan in CI).
+// flushes, dirty-set exactness under randomized delete orders), the
+// per-target cell views BeginRound serves straight from the index's CSR-2
+// segments, and the sparse CT/WT paths at 2,000 targets.
 
 #include <algorithm>
 #include <string>
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "core/greedy.h"
 #include "core/indexed_engine.h"
 #include "core/problem.h"
@@ -120,8 +121,7 @@ class IncrementalRoundsTest : public ::testing::TestWithParam<MotifKind> {};
 //     16 selector blocks for every motif, with CT/WT budgets mostly 0 or
 //     1, so that CT exhausts a target (and re-seats the rows that had it
 //     as best target) across many blocks on most rounds. Its production
-//     runs go at global thread budgets of 1 and 4; at 4 its row fills
-//     fan out over the pool.
+//     runs go at global thread budgets of 1 and 4.
 TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
   const MotifKind kind = GetParam();
   struct Case {
@@ -147,7 +147,6 @@ TEST_P(IncrementalRoundsTest, MatchesColdSweepAllSolversBothScopes) {
     if (c.name == "wide") {
       const size_t universe = prototype.index().NumInternedEdges();
       ASSERT_GE(universe, 16 * RoundArgmax::kBlock);
-      ASSERT_GE(universe, 4 * IndexedEngine::kMinRowsPerThread);
     }
     for (CandidateScope scope :
          {CandidateScope::kAllEdges, CandidateScope::kTargetSubgraphEdges}) {
@@ -283,70 +282,70 @@ TEST_P(IncrementalRoundsTest, DeferredFlushGranularity) {
   EXPECT_TRUE(idx.BitIdentical(eager));
 }
 
-// Deferred flushes interleaved with the production row fan: each round's
+// Deferred flushes interleaved with the per-target views: each round's
 // batch of DeleteEdge calls queues maintenance, and the next BeginRound
-// flushes it, then patches the dirty per-target rows on the pool. An
-// engine run at a global budget of four workers must report exactly what
-// it reports at one — totals, rows and dirty lists — every round, under
-// both scopes. The instance (500 targets on a dense clustered graph) is
-// wide enough — at least four workers' worth of interned universe rows
-// for every motif — that the first fill fans out, and each round deletes
-// half the live candidates so that the dirty-row patches fan out too.
-// TSan (CI job) checks the synchronization story.
-TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithParallelRowFan) {
+// flushes it and serves the index's CSR-2 cells in place. An engine run at
+// a global budget of four workers must report exactly what it reports at
+// one — totals, cells and dirty lists — every round, under both scopes,
+// and every live row's cells must be its gain vector. The instance (500
+// targets on a dense clustered graph) deletes half the live candidates
+// each round, so the dirty sets are wide. TSan (CI job) checks that the
+// views need no synchronization.
+TEST_P(IncrementalRoundsTest, DeferredFlushInterleavesWithCellViews) {
   const MotifKind kind = GetParam();
   Rng graph_rng(47);
   const Graph g = *graph::HolmeKim(300, 8, 1.0, graph_rng);
   const TppInstance inst = SampledInstance(g, 500, 13, kind);
   const IndexedEngine prototype = *IndexedEngine::Create(inst);
-  constexpr size_t kRowsPerWorker = IndexedEngine::kMinRowsPerThread;
   for (CandidateScope scope : {CandidateScope::kTargetSubgraphEdges,
                                CandidateScope::kAllEdges}) {
     SCOPED_TRACE(scope == CandidateScope::kAllEdges ? "all" : "restricted");
-    IndexedEngine fanned = prototype.Clone();
+    IndexedEngine wide = prototype.Clone();
     IndexedEngine serial = prototype.Clone();
+    IndexedEngine probe = prototype.Clone();  // gain vectors, same deletes
     Rng rng(99);
-    int fanned_fills = 0;    // full fills over >= 4 workers' rows
-    int fanned_patches = 0;  // dirty patches over >= 2 workers' rows
     for (int round = 0; round < 8; ++round) {
-      const RoundGains* fanned_view = nullptr;
+      const RoundGains* wide_view = nullptr;
       const RoundGains* serial_view = nullptr;
       {
         ScopedGlobalThreads budget(4);
-        fanned_view = &fanned.BeginRound(scope, /*per_target=*/true);
+        wide_view = &wide.BeginRound(scope, /*per_target=*/true);
       }
       {
         ScopedGlobalThreads budget(1);
         serial_view = &serial.BeginRound(scope, /*per_target=*/true);
       }
-      const RoundGains& a = *fanned_view;
+      const RoundGains& a = *wide_view;
       const RoundGains& b = *serial_view;
       ASSERT_EQ(a.all_dirty, b.all_dirty) << "round " << round;
       ASSERT_EQ(a.num_candidates, b.num_candidates) << "round " << round;
       ASSERT_TRUE(std::ranges::equal(a.edges, b.edges)) << "round " << round;
       ASSERT_TRUE(std::ranges::equal(a.totals, b.totals))
           << "round " << round;
-      ASSERT_TRUE(std::ranges::equal(a.rows, b.rows)) << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.cell_offsets, b.cell_offsets))
+          << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.cell_targets, b.cell_targets))
+          << "round " << round;
+      ASSERT_TRUE(std::ranges::equal(a.cell_gains, b.cell_gains))
+          << "round " << round;
       ASSERT_TRUE(std::ranges::equal(a.dirty, b.dirty)) << "round " << round;
-      if (a.all_dirty && a.edges.size() >= 4 * kRowsPerWorker) {
-        ++fanned_fills;
-      }
-      if (!a.all_dirty && a.dirty.size() >= 2 * kRowsPerWorker) {
-        ++fanned_patches;
-      }
       std::vector<EdgeKey> live;
       for (size_t i = 0; i < a.edges.size(); ++i) {
-        if (a.totals[i] > 0) live.push_back(a.edges[i]);
+        if (a.totals[i] == 0) continue;
+        live.push_back(a.edges[i]);
+        ASSERT_EQ(::tpp::testing::DenseRow(a, i, inst.targets.size()),
+                  probe.GainVector(a.edges[i]))
+            << "round " << round << " edge " << a.edges[i];
       }
       if (live.empty()) break;
       for (EdgeKey victim :
            rng.SampleK(live, std::max<size_t>(1, live.size() / 2))) {
-        ASSERT_EQ(fanned.DeleteEdge(victim), serial.DeleteEdge(victim));
+        const size_t killed = wide.DeleteEdge(victim);
+        ASSERT_EQ(killed, serial.DeleteEdge(victim));
+        ASSERT_EQ(killed, probe.DeleteEdge(victim));
       }
     }
-    EXPECT_EQ(fanned.GainEvaluations(), serial.GainEvaluations());
-    EXPECT_GT(fanned_fills, 0) << "the first row fill never fanned out";
-    EXPECT_GT(fanned_patches, 0) << "the dirty-row patch never fanned out";
+    EXPECT_EQ(wide.GainEvaluations(), serial.GainEvaluations());
   }
 }
 
@@ -432,6 +431,186 @@ TEST_P(IncrementalRoundsTest, CloneResetsRoundSession) {
   ASSERT_TRUE(from_fresh.ok());
   ASSERT_TRUE(from_clone.ok());
   ExpectBitIdentical(*from_fresh, *from_clone, "fresh vs clone");
+}
+
+// The sparse CT/WT paths at 2,000 targets: 30 targets sampled from a
+// clustered 60-node core, where target subgraphs overlap and rows carry
+// several cells, plus 1,970 isolated links with no target subgraph,
+// shuffled together so the core targets spread over the whole id range.
+constexpr size_t kWideTargets = 2000;
+constexpr size_t kCoreTargets = 30;
+
+TppInstance ThousandsOfTargets() {
+  Rng rng(5);
+  const Graph core = *graph::HolmeKim(60, 4, 0.8, rng);
+  const size_t isolated = kWideTargets - kCoreTargets;
+  Graph g(core.NumNodes() + 2 * isolated);
+  for (const Edge& e : core.Edges()) TPP_CHECK(g.AddEdge(e.u, e.v).ok());
+  std::vector<Edge> targets = rng.SampleK(core.Edges(), kCoreTargets);
+  for (size_t k = 0; k < isolated; ++k) {
+    const auto u = static_cast<graph::NodeId>(core.NumNodes() + 2 * k);
+    TPP_CHECK(g.AddEdge(u, u + 1).ok());
+    targets.emplace_back(u, u + 1);
+  }
+  rng.Shuffle(targets);
+  return *MakeInstance(g, targets, MotifKind::kTriangle);
+}
+
+// Targets of `inst` that have at least one target subgraph (most, not all,
+// of the core targets).
+std::vector<bool> CoreTargets(const TppInstance& inst) {
+  IndexedEngine engine = *IndexedEngine::Create(inst);
+  std::vector<bool> core(inst.targets.size());
+  for (size_t t = 0; t < core.size(); ++t) core[t] = engine.SimilarityOf(t);
+  return core;
+}
+
+// Runs `solver` ("ct" or "wt") through the cold reference loop and
+// incrementally on both engines, and checks the incremental runs match the
+// cold one bit for bit. (The recount engine's own cold loop is left out:
+// at 2,000 targets each of its rounds recounts every target per candidate,
+// and NaiveFallbackMatchesColdAndIndexed covers it.) Returns the indexed
+// incremental run.
+ProtectionResult RunEverywhere(const std::string& solver,
+                               const TppInstance& inst,
+                               const std::vector<size_t>& budgets) {
+  GreedyOptions options;
+  options.scope = CandidateScope::kTargetSubgraphEdges;
+  const IndexedEngine prototype = *IndexedEngine::Create(inst);
+  IndexedEngine indexed_cold = prototype.Clone();
+  IndexedEngine indexed_incr = prototype.Clone();
+  NaiveEngine naive_incr(inst);
+  auto ic = RunSolver(solver, /*cold=*/true, indexed_cold, options, budgets);
+  auto ii = RunSolver(solver, /*cold=*/false, indexed_incr, options, budgets);
+  auto ni = RunSolver(solver, /*cold=*/false, naive_incr, options, budgets);
+  TPP_CHECK(ic.ok() && ii.ok() && ni.ok());
+  ExpectBitIdentical(*ic, *ii, solver + "/indexed cold vs incremental");
+  ExpectBitIdentical(*ic, *ni, solver + "/cold vs naive incremental");
+  // The full scope runs on the same cells; only the charged candidate
+  // count differs.
+  options.scope = CandidateScope::kAllEdges;
+  IndexedEngine all_cold = prototype.Clone();
+  IndexedEngine all_incr = prototype.Clone();
+  auto ac = RunSolver(solver, /*cold=*/true, all_cold, options, budgets);
+  auto ai = RunSolver(solver, /*cold=*/false, all_incr, options, budgets);
+  TPP_CHECK(ac.ok() && ai.ok());
+  ExpectBitIdentical(*ac, *ai, solver + "/indexed cold vs incremental/all");
+  return *ii;
+}
+
+// What a CT run's picks made the sparse loop do, replayed on a fresh
+// engine: picks whose own gain was 0 for every unspent target (resolved
+// through the first-unspent marker), and rows that an exhaustion had to
+// re-seat through the target -> rows transpose — rows the pick's deletion
+// left untouched whose first argmax over the unspent targets was the
+// exhausted target.
+struct CtPaths {
+  size_t zero_own_picks = 0;
+  size_t transpose_reseats = 0;
+};
+
+CtPaths ReplayCt(const TppInstance& inst, const std::vector<size_t>& budgets,
+                 const ProtectionResult& result) {
+  IndexedEngine engine = *IndexedEngine::Create(inst);
+  std::vector<size_t> left = budgets;
+  CtPaths paths;
+  for (const PickTrace& pick : result.picks) {
+    const std::vector<EdgeKey> candidates =
+        engine.Candidates(CandidateScope::kTargetSubgraphEdges);
+    if (engine.GainVector(pick.edge)[pick.for_target] == 0) {
+      ++paths.zero_own_picks;
+    }
+    const bool exhausts = left[pick.for_target] == 1;
+    std::vector<EdgeKey> seated;  // rows whose first argmax is the target
+    std::vector<std::vector<size_t>> before;
+    if (exhausts) {
+      for (EdgeKey e : candidates) {
+        if (e == pick.edge) continue;
+        std::vector<size_t> gains = engine.GainVector(e);
+        size_t best = 0;
+        size_t best_t = gains.size();
+        for (size_t t = 0; t < gains.size(); ++t) {
+          if (left[t] > 0 && gains[t] > best) {
+            best = gains[t];
+            best_t = t;
+          }
+        }
+        if (best_t == pick.for_target) {
+          seated.push_back(e);
+          before.push_back(std::move(gains));
+        }
+      }
+    }
+    --left[pick.for_target];
+    engine.DeleteEdge(pick.edge);
+    for (size_t k = 0; k < seated.size(); ++k) {
+      if (engine.GainVector(seated[k]) == before[k]) ++paths.transpose_reseats;
+    }
+  }
+  return paths;
+}
+
+// CT with budgets that are mostly 0: every other target with a subgraph
+// gets 1, and so do five targets without one. Every core target with budget exhausts on its
+// first pick, re-seating the rows that preferred it, and once no unspent
+// target has any gain left the remaining picks go to isolated targets
+// with own gain 0.
+TEST(SparseCellRoundsTest, CtZeroOwnPicksAndExhaustionReseats) {
+  const TppInstance inst = ThousandsOfTargets();
+  const std::vector<bool> core = CoreTargets(inst);
+  std::vector<size_t> budgets(kWideTargets, 0);
+  size_t core_seen = 0;
+  size_t isolated_budgeted = 0;
+  for (size_t t = 0; t < kWideTargets; ++t) {
+    if (core[t]) {
+      budgets[t] = core_seen++ % 2;
+    } else if (isolated_budgeted < 5 && t % 97 == 0) {
+      budgets[t] = 1;
+      ++isolated_budgeted;
+    }
+  }
+  ASSERT_GT(core_seen, kCoreTargets / 2);
+  ASSERT_EQ(isolated_budgeted, 5u);
+  const ProtectionResult result = RunEverywhere("ct", inst, budgets);
+  const CtPaths paths = ReplayCt(inst, budgets, result);
+  EXPECT_GT(paths.zero_own_picks, 0u);
+  EXPECT_GT(paths.transpose_reseats, 0u);
+}
+
+// CT with 0-2 per target over the core and a few isolated targets: many
+// exhaustions while other targets still have gains.
+TEST(SparseCellRoundsTest, CtMixedBudgetsWithZeros) {
+  const TppInstance inst = ThousandsOfTargets();
+  const std::vector<bool> core = CoreTargets(inst);
+  Rng rng(8);
+  std::vector<size_t> budgets(kWideTargets, 0);
+  for (size_t t = 0; t < kWideTargets; ++t) {
+    if (core[t] || t % 401 == 0) budgets[t] = rng.UniformIndex(3);
+  }
+  const ProtectionResult result = RunEverywhere("ct", inst, budgets);
+  const CtPaths paths = ReplayCt(inst, budgets, result);
+  EXPECT_GT(Exhaustions(result, budgets), 10u);
+  EXPECT_GT(paths.transpose_reseats, 0u);
+}
+
+// WT switches its focal target once per budgeted target: every core target
+// and a few isolated ones (whose rounds find nothing to pick).
+TEST(SparseCellRoundsTest, WtManyTargetSwitches) {
+  const TppInstance inst = ThousandsOfTargets();
+  const std::vector<bool> core = CoreTargets(inst);
+  std::vector<size_t> budgets(kWideTargets, 0);
+  for (size_t t = 0; t < kWideTargets; ++t) {
+    if (core[t]) budgets[t] = 1 + t % 2;
+    if (t % 401 == 0) budgets[t] = 1;
+  }
+  const ProtectionResult result = RunEverywhere("wt", inst, budgets);
+  std::vector<size_t> focal;
+  for (const PickTrace& pick : result.picks) {
+    if (focal.empty() || focal.back() != pick.for_target) {
+      focal.push_back(pick.for_target);
+    }
+  }
+  EXPECT_GT(focal.size(), kCoreTargets / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMotifs, IncrementalRoundsTest,

@@ -5,12 +5,9 @@
 // This is the pre-CSR layout: edge -> vector<instance id> in a hash map,
 // with every gain query walking the posting list and testing per-instance
 // liveness (O(instances incident to e) per query). It is NOT used by any
-// engine; it exists so that
-//   * the gain-kernel benchmarks (bench/gain_kernels.cc,
-//     bench/micro_kernels.cc) can quantify the CSR speedup against the
-//     historical baseline, and
-//   * differential tests can cross-check the CSR index's cached counts
-//     against an independently maintained implementation.
+// engine; it exists so that differential tests can cross-check the CSR
+// index's cached counts and per-target splits against an independently
+// maintained implementation.
 // See motif/incidence_index.h for the production CSR index.
 
 #ifndef TPP_REFERENCE_LEGACY_INCIDENCE_INDEX_H_

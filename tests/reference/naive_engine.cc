@@ -98,31 +98,35 @@ const RoundGains& NaiveEngine::BeginRound(CandidateScope scope,
   // the work metric matches the cold sweep this stands in for (one
   // evaluation per live candidate).
   CandidatesInto(scope, &edges_);
-  const size_t num_targets = NumTargets();
   totals_.resize(edges_.size());
+  cell_offsets_.clear();
+  cell_targets_.clear();
+  cell_gains_.clear();
   if (per_target) {
-    rows_.resize(edges_.size() * num_targets);
-    std::vector<size_t> diffs(num_targets);
+    std::vector<size_t> diffs(NumTargets());
+    cell_offsets_.push_back(0);
     for (size_t i = 0; i < edges_.size(); ++i) {
       GainVectorInto(edges_[i], diffs);
-      uint32_t* row = rows_.data() + i * num_targets;
       uint32_t total = 0;
-      for (size_t t = 0; t < num_targets; ++t) {
-        row[t] = static_cast<uint32_t>(diffs[t]);
-        total += row[t];
+      for (size_t t = 0; t < diffs.size(); ++t) {
+        if (diffs[t] == 0) continue;
+        cell_targets_.push_back(static_cast<uint32_t>(t));
+        cell_gains_.push_back(static_cast<uint32_t>(diffs[t]));
+        total += static_cast<uint32_t>(diffs[t]);
       }
+      cell_offsets_.push_back(static_cast<uint32_t>(cell_targets_.size()));
       totals_[i] = total;
     }
   } else {
-    rows_.clear();
     for (size_t i = 0; i < edges_.size(); ++i) {
       totals_[i] = static_cast<uint32_t>(Gain(edges_[i]));
     }
   }
   view_.edges = edges_;
   view_.totals = totals_;
-  view_.rows = rows_;
-  view_.num_targets = per_target ? num_targets : 0;
+  view_.cell_offsets = cell_offsets_;
+  view_.cell_targets = cell_targets_;
+  view_.cell_gains = cell_gains_;
   view_.dirty = {};
   view_.all_dirty = true;
   view_.num_candidates = edges_.size();

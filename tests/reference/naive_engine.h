@@ -36,11 +36,12 @@ class NaiveEngine : public Engine {
                       std::vector<graph::EdgeKey>* out) override;
   /// Trivial always-dirty rounds: rebuilds the candidate universe with
   /// CandidatesInto and re-evaluates every candidate each round with one
-  /// Gain (or, for per-target rows, one GainVectorInto) in candidate
-  /// order, one serial recount query at a time — exactly the paper's cost
-  /// model. Returns all_dirty views: incremental callers get bit-identical
-  /// picks and work accounting, and the timing experiments stay honest
-  /// (no threading).
+  /// Gain (or, for per-target cells, one GainVectorInto whose nonzero
+  /// entries become the row's cells) in candidate order, one serial
+  /// recount query at a time — exactly the paper's cost model. Returns
+  /// all_dirty views: incremental callers get bit-identical picks and
+  /// work accounting, and the timing experiments stay honest (no
+  /// threading).
   const RoundGains& BeginRound(CandidateScope scope,
                                bool per_target) override;
   const graph::Graph& CurrentGraph() const override { return g_; }
@@ -59,7 +60,9 @@ class NaiveEngine : public Engine {
   // Storage behind BeginRound's views, refilled every round.
   std::vector<graph::EdgeKey> edges_;
   std::vector<uint32_t> totals_;
-  std::vector<uint32_t> rows_;
+  std::vector<uint32_t> cell_offsets_;
+  std::vector<uint32_t> cell_targets_;
+  std::vector<uint32_t> cell_gains_;
   RoundGains view_;
 };
 

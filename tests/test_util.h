@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "core/gain_table.h"
 #include "graph/graph.h"
 
 namespace tpp::testing {
@@ -33,8 +34,24 @@ inline graph::Edge E(int u, int v) {
                      static_cast<graph::NodeId>(v));
 }
 
+/// Row i of a per-target round view expanded to one gain per target (0
+/// where the row has no cell). Aborts when the row's cells do not ascend
+/// strictly by target, the order core/gain_table.h promises.
+inline std::vector<size_t> DenseRow(const core::RoundGains& view, size_t i,
+                                    size_t num_targets) {
+  std::vector<size_t> row(num_targets, 0);
+  for (uint32_t p = view.cell_offsets[i]; p < view.cell_offsets[i + 1];
+       ++p) {
+    if (p > view.cell_offsets[i]) {
+      TPP_CHECK_LT(view.cell_targets[p - 1], view.cell_targets[p]);
+    }
+    row[view.cell_targets[p]] = view.cell_gains[p];
+  }
+  return row;
+}
+
 /// Pins the global thread budget (which sizes the parallel sweeps, e.g.
-/// IndexedEngine::BeginRound's row fan-out) and restores the automatic
+/// the index build's enumeration fan-out) and restores the automatic
 /// resolution on scope exit, so an assertion that returns early cannot
 /// leak the setting into later tests.
 struct ScopedGlobalThreads {

@@ -908,8 +908,12 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  for (const std::string& key : args->UnreadFlags()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
+  // A failed command may stop before it reads its later flags, so only a
+  // successful one reports flags it never read.
+  if (rc == 0) {
+    for (const std::string& key : args->UnreadFlags()) {
+      std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
+    }
   }
   return rc;
 }
