@@ -25,6 +25,13 @@
 //                 CHECKed byte-identical to a cold service over the edited
 //                 graph) while requests in the delta neighborhood are
 //                 invalidated and re-solve.
+//   copy        — info only, never gated: a Graph copy and its release
+//                 on a Holme-Kim graph (10^5 nodes; 10^6 too in full
+//                 mode) released around three target links, the way a
+//                 cache-missing request copies its group's released
+//                 graph (IndexedEngine::Adopt) and frees it with the
+//                 engine. Reps, median and quartiles per side and for
+//                 the sum.
 //
 // Flags: --quick (fewer repetitions, CI smoke mode), --threads=N (build
 //        thread budget for both sides; default 1), --targets=N (protected
@@ -36,20 +43,24 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "harness_common.h"
 #include "core/indexed_engine.h"
 #include "core/problem.h"
 #include "core/report.h"
 #include "core/solver.h"
 #include "graph/datasets.h"
 #include "graph/fingerprint.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "motif/incidence_index.h"
 #include "reference/run_one_cold.h"
@@ -94,6 +105,15 @@ struct CacheResult {
   size_t groups_reset = 0;
   size_t post_edit_cache_hits = 0;
   double post_edit_cache_hit_rate = 0;
+};
+
+struct CopyResult {
+  size_t nodes = 0;
+  size_t edges = 0;
+  size_t reps = 0;
+  Spread copy_ms;
+  Spread release_ms;
+  Spread total_ms;
 };
 
 TppInstance MakeArenas(MotifKind kind) {
@@ -356,9 +376,34 @@ CacheResult RunCacheSurvival() {
   return out;
 }
 
+CopyResult RunCopy(size_t num_nodes, size_t reps) {
+  Rng rng(20261019);
+  const graph::Graph base = *graph::HolmeKim(num_nodes, 4, 0.5, rng);
+  // What core::MakeInstance gives a 3-link group: a copy of the base with
+  // the targets removed.
+  graph::Graph released = base;
+  released.RemoveEdges(rng.SampleK(base.Edges(), 3));
+  std::vector<double> copy_ms, release_ms, total_ms;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    WallTimer timer;
+    auto copy = std::make_unique<graph::Graph>(released);
+    const double copied = timer.Millis();
+    timer.Restart();
+    copy.reset();
+    const double freed = timer.Millis();
+    copy_ms.push_back(copied);
+    release_ms.push_back(freed);
+    total_ms.push_back(copied + freed);
+  }
+  return {num_nodes,          released.NumEdges(),  reps,
+          SpreadOf(copy_ms), SpreadOf(release_ms), SpreadOf(total_ms)};
+}
+
 void WriteJson(const std::string& path, bool quick,
                const std::vector<ChurnResult>& results,
-               const CacheResult& cache, double min_speedup_at_1pct) {
+               const CacheResult& cache,
+               const std::vector<CopyResult>& copies,
+               double min_speedup_at_1pct) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -393,6 +438,22 @@ void WriteJson(const std::string& path, bool quick,
                cache.invalidated_by_edit, cache.groups_repaired,
                cache.groups_reset, cache.post_edit_cache_hits,
                cache.post_edit_cache_hit_rate);
+  std::fprintf(f, "  \"copy\": {\"info_only\": true, \"rows\": [\n");
+  for (size_t i = 0; i < copies.size(); ++i) {
+    const CopyResult& c = copies[i];
+    std::fprintf(f, "    {\"graph\": \"holme_kim\", \"nodes\": %zu, "
+                 "\"edges\": %zu, \"reps\": %zu", c.nodes, c.edges, c.reps);
+    for (const auto& [name, spread] :
+         {std::pair{"copy", c.copy_ms}, std::pair{"release", c.release_ms},
+          std::pair{"copy_release", c.total_ms}}) {
+      std::fprintf(f,
+                   ", \"%s_median_ms\": %.4f, \"%s_q1_ms\": %.4f, "
+                   "\"%s_q3_ms\": %.4f",
+                   name, spread.median, name, spread.q1, name, spread.q3);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < copies.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"min_speedup_at_1pct\": %.1f\n}\n",
                min_speedup_at_1pct);
   std::fclose(f);
@@ -470,7 +531,17 @@ int Run(int argc, char** argv) {
   std::printf("minimum repair speedup at <=1%% churn: %.1fx, every rep "
               "plan-byte-identical to the cold rebuild\n",
               min_speedup_at_1pct);
-  WriteJson(out_path, quick, results, cache, min_speedup_at_1pct);
+  std::vector<CopyResult> copies;
+  for (size_t nodes : quick ? std::vector<size_t>{100000}
+                            : std::vector<size_t>{100000, 1000000}) {
+    copies.push_back(RunCopy(nodes, quick ? 9 : 25));
+    const CopyResult& c = copies.back();
+    std::printf("graph copy + release, Holme-Kim n=%zu m=%zu: median "
+                "%.3f ms (IQR %.3f, %zu reps; copy %.3f, release %.3f)\n",
+                c.nodes, c.edges, c.total_ms.median, c.total_ms.Iqr(),
+                c.reps, c.copy_ms.median, c.release_ms.median);
+  }
+  WriteJson(out_path, quick, results, cache, copies, min_speedup_at_1pct);
   return 0;
 }
 

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -10,45 +11,99 @@ namespace tpp::graph {
 
 namespace {
 
-// Inserts `v` into the sorted vector `vec`; returns false if already there.
-bool SortedInsert(std::vector<NodeId>& vec, NodeId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it != vec.end() && *it == v) return false;
-  vec.insert(it, v);
-  return true;
-}
-
-// Erases `v` from the sorted vector `vec`; returns false if absent.
-bool SortedErase(std::vector<NodeId>& vec, NodeId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it == vec.end() || *it != v) return false;
-  vec.erase(it);
-  return true;
-}
-
-bool SortedContains(const std::vector<NodeId>& vec, NodeId v) {
-  return std::binary_search(vec.begin(), vec.end(), v);
-}
-
-}  // namespace
-
-NodeId Graph::AddNode() {
-  adj_.emplace_back();
-  return static_cast<NodeId>(adj_.size() - 1);
-}
-
-Status Graph::AddEdge(NodeId u, NodeId v) {
-  if (u >= NumNodes() || v >= NumNodes()) {
+Status CheckNewEdge(NodeId u, NodeId v, size_t num_nodes) {
+  if (u >= num_nodes || v >= num_nodes) {
     return Status::InvalidArgument(
-        StrFormat("edge (%u,%u) out of range for n=%zu", u, v, NumNodes()));
+        StrFormat("edge (%u,%u) out of range for n=%zu", u, v, num_nodes));
   }
   if (u == v) {
     return Status::InvalidArgument(StrFormat("self-loop at node %u", u));
   }
-  if (!SortedInsert(adj_[u], v)) {
-    return Status::AlreadyExists(StrFormat("edge (%u,%u) exists", u, v));
+  return Status::Ok();
+}
+
+Status EdgeExists(NodeId u, NodeId v) {
+  return Status::AlreadyExists(StrFormat("edge (%u,%u) exists", u, v));
+}
+
+}  // namespace
+
+Graph::Graph(const Graph& other) : num_edges_(other.num_edges_) {
+  const size_t n = other.NumNodes();
+  slots_.reserve(n);
+  nbrs_.reserve(other.DegreeSum());
+  // Appends each maximal run of back-to-back live lists at once (a slot's
+  // spare room or a hole ends a run): copying a compact graph that saw a
+  // few edits is a handful of memcpys.
+  for (size_t u = 0; u < n;) {
+    const NodeId* from = other.Data(other.slots_[u]);
+    const size_t first = other.slots_[u].begin;
+    size_t last = first;
+    do {
+      const uint32_t size = other.slots_[u++].size;
+      slots_.push_back({nbrs_.size() + (last - first), size, size});
+      last += size;
+    } while (u < n && other.slots_[u].begin == last);
+    nbrs_.insert(nbrs_.end(), from, from + (last - first));
   }
-  SortedInsert(adj_[v], u);
+}
+
+Graph& Graph::operator=(const Graph& other) {
+  if (this != &other) *this = Graph(other);
+  return *this;
+}
+
+void Graph::Reserve(NodeId u, size_t extra) {
+  Slot& slot = slots_[u];
+  const size_t need = slot.size + extra;
+  if (need <= slot.cap) return;
+  // Geometric slack, so a node that keeps gaining neighbors moves
+  // O(log d) times and the holes it leaves sum to O(d).
+  const size_t cap = std::max(need, size_t{slot.size} * 3 / 2 + 4);
+  // The last list in spill_ grows in place; any other moves to its end.
+  const size_t at = slot.begin & ~kSpilled;
+  const bool last = (slot.begin & kSpilled) && at + slot.cap == spill_.size();
+  const size_t begin = last ? at : spill_.size();
+  spill_.resize(begin + cap);
+  if (!last) {
+    std::copy_n(Data(slot), slot.size, spill_.data() + begin);
+    slot.begin = begin | kSpilled;
+  }
+  slot.cap = static_cast<uint32_t>(cap);
+}
+
+void Graph::Insert(NodeId u, NodeId v) {
+  Reserve(u, 1);
+  Slot& slot = slots_[u];
+  NodeId* first = Data(slot);
+  NodeId* last = first + slot.size;
+  NodeId* at = std::lower_bound(first, last, v);
+  std::copy_backward(at, last, last + 1);
+  *at = v;
+  ++slot.size;
+}
+
+bool Graph::Erase(NodeId u, NodeId v) {
+  Slot& slot = slots_[u];
+  NodeId* first = Data(slot);
+  NodeId* last = first + slot.size;
+  NodeId* at = std::lower_bound(first, last, v);
+  if (at == last || *at != v) return false;
+  std::copy(at + 1, last, at);
+  --slot.size;
+  return true;
+}
+
+NodeId Graph::AddNode() {
+  slots_.emplace_back();
+  return static_cast<NodeId>(slots_.size() - 1);
+}
+
+Status Graph::AddEdge(NodeId u, NodeId v) {
+  TPP_RETURN_IF_ERROR(CheckNewEdge(u, v, NumNodes()));
+  if (HasEdge(u, v)) return EdgeExists(u, v);
+  Insert(u, v);
+  Insert(v, u);
   ++num_edges_;
   return Status::Ok();
 }
@@ -58,10 +113,10 @@ Status Graph::RemoveEdge(NodeId u, NodeId v) {
     return Status::InvalidArgument(
         StrFormat("edge (%u,%u) out of range for n=%zu", u, v, NumNodes()));
   }
-  if (!SortedErase(adj_[u], v)) {
+  if (!Erase(u, v)) {
     return Status::NotFound(StrFormat("edge (%u,%u) absent", u, v));
   }
-  SortedErase(adj_[v], u);
+  Erase(v, u);
   --num_edges_;
   return Status::Ok();
 }
@@ -69,13 +124,14 @@ Status Graph::RemoveEdge(NodeId u, NodeId v) {
 bool Graph::HasEdge(NodeId u, NodeId v) const {
   if (u >= NumNodes() || v >= NumNodes() || u == v) return false;
   // Search the shorter list.
-  if (adj_[u].size() <= adj_[v].size()) return SortedContains(adj_[u], v);
-  return SortedContains(adj_[v], u);
+  if (Degree(u) > Degree(v)) std::swap(u, v);
+  const std::span<const NodeId> list = Neighbors(u);
+  return std::binary_search(list.begin(), list.end(), v);
 }
 
 std::vector<NodeId> Graph::CommonNeighbors(NodeId u, NodeId v) const {
   std::vector<NodeId> out;
-  out.reserve(std::min(adj_[u].size(), adj_[v].size()));
+  out.reserve(std::min(Degree(u), Degree(v)));
   ForEachCommonNeighbor(u, v, [&](NodeId w) { out.push_back(w); });
   return out;
 }
@@ -90,7 +146,7 @@ std::vector<Edge> Graph::Edges() const {
   std::vector<Edge> out;
   out.reserve(num_edges_);
   for (NodeId u = 0; u < NumNodes(); ++u) {
-    for (NodeId v : adj_[u]) {
+    for (NodeId v : Neighbors(u)) {
       if (u < v) out.emplace_back(u, v);
     }
   }
@@ -101,7 +157,7 @@ std::vector<EdgeKey> Graph::EdgeKeys() const {
   std::vector<EdgeKey> out;
   out.reserve(num_edges_);
   for (NodeId u = 0; u < NumNodes(); ++u) {
-    for (NodeId v : adj_[u]) {
+    for (NodeId v : Neighbors(u)) {
       if (u < v) out.push_back(MakeEdgeKey(u, v));
     }
   }
@@ -126,17 +182,8 @@ Status Graph::AddEdges(std::span<const Edge> edges) {
   std::vector<EdgeKey> keys;
   keys.reserve(edges.size());
   for (const Edge& e : edges) {
-    if (e.u >= NumNodes() || e.v >= NumNodes()) {
-      return Status::InvalidArgument(StrFormat(
-          "edge (%u,%u) out of range for n=%zu", e.u, e.v, NumNodes()));
-    }
-    if (e.u == e.v) {
-      return Status::InvalidArgument(StrFormat("self-loop at node %u", e.u));
-    }
-    if (HasEdge(e.u, e.v)) {
-      return Status::AlreadyExists(
-          StrFormat("edge (%u,%u) exists", e.u, e.v));
-    }
+    TPP_RETURN_IF_ERROR(CheckNewEdge(e.u, e.v, NumNodes()));
+    if (HasEdge(e.u, e.v)) return EdgeExists(e.u, e.v);
     keys.push_back(MakeEdgeKey(e.u, e.v));
   }
   std::sort(keys.begin(), keys.end());
@@ -149,7 +196,7 @@ Status Graph::AddEdges(std::span<const Edge> edges) {
   }
 
   // One directed half-edge per endpoint, grouped by node so every touched
-  // adjacency list is grown once and merged once.
+  // slot makes room once and is merged once.
   std::vector<std::pair<NodeId, NodeId>> half;
   half.reserve(2 * keys.size());
   for (EdgeKey k : keys) {
@@ -161,20 +208,14 @@ Status Graph::AddEdges(std::span<const Edge> edges) {
     size_t hi = lo;
     const NodeId node = half[lo].first;
     while (hi < half.size() && half[hi].first == node) ++hi;
-    std::vector<NodeId>& list = adj_[node];
-    const size_t old_size = list.size();
-    const size_t add = hi - lo;
-    if (list.capacity() < old_size + add) {
-      // Spare-capacity slack: grow geometrically so a churn workload's
-      // repeated commits amortize to O(1) reallocations per edge.
-      list.reserve(std::max(old_size + add, old_size + old_size / 2 + 4));
-    }
-    list.resize(old_size + add);
+    Reserve(node, hi - lo);
+    Slot& slot = slots_[node];
+    NodeId* list = Data(slot);
     // Backward merge of the (sorted) new neighbors half[lo..hi) into the
-    // sorted prefix [0, old_size): one pass, no per-insert shifting.
-    size_t i = old_size;    // one past the last unmerged old element
-    size_t j = hi;          // one past the last unmerged new element
-    size_t w = list.size();  // one past the next write slot
+    // sorted prefix [0, size): one pass, no per-insert shifting.
+    size_t i = slot.size;         // one past the last unmerged old element
+    size_t j = hi;                // one past the last unmerged new element
+    size_t w = i + (hi - lo);     // one past the next write slot
     while (j > lo) {
       if (i > 0 && list[i - 1] > half[j - 1].second) {
         list[--w] = list[--i];
@@ -182,6 +223,7 @@ Status Graph::AddEdges(std::span<const Edge> edges) {
         list[--w] = half[--j].second;
       }
     }
+    slot.size += static_cast<uint32_t>(hi - lo);
     lo = hi;
   }
   num_edges_ += keys.size();
@@ -243,31 +285,96 @@ Result<GraphDelta> MakeGraphDelta(std::vector<Edge> inserted,
 }
 
 bool operator==(const Graph& a, const Graph& b) {
-  return a.adj_ == b.adj_;
+  if (a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges()) {
+    return false;
+  }
+  for (NodeId u = 0; u < a.NumNodes(); ++u) {
+    if (!std::ranges::equal(a.Neighbors(u), b.Neighbors(u))) return false;
+  }
+  return true;
+}
+
+size_t Graph::MemoryBytes() const {
+  return slots_.capacity() * sizeof(Slot) +
+         (nbrs_.capacity() + spill_.capacity()) * sizeof(NodeId);
 }
 
 std::string Graph::DebugString() const {
   return StrFormat("Graph(n=%zu, m=%zu)", NumNodes(), NumEdges());
 }
 
-Result<Graph> BuildGraph(size_t num_nodes, const std::vector<Edge>& edges) {
+Graph Graph::FromValidEdges(size_t num_nodes, std::span<const Edge> edges,
+                            bool* repeats) {
+  // Counting sort of the half-edges by node: count, place, then sort each
+  // (short) list and drop repeats.
   Graph g(num_nodes);
   for (const Edge& e : edges) {
-    TPP_RETURN_IF_ERROR(g.AddEdge(e.u, e.v));
+    ++g.slots_[e.u].cap;
+    ++g.slots_[e.v].cap;
+  }
+  size_t at = 0;
+  for (Slot& slot : g.slots_) {
+    slot.begin = at;
+    at += slot.cap;
+  }
+  g.nbrs_.resize(at);
+  for (const Edge& e : edges) {
+    Slot& su = g.slots_[e.u];
+    Slot& sv = g.slots_[e.v];
+    g.nbrs_[su.begin + su.size++] = e.v;
+    g.nbrs_[sv.begin + sv.size++] = e.u;
+  }
+  *repeats = false;
+  size_t write = 0;
+  for (Slot& slot : g.slots_) {
+    NodeId* first = g.nbrs_.data() + slot.begin;
+    NodeId* last = first + slot.size;
+    std::sort(first, last);
+    NodeId* end = std::unique(first, last);
+    if (end != last) *repeats = true;
+    // Slide left over the room dropped repeats freed (write <= begin).
+    if (write != slot.begin) std::copy(first, end, g.nbrs_.data() + write);
+    slot = {write, static_cast<uint32_t>(end - first),
+            static_cast<uint32_t>(end - first)};
+    write += slot.size;
+  }
+  g.nbrs_.resize(write);
+  g.num_edges_ = write / 2;
+  return g;
+}
+
+Result<Graph> BuildGraph(size_t num_nodes, const std::vector<Edge>& edges) {
+  // Reports the edge an AddEdge loop would stop at: the first one that is
+  // out of range, a self-loop, or a repeat of an earlier edge.
+  size_t bad = 0;
+  while (bad < edges.size() &&
+         CheckNewEdge(edges[bad].u, edges[bad].v, num_nodes).ok()) {
+    ++bad;
+  }
+  bool repeats = false;
+  Graph g = Graph::FromValidEdges(
+      num_nodes, std::span<const Edge>(edges).first(bad), &repeats);
+  if (repeats) {
+    std::unordered_set<EdgeKey> seen;
+    for (size_t i = 0; i < bad; ++i) {
+      const Edge& e = edges[i];
+      if (!seen.insert(e.Key()).second) return EdgeExists(e.u, e.v);
+    }
+  }
+  if (bad < edges.size()) {
+    return CheckNewEdge(edges[bad].u, edges[bad].v, num_nodes);
   }
   return g;
 }
 
 Graph BuildGraphLenient(size_t num_nodes, const std::vector<Edge>& edges) {
-  Graph g(num_nodes);
+  std::vector<Edge> valid;
+  valid.reserve(edges.size());
   for (const Edge& e : edges) {
-    if (e.u == e.v || e.u >= num_nodes || e.v >= num_nodes) continue;
-    if (!g.HasEdge(e.u, e.v)) {
-      Status s = g.AddEdge(e.u, e.v);
-      (void)s;  // Cannot fail after the guards above.
-    }
+    if (e.u != e.v && e.u < num_nodes && e.v < num_nodes) valid.push_back(e);
   }
-  return g;
+  bool repeats = false;
+  return Graph::FromValidEdges(num_nodes, valid, &repeats);
 }
 
 }  // namespace tpp::graph

@@ -6,6 +6,17 @@
 //   * O(log d) edge-existence queries,
 //   * repeated edge deletions (protector removal) with O(d) cost,
 //   * cheap whole-graph copies so experiments can perturb a working copy.
+//
+// Storage is a slotted CSR: one flat NodeId array holds the adjacency
+// lists, and each node owns a slot of it (offset, live degree, capacity).
+// A removal shifts within its slot and leaves spare room at the slot's
+// end. An insert fills that room; a full slot moves, with geometric
+// slack, to the end of a second "spill" array, leaving a hole behind, so
+// an edit never reallocates the bulk array. A copy is two allocations and
+// O(n + m) bytes and compacts holes, slack and spill into one array;
+// destroying a graph is a few frees. Because any insert may move any list
+// (and grow the spill array), every span returned by Neighbors() dies at
+// the next mutation.
 
 #ifndef TPP_GRAPH_GRAPH_H_
 #define TPP_GRAPH_GRAPH_H_
@@ -50,10 +61,16 @@ Result<GraphDelta> MakeGraphDelta(std::vector<Edge> inserted,
 class Graph {
  public:
   /// Creates an empty graph with `num_nodes` isolated nodes.
-  explicit Graph(size_t num_nodes = 0) : adj_(num_nodes) {}
+  explicit Graph(size_t num_nodes = 0) : slots_(num_nodes) {}
+
+  /// Copies the live lists into one compact array (no holes, no slack).
+  Graph(const Graph& other);
+  Graph& operator=(const Graph& other);
+  Graph(Graph&&) noexcept = default;
+  Graph& operator=(Graph&&) noexcept = default;
 
   /// Number of nodes (fixed at construction; see AddNode).
-  size_t NumNodes() const { return adj_.size(); }
+  size_t NumNodes() const { return slots_.size(); }
 
   /// Number of undirected edges currently present.
   size_t NumEdges() const { return num_edges_; }
@@ -83,12 +100,12 @@ class Graph {
   }
 
   /// Degree of node u. Requires u < NumNodes().
-  size_t Degree(NodeId u) const { return adj_[u].size(); }
+  size_t Degree(NodeId u) const { return slots_[u].size; }
 
   /// Sorted neighbor list of node u as a read-only view. The view is
   /// invalidated by any mutation of the graph.
   std::span<const NodeId> Neighbors(NodeId u) const {
-    return std::span<const NodeId>(adj_[u]);
+    return {Data(slots_[u]), slots_[u].size};
   }
 
   /// Sorted common neighbors of u and v (linear merge of two sorted lists).
@@ -103,8 +120,8 @@ class Graph {
   /// u, v < NumNodes(). `fn` must not mutate the graph.
   template <typename Fn>
   void ForEachCommonNeighbor(NodeId u, NodeId v, Fn&& fn) const {
-    const std::vector<NodeId>& a = adj_[u];
-    const std::vector<NodeId>& b = adj_[v];
+    const std::span<const NodeId> a = Neighbors(u);
+    const std::span<const NodeId> b = Neighbors(v);
     size_t i = 0, j = 0;
     while (i < a.size() && j < b.size()) {
       if (a[i] < b[j]) {
@@ -136,12 +153,12 @@ class Graph {
   /// Batched insert: adds every edge in `edges` after validating the whole
   /// batch (range, self-loops, duplicates within the batch, edges already
   /// present) — all-or-nothing, the graph is untouched on error. Each
-  /// touched adjacency list is grown ONCE with geometric spare-capacity
-  /// slack and its new neighbors merged in by a single backward merge
+  /// touched slot makes room ONCE (moving with geometric slack if full)
+  /// and its new neighbors are merged in by a single backward merge
   /// pass, so a commit inserting k edges into a degree-d list costs
-  /// O(d + k) with at most one reallocation, instead of k full
-  /// lower_bound-insert shifts (and never a re-sort). Lists stay sorted
-  /// ascending at all times.
+  /// O(d + k) with at most one move, instead of k full lower_bound-insert
+  /// shifts (and never a re-sort). Lists stay sorted ascending at all
+  /// times.
   Status AddEdges(std::span<const Edge> edges);
 
   /// Applies an already-normalized delta (the GraphDelta contract:
@@ -152,14 +169,54 @@ class Graph {
   /// of InstanceRepository groups).
   Status ApplyDelta(const GraphDelta& delta);
 
-  /// Structural equality: same node count and same edge set.
+  /// Structural equality: same node count and same edge set (slack,
+  /// holes and slot placement are not compared).
   friend bool operator==(const Graph& a, const Graph& b);
+
+  /// Heap bytes the graph holds: its arrays at their allocated capacity,
+  /// slot slack and holes included.
+  size_t MemoryBytes() const;
 
   /// Human-readable one-line summary, e.g. "Graph(n=1133, m=5451)".
   std::string DebugString() const;
 
  private:
-  std::vector<std::vector<NodeId>> adj_;
+  friend Result<Graph> BuildGraph(size_t, const std::vector<Edge>&);
+  friend Graph BuildGraphLenient(size_t, const std::vector<Edge>&);
+
+  // Node u's list is [begin, begin + size) of nbrs_, or of spill_ when
+  // begin carries kSpilled; [begin + size, begin + cap) is spare room
+  // only u's inserts use.
+  struct Slot {
+    size_t begin = 0;
+    uint32_t size = 0;
+    uint32_t cap = 0;
+  };
+  static constexpr size_t kSpilled = size_t{1} << 63;
+
+  const NodeId* Data(const Slot& slot) const {
+    return (slot.begin & kSpilled ? spill_.data() : nbrs_.data()) +
+           (slot.begin & ~kSpilled);
+  }
+  NodeId* Data(const Slot& slot) {
+    return const_cast<NodeId*>(std::as_const(*this).Data(slot));
+  }
+
+  // Compact graph of the in-range, loop-free `edges`; a repeated edge is
+  // kept once and sets *repeats.
+  static Graph FromValidEdges(size_t num_nodes, std::span<const Edge> edges,
+                              bool* repeats);
+
+  // Gives u's slot room for `extra` more neighbors.
+  void Reserve(NodeId u, size_t extra);
+  // Inserts v into u's list; v must be absent.
+  void Insert(NodeId u, NodeId v);
+  // Erases v from u's list; false if absent.
+  bool Erase(NodeId u, NodeId v);
+
+  std::vector<Slot> slots_;
+  std::vector<NodeId> nbrs_;
+  std::vector<NodeId> spill_;
   size_t num_edges_ = 0;
 };
 

@@ -14,18 +14,6 @@ namespace tpp::service {
 using core::IndexedEngine;
 using core::TppInstance;
 
-namespace {
-
-// A released graph's heap, roughly: per node, its adjacency vector's
-// header plus a malloc chunk header; per edge, two NodeId entries.
-size_t GraphBytes(const graph::Graph& g) {
-  constexpr size_t kPerNode =
-      sizeof(std::vector<graph::NodeId>) + 2 * sizeof(void*);
-  return g.NumNodes() * kPerNode + 2 * g.NumEdges() * sizeof(graph::NodeId);
-}
-
-}  // namespace
-
 size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
                                   motif::MotifKind motif) {
   std::string key =
@@ -175,7 +163,7 @@ void InstanceRepository::ResetGroup(Group& group) {
 
 void InstanceRepository::Recharge(Group& group) {
   size_t bytes = 0;
-  if (group.instance) bytes += GraphBytes(group.instance->released);
+  if (group.instance) bytes += group.instance->released.MemoryBytes();
   if (group.index) bytes += group.index->MemoryBytes();
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   resident_bytes_.fetch_sub(group.bytes, std::memory_order_relaxed);

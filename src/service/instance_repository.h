@@ -75,10 +75,9 @@ class WarmStore;
 
 class InstanceRepository {
  public:
-  /// Default cap on ResidentBytes() between batches. It holds about a
-  /// hundred groups whose released graph has 10^5 nodes and 4*10^5 edges
-  /// (8 MB charged each), so a working set of 64 such groups never
-  /// evicts.
+  /// Default cap on ResidentBytes() between batches. It holds about 160
+  /// groups whose released graph has 10^5 nodes and 4*10^5 edges (4.8 MB
+  /// charged each), so a working set of 64 such groups never evicts.
   static constexpr size_t kMaxBytes = size_t{768} << 20;
 
   /// `base` must outlive the repository. `max_bytes` caps ResidentBytes()
@@ -143,6 +142,12 @@ class InstanceRepository {
     return *groups_[group].instance;
   }
 
+  /// The group's index, valid like instance() and until TakeEngine moves
+  /// it out.
+  const motif::IncidenceIndex& index(size_t group) const {
+    return *groups_[group].index;
+  }
+
   /// Distinct (targets, motif) groups interned.
   size_t NumGroups() const { return groups_.size(); }
 
@@ -161,8 +166,7 @@ class InstanceRepository {
   void Trim();
 
   /// Bytes charged to the built groups now: per group, its released
-  /// graph (one adjacency vector per node plus one NodeId per edge
-  /// endpoint) and IncidenceIndex::MemoryBytes().
+  /// graph's Graph::MemoryBytes() and IncidenceIndex::MemoryBytes().
   size_t ResidentBytes() const {
     return resident_bytes_.load(std::memory_order_relaxed);
   }

@@ -139,6 +139,14 @@ size_t AdmissionQueue::DropClient(uint64_t client) {
   return dropped;
 }
 
+bool AdmissionQueue::AtClientCap(uint64_t client) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (options_.max_per_client == 0) return false;
+  auto it = clients_.find(client);
+  return it != clients_.end() &&
+         LoadLocked(it->second) >= options_.max_per_client;
+}
+
 bool AdmissionQueue::ClientIdle(uint64_t client) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = clients_.find(client);

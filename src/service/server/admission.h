@@ -108,6 +108,10 @@ class AdmissionQueue {
   /// in-flight accounting. Returns how many queued items died with it.
   size_t DropClient(uint64_t client);
 
+  /// True when the client holds max_per_client queued + in-flight items,
+  /// so its next Offer would shed kClientCap. Always false with no cap.
+  bool AtClientCap(uint64_t client) const;
+
   /// True when the client has nothing queued and nothing in flight —
   /// every response it will ever get has already been written. Used by
   /// the server to retire half-closed sessions.

@@ -61,6 +61,18 @@ uint64_t ScanDeadlineMs(std::string_view line) {
 constexpr size_t kMaxCloseDrainBytes = 1 << 20;
 #endif
 
+// Backlog entry standing for a line the assembler discarded as oversized
+// (no framed line contains a newline).
+constexpr std::string_view kOversizedLine = "\n";
+
+// True for a line HandleLine offers to admission: not blank, a comment,
+// `shutdown` or an edit directive.
+bool IsRequestLine(std::string_view line) {
+  const std::string_view stripped = StripWhitespace(line);
+  return !stripped.empty() && stripped.front() != '#' &&
+         stripped != "shutdown" && !IsEditDirective(stripped);
+}
+
 }  // namespace
 
 std::string FormatResponseLine(const PlanRequest& request,
@@ -104,6 +116,10 @@ struct PlanServer::Session {
   size_t line_number = 0;
   size_t request_index = 0;
   bool input_closed = false;
+  // Lines read but not yet handled, oldest first (IO-thread state). Only
+  // a stdio session at its per-client cap keeps lines here between reads;
+  // it is not polled until the backlog empties.
+  std::deque<std::string> backlog;
 };
 
 PlanServer::PlanServer(PlanService* service, ServerOptions options)
@@ -302,14 +318,13 @@ void PlanServer::HandleSessionReadable(
     // tail is NOT a request — a torn frame must never become a
     // truncated-but-valid one; CloseSession counts and drops it.
     session->input_closed = true;
-    if (session->is_stdio) {
-      // `tpp serve --stdio < script`: end of script means drain — finish
-      // everything admitted, then exit. This makes the stdio server a
-      // superset of the offline batch run.
-      RequestDrain();
-    }
-    // Socket sessions stay open for writes: queued work still answers
-    // (shutdown(SHUT_WR) clients read responses after sending).
+    // `tpp serve --stdio < script`: end of script means drain — finish
+    // everything admitted, then exit (AdmitBacklog requests it once the
+    // held lines are in). This makes the stdio server a superset of the
+    // offline batch run. Socket sessions stay open for writes: queued
+    // work still answers (shutdown(SHUT_WR) clients read responses after
+    // sending).
+    AdmitBacklog(session, /*hold=*/true);
     return;
   }
   ConsumeInput(session, std::string_view(buffer, *got));
@@ -320,18 +335,40 @@ void PlanServer::ConsumeInput(const std::shared_ptr<Session>& session,
   std::vector<std::string> lines = session->assembler.Feed(bytes);
   if (session->assembler.TakeOverflow()) {
     parse_errors_.fetch_add(1, std::memory_order_relaxed);
-    // The discarded line still advances the session's line/request
-    // counters — the client sent it and numbers its own stream by it —
-    // so later default r<N> names stay aligned, and the error reply
-    // carries the label the discarded request would have answered under.
-    ++session->line_number;
-    const size_t index = session->request_index++;
-    WriteLine(session, StrFormat("r%zu error line exceeds maximum length",
-                                 index));
+    session->backlog.emplace_back(kOversizedLine);
   }
   for (std::string& line : lines) {
-    HandleLine(session, std::move(line));
+    session->backlog.push_back(std::move(line));
   }
+  AdmitBacklog(session, /*hold=*/true);
+}
+
+void PlanServer::AdmitBacklog(const std::shared_ptr<Session>& session,
+                              bool hold) {
+  while (!session->backlog.empty()) {
+    if (hold && session->is_stdio &&
+        !draining_.load(std::memory_order_acquire) &&
+        IsRequestLine(session->backlog.front()) &&
+        queue_.AtClientCap(session->id)) {
+      return;  // the solve loop wakes the IO thread as slots free up
+    }
+    std::string line = std::move(session->backlog.front());
+    session->backlog.pop_front();
+    if (line == kOversizedLine) {
+      // The discarded line still advances the session's line/request
+      // counters — the client sent it and numbers its own stream by it —
+      // so later default r<N> names stay aligned, and the error reply
+      // carries the label the discarded request would have answered
+      // under.
+      ++session->line_number;
+      const size_t index = session->request_index++;
+      WriteLine(session, StrFormat("r%zu error line exceeds maximum length",
+                                   index));
+    } else {
+      HandleLine(session, std::move(line));
+    }
+  }
+  if (session->is_stdio && session->input_closed) RequestDrain();
 }
 
 void PlanServer::CloseSession(const std::shared_ptr<Session>& session) {
@@ -357,6 +394,7 @@ void PlanServer::CloseSession(const std::shared_ptr<Session>& session) {
     }
   }
 #endif
+  AdmitBacklog(session, /*hold=*/false);
   // The one place every session ends: a partial line still buffered is a
   // torn frame, counted once and discarded unparsed.
   if (session->assembler.pending_bytes() > 0) {
@@ -395,7 +433,7 @@ void PlanServer::PruneSessions() {
     for (auto it = sessions_.begin(); it != sessions_.end();) {
       const std::shared_ptr<Session>& session = it->second;
       bool retire = session->dead.load(std::memory_order_acquire);
-      if (!retire && session->input_closed &&
+      if (!retire && session->input_closed && session->backlog.empty() &&
           queue_.ClientIdle(session->id)) {
         // Input done and every admitted request answered (in-flight
         // items hold their slot until AFTER their response is written,
@@ -444,11 +482,28 @@ void PlanServer::IoLoop(int listener_fd, int wake_fd) {
       listener_slot = fds.size();
       fds.push_back({listener_fd, POLLIN, 0});
     }
+    // Held stdio lines go in as the solve loop frees their client's slots
+    // (outside mu_: an edit line takes it).
+    std::vector<std::shared_ptr<Session>> holding;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& [id, session] : sessions_) {
+        if (!session->backlog.empty()) holding.push_back(session);
+      }
+    }
+    for (const std::shared_ptr<Session>& session : holding) {
+      AdmitBacklog(session, /*hold=*/true);
+    }
     const size_t session_base = fds.size();
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [id, session] : sessions_) {
-        if (session->fd_in >= 0 && !session->input_closed &&
+        // A stdio session that still holds lines, or is at its cap, is
+        // not read: the pipe itself holds the rest of the script.
+        const bool held = session->is_stdio &&
+                          (!session->backlog.empty() ||
+                           queue_.AtClientCap(session->id));
+        if (session->fd_in >= 0 && !session->input_closed && !held &&
             !session->dead.load(std::memory_order_acquire)) {
           fds.push_back({session->fd_in, POLLIN, 0});
           polled.push_back(session);
@@ -704,6 +759,7 @@ void PlanServer::SolveLoop() {
       }
     }
 
+    bool frees_stdio_slot = false;
     for (size_t i = 0; i < taken.size(); ++i) {
       bool delivered = false;
       if (targets[i] != nullptr) {
@@ -718,7 +774,11 @@ void PlanServer::SolveLoop() {
         dropped_responses_.fetch_add(1, std::memory_order_relaxed);
       }
       queue_.Finish(taken[i].client);
+      frees_stdio_slot |= targets[i] != nullptr && targets[i]->is_stdio;
     }
+    // A stdio session may be holding lines until its client has a free
+    // slot; the IO thread re-checks on wake.
+    if (frees_stdio_slot) Wake();
   }
 }
 

@@ -182,9 +182,14 @@ class PlanServer {
   void HandleSessionReadable(const std::shared_ptr<Session>& session);
   void HandleLine(const std::shared_ptr<Session>& session, std::string line);
   /// Frames `bytes` read from the session and handles every line they
-  /// complete.
+  /// complete, through the session's backlog.
   void ConsumeInput(const std::shared_ptr<Session>& session,
                     std::string_view bytes);
+  /// Handles the session's backlog in order. With `hold`, a stdio session
+  /// stops at a request line while its client is at the per-client cap:
+  /// a pipe cannot retry a shed, so the line waits for a free slot
+  /// instead. A stdio session whose input ended drains once it is empty.
+  void AdmitBacklog(const std::shared_ptr<Session>& session, bool hold);
   /// Ends a session; every close goes through here. First reads and
   /// handles what the peer already sent (without blocking), then counts a
   /// buffered partial line as a torn frame, drops the session's queued

@@ -245,5 +245,51 @@ TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
   }
 }
 
+// ResidentBytes() is exactly what the built groups hold — per group, its
+// released graph's and its index's MemoryBytes() — after builds, after an
+// edit repairs every group in place, and after Trim evicts.
+TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
+  PlanService service(ScriptGraph());
+  const size_t one_group = ChargeOf(service.base(), Targets(2));
+  // Room for one group, not two: Trim keeps only the newest.
+  InstanceRepository repository(&service.base(), one_group * 3 / 2);
+  std::vector<size_t> groups;
+  for (size_t first : {0, 1, 2}) {
+    groups.push_back(repository.Intern(Targets(first), MotifKind::kTriangle));
+    ASSERT_TRUE(repository.AcquireEngine(groups.back()).ok());
+  }
+  auto held = [&](const std::vector<size_t>& built) {
+    size_t bytes = 0;
+    for (size_t group : built) {
+      bytes += repository.instance(group).released.MemoryBytes() +
+               repository.index(group).MemoryBytes();
+    }
+    return bytes;
+  };
+  EXPECT_EQ(repository.ResidentBytes(), held(groups));
+
+  // Inserts at the hub (node 0, the graph's seed clique) move full lists
+  // to the end of each released graph's array, so its bytes change.
+  const Graph& base = service.base();
+  std::vector<Edge> inserted;
+  for (graph::NodeId v = 1; inserted.size() < 3; ++v) {
+    if (!base.HasEdge(0, v)) inserted.emplace_back(0, v);
+  }
+  const size_t before = repository.instance(groups[0]).released.MemoryBytes();
+  Result<GraphDelta> delta =
+      graph::MakeGraphDelta(std::move(inserted), {base.Edges()[100]});
+  ASSERT_TRUE(delta.ok());
+  Result<EditSummary> summary =
+      service.ApplyEdit(*delta, nullptr, &repository);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->groups_repaired, groups.size());
+  EXPECT_NE(repository.instance(groups[0]).released.MemoryBytes(), before);
+  EXPECT_EQ(repository.ResidentBytes(), held(groups));
+
+  repository.Trim();
+  EXPECT_EQ(repository.NumEvictions(), 2u);
+  EXPECT_EQ(repository.ResidentBytes(), held({groups[2]}));
+}
+
 }  // namespace
 }  // namespace tpp::service

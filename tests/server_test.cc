@@ -375,6 +375,45 @@ TEST(PlanServer, StdioTranscriptMatchesOfflinePipeline) {
   EXPECT_EQ(stats.shed_total(), 0u);
 }
 
+// A pipe cannot retry a shed, so a stdio script longer than the
+// per-client cap waits for free slots instead: with pickup frozen the
+// session admits exactly the cap and writes nothing, then every line
+// answers in order once solving resumes, even though input ended early.
+TEST(PlanServer, StdioScriptPastThePerClientCapWaitsInsteadOfShedding) {
+  constexpr size_t kLines = 149;
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  ServerOptions options;  // default admission caps
+  const size_t cap = options.admission.max_per_client;
+  ASSERT_LT(cap, kLines);
+  options.before_pickup = [gate] { gate.wait(); };
+  StdioServer server(std::move(options));
+  std::string script;
+  for (size_t i = 0; i < kLines; ++i) {
+    script += StrFormat("algorithm=sgb sample=3 seed=%zu budget=4\n", i % 5);
+  }
+  server.Send(script);
+  server.EndInput();
+  while (server.server().snapshot_stats().admitted < cap) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server.server().snapshot_stats().admitted, cap);
+  EXPECT_EQ(server.server().snapshot_stats().shed_total(), 0u);
+  release.set_value();
+  std::vector<std::string> replies = server.ReadLines(kLines);
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_TRUE(replies[i].starts_with(StrFormat("r%zu ok ", i)))
+        << replies[i];
+  }
+  EXPECT_TRUE(server.Join().ok());
+  ServerStats stats = server.server().snapshot_stats();
+  EXPECT_EQ(stats.admitted, kLines);
+  EXPECT_EQ(stats.responses, kLines);
+  EXPECT_EQ(stats.shed_total(), 0u);
+  EXPECT_EQ(stats.max_client_load, cap);
+}
+
 // An `edit insert=` line of two links provably absent from `g`, so the
 // parsed delta always validates against the base graph.
 std::string AbsentInsertEditLine(const Graph& g) {

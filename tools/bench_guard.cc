@@ -25,6 +25,8 @@
 //                             nonzero and "survivor_plans_byte_identical"
 //                             true — plans outside an edit's delta
 //                             neighborhood keep surviving commits
+//   copy section:             Graph copy + release medians, printed,
+//                             never gated
 //   (--min-cold-ms reads the row's rebuild_ms in this mode)
 //
 // --mode=fault guards BENCH_store_warmstart.json produced under a
@@ -129,16 +131,11 @@ struct JsonRows {
   std::string tail;
 };
 
-bool ReadRows(const std::string& path, const std::string& key,
-              JsonRows* out) {
-  std::string text;
-  if (!ReadWholeFile(path, &text)) return false;
+// Splits `text` at its `"key": [` array; false when there is none.
+bool SplitRows(const std::string& text, const std::string& key,
+               JsonRows* out) {
   const size_t rows_at = text.find("\"" + key + "\": [");
-  if (rows_at == std::string::npos) {
-    std::fprintf(stderr, "bench_guard: %s has no \"%s\" array\n",
-                 path.c_str(), key.c_str());
-    return false;
-  }
+  if (rows_at == std::string::npos) return false;
   const size_t rows_end = text.find("\n  ]", rows_at);
   size_t cursor = rows_at;
   while (true) {
@@ -151,6 +148,18 @@ bool ReadRows(const std::string& path, const std::string& key,
   }
   out->tail =
       text.substr(rows_end == std::string::npos ? rows_at : rows_end);
+  return true;
+}
+
+bool ReadRows(const std::string& path, const std::string& key,
+              JsonRows* out) {
+  std::string text;
+  if (!ReadWholeFile(path, &text)) return false;
+  if (!SplitRows(text, key, out)) {
+    std::fprintf(stderr, "bench_guard: %s has no \"%s\" array\n",
+                 path.c_str(), key.c_str());
+    return false;
+  }
   return true;
 }
 
@@ -200,10 +209,19 @@ struct MutationRun {
   bool plan_byte_identical = false;
 };
 
+// One Graph copy + release row (info only).
+struct CopyRow {
+  double nodes = 0;
+  double reps = 0;
+  double median_ms = 0;
+  double iqr_ms = 0;
+};
+
 struct MutationFile {
   std::vector<MutationRun> runs;
   double post_edit_cache_hit_rate = 0;
   bool survivor_plans_byte_identical = false;
+  std::vector<CopyRow> copies;
 };
 
 bool ParseMutationFile(const std::string& path, MutationFile* out) {
@@ -230,6 +248,20 @@ bool ParseMutationFile(const std::string& path, MutationFile* out) {
   }
   out->post_edit_cache_hit_rate = *hit_rate;
   out->survivor_plans_byte_identical = *survivors;
+  JsonRows copy;
+  if (SplitRows(json.tail, "rows", &copy)) {
+    for (const std::string& obj : copy.rows) {
+      auto nodes = FindNumber(obj, "nodes");
+      auto reps = FindNumber(obj, "reps");
+      auto median = FindNumber(obj, "copy_release_median_ms");
+      auto q1 = FindNumber(obj, "copy_release_q1_ms");
+      auto q3 = FindNumber(obj, "copy_release_q3_ms");
+      if (!nodes || !reps || !median || !q1 || !q3) {
+        return MalformedRow("copy", path, obj);
+      }
+      out->copies.push_back({*nodes, *reps, *median, *q3 - *q1});
+    }
+  }
   return true;
 }
 
@@ -370,6 +402,11 @@ int RunGraphMutation(const std::string& fresh_path,
     std::printf("  %-24s survivor_plans_byte_identical false: FAIL\n",
                 "cache");
     ok = false;
+  }
+  for (const CopyRow& row : fresh.copies) {
+    std::printf("  copy n=%-17.0f copy+release median %7.3f ms  IQR %.3f "
+                "ms  (%.0f reps, info only)\n",
+                row.nodes, row.median_ms, row.iqr_ms, row.reps);
   }
   if (!ok) {
     std::printf("bench_guard: REGRESSION — repair speedup fell more than "
