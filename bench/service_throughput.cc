@@ -2,7 +2,8 @@
 // against the Arenas fixture, executed by PlanService on the shared
 // thread pool at 1/2/4/8 workers vs a plain sequential loop. Emits a
 // machine-readable BENCH_service_throughput.json so the serving-path
-// scaling trajectory is tracked across PRs.
+// scaling trajectory is tracked across PRs. Every timed row records its
+// reps, median and interquartile range (SpreadOf).
 //
 // Every run cross-checks that the concurrent batch reproduces the
 // sequential plans bit-for-bit (the service's determinism contract), so
@@ -21,7 +22,6 @@
 //        --out=PATH (default BENCH_service_throughput.json),
 //        --cache-out=PATH (default BENCH_plan_cache.json).
 
-#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <iterator>
@@ -33,6 +33,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "graph/datasets.h"
+#include "harness_common.h"
 #include "reference/run_one_cold.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
@@ -71,114 +72,127 @@ std::vector<PlanRequest> MakeRequests(size_t count, size_t budget,
     request.spec.algorithm = kSolverMix[i % std::size(kSolverMix)];
     request.spec.budget = budget;
     request.seed = 1000 + i;
-    // Carry the released graph so the bit-identity checks compare it too.
-    request.want_released = true;
     requests.push_back(std::move(request));
   }
   return requests;
 }
 
-double MedianOfRuns(size_t reps, const std::function<double()>& run) {
-  std::vector<double> seconds;
-  seconds.reserve(reps);
-  for (size_t r = 0; r < reps; ++r) seconds.push_back(run());
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[seconds.size() / 2];
+// Spread of `reps` runs of `run`, each returning its own wall milliseconds.
+Spread SpreadOfRuns(size_t reps, const std::function<double()>& run) {
+  std::vector<double> ms;
+  ms.reserve(reps);
+  for (size_t r = 0; r < reps; ++r) ms.push_back(run());
+  return SpreadOf(std::move(ms));
+}
+
+// Whether two response lists carry the same plans. A plan fixes its
+// released graph (the base minus the plan's deletions), so comparing
+// plan texts covers that too.
+bool SamePlans(const std::vector<PlanResponse>& a,
+               const std::vector<PlanResponse>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].plan_text != b[i].plan_text) return false;
+  }
+  return true;
 }
 
 struct ScalingPoint {
   int workers = 0;
-  double seconds = 0;
-  double requests_per_sec = 0;
-  double speedup = 0;  ///< vs the sequential loop
+  Spread ms;
+  double requests_per_sec = 0;  ///< at the median
+  double speedup = 0;           ///< median vs the sequential loop's median
 };
 
 // Nightly repeated-request scenario: `unique` distinct requests, each
 // issued twice per night (50% duplicates), run on two consecutive nights.
 // The uncached path (a RunOneCold per request) re-solves all of it; the
 // staged pipeline dedups within the night and serves the second night
-// from the PlanCache. Responses are cross-checked bit-identical.
+// from the PlanCache. Each rep of the pipeline starts from an empty
+// cache. Responses are cross-checked bit-identical.
 int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
-                         size_t budget, bool quick,
+                         size_t budget, size_t reps, bool quick,
                          const std::string& out_path) {
   std::vector<PlanRequest> night = MakeRequests(unique, budget,
                                                 /*heavy=*/!quick);
-  for (PlanRequest& request : night) {
-    // Nightly batches use the lean default: no released-graph copies
-    // (the plan files are the artifact). Identity below compares plans.
-    request.want_released = false;
-  }
   for (size_t i = 0; i < unique; ++i) {
     PlanRequest duplicate = night[i];  // same payload, different name
     duplicate.name += "-dup";
     night.push_back(std::move(duplicate));
   }
   constexpr int kNights = 2;
+  const double requests_per_rep = kNights * night.size();
   std::printf(
-      "== plan cache: %d nights x %zu requests (50%% duplicates) ==\n",
-      kNights, night.size());
+      "== plan cache: %d nights x %zu requests (50%% duplicates), %zu "
+      "reps ==\n",
+      kNights, night.size(), reps);
 
   // Baseline: every request solved from scratch by its own RunOneCold — no
   // dedup, no sharing, no memo — on the same worker budget the pipeline
   // gets.
-  std::vector<std::vector<PlanResponse>> reference;
-  WallTimer uncached_timer;
-  for (int n = 0; n < kNights; ++n) {
-    std::vector<PlanResponse>& responses =
-        reference.emplace_back(night.size());
-    GlobalThreadPool().ParallelFor(
-        night.size(), GlobalThreadCount(), /*grain=*/1,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            responses[i] =
-                service::RunOneCold(plan_service.base(), night[i]);
-          }
-        });
-  }
-  const double uncached_seconds = uncached_timer.Seconds();
+  std::vector<std::vector<PlanResponse>> reference(kNights);
+  const Spread uncached = SpreadOfRuns(reps, [&] {
+    WallTimer timer;
+    for (std::vector<PlanResponse>& responses : reference) {
+      responses.assign(night.size(), PlanResponse{});
+      GlobalThreadPool().ParallelFor(
+          night.size(), GlobalThreadCount(), /*grain=*/1,
+          [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+              responses[i] =
+                  service::RunOneCold(plan_service.base(), night[i]);
+            }
+          });
+    }
+    return timer.Millis();
+  });
   for (const auto& responses : reference) {
     for (const PlanResponse& response : responses) {
       TPP_CHECK(response.status.ok());
     }
   }
-  std::printf("uncached path: %.3fs (%.1f req/s)\n", uncached_seconds,
-              kNights * night.size() / uncached_seconds);
+  std::printf("uncached path: median %.3f ms (IQR %.3f, %.1f req/s)\n",
+              uncached.median, uncached.Iqr(),
+              1e3 * requests_per_rep / uncached.median);
 
   // Staged pipeline: dedup + instance sharing + content-addressed cache
   // warm across nights.
-  service::PlanCache cache(/*capacity=*/4 * night.size());
-  service::BatchStats stats;
-  service::BatchOptions cached;
-  cached.cache = &cache;
-  cached.stats = &stats;
   bool identical = true;
+  service::PlanCache::Stats cs;
   size_t dedup_shared = 0;
   size_t instance_builds = 0;
-  WallTimer cached_timer;
-  std::vector<std::vector<PlanResponse>> piped;
-  for (int n = 0; n < kNights; ++n) {
-    piped.push_back(plan_service.RunBatch(night, cached));
-    dedup_shared += stats.dedup_shared;
-    instance_builds += stats.instance_builds;
-  }
-  const double cached_seconds = cached_timer.Seconds();
-  for (int n = 0; n < kNights; ++n) {
-    for (size_t i = 0; i < night.size(); ++i) {
-      if (piped[n][i].plan_text != reference[n][i].plan_text ||
-          !(piped[n][i].released == reference[n][i].released)) {
-        identical = false;
-      }
+  const Spread cached = SpreadOfRuns(reps, [&] {
+    service::PlanCache cache(/*capacity=*/4 * night.size());
+    service::BatchStats stats;
+    service::BatchOptions options;
+    options.cache = &cache;
+    options.stats = &stats;
+    std::vector<std::vector<PlanResponse>> piped;
+    dedup_shared = 0;
+    instance_builds = 0;
+    WallTimer timer;
+    for (int n = 0; n < kNights; ++n) {
+      piped.push_back(plan_service.RunBatch(night, options));
+      dedup_shared += stats.dedup_shared;
+      instance_builds += stats.instance_builds;
     }
-  }
-  service::PlanCache::Stats cs = cache.stats();
+    const double ms = timer.Millis();
+    for (int n = 0; n < kNights; ++n) {
+      identical = identical && SamePlans(piped[n], reference[n]);
+    }
+    cs = cache.stats();
+    return ms;
+  });
   const double hit_rate =
       cs.hits + cs.misses > 0
           ? static_cast<double>(cs.hits) / (cs.hits + cs.misses)
           : 0;
-  const double speedup = uncached_seconds / cached_seconds;
-  std::printf("staged pipeline: %.3fs (%.1f req/s, %.2fx aggregate)\n",
-              cached_seconds, kNights * night.size() / cached_seconds,
-              speedup);
+  const double speedup = uncached.median / cached.median;
+  std::printf(
+      "staged pipeline: median %.3f ms (IQR %.3f, %.1f req/s, %.2fx "
+      "aggregate)\n",
+      cached.median, cached.Iqr(), 1e3 * requests_per_rep / cached.median,
+      speedup);
   std::printf(
       "cache: %llu hits / %llu misses (%.0f%% hit-rate), %zu "
       "dedup-shared, %zu instance builds\n",
@@ -203,10 +217,14 @@ int RunPlanCacheScenario(const PlanService& plan_service, size_t unique,
   std::fprintf(f, "  \"requests_per_night\": %zu,\n", night.size());
   std::fprintf(f, "  \"duplicate_fraction\": 0.5,\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
+  std::fprintf(f, "  \"hardware_threads\": %d,\n", GlobalThreadCount());
+  std::fprintf(f, "  \"reps\": %zu,\n", reps);
   std::fprintf(f, "  \"identical_to_uncached\": %s,\n",
                identical ? "true" : "false");
-  std::fprintf(f, "  \"uncached_seconds\": %.4f,\n", uncached_seconds);
-  std::fprintf(f, "  \"cached_seconds\": %.4f,\n", cached_seconds);
+  std::fprintf(f, "  \"uncached_median_ms\": %.3f,\n", uncached.median);
+  std::fprintf(f, "  \"uncached_iqr_ms\": %.3f,\n", uncached.Iqr());
+  std::fprintf(f, "  \"cached_median_ms\": %.3f,\n", cached.median);
+  std::fprintf(f, "  \"cached_iqr_ms\": %.3f,\n", cached.Iqr());
   std::fprintf(f, "  \"aggregate_speedup\": %.2f,\n", speedup);
   std::fprintf(f, "  \"cache_hits\": %llu,\n",
                static_cast<unsigned long long>(cs.hits));
@@ -251,18 +269,19 @@ int Run(int argc, char** argv) {
       args->GetString("out", "BENCH_service_throughput.json");
   const std::string cache_out_path =
       args->GetString("cache-out", "BENCH_plan_cache.json");
-  const size_t reps = quick ? 1 : 3;
+  const size_t reps = quick ? 3 : 21;
 
   PlanService plan_service(*graph::MakeArenasEmailLike(1));
   std::vector<PlanRequest> requests = MakeRequests(
       num_requests, /*budget=*/quick ? 8 : 24, /*heavy=*/!quick);
-  std::printf("== service throughput: %zu mixed-solver requests on %s ==\n",
-              requests.size(),
-              plan_service.base().DebugString().c_str());
+  std::printf("== service throughput: %zu mixed-solver requests on %s, "
+              "%zu reps ==\n",
+              requests.size(), plan_service.base().DebugString().c_str(),
+              reps);
 
   // Baseline: the pre-service call pattern — one request at a time.
   std::vector<PlanResponse> reference;
-  double serial_seconds = MedianOfRuns(reps, [&] {
+  const Spread serial = SpreadOfRuns(reps, [&] {
     WallTimer timer;
     std::vector<PlanResponse> responses;
     responses.reserve(requests.size());
@@ -271,41 +290,38 @@ int Run(int argc, char** argv) {
           service::RunOneCold(plan_service.base(), request));
     }
     reference = std::move(responses);
-    return timer.Seconds();
+    return timer.Millis();
   });
   for (const PlanResponse& response : reference) {
     TPP_CHECK(response.status.ok());
   }
-  std::printf("sequential loop: %.3fs (%.1f req/s)\n", serial_seconds,
-              requests.size() / serial_seconds);
+  std::printf("sequential loop: median %.3f ms (IQR %.3f, %.1f req/s)\n",
+              serial.median, serial.Iqr(),
+              1e3 * requests.size() / serial.median);
 
   std::vector<ScalingPoint> points;
   bool identical = true;
   for (int workers : {1, 2, 4, 8}) {
     ScalingPoint point;
     point.workers = workers;
-    std::vector<PlanResponse> responses;
-    point.seconds = MedianOfRuns(reps, [&] {
+    point.ms = SpreadOfRuns(reps, [&] {
       WallTimer timer;
-      responses = plan_service.RunBatch(requests, workers);
-      return timer.Seconds();
+      std::vector<PlanResponse> responses =
+          plan_service.RunBatch(requests, workers);
+      const double ms = timer.Millis();
+      // Bit-identity of every rep's plans vs the sequential reference —
+      // checked OUTSIDE the timed region so the speedup numbers measure
+      // serving cost only.
+      identical = identical && SamePlans(responses, reference);
+      return ms;
     });
-    // Bit-identity of the served plans vs the sequential reference —
-    // checked OUTSIDE the timed region so the speedup numbers measure
-    // serving cost only.
-    TPP_CHECK_EQ(responses.size(), reference.size());
-    for (size_t i = 0; i < responses.size(); ++i) {
-      if (responses[i].plan_text != reference[i].plan_text ||
-          !(responses[i].released == reference[i].released)) {
-        identical = false;
-      }
-    }
-    point.requests_per_sec = requests.size() / point.seconds;
-    point.speedup = serial_seconds / point.seconds;
+    point.requests_per_sec = 1e3 * requests.size() / point.ms.median;
+    point.speedup = serial.median / point.ms.median;
     points.push_back(point);
-    std::printf("batch x%d workers: %.3fs (%.1f req/s, %.2fx)\n",
-                workers, point.seconds, point.requests_per_sec,
-                point.speedup);
+    std::printf("batch x%d workers: median %.3f ms (IQR %.3f, %.1f req/s, "
+                "%.2fx)\n",
+                workers, point.ms.median, point.ms.Iqr(),
+                point.requests_per_sec, point.speedup);
   }
   std::printf(identical
                   ? "all batches bit-identical to the sequential loop\n"
@@ -323,19 +339,22 @@ int Run(int argc, char** argv) {
   std::fprintf(f, "  \"requests\": %zu,\n", requests.size());
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"hardware_threads\": %d,\n", GlobalThreadCount());
+  std::fprintf(f, "  \"reps\": %zu,\n", reps);
   std::fprintf(f, "  \"identical_to_sequential\": %s,\n",
                identical ? "true" : "false");
-  std::fprintf(f, "  \"serial_seconds\": %.4f,\n", serial_seconds);
+  std::fprintf(f, "  \"serial_median_ms\": %.3f,\n", serial.median);
+  std::fprintf(f, "  \"serial_iqr_ms\": %.3f,\n", serial.Iqr());
   std::fprintf(f, "  \"serial_requests_per_sec\": %.2f,\n",
-               requests.size() / serial_seconds);
+               1e3 * requests.size() / serial.median);
   std::fprintf(f, "  \"scaling\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const ScalingPoint& p = points[i];
     std::fprintf(f,
-                 "    {\"workers\": %d, \"seconds\": %.4f, "
-                 "\"requests_per_sec\": %.2f, \"speedup_vs_serial\": "
-                 "%.2f}%s\n",
-                 p.workers, p.seconds, p.requests_per_sec, p.speedup,
+                 "    {\"workers\": %d, \"median_ms\": %.3f, "
+                 "\"iqr_ms\": %.3f, \"requests_per_sec\": %.2f, "
+                 "\"speedup_vs_serial\": %.2f}%s\n",
+                 p.workers, p.ms.median, p.ms.Iqr(),
+                 p.requests_per_sec, p.speedup,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -343,7 +362,7 @@ int Run(int argc, char** argv) {
   std::printf("[json] %s\n", out_path.c_str());
 
   int cache_rc = RunPlanCacheScenario(plan_service, num_requests,
-                                      /*budget=*/quick ? 8 : 24, quick,
+                                      /*budget=*/quick ? 8 : 24, reps, quick,
                                       cache_out_path);
   // Fail AFTER writing so a determinism regression still uploads the
   // JSON evidence (with identical_to_sequential: false) from CI.

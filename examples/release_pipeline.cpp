@@ -55,9 +55,6 @@ int main(int argc, char** argv) {
   request.sample = 15;
   request.seed = 20240610;
   request.spec.algorithm = "full";
-  // The audit below inspects the released graph, so ask the service to
-  // carry it in the response (off by default to keep batches lean).
-  request.want_released = true;
   const tpp::service::PlanResponse response =
       plan_service.RunBatch({&request, 1}).front();
   if (!response.status.ok()) {
@@ -73,10 +70,14 @@ int main(int argc, char** argv) {
               response.result.protectors.size(),
               100.0 * response.result.protectors.size() / g.NumEdges());
 
+  // The released graph is the base minus the plan's deletions.
+  const Graph released = *tpp::core::ApplyDeletionPlan(
+      g, {response.targets, response.result.protectors});
+
   // Release audit: strongest attacker score and utility loss.
   Rng attack_rng(1);
   auto attacks = *tpp::linkpred::EvaluateAllAttacks(
-      response.released, response.targets, attack_rng);
+      released, response.targets, attack_rng);
   double worst_auc = 0;
   for (const auto& report : attacks) worst_auc = std::max(worst_auc,
                                                           report.auc);
@@ -84,14 +85,14 @@ int main(int argc, char** argv) {
   uopts.apl_sample_sources = 100;
   uopts.mu = false;
   auto before = tpp::metrics::ComputeUtilityMetrics(g, uopts);
-  auto after = tpp::metrics::ComputeUtilityMetrics(response.released, uopts);
+  auto after = tpp::metrics::ComputeUtilityMetrics(released, uopts);
   auto loss = tpp::metrics::UtilityLossRatio(before, after);
 
   // A real release also permutes node ids so released ids carry no
   // meaning; the secret mapping stays with the owner.
   Rng relabel_rng = tpp::service::RequestRng(request.seed + 1);
   tpp::graph::RelabeledGraph relabeled =
-      tpp::graph::RandomRelabel(response.released, relabel_rng);
+      tpp::graph::RandomRelabel(released, relabel_rng);
 
   std::string output = input + ".released";
   Status s = tpp::graph::SaveEdgeList(relabeled.graph, output);

@@ -70,8 +70,7 @@ Result<KatzDefenseResult> GreedyKatzDefense(const TppInstance& instance,
     return Status::InvalidArgument("Katz beta out of (0,1)");
   }
   KatzDefenseResult result;
-  result.released = instance.released;
-  Graph& g = result.released;
+  Graph g = instance.released;
   const auto& targets = instance.targets;
   const size_t kl = options.katz.max_length;
 

@@ -40,7 +40,6 @@ struct KatzDefenseResult {
   double initial_score = 0.0;            ///< sum of target Katz scores
   double final_score = 0.0;
   std::vector<double> score_trajectory;  ///< exact score after each pick
-  graph::Graph released{0};              ///< the defended graph
 };
 
 /// Runs the greedy Katz defense on the instance's released graph (targets

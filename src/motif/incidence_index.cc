@@ -233,18 +233,7 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   // FlatArray members once finished.
   timer.Restart();
 
-  // The bucket table EdgeIdOf resolves through: edge_keys_ is sorted by
-  // (u, v), so all keys sharing a smaller endpoint form one short
-  // contiguous run located by two array reads. Built here, kept for the
-  // life of the index (it replaces the old hash-map interner).
-  std::vector<uint32_t> u_offsets(g.NumNodes() + 1, 0);
-  for (EdgeKey key : idx.edge_keys_) {
-    ++u_offsets[graph::EdgeKeyU(key) + 1];
-  }
-  for (size_t u = 0; u < g.NumNodes(); ++u) {
-    u_offsets[u + 1] += u_offsets[u];
-  }
-  idx.u_offsets_ = std::move(u_offsets);
+  idx.num_nodes_ = g.NumNodes();
   // The maintenance records densify instance -> (target, edge ids) for
   // the posting-list walks below and for DeleteEdge: compact sequential
   // reads instead of chasing 40-byte TargetSubgraphs.
@@ -373,7 +362,7 @@ void IncidenceIndex::PopulateRepairCaches(const std::vector<Edge>& targets) {
   keys.reserve(targets.size());
   for (const Edge& t : targets) keys.push_back(graph::MakeEdgeKey(t.u, t.v));
   std::sort(keys.begin(), keys.end());
-  const size_t n = u_offsets_.size() == 0 ? 0 : u_offsets_.size() - 1;
+  const size_t n = num_nodes_;
   std::vector<uint32_t> off(n + 1, 0);
   for (const Edge& t : targets) {
     ++off[t.u + 1];
@@ -601,7 +590,7 @@ size_t IncidenceIndex::MemoryBytes() const {
     return array.size() * sizeof(array[0]);
   };
   return bytes(instances_) + bytes(alive_) + bytes(alive_per_target_) +
-         bytes(edge_keys_) + bytes(u_offsets_) + bytes(probe_keys_) +
+         bytes(edge_keys_) + bytes(probe_keys_) +
          bytes(probe_ids_) + bytes(inst_offsets_) + bytes(instance_ids_) +
          bytes(alive_count_) + bytes(tgt_offsets_) + bytes(tgt_ids_) +
          bytes(tgt_counts_) + bytes(counts_queue_) + bytes(cells_queue_) +
@@ -629,8 +618,7 @@ bool IncidenceIndex::BitIdentical(const IncidenceIndex& other) const {
   return a.instances_ == b.instances_ && a.alive_ == b.alive_ &&
          a.alive_per_target_ == b.alive_per_target_ &&
          a.total_alive_ == b.total_alive_ &&
-         a.edge_keys_ == b.edge_keys_ &&
-         a.u_offsets_ == b.u_offsets_ &&
+         a.edge_keys_ == b.edge_keys_ && a.num_nodes_ == b.num_nodes_ &&
          a.inst_offsets_ == b.inst_offsets_ &&
          a.instance_ids_ == b.instance_ids_ &&
          a.alive_count_ == b.alive_count_ &&

@@ -274,11 +274,11 @@ class IncidenceIndex {
   ///   * and repairs the layout by linear gather/merge passes: the edge
   ///     universe only GROWS (a key whose last instance died keeps its
   ///     dense id with alive count 0, so removals shift no ids and the
-  ///     interner, probe table, and endpoint bucket view are reused
-  ///     untouched; only never-seen keys splice in at key rank), dead
-  ///     instance rows compact out, created rows append, and survivor
-  ///     slot tables update by O(1) gathers — no hashing, sorting, or
-  ///     per-entry searches on the survivor path.
+  ///     interner and probe table are reused untouched; only never-seen
+  ///     keys splice in at key rank), dead instance rows compact out,
+  ///     created rows append, and survivor slot tables update by O(1)
+  ///     gathers — no hashing, sorting, or per-entry searches on the
+  ///     survivor path.
   ///
   /// The result is PLAN-EQUIVALENT to a cold Build on the edited graph:
   /// per-key gains, per-target splits, alive tallies, and the alive
@@ -430,9 +430,8 @@ class IncidenceIndex {
   /// no node chase). The table never changes after build — deletions
   /// maintain counts, not the interning — so the keyed query hot paths
   /// (Gain, DeleteEdge) pay one multiply plus typically one cache line.
-  /// The per-endpoint bucket table (u_offsets_) remains as the sorted
-  /// view of the interning for the CSR fill passes and differential
-  /// checks.
+  /// The CSR fill passes resolve ids through it too; edge_keys_ itself is
+  /// the sorted view of the interning.
   uint32_t EdgeIdOf(graph::EdgeKey e) const {
     // Fibonacci multiply-shift: the product's high bits index the table.
     uint64_t slot = (e * 0x9E3779B97F4A7C15ull) >> probe_shift_;
@@ -486,10 +485,10 @@ class IncidenceIndex {
   size_t total_alive_ = 0;
 
   // Edge interner: edge_keys_ is sorted ascending (id order == key
-  // order) and u_offsets_[u] .. u_offsets_[u+1] brackets the keys whose
-  // smaller endpoint is u.
+  // order). num_nodes_ is the node count of the graph the index was
+  // built over; a repair must be handed a graph of the same size.
   FlatArray<graph::EdgeKey> edge_keys_;
-  FlatArray<uint32_t> u_offsets_;  // size NumNodes() + 1
+  size_t num_nodes_ = 0;
 
   // The static probe table behind EdgeIdOf (see its comment): power-of-
   // two capacity at <= 50% load, key 0 = empty slot, ids aligned with

@@ -26,20 +26,19 @@
 // path. The edge universe only ever GROWS: a key whose last instance died
 // keeps its dense id with alive count 0 (the greedy sweeps and the
 // incremental round engine skip and tolerate zero rows by design, see
-// core/greedy.cc), so removals shift no ids and the interner, probe
-// table, and endpoint bucket view are reused untouched; only keys never
-// seen before splice in at key rank. Dead instance rows compact out
-// (survivors keep their relative order, created rows append), CSR-1
-// refills by streaming the old posting lists through the alive bits, and
-// CSR-2 merges per edge with a flat cell map so survivor slot tables
-// update by O(1) gathers. Everything a gain or candidate query can
-// observe — per-key gains, per-target splits, the alive candidate set —
-// comes out IDENTICAL to a cold build of the edited graph; the interned
-// universe is an ascending superset whose extra keys hold alive count 0,
-// and the instance-row permutation differs, neither of which any query or
-// deterministic solver observes (tested in tests/index_repair_test.cc by
-// solving to byte-identical plans against a cold build after randomized
-// churn).
+// core/greedy.cc), so removals shift no ids and the interner and probe
+// table are reused untouched; only keys never seen before splice in at
+// key rank. Dead instance rows compact out (survivors keep their
+// relative order, created rows append), CSR-1 refills by streaming the
+// old posting lists through the alive bits, and CSR-2 merges per edge
+// with a flat cell map so survivor slot tables update by O(1) gathers.
+// Everything a gain or candidate query can observe — per-key gains,
+// per-target splits, the alive candidate set — comes out IDENTICAL to a
+// cold build of the edited graph; the interned universe is an ascending
+// superset whose extra keys hold alive count 0, and the instance-row
+// permutation differs, neither of which any query or deterministic solver
+// observes (tested in tests/index_repair_test.cc by solving to
+// byte-identical plans against a cold build after randomized churn).
 
 #include <algorithm>
 #include <cstdint>
@@ -427,11 +426,10 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
                   std::string(MotifName(kind)).c_str(), MotifEdgeCount(kind),
                   static_cast<unsigned>(arity_)));
   }
-  if (u_offsets_.size() != g.NumNodes() + 1) {
+  if (num_nodes_ != g.NumNodes()) {
     return Status::InvalidArgument(
         StrFormat("graph has %zu nodes but the index was built over %zu",
-                  g.NumNodes(),
-                  u_offsets_.size() == 0 ? 0 : u_offsets_.size() - 1));
+                  g.NumNodes(), num_nodes_));
   }
   if (targets.size() != NumTargets()) {
     return Status::InvalidArgument(
@@ -453,7 +451,7 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
   // its first repair). Both are pure functions of the build-time target
   // list, which the checks above pinned to this one.
   if (target_keys_sorted_.size() != targets.size() ||
-      node_tgt_off_.size() != u_offsets_.size()) {
+      node_tgt_off_.size() != num_nodes_ + 1) {
     PopulateRepairCaches(targets);
   }
   auto check_edges = [&](const std::vector<Edge>& list, bool want_present,
@@ -500,11 +498,11 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
   // --- Phase 3: in-place merge. The edge universe only GROWS: a key
   // whose last instance died keeps its dense id with alive count 0 (the
   // greedy sweeps and incremental round sessions skip and tolerate zero
-  // rows, see core/greedy.cc), so removals shift no ids — the interner,
-  // probe table, and endpoint bucket view are reused untouched unless
-  // genuinely fresh keys intern. Everything below is a linear gather or
-  // two-pointer merge over the surviving layout; the survivor path does
-  // no hashing, no sorting, and no per-entry searches.
+  // rows, see core/greedy.cc), so removals shift no ids — the interner
+  // and probe table are reused untouched unless genuinely fresh keys
+  // intern. Everything below is a linear gather or two-pointer merge over
+  // the surviving layout; the survivor path does no hashing, no sorting,
+  // and no per-entry searches.
   const size_t old_num_edges = edge_keys_.size();
   const size_t old_num_instances = instances_.size();
   const size_t arity = arity_;
@@ -527,7 +525,7 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
   // Fresh keys splice in at key rank — the universe must stay ascending
   // (the solver tie-break contract) — shifting old ids by the number of
   // fresh keys below them. `idmap` records the shift; it stays empty (and
-  // the interner/probe/bucket views stay shared with every clone) in the
+  // the interner and probe table stay shared with every clone) in the
   // common case of no never-seen key.
   std::vector<uint32_t> idmap;
   if (num_fresh > 0) {
@@ -546,14 +544,6 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
     while (fi < num_fresh) new_keys.push_back(fresh_keys[fi++]);
     edge_keys_ = std::move(new_keys);
     BuildProbeTable();
-    std::vector<uint32_t> u_offsets(g.NumNodes() + 1, 0);
-    for (EdgeKey key : edge_keys_) {
-      ++u_offsets[graph::EdgeKeyU(key) + 1];
-    }
-    for (size_t x = 0; x < g.NumNodes(); ++x) {
-      u_offsets[x + 1] += u_offsets[x];
-    }
-    u_offsets_ = std::move(u_offsets);
   }
   const auto remap = [&](uint32_t e) -> uint32_t {
     return num_fresh > 0 ? idmap[e] : e;

@@ -18,7 +18,6 @@ constexpr size_t kSectionAlign = 64;
 enum Section : uint32_t {
   kInstances = 0,
   kEdgeKeys,
-  kUOffsets,
   kProbeKeys,
   kProbeIds,
   kInstOffsets,
@@ -41,7 +40,7 @@ struct SnapshotHeader {
   uint32_t arity;
   uint64_t num_instances;
   uint64_t num_edges;          // interned participating edges
-  uint64_t num_u_offsets;      // NumNodes() + 1 at build time
+  uint64_t num_nodes;          // NumNodes() of the graph at build time
   uint64_t probe_capacity;
   uint64_t num_cells;          // CSR-2 (target, count) pairs
   uint64_t num_instance_refs;  // CSR-1 posting-list entries
@@ -122,7 +121,7 @@ Result<std::string> IndexSnapshotCodec::Serialize(
   h.arity = index.arity_;
   h.num_instances = index.instances_.size();
   h.num_edges = index.edge_keys_.size();
-  h.num_u_offsets = index.u_offsets_.size();
+  h.num_nodes = index.num_nodes_;
   h.probe_capacity = index.probe_keys_.size();
   h.num_cells = index.tgt_ids_.size();
   h.num_instance_refs = index.instance_ids_.size();
@@ -131,7 +130,6 @@ Result<std::string> IndexSnapshotCodec::Serialize(
   const size_t section_bytes[kNumSections] = {
       h.num_instances * sizeof(TargetSubgraph),
       h.num_edges * sizeof(graph::EdgeKey),
-      h.num_u_offsets * sizeof(uint32_t),
       h.probe_capacity * sizeof(graph::EdgeKey),
       h.probe_capacity * sizeof(uint32_t),
       (h.num_edges + 1) * sizeof(uint32_t),
@@ -172,7 +170,6 @@ Result<std::string> IndexSnapshotCodec::Serialize(
                 sizeof src.edges);
   }
   put(kEdgeKeys, index.edge_keys_.data(), section_bytes[kEdgeKeys]);
-  put(kUOffsets, index.u_offsets_.data(), section_bytes[kUOffsets]);
   put(kProbeKeys, index.probe_keys_.data(), section_bytes[kProbeKeys]);
   put(kProbeIds, index.probe_ids_.data(), section_bytes[kProbeIds]);
   put(kInstOffsets, index.inst_offsets_.data(), section_bytes[kInstOffsets]);
@@ -235,7 +232,6 @@ Result<IncidenceIndex> IndexSnapshotCodec::Load(
   const size_t section_bytes[kNumSections] = {
       h.num_instances * sizeof(TargetSubgraph),
       h.num_edges * sizeof(graph::EdgeKey),
-      h.num_u_offsets * sizeof(uint32_t),
       h.probe_capacity * sizeof(graph::EdgeKey),
       h.probe_capacity * sizeof(uint32_t),
       (h.num_edges + 1) * sizeof(uint32_t),
@@ -266,7 +262,6 @@ Result<IncidenceIndex> IndexSnapshotCodec::Load(
   IncidenceIndex idx;
   idx.instances_ = adopt(static_cast<TargetSubgraph*>(nullptr), kInstances);
   idx.edge_keys_ = adopt(static_cast<graph::EdgeKey*>(nullptr), kEdgeKeys);
-  idx.u_offsets_ = adopt(static_cast<uint32_t*>(nullptr), kUOffsets);
   idx.probe_keys_ = adopt(static_cast<graph::EdgeKey*>(nullptr), kProbeKeys);
   idx.probe_ids_ = adopt(static_cast<uint32_t*>(nullptr), kProbeIds);
   idx.inst_offsets_ = adopt(static_cast<uint32_t*>(nullptr), kInstOffsets);
@@ -289,6 +284,7 @@ Result<IncidenceIndex> IndexSnapshotCodec::Load(
   idx.alive_count_.assign(alive_count, alive_count + h.num_edges);
 
   idx.arity_ = static_cast<uint8_t>(h.arity);
+  idx.num_nodes_ = h.num_nodes;
   idx.probe_mask_ = h.probe_capacity - 1;
   idx.probe_shift_ =
       64 - std::countr_zero(static_cast<size_t>(h.probe_capacity));

@@ -59,11 +59,12 @@ class IndexSnapshotCodec {
   /// Bumped whenever the header or section layout changes — or the
   /// meaning of a header field: version 2 switched the graph fingerprint
   /// to the edit-commutative XOR scheme (graph/fingerprint.h), so version
-  /// 1 files carry fingerprints no current caller can ever match. A
-  /// reader rejects any other value (falling back to a cold build) rather
-  /// than guessing at an old layout; `tpp store evict --stale` garbage-
-  /// collects the superseded files.
-  static constexpr uint32_t kFormatVersion = 2;
+  /// 1 files carry fingerprints no current caller can ever match; version
+  /// 3 dropped the per-node edge bucket section (the header's node count
+  /// stays). A reader rejects any other value (falling back to a cold
+  /// build) rather than guessing at an old layout; `tpp store evict
+  /// --stale` garbage-collects the superseded files.
+  static constexpr uint32_t kFormatVersion = 3;
 
   /// Header metadata of a snapshot file, as read back by Inspect —
   /// everything `tpp store ls` prints without touching the payload.

@@ -1,6 +1,7 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <vector>
 
 #include "common/strings.h"
@@ -14,7 +15,7 @@ namespace {
 
 // The fingerprint field occupies a fixed-width slot right after the
 // format tag, so rekeying a surviving entry is a constant-position
-// splice. Kept in lockstep with CanonicalRequestKey below.
+// splice. CanonicalRequestKey writes the tag and KeyFingerprint reads it.
 constexpr std::string_view kKeyTag = "tpp-plan-v1|fp=";
 constexpr size_t kFingerprintHexDigits = 16;
 
@@ -44,7 +45,6 @@ bool SurvivesEdit(std::string_view key,
   constexpr int kRestricted =
       static_cast<int>(core::CandidateScope::kTargetSubgraphEdges);
   if (KeyField(key, "|scope=") != StrFormat("%d", kRestricted)) return false;
-  if (KeyField(key, "|rel=") != "0") return false;
   std::string_view links = KeyField(key, "|links=");
   if (links.empty()) return false;  // sampled targets, or malformed
   // Every endpoint must sit outside the edit's affected neighborhood.
@@ -84,13 +84,13 @@ bool IsTimingDependent(const Status& status) {
 
 std::string CanonicalRequestKey(uint64_t base_fingerprint,
                                 const PlanRequest& request) {
-  std::string key = StrFormat(
-      "tpp-plan-v1|fp=%016llx|motif=%s|alg=%s|scope=%d|seed=%llu|rel=%d|",
+  std::string key(kKeyTag);
+  key += StrFormat(
+      "%016llx|motif=%s|alg=%s|scope=%d|seed=%llu|",
       static_cast<unsigned long long>(base_fingerprint),
       std::string(motif::MotifName(request.motif)).c_str(),
       request.spec.algorithm.c_str(), static_cast<int>(request.spec.scope),
-      static_cast<unsigned long long>(request.seed),
-      request.want_released ? 1 : 0);
+      static_cast<unsigned long long>(request.seed));
   if (request.spec.budget == core::SolverSpec::kFullProtection) {
     key += "budget=full|";
   } else {
@@ -111,6 +111,17 @@ std::string CanonicalRequestKey(uint64_t base_fingerprint,
   return key;
 }
 
+std::optional<uint64_t> KeyFingerprint(std::string_view key) {
+  if (!key.starts_with(kKeyTag)) return std::nullopt;
+  key.remove_prefix(kKeyTag.size());
+  if (key.size() < kFingerprintHexDigits) return std::nullopt;
+  uint64_t fingerprint = 0;
+  const char* end = key.data() + kFingerprintHexDigits;
+  auto [ptr, ec] = std::from_chars(key.data(), end, fingerprint, 16);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return fingerprint;
+}
+
 bool PlanCache::Lookup(const std::string& key, PlanResponse* out) {
   Entry entry;
   {
@@ -123,8 +134,8 @@ bool PlanCache::Lookup(const std::string& key, PlanResponse* out) {
     }
   }
   if (entry != nullptr) {
-    // The deep copy (possibly a whole released graph) runs unlocked; the
-    // shared_ptr keeps the payload alive past any concurrent eviction.
+    // The deep copy runs unlocked; the shared_ptr keeps the payload alive
+    // past any concurrent eviction.
     *out = *entry;
     return true;
   }
@@ -196,21 +207,18 @@ void PlanCache::Insert(const std::string& key, PlanResponse response) {
 PlanCache::EditOutcome PlanCache::InvalidateForEdit(
     uint64_t old_fingerprint, uint64_t new_fingerprint,
     std::span<const graph::NodeId> affected) {
-  const std::string old_prefix =
-      StrFormat("%s%016llx|", std::string(kKeyTag).c_str(),
-                static_cast<unsigned long long>(old_fingerprint));
   const std::string new_hex = StrFormat(
       "%016llx", static_cast<unsigned long long>(new_fingerprint));
   EditOutcome outcome;
   // Survivors are re-persisted under their new key so the backing store
-  // serves them across restarts too; dropped payloads (possibly large)
-  // are destroyed outside the lock.
+  // serves them across restarts too; dropped payloads are destroyed
+  // outside the lock.
   std::vector<std::pair<std::string, Entry>> write_through;
   std::vector<Entry> dropped;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = lru_.begin(); it != lru_.end();) {
-      if (it->first.compare(0, old_prefix.size(), old_prefix) != 0) {
+      if (KeyFingerprint(it->first) != old_fingerprint) {
         ++it;  // a different graph's entry; not this edit's concern
         continue;
       }

@@ -39,8 +39,10 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -56,10 +58,14 @@ class WarmStore;
 /// Canonical content key of one request against one base graph: a pure
 /// function of the fingerprint and the request payload (name excluded).
 /// Equal keys imply bit-identical responses; any field that can change
-/// the response — including seed, scope, budget, and whether the released
-/// graph is wanted — changes the key.
+/// the response — including seed, scope and budget — changes the key.
+/// Keys start "tpp-plan-v1|fp=<16 lowercase hex digits>|".
 std::string CanonicalRequestKey(uint64_t base_fingerprint,
                                 const PlanRequest& request);
+
+/// The base-graph fingerprint a canonical key embeds, or nullopt when
+/// `key` is not in CanonicalRequestKey's shape.
+std::optional<uint64_t> KeyFingerprint(std::string_view key);
 
 /// LRU-bounded response memo. See file comment.
 class PlanCache {
@@ -96,9 +102,9 @@ class PlanCache {
 
   /// Copies the memoized response for `key` into `*out` and marks the
   /// entry most-recently-used. Counts a hit or a miss. The payload copy
-  /// (which may embed a released graph) happens outside the lock —
-  /// entries are immutable and shared_ptr-owned, so the critical section
-  /// is just the hash lookup plus the LRU splice.
+  /// happens outside the lock — entries are immutable and
+  /// shared_ptr-owned, so the critical section is just the hash lookup
+  /// plus the LRU splice.
   bool Lookup(const std::string& key, PlanResponse* out);
 
   /// Memoizes `response` under `key`, evicting the least-recently-used
@@ -126,8 +132,6 @@ class PlanCache {
   ///     edge set, which the edit changed);
   ///   * its candidate scope is the target-subgraph restriction (scope=all
   ///     ranges over every edge of the base, so any edit perturbs it);
-  ///   * it does not carry a released graph (rel=0 — the released graph
-  ///     embeds the whole edited base);
   ///   * no target endpoint lies in `affected` — the sorted node set
   ///     within distance 1 of an edited edge ON THE PRE-EDIT GRAPH (the
   ///     delta-neighborhood rule: every motif instance an edit creates or

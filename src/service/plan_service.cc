@@ -48,7 +48,6 @@ void SolveWithEngine(const PlanRequest& request, const TppInstance& instance,
   response->result = std::move(*result);
   response->plan_text =
       core::SerializeDeletionPlan(instance, response->result);
-  if (request.want_released) response->released = engine.CurrentGraph();
 }
 
 // The effective cancel source of one request: its own deadline_ms (clock
@@ -462,18 +461,6 @@ Status ApplyRequestKey(std::string_view key, std::string_view value,
     // Wall-clock knob: excluded from the cache key (a deadline changes
     // whether a run finishes, not what it produces).
     TPP_ASSIGN_OR_RETURN(request.deadline_ms, ParseInt64(value));
-  } else if (key == "released") {
-    // Carrying the released graph costs O(graph) memory per response;
-    // batches opt in per request.
-    if (value == "1" || value == "true") {
-      request.want_released = true;
-    } else if (value == "0" || value == "false") {
-      request.want_released = false;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("released '%s' (want 0|1|true|false)",
-                    std::string(value).c_str()));
-    }
   } else {
     return Status::InvalidArgument(
         StrFormat("unknown key '%s'", std::string(key).c_str()));

@@ -84,10 +84,6 @@ struct PlanRequest {
   motif::MotifKind motif = motif::MotifKind::kTriangle;
   core::SolverSpec spec;  ///< algorithm, scope, budget
   uint64_t seed = 1;      ///< per-request RNG stream seed
-  /// Copy the final released graph into PlanResponse::released. Off by
-  /// default so large batches do not hold O(batch x graph) memory; `tpp
-  /// protect` and the request-file key `released=1` turn it on.
-  bool want_released = false;
   /// Wall-clock budget for this request in milliseconds; <= 0 means
   /// unlimited. The clock starts when the pipeline picks the request up;
   /// past the deadline the solver stops at its next round boundary and
@@ -108,10 +104,10 @@ struct PlanResponse {
   Status status = Status::Ok();
   std::vector<graph::Edge> targets;  ///< realized targets (sampled or given)
   core::ProtectionResult result;
-  std::string plan_text;      ///< SerializeDeletionPlan output
-  /// Base minus targets minus protectors; only populated when the request
-  /// set want_released (empty Graph(0) otherwise).
-  graph::Graph released{0};
+  /// SerializeDeletionPlan output. The released graph is not carried: it
+  /// is the base minus this plan's targets and protectors
+  /// (core::ApplyDeletionPlan).
+  std::string plan_text;
   double seconds = 0;         ///< wall time of this request
   bool from_cache = false;    ///< served by a PlanCache hit
 };

@@ -6,7 +6,9 @@ namespace tpp::service::store {
 
 namespace {
 
-constexpr uint32_t kPlanPayloadVersion = 1;
+// v2 dropped v1's optional released-graph section; a v1 record decodes
+// as a version mismatch, which the store treats as a miss.
+constexpr uint32_t kPlanPayloadVersion = 2;
 
 void PutBytes(std::string* out, const void* src, size_t size) {
   out->append(static_cast<const char*>(src), size);
@@ -95,24 +97,6 @@ std::string EncodePlanResponse(const PlanResponse& response) {
   Put<uint64_t>(&out, response.result.gain_evaluations);
   Put<double>(&out, response.result.total_seconds);
   PutString(&out, response.plan_text);
-  // The released graph round-trips as (node count, canonical edge list);
-  // BuildGraph's sorted adjacency reconstruction makes the decode
-  // structurally identical to the original.
-  const bool has_released = response.released.NumNodes() > 0;
-  Put<uint8_t>(&out, has_released ? 1 : 0);
-  if (has_released) {
-    const graph::Graph& g = response.released;
-    Put<uint64_t>(&out, g.NumNodes());
-    Put<uint64_t>(&out, g.NumEdges());
-    for (graph::NodeId u = 0; u < g.NumNodes(); ++u) {
-      for (graph::NodeId v : g.Neighbors(u)) {
-        if (v > u) {
-          Put<uint32_t>(&out, u);
-          Put<uint32_t>(&out, v);
-        }
-      }
-    }
-  }
   Put<double>(&out, response.seconds);
   return out;
 }
@@ -160,25 +144,6 @@ Result<PlanResponse> DecodePlanResponse(std::string_view payload) {
   }
   response.result.initial_similarity = initial;
   response.result.final_similarity = final_sim;
-  uint8_t has_released = 0;
-  if (!c.Get(&has_released)) return malformed();
-  if (has_released) {
-    uint64_t num_nodes = 0, num_edges = 0;
-    if (!c.Get(&num_nodes) || !c.Get(&num_edges) ||
-        num_edges > c.left / 8) {
-      return malformed();
-    }
-    std::vector<graph::Edge> edges;
-    edges.reserve(num_edges);
-    for (uint64_t i = 0; i < num_edges; ++i) {
-      uint32_t u = 0, v = 0;
-      if (!c.Get(&u) || !c.Get(&v)) return malformed();
-      edges.emplace_back(u, v);
-    }
-    Result<graph::Graph> g = graph::BuildGraph(num_nodes, edges);
-    if (!g.ok()) return malformed();
-    response.released = std::move(*g);
-  }
   if (!c.Get(&response.seconds) || c.left != 0) return malformed();
   return response;
 }

@@ -20,8 +20,8 @@
 namespace tpp::service::store {
 
 /// Serializes `response` — status, targets, the full ProtectionResult
-/// with its pick trace, the plan text, the optional released graph, and
-/// the solve wall time — into a self-contained byte payload.
+/// with its pick trace, the plan text, and the solve wall time — into a
+/// self-contained byte payload.
 std::string EncodePlanResponse(const PlanResponse& response);
 
 /// Inverse of EncodePlanResponse. InvalidArgument on any malformed or

@@ -9,6 +9,7 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "service/plan_cache.h"
 
 namespace tpp::service::store {
 
@@ -755,34 +756,6 @@ Result<size_t> WarmStore::EvictOlderThan(double seconds) {
   return removed;
 }
 
-namespace {
-
-// True when `key` could still be served against the live graph. Keys are
-// canonical plan-cache keys, "tpp-plan-v1|fp=<16 hex>|..."; anything in
-// another shape is conservatively treated as live.
-bool KeyServesLiveGraph(const std::string& key, uint64_t live_fingerprint) {
-  constexpr std::string_view kTag = "tpp-plan-v1|fp=";
-  if (key.size() < kTag.size() + 16 ||
-      key.compare(0, kTag.size(), kTag) != 0) {
-    return true;
-  }
-  uint64_t fp = 0;
-  for (size_t i = 0; i < 16; ++i) {
-    const char c = key[kTag.size() + i];
-    fp <<= 4;
-    if (c >= '0' && c <= '9') {
-      fp |= static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      fp |= static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return true;
-    }
-  }
-  return fp == live_fingerprint;
-}
-
-}  // namespace
-
 Result<size_t> WarmStore::EvictStale(uint64_t live_fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t removed = 0;
@@ -807,8 +780,10 @@ Result<size_t> WarmStore::EvictStale(uint64_t live_fingerprint) {
     if (!segments_[s].sealed) continue;  // active segment is exempt
     bool live = false;
     for (const auto& [key, loc] : plans_) {
-      if (loc.segment_number == segments_[s].number &&
-          KeyServesLiveGraph(key, live_fingerprint)) {
+      if (loc.segment_number != segments_[s].number) continue;
+      // A key not in the canonical shape is conservatively live.
+      const std::optional<uint64_t> fingerprint = KeyFingerprint(key);
+      if (!fingerprint || *fingerprint == live_fingerprint) {
         live = true;
         break;
       }

@@ -171,7 +171,7 @@ TEST(PlanServiceEditTest, CacheSurvivalFollowsTheDeltaNeighborhood) {
   // far:   deterministic, explicit cluster-A targets, restricted scope
   //        — provably unaffected by a cluster-B edit, must survive.
   // near:  a target endpoint inside the delta neighborhood.
-  // sampled / released / randomized: each fails one survival rule.
+  // sampled / all-scope / randomized: each fails one survival rule.
   std::vector<PlanRequest> requests;
   requests.push_back(ExplicitRequest("far", {E(0, 1), E(5, 6)}));
   requests.push_back(ExplicitRequest("near", {E(21, 23)}));
@@ -181,9 +181,9 @@ TEST(PlanServiceEditTest, CacheSurvivalFollowsTheDeltaNeighborhood) {
   sampled.spec.algorithm = "sgb";
   sampled.spec.budget = 3;
   requests.push_back(sampled);
-  PlanRequest released = ExplicitRequest("released", {E(0, 1)});
-  released.want_released = true;
-  requests.push_back(released);
+  PlanRequest all_scope = ExplicitRequest("all-scope", {E(0, 1)});
+  all_scope.spec.scope = core::CandidateScope::kAllEdges;
+  requests.push_back(all_scope);
   PlanRequest randomized = ExplicitRequest("randomized", {E(0, 1)});
   randomized.spec.algorithm = "rd";
   requests.push_back(randomized);
@@ -447,11 +447,11 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
   // Segment 2: a stale-fingerprint key. Segment 3: stays active.
   std::string live_key = StrFormat(
       "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|seed=1|"
-      "rel=0|budget=3|links=0-1",
+      "budget=3|links=0-1",
       static_cast<unsigned long long>(live_fp));
   std::string stale_key = StrFormat(
       "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|seed=1|"
-      "rel=0|budget=3|links=0-1",
+      "budget=3|links=0-1",
       static_cast<unsigned long long>(stale_fp));
   std::string pad(200, 'x');
   ASSERT_TRUE((*store)->AppendPlan(live_key, pad).ok());

@@ -66,9 +66,6 @@ TEST(CanonicalRequestKeyTest, EveryResponseRelevantFieldChangesTheKey) {
   changed = request;
   changed.spec.budget = core::SolverSpec::kFullProtection;
   EXPECT_NE(CanonicalRequestKey(fp, changed), key);
-  changed = request;
-  changed.want_released = true;
-  EXPECT_NE(CanonicalRequestKey(fp, changed), key);
   // A different base graph (fingerprint) never matches.
   EXPECT_NE(CanonicalRequestKey(fp + 1, request), key);
 
@@ -80,6 +77,23 @@ TEST(CanonicalRequestKeyTest, EveryResponseRelevantFieldChangesTheKey) {
   EXPECT_NE(CanonicalRequestKey(fp, links), key);
   EXPECT_NE(CanonicalRequestKey(fp, links),
             CanonicalRequestKey(fp, swapped));
+}
+
+TEST(CanonicalRequestKeyTest, KeyFingerprintReadsTheEmbeddedFingerprint) {
+  for (uint64_t fp : {uint64_t{0}, uint64_t{0x1234},
+                      uint64_t{0xfedcba9876543210ull}, ~uint64_t{0}}) {
+    EXPECT_EQ(KeyFingerprint(CanonicalRequestKey(fp, BaseRequest())), fp);
+  }
+  // Anything not in the canonical shape has no fingerprint.
+  EXPECT_EQ(KeyFingerprint(""), std::nullopt);
+  EXPECT_EQ(KeyFingerprint("tpp-plan-v1|fp="), std::nullopt);
+  EXPECT_EQ(KeyFingerprint("tpp-plan-v1|fp=00000000000012"), std::nullopt);
+  EXPECT_EQ(KeyFingerprint("tpp-plan-v1|fp=000000000000123x|"),
+            std::nullopt);
+  EXPECT_EQ(KeyFingerprint("tpp-plan-v0|fp=0000000000001234|"),
+            std::nullopt);
+  EXPECT_EQ(KeyFingerprint("tpp-plan-v1|fp=0000000000001234|motif=x"),
+            uint64_t{0x1234});
 }
 
 TEST(PlanCacheTest, LruBoundsAndCounters) {

@@ -33,15 +33,14 @@ const Graph& ArenasBase() {
 // A request file exercising every pipeline stage: exact duplicates (r0 ==
 // r4, r2 == r6), same-(targets, motif) groups under different solvers
 // (r1/r5 share explicit targets), a deterministic failure (r7 samples
-// more targets than the graph has edges), mixed motifs/budgets, and one
-// request that wants the released graph.
+// more targets than the graph has edges), and mixed motifs/budgets.
 std::vector<PlanRequest> PipelineBatch() {
   const std::string text =
       "# pipeline exercise\n"
       "name=r0 algorithm=sgb sample=6 seed=11 budget=5\n"
       "name=r1 algorithm=ct-tbd links=3-14;15-92 budget=6\n"
       "name=r2 algorithm=rdt sample=8 seed=12 budget=4 motif=Rectangle\n"
-      "name=r3 algorithm=wt-dbd sample=5 seed=13 budget=6 released=1\n"
+      "name=r3 algorithm=wt-dbd sample=5 seed=13 budget=6\n"
       "name=r4 algorithm=sgb sample=6 seed=11 budget=5\n"
       "name=r5 algorithm=wt-tbd links=3-14;15-92 budget=6\n"
       "name=r6 algorithm=rdt sample=8 seed=12 budget=4 motif=Rectangle\n"
@@ -67,7 +66,6 @@ void ExpectSameResponse(const PlanResponse& got, const PlanResponse& want,
   EXPECT_EQ(got.result.initial_similarity, want.result.initial_similarity);
   EXPECT_EQ(got.result.final_similarity, want.result.final_similarity);
   EXPECT_EQ(got.plan_text, want.plan_text);
-  EXPECT_TRUE(got.released == want.released);
 }
 
 // The acceptance check of the pipeline: instance sharing + warm cache +
@@ -254,30 +252,6 @@ TEST(PlanPipelineTest, InstanceSharingBuildsOncePerGroup) {
     EXPECT_EQ(responses[i].plan_text,
               RunOneCold(plan_service.base(), requests[i]).plan_text);
   }
-}
-
-TEST(PlanPipelineTest, WantReleasedGatesTheGraphCopy) {
-  PlanService plan_service(ArenasBase());
-  PlanRequest request;
-  request.sample = 5;
-  request.seed = 9;
-  request.spec.budget = 3;
-
-  PlanResponse lean = plan_service.RunBatch({&request, 1}).front();
-  ASSERT_TRUE(lean.status.ok());
-  EXPECT_EQ(lean.released.NumNodes(), 0u);  // not carried by default
-
-  request.want_released = true;
-  PlanResponse full = plan_service.RunBatch({&request, 1}).front();
-  ASSERT_TRUE(full.status.ok());
-  EXPECT_EQ(full.released.NumNodes(), ArenasBase().NumNodes());
-  // Same plan either way; the flag only gates the response payload.
-  EXPECT_EQ(lean.plan_text, full.plan_text);
-  // The released graph is the base minus targets minus protectors.
-  Graph expected = ArenasBase();
-  expected.RemoveEdges(full.targets);
-  expected.RemoveEdges(full.result.protectors);
-  EXPECT_TRUE(full.released == expected);
 }
 
 TEST(PlanPipelineTest, FailuresStayIsolatedUnderSharingAndCache) {

@@ -39,9 +39,6 @@ std::vector<PlanRequest> MixedBatch() {
     request.spec.budget = i % 8 == 7 ? SolverSpec::kFullProtection
                                      : 4 + i % 3;
     request.seed = 100 + i;
-    // Carry the released graph so the bit-identity checks below compare
-    // it too (batches leave this off by default).
-    request.want_released = true;
     requests.push_back(std::move(request));
   }
   // One request with explicit targets instead of sampling.
@@ -76,7 +73,6 @@ TEST(PlanServiceTest, BatchIsBitIdenticalToSequentialRuns) {
       EXPECT_EQ(batch[i].result.protectors,
                 sequential[i].result.protectors);
       EXPECT_EQ(batch[i].plan_text, sequential[i].plan_text);
-      EXPECT_TRUE(batch[i].released == sequential[i].released);
     }
   }
 }
@@ -187,9 +183,6 @@ TEST(PlanServiceTest, ParseErrorsNameTheLine) {
       {"budget=y", "not an integer"},
       {"sample=z", "not an integer"},
       {"sample=-1", "sample=-1 is negative"},
-      {"released=yes", "released 'yes'"},
-      {"released=TRUE", "released 'TRUE'"},
-      {"released=", "released ''"},
       {"scope=sideways", "scope 'sideways'"},
       {"links=1-2;3", "not of the form u-v"},
       // Names become plan-file paths; separators must not escape
@@ -201,6 +194,11 @@ TEST(PlanServiceTest, ParseErrorsNameTheLine) {
       {"lazy=1", "unknown key 'lazy'"},
       {"rounds=heap", "unknown key 'rounds'"},
       {"celf=classic", "unknown key 'celf'"},
+      // A response never carries the released graph (it is the base
+      // minus the plan), so the key that asked for it is unknown too.
+      {"released=1", "unknown key 'released'"},
+      {"released=0", "unknown key 'released'"},
+      {"released=yes", "unknown key 'released'"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.token);
@@ -249,22 +247,23 @@ TEST(PlanServiceTest, ParseRequestLineEdgeCases) {
   EXPECT_FALSE(ParsePlanRequestLine("links=7-7", 1, 0).ok());
   EXPECT_FALSE(ParsePlanRequestLine("links=1-99999999999", 1, 0).ok());
 
-  // released= toggles the want_released payload flag (off by default)
-  // and takes 0|1|true|false; sample=0 is a legal (empty) sample.
+  // released= is no key, whatever its value: the line that names it
+  // fails, naming the line. sample=0 is a legal (empty) sample.
+  for (const char* value : {"1", "0", "true", "false"}) {
+    SCOPED_TRACE(value);
+    Result<PlanRequest> released = ParsePlanRequestLine(
+        std::string("algorithm=sgb sample=5 released=") + value, 3, 0);
+    ASSERT_FALSE(released.ok());
+    EXPECT_EQ(released.status().message(),
+              "line 3: unknown key 'released'");
+  }
   Result<std::vector<PlanScriptStep>> script = ParsePlanScript(
       "algorithm=sgb sample=5\n"
-      "algorithm=sgb sample=5 released=1\n"
-      "algorithm=sgb sample=5 released=0\n"
-      "algorithm=sgb sample=5 released=true\n"
-      "algorithm=sgb sample=0 released=false\n");
+      "algorithm=sgb sample=0\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   const std::vector<PlanRequest>& parsed = script->front().requests;
-  EXPECT_FALSE(parsed[0].want_released);
-  EXPECT_TRUE(parsed[1].want_released);
-  EXPECT_FALSE(parsed[2].want_released);
-  EXPECT_TRUE(parsed[3].want_released);
-  EXPECT_FALSE(parsed[4].want_released);
-  EXPECT_EQ(parsed[4].sample, 0u);
+  EXPECT_EQ(parsed[0].sample, 5u);
+  EXPECT_EQ(parsed[1].sample, 0u);
 }
 
 TEST(PlanServiceTest, OutOfRangeNodeIdsFailPerRequestNotPerBatch) {

@@ -47,7 +47,6 @@ PlanResponse RunOneCold(const graph::Graph& base, const PlanRequest& request) {
   }
   response.result = std::move(*result);
   response.plan_text = core::SerializeDeletionPlan(*instance, response.result);
-  if (request.want_released) response.released = engine->CurrentGraph();
   response.seconds = timer.Seconds();
   return response;
 }

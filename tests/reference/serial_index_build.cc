@@ -134,7 +134,7 @@ Result<IncidenceIndex> BuildIndexSerialReference(
   idx.edge_keys_ = std::move(edge_keys);
   // The old hash-map interner, kept local: the reference pays its
   // construction and per-occurrence lookups exactly as the pre-parallel
-  // build did, then derives the bucket table the final layout carries.
+  // build did.
   idx.BuildProbeTable();
   std::unordered_map<EdgeKey, uint32_t> edge_id;
   edge_id.reserve(idx.edge_keys_.size());
@@ -213,22 +213,13 @@ Result<IncidenceIndex> BuildIndexSerialReference(
     }
   }
 
-  // Bucket table for the keyed query API (see EdgeIdOf).
-  std::vector<uint32_t> u_offsets(g.NumNodes() + 1, 0);
-  for (EdgeKey key : idx.edge_keys_) {
-    ++u_offsets[graph::EdgeKeyU(key) + 1];
-  }
-  for (size_t u = 0; u < g.NumNodes(); ++u) {
-    u_offsets[u + 1] += u_offsets[u];
-  }
-
+  idx.num_nodes_ = g.NumNodes();
   idx.instances_ = std::move(instances);
   idx.inst_offsets_ = std::move(inst_offsets);
   idx.instance_ids_ = std::move(instance_ids);
   idx.tgt_offsets_ = std::move(tgt_offsets);
   idx.tgt_ids_ = std::move(tgt_ids);
   idx.maint_ = std::move(maint);
-  idx.u_offsets_ = std::move(u_offsets);
   idx.FinishAliveState(targets.size());
   idx.PopulateRepairCaches(targets);
   return idx;

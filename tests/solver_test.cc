@@ -23,15 +23,23 @@ constexpr size_t kNumTargets = 8;
 constexpr size_t kBudget = 5;
 constexpr uint64_t kSeed = 99;
 
+const graph::Graph& ArenasBase() {
+  static const graph::Graph g = *graph::MakeArenasEmailLike(1);
+  return g;
+}
+
+const std::vector<graph::Edge>& ArenasTargets() {
+  static const std::vector<graph::Edge> targets = [] {
+    Rng rng(7);
+    return *SampleTargets(ArenasBase(), kNumTargets, rng);
+  }();
+  return targets;
+}
+
 // One shared Arenas instance; every run gets its own engine.
 const TppInstance& ArenasInstance() {
-  static const TppInstance instance = [] {
-    graph::Graph g = *graph::MakeArenasEmailLike(1);
-    Rng rng(7);
-    std::vector<graph::Edge> targets =
-        *SampleTargets(g, kNumTargets, rng);
-    return *MakeInstance(g, targets, motif::MotifKind::kTriangle);
-  }();
+  static const TppInstance instance = *MakeInstance(
+      ArenasBase(), ArenasTargets(), motif::MotifKind::kTriangle);
   return instance;
 }
 
@@ -128,6 +136,42 @@ TEST(SolverRegistryTest, EveryRegisteredSolverMatchesDirectCall) {
     EXPECT_EQ(via_registry.protectors, direct.protectors);
     EXPECT_EQ(via_registry.initial_similarity, direct.initial_similarity);
     EXPECT_EQ(via_registry.final_similarity, direct.final_similarity);
+  }
+}
+
+// The released graph is never carried: it is derived as the base minus
+// the plan's deletions. That derivation must reproduce the engine's final
+// graph for every solver (katz replays its picks through the engine too),
+// both scopes and more than one motif.
+TEST(SolverRegistryTest, PlanDerivesTheEnginesFinalGraph) {
+  for (motif::MotifKind kind :
+       {motif::MotifKind::kTriangle, motif::MotifKind::kRectangle}) {
+    const TppInstance instance =
+        *MakeInstance(ArenasBase(), ArenasTargets(), kind);
+    for (std::string_view name : SolverNames()) {
+      for (CandidateScope scope : {CandidateScope::kTargetSubgraphEdges,
+                                   CandidateScope::kAllEdges}) {
+        SCOPED_TRACE(std::string(name) + " " +
+                     std::string(motif::MotifName(kind)) + " scope=" +
+                     std::to_string(static_cast<int>(scope)));
+        SolverSpec spec;
+        spec.algorithm = std::string(name);
+        spec.budget = kBudget;
+        spec.scope = scope;
+        IndexedEngine engine = *IndexedEngine::Create(instance);
+        Rng rng(SplitMix64(kSeed));
+        Result<ProtectionResult> result =
+            RunSolver(spec, engine, instance, rng);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        const std::string plan_text =
+            SerializeDeletionPlan(instance, *result);
+        Result<DeletionPlan> plan = ParseDeletionPlan(plan_text);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        Result<graph::Graph> derived = ApplyDeletionPlan(ArenasBase(), *plan);
+        ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+        EXPECT_TRUE(*derived == engine.CurrentGraph());
+      }
+    }
   }
 }
 

@@ -448,10 +448,8 @@ TEST(PlanCodecTest, ResponseRoundTrips) {
   request.seed = 3;
   request.spec.algorithm = "sgb";
   request.spec.budget = 4;
-  request.want_released = true;
   PlanResponse response = RunOneCold(ArenasBase(), request);
   ASSERT_TRUE(response.status.ok());
-  ASSERT_GT(response.released.NumNodes(), 0u);
 
   const std::string payload = EncodePlanResponse(response);
   Result<PlanResponse> decoded = DecodePlanResponse(payload);
@@ -464,7 +462,6 @@ TEST(PlanCodecTest, ResponseRoundTrips) {
   EXPECT_EQ(decoded->result.final_similarity,
             response.result.final_similarity);
   EXPECT_EQ(decoded->result.picks.size(), response.result.picks.size());
-  EXPECT_TRUE(decoded->released == response.released);
   EXPECT_FALSE(decoded->from_cache);
   // Re-encoding the decoded response reproduces the payload byte for
   // byte — the codec is a bijection over its field set.
@@ -489,6 +486,77 @@ TEST(PlanCodecTest, MalformedPayloadsAreRejectedNotCrashes) {
   }
   std::string trailing = payload + "x";
   EXPECT_FALSE(DecodePlanResponse(trailing).ok());
+}
+
+// A version-1 payload as the previous codec wrote it for a response that
+// carried no released graph: the version-2 layout with the version word
+// set to 1 and a zero "has released graph" byte before the trailing solve
+// time.
+std::string VersionOnePayload(const PlanResponse& response) {
+  std::string payload = EncodePlanResponse(response);
+  const uint32_t version = 1;
+  std::memcpy(payload.data(), &version, sizeof version);
+  payload.insert(payload.size() - sizeof(double), 1, '\0');
+  return payload;
+}
+
+TEST(PlanCodecTest, VersionOnePayloadIsRejected) {
+  PlanRequest request;
+  request.sample = 3;
+  request.spec.algorithm = "sgb";
+  request.spec.budget = 2;
+  PlanResponse response = RunOneCold(ArenasBase(), request);
+  ASSERT_TRUE(response.status.ok());
+  Result<PlanResponse> decoded =
+      DecodePlanResponse(VersionOnePayload(response));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().message(), "unsupported plan payload version");
+}
+
+// A store holding a version-1 record under a live key answers a miss; the
+// pipeline re-solves byte-identically to a cold run and writes the fresh
+// record through, which a restarted cache then serves from disk.
+TEST(PlanCacheStoreTest, VersionOneRecordIsAMissAndReSolves) {
+  const std::string dir = TempStoreDir("v1record");
+  PlanRequest request;
+  request.sample = 4;
+  request.seed = 5;
+  request.spec.algorithm = "sgb";
+  request.spec.budget = 3;
+  PlanService plan_service(ArenasBase());
+  const PlanResponse cold = RunOneCold(plan_service.base(), request);
+  ASSERT_TRUE(cold.status.ok());
+  const std::string key =
+      CanonicalRequestKey(plan_service.fingerprint(), request);
+  {
+    std::unique_ptr<WarmStore> store = OpenStore(dir);
+    ASSERT_TRUE(store->AppendPlan(key, VersionOnePayload(cold)).ok());
+  }
+  {
+    std::unique_ptr<WarmStore> store = OpenStore(dir);
+    PlanCache cache(8);
+    cache.set_backing_store(store.get());
+    BatchStats stats;
+    BatchOptions options;
+    options.cache = &cache;
+    options.stats = &stats;
+    PlanResponse response =
+        plan_service.RunBatch({&request, 1}, options).front();
+    ASSERT_TRUE(response.status.ok());
+    EXPECT_FALSE(response.from_cache);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.solved, 1u);
+    EXPECT_EQ(response.plan_text, cold.plan_text);
+    EXPECT_EQ(cache.stats().backing_hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+  }
+  std::unique_ptr<WarmStore> store = OpenStore(dir);
+  PlanCache cache(8);
+  cache.set_backing_store(store.get());
+  PlanResponse out;
+  ASSERT_TRUE(cache.Lookup(key, &out));
+  EXPECT_EQ(cache.stats().backing_hits, 1u);
+  EXPECT_EQ(out.plan_text, cold.plan_text);
 }
 
 TEST(PlanCacheStoreTest, FailuresAreNeverPersistedOrServedAcrossRuns) {

@@ -281,9 +281,6 @@ int RunProtect(const ParsedArgs& args) {
   Result<int64_t> deadline_ms = args.GetInt("deadline-ms", 0);
   if (!deadline_ms.ok()) return Fail(deadline_ms.status());
   request.deadline_ms = *deadline_ms;
-  // A standalone protect run inspects (and may save) the released graph;
-  // batches leave this off per request to keep memory flat.
-  request.want_released = true;
 
   Result<std::unique_ptr<service::store::WarmStore>> store =
       OpenStoreFromFlags(args);
@@ -306,31 +303,33 @@ int RunProtect(const ParsedArgs& args) {
   if (!response.status.ok()) return Fail(response.status);
   if (*store != nullptr) PrintStoreStats(**store, cache.get());
 
-  core::TppInstance instance = {
-      plan_service.base(), response.targets, request.motif};
-  // Re-derive the phase-1 graph for the report (the response carries the
-  // final released graph, after protector deletions).
-  instance.released.RemoveEdges(response.targets);
+  Result<core::TppInstance> instance = core::MakeInstance(
+      plan_service.base(), response.targets, request.motif);
+  if (!instance.ok()) return Fail(instance.status());
   std::printf("%s",
-              core::FormatProtectionReport(instance,
+              core::FormatProtectionReport(*instance,
                                            response.result).c_str());
 
   std::string plan_out = args.GetString("plan-out", "");
   if (!plan_out.empty()) {
-    Status s = core::SaveDeletionPlan(instance, response.result, plan_out);
+    Status s = core::SaveDeletionPlan(*instance, response.result, plan_out);
     if (!s.ok()) return Fail(s);
     std::printf("plan written to %s\n", plan_out.c_str());
   }
   std::string release_out = args.GetString("release-out", "");
   if (!release_out.empty()) {
-    Graph release = response.released;
+    // The released graph is the base minus the plan's deletions, the same
+    // derivation `tpp attack` replays from a plan file.
+    Result<Graph> release = core::ApplyDeletionPlan(
+        plan_service.base(), {response.targets, response.result.protectors});
+    if (!release.ok()) return Fail(release.status());
     if (args.GetBool("relabel")) {
       // The relabeling permutation draws from its own stream so it cannot
       // perturb (or be perturbed by) the protection run.
       Rng relabel_rng = service::RequestRng(request.seed + 1);
-      release = graph::RandomRelabel(release, relabel_rng).graph;
+      *release = graph::RandomRelabel(*release, relabel_rng).graph;
     }
-    Status s = graph::SaveEdgeList(release, release_out);
+    Status s = graph::SaveEdgeList(*release, release_out);
     if (!s.ok()) return Fail(s);
     std::printf("released graph written to %s%s\n", release_out.c_str(),
                 args.GetBool("relabel") ? " (node ids permuted)" : "");
