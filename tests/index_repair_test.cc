@@ -308,6 +308,19 @@ TEST(IndexRepairErrorTest, MismatchedDeltaRejectedAndIndexUntouched) {
   EXPECT_EQ(fx.released, graph_before);
 }
 
+// The index keeps the node count of the graph it was built over (and a
+// snapshot carries it); a repair against a graph of another size fails.
+TEST(IndexRepairErrorTest, NodeCountMismatchRejected) {
+  ErrorFixture fx = MakeErrorFixture(14);
+  const IncidenceIndex before = fx.index;
+  Graph grown = fx.released;
+  grown.AddNode();
+  Status s = fx.index.ApplyGraphDelta(grown, fx.targets, MotifKind::kTriangle,
+                                      GraphDelta{});
+  EXPECT_EQ(s.message(), "graph has 21 nodes but the index was built over 20");
+  EXPECT_TRUE(fx.index.BitIdentical(before));
+}
+
 TEST(IndexRepairErrorTest, NonFreshIndexRejected) {
   ErrorFixture fx = MakeErrorFixture(13);
   std::vector<EdgeKey> candidates = fx.index.AliveCandidateEdges();

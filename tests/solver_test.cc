@@ -28,18 +28,14 @@ const graph::Graph& ArenasBase() {
   return g;
 }
 
-const std::vector<graph::Edge>& ArenasTargets() {
-  static const std::vector<graph::Edge> targets = [] {
-    Rng rng(7);
-    return *SampleTargets(ArenasBase(), kNumTargets, rng);
-  }();
-  return targets;
-}
-
 // One shared Arenas instance; every run gets its own engine.
 const TppInstance& ArenasInstance() {
-  static const TppInstance instance = *MakeInstance(
-      ArenasBase(), ArenasTargets(), motif::MotifKind::kTriangle);
+  static const TppInstance instance = [] {
+    Rng rng(7);
+    std::vector<graph::Edge> targets =
+        *SampleTargets(ArenasBase(), kNumTargets, rng);
+    return *MakeInstance(ArenasBase(), targets, motif::MotifKind::kTriangle);
+  }();
   return instance;
 }
 
@@ -147,7 +143,7 @@ TEST(SolverRegistryTest, PlanDerivesTheEnginesFinalGraph) {
   for (motif::MotifKind kind :
        {motif::MotifKind::kTriangle, motif::MotifKind::kRectangle}) {
     const TppInstance instance =
-        *MakeInstance(ArenasBase(), ArenasTargets(), kind);
+        *MakeInstance(ArenasBase(), ArenasInstance().targets, kind);
     for (std::string_view name : SolverNames()) {
       for (CandidateScope scope : {CandidateScope::kTargetSubgraphEdges,
                                    CandidateScope::kAllEdges}) {

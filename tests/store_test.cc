@@ -500,22 +500,10 @@ std::string VersionOnePayload(const PlanResponse& response) {
   return payload;
 }
 
-TEST(PlanCodecTest, VersionOnePayloadIsRejected) {
-  PlanRequest request;
-  request.sample = 3;
-  request.spec.algorithm = "sgb";
-  request.spec.budget = 2;
-  PlanResponse response = RunOneCold(ArenasBase(), request);
-  ASSERT_TRUE(response.status.ok());
-  Result<PlanResponse> decoded =
-      DecodePlanResponse(VersionOnePayload(response));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().message(), "unsupported plan payload version");
-}
-
-// A store holding a version-1 record under a live key answers a miss; the
-// pipeline re-solves byte-identically to a cold run and writes the fresh
-// record through, which a restarted cache then serves from disk.
+// The codec rejects a version-1 payload, so a store holding one under a
+// live key answers a miss; the pipeline re-solves byte-identically to a
+// cold run and writes the fresh record through, which a restarted cache
+// then serves from disk.
 TEST(PlanCacheStoreTest, VersionOneRecordIsAMissAndReSolves) {
   const std::string dir = TempStoreDir("v1record");
   PlanRequest request;
@@ -528,6 +516,9 @@ TEST(PlanCacheStoreTest, VersionOneRecordIsAMissAndReSolves) {
   ASSERT_TRUE(cold.status.ok());
   const std::string key =
       CanonicalRequestKey(plan_service.fingerprint(), request);
+  Result<PlanResponse> decoded = DecodePlanResponse(VersionOnePayload(cold));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().message(), "unsupported plan payload version");
   {
     std::unique_ptr<WarmStore> store = OpenStore(dir);
     ASSERT_TRUE(store->AppendPlan(key, VersionOnePayload(cold)).ok());
