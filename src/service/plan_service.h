@@ -104,9 +104,8 @@ struct PlanResponse {
   Status status = Status::Ok();
   std::vector<graph::Edge> targets;  ///< realized targets (sampled or given)
   core::ProtectionResult result;
-  /// SerializeDeletionPlan output. The released graph is not carried: it
-  /// is the base minus this plan's targets and protectors
-  /// (core::ApplyDeletionPlan).
+  /// SerializeDeletionPlan output. The released graph is derived from it
+  /// (core::ApplyDeletionPlan), never carried.
   std::string plan_text;
   double seconds = 0;         ///< wall time of this request
   bool from_cache = false;    ///< served by a PlanCache hit

@@ -150,10 +150,8 @@ TEST(SolverRegistryTest, PlanDerivesTheEnginesFinalGraph) {
         SCOPED_TRACE(std::string(name) + " " +
                      std::string(motif::MotifName(kind)) + " scope=" +
                      std::to_string(static_cast<int>(scope)));
-        SolverSpec spec;
-        spec.algorithm = std::string(name);
-        spec.budget = kBudget;
-        spec.scope = scope;
+        const SolverSpec spec{
+            .algorithm = std::string(name), .scope = scope, .budget = kBudget};
         IndexedEngine engine = *IndexedEngine::Create(instance);
         Rng rng(SplitMix64(kSeed));
         Result<ProtectionResult> result =
