@@ -57,7 +57,8 @@ int Run() {
     core::KatzDefenseOptions opts;
     opts.katz = params;
     opts.budget = triangle.protectors.size();
-    auto katz = *core::GreedyKatzDefense(instance, opts);
+    auto katz =
+        *core::GreedyKatzDefense(instance.released, instance.targets, opts);
 
     std::vector<std::string> row = {
         std::to_string(s), Fmt(initial, 4), Fmt(after_triangle, 4),

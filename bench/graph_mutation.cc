@@ -8,10 +8,11 @@
 //                 (half removals of existing edges, half insertions of
 //                 absent pairs, never touching a target link) is applied
 //                 the way InstanceRepository applies it: to a copy of the
-//                 released graph, then to a copy of the built index via
-//                 IncidenceIndex::ApplyGraphDelta (delta-neighborhood
-//                 repair), timed together against IncidenceIndex::Build
-//                 on the edited graph at the same thread budget. EVERY rep
+//                 base graph, then to a copy of the built index via
+//                 IncidenceIndex::ApplyGraphDelta on the edited base
+//                 (delta-neighborhood repair), timed together against
+//                 IncidenceIndex::Build on the edited released graph at
+//                 the same thread budget. EVERY rep
 //                 proves equivalence the strong way: an sgb restricted
 //                 solve on an engine adopting the repaired index must
 //                 serialize a byte-identical deletion plan to the same
@@ -25,12 +26,12 @@
 //                 CHECKed byte-identical to a cold service over the edited
 //                 graph) while requests in the delta neighborhood are
 //                 invalidated and re-solve.
-//   copy        — info only, never gated: a Graph copy and its release
-//                 on a Holme-Kim graph (10^5 nodes; 10^6 too in full
-//                 mode) released around three target links, the way a
-//                 cache-missing request copies its group's released
-//                 graph (IndexedEngine::Adopt) and frees it with the
-//                 engine. Reps, median and quartiles per side and for
+//   copy        — info only, never gated: a copy of a Holme-Kim base
+//                 graph (10^5 nodes; 10^6 too in full mode) minus three
+//                 target links, and its release, the way a cache-missing
+//                 request derives its engine's released graph from the
+//                 shared base (IndexedEngine::Adopt) and frees it with
+//                 the engine. Reps, median and quartiles per side and for
 //                 the sum.
 //
 // Flags: --quick (fewer repetitions, CI smoke mode), --threads=N (build
@@ -116,12 +117,10 @@ struct CopyResult {
   Spread total_ms;
 };
 
-TppInstance MakeArenas(MotifKind kind) {
-  Result<graph::Graph> g = graph::MakeArenasEmailLike(1);
-  TPP_CHECK(g.ok());
+TppInstance MakeArenas(const graph::Graph& base, MotifKind kind) {
   Rng rng(7);
-  auto targets = *core::SampleTargets(*g, g_num_targets, rng);
-  return *core::MakeInstance(*g, targets, kind);
+  auto targets = *core::SampleTargets(base, g_num_targets, rng);
+  return *core::MakeInstance(base, targets, kind);
 }
 
 // A random normalized delta against `g`: `edits`/2 removals of existing
@@ -158,19 +157,20 @@ GraphDelta RandomChurn(const graph::Graph& g,
 // The strong equivalence check: repaired and rebuilt index must drive
 // the sgb restricted greedy to a byte-identical deletion plan.
 void CheckPlansByteIdentical(IncidenceIndex repaired, IncidenceIndex rebuilt,
+                             const graph::Graph& edited_base,
                              const TppInstance& edited_inst) {
   core::SolverSpec spec;
   spec.algorithm = "sgb";
   spec.budget = 8;
   Rng rng_a(99), rng_b(99);
   Result<IndexedEngine> via_repair =
-      IndexedEngine::Adopt(edited_inst, std::move(repaired));
+      IndexedEngine::Adopt(edited_base, edited_inst, std::move(repaired));
   TPP_CHECK(via_repair.ok());
   Result<core::ProtectionResult> a =
       core::RunSolver(spec, *via_repair, edited_inst, rng_a);
   TPP_CHECK(a.ok());
   Result<IndexedEngine> via_rebuild =
-      IndexedEngine::Adopt(edited_inst, std::move(rebuilt));
+      IndexedEngine::Adopt(edited_base, edited_inst, std::move(rebuilt));
   TPP_CHECK(via_rebuild.ok());
   Result<core::ProtectionResult> b =
       core::RunSolver(spec, *via_rebuild, edited_inst, rng_b);
@@ -179,7 +179,8 @@ void CheckPlansByteIdentical(IncidenceIndex repaired, IncidenceIndex rebuilt,
             core::SerializeDeletionPlan(edited_inst, *b));
 }
 
-ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
+ChurnResult RunChurnLevel(MotifKind kind, const graph::Graph& base,
+                          const TppInstance& inst,
                           const IncidenceIndex& prototype, double churn_pct,
                           bool quick, int build_threads) {
   ChurnResult out;
@@ -212,18 +213,19 @@ ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
     GraphDelta delta = RandomChurn(inst.released, target_keys, out.edits,
                                    rng);
 
-    TppInstance edited_inst = inst;
+    graph::Graph edited_base = base;
     IncidenceIndex repaired = prototype;
     {
       WallTimer timer;
-      TPP_CHECK(edited_inst.released.ApplyDelta(delta).ok());
-      TPP_CHECK(repaired
-                    .ApplyGraphDelta(edited_inst.released, inst.targets,
-                                     kind, delta)
-                    .ok());
+      TPP_CHECK(edited_base.ApplyDelta(delta).ok());
+      TPP_CHECK(
+          repaired.ApplyGraphDelta(edited_base, inst.targets, kind, delta)
+              .ok());
       const double ms = timer.Millis();
       repair_best = r == 0 ? ms : std::min(repair_best, ms);
     }
+    TppInstance edited_inst = inst;
+    TPP_CHECK(edited_inst.released.ApplyDelta(delta).ok());
 
     IncidenceIndex rebuilt = [&] {
       WallTimer timer;
@@ -236,7 +238,7 @@ ChurnResult RunChurnLevel(MotifKind kind, const TppInstance& inst,
     TPP_CHECK_EQ(repaired.TotalAlive(), rebuilt.TotalAlive());
 
     CheckPlansByteIdentical(std::move(repaired), std::move(rebuilt),
-                            edited_inst);
+                            edited_base, edited_inst);
   }
   out.repair_ms = repair_best;
   out.rebuild_ms = rebuild_best;
@@ -379,14 +381,14 @@ CacheResult RunCacheSurvival() {
 CopyResult RunCopy(size_t num_nodes, size_t reps) {
   Rng rng(20261019);
   const graph::Graph base = *graph::HolmeKim(num_nodes, 4, 0.5, rng);
-  // What core::MakeInstance gives a 3-link group: a copy of the base with
-  // the targets removed.
-  graph::Graph released = base;
-  released.RemoveEdges(rng.SampleK(base.Edges(), 3));
+  // What IndexedEngine::Adopt gives a 3-link request: a copy of the base
+  // with the targets removed.
+  const std::vector<Edge> targets = rng.SampleK(base.Edges(), 3);
   std::vector<double> copy_ms, release_ms, total_ms;
   for (size_t rep = 0; rep < reps; ++rep) {
     WallTimer timer;
-    auto copy = std::make_unique<graph::Graph>(released);
+    auto copy = std::make_unique<graph::Graph>(base);
+    copy->RemoveEdges(targets);
     const double copied = timer.Millis();
     timer.Restart();
     copy.reset();
@@ -395,8 +397,8 @@ CopyResult RunCopy(size_t num_nodes, size_t reps) {
     release_ms.push_back(freed);
     total_ms.push_back(copied + freed);
   }
-  return {num_nodes,          released.NumEdges(),  reps,
-          SpreadOf(copy_ms), SpreadOf(release_ms), SpreadOf(total_ms)};
+  return {num_nodes,         base.NumEdges() - targets.size(), reps,
+          SpreadOf(copy_ms), SpreadOf(release_ms),          SpreadOf(total_ms)};
 }
 
 void WriteJson(const std::string& path, bool quick,
@@ -498,13 +500,15 @@ int Run(int argc, char** argv) {
               g_num_targets, quick ? ", quick" : "");
   std::vector<ChurnResult> results;
   double min_speedup_at_1pct = 0;
+  const Result<graph::Graph> arenas = graph::MakeArenasEmailLike(1);
+  TPP_CHECK(arenas.ok());
   for (MotifKind kind : motif::kAllMotifs) {
-    const TppInstance inst = MakeArenas(kind);
+    const TppInstance inst = MakeArenas(*arenas, kind);
     const IncidenceIndex prototype =
         *IncidenceIndex::Build(inst.released, inst.targets, kind);
     for (double churn : kChurnLevels) {
-      ChurnResult result = RunChurnLevel(kind, inst, prototype, churn,
-                                         quick, build_threads);
+      ChurnResult result = RunChurnLevel(kind, *arenas, inst, prototype,
+                                         churn, quick, build_threads);
       std::printf("%-9s %4.1f%% churn (%5zu edits)  repair %9.3f ms  "
                   "rebuild %9.2f ms  speedup %7.1fx\n",
                   result.motif.c_str(), result.churn_pct, result.edits,

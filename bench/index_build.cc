@@ -26,7 +26,11 @@
 //                    cache (untimed, per rep): the serving case, where
 //                    most links were enumerated by earlier groups. The row
 //                    records the hit rate it saw.
-// cold and cached run at 1 thread and at the widest point <= 4. The
+// cold and cached run at 1 thread and at the widest point <= 4. One info
+// row, never compared to anything, times the serving case at the other
+// extreme: a cold BuildCached of a 1-target Triangle index on the
+// servebench point_hk1e5 fixture (Holme-Kim, 10^5 nodes, seed 1), with the
+// index's MemoryBytes(), which holds no per-node array. The
 // per-stage breakdown (enumerate = collect / intern / csr) comes from
 // IncidenceIndex::BuildStats. Every row records its reps, median and
 // interquartile range; the stage columns are medians. Every measured build
@@ -50,6 +54,7 @@
 #include "common/timer.h"
 #include "core/problem.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "harness_common.h"
 #include "motif/incidence_index.h"
 #include "motif/link_instances.h"
@@ -150,7 +155,7 @@ MotifResult RunMotif(const Graph& base, MotifKind kind, bool quick,
   const TppInstance inst = *core::MakeInstance(base, targets, kind);
   // The cached rows' warm sets: each half of this set's links plus links
   // no set here names, so about 1 - 2^-kWarmSets of the probes hit.
-  std::vector<TppInstance> warm_sets;
+  std::vector<std::vector<Edge>> warm_sets;
   {
     Rng warm_rng(11);
     std::vector<Edge> others;
@@ -165,7 +170,7 @@ MotifResult RunMotif(const Graph& base, MotifKind kind, bool quick,
         warm.push_back(e);
       }
       warm_rng.Shuffle(warm);
-      warm_sets.push_back(*core::MakeInstance(base, warm, kind));
+      warm_sets.push_back(std::move(warm));
     }
   }
 
@@ -206,8 +211,8 @@ MotifResult RunMotif(const Graph& base, MotifKind kind, bool quick,
     options.threads = threads;
     auto cache = std::make_unique<LinkInstanceCache>();
     auto build_cached = [&](IncidenceIndex::BuildStats* stats) {
-      return IncidenceIndex::BuildCached(inst.released, base, inst.targets,
-                                         inst.motif, *cache, options, stats);
+      return IncidenceIndex::BuildCached(base, inst.targets, inst.motif,
+                                         *cache, options, stats);
     };
     out.rows.push_back(TimeRow(
         "cold", threads, reps, reference,
@@ -222,11 +227,10 @@ MotifResult RunMotif(const Graph& base, MotifKind kind, bool quick,
         "cached", threads, reps, reference,
         [&] {
           cache = std::make_unique<LinkInstanceCache>();
-          for (const TppInstance& warm : warm_sets) {
-            TPP_CHECK(IncidenceIndex::BuildCached(warm.released, base,
-                                                  warm.targets, warm.motif,
-                                                  *cache, options)
-                          .ok());
+          for (const std::vector<Edge>& warm : warm_sets) {
+            TPP_CHECK(
+                IncidenceIndex::BuildCached(base, warm, kind, *cache, options)
+                    .ok());
           }
           warm_hits = cache->hits();
           warm_probes = cache->hits() + cache->misses();
@@ -245,9 +249,58 @@ MotifResult RunMotif(const Graph& base, MotifKind kind, bool quick,
   return out;
 }
 
+// The info row: a 1-target Triangle group's cold build on the point
+// fixture, the way an InstanceRepository builds it (BuildCached from the
+// base, empty link cache, 1 thread).
+struct SmallIndexResult {
+  size_t nodes = 0;
+  size_t instances = 0;
+  size_t interned_edges = 0;
+  size_t memory_bytes = 0;
+  Row row;
+};
+
+SmallIndexResult RunSmallIndex(bool quick) {
+  Rng fixture_rng(1);
+  const Graph base = *graph::HolmeKim(100000, 4, 0.5, fixture_rng);
+  // The first of a seeded sample of links that has a triangle at all.
+  Rng rng(7);
+  std::vector<Edge> targets;
+  const std::vector<Edge> sample = *core::SampleTargets(base, 64, rng);
+  for (const Edge& e : sample) {
+    if (motif::CountTargetSubgraphs(base, e, MotifKind::kTriangle) > 0) {
+      targets = {e};
+      break;
+    }
+  }
+  TPP_CHECK(!targets.empty());
+  const TppInstance inst =
+      *core::MakeInstance(base, targets, MotifKind::kTriangle);
+  const IncidenceIndex reference = *motif::BuildIndexSerialReference(
+      inst.released, inst.targets, inst.motif);
+  SmallIndexResult out;
+  out.nodes = base.NumNodes();
+  out.instances = reference.instances().size();
+  out.interned_edges = reference.NumInternedEdges();
+  out.memory_bytes = reference.MemoryBytes();
+  IncidenceIndex::BuildOptions options;
+  options.threads = 1;
+  auto cache = std::make_unique<LinkInstanceCache>();
+  MotifResult unused;
+  out.row = TimeRow(
+      "cold", 1, quick ? 9 : 31, reference,
+      [&] { cache = std::make_unique<LinkInstanceCache>(); },
+      [&](IncidenceIndex::BuildStats* stats) {
+        return IncidenceIndex::BuildCached(base, targets, MotifKind::kTriangle,
+                                           *cache, options, stats);
+      },
+      &unused);
+  return out;
+}
+
 void WriteJson(const std::string& path, bool quick,
                const std::vector<MotifResult>& results,
-               double headline_speedup) {
+               const SmallIndexResult& small, double headline_speedup) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -284,6 +337,18 @@ void WriteJson(const std::string& path, bool quick,
     std::fprintf(f, "    ]}%s\n", m + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"point_small_index\": {\"fixture\": \"holme_kim_1e5\", "
+               "\"nodes\": %zu, \"motif\": \"Triangle\", \"targets\": 1, "
+               "\"instances\": %zu, \"interned_edges\": %zu, "
+               "\"memory_bytes\": %zu, \"threads\": 1, \"reps\": %zu, "
+               "\"median_ms\": %.4f, \"iqr_ms\": %.4f, "
+               "\"enumerate_ms\": %.4f, \"intern_ms\": %.4f, "
+               "\"csr_ms\": %.4f},\n",
+               small.nodes, small.instances, small.interned_edges,
+               small.memory_bytes, small.row.reps, small.row.total_ms.median,
+               small.row.total_ms.Iqr(), small.row.enumerate_ms,
+               small.row.intern_ms, small.row.csr_ms);
   std::fprintf(f, "  \"headline_speedup_4threads\": %.2f\n}\n",
                headline_speedup);
   std::fclose(f);
@@ -353,7 +418,16 @@ int Run(int argc, char** argv) {
   std::printf("\nheadline (best of Rectangle/RecTri build at %d threads): "
               "%.2fx, all builds bit-identical to serial\n",
               wide_threads, headline);
-  WriteJson(out_path, quick, results, headline);
+  const SmallIndexResult small = RunSmallIndex(quick);
+  std::printf("info: 1-target Triangle index, Holme-Kim n=%zu: %zu "
+              "instances, %zu interned edges, %zu bytes; cold build median "
+              "%.4f ms (IQR %.4f, %zu reps; enum %.4f + intern %.4f + csr "
+              "%.4f)\n",
+              small.nodes, small.instances, small.interned_edges,
+              small.memory_bytes, small.row.total_ms.median,
+              small.row.total_ms.Iqr(), small.row.reps,
+              small.row.enumerate_ms, small.row.intern_ms, small.row.csr_ms);
+  WriteJson(out_path, quick, results, small, headline);
   return 0;
 }
 

@@ -99,12 +99,14 @@ std::vector<size_t> DivideBudgetTbd(
   return ProportionalDivision(weights, k, initial_similarities);
 }
 
-std::vector<size_t> DivideBudgetDbd(const TppInstance& instance, size_t k) {
-  std::vector<double> weights(instance.targets.size());
+std::vector<size_t> DivideBudgetDbd(const graph::Graph& released,
+                                    const std::vector<graph::Edge>& targets,
+                                    size_t k) {
+  std::vector<double> weights(targets.size());
   for (size_t i = 0; i < weights.size(); ++i) {
-    const graph::Edge& t = instance.targets[i];
-    weights[i] = static_cast<double>(instance.released.Degree(t.u)) *
-                 static_cast<double>(instance.released.Degree(t.v));
+    const graph::Edge& t = targets[i];
+    weights[i] = static_cast<double>(released.Degree(t.u)) *
+                 static_cast<double>(released.Degree(t.v));
   }
   return ProportionalDivision(weights, k, /*caps=*/{});
 }

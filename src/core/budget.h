@@ -34,11 +34,13 @@ std::vector<size_t> ProportionalDivision(const std::vector<double>& weights,
 std::vector<size_t> DivideBudgetTbd(
     const std::vector<size_t>& initial_similarities, size_t k);
 
-/// DBD: weight_t = deg(u) * deg(v) in the released (phase-1) graph.
+/// DBD: weight_t = deg(u) * deg(v) in `released`, the phase-1 graph.
 /// Uncapped; a target of high-degree ends gets a large share even when it
 /// has few target subgraphs, which is exactly the weakness the paper's
 /// evaluation observes for DBD.
-std::vector<size_t> DivideBudgetDbd(const TppInstance& instance, size_t k);
+std::vector<size_t> DivideBudgetDbd(const graph::Graph& released,
+                                    const std::vector<graph::Edge>& targets,
+                                    size_t k);
 
 }  // namespace tpp::core
 

@@ -23,13 +23,18 @@ Result<IndexedEngine> IndexedEngine::Create(
   return IndexedEngine(instance.released, std::move(index));
 }
 
-Result<IndexedEngine> IndexedEngine::Adopt(const TppInstance& instance,
+Result<IndexedEngine> IndexedEngine::Adopt(const graph::Graph& base,
+                                           const TppProblem& problem,
                                            motif::IncidenceIndex index) {
-  if (index.NumTargets() != instance.targets.size()) {
+  if (index.NumTargets() != problem.targets.size()) {
     return Status::InvalidArgument(
         "adopted index was built over a different target count");
   }
-  return IndexedEngine(instance.released, std::move(index));
+  graph::Graph released = base;
+  for (const graph::Edge& t : problem.targets) {
+    TPP_RETURN_IF_ERROR(released.RemoveEdge(t.u, t.v));
+  }
+  return IndexedEngine(std::move(released), std::move(index));
 }
 
 void IndexedEngine::GainVectorInto(EdgeKey e, std::span<size_t> out) {

@@ -35,11 +35,14 @@ class IndexedEngine : public Engine {
       const motif::IncidenceIndex::BuildOptions& build_options,
       motif::IncidenceIndex::BuildStats* build_stats = nullptr);
 
-  /// Wraps an already-built index around `instance`'s released graph —
-  /// the warm-start path: the index came from a snapshot file
-  /// (motif/index_snapshot.h) instead of a cold Build. Fails when the
-  /// index's target count does not match the instance's.
-  static Result<IndexedEngine> Adopt(const TppInstance& instance,
+  /// Wraps an already-built index (a shared group's copy, a repaired
+  /// one, or a warm-store snapshot) around a private copy of `base` minus
+  /// `problem`'s targets — the released graph, derived from the one base
+  /// graph rather than kept per target set. Fails when the index's target
+  /// count does not match the problem's or a target is not an edge of
+  /// `base`.
+  static Result<IndexedEngine> Adopt(const graph::Graph& base,
+                                     const TppProblem& problem,
                                      motif::IncidenceIndex index);
 
   size_t NumTargets() const override { return index_.NumTargets(); }

@@ -64,14 +64,14 @@ double EstimateEdgeGain(
 
 }  // namespace
 
-Result<KatzDefenseResult> GreedyKatzDefense(const TppInstance& instance,
-                                            const KatzDefenseOptions& options) {
+Result<KatzDefenseResult> GreedyKatzDefense(
+    const Graph& released, const std::vector<Edge>& targets,
+    const KatzDefenseOptions& options) {
   if (options.katz.beta <= 0.0 || options.katz.beta >= 1.0) {
     return Status::InvalidArgument("Katz beta out of (0,1)");
   }
   KatzDefenseResult result;
-  Graph g = instance.released;
-  const auto& targets = instance.targets;
+  Graph g = released;
   const size_t kl = options.katz.max_length;
 
   TPP_ASSIGN_OR_RETURN(result.initial_score,

@@ -42,13 +42,14 @@ struct KatzDefenseResult {
   std::vector<double> score_trajectory;  ///< exact score after each pick
 };
 
-/// Runs the greedy Katz defense on the instance's released graph (targets
-/// already removed). Candidates are restricted to edges lying on some
-/// walk of length <= katz.max_length between a target's endpoints (the
-/// Katz analogue of Lemma 5: other deletions cannot change any target's
-/// score).
-Result<KatzDefenseResult> GreedyKatzDefense(const TppInstance& instance,
-                                            const KatzDefenseOptions& options);
+/// Runs the greedy Katz defense on a copy of `released` (the phase-1
+/// graph: `targets` already removed). Candidates are restricted to edges
+/// lying on some walk of length <= katz.max_length between a target's
+/// endpoints (the Katz analogue of Lemma 5: other deletions cannot change
+/// any target's score).
+Result<KatzDefenseResult> GreedyKatzDefense(
+    const graph::Graph& released, const std::vector<graph::Edge>& targets,
+    const KatzDefenseOptions& options);
 
 /// Total truncated Katz score over all targets on `g`.
 Result<double> TotalKatzScore(const graph::Graph& g,

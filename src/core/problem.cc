@@ -1,35 +1,25 @@
 #include "core/problem.h"
 
-#include <unordered_set>
-
+#include "common/check.h"
 #include "common/strings.h"
+#include "motif/enumerate.h"
 
 namespace tpp::core {
 
 using graph::Edge;
-using graph::EdgeKey;
 using graph::Graph;
 
 Result<TppInstance> MakeInstance(const Graph& original,
                                  std::vector<Edge> targets,
                                  motif::MotifKind motif) {
+  TPP_RETURN_IF_ERROR(motif::ValidateTargetLinks(original, targets));
   TppInstance inst;
   inst.released = original;
-  inst.motif = motif;
-  std::unordered_set<EdgeKey> seen;
-  seen.reserve(targets.size() * 2);
   for (const Edge& t : targets) {
-    if (!seen.insert(t.Key()).second) {
-      return Status::InvalidArgument(
-          StrFormat("duplicate target (%u,%u)", t.u, t.v));
-    }
-    Status s = inst.released.RemoveEdge(t.u, t.v);
-    if (!s.ok()) {
-      return Status::InvalidArgument(
-          StrFormat("target (%u,%u) is not an edge of the graph", t.u, t.v));
-    }
+    TPP_CHECK(inst.released.RemoveEdge(t.u, t.v).ok());
   }
   inst.targets = std::move(targets);
+  inst.motif = motif;
   return inst;
 }
 

@@ -43,10 +43,10 @@ std::string FormatProtectionReport(const TppInstance& instance,
   return out;
 }
 
-std::string SerializeDeletionPlan(const TppInstance& instance,
+std::string SerializeDeletionPlan(const TppProblem& problem,
                                   const ProtectionResult& result) {
   std::string out = "# tpp deletion plan v1\n";
-  for (const Edge& t : instance.targets) {
+  for (const Edge& t : problem.targets) {
     out += StrFormat("target %u %u\n", t.u, t.v);
   }
   for (const Edge& p : result.protectors) {
@@ -108,12 +108,12 @@ Result<DeletionPlan> ParseDeletionPlan(const std::string& text) {
   return plan;
 }
 
-Status SaveDeletionPlan(const TppInstance& instance,
+Status SaveDeletionPlan(const TppProblem& problem,
                         const ProtectionResult& result,
                         const std::string& path) {
   std::ofstream f(path, std::ios::trunc);
   if (!f) return Status::IoError("cannot open " + path + " for writing");
-  f << SerializeDeletionPlan(instance, result);
+  f << SerializeDeletionPlan(problem, result);
   if (!f.good()) return Status::IoError("write failed for " + path);
   return Status::Ok();
 }

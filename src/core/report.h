@@ -26,7 +26,7 @@ std::string FormatProtectionReport(const TppInstance& instance,
 ///   protector <u> <v>
 /// Applying a plan to the original graph (deleting every listed link)
 /// produces the releasable graph.
-std::string SerializeDeletionPlan(const TppInstance& instance,
+std::string SerializeDeletionPlan(const TppProblem& problem,
                                   const ProtectionResult& result);
 
 /// A parsed deletion plan.
@@ -43,7 +43,7 @@ struct DeletionPlan {
 Result<DeletionPlan> ParseDeletionPlan(const std::string& text);
 
 /// File round-trip helpers.
-Status SaveDeletionPlan(const TppInstance& instance,
+Status SaveDeletionPlan(const TppProblem& problem,
                         const ProtectionResult& result,
                         const std::string& path);
 Result<DeletionPlan> LoadDeletionPlan(const std::string& path);

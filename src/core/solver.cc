@@ -40,7 +40,7 @@ class SgbSolver : public Solver {
   std::string_view DisplayName() const override { return "SGB-Greedy"; }
   BudgetModel Budgeting() const override { return BudgetModel::kGlobal; }
   bool Randomized() const override { return false; }
-  Result<ProtectionResult> Run(Engine& engine, const TppInstance&,
+  Result<ProtectionResult> Run(Engine& engine, const TppProblem&,
                                const SolverSpec& spec, Rng&) const override {
     return SgbGreedy(engine, EffectiveBudget(spec, engine), OptionsOf(spec));
   }
@@ -72,13 +72,13 @@ class MlbtSolver : public Solver {
   }
   BudgetModel Budgeting() const override { return BudgetModel::kPerTarget; }
   bool Randomized() const override { return false; }
-  Result<ProtectionResult> Run(Engine& engine, const TppInstance& instance,
+  Result<ProtectionResult> Run(Engine& engine, const TppProblem& problem,
                                const SolverSpec& spec, Rng&) const override {
     size_t k = EffectiveBudget(spec, engine);
     std::vector<size_t> budgets =
         division_ == BudgetDivision::kTargetSubgraphBased
             ? DivideBudgetTbd(InitialSimilarities(engine), k)
-            : DivideBudgetDbd(instance, k);
+            : DivideBudgetDbd(engine.CurrentGraph(), problem.targets, k);
     return within_target_ ? WtGreedy(engine, budgets, OptionsOf(spec))
                           : CtGreedy(engine, budgets, OptionsOf(spec));
   }
@@ -101,7 +101,7 @@ class RandomSolver : public Solver {
   }
   BudgetModel Budgeting() const override { return BudgetModel::kGlobal; }
   bool Randomized() const override { return true; }
-  Result<ProtectionResult> Run(Engine& engine, const TppInstance&,
+  Result<ProtectionResult> Run(Engine& engine, const TppProblem&,
                                const SolverSpec& spec,
                                Rng& rng) const override {
     size_t k = EffectiveBudget(spec, engine);
@@ -120,7 +120,7 @@ class FullProtectionSolver : public Solver {
   std::string_view DisplayName() const override { return "Full-Protection"; }
   BudgetModel Budgeting() const override { return BudgetModel::kUnbudgeted; }
   bool Randomized() const override { return false; }
-  Result<ProtectionResult> Run(Engine& engine, const TppInstance&,
+  Result<ProtectionResult> Run(Engine& engine, const TppProblem&,
                                const SolverSpec& spec, Rng&) const override {
     return FullProtection(engine, OptionsOf(spec));
   }
@@ -128,25 +128,27 @@ class FullProtectionSolver : public Solver {
 
 // Adapter over GreedyKatzDefense: the Katz defense picks protectors
 // against the truncated-Katz attack model on its own copy of the released
-// graph; the picks are then replayed through `engine` so the returned
-// ProtectionResult reports the same motif-similarity trajectory (and
-// leaves engine.CurrentGraph() == the defended graph) as every other
-// solver. The scope does not apply to this solver.
+// graph (the engine's, read before any deletion); the picks are then
+// replayed through `engine` so the returned ProtectionResult reports the
+// same motif-similarity trajectory (and leaves engine.CurrentGraph() ==
+// the defended graph) as every other solver. The scope does not apply to
+// this solver.
 class KatzDefenseSolver : public Solver {
  public:
   std::string_view Name() const override { return "katz"; }
   std::string_view DisplayName() const override { return "Katz-Defense"; }
   BudgetModel Budgeting() const override { return BudgetModel::kGlobal; }
   bool Randomized() const override { return false; }
-  Result<ProtectionResult> Run(Engine& engine, const TppInstance& instance,
+  Result<ProtectionResult> Run(Engine& engine, const TppProblem& problem,
                                const SolverSpec& spec, Rng&) const override {
     WallTimer timer;
+    const graph::Graph& released = engine.CurrentGraph();
     KatzDefenseOptions options;
     options.budget = spec.budget == SolverSpec::kFullProtection
-                         ? instance.released.NumEdges()
+                         ? released.NumEdges()
                          : spec.budget;
     TPP_ASSIGN_OR_RETURN(KatzDefenseResult defense,
-                         GreedyKatzDefense(instance, options));
+                         GreedyKatzDefense(released, problem.targets, options));
     ProtectionResult result;
     result.initial_similarity = engine.TotalSimilarity();
     for (const graph::Edge& e : defense.protectors) {
@@ -230,10 +232,10 @@ Status ValidateSolverSpec(const SolverSpec& spec) {
 }
 
 Result<ProtectionResult> RunSolver(const SolverSpec& spec, Engine& engine,
-                                   const TppInstance& instance, Rng& rng) {
+                                   const TppProblem& problem, Rng& rng) {
   Status valid = ValidateSolverSpec(spec);
   if (!valid.ok()) return valid;
-  return FindSolver(spec.algorithm)->Run(engine, instance, spec, rng);
+  return FindSolver(spec.algorithm)->Run(engine, problem, spec, rng);
 }
 
 }  // namespace tpp::core

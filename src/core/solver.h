@@ -3,7 +3,7 @@
 //
 // Callers (the CLI, the bench harnesses, the plan service, the examples)
 // name an algorithm by its registry key and run it through
-// RunSolver(spec, engine, instance, rng) instead of hand-wiring their own
+// RunSolver(spec, engine, problem, rng) instead of hand-wiring their own
 // dispatch switches. Registered solvers:
 //
 //   key      display          budgeting    notes
@@ -92,11 +92,12 @@ class Solver {
   virtual bool Randomized() const = 0;
 
   /// Runs the selection against `engine` (which it mutates by committing
-  /// deletions, like the underlying algorithms). `instance` is the
-  /// problem the engine was built from; per-target budget division and
-  /// the Katz defense need it.
+  /// deletions, like the underlying algorithms). `problem` is what the
+  /// engine was built for; a solver that needs the released graph (DBD
+  /// budget division, the Katz defense) reads engine.CurrentGraph()
+  /// before its first deletion.
   virtual Result<ProtectionResult> Run(Engine& engine,
-                                       const TppInstance& instance,
+                                       const TppProblem& problem,
                                        const SolverSpec& spec,
                                        Rng& rng) const = 0;
 };
@@ -127,7 +128,7 @@ Status ValidateSolverSpec(const SolverSpec& spec);
 /// Validates `spec` and runs the named solver. The one dispatch path all
 /// callers share.
 Result<ProtectionResult> RunSolver(const SolverSpec& spec, Engine& engine,
-                                   const TppInstance& instance, Rng& rng);
+                                   const TppProblem& problem, Rng& rng);
 
 }  // namespace tpp::core
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 
 namespace tpp::motif {
@@ -345,6 +347,22 @@ size_t TotalSimilarity(const Graph& g, const std::vector<Edge>& targets,
   size_t total = 0;
   for (size_t p : partial) total += p;
   return total;
+}
+
+Status ValidateTargetLinks(const Graph& g, const std::vector<Edge>& targets) {
+  std::unordered_set<EdgeKey> seen;
+  seen.reserve(targets.size() * 2);
+  for (const Edge& t : targets) {
+    if (!seen.insert(t.Key()).second) {
+      return Status::InvalidArgument(
+          StrFormat("duplicate target (%u,%u)", t.u, t.v));
+    }
+    if (!g.HasEdge(t.u, t.v)) {
+      return Status::InvalidArgument(
+          StrFormat("target (%u,%u) is not an edge of the graph", t.u, t.v));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace tpp::motif

@@ -30,6 +30,7 @@
 #include <span>
 #include <vector>
 
+#include "common/status.h"
 #include "graph/graph.h"
 #include "motif/motif.h"
 #include "motif/target_subgraph.h"
@@ -149,6 +150,14 @@ std::vector<TargetSubgraph> EnumerateAllTargetSubgraphs(
 size_t TotalSimilarity(const graph::Graph& g,
                        const std::vector<graph::Edge>& targets,
                        MotifKind kind, int threads = 0);
+
+/// Checks that `targets` are distinct edges of `g` (the base graph, before
+/// phase 1): the precondition of core::MakeInstance and of
+/// IncidenceIndex::BuildCached. The error names the first target, in list
+/// order, that repeats an earlier one ("duplicate target (u,v)") or is not
+/// an edge ("target (u,v) is not an edge of the graph").
+Status ValidateTargetLinks(const graph::Graph& g,
+                           const std::vector<graph::Edge>& targets);
 
 }  // namespace tpp::motif
 

@@ -115,6 +115,7 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
                                              MotifKind kind,
                                              const BuildOptions& options,
                                              BuildStats* stats) {
+  TPP_RETURN_IF_ERROR(ValidateTargetsAbsent(g, targets));
   return BuildFrom(g, targets, kind, options, stats,
                    [&](int workers, size_t* num_tasks) {
                      // Per-target tasks (hub targets split by
@@ -131,10 +132,10 @@ Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
 }
 
 Result<IncidenceIndex> IncidenceIndex::BuildCached(
-    const Graph& released, const Graph& base, const std::vector<Edge>& targets,
-    MotifKind kind, LinkInstanceCache& cache, const BuildOptions& options,
-    BuildStats* stats) {
-  return BuildFrom(released, targets, kind, options, stats,
+    const Graph& base, const std::vector<Edge>& targets, MotifKind kind,
+    LinkInstanceCache& cache, const BuildOptions& options, BuildStats* stats) {
+  TPP_RETURN_IF_ERROR(ValidateTargetLinks(base, targets));
+  return BuildFrom(base, targets, kind, options, stats,
                    [&](int workers, size_t* num_tasks) {
                      return cache.Collect(base, targets, kind, workers,
                                           num_tasks);
@@ -145,7 +146,6 @@ template <typename Collect>
 Result<IncidenceIndex> IncidenceIndex::BuildFrom(
     const Graph& g, const std::vector<Edge>& targets, MotifKind kind,
     const BuildOptions& options, BuildStats* stats, Collect collect) {
-  TPP_RETURN_IF_ERROR(ValidateTargetsAbsent(g, targets));
   // In-build cancellation: polled here and between the stages below, so
   // a deadline that expires mid-construction stops at the next stage
   // boundary instead of paying for the whole build. Polls are pure reads
@@ -360,24 +360,17 @@ void IncidenceIndex::FinishAliveState(size_t num_targets) {
 void IncidenceIndex::PopulateRepairCaches(const std::vector<Edge>& targets) {
   std::vector<graph::EdgeKey> keys;
   keys.reserve(targets.size());
-  for (const Edge& t : targets) keys.push_back(graph::MakeEdgeKey(t.u, t.v));
-  std::sort(keys.begin(), keys.end());
-  const size_t n = num_nodes_;
-  std::vector<uint32_t> off(n + 1, 0);
-  for (const Edge& t : targets) {
-    ++off[t.u + 1];
-    ++off[t.v + 1];
-  }
-  for (size_t x = 0; x < n; ++x) off[x + 1] += off[x];
-  std::vector<uint32_t> node_tgt(off.back(), 0);
-  std::vector<uint32_t> cursor(off.begin(), off.end() - 1);
+  std::vector<uint64_t> node_targets;
+  node_targets.reserve(2 * targets.size());
   for (size_t t = 0; t < targets.size(); ++t) {
-    node_tgt[cursor[targets[t].u]++] = static_cast<uint32_t>(t);
-    node_tgt[cursor[targets[t].v]++] = static_cast<uint32_t>(t);
+    keys.push_back(graph::MakeEdgeKey(targets[t].u, targets[t].v));
+    node_targets.push_back(uint64_t{targets[t].u} << 32 | t);
+    node_targets.push_back(uint64_t{targets[t].v} << 32 | t);
   }
+  std::sort(keys.begin(), keys.end());
+  std::sort(node_targets.begin(), node_targets.end());
   target_keys_sorted_ = std::move(keys);
-  node_tgt_off_ = std::move(off);
-  node_tgt_ = std::move(node_tgt);
+  node_targets_ = std::move(node_targets);
 }
 
 void IncidenceIndex::BuildProbeTable() {
@@ -595,7 +588,7 @@ size_t IncidenceIndex::MemoryBytes() const {
          bytes(alive_count_) + bytes(tgt_offsets_) + bytes(tgt_ids_) +
          bytes(tgt_counts_) + bytes(counts_queue_) + bytes(cells_queue_) +
          bytes(dirty_stamp_) + bytes(target_keys_sorted_) +
-         bytes(node_tgt_off_) + bytes(node_tgt_) + bytes(maint_);
+         bytes(node_targets_) + bytes(maint_);
 }
 
 bool IncidenceIndex::BitIdentical(const IncidenceIndex& other) const {

@@ -177,18 +177,19 @@ class IncidenceIndex {
                                       const BuildOptions& options,
                                       BuildStats* stats = nullptr);
 
-  /// Build whose instances come from `cache` instead of an enumeration of
-  /// `released`: each target's base-graph list (enumerated on `base` and
-  /// published on a miss) minus the instances using a target link — the
-  /// same array, so the result is bit-identical to Build(released, ...).
-  /// `released` must be `base` minus exactly `targets`, and `cache` must
-  /// hold lists of this `base` only (LinkInstanceCache). Same validation,
+  /// Build from the base graph alone, with the instances taken from
+  /// `cache` instead of an enumeration of the released graph base - T:
+  /// each target's base-graph list (enumerated on `base` and published on
+  /// a miss) minus the instances using a target link — the same array, so
+  /// the result is bit-identical to Build(base - T, ...) and no released
+  /// graph is ever materialized. `targets` must be distinct edges of
+  /// `base` (ValidateTargetLinks, whose error is returned otherwise), and
+  /// `cache` must hold lists of this `base` only (LinkInstanceCache). Same
   /// cancellation polls and stage timings as Build; enumerate_seconds
   /// times the collect step.
   static Result<IncidenceIndex> BuildCached(
-      const graph::Graph& released, const graph::Graph& base,
-      const std::vector<graph::Edge>& targets, MotifKind kind,
-      LinkInstanceCache& cache, const BuildOptions& options,
+      const graph::Graph& base, const std::vector<graph::Edge>& targets,
+      MotifKind kind, LinkInstanceCache& cache, const BuildOptions& options,
       BuildStats* stats = nullptr);
 
   /// Number of targets the index was built over.
@@ -260,9 +261,11 @@ class IncidenceIndex {
 
   /// In-place repair after a committed base-graph edit (index_repair.cc).
   ///
-  /// `g` is the POST-edit released graph (the delta already applied),
-  /// `targets` the build-time target list in build order, and `delta` the
-  /// normalized net edit (the GraphDelta contract). The repair
+  /// `g` is the POST-edit graph (the delta already applied): either the
+  /// released graph G - T or the base G itself, targets present — the
+  /// result is BitIdentical either way. `targets` is the build-time target
+  /// list in build order, and `delta` the normalized net edit (the
+  /// GraphDelta contract). The repair
   ///
   ///   * retires every instance killed by a removed base edge through the
   ///     existing DeleteEdge + deferred-flush machinery (exact: an
@@ -270,7 +273,8 @@ class IncidenceIndex {
   ///   * enumerates CREATED instances only around the inserted edges —
   ///     for each inserted edge, the per-motif slot cases that can absorb
   ///     it, over the targets within distance one of its endpoints —
-  ///     instead of re-enumerating every target,
+  ///     instead of re-enumerating every target, and drops those holding
+  ///     a target link (only a walk on G produces them),
   ///   * and repairs the layout by linear gather/merge passes: the edge
   ///     universe only GROWS (a key whose last instance died keeps its
   ///     dense id with alive count 0, so removals shift no ids and the
@@ -412,10 +416,10 @@ class IncidenceIndex {
 
   IncidenceIndex() = default;
 
-  // Shared body of Build and BuildCached: validates `g` (the released
-  // graph), takes the instance array from `collect(threads, &num_tasks)`
+  // Shared body of Build and BuildCached, after each validated its own
+  // graph: takes the instance array from `collect(threads, &num_tasks)`
   // — timed as the enumerate stage — then interns and lays out both CSR
-  // structures with the slot table.
+  // structures with the slot table. `g` supplies only the node count.
   template <typename Collect>
   static Result<IncidenceIndex> BuildFrom(
       const graph::Graph& g, const std::vector<graph::Edge>& targets,
@@ -459,8 +463,8 @@ class IncidenceIndex {
   // from the enumerated instances in O(instances + E).
   void FinishAliveState(size_t num_targets);
 
-  // Fills the repair-acceleration caches (target_keys_sorted_ and the
-  // node -> target CSR) from the build-time target list. Both build
+  // Fills the repair-acceleration caches (target_keys_sorted_ and
+  // node_targets_) from the build-time target list. Both build
   // tails call it; ApplyGraphDelta rebuilds it lazily when absent (an
   // index restored from a snapshot, which does not carry the caches).
   void PopulateRepairCaches(const std::vector<graph::Edge>& targets);
@@ -544,19 +548,20 @@ class IncidenceIndex {
   uint32_t dirty_epoch_ = 0;
 
   // Repair-acceleration caches (index_repair.cc): the target keys sorted
-  // ascending (delta validation binary-searches them instead of sorting
-  // per commit) and a node -> target-index CSR over the target endpoints
-  // (candidate generation for the delta neighborhood walks it instead of
-  // rebuilding it per commit). Pure functions of the build-time target
-  // list — populated by PopulateRepairCaches in both build tails, lazily
-  // rebuilt on the first repair of a snapshot-loaded index — and
+  // ascending (delta validation and the created-instance filter
+  // binary-search them instead of sorting per commit) and the 2|T|
+  // (node << 32 | target index) pairs of the target endpoints, ascending
+  // (candidate generation for the delta neighborhood binary-searches a
+  // node's run instead of rebuilding a node map per commit). Both are
+  // O(|T|), never O(NumNodes()), and pure functions of the build-time
+  // target list — populated by PopulateRepairCaches in both build tails,
+  // lazily rebuilt on the first repair of a snapshot-loaded index — and
   // deliberately absent from the serialized form AND from BitIdentical
   // (a loaded index must compare equal to the built one). Never mutated
   // in place, so they are FlatArrays: index copies alias them, and a
   // (re)population assigns fresh arrays.
   FlatArray<graph::EdgeKey> target_keys_sorted_;
-  FlatArray<uint32_t> node_tgt_off_;  // size NumNodes() + 1 once filled
-  FlatArray<uint32_t> node_tgt_;      // flat target indexes
+  FlatArray<uint64_t> node_targets_;
 
   // Everything DeleteEdge needs per killed instance, in one compact
   // record (one cache line instead of three scattered structures): the

@@ -21,6 +21,13 @@
 // only when e_k is its LOWEST-indexed inserted edge, which makes each
 // created instance appear exactly once across all pairs.
 //
+// The post-edit graph may be G - T or the base G, target links present.
+// Every adjacency a slot case tests is an edge of the instance it emits,
+// so a walk on G yields the G - T instances, in the same order (the
+// identity of motif/link_instances.h), plus instances holding a target
+// link, which are dropped; the repair on G is BitIdentical to the one on
+// G - T.
+//
 // The merge then repairs in linear gather passes over the surviving
 // layout — no hashing, no sorting, no per-entry searches on the survivor
 // path. The edge universe only ever GROWS: a key whose last instance died
@@ -291,17 +298,18 @@ void RecTriDelta(const Graph& g, NodeId u, NodeId v, NodeId p, NodeId q,
 // endpoints lies in {p,q} ∪ N(p) ∪ N(q) (every slot case anchors a
 // target endpoint at distance <= 1 from e); triangles tighten this to
 // the targets INCIDENT to p or q, since their slot cases require a
-// shared endpoint. Candidates come from the prebuilt node -> target CSR
-// (`node_off`/`node_tgt`, cached on the index) deduplicated per k with a
-// stamp array. An instance is kept only when e_k is its LOWEST-indexed
-// inserted edge, so each created instance is produced exactly once; the
-// final stable sort by target restores the target-major row order the
-// phase-3 merge relies on (within one target the insert-major walk
-// already emits in ascending k).
+// shared endpoint. Candidates come from the sorted (node << 32 | target)
+// endpoint pairs cached on the index (`node_targets`, one binary search
+// per node) deduplicated per k with a stamp array. An instance is kept
+// only when it holds no target key (`target_keys`, sorted; see the file
+// comment) and e_k is its LOWEST-indexed inserted edge, so each created
+// instance is produced exactly once; the final stable sort by target
+// restores the target-major row order the phase-3 merge relies on
+// (within one target the insert-major walk already emits in ascending k).
 std::vector<TargetSubgraph> EnumerateCreatedInstances(
     const Graph& g, const std::vector<Edge>& targets, MotifKind kind,
-    const std::vector<Edge>& inserted, std::span<const uint32_t> node_off,
-    std::span<const uint32_t> node_tgt) {
+    const std::vector<Edge>& inserted, std::span<const EdgeKey> target_keys,
+    std::span<const uint64_t> node_targets) {
   std::vector<TargetSubgraph> created;
   if (inserted.empty()) return created;
 
@@ -337,10 +345,15 @@ std::vector<TargetSubgraph> EnumerateCreatedInstances(
       }
       auto emit = [&](std::initializer_list<EdgeKey> keys) {
         TargetSubgraph inst(static_cast<int32_t>(t), keys);
-        // Keep the instance only when e_k is its lowest-indexed inserted
-        // edge; pairs with later inserted edges re-produce it and drop
-        // it here, so each created instance lands exactly once.
+        // Keep the instance only when it holds no target link and e_k is
+        // its lowest-indexed inserted edge; pairs with later inserted
+        // edges re-produce it and drop it here, so each created instance
+        // lands exactly once.
         for (uint8_t j = 0; j < inst.num_edges; ++j) {
+          if (std::binary_search(target_keys.begin(), target_keys.end(),
+                                 inst.edges[j])) {
+            return;
+          }
           auto it = std::lower_bound(inserted_keys.begin(),
                                      inserted_keys.end(), inst.edges[j]);
           if (it != inserted_keys.end() && *it == inst.edges[j] &&
@@ -367,8 +380,10 @@ std::vector<TargetSubgraph> EnumerateCreatedInstances(
     };
     const uint32_t stamp = static_cast<uint32_t>(k) + 1;
     auto consider = [&](NodeId x) {
-      for (uint32_t i = node_off[x]; i < node_off[x + 1]; ++i) {
-        const uint32_t t = node_tgt[i];
+      for (auto it = std::lower_bound(node_targets.begin(), node_targets.end(),
+                                      uint64_t{x} << 32);
+           it != node_targets.end() && (*it >> 32) == x; ++it) {
+        const uint32_t t = static_cast<uint32_t>(*it);
         if (tstamp[t] == stamp) continue;
         tstamp[t] = stamp;
         run(t);
@@ -445,13 +460,13 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
                                         g.NumNodes()));
   TPP_RETURN_IF_ERROR(ValidateDeltaList(delta.removed, "removed",
                                         g.NumNodes()));
-  // The sorted target keys and the node -> target CSR the candidate walk
-  // needs are cached on the index (populated at build; an index restored
-  // from a snapshot, which does not carry them, rebuilds them here on
-  // its first repair). Both are pure functions of the build-time target
-  // list, which the checks above pinned to this one.
+  // The sorted target keys and endpoint pairs the candidate walk needs
+  // are cached on the index (populated at build; an index restored from
+  // a snapshot, which does not carry them, rebuilds them here on its
+  // first repair). Both are pure functions of the build-time target list,
+  // which the checks above pinned to this one.
   if (target_keys_sorted_.size() != targets.size() ||
-      node_tgt_off_.size() != num_nodes_ + 1) {
+      node_targets_.size() != 2 * targets.size()) {
     PopulateRepairCaches(targets);
   }
   auto check_edges = [&](const std::vector<Edge>& list, bool want_present,
@@ -488,10 +503,10 @@ Status IncidenceIndex::ApplyGraphDelta(const Graph& g,
   FlushDeferredMaintenance();
 
   // --- Phase 2: enumerate instances created by inserted edges (on the
-  // post-edit graph, which the caller already advanced).
+  // post-edit graph, G or G - T, which the caller already advanced).
   std::vector<TargetSubgraph> created = EnumerateCreatedInstances(
-      g, targets, kind, delta.inserted, node_tgt_off_.span(),
-      node_tgt_.span());
+      g, targets, kind, delta.inserted, target_keys_sorted_.span(),
+      node_targets_.span());
 
   if (killed == 0 && created.empty()) return Status::Ok();  // structural no-op
 

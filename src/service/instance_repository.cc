@@ -12,7 +12,6 @@
 namespace tpp::service {
 
 using core::IndexedEngine;
-using core::TppInstance;
 
 size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
                                   motif::MotifKind motif) {
@@ -24,19 +23,20 @@ size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
   auto [it, inserted] = ids_.try_emplace(std::move(key), groups_.size());
   if (inserted) {
     Group& group = groups_.emplace_back();
-    group.targets = targets;
-    group.motif = motif;
+    group.problem.targets = targets;
+    group.problem.motif = motif;
   }
   return it->second;
 }
 
 motif::IndexSnapshotMeta InstanceRepository::SnapshotMeta(
     const Group& group) const {
+  const core::TppProblem& problem = group.problem;
   motif::IndexSnapshotMeta meta;
   meta.graph_fingerprint = base_fingerprint_;
-  meta.target_hash = graph::TargetSetHash(group.targets);
-  meta.motif = group.motif;
-  meta.num_targets = static_cast<uint32_t>(group.targets.size());
+  meta.target_hash = graph::TargetSetHash(problem.targets);
+  meta.motif = problem.motif;
+  meta.num_targets = static_cast<uint32_t>(problem.targets.size());
   return meta;
 }
 
@@ -56,26 +56,27 @@ void InstanceRepository::BuildGroup(Group& group,
     group.status = std::move(polled);
     return;
   }
-  Result<TppInstance> instance =
-      core::MakeInstance(*base_, group.targets, group.motif);
-  if (!instance.ok()) {
-    group.status = instance.status();
+  const core::TppProblem& problem = group.problem;
+  // The same check, and so the same status, as core::MakeInstance. It
+  // runs before the store probe, which must not serve an invalid set.
+  if (Status valid = motif::ValidateTargetLinks(*base_, problem.targets);
+      !valid.ok()) {
+    group.status = std::move(valid);
     return;
   }
-  group.instance.emplace(std::move(*instance));
 
   if (store_ != nullptr) {
     Result<motif::IncidenceIndex> snapshot =
         store_->LoadIndex(SnapshotMeta(group));
     if (snapshot.ok()) {
-      if (snapshot->NumTargets() == group.targets.size()) {
+      if (snapshot->NumTargets() == problem.targets.size()) {
         group.index.emplace(std::move(*snapshot));
         return;
       }
       std::fprintf(stderr,
                    "tpp: warm store snapshot rejected at adoption (index "
                    "was built over %zu targets, not %zu); cold-building\n",
-                   snapshot->NumTargets(), group.targets.size());
+                   snapshot->NumTargets(), problem.targets.size());
     } else if (snapshot.status().code() != StatusCode::kNotFound) {
       // Present but invalid (corrupt file, format/fingerprint mismatch)
       // or unreadable after retries: one rung down the degradation
@@ -90,11 +91,9 @@ void InstanceRepository::BuildGroup(Group& group,
   build_options.threads = build_threads_;
   build_options.cancel = cancel;
   Result<motif::IncidenceIndex> index = motif::IncidenceIndex::BuildCached(
-      group.instance->released, *base_, group.instance->targets, group.motif,
-      link_instances_, build_options);
+      *base_, problem.targets, problem.motif, link_instances_, build_options);
   if (!index.ok()) {
     group.status = index.status();
-    group.instance.reset();
     return;
   }
   group.index.emplace(std::move(*index));
@@ -143,28 +142,26 @@ Result<IndexedEngine> InstanceRepository::Acquire(
       motif::IncidenceIndex index = std::move(*group.index);
       group.index.reset();
       Recharge(group);
-      return IndexedEngine::Adopt(*group.instance, std::move(index));
+      return IndexedEngine::Adopt(*base_, group.problem, std::move(index));
     }
   }
-  // Past the gate the group is immutable until the next ApplyEdit (which
-  // never overlaps acquisitions), so the copy runs unlocked.
+  // Past the gate the group and the base are immutable until the next
+  // ApplyEdit (which never overlaps acquisitions), so the copies run
+  // unlocked.
   acquisitions_.fetch_add(1, std::memory_order_relaxed);
   if (!group.status.ok()) return group.status;
-  return IndexedEngine::Adopt(*group.instance, *group.index);
+  return IndexedEngine::Adopt(*base_, group.problem, *group.index);
 }
 
 void InstanceRepository::ResetGroup(Group& group) {
   group.built = false;
   group.status = Status::Ok();
   group.index.reset();
-  group.instance.reset();
   Recharge(group);
 }
 
 void InstanceRepository::Recharge(Group& group) {
-  size_t bytes = 0;
-  if (group.instance) bytes += group.instance->released.MemoryBytes();
-  if (group.index) bytes += group.index->MemoryBytes();
+  const size_t bytes = group.index ? group.index->MemoryBytes() : 0;
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   resident_bytes_.fetch_sub(group.bytes, std::memory_order_relaxed);
   group.bytes = bytes;
@@ -202,7 +199,7 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
     std::lock_guard<std::mutex> lock(group.build_mu);
     if (!group.built) continue;  // will build against the edited base
     bool hits_target = false;
-    for (const graph::Edge& t : group.targets) {
+    for (const graph::Edge& t : group.problem.targets) {
       if (std::binary_search(touched.begin(), touched.end(), t.Key())) {
         hits_target = true;
         break;
@@ -216,15 +213,12 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
       ++edit_resets_;
       continue;
     }
-    // In-place repair: released graph first (the index repair enumerates
-    // created instances on the post-edit graph), then the index around
-    // the delta neighborhood. Either failing leaves a half-edited group,
-    // which the reset discards.
-    Status repaired = group.instance->released.ApplyDelta(delta);
-    if (repaired.ok()) {
-      repaired = group.index->ApplyGraphDelta(
-          group.instance->released, group.targets, group.motif, delta);
-    }
+    // In-place repair around the delta neighborhood, on the post-edit
+    // base: the repair drops created instances that hold a target link,
+    // so the result is the index of the edited G - T. A failure resets
+    // the group.
+    Status repaired = group.index->ApplyGraphDelta(
+        *base_, group.problem.targets, group.problem.motif, delta);
     if (!repaired.ok()) {
       std::fprintf(stderr,
                    "tpp: in-place instance repair failed (%s); group will "

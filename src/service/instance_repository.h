@@ -2,47 +2,50 @@
 // instances within and across batches, bounded in bytes.
 //
 // Requests naming the same resolved target list and motif would each
-// rebuild the same TppInstance and CSR IncidenceIndex — the dominant
-// serving cost on large graphs (a full motif enumeration per request).
-// The repository interns each distinct (ordered target list, motif) pair
-// into a group and builds the group once (thread-safe: the first
-// acquirer builds, concurrent acquirers wait on the same per-group build
-// mutex). A built group is the paper's two phases and nothing more: the
-// TppInstance (phase 1 — the released graph, targets deleted) and the
-// IncidenceIndex of its target subgraphs (phase 2's candidates). Every
-// request gets a private engine over copies of both
-// (IndexedEngine::Adopt), so its committed deletions cannot leak across
-// requests, and its solver starts from a full evaluation with no round
-// state of a sibling request.
+// rebuild the same CSR IncidenceIndex — the dominant serving cost on
+// large graphs (a full motif enumeration per request). The repository
+// interns each distinct (ordered target list, motif) pair into a group
+// and builds the group once (thread-safe: the first acquirer builds,
+// concurrent acquirers wait on the same per-group build mutex). A built
+// group is its TppProblem (targets and motif) and the IncidenceIndex of
+// its target subgraphs (phase 2's candidates), and holds no graph: the
+// phase-1 released graph is the repository's one base graph minus the
+// targets, a pure function of the two. Every request gets a private
+// engine over a copy of the index and a copy of the base minus the
+// targets (IndexedEngine::Adopt), so its committed deletions cannot leak
+// across requests, and its solver starts from a full evaluation with no
+// round state of a sibling request.
 //
 // Target ORDER is part of the group identity: per-target budget division
 // and plan serialization follow target positions, so reordered target
 // lists are distinct instances — collapsing them would change responses.
 //
-// Cold builds share one more level down: the repository owns a
-// LinkInstanceCache (motif/link_instances.h) of per-(link, motif)
-// base-graph instance lists, so a group whose links other groups already
-// enumerated builds its index by filtering cached lists instead of
-// enumerating (IncidenceIndex::BuildCached; bit-identical either way).
-// The cache is byte-capped and cleared by ApplyEdit.
+// Cold builds read the base alone and share one more level down: the
+// repository owns a LinkInstanceCache (motif/link_instances.h) of
+// per-(link, motif) base-graph instance lists, so a group whose links
+// other groups already enumerated builds its index by filtering cached
+// lists instead of enumerating (IncidenceIndex::BuildCached;
+// bit-identical either way). The cache is byte-capped and cleared by
+// ApplyEdit.
 //
 // A repository lives for one RunBatch pipeline execution by default, but
 // can be owned externally (BatchOptions::repository) and carried across
 // batches: between batches, ApplyEdit advances every built group across a
-// committed base-graph edit by applying the delta to its released graph
-// and repairing its index IN PLACE (IncidenceIndex::ApplyGraphDelta —
-// O(delta-neighborhood), not a re-enumeration), so churn-then-solve
-// workloads never pay a cold build for untouched instances. Build errors
-// (e.g. a target link absent from the base) are memoized per group so
-// every member request reports the same status a standalone run would.
+// committed base-graph edit by repairing its index IN PLACE against the
+// edited base (IncidenceIndex::ApplyGraphDelta — O(delta-neighborhood),
+// not a re-enumeration), so churn-then-solve workloads never pay a cold
+// build for untouched instances. Build errors (e.g. a target link absent
+// from the base) are memoized per group so every member request reports
+// the same status a standalone run would (the same statuses
+// core::MakeInstance returns).
 //
-// Built groups are bounded: each is charged the bytes of its released
-// graph and its index (ResidentBytes), and Trim — which RunBatch calls on
-// an external repository once the batch's last engine is gone — evicts
-// the least recently acquired groups until the charge is back under the
-// cap (kMaxBytes unless the constructor says otherwise). An evicted
-// group returns to the unbuilt state and keeps only its key, so memory
-// per distinct target set is that O(|T|) key once evicted. Its next
+// Built groups are bounded: each is charged the bytes of its index
+// (ResidentBytes), and Trim — which RunBatch calls on an external
+// repository once the batch's last engine is gone — evicts the least
+// recently acquired groups until the charge is back under the cap
+// (kMaxBytes unless the constructor says otherwise). An evicted group
+// returns to the unbuilt state and keeps only its key, so memory per
+// distinct target set is that O(|T|) key once evicted. Its next
 // acquisition rebuilds it (or re-adopts its warm-store snapshot), and
 // responses are byte-identical either way; ApplyEdit skips it like any
 // unbuilt group.
@@ -75,13 +78,18 @@ class WarmStore;
 
 class InstanceRepository {
  public:
-  /// Default cap on ResidentBytes() between batches. It holds about 160
-  /// groups whose released graph has 10^5 nodes and 4*10^5 edges (4.8 MB
-  /// charged each), so a working set of 64 such groups never evicts.
+  /// Default cap on ResidentBytes() between batches. A group is charged
+  /// its index alone, which follows its instance count and not the graph:
+  /// a 1-3-link group on a 10^5-node Holme-Kim graph takes a few hundred
+  /// bytes to a few KB, so the cap binds only on large target sets (an
+  /// index of 10^6 interned keys takes tens of MB).
   static constexpr size_t kMaxBytes = size_t{768} << 20;
 
-  /// `base` must outlive the repository. `max_bytes` caps ResidentBytes()
-  /// after each Trim; tests pass a small cap to force evictions.
+  /// `base` must outlive the repository; every group builds from it and
+  /// every engine copies it, so it may change only at the edit barrier
+  /// (the caller applies a delta, then calls ApplyEdit). `max_bytes` caps
+  /// ResidentBytes() after each Trim; tests pass a small cap to force
+  /// evictions.
   explicit InstanceRepository(const graph::Graph* base,
                               size_t max_bytes = kMaxBytes)
       : base_(base), max_bytes_(max_bytes) {}
@@ -115,35 +123,37 @@ class InstanceRepository {
   size_t Intern(const std::vector<graph::Edge>& targets,
                 motif::MotifKind motif);
 
-  /// Builds the group's TppInstance + IncidenceIndex on first call
-  /// (thread-safe build-once) and returns a private engine over copies of
-  /// both. Build errors are memoized: every acquirer of a failed group
-  /// gets the same status — EXCEPT cancellation/deadline failures
-  /// (kAborted, kDeadlineExceeded from `cancel`, polled at the build's
-  /// internal stage boundaries). Those depend on the requesting caller's
-  /// clock, not the group, so the group resets to unbuilt and the next
-  /// acquirer rebuilds under its own deadline.
+  /// Builds the group's IncidenceIndex from the base on first call
+  /// (thread-safe build-once) and returns a private engine over a copy of
+  /// it and of the base minus the targets. Build errors are memoized:
+  /// every acquirer of a failed group gets the same status — EXCEPT
+  /// cancellation/deadline failures (kAborted, kDeadlineExceeded from
+  /// `cancel`, polled at the build's internal stage boundaries). Those
+  /// depend on the requesting caller's clock, not the group, so the group
+  /// resets to unbuilt and the next acquirer rebuilds under its own
+  /// deadline.
   Result<core::IndexedEngine> AcquireEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
   /// AcquireEngine for a group with exactly one user in a repository that
   /// dies with its batch: moves the group's index into the engine instead
   /// of copying it, so a single-request batch holds one index, not two.
-  /// The instance stays valid; the group cannot be acquired again
+  /// The problem stays valid; the group cannot be acquired again
   /// (FailedPrecondition), and ApplyEdit resets it.
   Result<core::IndexedEngine> TakeEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
-  /// The group's problem instance; valid only after AcquireEngine(group)
-  /// returned OK, and until the next ApplyEdit or Trim (either may evict,
-  /// reset or repair the group). Immutable in between, so safe to read
-  /// concurrently.
-  const core::TppInstance& instance(size_t group) const {
-    return *groups_[group].instance;
+  /// The group's problem: its targets and motif, what RunSolver and
+  /// SerializeDeletionPlan need beside the engine. Immutable once
+  /// interned, so safe to read concurrently.
+  const core::TppProblem& instance(size_t group) const {
+    return groups_[group].problem;
   }
 
-  /// The group's index, valid like instance() and until TakeEngine moves
-  /// it out.
+  /// The group's index; valid only after AcquireEngine(group) returned
+  /// OK, and until the next ApplyEdit or Trim (either may evict, reset or
+  /// repair the group) or TakeEngine moves it out. Immutable in between,
+  /// so safe to read concurrently.
   const motif::IncidenceIndex& index(size_t group) const {
     return *groups_[group].index;
   }
@@ -160,13 +170,13 @@ class InstanceRepository {
   /// Evicts least recently acquired built groups until ResidentBytes()
   /// is at most the cap; each evicted group returns to the unbuilt state
   /// and keeps only its key. NOT thread-safe against AcquireEngine, and
-  /// it ends the life of every instance() reference it evicts: call
+  /// it ends the life of every index() reference it evicts: call
   /// between batches, after the last engine is gone (RunBatch does so on
   /// an external repository).
   void Trim();
 
-  /// Bytes charged to the built groups now: per group, its released
-  /// graph's Graph::MemoryBytes() and IncidenceIndex::MemoryBytes().
+  /// Bytes charged to the built groups now: the sum of their
+  /// IncidenceIndex::MemoryBytes() (a group holds no graph).
   size_t ResidentBytes() const {
     return resident_bytes_.load(std::memory_order_relaxed);
   }
@@ -203,9 +213,9 @@ class InstanceRepository {
   ///     unbuilt (the edit changed the problem itself, so the next
   ///     acquisition cold-builds), as are groups holding a memoized build
   ///     error (the edit may have cured it);
-  ///   * every other built group is repaired in place: the delta applies
-  ///     once to the instance's released graph, then the index repairs
-  ///     around it (IncidenceIndex::ApplyGraphDelta), after which engines
+  ///   * every other built group's index is repaired in place against
+  ///     the edited base (IncidenceIndex::ApplyGraphDelta, which drops
+  ///     created instances holding a target link), after which engines
   ///     answer exactly as if the group had been cold-built on the edited
   ///     base. A repair failure degrades to a reset, never an error.
   /// Repaired indexes write back to the store (best effort) under the new
@@ -223,14 +233,12 @@ class InstanceRepository {
 
  private:
   struct Group {
-    std::vector<graph::Edge> targets;
-    motif::MotifKind motif = motif::MotifKind::kTriangle;
+    core::TppProblem problem;
     // Build-once gate; a mutex + flag rather than a once_flag so
     // ApplyEdit can RESET a group back to unbuilt.
     std::mutex build_mu;
     bool built = false;  // guarded by build_mu
     Status status = Status::Ok();
-    std::optional<core::TppInstance> instance;
     // Empty in a built, OK group once TakeEngine moved it out.
     std::optional<motif::IncidenceIndex> index;
     // What this group adds to resident_bytes_ (0 while unbuilt).
@@ -259,8 +267,8 @@ class InstanceRepository {
   /// Returns `group` to the unbuilt state; the next acquisition rebuilds.
   void ResetGroup(Group& group);
 
-  /// Re-charges `group`'s bytes to resident_bytes_ after its instance or
-  /// index changed.
+  /// Re-charges `group`'s bytes to resident_bytes_ after its index
+  /// changed.
   void Recharge(Group& group);
 
   const graph::Graph* base_;
@@ -271,7 +279,7 @@ class InstanceRepository {
   store::WarmStore* store_ = nullptr;  // not owned
   uint64_t base_fingerprint_ = 0;
   // deque: push_back never moves existing groups, so build mutexes and
-  // handed-out instance references stay valid as interning continues.
+  // handed-out problem references stay valid as interning continues.
   std::deque<Group> groups_;
   std::unordered_map<std::string, size_t> ids_;
   std::atomic<size_t> builds_{0};

@@ -26,28 +26,28 @@ namespace tpp::service {
 
 using core::IndexedEngine;
 using core::SolverSpec;
-using core::TppInstance;
+using core::TppProblem;
 using graph::Edge;
 
 namespace {
 
 // The pipeline's solve tail: everything after the targets are resolved
-// and an engine over the instance exists.
-void SolveWithEngine(const PlanRequest& request, const TppInstance& instance,
+// and an engine over the problem exists.
+void SolveWithEngine(const PlanRequest& request, const TppProblem& problem,
                      IndexedEngine& engine, Rng& rng,
                      const CancellationToken* cancel,
                      PlanResponse* response) {
   SolverSpec spec = request.spec;
   if (cancel != nullptr) spec.cancel = cancel;
   Result<core::ProtectionResult> result =
-      core::RunSolver(spec, engine, instance, rng);
+      core::RunSolver(spec, engine, problem, rng);
   if (!result.ok()) {
     response->status = result.status();
     return;
   }
   response->result = std::move(*result);
   response->plan_text =
-      core::SerializeDeletionPlan(instance, response->result);
+      core::SerializeDeletionPlan(problem, response->result);
 }
 
 // The effective cancel source of one request: its own deadline_ms (clock
@@ -170,7 +170,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   // come from the request's own stream (RequestRng of its seed), and
   // the advanced stream is kept for the solve stage. Units with the same
   // resolved (targets, motif) land in one repository group and will share
-  // a single TppInstance + IncidenceIndex build.
+  // a single IncidenceIndex build.
   int max_workers =
       options.max_workers > 0 ? options.max_workers : GlobalThreadCount();
   InstanceRepository local_repository(&base_);

@@ -15,12 +15,11 @@
 //   dedup         — requests with identical keys inside the batch solve
 //                   once and share the response
 //   group-by-instance — requests with the same (targets, motif) share one
-//                   TppInstance + IncidenceIndex build
-//                   (instance_repository.h)
+//                   IncidenceIndex build (instance_repository.h)
 //   build-once / solve / serialize — build each group once, hand every
 //                   request a private IndexedEngine over copies of its
-//                   instance and index, run the spec'd solver, serialize
-//                   the plan
+//                   index and of the base minus its targets, run the
+//                   spec'd solver, serialize the plan
 //   cache-fill    — insert fresh responses into the cache
 //
 // Every stage is a pure optimization: responses are bit-identical to a
@@ -122,7 +121,7 @@ struct BatchStats {
   size_t dedup_shared = 0;    ///< shared an in-batch representative's work
   size_t solved = 0;          ///< executed by the solve stage (incl. failures)
   size_t instance_groups = 0; ///< distinct (targets, motif) groups solved
-  size_t instance_builds = 0; ///< TppInstance + index builds performed
+  size_t instance_builds = 0; ///< group index builds performed
   /// Requests whose response is kDeadlineExceeded (their own deadline_ms
   /// or the batch deadline fired). Dedup followers of an expired
   /// representative count too — they carry the same response.

@@ -93,7 +93,7 @@ TEST(DivideBudgetDbdTest, ProportionalToDegreeProduct) {
       *MakeInstance(g, {E(0, 1), E(4, 5)}, motif::MotifKind::kTriangle);
   // Released degrees: deg(0)=3, deg(1)=1 -> w0 = 3; deg(4)=1, deg(5)=0 ->
   // w1 = 0. All budget goes to target 0.
-  auto out = DivideBudgetDbd(inst, 5);
+  auto out = DivideBudgetDbd(inst.released, inst.targets, 5);
   EXPECT_EQ(out[0], 5u);
   EXPECT_EQ(out[1], 0u);
 }

@@ -271,7 +271,9 @@ TEST(PlanServiceEditTest, EditResetsAGroupWhoseIndexWasTaken) {
   Result<core::IndexedEngine> rebuilt = repository.AcquireEngine(taken);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   Result<core::IndexedEngine> cold =
-      core::IndexedEngine::Create(repository.instance(taken));
+      core::IndexedEngine::Create(*core::MakeInstance(
+          service.base(), repository.instance(taken).targets,
+          motif::MotifKind::kTriangle));
   ASSERT_TRUE(cold.ok());
   EXPECT_TRUE(rebuilt->index().BitIdentical(cold->index()));
   EXPECT_EQ(repository.NumBuilds(), 3u);
@@ -393,8 +395,10 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
       Result<core::TppInstance> cold = core::MakeInstance(
           service.base(), requests[i].targets, requests[i].motif);
       ASSERT_TRUE(cold.ok());
-      EXPECT_EQ(repository.instance(groups[i]).released, cold->released)
-          << requests[i].name;
+      Result<core::IndexedEngine> engine =
+          repository.AcquireEngine(groups[i]);
+      ASSERT_TRUE(engine.ok()) << requests[i].name;
+      EXPECT_EQ(engine->CurrentGraph(), cold->released) << requests[i].name;
     }
 
     responses = service.RunBatch(requests, options);

@@ -140,5 +140,26 @@ TEST(IncidenceIndexTest, RecTriInstancesHaveFourEdges) {
   EXPECT_EQ(idx.DeleteEdge(MakeEdgeKey(0, 2)), 1u);
 }
 
+// Per-group index state follows the instances and targets, never the
+// node count: the same 1-target index over a graph with 10^5 more
+// (isolated) nodes takes exactly as many bytes, and still repairs.
+TEST(IncidenceIndexTest, MemoryBytesDoNotGrowWithIsolatedNodes) {
+  Graph small = Diamond();
+  Graph large = Diamond();
+  for (int i = 0; i < 100000; ++i) large.AddNode();
+  auto a = *IncidenceIndex::Build(small, {E(0, 1)}, MotifKind::kTriangle);
+  auto b = *IncidenceIndex::Build(large, {E(0, 1)}, MotifKind::kTriangle);
+  EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
+  EXPECT_LT(b.MemoryBytes(), 1024u);
+
+  // A created triangle 0-4-1 through the inserted links.
+  graph::GraphDelta delta;
+  delta.inserted = {E(0, 4), E(1, 4)};
+  ASSERT_TRUE(large.ApplyDelta(delta).ok());
+  ASSERT_TRUE(
+      b.ApplyGraphDelta(large, {E(0, 1)}, MotifKind::kTriangle, delta).ok());
+  EXPECT_EQ(b.TotalAlive(), 3u);
+}
+
 }  // namespace
 }  // namespace tpp::motif

@@ -1,8 +1,7 @@
 // Randomized churn fuzz for the in-place index repair
-// (IncidenceIndex::ApplyGraphDelta, driven the way InstanceRepository
-// drives it: the delta applies to the released graph first, then the
-// index repairs around it): after any committed base-graph edit the
-// repaired index must be semantically identical to a cold Build on the
+// (IncidenceIndex::ApplyGraphDelta: the delta applies to the graph first,
+// then the index repairs around it): after any committed base-graph edit
+// the repaired index must be semantically identical to a cold Build on the
 // edited graph — same per-key gains, same per-target splits, same alive
 // candidate set, same dirty sets — and greedy plans solved over the
 // repaired index must come out byte-identical to plans solved on a
@@ -24,6 +23,7 @@
 #include "core/report.h"
 #include "core/solver.h"
 #include "graph/generators.h"
+#include "motif/enumerate.h"
 #include "motif/incidence_index.h"
 #include "reference/legacy_incidence_index.h"
 
@@ -220,10 +220,13 @@ TEST_P(IndexRepairTest, PlansByteIdenticalAfterRepair) {
     if (delta.empty()) continue;
     ASSERT_TRUE(
         CommitEdit(edited.released, repaired, targets, kind, delta).ok());
+    ASSERT_TRUE(g.ApplyDelta(delta).ok());  // the base, edited alongside
 
-    // The repository hands requests an engine over copies of the edited
-    // instance and the repaired index.
-    IndexedEngine via_repair_engine = *IndexedEngine::Adopt(edited, repaired);
+    // The repository hands requests an engine over a copy of the repaired
+    // index and a copy of the edited base minus the targets.
+    IndexedEngine via_repair_engine =
+        *IndexedEngine::Adopt(g, edited, repaired);
+    ASSERT_EQ(via_repair_engine.CurrentGraph(), edited.released);
     Rng solve_rng_a(7);
     Result<ProtectionResult> via_repair =
         RunSolver(spec, via_repair_engine, edited, solve_rng_a);
@@ -239,6 +242,94 @@ TEST_P(IndexRepairTest, PlansByteIdenticalAfterRepair) {
               SerializeDeletionPlan(edited, *via_fresh))
         << "plan bytes diverged at commit " << commit;
   }
+}
+
+// InstanceRepository repairs against the edited BASE, target links
+// present: the repair must drop every created instance that uses a target
+// link and come out BitIdentical to the repair against the edited G - T.
+// Two targets share an endpoint u — (u, v) and (u, w), v and w not
+// adjacent — and every commit also inserts links at w toward v and its
+// neighbors (the first is (w, v) itself), closing paths from v through
+// the target link (u, w), so created base instances that hold a target
+// link occur for every motif.
+TEST_P(IndexRepairTest, RepairOnBaseIsBitIdenticalToRepairOnReleased) {
+  auto [kind, seed] = GetParam();
+  Rng rng(seed + 2000);
+  Graph base = *graph::ErdosRenyiGnp(26, 0.2, rng);
+  NodeId u = 0;
+  for (NodeId x = 0; x < base.NumNodes(); ++x) {
+    if (base.Degree(x) > base.Degree(u)) u = x;
+  }
+  NodeId v = u;
+  NodeId w = u;
+  for (NodeId a : base.Neighbors(u)) {
+    for (NodeId b : base.Neighbors(u)) {
+      if (v == u && a != b && !base.HasEdge(a, b)) {
+        v = a;
+        w = b;
+      }
+    }
+  }
+  ASSERT_NE(v, u);
+  std::vector<Edge> targets = {Edge(u, v), Edge(u, w)};
+  std::set<EdgeKey> target_keys = {MakeEdgeKey(u, v), MakeEdgeKey(u, w)};
+  for (const Edge& e : rng.SampleK(base.Edges(), 4)) {
+    if (targets.size() < 4 && target_keys.insert(e.Key()).second) {
+      targets.push_back(e);
+    }
+  }
+  TppInstance inst = *MakeInstance(base, targets, kind);
+  IncidenceIndex on_released =
+      *IncidenceIndex::Build(inst.released, targets, kind);
+  IncidenceIndex on_base = on_released;
+
+  size_t through_target = 0;  // created base instances holding a target
+  for (int commit = 0; commit < 8; ++commit) {
+    GraphDelta random = RandomDelta(inst.released, target_keys, 2, 2, rng);
+    std::vector<Edge> inserted = random.inserted;
+    std::set<EdgeKey> used;
+    for (const Edge& e : random.inserted) used.insert(e.Key());
+    for (const Edge& e : random.removed) used.insert(e.Key());
+    // Links at w toward v or v's neighbors: the created paths run
+    // v ... x - w - u, through the target link (u, w).
+    std::vector<NodeId> toward = {v};
+    for (NodeId x : inst.released.Neighbors(v)) toward.push_back(x);
+    const size_t want = random.inserted.size() + 2;
+    for (size_t tries = 0; tries < 8 && inserted.size() < want; ++tries) {
+      const NodeId x = commit == 0 && tries == 0
+                           ? v
+                           : toward[rng.UniformIndex(toward.size())];
+      if (x == w || base.HasEdge(w, x)) continue;
+      if (!used.insert(MakeEdgeKey(w, x)).second) continue;
+      inserted.emplace_back(std::min(w, x), std::max(w, x));
+    }
+    Result<GraphDelta> delta =
+        graph::MakeGraphDelta(std::move(inserted), std::move(random.removed));
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    if (delta->empty()) continue;
+
+    ASSERT_TRUE(
+        CommitEdit(inst.released, on_released, targets, kind, *delta).ok());
+    ASSERT_TRUE(CommitEdit(base, on_base, targets, kind, *delta).ok());
+    ASSERT_TRUE(on_base.BitIdentical(on_released)) << "commit " << commit;
+
+    std::set<EdgeKey> inserted_keys;
+    for (const Edge& e : delta->inserted) inserted_keys.insert(e.Key());
+    for (size_t t = 0; t < targets.size(); ++t) {
+      for (const motif::TargetSubgraph& found :
+           motif::EnumerateTargetSubgraphs(base, targets[t], kind,
+                                           static_cast<int32_t>(t))) {
+        bool has_target = false;
+        bool has_insert = false;
+        for (uint8_t j = 0; j < found.num_edges; ++j) {
+          has_target |= target_keys.count(found.edges[j]) > 0;
+          has_insert |= inserted_keys.count(found.edges[j]) > 0;
+        }
+        through_target += has_target && has_insert ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(through_target, 0u);
 }
 
 // A fresh index over a small random graph for the rejection cases.

@@ -4,6 +4,7 @@
 // this — a repository under a tiny cap answers a random script of
 // requests and edits exactly like an uncapped one, at 1 and 4 workers.
 
+#include <algorithm>
 #include <cstddef>
 #include <set>
 #include <string>
@@ -232,7 +233,8 @@ TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
   EXPECT_EQ(summary->groups_repaired, 1u);
   EXPECT_EQ(summary->groups_reset, 0u);
 
-  // B rebuilds on the edited base, A's repair is what a cold build gives.
+  // B rebuilds on the edited base, A's repair is what a cold build gives,
+  // and both engines derive the edited released graph from the base.
   Result<core::IndexedEngine> rebuilt = repository.AcquireEngine(b);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   EXPECT_EQ(repository.NumBuilds(), 3u);
@@ -241,13 +243,62 @@ TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
         service.base(), repository.instance(group).targets,
         MotifKind::kTriangle);
     ASSERT_TRUE(cold.ok());
-    EXPECT_EQ(repository.instance(group).released, cold->released);
+    Result<core::IndexedEngine> engine = repository.AcquireEngine(group);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ(engine->CurrentGraph(), cold->released);
+    Result<core::IndexedEngine> cold_engine =
+        core::IndexedEngine::Create(*cold);
+    ASSERT_TRUE(cold_engine.ok());
+    EXPECT_EQ(engine->index().AliveCandidateEdges(),
+              cold_engine->index().AliveCandidateEdges());
   }
 }
 
-// ResidentBytes() is exactly what the built groups hold — per group, its
-// released graph's and its index's MemoryBytes() — after builds, after an
-// edit repairs every group in place, and after Trim evicts.
+// A group builds from the base alone, yet a bad target set fails with
+// exactly the status core::MakeInstance returns for it, and every later
+// acquirer sees the same memoized status.
+TEST(InstanceRepositoryTest, BuildErrorsMatchMakeInstance) {
+  const Graph base = ScriptGraph();
+  const Edge e = base.Edges()[7];
+  graph::NodeId absent = 0;
+  while (absent == e.u || base.HasEdge(e.u, absent)) ++absent;
+  const auto n = static_cast<graph::NodeId>(base.NumNodes());
+  const std::vector<std::vector<Edge>> bad = {
+      {e, e},                  // duplicate
+      {e, Edge(e.v, e.u)},     // duplicate, other orientation
+      {e, Edge(e.u, absent)},  // not an edge
+      {Edge(n, n + 5)},        // out of range
+  };
+  for (const std::vector<Edge>& targets : bad) {
+    InstanceRepository repository(&base);
+    const size_t group = repository.Intern(targets, MotifKind::kRectangle);
+    Result<core::IndexedEngine> engine = repository.AcquireEngine(group);
+    Result<core::TppInstance> instance =
+        core::MakeInstance(base, targets, MotifKind::kRectangle);
+    ASSERT_FALSE(instance.ok());
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().ToString(), instance.status().ToString());
+    EXPECT_EQ(repository.AcquireEngine(group).status().ToString(),
+              instance.status().ToString());
+  }
+  InstanceRepository repository(&base);
+  EXPECT_EQ(repository
+                .AcquireEngine(repository.Intern({e, e}, MotifKind::kTriangle))
+                .status()
+                .message(),
+            StrFormat("duplicate target (%u,%u)", e.u, e.v));
+  EXPECT_EQ(repository
+                .AcquireEngine(repository.Intern({Edge(e.u, absent)},
+                                                 MotifKind::kTriangle))
+                .status()
+                .message(),
+            StrFormat("target (%u,%u) is not an edge of the graph", e.u,
+                      absent));
+}
+
+// ResidentBytes() is exactly what the built groups hold — the sum of
+// their indexes' MemoryBytes(), a group holding no graph — after builds,
+// after an edit repairs every group in place, and after Trim evicts.
 TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
   PlanService service(ScriptGraph());
   const size_t one_group = ChargeOf(service.base(), Targets(2));
@@ -261,21 +312,25 @@ TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
   auto held = [&](const std::vector<size_t>& built) {
     size_t bytes = 0;
     for (size_t group : built) {
-      bytes += repository.instance(group).released.MemoryBytes() +
-               repository.index(group).MemoryBytes();
+      bytes += repository.index(group).MemoryBytes();
     }
     return bytes;
   };
   EXPECT_EQ(repository.ResidentBytes(), held(groups));
 
-  // Inserts at the hub (node 0, the graph's seed clique) move full lists
-  // to the end of each released graph's array, so its bytes change.
+  // An insert closing a new triangle over the first group's first target
+  // (u, v) adds an instance to its index, so its bytes change.
   const Graph& base = service.base();
+  const Edge target = Targets(0)[0];
   std::vector<Edge> inserted;
-  for (graph::NodeId v = 1; inserted.size() < 3; ++v) {
-    if (!base.HasEdge(0, v)) inserted.emplace_back(0, v);
+  for (graph::NodeId w : base.Neighbors(target.v)) {
+    if (w != target.u && !base.HasEdge(target.u, w)) {
+      inserted.emplace_back(std::min(target.u, w), std::max(target.u, w));
+      break;
+    }
   }
-  const size_t before = repository.instance(groups[0]).released.MemoryBytes();
+  ASSERT_EQ(inserted.size(), 1u);
+  const size_t before = repository.index(groups[0]).MemoryBytes();
   Result<GraphDelta> delta =
       graph::MakeGraphDelta(std::move(inserted), {base.Edges()[100]});
   ASSERT_TRUE(delta.ok());
@@ -283,7 +338,7 @@ TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
       service.ApplyEdit(*delta, nullptr, &repository);
   ASSERT_TRUE(summary.ok()) << summary.status();
   EXPECT_EQ(summary->groups_repaired, groups.size());
-  EXPECT_NE(repository.instance(groups[0]).released.MemoryBytes(), before);
+  EXPECT_NE(repository.index(groups[0]).MemoryBytes(), before);
   EXPECT_EQ(repository.ResidentBytes(), held(groups));
 
   repository.Trim();

@@ -36,7 +36,7 @@ TEST(KatzDefenseTest, DisconnectsSimplePath) {
   KatzDefenseOptions opts;
   opts.katz = {0.1, 4};
   opts.budget = 5;
-  auto result = *GreedyKatzDefense(inst, opts);
+  auto result = *GreedyKatzDefense(inst.released, inst.targets, opts);
   EXPECT_GT(result.initial_score, 0.0);
   EXPECT_DOUBLE_EQ(result.final_score, 0.0);
   EXPECT_LE(result.protectors.size(), 2u);
@@ -50,7 +50,7 @@ TEST(KatzDefenseTest, ScoreTrajectoryIsNonIncreasing) {
   KatzDefenseOptions opts;
   opts.katz = {0.05, 3};
   opts.budget = 12;
-  auto result = *GreedyKatzDefense(inst, opts);
+  auto result = *GreedyKatzDefense(inst.released, inst.targets, opts);
   double prev = result.initial_score;
   for (double score : result.score_trajectory) {
     EXPECT_LE(score, prev + 1e-12);
@@ -78,7 +78,7 @@ TEST(KatzDefenseTest, BeatsTriangleProtectionOnKatzObjective) {
   KatzDefenseOptions opts;
   opts.katz = params;
   opts.budget = triangle_result.protectors.size();
-  auto katz_result = *GreedyKatzDefense(inst, opts);
+  auto katz_result = *GreedyKatzDefense(inst.released, inst.targets, opts);
   EXPECT_LE(katz_result.final_score, katz_after_triangle + 1e-9);
 }
 
@@ -92,7 +92,7 @@ TEST(KatzDefenseTest, StopsAtThreshold) {
   opts.budget = 1000;
   double initial = *TotalKatzScore(inst.released, targets, opts.katz);
   opts.stop_score = initial / 2;
-  auto result = *GreedyKatzDefense(inst, opts);
+  auto result = *GreedyKatzDefense(inst.released, inst.targets, opts);
   EXPECT_LE(result.final_score, opts.stop_score);
   // It must have stopped early, not burned the whole budget.
   EXPECT_LT(result.protectors.size(), 1000u);
@@ -103,7 +103,7 @@ TEST(KatzDefenseTest, RejectsBadBeta) {
   TppInstance inst = *MakeInstance(g, {E(0, 1)}, motif::MotifKind::kTriangle);
   KatzDefenseOptions opts;
   opts.katz.beta = 1.5;
-  EXPECT_FALSE(GreedyKatzDefense(inst, opts).ok());
+  EXPECT_FALSE(GreedyKatzDefense(inst.released, inst.targets, opts).ok());
 }
 
 TEST(KatzWalkCountsTest, PathGraphCounts) {

@@ -350,10 +350,12 @@ TEST(PlanPipelineTest, TakeEngineHandsOverTheIndexOnce) {
 
   Result<IndexedEngine> taken = repository.TakeEngine(group);
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  Result<IndexedEngine> built = IndexedEngine::Create(
-      repository.instance(group));  // the instance outlives the take
+  // The problem outlives the take.
+  Result<IndexedEngine> built = IndexedEngine::Create(*core::MakeInstance(
+      base, repository.instance(group).targets, motif::MotifKind::kTriangle));
   ASSERT_TRUE(built.ok());
   EXPECT_TRUE(taken->index().BitIdentical(built->index()));
+  EXPECT_EQ(taken->CurrentGraph(), built->CurrentGraph());
   EXPECT_EQ(taken->GainEvaluations(), 0u);
   EXPECT_EQ(repository.NumAcquisitions(), 1u);
 

@@ -76,14 +76,18 @@ ProtectionResult Direct(const std::string& name) {
                      opts);
   }
   if (name == "ct-dbd") {
-    return *CtGreedy(engine, DivideBudgetDbd(instance, kBudget), opts);
+    return *CtGreedy(
+        engine,
+        DivideBudgetDbd(instance.released, instance.targets, kBudget), opts);
   }
   if (name == "wt-tbd") {
     return *WtGreedy(engine, DivideBudgetTbd(InitialSims(engine), kBudget),
                      opts);
   }
   if (name == "wt-dbd") {
-    return *WtGreedy(engine, DivideBudgetDbd(instance, kBudget), opts);
+    return *WtGreedy(
+        engine,
+        DivideBudgetDbd(instance.released, instance.targets, kBudget), opts);
   }
   if (name == "rd") return *RandomDeletion(engine, kBudget, rng);
   if (name == "rdt") {
@@ -93,7 +97,8 @@ ProtectionResult Direct(const std::string& name) {
   if (name == "katz") {
     KatzDefenseOptions options;
     options.budget = kBudget;
-    KatzDefenseResult defense = *GreedyKatzDefense(instance, options);
+    KatzDefenseResult defense =
+        *GreedyKatzDefense(instance.released, instance.targets, options);
     // The registry adapter replays the Katz picks through the engine;
     // the protector sequence is the cross-checkable part.
     ProtectionResult result;
