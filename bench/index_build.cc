@@ -13,10 +13,10 @@
 //   build @ T      — IncidenceIndex::Build at T = 1, 2, 4, 8 threads:
 //                    task-parallel enumeration (hub targets split by
 //                    first-neighbor chunk), marker-based O(1) adjacency
-//                    probes, counting-sort interning with probe-table id
+//                    probes, radix-sort interning with probe-table id
 //                    resolution, count-then-fill CSR passes writing the
-//                    slot table in the CSR-2 fill; each stage fans out
-//                    only above its work estimate.
+//                    slot table in the CSR-2 fill; enumeration fans out
+//                    only above its work estimate, the rest is serial.
 //   cold @ T       — IncidenceIndex::BuildCached with an empty
 //                    LinkInstanceCache: every link misses, so the row
 //                    shows the all-miss overhead (base-graph enumeration,

@@ -11,15 +11,17 @@ namespace tpp::core {
 using graph::Edge;
 using graph::Graph;
 
-std::string FormatProtectionReport(const TppInstance& instance,
+std::string FormatProtectionReport(const Graph& base,
+                                   const TppProblem& problem,
                                    const ProtectionResult& result) {
   std::string out;
   out += StrFormat("TPP protection report\n");
   out += StrFormat("  motif:            %s\n",
-                   std::string(motif::MotifName(instance.motif)).c_str());
-  out += StrFormat("  released graph:   %s\n",
-                   instance.released.DebugString().c_str());
-  out += StrFormat("  targets:          %zu\n", instance.targets.size());
+                   std::string(motif::MotifName(problem.motif)).c_str());
+  // The same line Graph::DebugString prints for base - T.
+  out += StrFormat("  released graph:   Graph(n=%zu, m=%zu)\n",
+                   base.NumNodes(), base.NumEdges() - problem.targets.size());
+  out += StrFormat("  targets:          %zu\n", problem.targets.size());
   out += StrFormat("  initial s({},T):  %zu\n", result.initial_similarity);
   out += StrFormat("  protectors:       %zu\n", result.protectors.size());
   out += StrFormat("  final s(P,T):     %zu (%s)\n", result.final_similarity,

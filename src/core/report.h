@@ -16,8 +16,10 @@
 namespace tpp::core {
 
 /// Renders a human-readable audit report: instance summary, per-pick
-/// trace, and final protection state.
-std::string FormatProtectionReport(const TppInstance& instance,
+/// trace, and final protection state. `base` is the original graph;
+/// the summary describes the released graph base - T without making it.
+std::string FormatProtectionReport(const graph::Graph& base,
+                                   const TppProblem& problem,
                                    const ProtectionResult& result);
 
 /// Serializes the deletion plan (targets + protectors) to a text format:

@@ -165,8 +165,7 @@ class Graph {
   /// canonical sorted unique disjoint lists): every `removed` edge must be
   /// present and every `inserted` edge absent, else the graph is left
   /// untouched and an error returned. Removals apply first. The same
-  /// delta replays onto every copy of the graph (e.g. the released graphs
-  /// of InstanceRepository groups).
+  /// delta replays onto any copy of the graph.
   Status ApplyDelta(const GraphDelta& delta);
 
   /// Structural equality: same node count and same edge set (slack,

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "motif/link_instances.h"
 
@@ -18,76 +17,37 @@ using graph::Graph;
 
 namespace {
 
-// Upper bound on the contiguous item blocks of BlockedStableScatter:
-// each block keeps one uint32 cursor per digit, so the bound caps the
-// transient memory at 8 x num_digits.
-constexpr int kMaxScatterBlocks = 8;
+// Bits per intern-sort digit. Each pass of the sort clears and scans at
+// most 2^11 counters (8 KB, resident in L1), whatever the node count; a
+// graph under 2^11 nodes (the Arenas-like fixture) sorts in one pass per
+// endpoint, one under 2^22 (the 10^5- and 10^6-node Holme-Kim fixtures)
+// in two.
+constexpr int kInternDigitBits = 11;
 
-// The one piece of counting-sort scaffolding every build pass shares: a
-// stable blocked counting scatter. Items [0, n) each emit (digit, value)
-// pairs through `for_each(i, sink)` (digit < num_digits); the returned
-// vector holds every value grouped by digit, preserving emission order
-// within equal digits. Blocks parallelize the count and scatter passes;
-// the serial cursor transform between them makes the output independent
-// of the block count — it is exactly the serial emission order. When
-// `offsets` is non-null it receives the num_digits + 1 group boundaries
-// (offsets[d] .. offsets[d+1] brackets digit d). Used with one pair per
-// key for the LSD intern sort (O(K + NumNodes) per pass, no comparison
-// sort — previously the hottest serial stretch after enumeration) and
-// with arity pairs per instance to lay out the CSR-1 posting lists.
+// The one piece of counting-sort scaffolding every layout pass shares: a
+// stable counting scatter. Items [0, n) each emit (digit, value) pairs
+// through `for_each(i, sink)` (digit < num_digits); the returned vector
+// holds every value grouped by digit, preserving emission order within
+// equal digits. When `offsets` is non-null it receives the num_digits + 1
+// group boundaries (offsets[d] .. offsets[d+1] brackets digit d). Used
+// with one pair per key for each pass of the LSD intern sort and with
+// arity pairs per instance to lay out the CSR-1 posting lists.
 template <typename Value, typename ForEachPair>
-std::vector<Value> BlockedStableScatter(size_t n, size_t num_digits,
-                                        int workers, ThreadPool& pool,
-                                        std::vector<uint32_t>* offsets,
-                                        ForEachPair for_each) {
-  if (offsets) offsets->assign(num_digits + 1, 0);
-  if (n == 0) return {};
-  const int num_blocks = static_cast<int>(std::min<size_t>(
-      std::max(workers, 1),
-      std::min<size_t>(kMaxScatterBlocks, n)));
-  const size_t block_size =
-      (n + static_cast<size_t>(num_blocks) - 1) /
-      static_cast<size_t>(num_blocks);
-  std::vector<std::vector<uint32_t>> block_counts(
-      static_cast<size_t>(num_blocks),
-      std::vector<uint32_t>(num_digits, 0));
-  pool.ParallelFor(static_cast<size_t>(num_blocks), workers, /*grain=*/1,
-                   [&](size_t bbegin, size_t bend) {
-                     for (size_t b = bbegin; b < bend; ++b) {
-                       std::vector<uint32_t>& counts = block_counts[b];
-                       const size_t lo = b * block_size;
-                       const size_t hi = std::min(lo + block_size, n);
-                       for (size_t k = lo; k < hi; ++k) {
-                         for_each(k, [&](uint32_t digit, const Value&) {
-                           ++counts[digit];
-                         });
-                       }
-                     }
-                   });
-  uint32_t running = 0;
-  for (size_t d = 0; d < num_digits; ++d) {
-    if (offsets) (*offsets)[d] = running;
-    for (int b = 0; b < num_blocks; ++b) {
-      const uint32_t count = block_counts[b][d];
-      block_counts[b][d] = running;  // becomes block b's cursor for d
-      running += count;
-    }
+std::vector<Value> StableScatter(size_t n, size_t num_digits,
+                                 std::vector<uint32_t>* offsets,
+                                 ForEachPair for_each) {
+  std::vector<uint32_t> cursor(num_digits + 1, 0);
+  for (size_t k = 0; k < n; ++k) {
+    for_each(k, [&](uint32_t digit, const Value&) { ++cursor[digit + 1]; });
   }
-  if (offsets) (*offsets)[num_digits] = running;
-  std::vector<Value> out(running);
-  pool.ParallelFor(static_cast<size_t>(num_blocks), workers, /*grain=*/1,
-                   [&](size_t bbegin, size_t bend) {
-                     for (size_t b = bbegin; b < bend; ++b) {
-                       std::vector<uint32_t>& cursor = block_counts[b];
-                       const size_t lo = b * block_size;
-                       const size_t hi = std::min(lo + block_size, n);
-                       for (size_t k = lo; k < hi; ++k) {
-                         for_each(k, [&](uint32_t digit, const Value& value) {
-                           out[cursor[digit]++] = value;
-                         });
-                       }
-                     }
-                   });
+  for (size_t d = 0; d < num_digits; ++d) cursor[d + 1] += cursor[d];
+  if (offsets) *offsets = cursor;
+  std::vector<Value> out(cursor[num_digits]);
+  for (size_t k = 0; k < n; ++k) {
+    for_each(k, [&](uint32_t digit, const Value& value) {
+      out[cursor[digit]++] = value;
+    });
+  }
   return out;
 }
 
@@ -155,12 +115,11 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   IncidenceIndex idx;
   const int threads =
       options.threads > 0 ? options.threads : GlobalThreadCount();
-  ThreadPool& pool = GlobalThreadPool();
   WallTimer timer;
 
   // -- Stage 1: collect the instances in the serial (target, emit) order,
   // whatever the thread count: enumerated, or filtered from cached
-  // per-link lists (BuildCached).
+  // per-link lists (BuildCached). The only stage that fans out.
   size_t num_tasks = 0;
   idx.instances_ = collect(threads, &num_tasks);
   const size_t num_instances = idx.instances_.size();
@@ -170,46 +129,42 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
     stats->instances = num_instances;
   }
 
-  // The layout stages below fan out only over kMinParallelLayoutKeys
-  // instance keys — a count fixed by the graph and targets, so the same
-  // build takes the same path at every thread budget.
-  const size_t arity = MotifEdgeCount(kind);
-  const int workers =
-      num_instances * arity >= kMinParallelLayoutKeys ? threads : 1;
-
   TPP_RETURN_IF_ERROR(PollCancellation(options.cancel,
                                        "index:build:intern"));
 
   // -- Stage 2: intern participating edges. Every instance of one motif
-  // kind has the same arity, so the flat key array is sized exactly and
-  // filled with disjoint writes; a two-pass stable counting sort over the
-  // node-id digits (larger endpoint, then smaller) plus unique assigns
-  // ids in ascending key order in O(K + NumNodes) — no comparison sort.
-  // The keyed query API and the CSR fill passes resolve ids through the
-  // static flat probe table built from the sorted keys (see EdgeIdOf).
+  // kind has the same arity, so the flat key array is sized exactly. An
+  // LSD radix sort over the keys' significant bits — kInternDigitBits-wide
+  // digits of the larger endpoint v, then of the smaller endpoint u, each
+  // pass a stable counting scatter — plus unique assigns ids in ascending
+  // key order. The pass count follows bit_width(NumNodes - 1) and each
+  // pass counts into at most 2^kInternDigitBits counters, so the stage is
+  // O(K) per pass with nothing sized by the node count. The keyed query
+  // API and the CSR fill passes resolve ids through the static flat probe
+  // table built from the sorted keys (see EdgeIdOf).
   timer.Restart();
+  const size_t arity = MotifEdgeCount(kind);
   const TargetSubgraph* const instances = idx.instances_.data();
   std::vector<EdgeKey> flat_keys(num_instances * arity);
-  pool.ParallelFor(num_instances, workers, /*grain=*/4096,
-                   [&](size_t begin, size_t end) {
-                     for (size_t i = begin; i < end; ++i) {
-                       const TargetSubgraph& inst = instances[i];
-                       for (size_t j = 0; j < arity; ++j) {
-                         flat_keys[i * arity + j] = inst.edges[j];
-                       }
-                     }
-                   });
-  {
-    std::vector<EdgeKey> by_v = BlockedStableScatter<EdgeKey>(
-        flat_keys.size(), g.NumNodes(), workers, pool, nullptr,
-        [&](size_t k, auto sink) {
-          sink(graph::EdgeKeyV(flat_keys[k]), flat_keys[k]);
-        });
-    flat_keys = BlockedStableScatter<EdgeKey>(
-        by_v.size(), g.NumNodes(), workers, pool, nullptr,
-        [&](size_t k, auto sink) {
-          sink(graph::EdgeKeyU(by_v[k]), by_v[k]);
-        });
+  for (size_t i = 0; i < num_instances; ++i) {
+    for (size_t j = 0; j < arity; ++j) {
+      flat_keys[i * arity + j] = instances[i].edges[j];
+    }
+  }
+  const int node_bits =
+      std::bit_width(std::max<size_t>(g.NumNodes(), 1) - 1);
+  for (int endpoint_shift : {0, 32}) {  // v is the key's low half
+    for (int bit = 0; bit < node_bits; bit += kInternDigitBits) {
+      const int shift = endpoint_shift + bit;
+      const int width = std::min(kInternDigitBits, node_bits - bit);
+      const EdgeKey mask = (EdgeKey{1} << width) - 1;
+      flat_keys = StableScatter<EdgeKey>(
+          flat_keys.size(), size_t{1} << width, nullptr,
+          [&](size_t k, auto sink) {
+            sink(static_cast<uint32_t>((flat_keys[k] >> shift) & mask),
+                 flat_keys[k]);
+          });
+    }
   }
   flat_keys.erase(std::unique(flat_keys.begin(), flat_keys.end()),
                   flat_keys.end());
@@ -227,10 +182,9 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
 
   TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "index:build:csr"));
 
-  // -- Stage 3: CSR layouts, each a parallel count pass, a serial prefix
-  // sum, and a parallel fill pass into disjoint slots. The structures
-  // under construction live in local vectors and move into the immutable
-  // FlatArray members once finished.
+  // -- Stage 3: CSR layouts, each a count pass, a prefix sum, and a fill
+  // pass. The structures under construction live in local vectors and
+  // move into the immutable FlatArray members once finished.
   timer.Restart();
 
   idx.num_nodes_ = g.NumNodes();
@@ -239,27 +193,20 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   // reads instead of chasing 40-byte TargetSubgraphs.
   idx.arity_ = static_cast<uint8_t>(arity);
   std::vector<InstanceMaintenance> maint(num_instances);
-  pool.ParallelFor(
-      num_instances, workers, /*grain=*/2048, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const TargetSubgraph& inst = instances[i];
-          InstanceMaintenance& m = maint[i];
-          m.target = static_cast<uint32_t>(inst.target);
-          for (size_t j = 0; j < arity; ++j) {
-            const EdgeKey key = inst.edges[j];
-            m.edge_ids[j] = idx.EdgeIdOf(key);
-          }
-        }
-      });
+  for (size_t i = 0; i < num_instances; ++i) {
+    maint[i].target = static_cast<uint32_t>(instances[i].target);
+    for (size_t j = 0; j < arity; ++j) {
+      maint[i].edge_ids[j] = idx.EdgeIdOf(instances[i].edges[j]);
+    }
+  }
 
-  // CSR 1 (edge -> instances): the same stable blocked scatter, emitting
-  // arity (edge id, instance id) pairs per instance. Posting lists hold
-  // ascending instance ids — exactly the serial fill order — at any
-  // block count, and the scatter's group boundaries are the CSR offsets.
+  // CSR 1 (edge -> instances): the same stable scatter, emitting arity
+  // (edge id, instance id) pairs per instance. Posting lists hold
+  // ascending instance ids, and the scatter's group boundaries are the
+  // CSR offsets.
   std::vector<uint32_t> inst_offsets;
-  std::vector<uint32_t> instance_ids = BlockedStableScatter<uint32_t>(
-      num_instances, num_edges, workers, pool, &inst_offsets,
-      [&](size_t i, auto sink) {
+  std::vector<uint32_t> instance_ids = StableScatter<uint32_t>(
+      num_instances, num_edges, &inst_offsets, [&](size_t i, auto sink) {
         for (size_t j = 0; j < arity; ++j) {
           sink(maint[i].edge_ids[j], static_cast<uint32_t>(i));
         }
@@ -277,50 +224,40 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   // list's target sequence is already ascending — a run-length encode
   // reproduces the serial sorted aggregation without any per-edge scratch.
   std::vector<uint32_t> tgt_offsets(num_edges + 1, 0);
-  pool.ParallelFor(
-      num_edges, workers, /*grain=*/2048, [&](size_t begin, size_t end) {
-        for (size_t e = begin; e < end; ++e) {
-          uint32_t runs = 0;
-          uint32_t prev_target = 0;
-          for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-            const uint32_t target = maint[instance_ids[p]].target;
-            if (runs == 0 || target != prev_target) {
-              ++runs;
-              prev_target = target;
-            }
-          }
-          tgt_offsets[e + 1] = runs;
-        }
-      });
   for (size_t e = 0; e < num_edges; ++e) {
-    tgt_offsets[e + 1] += tgt_offsets[e];
+    uint32_t runs = 0;
+    uint32_t prev_target = 0;
+    for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
+      const uint32_t target = maint[instance_ids[p]].target;
+      if (runs == 0 || target != prev_target) {
+        ++runs;
+        prev_target = target;
+      }
+    }
+    tgt_offsets[e + 1] = tgt_offsets[e] + runs;
   }
   // Fill pass, which also writes the slot table: the CSR-2 cell of
   // (edge j of instance i, target of i) is the run cell the posting walks
   // through, and j is the position of e among the instance's <= 4 edge
-  // ids. Each (i, j) pair lies on exactly one posting list (an instance's
-  // edges are distinct), so the parallel writes are disjoint.
+  // ids.
   std::vector<uint32_t> tgt_ids(tgt_offsets.back());
   idx.tgt_counts_.resize(tgt_ids.size());
-  pool.ParallelFor(
-      num_edges, workers, /*grain=*/2048, [&](size_t begin, size_t end) {
-        for (size_t e = begin; e < end; ++e) {
-          uint32_t slot = tgt_offsets[e];
-          for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-            InstanceMaintenance& m = maint[instance_ids[p]];
-            if (slot == tgt_offsets[e] || tgt_ids[slot - 1] != m.target) {
-              tgt_ids[slot] = m.target;
-              idx.tgt_counts_[slot] = 1;
-              ++slot;
-            } else {
-              ++idx.tgt_counts_[slot - 1];
-            }
-            size_t j = 0;
-            while (m.edge_ids[j] != e) ++j;
-            m.slots[j] = slot - 1;
-          }
-        }
-      });
+  for (size_t e = 0; e < num_edges; ++e) {
+    uint32_t slot = tgt_offsets[e];
+    for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
+      InstanceMaintenance& m = maint[instance_ids[p]];
+      if (slot == tgt_offsets[e] || tgt_ids[slot - 1] != m.target) {
+        tgt_ids[slot] = m.target;
+        idx.tgt_counts_[slot] = 1;
+        ++slot;
+      } else {
+        ++idx.tgt_counts_[slot - 1];
+      }
+      size_t j = 0;
+      while (m.edge_ids[j] != e) ++j;
+      m.slots[j] = slot - 1;
+    }
+  }
 
   idx.inst_offsets_ = std::move(inst_offsets);
   idx.instance_ids_ = std::move(instance_ids);

@@ -66,22 +66,23 @@
 // cached read, and a per-target round (CT/WT) flushes once, then reads
 // the cells in place.
 //
-// Construction is parallel and deterministic: enumeration fans out over
-// the shared thread pool in per-target tasks (hub targets split by
-// first-neighbor chunk, see motif/enumerate.h) whose outputs merge in the
-// serial (target, emit) order — or, in BuildCached, the instances are
-// filtered from per-link base-graph lists (motif/link_instances.h) into
-// that same order; edge interning is a counting sort + unique over the
-// flat instance-edge array with probe-table id resolution; and both CSR
-// structures are built with count-then-fill passes whose stable per-block
-// cursors reproduce the serial layout exactly, the CSR-2 fill writing the
-// slot table as it goes. Each stage fans out only above a work estimate
-// that depends on the graph and targets alone, never on the thread
-// budget. The result is bit-identical to the serial pre-parallel build at
-// any thread count (BuildIndexSerialReference in the test-only
-// tpp_reference library, tests/reference/serial_index_build.h;
-// differential-tested in tests/index_build_parallel_test.cc and, for
-// BuildCached, tests/link_instance_cache_test.cc).
+// Construction is deterministic, and only its first stage is parallel:
+// enumeration fans out over the shared thread pool in per-target tasks
+// (hub targets split by first-neighbor chunk, see motif/enumerate.h)
+// whose outputs merge in the serial (target, emit) order — or, in
+// BuildCached, the instances are filtered from per-link base-graph lists
+// (motif/link_instances.h) into that same order. The layout stages run on
+// the calling thread: edge interning is an LSD radix sort of the flat
+// instance-edge array over the keys' significant bits, plus unique, with
+// probe-table id resolution; both CSR structures are built with
+// count-then-fill passes, the CSR-2 fill writing the slot table as it
+// goes. Enumeration fans out only above a work estimate that depends on
+// the graph and targets alone, never on the thread budget. The result is
+// bit-identical to the serial pre-parallel build at any thread count
+// (BuildIndexSerialReference in the test-only tpp_reference library,
+// tests/reference/serial_index_build.h; differential-tested in
+// tests/index_build_parallel_test.cc and, for BuildCached,
+// tests/link_instance_cache_test.cc).
 //
 // Complexity per query (E = interned edges, I(e) = instances through e,
 // T(e) = distinct targets through e, T(e) <= min(NumTargets(), I(e))):
@@ -130,9 +131,9 @@ class IncidenceIndex {
  public:
   /// Knobs of one Build call.
   struct BuildOptions {
-    /// Worker budget for the enumeration and CSR passes; <= 0 resolves to
-    /// tpp::GlobalThreadCount() (the --threads flag / TPP_THREADS). The
-    /// built index is bit-identical at any value.
+    /// Worker budget for the enumeration (the intern and CSR stages are
+    /// serial); <= 0 resolves to tpp::GlobalThreadCount() (the --threads
+    /// flag / TPP_THREADS). The built index is bit-identical at any value.
     int threads = 0;
     /// Optional cancel/deadline source (not owned; must outlive the
     /// call). Polled between the build's internal stages — enumerate,
@@ -142,13 +143,6 @@ class IncidenceIndex {
     /// stage). Polling cannot perturb a build that finishes in time.
     const CancellationToken* cancel = nullptr;
   };
-
-  /// Instance keys (instances x arity) below which the intern and CSR
-  /// stages run on the calling thread. Their passes cost a few nanoseconds
-  /// per key and are memory-bound: on a 4-thread box no build up to 236k
-  /// keys (Arenas Pentagon, 1,000 targets) ran them faster at 4 threads
-  /// than at 1.
-  static constexpr size_t kMinParallelLayoutKeys = size_t{1} << 19;
 
   /// Per-stage wall-time breakdown of one Build call (the index_build
   /// bench reports these).
@@ -163,7 +157,7 @@ class IncidenceIndex {
 
   /// Enumerates all target subgraphs of `kind` for every target and builds
   /// the CSR incidence layout plus the alive-count caches, fanning the
-  /// enumeration and CSR passes out over the shared thread pool. `g` must
+  /// enumeration out over the shared thread pool. `g` must
   /// already have the targets removed (phase 1); an error is returned if
   /// any target edge is still present.
   static Result<IncidenceIndex> Build(const graph::Graph& g,

@@ -102,16 +102,6 @@ void InstanceRepository::BuildGroup(Group& group,
 
 Result<IndexedEngine> InstanceRepository::AcquireEngine(
     size_t group_id, const CancellationToken* cancel) {
-  return Acquire(group_id, cancel, /*take=*/false);
-}
-
-Result<IndexedEngine> InstanceRepository::TakeEngine(
-    size_t group_id, const CancellationToken* cancel) {
-  return Acquire(group_id, cancel, /*take=*/true);
-}
-
-Result<IndexedEngine> InstanceRepository::Acquire(
-    size_t group_id, const CancellationToken* cancel, bool take) {
   Group& group = groups_[group_id];
   {
     std::lock_guard<std::mutex> lock(group.build_mu);
@@ -132,17 +122,6 @@ Result<IndexedEngine> InstanceRepository::Acquire(
       ResetGroup(group);
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
       return failed;
-    }
-    if (group.status.ok() && !group.index) {
-      return Status::FailedPrecondition(
-          "instance group's index was already taken");
-    }
-    if (take && group.status.ok()) {
-      acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      motif::IncidenceIndex index = std::move(*group.index);
-      group.index.reset();
-      Recharge(group);
-      return IndexedEngine::Adopt(*base_, group.problem, std::move(index));
     }
   }
   // Past the gate the group and the base are immutable until the next
@@ -205,10 +184,9 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
         break;
       }
     }
-    if (hits_target || !group.status.ok() || !group.index) {
+    if (hits_target || !group.status.ok()) {
       // The edit changed the problem (or may have cured a memoized build
-      // failure, or TakeEngine left no index to repair): back to
-      // unbuilt, next acquisition cold-builds.
+      // failure): back to unbuilt, next acquisition cold-builds.
       ResetGroup(group);
       ++edit_resets_;
       continue;

@@ -135,14 +135,6 @@ class InstanceRepository {
   Result<core::IndexedEngine> AcquireEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
-  /// AcquireEngine for a group with exactly one user in a repository that
-  /// dies with its batch: moves the group's index into the engine instead
-  /// of copying it, so a single-request batch holds one index, not two.
-  /// The problem stays valid; the group cannot be acquired again
-  /// (FailedPrecondition), and ApplyEdit resets it.
-  Result<core::IndexedEngine> TakeEngine(
-      size_t group, const CancellationToken* cancel = nullptr);
-
   /// The group's problem: its targets and motif, what RunSolver and
   /// SerializeDeletionPlan need beside the engine. Immutable once
   /// interned, so safe to read concurrently.
@@ -152,8 +144,8 @@ class InstanceRepository {
 
   /// The group's index; valid only after AcquireEngine(group) returned
   /// OK, and until the next ApplyEdit or Trim (either may evict, reset or
-  /// repair the group) or TakeEngine moves it out. Immutable in between,
-  /// so safe to read concurrently.
+  /// repair the group). Immutable in between, so safe to read
+  /// concurrently.
   const motif::IncidenceIndex& index(size_t group) const {
     return *groups_[group].index;
   }
@@ -196,8 +188,8 @@ class InstanceRepository {
   /// motif::LinkInstanceCache::kMaxBytes).
   size_t LinkCacheBytes() const { return link_instances_.bytes(); }
 
-  /// Engines handed out (copies or taken indexes); NumAcquisitions() -
-  /// NumBuilds() full index builds were avoided by sharing.
+  /// Engines handed out; NumAcquisitions() - NumBuilds() full index
+  /// builds were avoided by sharing.
   size_t NumAcquisitions() const {
     return acquisitions_.load(std::memory_order_relaxed);
   }
@@ -239,7 +231,7 @@ class InstanceRepository {
     std::mutex build_mu;
     bool built = false;  // guarded by build_mu
     Status status = Status::Ok();
-    // Empty in a built, OK group once TakeEngine moved it out.
+    // Set in a built, OK group.
     std::optional<motif::IncidenceIndex> index;
     // What this group adds to resident_bytes_ (0 while unbuilt).
     size_t bytes = 0;
@@ -247,12 +239,6 @@ class InstanceRepository {
     // smallest first. Written under build_mu, read by Trim.
     uint64_t last_use = 0;
   };
-
-  /// Shared body of AcquireEngine (`take` false: copy the index) and
-  /// TakeEngine (`take` true: move it out).
-  Result<core::IndexedEngine> Acquire(size_t group_id,
-                                      const CancellationToken* cancel,
-                                      bool take);
 
   /// The build-once body: try the store, else cold-build + write back.
   void BuildGroup(Group& group, const CancellationToken* cancel);

@@ -206,15 +206,6 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     }
     unit.group = repository.Intern(response.targets, request.motif);
   }
-  // The batch-local repository dies with this run, so a group only one
-  // unit uses hands that unit its index rather than a copy of it.
-  std::vector<size_t> local_uses;
-  if (options.repository == nullptr) {
-    local_uses.assign(repository.NumGroups(), 0);
-    for (const Unit& unit : units) {
-      if (!unit.failed) ++local_uses[unit.group];
-    }
-  }
 
   // -- Stages 5-8: build-once, solve, serialize, cache-fill, deliver.
   // ParallelFor hands units to up to max_workers workers, the calling
@@ -234,9 +225,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
     }
     if (!unit.failed && response.status.ok()) {
       Result<IndexedEngine> engine =
-          !local_uses.empty() && local_uses[unit.group] == 1
-              ? repository.TakeEngine(unit.group, unit.cancel)
-              : repository.AcquireEngine(unit.group, unit.cancel);
+          repository.AcquireEngine(unit.group, unit.cancel);
       if (!engine.ok()) {
         response.status = engine.status();
       } else {

@@ -72,6 +72,31 @@ uint64_t RetrySeed(const std::string& path) {
   return HashBytes64(path.data(), path.size());
 }
 
+// Runs `attempt`, an append to `path`, through RetryTransient. Appends
+// land in place, so before every retry, and after a final failure, the
+// file is truncated back to its `committed` bytes: a retry must not
+// append after its own torn prefix, and recovery's forward scan stops at
+// exactly this boundary if the process dies before the truncate.
+template <typename Attempt>
+Status RetryAppend(const RetryPolicy& policy, const std::string& path,
+                   uint64_t committed, uint64_t* retries, Attempt attempt) {
+  auto truncate_to_committed = [&] {
+    std::error_code ec;
+    fs::resize_file(path, committed, ec);  // best effort
+  };
+  bool retrying = false;
+  Status status = RetryTransient(
+      policy, RetrySeed(path),
+      [&] {
+        if (retrying) truncate_to_committed();
+        retrying = true;
+        return attempt();
+      },
+      retries);
+  if (!status.ok()) truncate_to_committed();
+  return status;
+}
+
 }  // namespace
 
 WarmStore::WarmStore(std::string dir, const StoreOptions& options)
@@ -422,10 +447,8 @@ Status WarmStore::AppendPlan(const std::string& key,
 
   // Injection site "store.append". Unlike AtomicWriteFile, appends land
   // in place, so a torn write leaves a prefix of the record in the live
-  // segment. Between attempts (and after a final failure) the file is
-  // truncated back to the committed record boundary — a retry must not
-  // append after its own torn garbage, and recovery's forward scan stops
-  // at exactly this boundary if the process dies before the truncate.
+  // segment, which RetryAppend truncates back to the committed record
+  // boundary.
   auto attempt = [&]() -> Status {
     fault::FaultDecision f = fault::Hit("store.append", record.size());
     if (f.fire && f.kind != fault::FaultKind::kTorn) {
@@ -443,21 +466,9 @@ Status WarmStore::AppendPlan(const std::string& key,
     if (!out.good()) return Status::IoError("short append to " + seg.path);
     return Status::Ok();
   };
-  auto truncate_to_committed = [&] {
-    std::error_code ec;
-    fs::resize_file(seg.path, seg.bytes, ec);  // best effort
-  };
-  Status written = attempt();
-  for (int a = 1;
-       a < options_.retry.max_attempts && IsRetryable(written.code()); ++a) {
-    truncate_to_committed();
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        BackoffMicros(options_.retry, a, RetrySeed(seg.path))));
-    ++stats_.io_retries;
-    written = attempt();
-  }
+  Status written = RetryAppend(options_.retry, seg.path, seg.bytes,
+                               &stats_.io_retries, attempt);
   if (!written.ok()) {
-    truncate_to_committed();
     ++stats_.write_failures;
     return written;
   }
@@ -524,23 +535,8 @@ Status WarmStore::SealActiveSegment() {
     }
     return Status::Ok();
   };
-  auto truncate_to_records = [&] {
-    std::error_code ec;
-    fs::resize_file(seg.path, seg.bytes, ec);  // best effort
-  };
-  Status written = attempt();
-  for (int a = 1;
-       a < options_.retry.max_attempts && IsRetryable(written.code()); ++a) {
-    truncate_to_records();
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        BackoffMicros(options_.retry, a, RetrySeed(seg.path))));
-    ++stats_.io_retries;
-    written = attempt();
-  }
-  if (!written.ok()) {
-    truncate_to_records();
-    return written;
-  }
+  TPP_RETURN_IF_ERROR(RetryAppend(options_.retry, seg.path, seg.bytes,
+                                  &stats_.io_retries, attempt));
   seg.sealed = true;
   return Status::Ok();
 }

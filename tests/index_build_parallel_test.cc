@@ -125,30 +125,34 @@ TEST_P(IndexBuildParallelTest, RangeUnionMatchesFullEnumeration) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMotifs, IndexBuildParallelTest,
-                         ::testing::ValuesIn(kAllMotifs),
-                         [](const auto& info) {
-                           return std::string(MotifName(info.param));
-                         });
-
-// A hub target (deg > 128) must split into several first-neighbor-chunk
-// tasks for the heavy motifs and stay one task for Triangle.
-// Small builds stay on the calling thread whatever the budget, so the
-// fanned-out stages need a build past both work thresholds: a dense
-// Pentagon instance, checked at 1 and 4 threads against the serial
-// reference.
-TEST(IndexBuildFanOutTest, BitIdenticalAboveFanOutThresholds) {
-  Rng rng(71);
-  Result<Graph> g = graph::HolmeKim(1500, 6, 0.3, rng);
-  ASSERT_TRUE(g.ok());
-  TppInstance inst = SampledInstance(*g, 480, 72, MotifKind::kPentagon);
-  ASSERT_GE(EstimateEnumerationWork(inst.released, inst.targets, inst.motif),
-            kMinParallelEnumerationWork);
+// The intern sort takes 11-bit digits of each endpoint, as many as the
+// node count needs: 2^20 + 4321 nodes need two per endpoint. Node ids
+// share their low digit and differ only in the high one (and a second
+// group shares the high digit), so both digits decide the key order.
+TEST_P(IndexBuildParallelTest, BitIdenticalWithMultiDigitNodeIds) {
+  const MotifKind kind = GetParam();
+  const size_t num_nodes = (size_t{1} << 20) + 4321;
+  std::vector<graph::NodeId> ids;
+  for (graph::NodeId high : {0u, 1u, 2u, 3u, 5u, 64u, 255u, 256u, 511u,
+                             512u}) {
+    ids.push_back(3 + (high << 11));     // same low digit
+    ids.push_back(2040 + (high << 11));  // another low digit
+  }
+  for (graph::NodeId low : {7u, 9u, 1500u}) {
+    ids.push_back(low + (300u << 11));  // same high digit
+  }
+  Graph g(num_nodes);
+  Rng rng(29);
+  for (size_t a = 0; a < ids.size(); ++a) {
+    for (size_t b = a + 1; b < ids.size(); ++b) {
+      if (rng.UniformReal() < 0.4) ASSERT_TRUE(g.AddEdge(ids[a], ids[b]).ok());
+    }
+  }
+  TppInstance inst = SampledInstance(g, 6, 31, kind);
   auto serial = BuildIndexSerialReference(inst.released, inst.targets,
                                           inst.motif);
   ASSERT_TRUE(serial.ok());
-  ASSERT_GE(serial->instances().size() * MotifEdgeCount(inst.motif),
-            IncidenceIndex::kMinParallelLayoutKeys);
+  ASSERT_GT(serial->instances().size(), 0u);
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     IncidenceIndex::BuildOptions options;
@@ -160,6 +164,39 @@ TEST(IndexBuildFanOutTest, BitIdenticalAboveFanOutThresholds) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(AllMotifs, IndexBuildParallelTest,
+                         ::testing::ValuesIn(kAllMotifs),
+                         [](const auto& info) {
+                           return std::string(MotifName(info.param));
+                         });
+
+// Small builds enumerate on the calling thread whatever the budget, so
+// the fanned-out enumeration needs a build past its work threshold: a
+// dense Pentagon instance, checked at 1 and 4 threads against the serial
+// reference.
+TEST(IndexBuildFanOutTest, BitIdenticalAboveFanOutThresholds) {
+  Rng rng(71);
+  Result<Graph> g = graph::HolmeKim(1500, 6, 0.3, rng);
+  ASSERT_TRUE(g.ok());
+  TppInstance inst = SampledInstance(*g, 480, 72, MotifKind::kPentagon);
+  ASSERT_GE(EstimateEnumerationWork(inst.released, inst.targets, inst.motif),
+            kMinParallelEnumerationWork);
+  auto serial = BuildIndexSerialReference(inst.released, inst.targets,
+                                          inst.motif);
+  ASSERT_TRUE(serial.ok());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    IncidenceIndex::BuildOptions options;
+    options.threads = threads;
+    auto built = IncidenceIndex::Build(inst.released, inst.targets,
+                                       inst.motif, options);
+    ASSERT_TRUE(built.ok());
+    EXPECT_TRUE(built->BitIdentical(*serial));
+  }
+}
+
+// A hub target (deg > 128) must split into several first-neighbor-chunk
+// tasks for the heavy motifs and stay one task for Triangle.
 TEST(EnumerationTaskTest, HubTargetsSplitForHeavyMotifs) {
   Graph g(300);
   for (graph::NodeId w = 2; w < 300; ++w) {

@@ -342,29 +342,5 @@ TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
   EXPECT_EQ(e1.status().ToString(), e2.status().ToString());
 }
 
-TEST(PlanPipelineTest, TakeEngineHandsOverTheIndexOnce) {
-  const Graph& base = ArenasBase();
-  InstanceRepository repository(&base);
-  std::vector<Edge> targets = {base.Edges()[0], base.Edges()[1]};
-  size_t group = repository.Intern(targets, motif::MotifKind::kTriangle);
-
-  Result<IndexedEngine> taken = repository.TakeEngine(group);
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  // The problem outlives the take.
-  Result<IndexedEngine> built = IndexedEngine::Create(*core::MakeInstance(
-      base, repository.instance(group).targets, motif::MotifKind::kTriangle));
-  ASSERT_TRUE(built.ok());
-  EXPECT_TRUE(taken->index().BitIdentical(built->index()));
-  EXPECT_EQ(taken->CurrentGraph(), built->CurrentGraph());
-  EXPECT_EQ(taken->GainEvaluations(), 0u);
-  EXPECT_EQ(repository.NumAcquisitions(), 1u);
-
-  // The index is gone: a second user is refused, never handed a
-  // moved-from index.
-  Result<IndexedEngine> again = repository.AcquireEngine(group);
-  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(repository.NumBuilds(), 1u);
-}
-
 }  // namespace
 }  // namespace tpp::service

@@ -32,8 +32,12 @@ struct Fixture {
 
 TEST(ReportTest, FormatMentionsKeyFacts) {
   Fixture fx;
-  std::string report = FormatProtectionReport(fx.instance, fx.result);
+  std::string report = FormatProtectionReport(fx.g, fx.instance, fx.result);
   EXPECT_NE(report.find("Triangle"), std::string::npos);
+  // The released graph's summary, without the report making that graph.
+  EXPECT_NE(report.find("released graph:   " +
+                        fx.instance.released.DebugString() + "\n"),
+            std::string::npos);
   EXPECT_NE(report.find("full protection"), std::string::npos);
   EXPECT_NE(report.find("targets:          4"), std::string::npos);
   // One pick line per protector.

@@ -303,16 +303,15 @@ int RunProtect(const ParsedArgs& args) {
   if (!response.status.ok()) return Fail(response.status);
   if (*store != nullptr) PrintStoreStats(**store, cache.get());
 
-  Result<core::TppInstance> instance = core::MakeInstance(
-      plan_service.base(), response.targets, request.motif);
-  if (!instance.ok()) return Fail(instance.status());
-  std::printf("%s",
-              core::FormatProtectionReport(*instance,
-                                           response.result).c_str());
+  // An OK response validated its targets as distinct edges of the base.
+  const core::TppProblem problem{response.targets, request.motif};
+  const std::string report = core::FormatProtectionReport(
+      plan_service.base(), problem, response.result);
+  std::printf("%s", report.c_str());
 
   std::string plan_out = args.GetString("plan-out", "");
   if (!plan_out.empty()) {
-    Status s = core::SaveDeletionPlan(*instance, response.result, plan_out);
+    Status s = core::SaveDeletionPlan(problem, response.result, plan_out);
     if (!s.ok()) return Fail(s);
     std::printf("plan written to %s\n", plan_out.c_str());
   }
