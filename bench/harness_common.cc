@@ -1,11 +1,14 @@
 #include "harness_common.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/check.h"
 #include "common/env.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
+#include "common/timer.h"
 #include "reference/naive_engine.h"
 
 namespace tpp::bench {
@@ -147,6 +150,40 @@ Spread SpreadOf(std::vector<double> samples) {
                              (samples[hi] - samples[lo]);
   };
   return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+namespace {
+
+// Keeps the spin loops' results observable, so they are not optimized out.
+volatile uint64_t spin_sink = 0;
+
+// About 5 ms of dependent integer mixing on one core.
+uint64_t Spin(uint64_t x) {
+  for (int i = 0; i < (1 << 22); ++i) x = SplitMix64(x);
+  return x;
+}
+
+}  // namespace
+
+double HostParallelSpeedup(int workers) {
+  const size_t jobs = static_cast<size_t>(std::max(workers, 1));
+  std::vector<uint64_t> out(jobs);
+  auto run_on = [&](int budget, uint64_t seed) {
+    WallTimer timer;
+    GlobalThreadPool().ParallelFor(
+        jobs, budget, /*grain=*/1, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) out[i] = Spin(seed + i);
+        });
+    const double ms = timer.Millis();
+    for (uint64_t x : out) spin_sink = spin_sink ^ x;
+    return ms;
+  };
+  std::vector<double> ratios;
+  for (uint64_t rep = 0; rep < 5; ++rep) {
+    const double one = run_on(1, rep);
+    ratios.push_back(one / run_on(workers, rep));
+  }
+  return SpreadOf(ratios).median;
 }
 
 std::string ResultsDir() { return EnvString("TPP_RESULTS_DIR", "results"); }

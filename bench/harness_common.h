@@ -108,6 +108,14 @@ struct Spread {
 /// order statistics.
 Spread SpreadOf(std::vector<double> samples);
 
+/// The CPU the run had: how much faster `workers` pool workers finish
+/// `workers` copies of a fixed CPU-bound loop than one worker does (the
+/// median of 5 reps). Near `workers` on a box that gives the process that
+/// many cores, near 1 on one that gives it one; a bench records it beside
+/// its thread rows, so a throttled run reads as a throttled run rather
+/// than as lost scaling.
+double HostParallelSpeedup(int workers);
+
 /// Builds an evenly spaced budget grid {0, ..., k_max} with at most
 /// `max_points` points, always containing 0 and k_max.
 std::vector<size_t> MakeBudgetGrid(size_t k_max, size_t max_points);

@@ -3,7 +3,10 @@
 // thread pool at 1/2/4/8 workers vs a plain sequential loop. Emits a
 // machine-readable BENCH_service_throughput.json so the serving-path
 // scaling trajectory is tracked across PRs. Every timed row records its
-// reps, median and interquartile range (SpreadOf).
+// reps, median and interquartile range (SpreadOf). Beside the rows the
+// file records host_parallel_speedup (harness_common.h), the speedup a
+// fixed CPU-bound loop got from all the pool's workers in the same run,
+// which bounds the rows' own.
 //
 // Every run cross-checks that the concurrent batch reproduces the
 // sequential plans bit-for-bit (the service's determinism contract), so
@@ -299,6 +302,13 @@ int Run(int argc, char** argv) {
               serial.median, serial.Iqr(),
               1e3 * requests.size() / serial.median);
 
+  // What the box gives the run, beside the scaling rows it bounds.
+  const int host_workers = GlobalThreadCount();
+  const double host_speedup = HostParallelSpeedup(host_workers);
+  std::printf("host: %d pool workers ran %.2fx one worker's CPU-bound "
+              "loop\n",
+              host_workers, host_speedup);
+
   std::vector<ScalingPoint> points;
   bool identical = true;
   for (int workers : {1, 2, 4, 8}) {
@@ -346,6 +356,8 @@ int Run(int argc, char** argv) {
   std::fprintf(f, "  \"serial_iqr_ms\": %.3f,\n", serial.Iqr());
   std::fprintf(f, "  \"serial_requests_per_sec\": %.2f,\n",
                1e3 * requests.size() / serial.median);
+  std::fprintf(f, "  \"host_parallel_workers\": %d,\n", host_workers);
+  std::fprintf(f, "  \"host_parallel_speedup\": %.2f,\n", host_speedup);
   std::fprintf(f, "  \"scaling\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const ScalingPoint& p = points[i];

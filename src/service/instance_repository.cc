@@ -20,13 +20,18 @@ size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
   for (const graph::Edge& e : targets) {
     key += StrFormat("%u-%u;", e.u, e.v);
   }
-  auto [it, inserted] = ids_.try_emplace(std::move(key), groups_.size());
+  auto [it, inserted] = groups_.try_emplace(std::move(key));
+  Group& group = it->second;
   if (inserted) {
-    Group& group = groups_.emplace_back();
     group.problem.targets = targets;
     group.problem.motif = motif;
+    group.key_bytes = it->first.size() + targets.size() * sizeof(graph::Edge);
   }
-  return it->second;
+  if (group.pin == kUnpinned) {
+    group.pin = pins_.size();
+    pins_.push_back(&*it);
+  }
+  return group.pin;
 }
 
 motif::IndexSnapshotMeta InstanceRepository::SnapshotMeta(
@@ -48,22 +53,14 @@ void InstanceRepository::WriteBack(const Group& group) {
   }
 }
 
-void InstanceRepository::BuildGroup(Group& group,
-                                    const CancellationToken* cancel) {
+Status InstanceRepository::BuildGroup(Group& group,
+                                      const CancellationToken* cancel) {
   builds_.fetch_add(1, std::memory_order_relaxed);
-  if (Status polled = PollCancellation(cancel, "repository:build");
-      !polled.ok()) {
-    group.status = std::move(polled);
-    return;
-  }
+  TPP_RETURN_IF_ERROR(PollCancellation(cancel, "repository:build"));
   const core::TppProblem& problem = group.problem;
   // The same check, and so the same status, as core::MakeInstance. It
   // runs before the store probe, which must not serve an invalid set.
-  if (Status valid = motif::ValidateTargetLinks(*base_, problem.targets);
-      !valid.ok()) {
-    group.status = std::move(valid);
-    return;
-  }
+  TPP_RETURN_IF_ERROR(motif::ValidateTargetLinks(*base_, problem.targets));
 
   if (store_ != nullptr) {
     Result<motif::IncidenceIndex> snapshot =
@@ -71,7 +68,7 @@ void InstanceRepository::BuildGroup(Group& group,
     if (snapshot.ok()) {
       if (snapshot->NumTargets() == problem.targets.size()) {
         group.index.emplace(std::move(*snapshot));
-        return;
+        return Status::Ok();
       }
       std::fprintf(stderr,
                    "tpp: warm store snapshot rejected at adoption (index "
@@ -92,73 +89,68 @@ void InstanceRepository::BuildGroup(Group& group,
   build_options.cancel = cancel;
   Result<motif::IncidenceIndex> index = motif::IncidenceIndex::BuildCached(
       *base_, problem.targets, problem.motif, link_instances_, build_options);
-  if (!index.ok()) {
-    group.status = index.status();
-    return;
-  }
+  if (!index.ok()) return index.status();
   group.index.emplace(std::move(*index));
   if (store_ != nullptr) WriteBack(group);
+  return Status::Ok();
 }
 
 Result<IndexedEngine> InstanceRepository::AcquireEngine(
     size_t group_id, const CancellationToken* cancel) {
-  Group& group = groups_[group_id];
+  Group& group = pins_[group_id]->second;
+  acquisitions_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(group.build_mu);
     group.last_use = use_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (!group.built) {
-      BuildGroup(group, cancel);
-      group.built = true;
+    if (!group.index) {
+      TPP_RETURN_IF_ERROR(BuildGroup(group, cancel));
       Recharge(group);
-    }
-    const StatusCode code = group.status.code();
-    if (code == StatusCode::kAborted || code == StatusCode::kDeadlineExceeded) {
-      // The build died on THIS caller's clock, not on anything intrinsic
-      // to the group — memoizing it would poison every later acquirer
-      // (including ones with generous deadlines). Hand the failure to
-      // this caller only and return the group to unbuilt so the next
-      // acquirer rebuilds under its own token.
-      Status failed = group.status;
-      ResetGroup(group);
-      acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      return failed;
     }
   }
   // Past the gate the group and the base are immutable until the next
   // ApplyEdit (which never overlaps acquisitions), so the copies run
   // unlocked.
-  acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  if (!group.status.ok()) return group.status;
   return IndexedEngine::Adopt(*base_, group.problem, *group.index);
 }
 
-void InstanceRepository::ResetGroup(Group& group) {
-  group.built = false;
-  group.status = Status::Ok();
-  group.index.reset();
-  Recharge(group);
-}
-
 void InstanceRepository::Recharge(Group& group) {
-  const size_t bytes = group.index ? group.index->MemoryBytes() : 0;
+  const size_t bytes =
+      group.index ? group.index->MemoryBytes() + group.key_bytes : 0;
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   resident_bytes_.fetch_sub(group.bytes, std::memory_order_relaxed);
   group.bytes = bytes;
 }
 
+InstanceRepository::Table::iterator InstanceRepository::Erase(
+    Table::iterator it) {
+  resident_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
+  return groups_.erase(it);
+}
+
+void InstanceRepository::ReleasePins() {
+  // Only Intern adds groups, and it pins them, so every unbuilt group
+  // is pinned.
+  for (Table::value_type* entry : pins_) {
+    entry->second.pin = kUnpinned;
+    if (!entry->second.index) groups_.erase(groups_.find(entry->first));
+  }
+  pins_.clear();
+}
+
 void InstanceRepository::Trim() {
+  ReleasePins();
   if (ResidentBytes() <= max_bytes_) return;
-  std::vector<Group*> resident;
-  for (Group& group : groups_) {
-    if (group.bytes > 0) resident.push_back(&group);
+  std::vector<Table::iterator> resident;
+  for (auto it = groups_.begin(); it != groups_.end(); ++it) {
+    resident.push_back(it);
   }
   std::sort(resident.begin(), resident.end(),
-            [](const Group* a, const Group* b) {
-              return a->last_use < b->last_use;
+            [](Table::iterator a, Table::iterator b) {
+              return a->second.last_use < b->second.last_use;
             });
-  for (Group* group : resident) {
+  for (Table::iterator it : resident) {
     if (ResidentBytes() <= max_bytes_) break;
-    ResetGroup(*group);
+    Erase(it);
     ++evictions_;
   }
 }
@@ -166,6 +158,7 @@ void InstanceRepository::Trim() {
 void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
                                    uint64_t new_fingerprint) {
   base_fingerprint_ = new_fingerprint;
+  ReleasePins();
   if (delta.empty()) return;
   // Every cached list is a base-graph enumeration; the base just changed.
   link_instances_.Clear();
@@ -174,9 +167,8 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
   for (const graph::Edge& e : delta.inserted) touched.push_back(e.Key());
   for (const graph::Edge& e : delta.removed) touched.push_back(e.Key());
   std::sort(touched.begin(), touched.end());
-  for (Group& group : groups_) {
-    std::lock_guard<std::mutex> lock(group.build_mu);
-    if (!group.built) continue;  // will build against the edited base
+  for (auto it = groups_.begin(); it != groups_.end();) {
+    Group& group = it->second;
     bool hits_target = false;
     for (const graph::Edge& t : group.problem.targets) {
       if (std::binary_search(touched.begin(), touched.end(), t.Key())) {
@@ -184,10 +176,9 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
         break;
       }
     }
-    if (hits_target || !group.status.ok()) {
-      // The edit changed the problem (or may have cured a memoized build
-      // failure): back to unbuilt, next acquisition cold-builds.
-      ResetGroup(group);
+    if (hits_target) {
+      // The edit changed the problem: the next interning cold-builds.
+      it = Erase(it);
       ++edit_resets_;
       continue;
     }
@@ -202,7 +193,7 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
                    "tpp: in-place instance repair failed (%s); group will "
                    "cold-rebuild\n",
                    repaired.ToString().c_str());
-      ResetGroup(group);
+      it = Erase(it);
       ++edit_resets_;
       continue;
     }
@@ -211,6 +202,7 @@ void InstanceRepository::ApplyEdit(const graph::GraphDelta& delta,
     // Re-home the snapshot under the post-edit fingerprint so the NEXT
     // process start warm-loads the repaired index.
     if (store_ != nullptr) WriteBack(group);
+    ++it;
   }
 }
 

@@ -34,27 +34,25 @@
 // committed base-graph edit by repairing its index IN PLACE against the
 // edited base (IncidenceIndex::ApplyGraphDelta — O(delta-neighborhood),
 // not a re-enumeration), so churn-then-solve workloads never pay a cold
-// build for untouched instances. Build errors (e.g. a target link absent
-// from the base) are memoized per group so every member request reports
-// the same status a standalone run would (the same statuses
-// core::MakeInstance returns).
+// build for untouched instances.
 //
-// Built groups are bounded: each is charged the bytes of its index
-// (ResidentBytes), and Trim — which RunBatch calls on an external
-// repository once the batch's last engine is gone — evicts the least
-// recently acquired groups until the charge is back under the cap
-// (kMaxBytes unless the constructor says otherwise). An evicted group
-// returns to the unbuilt state and keeps only its key, so memory per
-// distinct target set is that O(|T|) key once evicted. Its next
-// acquisition rebuilds it (or re-adopts its warm-store snapshot), and
-// responses are byte-identical either way; ApplyEdit skips it like any
-// unbuilt group.
+// A group is built (it holds an index) or absent: the table holds the
+// built groups plus the ones the running batch pinned by interning them.
+// A failed build (a target link absent from the base: the statuses
+// core::MakeInstance returns; or the acquirer's own deadline) fails that
+// acquirer alone and leaves the group unbuilt: the next acquirer builds
+// again, and a deterministic failure returns the same status. The plan
+// cache and dedup memoize failed responses.
+// Built groups are charged their index, key and target bytes, and Trim
+// (RunBatch calls it on an external repository after the batch) erases
+// unbuilt groups, then least recently acquired ones past the cap. An
+// evicted or edit-reset group leaves nothing behind; named again, it
+// rebuilds (or re-adopts its warm-store snapshot), byte-identically.
 
 #ifndef TPP_SERVICE_INSTANCE_REPOSITORY_H_
 #define TPP_SERVICE_INSTANCE_REPOSITORY_H_
 
 #include <atomic>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -78,8 +76,8 @@ class WarmStore;
 
 class InstanceRepository {
  public:
-  /// Default cap on ResidentBytes() between batches. A group is charged
-  /// its index alone, which follows its instance count and not the graph:
+  /// Default cap on ResidentBytes() between batches. A group's charge
+  /// follows its instance and target counts, not the graph:
   /// a 1-3-link group on a 10^5-node Holme-Kim graph takes a few hundred
   /// bytes to a few KB, so the cap binds only on large target sets (an
   /// index of 10^6 interned keys takes tens of MB).
@@ -117,21 +115,16 @@ class InstanceRepository {
   InstanceRepository(const InstanceRepository&) = delete;
   InstanceRepository& operator=(const InstanceRepository&) = delete;
 
-  /// Interns (targets, motif) and returns its group id; the same pair
-  /// always returns the same id. Not thread-safe — call from the
-  /// single-threaded group-by stage of the pipeline.
+  /// Interns (targets, motif), pins its group and returns its id, which
+  /// is valid (and the pair's id) until the next Trim or ApplyEdit. Not
+  /// thread-safe — call from the single-threaded group-by stage.
   size_t Intern(const std::vector<graph::Edge>& targets,
                 motif::MotifKind motif);
 
-  /// Builds the group's IncidenceIndex from the base on first call
+  /// Builds the group's IncidenceIndex from the base unless it is built
   /// (thread-safe build-once) and returns a private engine over a copy of
-  /// it and of the base minus the targets. Build errors are memoized:
-  /// every acquirer of a failed group gets the same status — EXCEPT
-  /// cancellation/deadline failures (kAborted, kDeadlineExceeded from
-  /// `cancel`, polled at the build's internal stage boundaries). Those
-  /// depend on the requesting caller's clock, not the group, so the group
-  /// resets to unbuilt and the next acquirer rebuilds under its own
-  /// deadline.
+  /// it and of the base minus the targets. A failed build (`cancel` is
+  /// polled at its stage boundaries) leaves the group unbuilt.
   Result<core::IndexedEngine> AcquireEngine(
       size_t group, const CancellationToken* cancel = nullptr);
 
@@ -139,36 +132,33 @@ class InstanceRepository {
   /// SerializeDeletionPlan need beside the engine. Immutable once
   /// interned, so safe to read concurrently.
   const core::TppProblem& instance(size_t group) const {
-    return groups_[group].problem;
+    return pins_[group]->second.problem;
   }
 
   /// The group's index; valid only after AcquireEngine(group) returned
-  /// OK, and until the next ApplyEdit or Trim (either may evict, reset or
+  /// OK, and until the next ApplyEdit or Trim (either may evict, erase or
   /// repair the group). Immutable in between, so safe to read
   /// concurrently.
   const motif::IncidenceIndex& index(size_t group) const {
-    return *groups_[group].index;
+    return *pins_[group]->second.index;
   }
 
-  /// Distinct (targets, motif) groups interned.
+  /// Groups in the table: the built ones plus the running batch's pins.
   size_t NumGroups() const { return groups_.size(); }
 
-  /// Group builds performed: one per acquisition of an unbuilt group, so
-  /// a group evicted or reset and then acquired again builds again.
+  /// Group builds attempted: one per acquisition of an unbuilt group.
   size_t NumBuilds() const {
     return builds_.load(std::memory_order_relaxed);
   }
 
-  /// Evicts least recently acquired built groups until ResidentBytes()
-  /// is at most the cap; each evicted group returns to the unbuilt state
-  /// and keeps only its key. NOT thread-safe against AcquireEngine, and
-  /// it ends the life of every index() reference it evicts: call
-  /// between batches, after the last engine is gone (RunBatch does so on
-  /// an external repository).
+  /// Unpins every group, erases the unbuilt ones, then erases least
+  /// recently acquired ones until ResidentBytes() is at most the cap. NOT
+  /// thread-safe against AcquireEngine: call between batches, after the
+  /// last engine is gone (RunBatch does so on an external repository).
   void Trim();
 
-  /// Bytes charged to the built groups now: the sum of their
-  /// IncidenceIndex::MemoryBytes() (a group holds no graph).
+  /// Bytes charged to the built groups now: their indexes'
+  /// MemoryBytes() plus their key and target bytes.
   size_t ResidentBytes() const {
     return resident_bytes_.load(std::memory_order_relaxed);
   }
@@ -194,17 +184,13 @@ class InstanceRepository {
     return acquisitions_.load(std::memory_order_relaxed);
   }
 
-  /// Advances every group across a committed base-graph edit. The caller
-  /// has already applied `delta` to the base graph this repository points
-  /// at; `new_fingerprint` is the post-edit graph::Fingerprint (the key
-  /// future snapshot probes and write-backs use). Per group:
-  ///   * unbuilt groups, evicted ones included, are untouched — counted
-  ///     neither repaired nor reset; their eventual build reads the
-  ///     edited base;
-  ///   * groups whose TARGET links intersect the delta are reset to
-  ///     unbuilt (the edit changed the problem itself, so the next
-  ///     acquisition cold-builds), as are groups holding a memoized build
-  ///     error (the edit may have cured it);
+  /// Advances every built group across a committed base-graph edit. The
+  /// caller has already applied `delta` to the base graph this repository
+  /// points at; `new_fingerprint` is the post-edit graph::Fingerprint (the
+  /// key future snapshot probes and write-backs use). It first unpins and
+  /// erases unbuilt groups like Trim. Per built group:
+  ///   * groups whose TARGET links intersect the delta are reset: erased,
+  ///     since the edit changed the problem itself;
   ///   * every other built group's index is repaired in place against
   ///     the edited base (IncidenceIndex::ApplyGraphDelta, which drops
   ///     created instances holding a target link), after which engines
@@ -220,28 +206,27 @@ class InstanceRepository {
   /// Built groups ApplyEdit repaired in place (cumulative).
   size_t NumEditRepairs() const { return edit_repairs_; }
 
-  /// Built groups ApplyEdit reset for a cold rebuild (cumulative).
+  /// Built groups ApplyEdit reset (erased) (cumulative).
   size_t NumEditResets() const { return edit_resets_; }
 
  private:
   struct Group {
     core::TppProblem problem;
-    // Build-once gate; a mutex + flag rather than a once_flag so
-    // ApplyEdit can RESET a group back to unbuilt.
-    std::mutex build_mu;
-    bool built = false;  // guarded by build_mu
-    Status status = Status::Ok();
-    // Set in a built, OK group.
+    std::mutex build_mu;  // build-once gate
+    // Set iff the group is built; guarded by build_mu.
     std::optional<motif::IncidenceIndex> index;
-    // What this group adds to resident_bytes_ (0 while unbuilt).
-    size_t bytes = 0;
-    // use_clock_ at the group's last acquisition; Trim evicts the
-    // smallest first. Written under build_mu, read by Trim.
+    size_t key_bytes = 0;  // its key and targets, charged while built
+    size_t bytes = 0;  // its share of resident_bytes_ (0 while unbuilt)
+    // use_clock_ at its last acquisition (Trim evicts the smallest
+    // first); written under build_mu.
     uint64_t last_use = 0;
+    size_t pin = kUnpinned;  // its id in pins_
   };
+  static constexpr size_t kUnpinned = ~size_t{0};
+  using Table = std::unordered_map<std::string, Group>;
 
   /// The build-once body: try the store, else cold-build + write back.
-  void BuildGroup(Group& group, const CancellationToken* cancel);
+  Status BuildGroup(Group& group, const CancellationToken* cancel);
 
   /// The store key of `group`'s index under the current fingerprint.
   motif::IndexSnapshotMeta SnapshotMeta(const Group& group) const;
@@ -250,12 +235,15 @@ class InstanceRepository {
   /// or I/O error is warned, never returned (the store counts it).
   void WriteBack(const Group& group);
 
-  /// Returns `group` to the unbuilt state; the next acquisition rebuilds.
-  void ResetGroup(Group& group);
-
   /// Re-charges `group`'s bytes to resident_bytes_ after its index
   /// changed.
   void Recharge(Group& group);
+
+  /// Unpins every group and erases the unbuilt ones.
+  void ReleasePins();
+
+  /// Uncharges and erases one table entry; returns the next.
+  Table::iterator Erase(Table::iterator it);
 
   const graph::Graph* base_;
   const size_t max_bytes_;
@@ -264,10 +252,9 @@ class InstanceRepository {
   int build_threads_ = 0;
   store::WarmStore* store_ = nullptr;  // not owned
   uint64_t base_fingerprint_ = 0;
-  // deque: push_back never moves existing groups, so build mutexes and
-  // handed-out problem references stay valid as interning continues.
-  std::deque<Group> groups_;
-  std::unordered_map<std::string, size_t> ids_;
+  // Key -> group; node-based, so groups stay put as the table grows.
+  Table groups_;
+  std::vector<Table::value_type*> pins_;  // the batch's groups, by id
   std::atomic<size_t> builds_{0};
   std::atomic<size_t> acquisitions_{0};
   std::atomic<size_t> resident_bytes_{0};

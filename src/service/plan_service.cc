@@ -188,6 +188,7 @@ std::vector<PlanResponse> PlanService::RunPipeline(
   if (options.store != nullptr) {
     repository.set_store(options.store, fingerprint_);
   }
+  std::unordered_set<size_t> interned;  // group ids
   for (Unit& unit : units) {
     const PlanRequest& request = requests[unit.index];
     PlanResponse& response = responses[unit.index];
@@ -205,7 +206,9 @@ std::vector<PlanResponse> PlanService::RunPipeline(
       response.targets = request.targets;
     }
     unit.group = repository.Intern(response.targets, request.motif);
+    interned.insert(unit.group);
   }
+  stats.instance_groups = interned.size();
 
   // -- Stages 5-8: build-once, solve, serialize, cache-fill, deliver.
   // ParallelFor hands units to up to max_workers workers, the calling
@@ -261,11 +264,10 @@ std::vector<PlanResponse> PlanService::RunPipeline(
         }
       });
   deliver_ready();
-  // Every engine of this batch is gone: bring a repository that outlives
-  // the batch back under its byte cap.
+  // Every engine of this batch is gone: unpin the batch's groups of a
+  // repository that outlives it and bring it back under its byte cap.
   if (options.repository != nullptr) repository.Trim();
 
-  stats.instance_groups = repository.NumGroups();
   stats.instance_builds = repository.NumBuilds() - builds_before;
   for (const PlanResponse& response : responses) {
     if (response.status.code() == StatusCode::kDeadlineExceeded) {

@@ -16,10 +16,11 @@
 //                   once and share the response
 //   group-by-instance — requests with the same (targets, motif) share one
 //                   IncidenceIndex build (instance_repository.h)
-//   build-once / solve / serialize — build each group once, hand every
-//                   request a private IndexedEngine over copies of its
-//                   index and of the base minus its targets, run the
-//                   spec'd solver, serialize the plan
+//   build-once / solve / serialize — build each group once (a failed
+//                   build fails its own acquirer and the next one tries
+//                   again), hand every request a private IndexedEngine
+//                   over copies of its index and of the base minus its
+//                   targets, run the spec'd solver, serialize the plan
 //   cache-fill    — insert fresh responses into the cache
 //
 // Every stage is a pure optimization: responses are bit-identical to a
@@ -111,8 +112,8 @@ struct PlanResponse {
 };
 
 /// Counters one pipeline run fills when BatchOptions::stats is set: what
-/// the pipeline decided, plus the repository's builds and groups (a
-/// batch-local repository reports them nowhere else). Store events are
+/// the pipeline decided, plus the groups it interned and the builds it
+/// ran (a batch-local repository reports them nowhere else). Store events are
 /// the store's own count (WarmStore::stats()). Every request is accounted
 /// exactly once among cache_hits, dedup_shared, and solved.
 struct BatchStats {
@@ -120,7 +121,7 @@ struct BatchStats {
   size_t cache_hits = 0;      ///< served straight from the PlanCache
   size_t dedup_shared = 0;    ///< shared an in-batch representative's work
   size_t solved = 0;          ///< executed by the solve stage (incl. failures)
-  size_t instance_groups = 0; ///< distinct (targets, motif) groups solved
+  size_t instance_groups = 0; ///< distinct (targets, motif) groups interned
   size_t instance_builds = 0; ///< group index builds performed
   /// Requests whose response is kDeadlineExceeded (their own deadline_ms
   /// or the batch deadline fired). Dedup followers of an expired
@@ -154,8 +155,9 @@ struct BatchOptions {
   /// instead of re-enumerating — the stats report builds performed BY
   /// THIS RUN, so a fully warm batch shows instance_builds == 0. The
   /// pipeline (re)applies its build-thread budget and store attachment on
-  /// every run, and ends it with InstanceRepository::Trim, which evicts
-  /// least recently acquired groups past the repository's byte cap.
+  /// every run, and ends it with InstanceRepository::Trim, which erases
+  /// the unbuilt groups and the least recently acquired ones past the
+  /// repository's byte cap.
   InstanceRepository* repository = nullptr;
   /// Optional out-param for pipeline counters.
   BatchStats* stats = nullptr;
@@ -177,7 +179,7 @@ struct EditSummary {
   size_t cache_rekeyed = 0;      ///< cache entries surviving under the new fp
   size_t cache_invalidated = 0;  ///< cache entries dropped by the edit
   size_t groups_repaired = 0;    ///< repository groups repaired in place
-  size_t groups_reset = 0;       ///< repository groups reset for cold rebuild
+  size_t groups_reset = 0;       ///< built groups erased for a cold rebuild
 };
 
 /// Streaming delivery callback: invoked once per request, in input order,
@@ -236,7 +238,7 @@ class PlanService {
   ///   * `repository` (if given): built instance groups are repaired in
   ///     place around the delta neighborhood instead of re-enumerated
   ///     (InstanceRepository::ApplyEdit); only groups whose target links
-  ///     the edit touches reset to a cold build.
+  ///     the edit touches are erased, to cold-build when next named.
   /// On a delta that fails validation (an absent removal, a present
   /// insertion) nothing changes and the error is returned. Must not run
   /// concurrently with RunBatch — edits sit between batches. The

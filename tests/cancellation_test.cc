@@ -351,9 +351,8 @@ TEST(BuildStageCancellationTest, CanceledBuildIsNotMemoizedByTheRepository) {
   EXPECT_EQ(aborted.status().code(), StatusCode::kAborted)
       << aborted.status().ToString();
 
-  // A deterministic build error would be memoized for every later
-  // acquirer; a cancellation must not be — the group resets and the next
-  // acquisition (no token) builds cleanly.
+  // The cancellation fails this acquirer alone: the group stays unbuilt
+  // and the next acquisition (no token) builds cleanly.
   Result<core::IndexedEngine> rebuilt = repository.AcquireEngine(group);
   EXPECT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(repository.NumAcquisitions(), 2u);

@@ -319,11 +319,6 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
     request.seed = 100 + i;
     requests.push_back(std::move(request));
   }
-  std::vector<size_t> groups;
-  for (const PlanRequest& request : requests) {
-    groups.push_back(repository.Intern(request.targets, request.motif));
-  }
-
   BatchOptions options;
   options.repository = &repository;
   std::vector<PlanResponse> responses = service.RunBatch(requests, options);
@@ -344,9 +339,15 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
       return false;
     };
     // Groups built OK whose targets the edit leaves alone are the ones
-    // the repository must repair rather than reset.
-    std::vector<bool> repairable(repository.NumGroups(), false);
+    // the repository must repair rather than reset. The batch's Trim
+    // voided its group ids, and the table now holds the built groups
+    // alone; interning again pins them (the ids last until the edit).
+    const size_t built = repository.NumGroups();
+    std::vector<size_t> groups;
+    std::vector<bool> repairable(requests.size(), false);
     for (size_t i = 0; i < requests.size(); ++i) {
+      groups.push_back(
+          repository.Intern(requests[i].targets, requests[i].motif));
       repairable[groups[i]] =
           responses[i].status.ok() && !touches(requests[i].targets);
     }
@@ -356,8 +357,8 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
     const size_t expected_repairs = static_cast<size_t>(
         std::count(repairable.begin(), repairable.end(), true));
     EXPECT_EQ(summary->groups_repaired, expected_repairs);
-    EXPECT_EQ(summary->groups_reset,
-              repository.NumGroups() - expected_repairs);
+    EXPECT_EQ(summary->groups_reset, built - expected_repairs);
+    EXPECT_EQ(repository.NumGroups(), expected_repairs);
     repairs_seen += summary->groups_repaired;
     resets_seen += summary->groups_reset;
 
@@ -366,8 +367,8 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
       Result<core::TppInstance> cold = core::MakeInstance(
           service.base(), requests[i].targets, requests[i].motif);
       ASSERT_TRUE(cold.ok());
-      Result<core::IndexedEngine> engine =
-          repository.AcquireEngine(groups[i]);
+      Result<core::IndexedEngine> engine = repository.AcquireEngine(
+          repository.Intern(requests[i].targets, requests[i].motif));
       ASSERT_TRUE(engine.ok()) << requests[i].name;
       EXPECT_EQ(engine->CurrentGraph(), cold->released) << requests[i].name;
     }

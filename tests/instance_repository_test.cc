@@ -1,11 +1,14 @@
-// The instance repository's byte cap: Trim evicts least recently acquired
-// groups, an evicted group keeps only its key and rebuilds on its next
-// acquisition, ApplyEdit skips it, and no response byte depends on any of
-// this — a repository under a tiny cap answers a random script of
-// requests and edits exactly like an uncapped one, at 1 and 4 workers.
+// The instance repository's byte cap: Trim erases least recently acquired
+// groups, an evicted or edit-reset group leaves nothing in the table and
+// rebuilds when it is interned and acquired again, ApplyEdit never sees
+// it, and no response byte depends on any of this — a repository under a
+// tiny cap answers a random script of requests and edits exactly like an
+// uncapped one, at 1 and 4 workers, and its table never outgrows its
+// resident groups.
 
 #include <algorithm>
 #include <cstddef>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <string_view>
@@ -205,21 +208,32 @@ TEST(InstanceRepositoryCapTest, TrimKeepsTheMostRecentlyAcquiredGroup) {
   repository.Trim();
   EXPECT_EQ(repository.NumEvictions(), 1u);
   EXPECT_EQ(repository.ResidentBytes(), a_bytes);
-  ASSERT_TRUE(repository.AcquireEngine(a).ok());
+  EXPECT_EQ(repository.NumGroups(), 1u);  // B left nothing behind
+  // Trim voided both ids: intern again.
+  ASSERT_TRUE(repository
+                  .AcquireEngine(
+                      repository.Intern(Targets(0), MotifKind::kTriangle))
+                  .ok());
   EXPECT_EQ(repository.NumBuilds(), 2u);  // A survived: a copy, no build
-  ASSERT_TRUE(repository.AcquireEngine(b).ok());
+  ASSERT_TRUE(repository
+                  .AcquireEngine(
+                      repository.Intern(Targets(1), MotifKind::kTriangle))
+                  .ok());
   EXPECT_EQ(repository.NumBuilds(), 3u);  // B was evicted: it rebuilds
-  EXPECT_EQ(repository.NumGroups(), 2u);  // and kept its key
 }
 
 TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
   PlanService service(ScriptGraph());
   InstanceRepository repository(&service.base(),
                                 ChargeOf(service.base(), Targets(0)));
-  const size_t a = repository.Intern(Targets(0), MotifKind::kTriangle);
-  const size_t b = repository.Intern(Targets(1), MotifKind::kTriangle);
-  ASSERT_TRUE(repository.AcquireEngine(b).ok());
-  ASSERT_TRUE(repository.AcquireEngine(a).ok());
+  ASSERT_TRUE(repository
+                  .AcquireEngine(
+                      repository.Intern(Targets(1), MotifKind::kTriangle))
+                  .ok());
+  ASSERT_TRUE(repository
+                  .AcquireEngine(
+                      repository.Intern(Targets(0), MotifKind::kTriangle))
+                  .ok());
   repository.Trim();  // evicts B
   ASSERT_EQ(repository.NumEvictions(), 1u);
 
@@ -235,6 +249,8 @@ TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
 
   // B rebuilds on the edited base, A's repair is what a cold build gives,
   // and both engines derive the edited released graph from the base.
+  const size_t a = repository.Intern(Targets(0), MotifKind::kTriangle);
+  const size_t b = repository.Intern(Targets(1), MotifKind::kTriangle);
   Result<core::IndexedEngine> rebuilt = repository.AcquireEngine(b);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   EXPECT_EQ(repository.NumBuilds(), 3u);
@@ -255,8 +271,8 @@ TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
 }
 
 // A group builds from the base alone, yet a bad target set fails with
-// exactly the status core::MakeInstance returns for it, and every later
-// acquirer sees the same memoized status.
+// exactly the status core::MakeInstance returns for it, and a later
+// acquirer, building again, gets the same status.
 TEST(InstanceRepositoryTest, BuildErrorsMatchMakeInstance) {
   const Graph base = ScriptGraph();
   const Edge e = base.Edges()[7];
@@ -280,6 +296,7 @@ TEST(InstanceRepositoryTest, BuildErrorsMatchMakeInstance) {
     EXPECT_EQ(engine.status().ToString(), instance.status().ToString());
     EXPECT_EQ(repository.AcquireEngine(group).status().ToString(),
               instance.status().ToString());
+    EXPECT_EQ(repository.NumBuilds(), 2u);  // nothing memoized
   }
   InstanceRepository repository(&base);
   EXPECT_EQ(repository
@@ -296,27 +313,42 @@ TEST(InstanceRepositoryTest, BuildErrorsMatchMakeInstance) {
                       absent));
 }
 
-// ResidentBytes() is exactly what the built groups hold — the sum of
-// their indexes' MemoryBytes(), a group holding no graph — after builds,
-// after an edit repairs every group in place, and after Trim evicts.
+// ResidentBytes() is exactly what the built groups hold — per group the
+// MemoryBytes() of its index plus its key and target bytes, a group
+// holding no graph — after builds, after an edit repairs every group in
+// place, and after Trim evicts.
 TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
   PlanService service(ScriptGraph());
   const size_t one_group = ChargeOf(service.base(), Targets(2));
   // Room for one group, not two: Trim keeps only the newest.
   InstanceRepository repository(&service.base(), one_group * 3 / 2);
-  std::vector<size_t> groups;
   for (size_t first : {0, 1, 2}) {
-    groups.push_back(repository.Intern(Targets(first), MotifKind::kTriangle));
-    ASSERT_TRUE(repository.AcquireEngine(groups.back()).ok());
+    ASSERT_TRUE(repository
+                    .AcquireEngine(repository.Intern(Targets(first),
+                                                     MotifKind::kTriangle))
+                    .ok());
   }
-  auto held = [&](const std::vector<size_t>& built) {
+  // The index of the built Triangle group over Targets(first).
+  auto index_of = [&](size_t first) -> const motif::IncidenceIndex& {
+    return repository.index(
+        repository.Intern(Targets(first), MotifKind::kTriangle));
+  };
+  // Its charge: the index, the key ("<motif>|", then "u-v;" per target)
+  // and the targets.
+  auto held = [&](std::initializer_list<size_t> built) {
     size_t bytes = 0;
-    for (size_t group : built) {
-      bytes += repository.index(group).MemoryBytes();
+    for (size_t first : built) {
+      std::string key =
+          StrFormat("%d|", static_cast<int>(MotifKind::kTriangle));
+      for (const Edge& e : Targets(first)) {
+        key += StrFormat("%u-%u;", e.u, e.v);
+      }
+      bytes += index_of(first).MemoryBytes() + key.size() +
+               Targets(first).size() * sizeof(Edge);
     }
     return bytes;
   };
-  EXPECT_EQ(repository.ResidentBytes(), held(groups));
+  EXPECT_EQ(repository.ResidentBytes(), held({0, 1, 2}));
 
   // An insert closing a new triangle over the first group's first target
   // (u, v) adds an instance to its index, so its bytes change.
@@ -330,20 +362,125 @@ TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
     }
   }
   ASSERT_EQ(inserted.size(), 1u);
-  const size_t before = repository.index(groups[0]).MemoryBytes();
+  const size_t before = index_of(0).MemoryBytes();
   Result<GraphDelta> delta =
       graph::MakeGraphDelta(std::move(inserted), {base.Edges()[100]});
   ASSERT_TRUE(delta.ok());
   Result<EditSummary> summary =
       service.ApplyEdit(*delta, nullptr, &repository);
   ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_EQ(summary->groups_repaired, groups.size());
-  EXPECT_NE(repository.index(groups[0]).MemoryBytes(), before);
-  EXPECT_EQ(repository.ResidentBytes(), held(groups));
+  EXPECT_EQ(summary->groups_repaired, 3u);
+  EXPECT_NE(index_of(0).MemoryBytes(), before);
+  EXPECT_EQ(repository.ResidentBytes(), held({0, 1, 2}));
 
   repository.Trim();
   EXPECT_EQ(repository.NumEvictions(), 2u);
-  EXPECT_EQ(repository.ResidentBytes(), held({groups[2]}));
+  EXPECT_EQ(repository.NumGroups(), 1u);
+  EXPECT_EQ(repository.ResidentBytes(), held({2}));
+}
+
+// The plan text of one request through `repository`.
+std::string Answer(const PlanService& service, InstanceRepository& repository,
+                   const std::vector<Edge>& targets) {
+  PlanRequest request;
+  request.targets = targets;
+  request.spec.algorithm = "sgb";
+  request.spec.budget = 3;
+  BatchOptions options;
+  options.repository = &repository;
+  const std::vector<PlanResponse> responses =
+      service.RunBatch(std::vector<PlanRequest>{request}, options);
+  return responses[0].status.ToString() + "\n" + responses[0].plan_text;
+}
+
+// A key erased from the table — once by Trim's eviction, once by an edit
+// that touches its targets — is interned anew when named again, and it
+// answers byte-identically to a fresh repository over the same base.
+TEST(InstanceRepositoryCapTest, ReInternedKeyAnswersLikeAFreshRepository) {
+  PlanService service(ScriptGraph());
+  const std::vector<Edge> a = Targets(0);
+  const std::vector<Edge> b = Targets(1);
+  // Room for either group, not both.
+  InstanceRepository repository(
+      &service.base(),
+      std::max(ChargeOf(service.base(), a), ChargeOf(service.base(), b)));
+  auto fresh_answer = [&](const std::vector<Edge>& targets) {
+    InstanceRepository fresh(&service.base());
+    return Answer(service, fresh, targets);
+  };
+
+  // Eviction: B is newest, so A goes; then A comes back and B goes.
+  const std::string a_first = Answer(service, repository, a);
+  ASSERT_TRUE(a_first.starts_with("Ok\n")) << a_first;
+  Answer(service, repository, b);
+  ASSERT_EQ(repository.NumEvictions(), 1u);
+  ASSERT_EQ(repository.NumGroups(), 1u);
+  const size_t builds = repository.NumBuilds();
+  EXPECT_EQ(Answer(service, repository, a), a_first);
+  EXPECT_EQ(repository.NumBuilds(), builds + 1);
+  EXPECT_EQ(a_first, fresh_answer(a));
+
+  // Edit reset: removing A's last target erases A (it is resident now);
+  // the edit also inserts a link, and A named with the remaining targets
+  // is a new key that builds on the edited base.
+  ASSERT_EQ(repository.NumGroups(), 1u);
+  const Edge removed = a.back();
+  graph::NodeId far = 0;
+  while (far == removed.u || service.base().HasEdge(removed.u, far)) ++far;
+  Result<GraphDelta> delta = graph::MakeGraphDelta(
+      {Edge(std::min(removed.u, far), std::max(removed.u, far))}, {removed});
+  ASSERT_TRUE(delta.ok());
+  Result<EditSummary> summary = service.ApplyEdit(*delta, nullptr, &repository);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->groups_reset, 1u);
+  EXPECT_EQ(repository.NumGroups(), 0u);
+  EXPECT_EQ(repository.ResidentBytes(), 0u);
+  const std::vector<Edge> kept(a.begin(), a.end() - 1);
+  EXPECT_EQ(Answer(service, repository, kept), fresh_answer(kept));
+  // The erased key itself: its link is gone, so it fails exactly as a
+  // fresh repository's build does, and leaves the table as it found it.
+  const std::string gone = Answer(service, repository, a);
+  EXPECT_FALSE(gone.starts_with("Ok\n")) << gone;
+  EXPECT_EQ(gone, fresh_answer(a));
+  EXPECT_EQ(repository.NumGroups(), 1u);
+}
+
+// A long run of distinct target sets through RunBatch under a small cap:
+// after every batch the table holds exactly the resident groups and the
+// charge is within the cap, so the table does not grow with the number of
+// target sets ever named.
+TEST(InstanceRepositoryCapTest, DistinctTargetSetsKeepTheTableResident) {
+  PlanService service(ScriptGraph());
+  const std::vector<Edge> edges = service.base().Edges();
+  const size_t cap = 4 * ChargeOf(service.base(), Targets(0));
+  InstanceRepository repository(&service.base(), cap);
+  BatchOptions options;
+  options.repository = &repository;
+  Rng rng(20261019);
+  size_t requests = 0;
+  for (size_t batch = 0; batch < 250; ++batch) {
+    std::vector<PlanRequest> requests_of_batch;
+    for (size_t i = 0; i < 4; ++i, ++requests) {
+      PlanRequest request;
+      request.targets = rng.SampleK(edges, 2 + requests % 3);
+      request.spec.algorithm = "sgb";
+      request.spec.budget = 1;
+      requests_of_batch.push_back(std::move(request));
+    }
+    for (const PlanResponse& response :
+         service.RunBatch(requests_of_batch, options)) {
+      ASSERT_TRUE(response.status.ok()) << response.status;
+    }
+    ASSERT_LE(repository.ResidentBytes(), cap);
+    // Every set is new and builds, and only eviction takes a group out,
+    // so the groups resident are the builds less the evictions.
+    ASSERT_EQ(repository.NumBuilds(), requests);
+    ASSERT_EQ(repository.NumGroups(),
+              repository.NumBuilds() - repository.NumEvictions());
+    ASSERT_GT(repository.NumGroups(), 0u);
+  }
+  EXPECT_EQ(requests, 1000u);
+  EXPECT_GT(repository.NumEvictions(), 900u);
 }
 
 }  // namespace

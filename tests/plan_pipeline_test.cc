@@ -254,6 +254,31 @@ TEST(PlanPipelineTest, InstanceSharingBuildsOncePerGroup) {
   }
 }
 
+// With a repository carried across batches, instance_groups counts the
+// groups each run interned, not every group the repository ever held.
+TEST(PlanPipelineTest, InstanceGroupsCountsTheGroupsOfThisRun) {
+  PlanService plan_service(ArenasBase());
+  InstanceRepository repository(&plan_service.base());
+  BatchStats stats;
+  BatchOptions options;
+  options.repository = &repository;
+  options.stats = &stats;
+  std::vector<PlanRequest> requests(3);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].targets = {ArenasBase().Edges()[i % 2]};
+    requests[i].seed = i;
+  }
+  plan_service.RunBatch(requests, options);
+  EXPECT_EQ(stats.instance_groups, 2u);
+  EXPECT_EQ(stats.instance_builds, 2u);
+  requests.resize(1);
+  requests[0].targets = {ArenasBase().Edges()[7]};
+  plan_service.RunBatch(requests, options);
+  EXPECT_EQ(stats.instance_groups, 1u);
+  EXPECT_EQ(stats.instance_builds, 1u);
+  EXPECT_EQ(repository.NumGroups(), 3u);
+}
+
 TEST(PlanPipelineTest, FailuresStayIsolatedUnderSharingAndCache) {
   PlanService plan_service(ArenasBase());
   PlanRequest good;
@@ -310,7 +335,7 @@ TEST(PlanPipelineTest, EngineCloneIsIndependentOfPrototype) {
   EXPECT_TRUE(prototype.CurrentGraph().HasEdgeKey(candidates[0]));
 }
 
-TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
+TEST(PlanPipelineTest, InstanceRepositoryInternsAndRepeatsBuildErrors) {
   const Graph& base = ArenasBase();
   InstanceRepository repository(&base);
   std::vector<Edge> targets = {base.Edges()[0], base.Edges()[1]};
@@ -333,13 +358,15 @@ TEST(PlanPipelineTest, InstanceRepositoryInternsAndMemoizesErrors) {
   EXPECT_EQ(repository.NumAcquisitions(), 2u);
   EXPECT_EQ(first->TotalSimilarity(), second->TotalSimilarity());
 
-  // A group whose build fails reports the same error to every acquirer.
+  // A group whose build fails reports the same error to every acquirer:
+  // nothing is memoized, each acquirer builds again.
   size_t bad = repository.Intern({Edge(0, 1), Edge(0, 1)},
                                  motif::MotifKind::kTriangle);
   Result<IndexedEngine> e1 = repository.AcquireEngine(bad);
   Result<IndexedEngine> e2 = repository.AcquireEngine(bad);
   EXPECT_FALSE(e1.ok());
   EXPECT_EQ(e1.status().ToString(), e2.status().ToString());
+  EXPECT_EQ(repository.NumBuilds(), 3u);
 }
 
 }  // namespace

@@ -165,17 +165,18 @@ TEST(WarmStartBatchTest, RestartResponsesAreByteIdentical) {
   }
 }
 
-// An evicted group keeps only its key; its next acquisition re-adopts the
-// snapshot its cold build wrote back — a store hit, not a second cold
-// build (no link-cache enumeration, no second write).
+// An evicted group leaves the table; interned and acquired again, it
+// re-adopts the snapshot its cold build wrote back — a store hit, not a
+// second cold build (no link-cache enumeration, no second write).
 TEST(WarmStartRepositoryTest, EvictedGroupReadoptsItsSnapshot) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kRectangle, 20);
   const std::string dir = TempStoreDir("evicted_readopts");
   std::unique_ptr<WarmStore> store = WarmStore::Open(dir).value();
   InstanceRepository repository(&ArenasBase(), /*max_bytes=*/0);
   repository.set_store(store.get(), MetaFor(inst).graph_fingerprint);
-  const size_t group = repository.Intern(inst.targets, inst.motif);
-  ASSERT_TRUE(repository.AcquireEngine(group).ok());
+  ASSERT_TRUE(
+      repository.AcquireEngine(repository.Intern(inst.targets, inst.motif))
+          .ok());
   EXPECT_EQ(store->stats().index_writes, 1u);
   const size_t misses = repository.NumLinkCacheMisses();
   EXPECT_GT(misses, 0u);
@@ -183,8 +184,10 @@ TEST(WarmStartRepositoryTest, EvictedGroupReadoptsItsSnapshot) {
   repository.Trim();
   EXPECT_EQ(repository.NumEvictions(), 1u);
   EXPECT_EQ(repository.ResidentBytes(), 0u);
+  EXPECT_EQ(repository.NumGroups(), 0u);
 
-  Result<core::IndexedEngine> engine = repository.AcquireEngine(group);
+  Result<core::IndexedEngine> engine =
+      repository.AcquireEngine(repository.Intern(inst.targets, inst.motif));
   ASSERT_TRUE(engine.ok()) << engine.status();
   EXPECT_EQ(store->stats().index_hits, 1u);
   EXPECT_EQ(store->stats().index_writes, 1u);

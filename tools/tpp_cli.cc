@@ -225,8 +225,9 @@ void PrintStoreStats(const service::store::WarmStore& store,
   }
 }
 
-// The repository footer of `batch` and `serve`: the repository's own
-// counts for this process.
+// The repository footer of `batch` and `serve`: the groups resident at
+// exit (built ones; evicted and edit-reset groups are gone), their bytes,
+// and the evictions over the process.
 void PrintRepositoryStats(const service::InstanceRepository& repository) {
   std::printf("instance repository: %zu groups, %zu bytes resident, "
               "%zu evictions\n",
@@ -489,7 +490,9 @@ int RunBatch(const ParsedArgs& args) {
       }
     }
     stats.dedup_shared += step_stats.dedup_shared;
-    stats.instance_groups = step_stats.instance_groups;  // cumulative total
+    // Groups each step interned, summed: a group named by two steps
+    // counts twice.
+    stats.instance_groups += step_stats.instance_groups;
     stats.instance_builds += step_stats.instance_builds;
     if (step.edit.has_value()) {
       Result<service::EditSummary> summary =
