@@ -1,7 +1,8 @@
 // Warm-start benchmark: disk-backed store vs cold construction on the
 // Fig. 5 Arenas fixture. Emits BENCH_store_warmstart.json.
 //
-// Two comparisons:
+// Two comparisons and one info row, each recording its reps, median and
+// IQR:
 //   per-motif   — cold IncidenceIndex::Build vs WarmStore::LoadIndex of
 //                 the same index from its snapshot file (one mmap + header
 //                 validation + flat-array adoption). Every warm load is
@@ -13,6 +14,9 @@
 //                 fresh in-memory cache: snapshots adopt, plans replay
 //                 from the log). Responses are CHECKed byte-identical
 //                 through the plan codec.
+//   open        — WarmStore::Open over a plan log of closed segments: the
+//                 forward scan that rebuilds the key table at every
+//                 process start (info only, never gated).
 //
 // The JSON carries a "store_health" section — retry/degradation counters
 // summed over every store the bench opened, plus the TPP_FAULTS profile
@@ -21,12 +25,13 @@
 // (docs/ROBUSTNESS.md): retries must fire, degradations must stay zero,
 // and every bit-identity CHECK above must still hold.
 //
-// Flags: --quick (fewer repetitions, CI smoke mode), --threads=N (build
-//        thread budget for the cold side; default 1), --targets=N
-//        (protected edges per motif; default 1500 so even the cheapest
-//        cold build is well above the fixed mmap/validate overhead),
-//        --out=PATH (default BENCH_store_warmstart.json), --store-dir=DIR
-//        (scratch store location, recreated from empty each run).
+// Flags: --quick (fewer repetitions and a smaller plan log, CI smoke
+//        mode), --threads=N (build thread budget for the cold side;
+//        default 1), --targets=N (protected edges per motif; default 1500
+//        so even the cheapest cold build is well above the fixed
+//        mmap/validate overhead), --out=PATH (default
+//        BENCH_store_warmstart.json), --store-dir=DIR (scratch store
+//        location, recreated from empty each run).
 
 #include <algorithm>
 #include <cstdio>
@@ -38,7 +43,9 @@
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/strings.h"
 #include "common/timer.h"
+#include "harness_common.h"
 #include "core/problem.h"
 #include "graph/datasets.h"
 #include "graph/fingerprint.h"
@@ -67,16 +74,28 @@ struct MotifResult {
   std::string motif;
   size_t instances = 0;
   uint64_t snapshot_bytes = 0;
-  double cold_build_ms = 0;
-  double warm_load_ms = 0;
-  double speedup = 0;
+  size_t cold_reps = 0;
+  Spread cold_build_ms;
+  size_t warm_reps = 0;
+  Spread warm_load_ms;
+  double speedup = 0;  ///< median cold build / median warm load
 };
 
 struct BatchResult {
   size_t requests = 0;
-  double cold_ms = 0;
-  double warm_ms = 0;
-  double speedup = 0;
+  size_t reps = 0;
+  Spread cold_ms;
+  Spread warm_ms;
+  double speedup = 0;  ///< median cold / median warm
+};
+
+struct OpenResult {
+  size_t records = 0;
+  size_t payload_bytes = 0;  ///< per record
+  size_t segments = 0;
+  uint64_t log_bytes = 0;
+  size_t reps = 0;
+  Spread open_ms;
 };
 
 // Degradation counters accumulated across every store/cache the bench
@@ -133,15 +152,16 @@ MotifResult RunMotif(MotifKind kind, bool quick, int build_threads,
   out.instances = reference.instances().size();
 
   {
-    double total = 0;
+    std::vector<double> samples;
     for (size_t r = 0; r < cold_reps; ++r) {
       WallTimer timer;
       IncidenceIndex idx = *IncidenceIndex::Build(
           inst.released, inst.targets, inst.motif, options);
-      total += timer.Millis();
+      samples.push_back(timer.Millis());
       TPP_CHECK_EQ(idx.TotalAlive(), reference.TotalAlive());
     }
-    out.cold_build_ms = total / static_cast<double>(cold_reps);
+    out.cold_reps = cold_reps;
+    out.cold_build_ms = SpreadOf(std::move(samples));
   }
 
   motif::IndexSnapshotMeta meta;
@@ -161,20 +181,22 @@ MotifResult RunMotif(MotifKind kind, bool quick, int build_threads,
   }
 
   {
-    double total = 0;
+    std::vector<double> samples;
     for (size_t r = 0; r < warm_reps; ++r) {
       WallTimer timer;
       Result<IncidenceIndex> idx = store->LoadIndex(meta);
       TPP_CHECK(idx.ok());
-      total += timer.Millis();
+      samples.push_back(timer.Millis());
       // Bit-identity every rep: the warm path must reproduce the cold
       // build exactly, not approximately.
       TPP_CHECK(idx->BitIdentical(reference));
     }
-    out.warm_load_ms = total / static_cast<double>(warm_reps);
+    out.warm_reps = warm_reps;
+    out.warm_load_ms = SpreadOf(std::move(samples));
   }
-  out.speedup =
-      out.warm_load_ms > 0 ? out.cold_build_ms / out.warm_load_ms : 0;
+  out.speedup = out.warm_load_ms.median > 0
+                    ? out.cold_build_ms.median / out.warm_load_ms.median
+                    : 0;
   AbsorbStoreStats(*store);
   return out;
 }
@@ -197,15 +219,16 @@ std::vector<service::PlanRequest> MakeBatch() {
   return requests;
 }
 
-BatchResult RunBatchComparison(const std::string& store_dir) {
+BatchResult RunBatchComparison(const std::string& store_dir, size_t reps) {
   Result<graph::Graph> g = graph::MakeArenasEmailLike(1);
   TPP_CHECK(g.ok());
   service::PlanService plan_service(*g);
   const std::vector<service::PlanRequest> requests = MakeBatch();
   BatchResult out;
   out.requests = requests.size();
+  out.reps = reps;
 
-  const auto run = [&](double* ms) {
+  const auto run = [&](std::vector<double>* ms) {
     // A fresh WarmStore + PlanCache per run models a process restart: all
     // in-memory state is gone, only the store directory carries over.
     std::unique_ptr<WarmStore> store = WarmStore::Open(store_dir).value();
@@ -217,33 +240,94 @@ BatchResult RunBatchComparison(const std::string& store_dir) {
     WallTimer timer;
     std::vector<service::PlanResponse> responses =
         plan_service.RunBatch(requests, options);
-    *ms = timer.Millis();
+    ms->push_back(timer.Millis());
     AbsorbStoreStats(*store);
     g_health.backing_write_failures += cache.stats().backing_write_failures;
     return responses;
   };
 
-  double cold_ms = 0, warm_ms = 0;
-  std::vector<service::PlanResponse> cold = run(&cold_ms);
-  std::vector<service::PlanResponse> warm = run(&warm_ms);
-  TPP_CHECK_EQ(cold.size(), warm.size());
-  for (size_t i = 0; i < cold.size(); ++i) {
-    TPP_CHECK(cold[i].status.ok());
-    TPP_CHECK(warm[i].status.ok());
-    // The codec covers every persisted response field (from_cache is
-    // transient by design), so equal encodings mean byte-identical plans.
-    TPP_CHECK(service::store::EncodePlanResponse(cold[i]) ==
-              service::store::EncodePlanResponse(warm[i]));
+  std::vector<double> cold_ms, warm_ms;
+  for (size_t r = 0; r < reps; ++r) {
+    std::error_code ec;
+    std::filesystem::remove_all(store_dir, ec);
+    std::vector<service::PlanResponse> cold = run(&cold_ms);
+    std::vector<service::PlanResponse> warm = run(&warm_ms);
+    TPP_CHECK_EQ(cold.size(), warm.size());
+    for (size_t i = 0; i < cold.size(); ++i) {
+      TPP_CHECK(cold[i].status.ok());
+      TPP_CHECK(warm[i].status.ok());
+      // The codec covers every persisted response field (from_cache is
+      // transient by design), so equal encodings mean byte-identical
+      // plans.
+      TPP_CHECK(service::store::EncodePlanResponse(cold[i]) ==
+                service::store::EncodePlanResponse(warm[i]));
+    }
   }
-  out.cold_ms = cold_ms;
-  out.warm_ms = warm_ms;
-  out.speedup = warm_ms > 0 ? cold_ms / warm_ms : 0;
+  out.cold_ms = SpreadOf(std::move(cold_ms));
+  out.warm_ms = SpreadOf(std::move(warm_ms));
+  out.speedup =
+      out.warm_ms.median > 0 ? out.cold_ms.median / out.warm_ms.median : 0;
+  return out;
+}
+
+// Writes `records` plan records of `record_bytes` payload each, under
+// distinct keys shaped like PlanCache keys, then times reopening the
+// store. The log rolls over at the default segment size, so every segment
+// but the last is closed.
+OpenResult RunOpen(const std::string& store_dir, size_t records,
+                   size_t record_bytes, size_t reps) {
+  service::store::StoreOptions options;
+  // The row appends thousands of records; under a fault-armed run, a
+  // deep retry schedule keeps a streak of transient faults from dropping
+  // one (which would read as a degradation of the store, not of the row).
+  options.retry.max_attempts = 8;
+  OpenResult out;
+  out.records = records;
+  out.payload_bytes = record_bytes;
+  out.reps = reps;
+  {
+    std::unique_ptr<WarmStore> store =
+        WarmStore::Open(store_dir, options).value();
+    std::string payload(record_bytes, 'p');
+    for (size_t i = 0; i < records; ++i) {
+      const std::string key = StrFormat(
+          "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|seed=%zu|"
+          "budget=10|links=%zu-%zu",
+          0x5eedULL, i, i, i + 1);
+      TPP_CHECK(store->AppendPlan(key, payload).ok());
+    }
+    AbsorbStoreStats(*store);
+  }
+  std::vector<double> samples;
+  for (size_t r = 0; r < reps; ++r) {
+    WallTimer timer;
+    std::unique_ptr<WarmStore> store =
+        WarmStore::Open(store_dir, options).value();
+    samples.push_back(timer.Millis());
+    // The scan must have recovered every record the log holds.
+    const std::vector<service::store::StoreEntry> entries =
+        store->Scan().value();
+    size_t live = 0;
+    out.segments = 0;
+    out.log_bytes = 0;
+    for (const service::store::StoreEntry& e : entries) {
+      if (e.kind != service::store::StoreEntry::Kind::kPlanSegment) continue;
+      TPP_CHECK(e.closed || &e == &entries.back());
+      live += e.plan_records;
+      ++out.segments;
+      out.log_bytes += e.bytes;
+    }
+    TPP_CHECK_EQ(live, records);
+    AbsorbStoreStats(*store);
+  }
+  out.open_ms = SpreadOf(std::move(samples));
   return out;
 }
 
 void WriteJson(const std::string& path, bool quick,
                const std::vector<MotifResult>& results,
-               const BatchResult& batch, double min_speedup) {
+               const BatchResult& batch, const OpenResult& open,
+               double min_speedup) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -258,20 +342,35 @@ void WriteJson(const std::string& path, bool quick,
     const MotifResult& result = results[m];
     std::fprintf(f,
                  "    {\"motif\": \"%s\", \"instances\": %zu, "
-                 "\"snapshot_bytes\": %llu, \"cold_build_ms\": %.3f, "
-                 "\"warm_load_ms\": %.3f, \"speedup\": %.1f, "
+                 "\"snapshot_bytes\": %llu, \"cold_reps\": %zu, "
+                 "\"cold_build_ms\": %.3f, \"cold_iqr_ms\": %.3f, "
+                 "\"warm_reps\": %zu, \"warm_load_ms\": %.3f, "
+                 "\"warm_iqr_ms\": %.3f, \"speedup\": %.1f, "
                  "\"bit_identical_to_cold_build\": true}%s\n",
                  result.motif.c_str(), result.instances,
                  static_cast<unsigned long long>(result.snapshot_bytes),
-                 result.cold_build_ms, result.warm_load_ms, result.speedup,
-                 m + 1 < results.size() ? "," : "");
+                 result.cold_reps, result.cold_build_ms.median,
+                 result.cold_build_ms.Iqr(), result.warm_reps,
+                 result.warm_load_ms.median, result.warm_load_ms.Iqr(),
+                 result.speedup, m + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"batch\": {\"requests\": %zu, \"cold_ms\": %.3f, "
-               "\"warm_ms\": %.3f, \"speedup\": %.1f, "
-               "\"responses_byte_identical\": true},\n",
-               batch.requests, batch.cold_ms, batch.warm_ms, batch.speedup);
+               "  \"batch\": {\"requests\": %zu, \"reps\": %zu, "
+               "\"cold_ms\": %.3f, \"cold_iqr_ms\": %.3f, "
+               "\"warm_ms\": %.3f, \"warm_iqr_ms\": %.3f, "
+               "\"speedup\": %.1f, \"responses_byte_identical\": true},\n",
+               batch.requests, batch.reps, batch.cold_ms.median,
+               batch.cold_ms.Iqr(), batch.warm_ms.median, batch.warm_ms.Iqr(),
+               batch.speedup);
+  std::fprintf(f,
+               "  \"open\": {\"info_only\": true, \"records\": %zu, "
+               "\"record_payload_bytes\": %zu, \"segments\": %zu, "
+               "\"log_bytes\": %llu, \"reps\": %zu, \"median_ms\": %.3f, "
+               "\"iqr_ms\": %.3f},\n",
+               open.records, open.payload_bytes, open.segments,
+               static_cast<unsigned long long>(open.log_bytes), open.reps,
+               open.open_ms.median, open.open_ms.Iqr());
   // The degradation tally plus the profile it ran under, so a consumer
   // (bench_guard --mode=fault) can tell a clean run from a fault run
   // whose retries were expected to fire. The spec grammar has no quotes
@@ -331,22 +430,35 @@ int Run(int argc, char** argv) {
   double min_speedup = 0;
   for (MotifKind kind : motif::kAllMotifs) {
     MotifResult result = RunMotif(kind, quick, build_threads, store_dir);
-    std::printf("%-9s %7zu inst  %9llu B snapshot  cold %9.2f ms  "
-                "warm %7.3f ms  speedup %7.1fx\n",
+    std::printf("%-9s %7zu inst  %9llu B snapshot  cold %9.2f ms (IQR "
+                "%.2f, %zu reps)  warm %7.3f ms (IQR %.3f, %zu reps)  "
+                "speedup %7.1fx\n",
                 result.motif.c_str(), result.instances,
                 static_cast<unsigned long long>(result.snapshot_bytes),
-                result.cold_build_ms, result.warm_load_ms, result.speedup);
+                result.cold_build_ms.median, result.cold_build_ms.Iqr(),
+                result.cold_reps, result.warm_load_ms.median,
+                result.warm_load_ms.Iqr(), result.warm_reps, result.speedup);
     min_speedup = results.empty()
                       ? result.speedup
                       : std::min(min_speedup, result.speedup);
     results.push_back(std::move(result));
   }
 
+  BatchResult batch = RunBatchComparison(store_dir, quick ? 3 : 11);
+  std::printf("\nbatch of %zu requests: cold %9.2f ms (IQR %.2f)  warm "
+              "%9.3f ms (IQR %.3f)  speedup %5.1fx over %zu reps, "
+              "responses byte-identical\n",
+              batch.requests, batch.cold_ms.median, batch.cold_ms.Iqr(),
+              batch.warm_ms.median, batch.warm_ms.Iqr(), batch.speedup,
+              batch.reps);
   std::filesystem::remove_all(store_dir, ec);
-  BatchResult batch = RunBatchComparison(store_dir);
-  std::printf("\nbatch of %zu requests: cold %9.2f ms  warm %9.2f ms  "
-              "speedup %5.1fx, responses byte-identical\n",
-              batch.requests, batch.cold_ms, batch.warm_ms, batch.speedup);
+  const OpenResult open =
+      RunOpen(store_dir, quick ? 5000 : 20000, 2048, quick ? 5 : 11);
+  std::printf("open of a %llu-byte plan log (%zu records, %zu segments): "
+              "%.2f ms (IQR %.2f, %zu reps), info only\n",
+              static_cast<unsigned long long>(open.log_bytes), open.records,
+              open.segments, open.open_ms.median, open.open_ms.Iqr(),
+              open.reps);
   std::printf("minimum per-motif warm-load speedup: %.1fx, all loads "
               "bit-identical to the cold build\n",
               min_speedup);
@@ -355,7 +467,7 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(g_health.io_retries),
               static_cast<unsigned long long>(g_health.write_failures),
               static_cast<unsigned long long>(g_health.degradations()));
-  WriteJson(out_path, quick, results, batch, min_speedup);
+  WriteJson(out_path, quick, results, batch, open, min_speedup);
   std::filesystem::remove_all(store_dir, ec);
   return 0;
 }

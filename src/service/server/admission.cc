@@ -139,8 +139,17 @@ size_t AdmissionQueue::DropClient(uint64_t client) {
   return dropped;
 }
 
-bool AdmissionQueue::AtClientCap(uint64_t client) const {
+bool AdmissionQueue::MustWait(uint64_t client, size_t line_bytes) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (options_.max_queue_depth == 0 ||
+      line_bytes > options_.max_queued_bytes) {
+    return false;  // no pickup can ever make room
+  }
+  // Past either global gate the queue is non-empty, so pickups free room.
+  if (depth_ >= options_.max_queue_depth ||
+      queued_bytes_ + line_bytes > options_.max_queued_bytes) {
+    return true;
+  }
   if (options_.max_per_client == 0) return false;
   auto it = clients_.find(client);
   return it != clients_.end() &&

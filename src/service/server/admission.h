@@ -108,9 +108,11 @@ class AdmissionQueue {
   /// in-flight accounting. Returns how many queued items died with it.
   size_t DropClient(uint64_t client);
 
-  /// True when the client holds max_per_client queued + in-flight items,
-  /// so its next Offer would shed kClientCap. Always false with no cap.
-  bool AtClientCap(uint64_t client) const;
+  /// True when an Offer of a `line_bytes`-byte line from `client` would
+  /// shed for queue depth, queued bytes or the client cap, and work
+  /// already queued or in flight will free the room it lacks. A line too
+  /// large for even an empty queue is never held: its Offer sheds.
+  bool MustWait(uint64_t client, size_t line_bytes) const;
 
   /// True when the client has nothing queued and nothing in flight —
   /// every response it will ever get has already been written. Used by

@@ -117,8 +117,9 @@ struct PlanServer::Session {
   size_t request_index = 0;
   bool input_closed = false;
   // Lines read but not yet handled, oldest first (IO-thread state). Only
-  // a stdio session at its per-client cap keeps lines here between reads;
-  // it is not polled until the backlog empties.
+  // a stdio session keeps lines here between reads, while admission has
+  // no room for the first of them; it is not polled until the backlog
+  // empties.
   std::deque<std::string> backlog;
 };
 
@@ -346,11 +347,14 @@ void PlanServer::ConsumeInput(const std::shared_ptr<Session>& session,
 void PlanServer::AdmitBacklog(const std::shared_ptr<Session>& session,
                               bool hold) {
   while (!session->backlog.empty()) {
+    // A pipe cannot retry a shed, so a stdio request line waits while
+    // admission would shed it for want of room that queued work frees.
     if (hold && session->is_stdio &&
         !draining_.load(std::memory_order_acquire) &&
         IsRequestLine(session->backlog.front()) &&
-        queue_.AtClientCap(session->id)) {
-      return;  // the solve loop wakes the IO thread as slots free up
+        queue_.MustWait(session->id,
+                        StripWhitespace(session->backlog.front()).size())) {
+      return;  // the solve loop wakes the IO thread after every pickup
     }
     std::string line = std::move(session->backlog.front());
     session->backlog.pop_front();
@@ -498,11 +502,12 @@ void PlanServer::IoLoop(int listener_fd, int wake_fd) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [id, session] : sessions_) {
-        // A stdio session that still holds lines, or is at its cap, is
-        // not read: the pipe itself holds the rest of the script.
+        // A stdio session that still holds lines, or has no room for
+        // another, is not read: the pipe itself holds the rest of the
+        // script.
         const bool held = session->is_stdio &&
                           (!session->backlog.empty() ||
-                           queue_.AtClientCap(session->id));
+                           queue_.MustWait(session->id, 0));
         if (session->fd_in >= 0 && !session->input_closed && !held &&
             !session->dead.load(std::memory_order_acquire)) {
           fds.push_back({session->fd_in, POLLIN, 0});
@@ -759,7 +764,6 @@ void PlanServer::SolveLoop() {
       }
     }
 
-    bool frees_stdio_slot = false;
     for (size_t i = 0; i < taken.size(); ++i) {
       bool delivered = false;
       if (targets[i] != nullptr) {
@@ -774,11 +778,10 @@ void PlanServer::SolveLoop() {
         dropped_responses_.fetch_add(1, std::memory_order_relaxed);
       }
       queue_.Finish(taken[i].client);
-      frees_stdio_slot |= targets[i] != nullptr && targets[i]->is_stdio;
     }
-    // A stdio session may be holding lines until its client has a free
-    // slot; the IO thread re-checks on wake.
-    if (frees_stdio_slot) Wake();
+    // A stdio session may be holding lines until the pickup's room frees
+    // up; the IO thread re-checks on wake.
+    if (options_.stdio) Wake();
   }
 }
 

@@ -18,7 +18,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr uint32_t kRecordMagic = 0x4C505054u;  // "TPPL"
-constexpr uint32_t kFooterMagic = 0x46505054u;  // "TPPF"
 
 struct RecordHeader {
   uint32_t magic = kRecordMagic;
@@ -28,17 +27,42 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 24);
 
-struct FooterTrailer {
-  uint64_t footer_offset = 0;
-  uint64_t entry_count = 0;
-  uint64_t footer_checksum = 0;
-  uint32_t magic = kFooterMagic;
-};
-static_assert(sizeof(FooterTrailer) == 32);  // 4 bytes tail padding
-
 uint64_t RecordChecksum(std::string_view key, std::string_view payload) {
   return SplitMix64(HashBytes64(key.data(), key.size()) ^
                     HashBytes64(payload.data(), payload.size()));
+}
+
+// One plan record, viewed in the bytes it was parsed from.
+struct Record {
+  std::string_view key;
+  std::string_view payload;
+  uint64_t end = 0;  ///< offset just past the record
+};
+
+// Parses the record at `off` of the `size` bytes at `data`. Every reader
+// of segment bytes (recovery, LoadPlan, VerifyAll) goes through here, and
+// the bytes come from disk, so every size is checked against the bytes
+// before it is used.
+Result<Record> ParseRecord(const uint8_t* data, uint64_t size, uint64_t off) {
+  RecordHeader header;
+  if (off > size || size - off < sizeof header) {
+    return Status::IoError("record header past end of file");
+  }
+  std::memcpy(&header, data + off, sizeof header);
+  if (header.magic != kRecordMagic) return Status::IoError("bad record magic");
+  const uint64_t body = off + sizeof header;
+  if (header.key_size > size - body ||
+      header.payload_size > size - body - header.key_size) {
+    return Status::IoError("record past end of file");
+  }
+  const char* key = reinterpret_cast<const char*>(data + body);
+  Record record{{key, header.key_size},
+                {key + header.key_size, header.payload_size},
+                body + header.key_size + header.payload_size};
+  if (header.checksum != RecordChecksum(record.key, record.payload)) {
+    return Status::IoError("record checksum mismatch");
+  }
+  return record;
 }
 
 uint64_t RecordSize(size_t key_size, size_t payload_size) {
@@ -136,8 +160,8 @@ Status WarmStore::RecoverSegments() {
               return a.number < b.number;
             });
 
-  // Rebuild the key table in segment order so later segments overwrite
-  // earlier ones (last write wins).
+  // Rebuild the key table in segment order, so a later record of a key
+  // replaces an earlier one (last write wins).
   for (Segment& seg : segments_) {
     // Injection site "store.recover": a transient fault here models a
     // flaky read during startup recovery; retries absorb it, and a
@@ -156,115 +180,59 @@ Status WarmStore::RecoverSegments() {
         },
         &stats_.io_retries);
     if (!opened.ok()) {
+      // Unreadable: it serves nothing, and since its end is unknown it
+      // takes no appends either.
       ++stats_.read_degradations;
-      continue;  // unreadable: treat as empty
+      seg.closed = true;
+      continue;
     }
     const MappedBlob& blob = **blob_or;
-    const uint8_t* data = blob.data();
-    const uint64_t size = blob.size();
 
-    // Sealed path: a valid trailer names the footer; no record scan.
-    bool recovered = false;
-    if (size >= sizeof(FooterTrailer)) {
-      FooterTrailer trailer;
-      std::memcpy(&trailer, data + size - sizeof trailer, sizeof trailer);
-      const uint64_t footer_end = size - sizeof trailer;
-      if (trailer.magic == kFooterMagic &&
-          trailer.footer_offset <= footer_end &&
-          trailer.footer_checksum ==
-              HashBytes64(data + trailer.footer_offset,
-                          footer_end - trailer.footer_offset)) {
-        uint64_t off = trailer.footer_offset;
-        bool ok = true;
-        std::vector<std::pair<std::string, uint64_t>> entries;
-        for (uint64_t i = 0; i < trailer.entry_count && ok; ++i) {
-          uint32_t key_size = 0;
-          uint64_t rec_offset = 0;
-          if (off + 12 > footer_end) {
-            ok = false;
-            break;
-          }
-          std::memcpy(&key_size, data + off, 4);
-          std::memcpy(&rec_offset, data + off + 4, 8);
-          off += 12;
-          if (off + key_size > footer_end) {
-            ok = false;
-            break;
-          }
-          entries.emplace_back(
-              std::string(reinterpret_cast<const char*>(data + off),
-                          key_size),
-              rec_offset);
-          off += key_size;
-        }
-        if (ok) {
-          for (auto& [key, rec_offset] : entries) {
-            auto it = plans_.find(key);
-            if (it != plans_.end()) {
-              for (Segment& prev : segments_) {
-                if (prev.number == it->second.segment_number) {
-                  --prev.live_keys;
-                }
-              }
-            }
-            plans_[std::move(key)] =
-                PlanLocation{seg.number, rec_offset};
-            ++seg.live_keys;
-          }
-          seg.bytes = trailer.footer_offset;
-          seg.sealed = true;
-          recovered = true;
-        }
-      }
-    }
-    if (recovered) continue;
-
-    // Unsealed (or torn-seal) path: forward scan, stopping at the first
-    // record that fails its bounds or checksum — a crash mid-append
-    // loses at most the tail.
+    // Forward scan, stopping at the first record that fails to parse: a
+    // crash mid-append loses at most the tail. The key -> offset footer
+    // older builds appended to a full segment reads as such a tail.
     uint64_t off = 0;
-    while (off + sizeof(RecordHeader) <= size) {
-      RecordHeader header;
-      std::memcpy(&header, data + off, sizeof header);
-      if (header.magic != kRecordMagic) break;
-      const uint64_t body = off + sizeof header;
-      if (header.key_size > size - body ||
-          header.payload_size > size - body - header.key_size) {
-        break;
-      }
-      const char* key_ptr = reinterpret_cast<const char*>(data + body);
-      const char* payload_ptr = key_ptr + header.key_size;
-      if (header.checksum !=
-          RecordChecksum({key_ptr, header.key_size},
-                         {payload_ptr, header.payload_size})) {
-        break;
-      }
-      std::string key(key_ptr, header.key_size);
-      auto it = plans_.find(key);
-      if (it != plans_.end()) {
-        for (Segment& prev : segments_) {
-          if (prev.number == it->second.segment_number) --prev.live_keys;
-        }
-        if (it->second.segment_number == seg.number) --seg.live_keys;
-      }
-      plans_[std::move(key)] = PlanLocation{seg.number, off};
-      ++seg.live_keys;
-      off = body + header.key_size + header.payload_size;
+    for (;;) {
+      Result<Record> record = ParseRecord(blob.data(), blob.size(), off);
+      if (!record.ok()) break;
+      PublishKey(std::string(record->key), seg, off, record->end - off);
+      off = record->end;
     }
     seg.bytes = off;
-    seg.sealed = false;
-    if (off < size) {
-      // Physically drop the torn tail: appends write at the file end, so
-      // the end must BE the committed boundary the key table records. If
-      // the truncate fails, freeze the segment instead — its recovered
-      // records still serve (their offsets precede the tail), but new
-      // appends go to a fresh segment rather than landing after garbage.
+    if (off < blob.size()) {
+      // Physically drop the tail: appends write at the file end, so the
+      // end must BE the committed boundary the key table records. If the
+      // truncate fails, close the segment instead: its recovered records
+      // still serve (their offsets precede the tail), but new appends go
+      // to a fresh segment rather than landing after garbage.
       std::error_code trunc_ec;
       fs::resize_file(seg.path, off, trunc_ec);
-      if (trunc_ec) seg.sealed = true;
+      if (trunc_ec) seg.closed = true;
+    }
+    if (seg.bytes > options_.plan_segment_bytes) seg.closed = true;
+  }
+  // Appends only ever go to the last segment.
+  for (size_t s = 0; s + 1 < segments_.size(); ++s) segments_[s].closed = true;
+  return Status::Ok();
+}
+
+WarmStore::Segment* WarmStore::FindSegment(uint64_t number) {
+  for (Segment& seg : segments_) {
+    if (seg.number == number) return &seg;
+  }
+  return nullptr;
+}
+
+void WarmStore::PublishKey(std::string key, Segment& seg, uint64_t offset,
+                           uint64_t bytes) {
+  auto [it, inserted] = plans_.try_emplace(std::move(key));
+  if (!inserted) {
+    if (Segment* prev = FindSegment(it->second.segment_number)) {
+      --prev->live_keys;
     }
   }
-  return Status::Ok();
+  it->second = PlanLocation{seg.number, offset, bytes};
+  ++seg.live_keys;
 }
 
 std::string WarmStore::IndexPath(const motif::IndexSnapshotMeta& meta) const {
@@ -358,21 +326,13 @@ Status WarmStore::SaveIndex(const motif::IncidenceIndex& index,
 bool WarmStore::LoadPlan(const std::string& key, std::string* payload) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    ++stats_.plan_misses;
-    return false;
-  }
-  const Segment* seg = nullptr;
-  for (const Segment& s : segments_) {
-    if (s.number == it->second.segment_number) {
-      seg = &s;
-      break;
-    }
-  }
+  const Segment* seg =
+      it == plans_.end() ? nullptr : FindSegment(it->second.segment_number);
   if (seg == nullptr) {
     ++stats_.plan_misses;
     return false;
   }
+  const PlanLocation& loc = it->second;
   // Injection site "plan.load". Transient faults retry through the
   // policy; any persistent failure — injected, unreadable stream, or a
   // record that fails validation — degrades to a miss (the pipeline
@@ -382,24 +342,18 @@ bool WarmStore::LoadPlan(const std::string& key, std::string* payload) {
       return f.ToStatus("plan.load(" + seg->path + ")");
     }
     std::ifstream f(seg->path, std::ios::binary);
-    RecordHeader header;
-    if (!f.seekg(static_cast<std::streamoff>(it->second.offset)) ||
-        !f.read(reinterpret_cast<char*>(&header), sizeof header) ||
-        header.magic != kRecordMagic || header.key_size != key.size()) {
+    std::string bytes(loc.bytes, '\0');
+    if (!f.seekg(static_cast<std::streamoff>(loc.offset)) ||
+        !f.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
       return Status::IoError("unreadable plan record in " + seg->path);
     }
-    std::string stored_key(header.key_size, '\0');
-    payload->assign(header.payload_size, '\0');
-    if (!f.read(stored_key.data(),
-                static_cast<std::streamsize>(stored_key.size())) ||
-        !f.read(payload->data(),
-                static_cast<std::streamsize>(payload->size())) ||
-        stored_key != key ||
-        header.checksum != RecordChecksum(stored_key, *payload)) {
-      // Never serve bytes that fail validation.
-      payload->clear();
+    Result<Record> record = ParseRecord(
+        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), 0);
+    // Never serve bytes that fail validation.
+    if (!record.ok() || record->end != bytes.size() || record->key != key) {
       return Status::IoError("corrupt plan record in " + seg->path);
     }
+    payload->assign(record->payload);
     return Status::Ok();
   };
   Status read = RetryTransient(options_.retry, RetrySeed(seg->path), attempt,
@@ -424,7 +378,7 @@ Status WarmStore::AppendPlan(const std::string& key,
     ++stats_.admission_rejects;
     return Status::Ok();  // declined, not failed
   }
-  if (segments_.empty() || segments_.back().sealed) {
+  if (segments_.empty() || segments_.back().closed) {
     Segment seg;
     seg.number = segments_.empty() ? 1 : segments_.back().number + 1;
     seg.path = (fs::path(dir_) / "plans" /
@@ -472,93 +426,34 @@ Status WarmStore::AppendPlan(const std::string& key,
     ++stats_.write_failures;
     return written;
   }
-  auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    for (Segment& prev : segments_) {
-      if (prev.number == it->second.segment_number) --prev.live_keys;
-    }
-  }
-  plans_[key] = PlanLocation{seg.number, seg.bytes};
-  ++seg.live_keys;
+  PublishKey(key, seg, seg.bytes, record_size);
   seg.bytes += record_size;
-  if (seg.bytes > options_.plan_segment_bytes) {
-    // Sealing is an optimization (footer-indexed opens); a seal that
-    // fails even after retries degrades to "stay unsealed" — recovery
-    // falls back to the forward scan — and must not fail the append,
-    // whose record is already durable.
-    Status sealed = SealActiveSegment();
-    if (!sealed.ok()) ++stats_.write_failures;
-  }
+  if (seg.bytes > options_.plan_segment_bytes) seg.closed = true;
   EnforceCapacity();
   return Status::Ok();
 }
 
-Status WarmStore::SealActiveSegment() {
-  Segment& seg = segments_.back();
-  // Footer: the live key -> record-offset table of this segment, then a
-  // fixed trailer naming it. Appending the footer is the commit; a crash
-  // before the trailer lands leaves a scannable unsealed segment.
-  std::string footer;
-  uint64_t entry_count = 0;
-  for (const auto& [key, loc] : plans_) {
-    if (loc.segment_number != seg.number) continue;
-    const uint32_t key_size = static_cast<uint32_t>(key.size());
-    footer.append(reinterpret_cast<const char*>(&key_size), 4);
-    footer.append(reinterpret_cast<const char*>(&loc.offset), 8);
-    footer.append(key);
-    ++entry_count;
+bool WarmStore::RemoveEntry(const std::string& path) {
+  std::error_code ec;
+  fs::remove(path, ec);
+  if (ec) return false;
+  ++stats_.evicted_files;
+  auto seg = std::find_if(segments_.begin(), segments_.end(),
+                          [&](const Segment& s) { return s.path == path; });
+  if (seg != segments_.end()) {
+    std::erase_if(plans_, [&](const auto& entry) {
+      return entry.second.segment_number == seg->number;
+    });
+    segments_.erase(seg);
   }
-  FooterTrailer trailer;
-  trailer.footer_offset = seg.bytes;
-  trailer.entry_count = entry_count;
-  trailer.footer_checksum = HashBytes64(footer.data(), footer.size());
-  footer.append(reinterpret_cast<const char*>(&trailer), sizeof trailer);
-
-  // Injection site "store.seal". The footer is append-only commit data:
-  // between attempts the file truncates back to the record boundary so a
-  // retried footer never lands after a torn one, and a crash at any
-  // point leaves a scannable unsealed segment.
-  auto attempt = [&]() -> Status {
-    fault::FaultDecision f = fault::Hit("store.seal", footer.size());
-    if (f.fire && f.kind != fault::FaultKind::kTorn) {
-      return f.ToStatus("store.seal(" + seg.path + ")");
-    }
-    const size_t limit =
-        f.fire ? static_cast<size_t>(f.torn_bytes) : footer.size();
-    std::ofstream out(seg.path, std::ios::binary | std::ios::app);
-    if (!out) return Status::IoError("cannot seal " + seg.path);
-    out.write(footer.data(), static_cast<std::streamsize>(limit));
-    out.flush();
-    if (f.fire) return f.ToStatus("store.seal(" + seg.path + ")");
-    if (!out.good()) {
-      return Status::IoError("short footer write to " + seg.path);
-    }
-    return Status::Ok();
-  };
-  TPP_RETURN_IF_ERROR(RetryAppend(options_.retry, seg.path, seg.bytes,
-                                  &stats_.io_retries, attempt));
-  seg.sealed = true;
-  return Status::Ok();
-}
-
-void WarmStore::DropSegmentKeys(uint64_t segment_number) {
-  for (auto it = plans_.begin(); it != plans_.end();) {
-    if (it->second.segment_number == segment_number) {
-      it = plans_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  return true;
 }
 
 void WarmStore::EnforceCapacity() {
   if (options_.capacity_bytes == 0) return;
   struct Candidate {
     std::string path;
-    uint64_t bytes = 0;
     double age = 0;
-    bool is_segment = false;
-    uint64_t segment_number = 0;
   };
   for (;;) {
     std::vector<Candidate> candidates;
@@ -566,24 +461,14 @@ void WarmStore::EnforceCapacity() {
     std::error_code ec;
     for (const fs::directory_entry& entry :
          fs::directory_iterator(fs::path(dir_) / "index", ec)) {
-      Candidate c;
-      c.path = entry.path().string();
-      c.bytes = FileBytes(entry.path());
-      c.age = FileAgeSeconds(entry.path());
-      total += c.bytes;
-      candidates.push_back(std::move(c));
+      total += FileBytes(entry.path());
+      candidates.push_back(
+          {entry.path().string(), FileAgeSeconds(entry.path())});
     }
-    for (size_t s = 0; s < segments_.size(); ++s) {
-      const uint64_t bytes = FileBytes(segments_[s].path);
-      total += bytes;
-      if (s + 1 == segments_.size()) continue;  // active segment is exempt
-      Candidate c;
-      c.path = segments_[s].path;
-      c.bytes = bytes;
-      c.age = FileAgeSeconds(segments_[s].path);
-      c.is_segment = true;
-      c.segment_number = segments_[s].number;
-      candidates.push_back(std::move(c));
+    for (const Segment& seg : segments_) {
+      total += FileBytes(seg.path);
+      if (!seg.closed) continue;  // the active segment is exempt
+      candidates.push_back({seg.path, FileAgeSeconds(seg.path)});
     }
     if (total <= options_.capacity_bytes || candidates.empty()) return;
     // Oldest mtime goes first: reads bump mtimes, so this is LRU at file
@@ -591,19 +476,8 @@ void WarmStore::EnforceCapacity() {
     auto victim = std::max_element(
         candidates.begin(), candidates.end(),
         [](const Candidate& a, const Candidate& b) { return a.age < b.age; });
-    std::error_code rm;
-    fs::remove(victim->path, rm);
-    if (rm) return;  // cannot evict; stop rather than loop forever
-    ++stats_.evicted_files;
-    if (victim->is_segment) {
-      DropSegmentKeys(victim->segment_number);
-      segments_.erase(
-          std::remove_if(segments_.begin(), segments_.end(),
-                         [&](const Segment& s) {
-                           return s.number == victim->segment_number;
-                         }),
-          segments_.end());
-    }
+    // A file that cannot be removed stops the loop rather than spinning.
+    if (!RemoveEntry(victim->path)) return;
   }
 }
 
@@ -643,7 +517,7 @@ Result<std::vector<StoreEntry>> WarmStore::Scan() {
     e.bytes = FileBytes(seg.path);
     e.age_seconds = FileAgeSeconds(seg.path);
     e.plan_records = seg.live_keys;
-    e.sealed = seg.sealed;
+    e.closed = seg.closed;
     entries.push_back(std::move(e));
   }
   return entries;
@@ -665,31 +539,16 @@ Status WarmStore::VerifyAll(std::vector<std::string>* problems) {
       continue;
     }
     const MappedBlob& blob = **blob_or;
-    uint64_t off = 0;
-    while (off < seg.bytes) {
-      if (off + sizeof(RecordHeader) > blob.size()) {
-        problems->push_back(seg.path + ": record past end of file");
+    for (uint64_t off = 0; off < seg.bytes;) {
+      Result<Record> record = ParseRecord(blob.data(), blob.size(), off);
+      if (!record.ok()) {
+        problems->push_back(StrFormat(
+            "%s: %s at offset %llu", seg.path.c_str(),
+            record.status().message().c_str(),
+            static_cast<unsigned long long>(off)));
         break;
       }
-      RecordHeader header;
-      std::memcpy(&header, blob.data() + off, sizeof header);
-      const uint64_t body = off + sizeof header;
-      if (header.magic != kRecordMagic ||
-          header.key_size > blob.size() - body ||
-          header.payload_size > blob.size() - body - header.key_size) {
-        problems->push_back(seg.path + ": malformed record");
-        break;
-      }
-      const char* key_ptr =
-          reinterpret_cast<const char*>(blob.data() + body);
-      if (header.checksum !=
-          RecordChecksum({key_ptr, header.key_size},
-                         {key_ptr + header.key_size,
-                          header.payload_size})) {
-        problems->push_back(seg.path + ": record checksum mismatch");
-        break;
-      }
-      off = body + header.key_size + header.payload_size;
+      off = record->end;
     }
   }
   return Status::Ok();
@@ -702,59 +561,36 @@ Status WarmStore::EvictByName(const std::string& name) {
   if (!fs::exists(path, ec)) {
     return Status::NotFound("no store entry named " + name);
   }
-  std::error_code rm;
-  fs::remove(path, rm);
-  if (rm) return Status::IoError("cannot remove " + path.string());
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    if (segments_[s].path == path.string()) {
-      DropSegmentKeys(segments_[s].number);
-      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(s));
-      break;
-    }
+  if (!RemoveEntry(path.string())) {
+    return Status::IoError("cannot remove " + path.string());
   }
-  ++stats_.evicted_files;
   return Status::Ok();
 }
 
 Result<size_t> WarmStore::EvictOlderThan(double seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t removed = 0;
+  std::vector<std::string> victims;
   std::error_code ec;
-  std::vector<fs::path> victims;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(fs::path(dir_) / "index", ec)) {
     if (FileAgeSeconds(entry.path()) > seconds) {
-      victims.push_back(entry.path());
+      victims.push_back(entry.path().string());
     }
   }
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    if (s + 1 == segments_.size() && !segments_[s].sealed) {
-      continue;  // active segment is exempt
-    }
-    if (FileAgeSeconds(segments_[s].path) > seconds) {
-      victims.push_back(segments_[s].path);
+  for (const Segment& seg : segments_) {
+    // The active segment is exempt.
+    if (seg.closed && FileAgeSeconds(seg.path) > seconds) {
+      victims.push_back(seg.path);
     }
   }
-  for (const fs::path& path : victims) {
-    std::error_code rm;
-    fs::remove(path, rm);
-    if (rm) continue;
-    ++removed;
-    ++stats_.evicted_files;
-    for (size_t s = 0; s < segments_.size(); ++s) {
-      if (segments_[s].path == path.string()) {
-        DropSegmentKeys(segments_[s].number);
-        segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(s));
-        break;
-      }
-    }
-  }
+  size_t removed = 0;
+  for (const std::string& path : victims) removed += RemoveEntry(path);
   return removed;
 }
 
 Result<size_t> WarmStore::EvictStale(uint64_t live_fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t removed = 0;
+  std::vector<std::string> victims;
   std::error_code ec;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(fs::path(dir_) / "index", ec)) {
@@ -762,21 +598,15 @@ Result<size_t> WarmStore::EvictStale(uint64_t live_fingerprint) {
         motif::IndexSnapshotCodec::Inspect(entry.path().string());
     // Inspect already rejects bad magic, foreign format versions, and
     // header corruption — all states no live caller can load.
-    const bool stale =
-        !info.ok() || info->meta.graph_fingerprint != live_fingerprint;
-    if (!stale) continue;
-    std::error_code rm;
-    fs::remove(entry.path(), rm);
-    if (rm) continue;
-    ++removed;
-    ++stats_.evicted_files;
+    if (!info.ok() || info->meta.graph_fingerprint != live_fingerprint) {
+      victims.push_back(entry.path().string());
+    }
   }
-  std::vector<uint64_t> stale_segments;
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    if (!segments_[s].sealed) continue;  // active segment is exempt
+  for (const Segment& seg : segments_) {
+    if (!seg.closed) continue;  // the active segment is exempt
     bool live = false;
     for (const auto& [key, loc] : plans_) {
-      if (loc.segment_number != segments_[s].number) continue;
+      if (loc.segment_number != seg.number) continue;
       // A key not in the canonical shape is conservatively live.
       const std::optional<uint64_t> fingerprint = KeyFingerprint(key);
       if (!fingerprint || *fingerprint == live_fingerprint) {
@@ -784,21 +614,10 @@ Result<size_t> WarmStore::EvictStale(uint64_t live_fingerprint) {
         break;
       }
     }
-    if (!live) stale_segments.push_back(segments_[s].number);
+    if (!live) victims.push_back(seg.path);
   }
-  for (uint64_t number : stale_segments) {
-    for (size_t s = 0; s < segments_.size(); ++s) {
-      if (segments_[s].number != number) continue;
-      std::error_code rm;
-      fs::remove(segments_[s].path, rm);
-      if (rm) break;
-      ++removed;
-      ++stats_.evicted_files;
-      DropSegmentKeys(number);
-      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(s));
-      break;
-    }
-  }
+  size_t removed = 0;
+  for (const std::string& path : victims) removed += RemoveEntry(path);
   return removed;
 }
 

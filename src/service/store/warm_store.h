@@ -12,14 +12,13 @@
 //   plans/seg-<NNNNNN>.log
 //       A log-structured record stream of serialized PlanResponses
 //       (plan_codec.h) keyed by the canonical PlanCache key. Records
-//       append to the highest-numbered ACTIVE segment; when it outgrows
-//       StoreOptions::plan_segment_bytes it is SEALED — a key -> offset
-//       index footer is appended so later opens need no record scan —
-//       and a fresh segment starts. Unsealed segments (the active one,
-//       or one cut short by a crash) recover by a forward scan that
-//       stops at the first torn record, so a crash mid-append loses at
-//       most the tail record. Within and across segments, the LAST
-//       record for a key wins.
+//       append to the ACTIVE segment, the highest-numbered one; once it
+//       passes StoreOptions::plan_segment_bytes it is CLOSED (takes no
+//       more appends) and the next append starts a fresh segment. Every
+//       open recovers every segment by one forward scan that stops at the
+//       first torn record and truncates it away, so a crash mid-append
+//       loses at most the tail record. Within and across segments, the
+//       LAST record for a key wins.
 //
 // Capacity: `capacity_bytes` caps the sum of all entry files. Entries
 // larger than the cap are not admitted at all; when the total exceeds
@@ -58,7 +57,7 @@ struct StoreOptions {
   /// Total on-disk byte budget across snapshots and plan segments;
   /// 0 = unbounded (no admission limit, no eviction).
   uint64_t capacity_bytes = 0;
-  /// A plan segment seals (gains its index footer) once it exceeds this
+  /// A plan segment closes (takes no more appends) once it exceeds this
   /// many bytes of records.
   uint64_t plan_segment_bytes = 4ull << 20;
   /// Backoff schedule for transient I/O errors (kUnavailable): every
@@ -83,7 +82,7 @@ struct StoreEntry {
   std::string motif;  ///< display name; empty for plan segments
   // Plan segments only:
   size_t plan_records = 0;  ///< live (last-write-wins) keys in the segment
-  bool sealed = false;
+  bool closed = false;      ///< takes no more appends (not the active one)
 };
 
 class WarmStore {
@@ -101,7 +100,7 @@ class WarmStore {
     /// Transient I/O errors absorbed by the retry schedule (each retry
     /// attempt counts once; a fault the first retry fixes adds 1).
     uint64_t io_retries = 0;
-    /// Writes (snapshot save, plan append, segment seal) that failed
+    /// Writes (snapshot save, plan append) that failed
     /// even after retries. The store stays serving: a failed write
     /// degrades to "not persisted", never to a failed request.
     uint64_t write_failures = 0;
@@ -117,8 +116,7 @@ class WarmStore {
   };
 
   /// Opens (creating directories as needed) the store at `dir` and
-  /// recovers the plan-key table from every existing segment — sealed
-  /// segments through their footers, unsealed ones by forward scan.
+  /// recovers the plan-key table by a forward scan of every segment.
   static Result<std::unique_ptr<WarmStore>> Open(
       const std::string& dir, const StoreOptions& options = {});
 
@@ -146,7 +144,7 @@ class WarmStore {
   /// clock.
   bool LoadPlan(const std::string& key, std::string* payload);
 
-  /// Appends a (key, payload) record to the active segment, sealing it
+  /// Appends a (key, payload) record to the active segment, closing it
   /// when it outgrows the segment budget, then enforces the capacity.
   /// Oversized records are not admitted.
   Status AppendPlan(const std::string& key, std::string_view payload);
@@ -173,10 +171,10 @@ class WarmStore {
   /// index snapshots whose header is unreadable, carries a superseded
   /// format version (IndexSnapshotCodec::kFormatVersion — e.g. v1 files
   /// written under the old order-dependent fingerprint scheme), or names
-  /// a different graph fingerprint; and SEALED plan segments none of
+  /// a different graph fingerprint; and CLOSED plan segments none of
   /// whose live keys embed the live fingerprint. Keys in an unrecognized
-  /// format are conservatively treated as live; the unsealed active
-  /// segment is exempt. The workhorse of `tpp store evict --stale`.
+  /// format are conservatively treated as live; the active segment is
+  /// exempt. The workhorse of `tpp store evict --stale`.
   /// Returns the number of files removed.
   Result<size_t> EvictStale(uint64_t live_fingerprint);
 
@@ -187,22 +185,37 @@ class WarmStore {
   struct PlanLocation {
     uint64_t segment_number = 0;  ///< stable across segment eviction
     uint64_t offset = 0;          ///< record start within the segment file
+    uint64_t bytes = 0;           ///< record size, header included
   };
   struct Segment {
     uint64_t number = 0;
     std::string path;
-    uint64_t bytes = 0;  ///< record bytes (excludes any footer)
+    uint64_t bytes = 0;  ///< committed record bytes
     size_t live_keys = 0;
-    bool sealed = false;
+    /// Takes no more appends: every segment but the last, and the last
+    /// once it passes plan_segment_bytes or when recovery could not read
+    /// it or truncate its torn tail. At most one segment is open, and it
+    /// is the active one: appends go to it, and of the evictors only
+    /// EvictByName removes it.
+    bool closed = false;
   };
 
   WarmStore(std::string dir, const StoreOptions& options);
 
-  Status RecoverSegments();
-  Status SealActiveSegment();  // writes the footer; requires mu_ held
-  void EnforceCapacity();      // requires mu_ held
-  void DropSegmentKeys(uint64_t segment_number);  // requires mu_ held
+  Status RecoverSegments();  // runs in Open, before the store is shared
   std::string IndexPath(const motif::IndexSnapshotMeta& meta) const;
+
+  // The helpers below require mu_ held.
+  void EnforceCapacity();
+  Segment* FindSegment(uint64_t number);
+  /// Points `key` at the `bytes`-byte record at `offset` of `seg`, moving
+  /// its live count off the segment that held the key before.
+  void PublishKey(std::string key, Segment& seg, uint64_t offset,
+                  uint64_t bytes);
+  /// Deletes the entry file at `path` (a plan segment's keys and row go
+  /// with it) and counts the eviction. False when the file could not be
+  /// removed.
+  bool RemoveEntry(const std::string& path);
 
   const std::string dir_;
   const StoreOptions options_;

@@ -396,7 +396,7 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
       ::testing::TempDir() + "/tpp_evict_stale_test";
   std::filesystem::remove_all(dir);
   store::StoreOptions options;
-  // Sized so each padded record overflows (sealing its segment) while
+  // Sized so each padded record overflows (closing its segment) while
   // the final small record leaves its segment active.
   options.plan_segment_bytes = 250;
   Result<std::unique_ptr<store::WarmStore>> store =
@@ -419,7 +419,7 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
   ASSERT_TRUE((*store)->SaveIndex(index, live_meta).ok());
   ASSERT_TRUE((*store)->SaveIndex(index, stale_meta).ok());
 
-  // Segment 1: a live-fingerprint plan key (seals on overflow).
+  // Segment 1: a live-fingerprint plan key (closes on overflow).
   // Segment 2: a stale-fingerprint key. Segment 3: stays active.
   std::string live_key = StrFormat(
       "tpp-plan-v1|fp=%016llx|motif=Triangle|alg=sgb|scope=1|seed=1|"
@@ -436,7 +436,7 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
 
   Result<size_t> evicted = (*store)->EvictStale(live_fp);
   ASSERT_TRUE(evicted.ok());
-  // Dropped: the stale snapshot and the sealed all-stale segment.
+  // Dropped: the stale snapshot and the closed all-stale segment.
   EXPECT_EQ(*evicted, 2u);
 
   Result<std::vector<store::StoreEntry>> entries = (*store)->Scan();
@@ -452,7 +452,7 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
     }
   }
   EXPECT_EQ(snapshots, 1u);
-  EXPECT_EQ(segments, 2u);  // the live sealed segment + the active one
+  EXPECT_EQ(segments, 2u);  // the live closed segment + the active one
 
   // The live plan record still serves.
   std::string payload;

@@ -135,6 +135,43 @@ TEST(AdmissionQueue, ShedsOnQueuedBytesAndClientCap) {
   EXPECT_TRUE(queue.Offer(Item(1, "a"), false).admitted);
 }
 
+// MustWait is the stdio hold rule: wait while the shed's cause is room
+// that queued or in-flight work will free, never for a line no empty
+// queue could take.
+TEST(AdmissionQueue, MustWaitOnlyForRoomQueuedWorkFrees) {
+  AdmissionOptions options;
+  options.max_queue_depth = 2;
+  options.max_queued_bytes = 10;
+  options.max_per_client = 0;
+  AdmissionQueue empty_queue(options);
+  EXPECT_FALSE(empty_queue.MustWait(1, 4));
+  EXPECT_FALSE(empty_queue.MustWait(1, 11));  // too large for any queue
+
+  AdmissionQueue queue(options);
+  EXPECT_TRUE(queue.Offer(Item(2, "aaaa"), false).admitted);
+  EXPECT_FALSE(queue.MustWait(1, 6));
+  EXPECT_TRUE(queue.MustWait(1, 7));    // queued bytes
+  EXPECT_FALSE(queue.MustWait(1, 11));  // still too large for any queue
+  EXPECT_TRUE(queue.Offer(Item(2, "b"), false).admitted);
+  EXPECT_TRUE(queue.MustWait(1, 1));  // queue depth
+  EXPECT_EQ(queue.TakeRoundRobin(0, 2).size(), 2u);
+  EXPECT_FALSE(queue.MustWait(1, 1));  // picked up work freed the room
+
+  options.max_per_client = 1;
+  AdmissionQueue capped(options);
+  EXPECT_TRUE(capped.Offer(Item(1, "a"), false).admitted);
+  EXPECT_TRUE(capped.MustWait(1, 1));   // client cap
+  EXPECT_FALSE(capped.MustWait(2, 1));  // another client has room
+  EXPECT_EQ(capped.TakeRoundRobin(0, 1).size(), 1u);
+  EXPECT_TRUE(capped.MustWait(1, 1));  // in flight still counts
+  capped.Finish(1);
+  EXPECT_FALSE(capped.MustWait(1, 1));
+
+  options.max_queue_depth = 0;
+  AdmissionQueue closed(options);
+  EXPECT_FALSE(closed.MustWait(1, 1));  // no pickup ever makes room
+}
+
 TEST(AdmissionQueue, DeadlineHopelessShedsAtTheDoor) {
   AdmissionOptions options;
   options.max_queue_depth = 100;
@@ -414,6 +451,45 @@ TEST(PlanServer, StdioScriptPastThePerClientCapWaitsInsteadOfShedding) {
   EXPECT_EQ(stats.max_client_load, cap);
 }
 
+// The same hold at the queue's depth: with no per-client cap, a script
+// longer than the queue waits for pickups instead of shedding
+// `queue_full`, and every line answers in order.
+TEST(PlanServer, StdioScriptPastTheQueueDepthWaitsInsteadOfShedding) {
+  constexpr size_t kLines = 60;
+  constexpr size_t kDepth = 8;
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  ServerOptions options;
+  options.admission.max_queue_depth = kDepth;
+  options.admission.max_per_client = 0;
+  options.before_pickup = [gate] { gate.wait(); };
+  StdioServer server(std::move(options));
+  std::string script;
+  for (size_t i = 0; i < kLines; ++i) {
+    script += StrFormat("algorithm=sgb sample=3 seed=%zu budget=4\n", i % 5);
+  }
+  server.Send(script);
+  server.EndInput();
+  while (server.server().snapshot_stats().admitted < kDepth) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server.server().snapshot_stats().admitted, kDepth);
+  EXPECT_EQ(server.server().snapshot_stats().shed_total(), 0u);
+  release.set_value();
+  std::vector<std::string> replies = server.ReadLines(kLines);
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_TRUE(replies[i].starts_with(StrFormat("r%zu ok ", i)))
+        << replies[i];
+  }
+  EXPECT_TRUE(server.Join().ok());
+  ServerStats stats = server.server().snapshot_stats();
+  EXPECT_EQ(stats.admitted, kLines);
+  EXPECT_EQ(stats.responses, kLines);
+  EXPECT_EQ(stats.shed_total(), 0u);
+  EXPECT_EQ(stats.max_queue_depth, kDepth);
+}
+
 // An `edit insert=` line of two links provably absent from `g`, so the
 // parsed delta always validates against the base graph.
 std::string AbsentInsertEditLine(const Graph& g) {
@@ -447,43 +523,6 @@ TEST(PlanServer, EditBarrierOrdersRequestsAroundTheEdit) {
   EXPECT_TRUE(server.Join().ok());
   EXPECT_EQ(transcript, OfflineTranscript(script));
   EXPECT_EQ(server.server().snapshot_stats().edits_applied, 1u);
-}
-
-TEST(PlanServer, OverloadShedsDeterministically) {
-  // Freeze the solve loop, flood a queue of depth 4 with 9 requests:
-  // exactly 4 admit and 5 shed, decided synchronously on the IO thread
-  // while pickup is frozen.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  ServerOptions options;
-  options.admission.max_queue_depth = 4;
-  options.admission.max_per_client = 0;
-  options.before_pickup = [gate] { gate.wait(); };
-  StdioServer server(std::move(options));
-  for (int i = 0; i < 9; ++i) {
-    server.Send("algorithm=sgb sample=3 seed=7 budget=4\n");
-  }
-  // The 5 shed replies arrive first — written by the IO thread at the
-  // admission decision, never behind solving.
-  std::vector<std::string> sheds = server.ReadLines(5);
-  for (size_t i = 0; i < sheds.size(); ++i) {
-    EXPECT_EQ(sheds[i],
-              StrFormat("r%zu shed Unavailable reason=queue_full "
-                        "retry_after_ms=250",
-                        i + 4))
-        << sheds[i];
-  }
-  release.set_value();
-  std::vector<std::string> responses = server.ReadLines(4);
-  for (const std::string& line : responses) {
-    EXPECT_NE(line.find(" ok "), std::string::npos) << line;
-  }
-  EXPECT_TRUE(server.Join().ok());
-  ServerStats stats = server.server().snapshot_stats();
-  EXPECT_EQ(stats.admitted, 4u);
-  EXPECT_EQ(stats.shed_queue_full, 5u);
-  EXPECT_EQ(stats.responses, 4u);
-  EXPECT_EQ(stats.max_queue_depth, 4u);
 }
 
 TEST(PlanServer, DeadlineHopelessShedsAtAdmission) {
@@ -663,6 +702,57 @@ std::vector<std::string> ReadLinesFd(int fd, size_t n) {
 std::string TempSocketPath(const char* tag) {
   // sun_path is ~104 bytes; keep it short and unique per test run.
   return StrFormat("/tmp/tpp_%s_%d.sock", tag, static_cast<int>(::getpid()));
+}
+
+TEST(PlanServer, OverloadShedsDeterministically) {
+  // Freeze the solve loop, flood a queue of depth 4 with 9 requests from
+  // one socket client (a socket client can retry; a stdio one waits
+  // instead): exactly 4 admit and 5 shed, decided synchronously on the
+  // IO thread while pickup is frozen.
+  const std::string path = TempSocketPath("overload");
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  ServerOptions options;
+  options.socket_path = path;
+  options.admission.max_queue_depth = 4;
+  options.admission.max_per_client = 0;
+  options.before_pickup = [gate] { gate.wait(); };
+  PlanService service(TestBase());
+  PlanServer server(&service, std::move(options));
+  std::thread serve([&] { TPP_CHECK(server.Serve().ok()); });
+  while (!std::filesystem::exists(path)) std::this_thread::yield();
+  const int client = ConnectUnix(path);
+  std::string flood;
+  for (int i = 0; i < 9; ++i) {
+    flood += "algorithm=sgb sample=3 seed=7 budget=4\n";
+  }
+  TPP_CHECK(net::WriteAll(client, flood.data(), flood.size()).ok());
+  // The 5 shed replies arrive first — written by the IO thread at the
+  // admission decision, never behind solving.
+  std::vector<std::string> sheds = ReadLinesFd(client, 5);
+  ASSERT_EQ(sheds.size(), 5u);
+  for (size_t i = 0; i < sheds.size(); ++i) {
+    EXPECT_EQ(sheds[i],
+              StrFormat("r%zu shed Unavailable reason=queue_full "
+                        "retry_after_ms=250",
+                        i + 4))
+        << sheds[i];
+  }
+  release.set_value();
+  std::vector<std::string> responses = ReadLinesFd(client, 4);
+  ASSERT_EQ(responses.size(), 4u);
+  for (const std::string& line : responses) {
+    EXPECT_NE(line.find(" ok "), std::string::npos) << line;
+  }
+  server.RequestDrain();
+  serve.join();
+  ::close(client);
+  ::unlink(path.c_str());
+  ServerStats stats = server.snapshot_stats();
+  EXPECT_EQ(stats.admitted, 4u);
+  EXPECT_EQ(stats.shed_queue_full, 5u);
+  EXPECT_EQ(stats.responses, 4u);
+  EXPECT_EQ(stats.max_queue_depth, 4u);
 }
 
 TEST(PlanServer, SocketFairnessTrickleBeatsFirehose) {

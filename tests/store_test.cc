@@ -1,7 +1,7 @@
 // Tests for the disk-backed warm-start store (service/store/warm_store.h):
 // snapshot round-trips, every corruption class falling back to a cold
 // build (no crash, no wrong plan), plan-log persistence across reopen,
-// segment sealing and torn-tail recovery, LRU eviction, and the
+// segment rollover and torn-tail recovery, LRU eviction, and the
 // failure-memoization semantics of the two-tier PlanCache.
 
 #include "service/store/warm_store.h"
@@ -13,10 +13,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/blob_io.h"
 #include "common/fault_injection.h"
+#include "common/rng.h"
 #include "core/problem.h"
 #include "graph/datasets.h"
 #include "graph/fingerprint.h"
@@ -302,43 +304,173 @@ TEST(PlanLogTest, TornTailIsDroppedNotFatal) {
   ASSERT_TRUE(store->AppendPlan("after-crash", "payload2").ok());
 }
 
-TEST(PlanLogTest, SegmentsSealWithFooterAndRecover) {
-  const std::string dir = TempStoreDir("seal");
+// The plan-log segments of `store`, in segment order.
+std::vector<StoreEntry> PlanSegments(WarmStore& store) {
+  Result<std::vector<StoreEntry>> entries = store.Scan();
+  EXPECT_TRUE(entries.ok());
+  std::vector<StoreEntry> segments;
+  for (const StoreEntry& e : *entries) {
+    if (e.kind == StoreEntry::Kind::kPlanSegment) segments.push_back(e);
+  }
+  return segments;
+}
+
+TEST(PlanLogTest, SegmentsCloseAtTheSizeLimitAndRecoverByScan) {
+  const std::string dir = TempStoreDir("rollover");
   StoreOptions options;
-  options.plan_segment_bytes = 128;  // a couple of records per segment
-  std::vector<std::string> keys;
+  options.plan_segment_bytes = 128;  // a few records per segment
+  std::vector<StoreEntry> before;
   {
     std::unique_ptr<WarmStore> store = OpenStore(dir, options);
     for (int i = 0; i < 10; ++i) {
-      keys.push_back("key-" + std::to_string(i));
-      ASSERT_TRUE(
-          store->AppendPlan(keys.back(), "payload-" + std::to_string(i))
-              .ok());
+      ASSERT_TRUE(store
+                      ->AppendPlan("key-" + std::to_string(i),
+                                   "payload-" + std::to_string(i))
+                      .ok());
     }
-    Result<std::vector<StoreEntry>> entries = store->Scan();
-    ASSERT_TRUE(entries.ok());
-    size_t sealed = 0, segments = 0;
-    for (const StoreEntry& e : *entries) {
-      if (e.kind == StoreEntry::Kind::kPlanSegment) {
-        ++segments;
-        if (e.sealed) ++sealed;
-      }
-    }
-    EXPECT_GT(segments, 1u);
-    EXPECT_GE(sealed, 1u);
+    // A later segment's record of key-0 replaces the first one.
+    ASSERT_TRUE(store->AppendPlan("key-0", "payload-0-again").ok());
+    before = PlanSegments(*store);
   }
-  // Reopen recovers sealed segments through their footers and the active
-  // one by scan; every key must still be served.
+  ASSERT_GT(before.size(), 2u);
+  for (size_t s = 0; s + 1 < before.size(); ++s) {
+    EXPECT_TRUE(before[s].closed) << before[s].name;
+    EXPECT_GT(before[s].bytes, options.plan_segment_bytes);
+  }
+  EXPECT_FALSE(before.back().closed);
+  EXPECT_EQ(before.front().plan_records, 3u);  // key-0 moved on
+
+  // A reopen serves every key by scan and lists the same segments.
   std::unique_ptr<WarmStore> store = OpenStore(dir, options);
-  for (int i = 0; i < 10; ++i) {
-    std::string payload;
-    ASSERT_TRUE(store->LoadPlan(keys[static_cast<size_t>(i)], &payload))
-        << keys[static_cast<size_t>(i)];
+  std::string payload;
+  ASSERT_TRUE(store->LoadPlan("key-0", &payload));
+  EXPECT_EQ(payload, "payload-0-again");
+  for (int i = 1; i < 10; ++i) {
+    ASSERT_TRUE(store->LoadPlan("key-" + std::to_string(i), &payload)) << i;
     EXPECT_EQ(payload, "payload-" + std::to_string(i));
+  }
+  const std::vector<StoreEntry> after = PlanSegments(*store);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t s = 0; s < after.size(); ++s) {
+    EXPECT_EQ(after[s].name, before[s].name);
+    EXPECT_EQ(after[s].bytes, before[s].bytes);
+    EXPECT_EQ(after[s].plan_records, before[s].plan_records);
+    EXPECT_EQ(after[s].closed, before[s].closed);
   }
   std::vector<std::string> problems;
   ASSERT_TRUE(store->VerifyAll(&problems).ok());
   EXPECT_TRUE(problems.empty());
+  // The open last segment still takes appends.
+  ASSERT_TRUE(store->AppendPlan("key-10", "payload-10").ok());
+  EXPECT_EQ(PlanSegments(*store).size(), before.size());
+}
+
+TEST(PlanLogTest, RewrittenKeyCountsOnceAcrossReopen) {
+  const std::string dir = TempStoreDir("livekeys");
+  {
+    std::unique_ptr<WarmStore> store = OpenStore(dir);
+    ASSERT_TRUE(store->AppendPlan("k1", "payload-one").ok());
+    ASSERT_TRUE(store->AppendPlan("k1", "payload-one-again").ok());
+    ASSERT_TRUE(store->AppendPlan("k2", "payload-two").ok());
+    const std::vector<StoreEntry> segments = PlanSegments(*store);
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_EQ(segments[0].plan_records, 2u);
+  }
+  std::unique_ptr<WarmStore> store = OpenStore(dir);
+  const std::vector<StoreEntry> segments = PlanSegments(*store);
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(segments[0].plan_records, 2u);
+}
+
+// Older builds closed a full segment by appending a key -> offset footer
+// and a 32-byte trailer. Such a segment, written here byte for byte,
+// recovers every key by scan (the footer reads as a torn tail and is
+// truncated away), verifies clean, and takes no more appends.
+TEST(PlanLogTest, SegmentWithAnIndexFooterRecoversByScan) {
+  const std::vector<std::pair<std::string, std::string>> appends = {
+      {"k1", std::string(40, 'a')},
+      {"k2", std::string(40, 'b')},
+      {"k1", std::string(40, 'c')},
+      {"k3", std::string(40, 'd')},
+  };
+  std::string records;
+  std::vector<std::pair<std::string, uint64_t>> live;  // key, offset
+  auto append = [&](const void* bytes, size_t size, std::string* out) {
+    out->append(static_cast<const char*>(bytes), size);
+  };
+  for (const auto& [key, payload] : appends) {
+    const uint32_t magic = 0x4C505054u;  // "TPPL"
+    const uint32_t key_size = static_cast<uint32_t>(key.size());
+    const uint64_t payload_size = payload.size();
+    const uint64_t checksum =
+        SplitMix64(HashBytes64(key.data(), key.size()) ^
+                   HashBytes64(payload.data(), payload.size()));
+    std::erase_if(live, [&](const auto& e) { return e.first == key; });
+    live.emplace_back(key, records.size());
+    append(&magic, 4, &records);
+    append(&key_size, 4, &records);
+    append(&payload_size, 8, &records);
+    append(&checksum, 8, &records);
+    records += key + payload;
+  }
+  std::string footer;
+  for (const auto& [key, offset] : live) {
+    const uint32_t key_size = static_cast<uint32_t>(key.size());
+    append(&key_size, 4, &footer);
+    append(&offset, 8, &footer);
+    footer += key;
+  }
+  const uint64_t footer_offset = records.size();
+  const uint64_t entry_count = live.size();
+  const uint64_t footer_checksum = HashBytes64(footer.data(), footer.size());
+  const uint32_t footer_magic = 0x46505054u;  // "TPPF"
+  const uint32_t padding = 0;
+  std::string segment = records + footer;
+  append(&footer_offset, 8, &segment);
+  append(&entry_count, 8, &segment);
+  append(&footer_checksum, 8, &segment);
+  append(&footer_magic, 4, &segment);
+  append(&padding, 4, &segment);
+  ASSERT_EQ(segment.size(), records.size() + footer.size() + 32);
+
+  StoreOptions options;
+  options.plan_segment_bytes = 200;  // the records end past it: closed
+  ASSERT_GT(records.size(), options.plan_segment_bytes);
+  const std::string dir = TempStoreDir("footer");
+  const fs::path first = fs::path(dir) / "plans" / "seg-000001.log";
+  fs::create_directories(first.parent_path());
+  {
+    std::ofstream f(first.string(), std::ios::binary);
+    f.write(segment.data(), static_cast<std::streamsize>(segment.size()));
+  }
+
+  std::unique_ptr<WarmStore> store = OpenStore(dir, options);
+  std::string payload;
+  for (const auto& [key, expected] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"k1", std::string(40, 'c')},
+           {"k2", std::string(40, 'b')},
+           {"k3", std::string(40, 'd')}}) {
+    ASSERT_TRUE(store->LoadPlan(key, &payload)) << key;
+    EXPECT_EQ(payload, expected);
+  }
+  EXPECT_EQ(fs::file_size(first), records.size());
+  std::vector<std::string> problems;
+  ASSERT_TRUE(store->VerifyAll(&problems).ok());
+  EXPECT_TRUE(problems.empty());
+  std::vector<StoreEntry> segments = PlanSegments(*store);
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(segments[0].plan_records, 3u);
+  EXPECT_TRUE(segments[0].closed);
+
+  ASSERT_TRUE(store->AppendPlan("k4", "payload-four").ok());
+  EXPECT_EQ(fs::file_size(first), records.size());
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "plans" / "seg-000002.log"));
+  store = OpenStore(dir, options);
+  ASSERT_TRUE(store->LoadPlan("k4", &payload));
+  EXPECT_EQ(payload, "payload-four");
+  ASSERT_TRUE(store->LoadPlan("k1", &payload));
+  EXPECT_EQ(payload, std::string(40, 'c'));
 }
 
 TEST(PlanLogTest, CorruptRecordIsAMissAndVerifyReportsIt) {
@@ -404,7 +536,7 @@ TEST(WarmStoreTest, CapacityEvictsOldestFirstAndSkipsOversized) {
     ASSERT_TRUE(entries.ok());
     for (const StoreEntry& e : *entries) total += e.bytes;
     // The active segment is exempt, so the total can exceed the cap by at
-    // most one unsealed segment's bytes.
+    // most one open segment's bytes.
     EXPECT_LE(total, options.capacity_bytes + options.plan_segment_bytes +
                          256);
   }
@@ -719,6 +851,17 @@ TEST_F(FaultInjectedStoreTest, PersistentRecoveryFailureDegradesToEmpty) {
   std::string payload;
   EXPECT_FALSE(store->LoadPlan("key", &payload));
   EXPECT_GE(store->stats().read_degradations, 1u);
+  // Its end is unknown, so the next append starts a fresh segment and
+  // both records serve once the fault clears.
+  fault::FaultInjector::Global().Disarm();
+  ASSERT_TRUE(store->AppendPlan("key2", "payload2").ok());
+  ASSERT_TRUE(store->LoadPlan("key2", &payload));
+  EXPECT_EQ(payload, "payload2");
+  store = OpenStore(dir);
+  ASSERT_TRUE(store->LoadPlan("key", &payload));
+  EXPECT_EQ(payload, "payload");
+  ASSERT_TRUE(store->LoadPlan("key2", &payload));
+  EXPECT_EQ(payload, "payload2");
 }
 
 TEST_F(FaultInjectedStoreTest, TornAppendTruncatesBackToCommittedBoundary) {

@@ -49,7 +49,7 @@
 //       age), `verify` checksums every entry (exit 0 = clean, 1 =
 //       corrupt entries found, 2 = store unopenable), `evict --name=ENTRY` or
 //       `evict --older-than=SECONDS` deletes entries; `evict --stale
-//       --graph=FILE` garbage-collects snapshots and sealed plan
+//       --graph=FILE` garbage-collects snapshots and closed plan
 //       segments whose fingerprint no caller serving FILE can ever match
 //       (superseded by edits, or written under an old format version).
 //   tpp edit --graph=G.edges [--insert=u-v;u-v] [--remove=u-v;u-v]
@@ -702,7 +702,7 @@ int RunStore(const ParsedArgs& args) {
       } else {
         kind = "plans";
         detail = StrFormat("%zu plans%s", e.plan_records,
-                           e.sealed ? " (sealed)" : " (active)");
+                           e.closed ? " (closed)" : " (active)");
       }
       table.AddRow({e.name, kind, std::to_string(e.bytes),
                     StrFormat("%.0fs", e.age_seconds), detail});
