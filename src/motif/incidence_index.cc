@@ -24,30 +24,16 @@ namespace {
 // in two.
 constexpr int kInternDigitBits = 11;
 
-// The one piece of counting-sort scaffolding every layout pass shares: a
-// stable counting scatter. Items [0, n) each emit (digit, value) pairs
-// through `for_each(i, sink)` (digit < num_digits); the returned vector
-// holds every value grouped by digit, preserving emission order within
-// equal digits. When `offsets` is non-null it receives the num_digits + 1
-// group boundaries (offsets[d] .. offsets[d+1] brackets digit d). Used
-// with one pair per key for each pass of the LSD intern sort and with
-// arity pairs per instance to lay out the CSR-1 posting lists.
-template <typename Value, typename ForEachPair>
-std::vector<Value> StableScatter(size_t n, size_t num_digits,
-                                 std::vector<uint32_t>* offsets,
-                                 ForEachPair for_each) {
-  std::vector<uint32_t> cursor(num_digits + 1, 0);
-  for (size_t k = 0; k < n; ++k) {
-    for_each(k, [&](uint32_t digit, const Value&) { ++cursor[digit + 1]; });
-  }
-  for (size_t d = 0; d < num_digits; ++d) cursor[d + 1] += cursor[d];
-  if (offsets) *offsets = cursor;
-  std::vector<Value> out(cursor[num_digits]);
-  for (size_t k = 0; k < n; ++k) {
-    for_each(k, [&](uint32_t digit, const Value& value) {
-      out[cursor[digit]++] = value;
-    });
-  }
+// One pass of the LSD intern sort: a stable counting scatter of `keys`
+// by their `width`-bit digit at bit `shift`.
+std::vector<EdgeKey> StableDigitScatter(const std::vector<EdgeKey>& keys,
+                                        int shift, int width) {
+  const EdgeKey mask = (EdgeKey{1} << width) - 1;
+  std::vector<uint32_t> cursor((size_t{1} << width) + 1, 0);
+  for (EdgeKey key : keys) ++cursor[((key >> shift) & mask) + 1];
+  for (size_t d = 1; d < cursor.size(); ++d) cursor[d] += cursor[d - 1];
+  std::vector<EdgeKey> out(keys.size());
+  for (EdgeKey key : keys) out[cursor[(key >> shift) & mask]++] = key;
   return out;
 }
 
@@ -155,15 +141,8 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
       std::bit_width(std::max<size_t>(g.NumNodes(), 1) - 1);
   for (int endpoint_shift : {0, 32}) {  // v is the key's low half
     for (int bit = 0; bit < node_bits; bit += kInternDigitBits) {
-      const int shift = endpoint_shift + bit;
       const int width = std::min(kInternDigitBits, node_bits - bit);
-      const EdgeKey mask = (EdgeKey{1} << width) - 1;
-      flat_keys = StableScatter<EdgeKey>(
-          flat_keys.size(), size_t{1} << width, nullptr,
-          [&](size_t k, auto sink) {
-            sink(static_cast<uint32_t>((flat_keys[k] >> shift) & mask),
-                 flat_keys[k]);
-          });
+      flat_keys = StableDigitScatter(flat_keys, endpoint_shift + bit, width);
     }
   }
   flat_keys.erase(std::unique(flat_keys.begin(), flat_keys.end()),
@@ -190,27 +169,44 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   idx.num_nodes_ = g.NumNodes();
   // The maintenance records densify instance -> (target, edge ids) for
   // the posting-list walks below and for DeleteEdge: compact sequential
-  // reads instead of chasing 40-byte TargetSubgraphs.
+  // reads instead of chasing 40-byte TargetSubgraphs. The run-length pass
+  // reads each instance's target from `targets_of`, 4 bytes per instance
+  // instead of a 36-byte record.
   idx.arity_ = static_cast<uint8_t>(arity);
   std::vector<InstanceMaintenance> maint(num_instances);
+  std::vector<uint32_t> targets_of(num_instances);
   for (size_t i = 0; i < num_instances; ++i) {
-    maint[i].target = static_cast<uint32_t>(instances[i].target);
+    targets_of[i] = static_cast<uint32_t>(instances[i].target);
+    maint[i].target = targets_of[i];
     for (size_t j = 0; j < arity; ++j) {
       maint[i].edge_ids[j] = idx.EdgeIdOf(instances[i].edges[j]);
     }
   }
 
-  // CSR 1 (edge -> instances): the same stable scatter, emitting arity
-  // (edge id, instance id) pairs per instance. Posting lists hold
-  // ascending instance ids, and the scatter's group boundaries are the
-  // CSR offsets.
-  std::vector<uint32_t> inst_offsets;
-  std::vector<uint32_t> instance_ids = StableScatter<uint32_t>(
-      num_instances, num_edges, &inst_offsets, [&](size_t i, auto sink) {
-        for (size_t j = 0; j < arity; ++j) {
-          sink(maint[i].edge_ids[j], static_cast<uint32_t>(i));
-        }
-      });
+  // CSR 1 (edge -> instances): a stable counting scatter of the arity
+  // (edge id, instance id) pairs of each instance, so posting lists hold
+  // ascending instance ids. position[i * arity + j] records where edge j
+  // of instance i landed.
+  std::vector<uint32_t> inst_offsets(num_edges + 1, 0);
+  for (const InstanceMaintenance& m : maint) {
+    for (size_t j = 0; j < arity; ++j) ++inst_offsets[m.edge_ids[j] + 1];
+  }
+  for (size_t e = 0; e < num_edges; ++e) {
+    inst_offsets[e + 1] += inst_offsets[e];
+  }
+  const size_t num_postings = inst_offsets[num_edges];
+  std::vector<uint32_t> instance_ids(num_postings);
+  std::vector<uint32_t> position(num_postings);
+  {
+    std::vector<uint32_t> cursor(inst_offsets.begin(), inst_offsets.end() - 1);
+    for (size_t i = 0; i < num_instances; ++i) {
+      for (size_t j = 0; j < arity; ++j) {
+        const uint32_t p = cursor[maint[i].edge_ids[j]]++;
+        instance_ids[p] = static_cast<uint32_t>(i);
+        position[i * arity + j] = p;
+      }
+    }
+  }
 
   // Alive-count cache: everything is alive at build time, so the count is
   // just the posting-list length.
@@ -221,41 +217,37 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
 
   // CSR 2 (edge -> per-target counts): instances are laid out in target
   // order and posting lists hold ascending instance ids, so each posting
-  // list's target sequence is already ascending — a run-length encode
-  // reproduces the serial sorted aggregation without any per-edge scratch.
+  // list's target sequence is already ascending — one run-length pass
+  // reproduces the serial sorted aggregation, and records for every
+  // posting position the cell its run occupies. A list has at most as
+  // many runs as postings, so the cells fit in num_postings slots.
   std::vector<uint32_t> tgt_offsets(num_edges + 1, 0);
+  std::vector<uint32_t> tgt_ids(num_postings);
+  std::vector<uint32_t> tgt_counts(num_postings);
+  std::vector<uint32_t> posting_cell(num_postings);
+  uint32_t cells = 0;
   for (size_t e = 0; e < num_edges; ++e) {
-    uint32_t runs = 0;
-    uint32_t prev_target = 0;
+    const uint32_t first = cells;
     for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-      const uint32_t target = maint[instance_ids[p]].target;
-      if (runs == 0 || target != prev_target) {
-        ++runs;
-        prev_target = target;
+      const uint32_t target = targets_of[instance_ids[p]];
+      if (cells == first || tgt_ids[cells - 1] != target) {
+        tgt_ids[cells++] = target;
       }
+      ++tgt_counts[cells - 1];
+      posting_cell[p] = cells - 1;
     }
-    tgt_offsets[e + 1] = tgt_offsets[e] + runs;
+    tgt_offsets[e + 1] = cells;
   }
-  // Fill pass, which also writes the slot table: the CSR-2 cell of
-  // (edge j of instance i, target of i) is the run cell the posting walks
-  // through, and j is the position of e among the instance's <= 4 edge
-  // ids.
-  std::vector<uint32_t> tgt_ids(tgt_offsets.back());
-  idx.tgt_counts_.resize(tgt_ids.size());
-  for (size_t e = 0; e < num_edges; ++e) {
-    uint32_t slot = tgt_offsets[e];
-    for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-      InstanceMaintenance& m = maint[instance_ids[p]];
-      if (slot == tgt_offsets[e] || tgt_ids[slot - 1] != m.target) {
-        tgt_ids[slot] = m.target;
-        idx.tgt_counts_[slot] = 1;
-        ++slot;
-      } else {
-        ++idx.tgt_counts_[slot - 1];
-      }
-      size_t j = 0;
-      while (m.edge_ids[j] != e) ++j;
-      m.slots[j] = slot - 1;
+  tgt_ids.resize(cells);
+  tgt_ids.shrink_to_fit();
+  tgt_counts.resize(cells);
+  tgt_counts.shrink_to_fit();
+  // The slot table: the CSR-2 cell of (edge j of instance i, target of i)
+  // is the cell of the posting the scatter gave that pair, written in
+  // instance order.
+  for (size_t i = 0; i < num_instances; ++i) {
+    for (size_t j = 0; j < arity; ++j) {
+      maint[i].slots[j] = posting_cell[position[i * arity + j]];
     }
   }
 
@@ -263,6 +255,7 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   idx.instance_ids_ = std::move(instance_ids);
   idx.tgt_offsets_ = std::move(tgt_offsets);
   idx.tgt_ids_ = std::move(tgt_ids);
+  idx.tgt_counts_ = std::move(tgt_counts);
   idx.maint_ = std::move(maint);
   idx.FinishAliveState(targets.size());
   idx.PopulateRepairCaches(targets);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,12 @@ size_t InstanceRepository::Intern(const std::vector<graph::Edge>& targets,
     group.problem.targets = targets;
     group.problem.motif = motif;
     group.key_bytes = it->first.size() + targets.size() * sizeof(graph::Edge);
+    // A key dropped after one use counts that use, so its second
+    // acquisition keeps the group.
+    if (!sightings_.empty()) {
+      const size_t hash = std::hash<std::string>{}(it->first);
+      if (sightings_[hash % kSightings] == hash) group.uses = 1;
+    }
   }
   if (group.pin == kUnpinned) {
     group.pin = pins_.size();
@@ -102,6 +109,7 @@ Result<IndexedEngine> InstanceRepository::AcquireEngine(
   {
     std::lock_guard<std::mutex> lock(group.build_mu);
     group.last_use = use_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+    ++group.uses;
     if (!group.index) {
       TPP_RETURN_IF_ERROR(BuildGroup(group, cancel));
       Recharge(group);
@@ -128,11 +136,17 @@ InstanceRepository::Table::iterator InstanceRepository::Erase(
 }
 
 void InstanceRepository::ReleasePins() {
-  // Only Intern adds groups, and it pins them, so every unbuilt group
-  // is pinned.
+  // Only Intern adds groups, and it pins them, so every unbuilt group and
+  // every group on its first use is pinned.
   for (Table::value_type* entry : pins_) {
-    entry->second.pin = kUnpinned;
-    if (!entry->second.index) groups_.erase(groups_.find(entry->first));
+    Group& group = entry->second;
+    group.pin = kUnpinned;
+    if (group.index && group.uses < 2) {
+      if (sightings_.empty()) sightings_.assign(kSightings, 0);
+      const size_t hash = std::hash<std::string>{}(entry->first);
+      sightings_[hash % kSightings] = hash;
+    }
+    if (!group.index || group.uses < 2) Erase(groups_.find(entry->first));
   }
   pins_.clear();
 }

@@ -48,6 +48,15 @@
 // unbuilt groups, then least recently acquired ones past the cap. An
 // evicted or edit-reset group leaves nothing behind; named again, it
 // rebuilds (or re-adopts its warm-store snapshot), byte-identically.
+//
+// A group stays past its batch only once it has served a second
+// acquisition. Most target sets are named once (each release protects
+// its own targets), so Trim and ApplyEdit drop a built group that served
+// one acquisition and note its key's hash in a fixed-size sighting table
+// (kSightings slots, allocated at the first drop). Interning a sighted
+// key credits it with that earlier use, so its second request builds the
+// group again and keeps it. A one-off group therefore costs no resident
+// bytes and no edit repair once its batch ends.
 
 #ifndef TPP_SERVICE_INSTANCE_REPOSITORY_H_
 #define TPP_SERVICE_INSTANCE_REPOSITORY_H_
@@ -143,7 +152,7 @@ class InstanceRepository {
     return *pins_[group]->second.index;
   }
 
-  /// Groups in the table: the built ones plus the running batch's pins.
+  /// Groups in the table: the kept ones plus the running batch's pins.
   size_t NumGroups() const { return groups_.size(); }
 
   /// Group builds attempted: one per acquisition of an unbuilt group.
@@ -151,8 +160,9 @@ class InstanceRepository {
     return builds_.load(std::memory_order_relaxed);
   }
 
-  /// Unpins every group, erases the unbuilt ones, then erases least
-  /// recently acquired ones until ResidentBytes() is at most the cap. NOT
+  /// Unpins every group, erases the unbuilt ones and those that served
+  /// one acquisition (sighting their keys), then erases least recently
+  /// acquired ones until ResidentBytes() is at most the cap. NOT
   /// thread-safe against AcquireEngine: call between batches, after the
   /// last engine is gone (RunBatch does so on an external repository).
   void Trim();
@@ -188,7 +198,7 @@ class InstanceRepository {
   /// caller has already applied `delta` to the base graph this repository
   /// points at; `new_fingerprint` is the post-edit graph::Fingerprint (the
   /// key future snapshot probes and write-backs use). It first unpins and
-  /// erases unbuilt groups like Trim. Per built group:
+  /// erases groups like Trim (unbuilt, or built for one acquisition). Per built group:
   ///   * groups whose TARGET links intersect the delta are reset: erased,
   ///     since the edit changed the problem itself;
   ///   * every other built group's index is repaired in place against
@@ -220,9 +230,14 @@ class InstanceRepository {
     // use_clock_ at its last acquisition (Trim evicts the smallest
     // first); written under build_mu.
     uint64_t last_use = 0;
+    // Acquisitions served, plus one if its key was sighted when it was
+    // interned; written under build_mu.
+    uint32_t uses = 0;
     size_t pin = kUnpinned;  // its id in pins_
   };
   static constexpr size_t kUnpinned = ~size_t{0};
+  // Slots of the sighting table: keys of groups dropped after one use.
+  static constexpr size_t kSightings = 4096;
   using Table = std::unordered_map<std::string, Group>;
 
   /// The build-once body: try the store, else cold-build + write back.
@@ -239,7 +254,8 @@ class InstanceRepository {
   /// changed.
   void Recharge(Group& group);
 
-  /// Unpins every group and erases the unbuilt ones.
+  /// Unpins every group and erases the unbuilt ones and the built ones
+  /// that served a single acquisition, sighting the latter's keys.
   void ReleasePins();
 
   /// Uncharges and erases one table entry; returns the next.
@@ -255,6 +271,12 @@ class InstanceRepository {
   // Key -> group; node-based, so groups stay put as the table grows.
   Table groups_;
   std::vector<Table::value_type*> pins_;  // the batch's groups, by id
+  // Direct-mapped sighting table: the key hash of a dropped group sits at
+  // hash % kSightings, 0 when empty. A later key sharing the slot
+  // overwrites it (the key is forgotten) and two keys sharing a hash
+  // admit each other early; neither changes a reply. Allocated when the
+  // first group is dropped.
+  std::vector<size_t> sightings_;
   std::atomic<size_t> builds_{0};
   std::atomic<size_t> acquisitions_{0};
   std::atomic<size_t> resident_bytes_{0};

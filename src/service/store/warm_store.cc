@@ -65,6 +65,38 @@ Result<Record> ParseRecord(const uint8_t* data, uint64_t size, uint64_t off) {
   return record;
 }
 
+// Walks the records of segment bytes [0, size) in order, calling
+// on_record(offset, record) for each. At a record that fails to parse it
+// stops and returns that offset unless `resync` is set; then it calls
+// on_skip(offset, next, status) and resumes at `next`, the first later
+// offset holding kRecordMagic whose record parses (the record checksum
+// guards against a false match), or `size` when none does. Returns `size`
+// when every byte was walked.
+template <typename OnRecord, typename OnSkip>
+uint64_t ScanRecords(const uint8_t* data, uint64_t size, bool resync,
+                     OnRecord on_record, OnSkip on_skip) {
+  uint64_t off = 0;
+  while (off < size) {
+    Result<Record> record = ParseRecord(data, size, off);
+    if (record.ok()) {
+      on_record(off, *record);
+      off = record->end;
+      continue;
+    }
+    if (!resync) return off;
+    uint64_t next = off + 1;
+    while (next + sizeof(RecordHeader) <= size &&
+           (std::memcmp(data + next, &kRecordMagic, sizeof kRecordMagic) != 0 ||
+            !ParseRecord(data, size, next).ok())) {
+      ++next;
+    }
+    if (next + sizeof(RecordHeader) > size) next = size;
+    on_skip(off, next, record.status());
+    off = next;
+  }
+  return size;
+}
+
 uint64_t RecordSize(size_t key_size, size_t payload_size) {
   return sizeof(RecordHeader) + key_size + payload_size;
 }
@@ -188,16 +220,23 @@ Status WarmStore::RecoverSegments() {
     }
     const MappedBlob& blob = **blob_or;
 
-    // Forward scan, stopping at the first record that fails to parse: a
-    // crash mid-append loses at most the tail. The key -> offset footer
-    // older builds appended to a full segment reads as such a tail.
-    uint64_t off = 0;
-    for (;;) {
-      Result<Record> record = ParseRecord(blob.data(), blob.size(), off);
-      if (!record.ok()) break;
-      PublishKey(std::string(record->key), seg, off, record->end - off);
-      off = record->end;
-    }
+    // Forward scan. Only the last segment takes appends, so only its scan
+    // stops at the first record that fails to parse: a crash mid-append
+    // loses at most that tail. A closed segment is never rewritten; its
+    // scan skips a bad range and resumes at the next record that parses,
+    // so a corrupt byte costs at most the record that holds it. (The key
+    // -> offset footer older builds appended to a full segment reads as
+    // one skipped range.)
+    const bool last = &seg == &segments_.back();
+    const uint64_t off = ScanRecords(
+        blob.data(), blob.size(), /*resync=*/!last,
+        [&](uint64_t at, const Record& record) {
+          PublishKey(std::string(record.key), seg, at, record.end - at);
+        },
+        [&](uint64_t from, uint64_t to, const Status&) {
+          ++stats_.skipped_ranges;
+          stats_.skipped_bytes += to - from;
+        });
     seg.bytes = off;
     if (off < blob.size()) {
       // Physically drop the tail: appends write at the file end, so the
@@ -539,16 +578,20 @@ Status WarmStore::VerifyAll(std::vector<std::string>* problems) {
       continue;
     }
     const MappedBlob& blob = **blob_or;
-    for (uint64_t off = 0; off < seg.bytes;) {
-      Result<Record> record = ParseRecord(blob.data(), blob.size(), off);
-      if (!record.ok()) {
-        problems->push_back(StrFormat(
-            "%s: %s at offset %llu", seg.path.c_str(),
-            record.status().message().c_str(),
-            static_cast<unsigned long long>(off)));
-        break;
-      }
-      off = record->end;
+    // The same scan recovery ran, reporting each range it skipped.
+    const uint64_t end = ScanRecords(
+        blob.data(), std::min<uint64_t>(seg.bytes, blob.size()),
+        /*resync=*/true, [](uint64_t, const Record&) {},
+        [&](uint64_t from, uint64_t to, const Status& status) {
+          problems->push_back(StrFormat(
+              "%s: %s at offset %llu, %llu bytes skipped", seg.path.c_str(),
+              status.message().c_str(), static_cast<unsigned long long>(from),
+              static_cast<unsigned long long>(to - from)));
+        });
+    if (end < seg.bytes) {
+      problems->push_back(StrFormat(
+          "%s: %llu committed bytes past end of file", seg.path.c_str(),
+          static_cast<unsigned long long>(seg.bytes - end)));
     }
   }
   return Status::Ok();

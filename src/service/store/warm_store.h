@@ -107,11 +107,17 @@ class WarmStore {
     /// Reads that failed with a real I/O error (not a clean miss) and
     /// degraded to a miss — the caller cold-builds or re-solves.
     uint64_t read_degradations = 0;
+    /// Byte ranges of closed plan segments that recovery skipped because
+    /// no record parsed there, and their total bytes. The records around
+    /// a range still serve; `tpp store verify` reports each range.
+    uint64_t skipped_ranges = 0;
+    uint64_t skipped_bytes = 0;
 
     /// Every event where the store fell short of full service — the
     /// number the batch footer and `tpp store verify` surface.
     uint64_t degradations() const {
-      return write_failures + read_degradations + index_rejects;
+      return write_failures + read_degradations + index_rejects +
+             skipped_ranges;
     }
   };
 
@@ -154,7 +160,8 @@ class WarmStore {
   Result<std::vector<StoreEntry>> Scan();
 
   /// Full-store integrity check: snapshot checksums and every plan
-  /// record. Appends one human-readable line per problem; OK with an
+  /// record. Appends one human-readable line per problem (per skipped
+  /// range of a closed segment, each range recovery skipped); OK with an
   /// empty `problems` means the store is clean.
   Status VerifyAll(std::vector<std::string>* problems);
 

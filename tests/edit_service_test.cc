@@ -221,8 +221,12 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   PlanService service(TwoClusters());
   InstanceRepository repository(&service.base());
 
+  // Two requests over one group (seeds differ): its second acquisition
+  // keeps it past the batch.
   std::vector<PlanRequest> requests = {
-      ExplicitRequest("far", {E(0, 1), E(5, 6)})};
+      ExplicitRequest("far", {E(0, 1), E(5, 6)}),
+      ExplicitRequest("far-again", {E(0, 1), E(5, 6)})};
+  requests[1].seed = requests[0].seed + 1;
   BatchOptions options;
   options.repository = &repository;
   BatchStats stats;
@@ -243,23 +247,27 @@ TEST(PlanServiceEditTest, RepositoryRepairsAcrossBatchesWithoutRebuilds) {
   BatchStats stats2;
   options.stats = &stats2;
   std::vector<PlanResponse> second = service.RunBatch(requests, options);
-  ASSERT_TRUE(second[0].status.ok());
   EXPECT_EQ(stats2.instance_builds, 0u);
-
-  PlanResponse reference = RunOneCold(service.base(), requests[0]);
-  EXPECT_EQ(second[0].plan_text, reference.plan_text);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(second[i].status.ok());
+    EXPECT_EQ(second[i].plan_text,
+              RunOneCold(service.base(), requests[i]).plan_text);
+  }
 }
 
 TEST(PlanServiceEditTest, TargetTouchingEditResetsTheGroup) {
   PlanService service(TwoClusters());
   InstanceRepository repository(&service.base());
 
-  std::vector<PlanRequest> requests = {
-      ExplicitRequest("group", {E(0, 1)})};
+  // Two requests over one group: its second acquisition keeps it.
+  std::vector<PlanRequest> requests = {ExplicitRequest("group", {E(0, 1)}),
+                                       ExplicitRequest("again", {E(0, 1)})};
+  requests[1].seed = requests[0].seed + 1;
   BatchOptions options;
   options.repository = &repository;
   std::vector<PlanResponse> first = service.RunBatch(requests, options);
   ASSERT_TRUE(first[0].status.ok());
+  ASSERT_EQ(repository.NumGroups(), 1u);
 
   // Removing the group's own target link changes the problem: the group
   // must reset for a cold rebuild, not repair.
@@ -321,7 +329,13 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
   }
   BatchOptions options;
   options.repository = &repository;
-  std::vector<PlanResponse> responses = service.RunBatch(requests, options);
+  // Every batch runs twice, so each group it builds serves a second
+  // acquisition and stays for the next edit.
+  auto run_twice = [&] {
+    service.RunBatch(requests, options);
+    return service.RunBatch(requests, options);
+  };
+  std::vector<PlanResponse> responses = run_twice();
   size_t repairs_seen = 0;
   size_t resets_seen = 0;
   for (int step = 0; step < 10; ++step) {
@@ -373,7 +387,7 @@ TEST(PlanServiceEditTest, RandomEditScriptMatchesFreshRepository) {
       EXPECT_EQ(engine->CurrentGraph(), cold->released) << requests[i].name;
     }
 
-    responses = service.RunBatch(requests, options);
+    responses = run_twice();
     InstanceRepository fresh(&service.base());
     BatchOptions fresh_options;
     fresh_options.repository = &fresh;

@@ -2,9 +2,12 @@
 // path against the serial reference: bit-identity at every thread count on
 // every motif, hub-split task planning, post-build DeleteEdge equivalence
 // (the slot-table fast path), the maintained alive-edge count, the
-// parallel TotalSimilarity sweep, and end-to-end byte-identity of plan
-// files across build thread budgets.
+// parallel TotalSimilarity sweep, heavy-style production builds through
+// the link cache (before and after an edit), and end-to-end byte-identity
+// of plan files across build thread budgets.
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,9 +15,11 @@
 
 #include "common/flags.h"
 #include "core/problem.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "motif/enumerate.h"
 #include "motif/incidence_index.h"
+#include "motif/link_instances.h"
 #include "reference/serial_index_build.h"
 #include "service/plan_service.h"
 #include "test_util.h"
@@ -160,6 +165,64 @@ TEST_P(IndexBuildParallelTest, BitIdenticalWithMultiDigitNodeIds) {
     auto built = IncidenceIndex::Build(inst.released, inst.targets,
                                        inst.motif, options);
     ASSERT_TRUE(built.ok());
+    EXPECT_TRUE(built->BitIdentical(*serial));
+  }
+}
+
+// Heavy-style target sets: 100-200 random links of the Arenas-like
+// fixture, whose endpoints recur, so posting lists hold runs of several
+// targets. Each production build (BuildCached on the base, one link cache
+// across the sets) is BitIdentical to the serial reference on G - T, and
+// the two stay BitIdentical after the same edit repairs both.
+TEST_P(IndexBuildParallelTest, HeavyTargetSetsMatchSerialReference) {
+  const MotifKind kind = GetParam();
+  Graph base = *graph::MakeArenasEmailLike(1);
+  Rng rng(3117);
+  LinkInstanceCache cache;
+  for (int set = 0; set < 3; ++set) {
+    SCOPED_TRACE("set=" + std::to_string(set));
+    const std::vector<Edge> targets =
+        rng.SampleK(base.Edges(), 100 + rng.UniformIndex(101));
+    Result<IncidenceIndex> built = IncidenceIndex::BuildCached(
+        base, targets, kind, cache, IncidenceIndex::BuildOptions{});
+    ASSERT_TRUE(built.ok()) << built.status();
+    TppInstance inst = *core::MakeInstance(base, targets, kind);
+    Result<IncidenceIndex> serial =
+        BuildIndexSerialReference(inst.released, targets, kind);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_TRUE(built->BitIdentical(*serial));
+    // Some posting list spans several targets: more cells than edges.
+    EXPECT_GT(built->TargetCellIds().size(), built->NumInternedEdges());
+
+    // Three non-target links out, three absent pairs in.
+    std::set<graph::EdgeKey> target_keys;
+    for (const Edge& t : targets) target_keys.insert(t.Key());
+    std::vector<Edge> removed;
+    std::vector<Edge> inserted;
+    for (const Edge& e : rng.SampleK(base.Edges(), 6)) {
+      if (removed.size() < 3 && !target_keys.count(e.Key())) {
+        removed.push_back(e);
+      }
+    }
+    while (inserted.size() < 3) {
+      const Edge& a = targets[rng.UniformIndex(targets.size())];
+      const auto w =
+          static_cast<graph::NodeId>(rng.UniformIndex(base.NumNodes()));
+      if (w != a.u && !base.HasEdge(a.u, w)) {
+        const Edge e(std::min(a.u, w), std::max(a.u, w));
+        if (std::find(inserted.begin(), inserted.end(), e) ==
+            inserted.end()) {
+          inserted.push_back(e);
+        }
+      }
+    }
+    Result<graph::GraphDelta> delta =
+        graph::MakeGraphDelta(std::move(inserted), std::move(removed));
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    Graph edited = base;
+    ASSERT_TRUE(edited.ApplyDelta(*delta).ok());
+    ASSERT_TRUE(built->ApplyGraphDelta(edited, targets, kind, *delta).ok());
+    ASSERT_TRUE(serial->ApplyGraphDelta(edited, targets, kind, *delta).ok());
     EXPECT_TRUE(built->BitIdentical(*serial));
   }
 }

@@ -1,10 +1,14 @@
-// The instance repository's byte cap: Trim erases least recently acquired
-// groups, an evicted or edit-reset group leaves nothing in the table and
+// The instance repository's admission rule and byte cap. A group that
+// served one acquisition leaves the table with its batch, and its key is
+// kept once it serves a second (the sighting table credits a dropped key
+// with its first use). Trim erases least recently acquired groups past the
+// cap, an evicted or edit-reset group leaves nothing in the table and
 // rebuilds when it is interned and acquired again, ApplyEdit never sees
 // it, and no response byte depends on any of this — a repository under a
 // tiny cap answers a random script of requests and edits exactly like an
-// uncapped one, at 1 and 4 workers, and its table never outgrows its
-// resident groups.
+// uncapped one, at 1 and 4 workers, a script of one-off and repeated sets
+// answers like the cold oracle, and the table never outgrows its resident
+// groups.
 
 #include <algorithm>
 #include <cstddef>
@@ -23,6 +27,7 @@
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "service/instance_repository.h"
+#include "reference/run_one_cold.h"
 #include "service/plan_service.h"
 #include "test_util.h"
 
@@ -107,7 +112,9 @@ std::vector<Step> RandomScript(uint64_t seed) {
 }
 
 // The script's transcript — per request its status and plan — through one
-// repository carried across every batch and edit.
+// repository carried across every batch and edit. Each batch runs twice,
+// so every group it names serves a second acquisition and stays past the
+// batch until the cap evicts it.
 struct ScriptRun {
   std::vector<std::string> transcript;
   std::vector<size_t> evictions_after_batch;
@@ -123,10 +130,12 @@ ScriptRun RunScript(const std::vector<Step>& script, size_t max_bytes,
   options.max_workers = workers;
   ScriptRun run;
   for (size_t s = 0; s < script.size(); ++s) {
-    for (const PlanResponse& response :
-         service.RunBatch(script[s].requests, options)) {
-      run.transcript.push_back(response.status.ToString() + "\n" +
-                               response.plan_text);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const PlanResponse& response :
+           service.RunBatch(script[s].requests, options)) {
+        run.transcript.push_back(response.status.ToString() + "\n" +
+                                 response.plan_text);
+      }
     }
     run.evictions_after_batch.push_back(repository.NumEvictions());
     EXPECT_LE(repository.ResidentBytes(), max_bytes);
@@ -160,6 +169,8 @@ TEST(InstanceRepositoryCapTest, TinyCapAnswersARandomScriptByteIdentically) {
     BatchOptions options;
     options.repository = &repository;
     service.RunBatch(script[0].requests, options);
+    service.RunBatch(script[0].requests, options);  // keeps its groups
+    ASSERT_GT(repository.NumGroups(), 0u);
     group_bytes = repository.ResidentBytes() / repository.NumGroups();
   }
   ASSERT_GT(group_bytes, 0u);
@@ -197,9 +208,12 @@ TEST(InstanceRepositoryCapTest, TrimKeepsTheMostRecentlyAcquiredGroup) {
   const size_t a_bytes = ChargeOf(base, Targets(0));
   // Room for A alone: of two built groups, Trim must evict one.
   InstanceRepository repository(&base, a_bytes);
+  // Each group serves two acquisitions, so Trim keeps both but for the
+  // cap.
   const size_t a = repository.Intern(Targets(0), MotifKind::kTriangle);
   const size_t b = repository.Intern(Targets(1), MotifKind::kTriangle);
   ASSERT_TRUE(repository.AcquireEngine(a).ok());
+  ASSERT_TRUE(repository.AcquireEngine(b).ok());
   ASSERT_TRUE(repository.AcquireEngine(b).ok());
   ASSERT_TRUE(repository.AcquireEngine(a).ok());  // A is now the newest
   EXPECT_EQ(repository.NumBuilds(), 2u);
@@ -226,14 +240,13 @@ TEST(InstanceRepositoryCapTest, ApplyEditSkipsEvictedGroups) {
   PlanService service(ScriptGraph());
   InstanceRepository repository(&service.base(),
                                 ChargeOf(service.base(), Targets(0)));
-  ASSERT_TRUE(repository
-                  .AcquireEngine(
-                      repository.Intern(Targets(1), MotifKind::kTriangle))
-                  .ok());
-  ASSERT_TRUE(repository
-                  .AcquireEngine(
-                      repository.Intern(Targets(0), MotifKind::kTriangle))
-                  .ok());
+  // B, then A, each twice: both are kept but for the cap.
+  for (size_t first : {1, 1, 0, 0}) {
+    ASSERT_TRUE(repository
+                    .AcquireEngine(repository.Intern(Targets(first),
+                                                     MotifKind::kTriangle))
+                    .ok());
+  }
   repository.Trim();  // evicts B
   ASSERT_EQ(repository.NumEvictions(), 1u);
 
@@ -322,7 +335,8 @@ TEST(InstanceRepositoryCapTest, ResidentBytesIsTheSumOfGroupMemoryBytes) {
   const size_t one_group = ChargeOf(service.base(), Targets(2));
   // Room for one group, not two: Trim keeps only the newest.
   InstanceRepository repository(&service.base(), one_group * 3 / 2);
-  for (size_t first : {0, 1, 2}) {
+  // Each group twice, so each is kept but for the cap.
+  for (size_t first : {0, 0, 1, 1, 2, 2}) {
     ASSERT_TRUE(repository
                     .AcquireEngine(repository.Intern(Targets(first),
                                                      MotifKind::kTriangle))
@@ -409,9 +423,13 @@ TEST(InstanceRepositoryCapTest, ReInternedKeyAnswersLikeAFreshRepository) {
     return Answer(service, fresh, targets);
   };
 
-  // Eviction: B is newest, so A goes; then A comes back and B goes.
+  // Eviction: B is newest, so A goes; then A comes back and B goes. Each
+  // key is named in two batches: the second acquisition keeps its group.
   const std::string a_first = Answer(service, repository, a);
   ASSERT_TRUE(a_first.starts_with("Ok\n")) << a_first;
+  EXPECT_EQ(Answer(service, repository, a), a_first);
+  ASSERT_EQ(repository.NumGroups(), 1u);
+  Answer(service, repository, b);
   Answer(service, repository, b);
   ASSERT_EQ(repository.NumEvictions(), 1u);
   ASSERT_EQ(repository.NumGroups(), 1u);
@@ -437,6 +455,7 @@ TEST(InstanceRepositoryCapTest, ReInternedKeyAnswersLikeAFreshRepository) {
   EXPECT_EQ(repository.ResidentBytes(), 0u);
   const std::vector<Edge> kept(a.begin(), a.end() - 1);
   EXPECT_EQ(Answer(service, repository, kept), fresh_answer(kept));
+  EXPECT_EQ(Answer(service, repository, kept), fresh_answer(kept));
   // The erased key itself: its link is gone, so it fails exactly as a
   // fresh repository's build does, and leaves the table as it found it.
   const std::string gone = Answer(service, repository, a);
@@ -445,10 +464,11 @@ TEST(InstanceRepositoryCapTest, ReInternedKeyAnswersLikeAFreshRepository) {
   EXPECT_EQ(repository.NumGroups(), 1u);
 }
 
-// A long run of distinct target sets through RunBatch under a small cap:
-// after every batch the table holds exactly the resident groups and the
-// charge is within the cap, so the table does not grow with the number of
-// target sets ever named.
+// A long run of distinct target sets, each named by two requests of its
+// batch (so each is kept), through RunBatch under a small cap: after every
+// batch the table holds exactly the resident groups and the charge is
+// within the cap, so the table does not grow with the number of target
+// sets ever named.
 TEST(InstanceRepositoryCapTest, DistinctTargetSetsKeepTheTableResident) {
   PlanService service(ScriptGraph());
   const std::vector<Edge> edges = service.base().Edges();
@@ -465,6 +485,8 @@ TEST(InstanceRepositoryCapTest, DistinctTargetSetsKeepTheTableResident) {
       request.targets = rng.SampleK(edges, 2 + requests % 3);
       request.spec.algorithm = "sgb";
       request.spec.budget = 1;
+      requests_of_batch.push_back(request);
+      request.spec.budget = 2;  // the same group, another plan
       requests_of_batch.push_back(std::move(request));
     }
     for (const PlanResponse& response :
@@ -481,6 +503,148 @@ TEST(InstanceRepositoryCapTest, DistinctTargetSetsKeepTheTableResident) {
   }
   EXPECT_EQ(requests, 1000u);
   EXPECT_GT(repository.NumEvictions(), 900u);
+}
+
+// A request for `targets` under SGB at `budget` over `motif`.
+PlanRequest SgbRequest(std::vector<Edge> targets, motif::MotifKind motif,
+                       int budget) {
+  PlanRequest request;
+  request.targets = std::move(targets);
+  request.motif = motif;
+  request.spec.algorithm = "sgb";
+  request.spec.budget = budget;
+  return request;
+}
+
+// The shape of a one-off workload: large target sets, each named once.
+// None stays past its batch, so nothing is resident and an edit repairs
+// nothing, however many sets were built.
+TEST(InstanceRepositoryAdmissionTest, OneOffTargetSetsLeaveNothingResident) {
+  PlanService service(ScriptGraph());
+  const std::vector<Edge> edges = service.base().Edges();
+  InstanceRepository repository(&service.base());
+  BatchOptions options;
+  options.repository = &repository;
+  Rng rng(20261020);
+  for (size_t batch = 0; batch < 250; ++batch) {
+    std::vector<PlanRequest> requests;
+    for (size_t i = 0; i < 4; ++i) {
+      requests.push_back(SgbRequest(
+          rng.SampleK(edges, 20 + rng.UniformIndex(21)),
+          motif::kAllMotifs[(4 * batch + i) % std::size(motif::kAllMotifs)],
+          1));
+    }
+    for (const PlanResponse& response : service.RunBatch(requests, options)) {
+      ASSERT_TRUE(response.status.ok()) << response.status;
+    }
+    ASSERT_EQ(repository.NumGroups(), 0u);
+    ASSERT_EQ(repository.ResidentBytes(), 0u);
+  }
+  EXPECT_EQ(repository.NumBuilds(), 1000u);
+  EXPECT_EQ(repository.NumEvictions(), 0u);
+  GraphDelta delta;
+  delta.removed = {edges[100]};
+  Result<EditSummary> summary = service.ApplyEdit(delta, nullptr, &repository);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->groups_repaired, 0u);
+  EXPECT_EQ(summary->groups_reset, 0u);
+}
+
+TEST(InstanceRepositoryAdmissionTest, TwoAcquisitionsInOneBatchKeepTheGroup) {
+  PlanService service(ScriptGraph());
+  InstanceRepository repository(&service.base());
+  BatchOptions options;
+  options.repository = &repository;
+  service.RunBatch(
+      std::vector<PlanRequest>{SgbRequest(Targets(0), MotifKind::kTriangle, 1),
+                               SgbRequest(Targets(0), MotifKind::kTriangle, 2)},
+      options);
+  EXPECT_EQ(repository.NumBuilds(), 1u);
+  EXPECT_EQ(repository.NumGroups(), 1u);
+  EXPECT_EQ(repository.ResidentBytes(),
+            ChargeOf(service.base(), Targets(0)));
+  GraphDelta delta;
+  delta.removed = {service.base().Edges()[100]};
+  Result<EditSummary> summary = service.ApplyEdit(delta, nullptr, &repository);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->groups_repaired, 1u);
+}
+
+// A key dropped after one use and named again in a later batch builds
+// once more and stays: its third request copies the kept group.
+TEST(InstanceRepositoryAdmissionTest, DroppedKeyNamedAgainIsKept) {
+  PlanService service(ScriptGraph());
+  InstanceRepository repository(&service.base());
+  const std::string first = Answer(service, repository, Targets(3));
+  ASSERT_TRUE(first.starts_with("Ok\n")) << first;
+  EXPECT_EQ(repository.NumGroups(), 0u);
+  EXPECT_EQ(repository.NumBuilds(), 1u);
+  // Another one-off between the two: the sighting survives it.
+  Answer(service, repository, Targets(4));
+  EXPECT_EQ(repository.NumGroups(), 0u);
+  EXPECT_EQ(Answer(service, repository, Targets(3)), first);
+  EXPECT_EQ(repository.NumGroups(), 1u);
+  EXPECT_EQ(repository.NumBuilds(), 3u);
+  EXPECT_EQ(Answer(service, repository, Targets(3)), first);
+  EXPECT_EQ(repository.NumBuilds(), 3u);
+  EXPECT_EQ(repository.NumAcquisitions(), 4u);
+}
+
+// Batches mixing pooled sets, which recur and are kept, with one-off
+// sets, which are dropped, between edits that repair the kept groups and
+// may remove pooled target links: every reply equals the cold oracle on
+// the base of its epoch, at 1 and 4 workers.
+TEST(InstanceRepositoryAdmissionTest, MixedScriptAnswersLikeRunOneCold) {
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(StrFormat("workers=%d", workers));
+    Rng rng(20261021);
+    PlanService service(ScriptGraph());
+    InstanceRepository repository(&service.base());
+    BatchOptions options;
+    options.repository = &repository;
+    options.max_workers = workers;
+    std::vector<std::vector<Edge>> pool;
+    for (size_t i = 0; i < std::size(motif::kAllMotifs); ++i) {
+      pool.push_back(rng.SampleK(service.base().Edges(), 3 + i));
+    }
+    const std::vector<std::string_view> solvers = core::SolverNames();
+    size_t next = 0;
+    size_t repaired = 0;
+    size_t solved = 0;
+    for (size_t batch = 0; batch < 8; ++batch) {
+      std::vector<PlanRequest> requests;
+      for (size_t i = 0; i < 6; ++i, ++next) {
+        // Pooled set k always comes with motif k: one group per set.
+        const size_t k = rng.UniformIndex(pool.size());
+        PlanRequest request =
+            i % 2 == 0
+                ? SgbRequest(pool[k], motif::kAllMotifs[k], 3)
+                : SgbRequest(rng.SampleK(service.base().Edges(), 2 + i),
+                             motif::kAllMotifs[next % pool.size()], 3);
+        request.spec.algorithm = std::string(solvers[next % solvers.size()]);
+        request.seed = 100 + next;
+        requests.push_back(std::move(request));
+      }
+      const std::vector<PlanResponse> responses =
+          service.RunBatch(requests, options);
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const PlanResponse cold = RunOneCold(service.base(), requests[i]);
+        EXPECT_EQ(responses[i].status.ToString(), cold.status.ToString());
+        EXPECT_EQ(responses[i].plan_text, cold.plan_text);
+        solved += responses[i].status.ok() ? 1 : 0;
+      }
+      EXPECT_LE(repository.NumGroups(), pool.size());
+      if (batch % 2 == 1) {
+        Result<EditSummary> summary = service.ApplyEdit(
+            RandomEdit(service.base(), 3, 3, rng), nullptr, &repository);
+        ASSERT_TRUE(summary.ok()) << summary.status();
+        repaired += summary->groups_repaired;
+      }
+    }
+    EXPECT_GE(2 * solved, next);  // mostly real solves
+    EXPECT_GT(repository.NumGroups(), 0u);
+    EXPECT_GT(repaired, 0u);
+  }
 }
 
 }  // namespace

@@ -263,7 +263,9 @@ TEST(PlanPipelineTest, InstanceGroupsCountsTheGroupsOfThisRun) {
   BatchOptions options;
   options.repository = &repository;
   options.stats = &stats;
-  std::vector<PlanRequest> requests(3);
+  // Each group serves two requests (seeds differ), so the repository
+  // keeps it past its batch.
+  std::vector<PlanRequest> requests(4);
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].targets = {ArenasBase().Edges()[i % 2]};
     requests[i].seed = i;
@@ -271,8 +273,10 @@ TEST(PlanPipelineTest, InstanceGroupsCountsTheGroupsOfThisRun) {
   plan_service.RunBatch(requests, options);
   EXPECT_EQ(stats.instance_groups, 2u);
   EXPECT_EQ(stats.instance_builds, 2u);
-  requests.resize(1);
-  requests[0].targets = {ArenasBase().Edges()[7]};
+  requests.resize(2);
+  for (PlanRequest& request : requests) {
+    request.targets = {ArenasBase().Edges()[7]};
+  }
   plan_service.RunBatch(requests, options);
   EXPECT_EQ(stats.instance_groups, 1u);
   EXPECT_EQ(stats.instance_builds, 1u);

@@ -19,6 +19,7 @@
 #include "common/blob_io.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/problem.h"
 #include "graph/datasets.h"
 #include "graph/fingerprint.h"
@@ -490,6 +491,69 @@ TEST(PlanLogTest, CorruptRecordIsAMissAndVerifyReportsIt) {
   std::unique_ptr<WarmStore> store = OpenStore(dir);
   std::string payload;
   EXPECT_FALSE(store->LoadPlan("key", &payload));
+}
+
+// A closed segment is never rewritten at recovery: with any one byte of a
+// closed three-record segment flipped, a reopen loses exactly the record
+// that holds the byte, serves the other two and the later segment, counts
+// one skipped range of that record's bytes, leaves the file as it found it,
+// and verify reports the range at the record's offset.
+TEST(PlanLogTest, FlippedByteInAClosedSegmentLosesOnlyItsRecord) {
+  const std::string dir = TempStoreDir("closed_flip");
+  StoreOptions options;
+  options.plan_segment_bytes = 150;  // the third record closes segment 1
+  const std::vector<std::string> keys = {"k1", "k2", "k3"};
+  auto payload_of = [](size_t r) { return std::string(30, 'a' + r); };
+  {
+    std::unique_ptr<WarmStore> store = OpenStore(dir, options);
+    for (size_t r = 0; r < keys.size(); ++r) {
+      ASSERT_TRUE(store->AppendPlan(keys[r], payload_of(r)).ok());
+    }
+    ASSERT_TRUE(store->AppendPlan("k4", "in-the-open-segment").ok());
+    const std::vector<StoreEntry> segments = PlanSegments(*store);
+    ASSERT_EQ(segments.size(), 2u);
+    ASSERT_TRUE(segments[0].closed);
+    ASSERT_EQ(segments[0].plan_records, 3u);
+  }
+  const std::string seg =
+      (fs::path(dir) / "plans" / "seg-000001.log").string();
+  std::string original;
+  {
+    std::ifstream f(seg, std::ios::binary);
+    original.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  const uint64_t record_bytes = 24 + 2 + 30;  // header, key, payload
+  ASSERT_EQ(original.size(), 3 * record_bytes);
+  for (size_t b = 0; b < original.size(); ++b) {
+    SCOPED_TRACE("byte " + std::to_string(b));
+    std::string flipped = original;
+    flipped[b] = static_cast<char>(flipped[b] ^ 0x5A);
+    {
+      std::ofstream f(seg, std::ios::binary | std::ios::trunc);
+      f.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+    }
+    const size_t lost = b / record_bytes;
+    std::unique_ptr<WarmStore> store = OpenStore(dir, options);
+    std::string payload;
+    for (size_t r = 0; r < keys.size(); ++r) {
+      ASSERT_EQ(store->LoadPlan(keys[r], &payload), r != lost) << keys[r];
+      if (r != lost) EXPECT_EQ(payload, payload_of(r));
+    }
+    ASSERT_TRUE(store->LoadPlan("k4", &payload));
+    EXPECT_EQ(store->stats().skipped_ranges, 1u);
+    EXPECT_EQ(store->stats().skipped_bytes, record_bytes);
+    std::vector<std::string> problems;
+    ASSERT_TRUE(store->VerifyAll(&problems).ok());
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find(
+                  StrFormat("at offset %llu, %llu bytes skipped",
+                            static_cast<unsigned long long>(lost * record_bytes),
+                            static_cast<unsigned long long>(record_bytes))),
+              std::string::npos)
+        << problems[0];
+    std::ifstream f(seg, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(f), {}), flipped);
+  }
 }
 
 TEST(WarmStoreTest, CapacityEvictsOldestFirstAndSkipsOversized) {
