@@ -37,8 +37,13 @@
 // row, never compared to anything, times the serving case at the other
 // extreme: a cold BuildCached of a 1-target Triangle index on the
 // servebench point_hk1e5 fixture (Holme-Kim, 10^5 nodes, seed 1), with the
-// index's MemoryBytes(), which holds no per-node array. The
-// per-stage breakdown (enumerate = collect / intern / csr) comes from
+// index's MemoryBytes(), which holds no per-node array. A second info
+// row, heavy_stream, times the serving case of servebench's heavy_arenas
+// workload: a seeded stream of distinct 100-200-link target sets on this
+// fixture (six in nine Pentagon, two Rectangle, one RecTri), each built
+// once by BuildCached through one persistent LinkInstanceCache at 1
+// thread. It records the spread of each stage over the stream and the
+// cache's hit rate. The per-stage breakdown (enumerate = collect / intern / csr) comes from
 // IncidenceIndex::BuildStats. Every row records its reps, median and
 // interquartile range; the stage columns are medians. Every measured build
 // is verified BitIdentical to the reference, so the speedups never come
@@ -338,9 +343,67 @@ SmallIndexResult RunSmallIndex(bool quick) {
   return out;
 }
 
+// The heavy_stream info row: one persistent link cache, distinct sets.
+struct HeavyStreamResult {
+  size_t sets = 0;
+  size_t checked = 0;  ///< builds verified against the reference
+  Spread total_ms;
+  Spread collect_ms;
+  Spread intern_ms;
+  Spread csr_ms;
+  double hit_rate = 0;  ///< cache hits / lists probed over the stream
+};
+
+HeavyStreamResult RunHeavyStream(const Graph& base, bool quick) {
+  // servebench heavy_arenas' class mix, by motif.
+  constexpr MotifKind kMix[] = {
+      MotifKind::kPentagon, MotifKind::kPentagon, MotifKind::kRectangle,
+      MotifKind::kPentagon, MotifKind::kPentagon, MotifKind::kRectangle,
+      MotifKind::kPentagon, MotifKind::kPentagon, MotifKind::kRecTri};
+  constexpr size_t kCheckEvery = 25;
+  const std::vector<Edge> edges = base.Edges();
+  Rng rng(31);
+  LinkInstanceCache cache;
+  IncidenceIndex::BuildOptions options;
+  options.threads = 1;
+  HeavyStreamResult out;
+  out.sets = quick ? 60 : 300;
+  std::vector<double> total, collect, intern, csr;
+  for (size_t s = 0; s < out.sets; ++s) {
+    const MotifKind kind = kMix[s % std::size(kMix)];
+    const std::vector<Edge> targets =
+        rng.SampleK(edges, 100 + rng.UniformIndex(101));
+    IncidenceIndex::BuildStats stats;
+    WallTimer timer;
+    Result<IncidenceIndex> idx =
+        IncidenceIndex::BuildCached(base, targets, kind, cache, options, &stats);
+    total.push_back(timer.Millis());
+    TPP_CHECK(idx.ok());
+    collect.push_back(stats.enumerate_seconds * 1e3);
+    intern.push_back(stats.intern_seconds * 1e3);
+    csr.push_back(stats.csr_seconds * 1e3);
+    if (s % kCheckEvery == 0) {  // untimed
+      const TppInstance inst = *core::MakeInstance(base, targets, kind);
+      TPP_CHECK(idx->BitIdentical(*motif::BuildIndexSerialReference(
+          inst.released, inst.targets, inst.motif)));
+      ++out.checked;
+    }
+  }
+  out.total_ms = SpreadOf(total);
+  out.collect_ms = SpreadOf(collect);
+  out.intern_ms = SpreadOf(intern);
+  out.csr_ms = SpreadOf(csr);
+  const size_t probes = cache.hits() + cache.misses();
+  out.hit_rate = probes > 0 ? static_cast<double>(cache.hits()) /
+                                  static_cast<double>(probes)
+                            : 0;
+  return out;
+}
+
 void WriteJson(const std::string& path, bool quick, int wide_threads,
                double host_speedup, const std::vector<MotifResult>& results,
-               const SmallIndexResult& small, double headline_speedup) {
+               const SmallIndexResult& small, const HeavyStreamResult& heavy,
+               double headline_speedup) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
@@ -393,6 +456,19 @@ void WriteJson(const std::string& path, bool quick, int wide_threads,
                small.memory_bytes, small.row.reps, small.row.total_ms.median,
                small.row.total_ms.Iqr(), small.row.enumerate_ms,
                small.row.intern_ms, small.row.csr_ms);
+  std::fprintf(
+      f,
+      "  \"heavy_stream\": {\"fixture\": \"arenas_email_like\", "
+      "\"links\": \"100-200\", \"motifs_per_9\": \"6 Pentagon, 2 Rectangle, "
+      "1 RecTri\", \"threads\": 1, \"sets\": %zu, \"checked_sets\": %zu, "
+      "\"median_ms\": %.3f, \"iqr_ms\": %.3f, "
+      "\"collect_ms\": %.3f, \"collect_iqr_ms\": %.3f, "
+      "\"intern_ms\": %.3f, \"intern_iqr_ms\": %.3f, "
+      "\"csr_ms\": %.3f, \"csr_iqr_ms\": %.3f, \"hit_rate\": %.3f},\n",
+      heavy.sets, heavy.checked, heavy.total_ms.median, heavy.total_ms.Iqr(),
+      heavy.collect_ms.median, heavy.collect_ms.Iqr(), heavy.intern_ms.median,
+      heavy.intern_ms.Iqr(), heavy.csr_ms.median, heavy.csr_ms.Iqr(),
+      heavy.hit_rate);
   std::fprintf(f, "  \"headline_serial_build_speedup\": %.2f\n}\n",
                headline_speedup);
   std::fclose(f);
@@ -476,8 +552,18 @@ int Run(int argc, char** argv) {
               small.memory_bytes, small.row.total_ms.median,
               small.row.total_ms.Iqr(), small.row.reps,
               small.row.enumerate_ms, small.row.intern_ms, small.row.csr_ms);
+  const HeavyStreamResult heavy = RunHeavyStream(*base, quick);
+  std::printf("info: heavy_stream, %zu distinct 100-200-link sets, one "
+              "link cache, 1 thread: median %.3f ms (IQR %.3f; collect %.3f "
+              "(IQR %.3f) + intern %.3f (IQR %.3f) + csr %.3f (IQR %.3f)), "
+              "link-cache hit rate %.3f, %zu builds checked bit-identical\n",
+              heavy.sets, heavy.total_ms.median, heavy.total_ms.Iqr(),
+              heavy.collect_ms.median, heavy.collect_ms.Iqr(),
+              heavy.intern_ms.median, heavy.intern_ms.Iqr(),
+              heavy.csr_ms.median, heavy.csr_ms.Iqr(), heavy.hit_rate,
+              heavy.checked);
   WriteJson(out_path, quick, wide_threads, host_speedup, results, small,
-            headline);
+            heavy, headline);
   return 0;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "common/check.h"
 #include "common/flags.h"
@@ -196,7 +197,10 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   }
   const size_t num_postings = inst_offsets[num_edges];
   std::vector<uint32_t> instance_ids(num_postings);
-  std::vector<uint32_t> position(num_postings);
+  // Build-time scratch, each written before it is read.
+  auto position = std::make_unique_for_overwrite<uint32_t[]>(num_postings);
+  auto posting_cell =
+      std::make_unique_for_overwrite<uint32_t[]>(num_postings);
   {
     std::vector<uint32_t> cursor(inst_offsets.begin(), inst_offsets.end() - 1);
     for (size_t i = 0; i < num_instances; ++i) {
@@ -220,28 +224,33 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   // list's target sequence is already ascending — one run-length pass
   // reproduces the serial sorted aggregation, and records for every
   // posting position the cell its run occupies. A list has at most as
-  // many runs as postings, so the cells fit in num_postings slots.
+  // many runs as postings, so the cells fit in num_postings slots. The
+  // pass only stores: each posting rewrites its run's target and count,
+  // and a run starts where the target changes (no target is ~0u).
   std::vector<uint32_t> tgt_offsets(num_edges + 1, 0);
-  std::vector<uint32_t> tgt_ids(num_postings);
-  std::vector<uint32_t> tgt_counts(num_postings);
-  std::vector<uint32_t> posting_cell(num_postings);
-  uint32_t cells = 0;
-  for (size_t e = 0; e < num_edges; ++e) {
-    const uint32_t first = cells;
-    for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-      const uint32_t target = targets_of[instance_ids[p]];
-      if (cells == first || tgt_ids[cells - 1] != target) {
-        tgt_ids[cells++] = target;
+  {
+    auto ids = std::make_unique_for_overwrite<uint32_t[]>(num_postings);
+    auto counts = std::make_unique_for_overwrite<uint32_t[]>(num_postings);
+    uint32_t cell = ~0u;  // the current run's cell; the first run makes it 0
+    for (size_t e = 0; e < num_edges; ++e) {
+      uint32_t prev = ~0u;
+      uint32_t run_begin = inst_offsets[e];
+      for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
+        const uint32_t target = targets_of[instance_ids[p]];
+        const bool starts_run = target != prev;
+        cell += starts_run;
+        run_begin = starts_run ? p : run_begin;
+        ids[cell] = target;
+        counts[cell] = p + 1 - run_begin;
+        posting_cell[p] = cell;
+        prev = target;
       }
-      ++tgt_counts[cells - 1];
-      posting_cell[p] = cells - 1;
+      tgt_offsets[e + 1] = cell + 1;
     }
-    tgt_offsets[e + 1] = cells;
+    const uint32_t cells = tgt_offsets[num_edges];
+    idx.tgt_ids_ = std::vector<uint32_t>(ids.get(), ids.get() + cells);
+    idx.tgt_counts_.assign(counts.get(), counts.get() + cells);
   }
-  tgt_ids.resize(cells);
-  tgt_ids.shrink_to_fit();
-  tgt_counts.resize(cells);
-  tgt_counts.shrink_to_fit();
   // The slot table: the CSR-2 cell of (edge j of instance i, target of i)
   // is the cell of the posting the scatter gave that pair, written in
   // instance order.
@@ -254,8 +263,6 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   idx.inst_offsets_ = std::move(inst_offsets);
   idx.instance_ids_ = std::move(instance_ids);
   idx.tgt_offsets_ = std::move(tgt_offsets);
-  idx.tgt_ids_ = std::move(tgt_ids);
-  idx.tgt_counts_ = std::move(tgt_counts);
   idx.maint_ = std::move(maint);
   idx.FinishAliveState(targets.size());
   idx.PopulateRepairCaches(targets);
