@@ -43,11 +43,12 @@
 // fixture (six in nine Pentagon, two Rectangle, one RecTri), each built
 // once by BuildCached through one persistent LinkInstanceCache at 1
 // thread. It records the spread of each stage over the stream and the
-// cache's hit rate. The per-stage breakdown (enumerate = collect / intern / csr) comes from
-// IncidenceIndex::BuildStats. Every row records its reps, median and
-// interquartile range; the stage columns are medians. Every measured build
-// is verified BitIdentical to the reference, so the speedups never come
-// from computing something different.
+// cache's hit rate. The per-stage breakdown (enumerate = collect /
+// intern / csr) comes from IncidenceIndex::BuildStats. Every row records
+// its reps, median and interquartile range; the stage columns are
+// medians. Every measured build is verified BitIdentical to the
+// reference, so the speedups never come from computing something
+// different.
 //
 // Flags: --quick (fewer repetitions, CI smoke mode), --threads=N (caps
 //        the measured thread points at N — the TSan job passes 4 so the
@@ -375,8 +376,8 @@ HeavyStreamResult RunHeavyStream(const Graph& base, bool quick) {
         rng.SampleK(edges, 100 + rng.UniformIndex(101));
     IncidenceIndex::BuildStats stats;
     WallTimer timer;
-    Result<IncidenceIndex> idx =
-        IncidenceIndex::BuildCached(base, targets, kind, cache, options, &stats);
+    Result<IncidenceIndex> idx = IncidenceIndex::BuildCached(
+        base, targets, kind, cache, options, &stats);
     total.push_back(timer.Millis());
     TPP_CHECK(idx.ok());
     collect.push_back(stats.enumerate_seconds * 1e3);

@@ -3,12 +3,14 @@
 // BENCH_server_soak.json for tools/bench_guard --mode=server.
 //
 // Three sections:
-//   overload — one stdio session floods a server whose solve loop is
+//   overload — one socket client floods a server whose solve loop is
 //              frozen on the before_pickup hook, so every admission
 //              decision is made by the IO thread against a full, static
 //              queue: exactly `depth` requests admit and the rest shed
 //              with kUnavailable + retry-after. Deterministic by
-//              construction — no timing, no load generator tuning.
+//              construction — no timing, no load generator tuning. (A
+//              stdio session would wait for room instead of shedding: a
+//              piped script cannot retry.)
 //   soak     — C clients connect over a Unix socket and push R requests
 //              each (interleaving freely), then the server drains under
 //              load. The WHOLE soak runs twice; the bench asserts every
@@ -68,6 +70,18 @@ using service::PlanService;
 graph::Graph SoakBase() {
   Rng rng(20240809);
   return *graph::HolmeKim(400, 3, 0.3, rng);
+}
+
+int ConnectUnix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  TPP_CHECK(fd >= 0);
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size());
+  TPP_CHECK(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)) == 0);
+  return fd;
 }
 
 // ------------------------------------------------- drain under load
@@ -139,16 +153,12 @@ struct OverloadResult {
 };
 
 OverloadResult RunOverload(size_t depth) {
-  int in_pipe[2];
-  int out_pipe[2];
-  TPP_CHECK(::pipe(in_pipe) == 0 && ::pipe(out_pipe) == 0);
-
+  const std::string path = StrFormat(
+      "/tmp/tpp_overload_%d.sock", static_cast<int>(::getpid()));
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   server::ServerOptions options;
-  options.stdio = true;
-  options.stdio_in = in_pipe[0];
-  options.stdio_out = out_pipe[1];
+  options.socket_path = path;
   options.admission.max_queue_depth = depth;
   options.admission.max_per_client = 0;
   options.before_pickup = [gate] { gate.wait(); };
@@ -156,41 +166,49 @@ OverloadResult RunOverload(size_t depth) {
   PlanService service(SoakBase());
   server::PlanServer plan_server(&service, std::move(options));
   std::thread serve([&] { TPP_CHECK(plan_server.Serve().ok()); });
+  while (!std::filesystem::exists(path)) std::this_thread::yield();
+  const int client = ConnectUnix(path);
 
   OverloadResult result;
   result.offered = depth * 3;
   for (size_t i = 0; i < result.offered; ++i) {
     const std::string line =
         StrFormat("algorithm=sgb sample=3 seed=%zu budget=4\n", i);
-    TPP_CHECK(net::WriteAll(in_pipe[1], line.data(), line.size()).ok());
+    TPP_CHECK(net::WriteAll(client, line.data(), line.size()).ok());
   }
   // The shed replies are written by the IO thread at the admission
   // decision; read them all before releasing the solve loop to prove
-  // overload feedback never queues behind solving.
+  // overload feedback never queues behind solving. Then the admitted
+  // requests answer.
   server::LineAssembler reader;
   std::vector<std::string> sheds;
-  while (sheds.size() < result.offered - depth) {
-    pollfd pfd{out_pipe[0], POLLIN, 0};
+  size_t answered = 0;
+  while (sheds.size() + answered < result.offered) {
+    pollfd pfd{client, POLLIN, 0};
     TPP_CHECK(::poll(&pfd, 1, 30000) > 0);
     char buffer[4096];
-    Result<size_t> got = net::ReadSome(out_pipe[0], buffer, sizeof(buffer));
+    Result<size_t> got = net::ReadSome(client, buffer, sizeof(buffer));
     TPP_CHECK(got.ok() && *got > 0);
     for (std::string& line :
          reader.Feed(std::string_view(buffer, *got))) {
-      TPP_CHECK(line.find(" shed Unavailable ") != std::string::npos);
-      const size_t hint = line.find("retry_after_ms=");
-      TPP_CHECK(hint != std::string::npos);
-      result.retry_after_hint_ms = static_cast<uint64_t>(
-          std::strtoull(line.c_str() + hint + 15, nullptr, 10));
-      sheds.push_back(std::move(line));
+      if (sheds.size() < result.offered - depth) {
+        TPP_CHECK(line.find(" shed Unavailable ") != std::string::npos);
+        const size_t hint = line.find("retry_after_ms=");
+        TPP_CHECK(hint != std::string::npos);
+        result.retry_after_hint_ms = static_cast<uint64_t>(
+            std::strtoull(line.c_str() + hint + 15, nullptr, 10));
+        sheds.push_back(std::move(line));
+        if (sheds.size() == result.offered - depth) release.set_value();
+      } else {
+        TPP_CHECK(line.find(" ok ") != std::string::npos);
+        ++answered;
+      }
     }
   }
-  release.set_value();
-  ::close(in_pipe[1]);
+  plan_server.RequestDrain();
   serve.join();
-  ::close(in_pipe[0]);
-  ::close(out_pipe[0]);
-  ::close(out_pipe[1]);
+  ::close(client);
+  ::unlink(path.c_str());
 
   server::ServerStats stats = plan_server.snapshot_stats();
   result.admitted = stats.admitted;
@@ -202,18 +220,6 @@ OverloadResult RunOverload(size_t depth) {
 }
 
 // --------------------------------------------------------------- soak
-
-int ConnectUnix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  TPP_CHECK(fd >= 0);
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  TPP_CHECK(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) == 0);
-  return fd;
-}
 
 struct SoakRun {
   std::vector<std::vector<std::string>> transcripts;  // per client

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 
 #include "common/check.h"
 #include "common/flags.h"
@@ -162,52 +161,72 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
 
   TPP_RETURN_IF_ERROR(PollCancellation(options.cancel, "index:build:csr"));
 
-  // -- Stage 3: CSR layouts, each a count pass, a prefix sum, and a fill
-  // pass. The structures under construction live in local vectors and
+  // -- Stage 3: CSR layouts, from one count pass, a prefix sum, and one
+  // scatter. The structures under construction live in local vectors and
   // move into the immutable FlatArray members once finished.
   timer.Restart();
 
   idx.num_nodes_ = g.NumNodes();
   // The maintenance records densify instance -> (target, edge ids) for
-  // the posting-list walks below and for DeleteEdge: compact sequential
-  // reads instead of chasing 40-byte TargetSubgraphs. The run-length pass
-  // reads each instance's target from `targets_of`, 4 bytes per instance
-  // instead of a 36-byte record.
+  // the CSR passes below and for DeleteEdge: compact sequential reads
+  // instead of chasing 40-byte TargetSubgraphs.
+  //
+  // Both CSR layouts then come from one count and one scatter over the
+  // instances in order. Instances are laid out in target order, so edge e
+  // meets its instances in ascending id, hence ascending target: CSR 1
+  // (edge -> instances) holds ascending instance ids, and CSR 2 (edge ->
+  // per-target counts) is the run-length encoding of each posting list's
+  // targets, one cell per run. That reproduces the serial sorted
+  // aggregation without any per-edge sort. The count, folded into the
+  // records' fill, sizes both; the scatter fills both and writes the
+  // slot table in instance order: the CSR-2 cell of (edge j of instance
+  // i, target of i) is the cell the scatter just counted i into.
   idx.arity_ = static_cast<uint8_t>(arity);
   std::vector<InstanceMaintenance> maint(num_instances);
-  std::vector<uint32_t> targets_of(num_instances);
-  for (size_t i = 0; i < num_instances; ++i) {
-    targets_of[i] = static_cast<uint32_t>(instances[i].target);
-    maint[i].target = targets_of[i];
-    for (size_t j = 0; j < arity; ++j) {
-      maint[i].edge_ids[j] = idx.EdgeIdOf(instances[i].edges[j]);
-    }
-  }
-
-  // CSR 1 (edge -> instances): a stable counting scatter of the arity
-  // (edge id, instance id) pairs of each instance, so posting lists hold
-  // ascending instance ids. position[i * arity + j] records where edge j
-  // of instance i landed.
   std::vector<uint32_t> inst_offsets(num_edges + 1, 0);
-  for (const InstanceMaintenance& m : maint) {
-    for (size_t j = 0; j < arity; ++j) ++inst_offsets[m.edge_ids[j] + 1];
+  std::vector<uint32_t> tgt_offsets(num_edges + 1, 0);
+  // Per edge, the target of the last instance seen (no target is ~0u).
+  std::vector<uint32_t> last_target(num_edges, ~0u);
+  for (size_t i = 0; i < num_instances; ++i) {
+    InstanceMaintenance& m = maint[i];
+    m.target = static_cast<uint32_t>(instances[i].target);
+    for (size_t j = 0; j < arity; ++j) {
+      const uint32_t e = idx.EdgeIdOf(instances[i].edges[j]);
+      m.edge_ids[j] = e;
+      ++inst_offsets[e + 1];
+      tgt_offsets[e + 1] += last_target[e] != m.target;
+      last_target[e] = m.target;
+    }
   }
   for (size_t e = 0; e < num_edges; ++e) {
     inst_offsets[e + 1] += inst_offsets[e];
+    tgt_offsets[e + 1] += tgt_offsets[e];
   }
-  const size_t num_postings = inst_offsets[num_edges];
-  std::vector<uint32_t> instance_ids(num_postings);
-  // Build-time scratch, each written before it is read.
-  auto position = std::make_unique_for_overwrite<uint32_t[]>(num_postings);
-  auto posting_cell =
-      std::make_unique_for_overwrite<uint32_t[]>(num_postings);
+  std::vector<uint32_t> instance_ids(inst_offsets[num_edges]);
+  std::vector<uint32_t> tgt_ids(tgt_offsets[num_edges]);
+  idx.tgt_counts_.assign(tgt_ids.size(), 0);
   {
-    std::vector<uint32_t> cursor(inst_offsets.begin(), inst_offsets.end() - 1);
+    // Per edge: its next posting, its current cell (one before its first
+    // until an instance opens one) and that cell's target.
+    struct Cursor {
+      uint32_t posting;
+      uint32_t cell;
+      uint32_t target;
+    };
+    std::vector<Cursor> cursor(num_edges);
+    for (size_t e = 0; e < num_edges; ++e) {
+      cursor[e] = {inst_offsets[e], tgt_offsets[e] - 1, ~0u};
+    }
     for (size_t i = 0; i < num_instances; ++i) {
+      InstanceMaintenance& m = maint[i];
       for (size_t j = 0; j < arity; ++j) {
-        const uint32_t p = cursor[maint[i].edge_ids[j]]++;
-        instance_ids[p] = static_cast<uint32_t>(i);
-        position[i * arity + j] = p;
+        Cursor& c = cursor[m.edge_ids[j]];
+        instance_ids[c.posting++] = static_cast<uint32_t>(i);
+        c.cell += c.target != m.target;
+        c.target = m.target;
+        tgt_ids[c.cell] = m.target;
+        ++idx.tgt_counts_[c.cell];
+        m.slots[j] = c.cell;
       }
     }
   }
@@ -219,50 +238,10 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
     idx.alive_count_[e] = inst_offsets[e + 1] - inst_offsets[e];
   }
 
-  // CSR 2 (edge -> per-target counts): instances are laid out in target
-  // order and posting lists hold ascending instance ids, so each posting
-  // list's target sequence is already ascending — one run-length pass
-  // reproduces the serial sorted aggregation, and records for every
-  // posting position the cell its run occupies. A list has at most as
-  // many runs as postings, so the cells fit in num_postings slots. The
-  // pass only stores: each posting rewrites its run's target and count,
-  // and a run starts where the target changes (no target is ~0u).
-  std::vector<uint32_t> tgt_offsets(num_edges + 1, 0);
-  {
-    auto ids = std::make_unique_for_overwrite<uint32_t[]>(num_postings);
-    auto counts = std::make_unique_for_overwrite<uint32_t[]>(num_postings);
-    uint32_t cell = ~0u;  // the current run's cell; the first run makes it 0
-    for (size_t e = 0; e < num_edges; ++e) {
-      uint32_t prev = ~0u;
-      uint32_t run_begin = inst_offsets[e];
-      for (uint32_t p = inst_offsets[e]; p < inst_offsets[e + 1]; ++p) {
-        const uint32_t target = targets_of[instance_ids[p]];
-        const bool starts_run = target != prev;
-        cell += starts_run;
-        run_begin = starts_run ? p : run_begin;
-        ids[cell] = target;
-        counts[cell] = p + 1 - run_begin;
-        posting_cell[p] = cell;
-        prev = target;
-      }
-      tgt_offsets[e + 1] = cell + 1;
-    }
-    const uint32_t cells = tgt_offsets[num_edges];
-    idx.tgt_ids_ = std::vector<uint32_t>(ids.get(), ids.get() + cells);
-    idx.tgt_counts_.assign(counts.get(), counts.get() + cells);
-  }
-  // The slot table: the CSR-2 cell of (edge j of instance i, target of i)
-  // is the cell of the posting the scatter gave that pair, written in
-  // instance order.
-  for (size_t i = 0; i < num_instances; ++i) {
-    for (size_t j = 0; j < arity; ++j) {
-      maint[i].slots[j] = posting_cell[position[i * arity + j]];
-    }
-  }
-
   idx.inst_offsets_ = std::move(inst_offsets);
   idx.instance_ids_ = std::move(instance_ids);
   idx.tgt_offsets_ = std::move(tgt_offsets);
+  idx.tgt_ids_ = std::move(tgt_ids);
   idx.maint_ = std::move(maint);
   idx.FinishAliveState(targets.size());
   idx.PopulateRepairCaches(targets);

@@ -141,12 +141,13 @@ void InstanceRepository::ReleasePins() {
   for (Table::value_type* entry : pins_) {
     Group& group = entry->second;
     group.pin = kUnpinned;
-    if (group.index && group.uses < 2) {
+    if (group.index && group.uses >= 2) continue;  // kept
+    if (group.index) {  // one acquisition: sight the key, drop the group
       if (sightings_.empty()) sightings_.assign(kSightings, 0);
       const size_t hash = std::hash<std::string>{}(entry->first);
       sightings_[hash % kSightings] = hash;
     }
-    if (!group.index || group.uses < 2) Erase(groups_.find(entry->first));
+    Erase(groups_.find(entry->first));
   }
   pins_.clear();
 }

@@ -198,7 +198,8 @@ class InstanceRepository {
   /// caller has already applied `delta` to the base graph this repository
   /// points at; `new_fingerprint` is the post-edit graph::Fingerprint (the
   /// key future snapshot probes and write-backs use). It first unpins and
-  /// erases groups like Trim (unbuilt, or built for one acquisition). Per built group:
+  /// erases groups like Trim (unbuilt, or built for one acquisition). Per
+  /// kept group:
   ///   * groups whose TARGET links intersect the delta are reset: erased,
   ///     since the edit changed the problem itself;
   ///   * every other built group's index is repaired in place against

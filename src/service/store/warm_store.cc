@@ -564,17 +564,30 @@ Result<std::vector<StoreEntry>> WarmStore::Scan() {
 
 Status WarmStore::VerifyAll(std::vector<std::string>* problems) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Reads retry transient failures like every other store read, so a
+  // problem line is the bytes' fault, not a flaky read's.
   std::error_code ec;
   for (const fs::directory_entry& entry :
        fs::directory_iterator(fs::path(dir_) / "index", ec)) {
-    Status status = motif::IndexSnapshotCodec::Verify(entry.path().string());
+    const std::string path = entry.path().string();
+    Status status = RetryTransient(
+        options_.retry, RetrySeed(path),
+        [&] { return motif::IndexSnapshotCodec::Verify(path); },
+        &stats_.io_retries);
     if (!status.ok()) problems->push_back(status.ToString());
   }
   for (const Segment& seg : segments_) {
     Result<std::shared_ptr<const MappedBlob>> blob_or =
-        MappedBlob::Open(seg.path);
-    if (!blob_or.ok()) {
-      problems->push_back(blob_or.status().ToString());
+        Status::Internal("unset");
+    Status opened = RetryTransient(
+        options_.retry, RetrySeed(seg.path),
+        [&] {
+          blob_or = MappedBlob::Open(seg.path);
+          return blob_or.status();
+        },
+        &stats_.io_retries);
+    if (!opened.ok()) {
+      problems->push_back(opened.ToString());
       continue;
     }
     const MappedBlob& blob = **blob_or;

@@ -26,8 +26,8 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
-#include "service/instance_repository.h"
 #include "reference/run_one_cold.h"
+#include "service/instance_repository.h"
 #include "service/plan_service.h"
 #include "test_util.h"
 

@@ -544,13 +544,12 @@ TEST(PlanLogTest, FlippedByteInAClosedSegmentLosesOnlyItsRecord) {
     EXPECT_EQ(store->stats().skipped_bytes, record_bytes);
     std::vector<std::string> problems;
     ASSERT_TRUE(store->VerifyAll(&problems).ok());
-    ASSERT_EQ(problems.size(), 1u);
-    EXPECT_NE(problems[0].find(
-                  StrFormat("at offset %llu, %llu bytes skipped",
-                            static_cast<unsigned long long>(lost * record_bytes),
-                            static_cast<unsigned long long>(record_bytes))),
-              std::string::npos)
-        << problems[0];
+    ASSERT_EQ(problems.size(), 1u) << ::testing::PrintToString(problems);
+    const std::string range = StrFormat(
+        "at offset %llu, %llu bytes skipped",
+        static_cast<unsigned long long>(lost * record_bytes),
+        static_cast<unsigned long long>(record_bytes));
+    EXPECT_NE(problems[0].find(range), std::string::npos) << problems[0];
     std::ifstream f(seg, std::ios::binary);
     EXPECT_EQ(std::string(std::istreambuf_iterator<char>(f), {}), flipped);
   }

@@ -225,9 +225,10 @@ void PrintStoreStats(const service::store::WarmStore& store,
   }
 }
 
-// The repository footer of `batch` and `serve`: the groups resident at
-// exit (built ones; evicted and edit-reset groups are gone), their bytes,
-// and the evictions over the process.
+// The repository footer of `batch` and `serve`: the groups kept at exit
+// (those that served a second acquisition; one-off, evicted and
+// edit-reset groups are gone), their bytes, and the evictions over the
+// process.
 void PrintRepositoryStats(const service::InstanceRepository& repository) {
   std::printf("instance repository: %zu groups, %zu bytes resident, "
               "%zu evictions\n",
