@@ -10,9 +10,11 @@
 //                 the way InstanceRepository applies it: to a copy of the
 //                 base graph, then to a copy of the built index via
 //                 IncidenceIndex::ApplyGraphDelta on the edited base
-//                 (delta-neighborhood repair), timed together against
-//                 IncidenceIndex::Build on the edited released graph at
-//                 the same thread budget. EVERY rep
+//                 (delta-neighborhood repair), timed together against a
+//                 rebuild: IncidenceIndex::BuildCached on the edited base
+//                 through an empty link cache, at the same thread budget
+//                 — what a group's rebuild costs after ApplyEdit cleared
+//                 the repository's link cache. EVERY rep
 //                 proves equivalence the strong way: an sgb restricted
 //                 solve on an engine adopting the repaired index must
 //                 serialize a byte-identical deletion plan to the same
@@ -64,6 +66,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "motif/incidence_index.h"
+#include "motif/link_instances.h"
 #include "reference/run_one_cold.h"
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
@@ -79,6 +82,7 @@ using graph::EdgeKey;
 using graph::GraphDelta;
 using graph::NodeId;
 using motif::IncidenceIndex;
+using motif::LinkInstanceCache;
 using motif::MotifKind;
 
 // Overridable via --targets; matches bench/store_warmstart.cc so the cold
@@ -158,25 +162,25 @@ GraphDelta RandomChurn(const graph::Graph& g,
 // the sgb restricted greedy to a byte-identical deletion plan.
 void CheckPlansByteIdentical(IncidenceIndex repaired, IncidenceIndex rebuilt,
                              const graph::Graph& edited_base,
-                             const TppInstance& edited_inst) {
+                             const core::TppProblem& problem) {
   core::SolverSpec spec;
   spec.algorithm = "sgb";
   spec.budget = 8;
   Rng rng_a(99), rng_b(99);
   Result<IndexedEngine> via_repair =
-      IndexedEngine::Adopt(edited_base, edited_inst, std::move(repaired));
+      IndexedEngine::Adopt(edited_base, problem, std::move(repaired));
   TPP_CHECK(via_repair.ok());
   Result<core::ProtectionResult> a =
-      core::RunSolver(spec, *via_repair, edited_inst, rng_a);
+      core::RunSolver(spec, *via_repair, problem, rng_a);
   TPP_CHECK(a.ok());
   Result<IndexedEngine> via_rebuild =
-      IndexedEngine::Adopt(edited_base, edited_inst, std::move(rebuilt));
+      IndexedEngine::Adopt(edited_base, problem, std::move(rebuilt));
   TPP_CHECK(via_rebuild.ok());
   Result<core::ProtectionResult> b =
-      core::RunSolver(spec, *via_rebuild, edited_inst, rng_b);
+      core::RunSolver(spec, *via_rebuild, problem, rng_b);
   TPP_CHECK(b.ok());
-  TPP_CHECK(core::SerializeDeletionPlan(edited_inst, *a) ==
-            core::SerializeDeletionPlan(edited_inst, *b));
+  TPP_CHECK(core::SerializeDeletionPlan(problem, *a) ==
+            core::SerializeDeletionPlan(problem, *b));
 }
 
 ChurnResult RunChurnLevel(MotifKind kind, const graph::Graph& base,
@@ -224,13 +228,11 @@ ChurnResult RunChurnLevel(MotifKind kind, const graph::Graph& base,
       const double ms = timer.Millis();
       repair_best = r == 0 ? ms : std::min(repair_best, ms);
     }
-    TppInstance edited_inst = inst;
-    TPP_CHECK(edited_inst.released.ApplyDelta(delta).ok());
-
     IncidenceIndex rebuilt = [&] {
       WallTimer timer;
-      IncidenceIndex idx = *IncidenceIndex::Build(
-          edited_inst.released, inst.targets, kind, options);
+      LinkInstanceCache cache;
+      IncidenceIndex idx = *IncidenceIndex::BuildCached(
+          edited_base, inst.targets, kind, cache, options);
       const double ms = timer.Millis();
       rebuild_best = r == 0 ? ms : std::min(rebuild_best, ms);
       return idx;
@@ -238,7 +240,7 @@ ChurnResult RunChurnLevel(MotifKind kind, const graph::Graph& base,
     TPP_CHECK_EQ(repaired.TotalAlive(), rebuilt.TotalAlive());
 
     CheckPlansByteIdentical(std::move(repaired), std::move(rebuilt),
-                            edited_base, edited_inst);
+                            edited_base, inst);
   }
   out.repair_ms = repair_best;
   out.rebuild_ms = rebuild_best;
@@ -504,8 +506,9 @@ int Run(int argc, char** argv) {
   TPP_CHECK(arenas.ok());
   for (MotifKind kind : motif::kAllMotifs) {
     const TppInstance inst = MakeArenas(*arenas, kind);
-    const IncidenceIndex prototype =
-        *IncidenceIndex::Build(inst.released, inst.targets, kind);
+    LinkInstanceCache cache;
+    const IncidenceIndex prototype = *IncidenceIndex::BuildCached(
+        *arenas, inst.targets, kind, cache, IncidenceIndex::BuildOptions{});
     for (double churn : kChurnLevels) {
       ChurnResult result = RunChurnLevel(kind, *arenas, inst, prototype,
                                          churn, quick, build_threads);

@@ -160,11 +160,10 @@ SolverResult RunConfig(std::string_view solver, MotifKind kind, bool quick) {
   out.production_ms = SpreadOf(production_ms);
   out.rounds = reference.picks.size();
 
-  // Replay the picks on a fresh index to measure each round's dirty set
-  // and live candidate count — the locality the dirty-driven rounds
-  // exploit (untimed; diagnostics only).
-  IncidenceIndex replay =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+  // Replay the picks on a copy of the prototype's fresh index to measure
+  // each round's dirty set and live candidate count — the locality the
+  // dirty-driven rounds exploit (untimed; diagnostics only).
+  IncidenceIndex replay = prototype.index();
   std::vector<uint32_t> dirty;
   size_t dirty_total = 0, candidates_total = 0;
   for (const core::PickTrace& pick : reference.picks) {

@@ -3,7 +3,9 @@
 //
 // Two comparisons and one info row, each recording its reps, median and
 // IQR:
-//   per-motif   — cold IncidenceIndex::Build vs WarmStore::LoadIndex of
+//   per-motif   — cold IncidenceIndex::BuildCached from the base through an
+//                 empty link cache (a repository group's build on a
+//                 snapshot miss) vs WarmStore::LoadIndex of
 //                 the same index from its snapshot file (one mmap + header
 //                 validation + flat-array adoption). Every warm load is
 //                 CHECKed BitIdentical to the cold build, so the speedup
@@ -50,6 +52,7 @@
 #include "graph/datasets.h"
 #include "graph/fingerprint.h"
 #include "motif/incidence_index.h"
+#include "motif/link_instances.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
 #include "service/store/plan_codec.h"
@@ -58,7 +61,6 @@
 namespace tpp::bench {
 namespace {
 
-using core::TppInstance;
 using motif::IncidenceIndex;
 using motif::MotifKind;
 using service::store::WarmStore;
@@ -122,17 +124,13 @@ void AbsorbStoreStats(const WarmStore& store) {
   g_health.index_rejects += stats.index_rejects;
 }
 
-TppInstance MakeArenas(MotifKind kind) {
-  Result<graph::Graph> g = graph::MakeArenasEmailLike(1);
-  TPP_CHECK(g.ok());
-  Rng rng(7);
-  auto targets = *core::SampleTargets(*g, g_num_targets, rng);
-  return *core::MakeInstance(*g, targets, kind);
-}
-
 MotifResult RunMotif(MotifKind kind, bool quick, int build_threads,
                      const std::string& store_dir) {
-  const TppInstance inst = MakeArenas(kind);
+  Result<graph::Graph> base = graph::MakeArenasEmailLike(1);
+  TPP_CHECK(base.ok());
+  Rng rng(7);
+  const std::vector<graph::Edge> targets =
+      *core::SampleTargets(*base, g_num_targets, rng);
   MotifResult out;
   out.motif = std::string(motif::MotifName(kind));
   // Pentagon probes O(deg^3) per target; keep its repetitions low so the
@@ -144,19 +142,22 @@ MotifResult RunMotif(MotifKind kind, bool quick, int build_threads,
   // nothing and stabilize the small numbers.
   const size_t warm_reps = quick ? 10 : 50;
 
+  // The cold build a repository group pays on a snapshot miss with an
+  // empty link cache: BuildCached from the base.
   IncidenceIndex::BuildOptions options;
   options.threads = build_threads;
-  const IncidenceIndex reference =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif,
-                             options);
+  const auto cold_build = [&] {
+    motif::LinkInstanceCache cache;
+    return *IncidenceIndex::BuildCached(*base, targets, kind, cache, options);
+  };
+  const IncidenceIndex reference = cold_build();
   out.instances = reference.instances().size();
 
   {
     std::vector<double> samples;
     for (size_t r = 0; r < cold_reps; ++r) {
       WallTimer timer;
-      IncidenceIndex idx = *IncidenceIndex::Build(
-          inst.released, inst.targets, inst.motif, options);
+      IncidenceIndex idx = cold_build();
       samples.push_back(timer.Millis());
       TPP_CHECK_EQ(idx.TotalAlive(), reference.TotalAlive());
     }
@@ -165,10 +166,10 @@ MotifResult RunMotif(MotifKind kind, bool quick, int build_threads,
   }
 
   motif::IndexSnapshotMeta meta;
-  meta.graph_fingerprint = graph::Fingerprint(inst.released);
-  meta.target_hash = graph::TargetSetHash(inst.targets);
+  meta.graph_fingerprint = graph::Fingerprint(*base);
+  meta.target_hash = graph::TargetSetHash(targets);
   meta.motif = kind;
-  meta.num_targets = static_cast<uint32_t>(inst.targets.size());
+  meta.num_targets = static_cast<uint32_t>(targets.size());
   std::unique_ptr<WarmStore> store = WarmStore::Open(store_dir).value();
   TPP_CHECK(store->SaveIndex(reference, meta).ok());
   Result<std::vector<service::store::StoreEntry>> entries = store->Scan();

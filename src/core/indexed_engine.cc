@@ -3,23 +3,30 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/strings.h"
+#include "motif/link_instances.h"
 
 namespace tpp::core {
 
 using graph::EdgeKey;
 
-Result<IndexedEngine> IndexedEngine::Create(const TppInstance& instance) {
-  return Create(instance, motif::IncidenceIndex::BuildOptions{});
-}
-
 Result<IndexedEngine> IndexedEngine::Create(
     const TppInstance& instance,
     const motif::IncidenceIndex::BuildOptions& build_options,
     motif::IncidenceIndex::BuildStats* build_stats) {
-  TPP_ASSIGN_OR_RETURN(motif::IncidenceIndex index,
-                       motif::IncidenceIndex::Build(
-                           instance.released, instance.targets,
-                           instance.motif, build_options, build_stats));
+  for (const graph::Edge& target : instance.targets) {
+    if (instance.released.HasEdge(target.u, target.v)) {
+      return Status::FailedPrecondition(
+          StrFormat("target (%u,%u) still present; run phase-1 deletion first",
+                    target.u, target.v));
+    }
+  }
+  motif::LinkInstanceCache cache;
+  TPP_ASSIGN_OR_RETURN(
+      motif::IncidenceIndex index,
+      motif::IncidenceIndex::BuildCached(instance.released, instance.targets,
+                                         instance.motif, cache, build_options,
+                                         build_stats));
   return IndexedEngine(instance.released, std::move(index));
 }
 

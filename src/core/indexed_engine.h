@@ -23,16 +23,14 @@ namespace tpp::core {
 /// study.
 class IndexedEngine : public Engine {
  public:
-  /// Builds the incidence index (parallel over the shared pool at the
-  /// global thread budget; bit-identical at any thread count); fails if a
-  /// target is still present in the released graph.
-  static Result<IndexedEngine> Create(const TppInstance& instance);
-
-  /// Create with an explicit index-build thread budget and optional
-  /// per-stage build timings (motif::IncidenceIndex::BuildStats).
+  /// Builds the incidence index on `instance.released` with
+  /// motif::IncidenceIndex::BuildCached through a link cache of its own
+  /// (bit-identical at any thread budget; `build_stats` receives the
+  /// per-stage timings). Fails if a target is still present in the
+  /// released graph.
   static Result<IndexedEngine> Create(
       const TppInstance& instance,
-      const motif::IncidenceIndex::BuildOptions& build_options,
+      const motif::IncidenceIndex::BuildOptions& build_options = {},
       motif::IncidenceIndex::BuildStats* build_stats = nullptr);
 
   /// Wraps an already-built index (a shared group's copy, a repaired

@@ -152,8 +152,9 @@ size_t TotalSimilarity(const graph::Graph& g,
                        MotifKind kind, int threads = 0);
 
 /// Checks that `targets` are distinct edges of `g` (the base graph, before
-/// phase 1): the precondition of core::MakeInstance and of
-/// IncidenceIndex::BuildCached. The error names the first target, in list
+/// phase 1): the precondition of core::MakeInstance and of a repository
+/// group build, checked before IncidenceIndex::BuildCached (which does not
+/// check its targets). The error names the first target, in list
 /// order, that repeats an earlier one ("duplicate target (u,v)") or is not
 /// an edge ("target (u,v) is not an edge of the graph").
 Status ValidateTargetLinks(const graph::Graph& g,

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "common/strings.h"
 #include "common/timer.h"
 #include "motif/link_instances.h"
 
@@ -37,61 +36,11 @@ std::vector<EdgeKey> StableDigitScatter(const std::vector<EdgeKey>& keys,
   return out;
 }
 
-Status ValidateTargetsAbsent(const Graph& g,
-                             const std::vector<Edge>& targets) {
-  for (const Edge& target : targets) {
-    if (g.HasEdge(target.u, target.v)) {
-      return Status::FailedPrecondition(
-          StrFormat("target (%u,%u) still present; run phase-1 deletion first",
-                    target.u, target.v));
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
-Result<IncidenceIndex> IncidenceIndex::Build(
-    const Graph& g, const std::vector<Edge>& targets, MotifKind kind) {
-  return Build(g, targets, kind, BuildOptions{});
-}
-
-Result<IncidenceIndex> IncidenceIndex::Build(const Graph& g,
-                                             const std::vector<Edge>& targets,
-                                             MotifKind kind,
-                                             const BuildOptions& options,
-                                             BuildStats* stats) {
-  TPP_RETURN_IF_ERROR(ValidateTargetsAbsent(g, targets));
-  return BuildFrom(g, targets, kind, options, stats,
-                   [&](int workers, size_t* num_tasks) {
-                     // Per-target tasks (hub targets split by
-                     // first-neighbor chunk) fan out over the shared pool
-                     // once the estimated probes pay for the dispatch.
-                     const int enumerate_workers =
-                         EstimateEnumerationWork(g, targets, kind) >=
-                                 kMinParallelEnumerationWork
-                             ? workers
-                             : 1;
-                     return EnumerateAllTargetSubgraphs(
-                         g, targets, kind, enumerate_workers, num_tasks);
-                   });
-}
-
 Result<IncidenceIndex> IncidenceIndex::BuildCached(
-    const Graph& base, const std::vector<Edge>& targets, MotifKind kind,
-    LinkInstanceCache& cache, const BuildOptions& options, BuildStats* stats) {
-  TPP_RETURN_IF_ERROR(ValidateTargetLinks(base, targets));
-  return BuildFrom(base, targets, kind, options, stats,
-                   [&](int workers, size_t* num_tasks) {
-                     return cache.Collect(base, targets, kind, workers,
-                                          num_tasks);
-                   });
-}
-
-template <typename Collect>
-Result<IncidenceIndex> IncidenceIndex::BuildFrom(
     const Graph& g, const std::vector<Edge>& targets, MotifKind kind,
-    const BuildOptions& options, BuildStats* stats, Collect collect) {
+    LinkInstanceCache& cache, const BuildOptions& options, BuildStats* stats) {
   // In-build cancellation: polled here and between the stages below, so
   // a deadline that expires mid-construction stops at the next stage
   // boundary instead of paying for the whole build. Polls are pure reads
@@ -104,10 +53,11 @@ Result<IncidenceIndex> IncidenceIndex::BuildFrom(
   WallTimer timer;
 
   // -- Stage 1: collect the instances in the serial (target, emit) order,
-  // whatever the thread count: enumerated, or filtered from cached
-  // per-link lists (BuildCached). The only stage that fans out.
+  // whatever the thread count: each target's per-link list on `g` minus
+  // the instances using a target link. The only stage that fans out, and
+  // only for the links the cache misses.
   size_t num_tasks = 0;
-  idx.instances_ = collect(threads, &num_tasks);
+  idx.instances_ = cache.Collect(g, targets, kind, threads, &num_tasks);
   const size_t num_instances = idx.instances_.size();
   if (stats) {
     stats->enumerate_seconds = timer.Seconds();

@@ -3,8 +3,8 @@
 //
 // Because phase 2 only deletes edges, the set of target subgraphs is fixed
 // once enumerated; an instance dies permanently when any of its edges is
-// deleted. Build interns every participating edge into a dense edge id
-// (EdgeKey -> uint32, ids assigned in ascending key order; keyed queries
+// deleted. BuildCached interns every participating edge into a dense edge
+// id (EdgeKey -> uint32, ids assigned in ascending key order; keyed queries
 // resolve ids through a static flat open-addressing probe table built
 // once from the sorted key array — multiply-shift hash, no node chase,
 // immutable after build) and lays the incidence relation out in two
@@ -66,23 +66,21 @@
 // cached read, and a per-target round (CT/WT) flushes once, then reads
 // the cells in place.
 //
-// Construction is deterministic, and only its first stage is parallel:
-// enumeration fans out over the shared thread pool in per-target tasks
-// (hub targets split by first-neighbor chunk, see motif/enumerate.h)
-// whose outputs merge in the serial (target, emit) order — or, in
-// BuildCached, the instances are filtered from per-link base-graph lists
-// (motif/link_instances.h) into that same order. The layout stages run on
-// the calling thread: edge interning is an LSD radix sort of the flat
-// instance-edge array over the keys' significant bits, plus unique, with
-// probe-table id resolution; both CSR structures are built with
-// count-then-fill passes, the CSR-2 fill writing the slot table as it
-// goes. Enumeration fans out only above a work estimate that depends on
-// the graph and targets alone, never on the thread budget. The result is
-// bit-identical to the serial pre-parallel build at any thread count
-// (BuildIndexSerialReference in the test-only tpp_reference library,
+// One builder makes every index: BuildCached, from the base graph G (the
+// released graph G - T is never materialized) or from G - T alike. Its
+// first stage collects each target's instances from per-link lists of the
+// graph it is given (motif/link_instances.h) minus those through a target
+// link, in the serial (target, emit) order; only the enumeration of the
+// links that cache misses fans out over the shared thread pool (per-target
+// tasks, hub targets split by first-neighbor chunk, motif/enumerate.h),
+// and only above a work estimate that never depends on the thread budget.
+// Interning (an LSD radix sort of the flat instance-edge array, plus
+// unique) and the CSR layouts (one count pass and one scatter that also
+// writes the slot table) run on the calling thread. The result is
+// bit-identical to the serial pre-parallel build on G - T at any thread
+// count and cache state (BuildIndexSerialReference, test-only,
 // tests/reference/serial_index_build.h; differential-tested in
-// tests/index_build_parallel_test.cc and, for BuildCached,
-// tests/link_instance_cache_test.cc).
+// tests/index_build_parallel_test.cc and tests/link_instance_cache_test.cc).
 //
 // Complexity per query (E = interned edges, I(e) = instances through e,
 // T(e) = distinct targets through e, T(e) <= min(NumTargets(), I(e))):
@@ -126,10 +124,11 @@ class IndexSnapshotCodec;
 class LinkInstanceCache;  // motif/link_instances.h
 
 /// See file comment. Build once per (graph, targets, motif) experiment;
-/// the index is self-contained after Build and does not retain the graph.
+/// the index is self-contained after BuildCached and does not retain the
+/// graph.
 class IncidenceIndex {
  public:
-  /// Knobs of one Build call.
+  /// Knobs of one BuildCached call.
   struct BuildOptions {
     /// Worker budget for the enumeration (the intern and CSR stages are
     /// serial); <= 0 resolves to tpp::GlobalThreadCount() (the --threads
@@ -144,45 +143,28 @@ class IncidenceIndex {
     const CancellationToken* cancel = nullptr;
   };
 
-  /// Per-stage wall-time breakdown of one Build call (the index_build
-  /// bench reports these).
+  /// Per-stage wall-time breakdown of one BuildCached call (the
+  /// index_build bench and servebench's traced build probe report these).
   struct BuildStats {
-    double enumerate_seconds = 0;  ///< collect: enumerate, or cache filter
+    double enumerate_seconds = 0;  ///< collect: probe, misses, filter
     double intern_seconds = 0;     ///< sort+unique edge keys + id map
     double csr_seconds = 0;        ///< CSR 1/2 count-then-fill + slot table
     size_t instances = 0;          ///< collected instances
     size_t interned_edges = 0;     ///< distinct participating edges
-    size_t tasks = 0;              ///< enumeration work units
+    size_t tasks = 0;              ///< enumeration tasks of the misses
   };
 
-  /// Enumerates all target subgraphs of `kind` for every target and builds
-  /// the CSR incidence layout plus the alive-count caches, fanning the
-  /// enumeration out over the shared thread pool. `g` must
-  /// already have the targets removed (phase 1); an error is returned if
-  /// any target edge is still present.
-  static Result<IncidenceIndex> Build(const graph::Graph& g,
-                                      const std::vector<graph::Edge>& targets,
-                                      MotifKind kind);
-
-  /// Build with an explicit thread budget and optional per-stage timings.
-  static Result<IncidenceIndex> Build(const graph::Graph& g,
-                                      const std::vector<graph::Edge>& targets,
-                                      MotifKind kind,
-                                      const BuildOptions& options,
-                                      BuildStats* stats = nullptr);
-
-  /// Build from the base graph alone, with the instances taken from
-  /// `cache` instead of an enumeration of the released graph base - T:
-  /// each target's base-graph list (enumerated on `base` and published on
-  /// a miss) minus the instances using a target link — the same array, so
-  /// the result is bit-identical to Build(base - T, ...) and no released
-  /// graph is ever materialized. `targets` must be distinct edges of
-  /// `base` (ValidateTargetLinks, whose error is returned otherwise), and
-  /// `cache` must hold lists of this `base` only (LinkInstanceCache). Same
-  /// cancellation polls and stage timings as Build; enumerate_seconds
-  /// times the collect step.
+  /// The one index builder: the instances of each target on `g` with
+  /// every target link left out, laid out as above. Each target's list on
+  /// `g` comes from `cache` (enumerated and published on a miss), minus
+  /// the instances through a target link. On the base G that is the
+  /// enumeration of G - T, without materializing it; on G - T nothing is
+  /// filtered. Either way, and at any thread count, the result is
+  /// bit-identical to BuildIndexSerialReference on G - T. `cache` must
+  /// hold lists of this `g` only; checking the targets is the caller's
+  /// job (ValidateTargetLinks). Polls `options.cancel` between stages.
   static Result<IncidenceIndex> BuildCached(
-      const graph::Graph& base, const std::vector<graph::Edge>& targets,
+      const graph::Graph& g, const std::vector<graph::Edge>& targets,
       MotifKind kind, LinkInstanceCache& cache, const BuildOptions& options,
       BuildStats* stats = nullptr);
 
@@ -278,7 +260,7 @@ class IncidenceIndex {
   ///     gathers — no hashing, sorting, or per-entry searches on the
   ///     survivor path.
   ///
-  /// The result is PLAN-EQUIVALENT to a cold Build on the edited graph:
+  /// The result is PLAN-EQUIVALENT to a cold build on the edited graph:
   /// per-key gains, per-target splits, alive tallies, and the alive
   /// candidate set (AliveCandidateEdges) come out identical, and the
   /// interned universe is an ascending SUPERSET of the cold build's whose
@@ -410,16 +392,6 @@ class IncidenceIndex {
 
   IncidenceIndex() = default;
 
-  // Shared body of Build and BuildCached, after each validated its own
-  // graph: takes the instance array from `collect(threads, &num_tasks)`
-  // — timed as the enumerate stage — then interns and lays out both CSR
-  // structures with the slot table. `g` supplies only the node count.
-  template <typename Collect>
-  static Result<IncidenceIndex> BuildFrom(
-      const graph::Graph& g, const std::vector<graph::Edge>& targets,
-      MotifKind kind, const BuildOptions& options, BuildStats* stats,
-      Collect collect);
-
   /// Dense id of key `e`, or kNoEdge, resolved through a STATIC open-
   /// addressing table built once after interning: multiply-shift hash
   /// into a power-of-two slot array (no prime modulus, so no hardware
@@ -452,9 +424,9 @@ class IncidenceIndex {
   // both build paths call it right after interning.
   void BuildProbeTable();
 
-  // Shared tail of Build and BuildIndexSerialReference: sizes and fills the
-  // alive state (alive_, total_alive_, alive_per_target_, alive_edges_)
-  // from the enumerated instances in O(instances + E).
+  // Shared tail of BuildCached and BuildIndexSerialReference: sizes and
+  // fills the alive state (alive_, total_alive_, alive_per_target_,
+  // alive_edges_) from the enumerated instances in O(instances + E).
   void FinishAliveState(size_t num_targets);
 
   // Fills the repair-acceleration caches (target_keys_sorted_ and

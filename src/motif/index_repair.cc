@@ -1,7 +1,7 @@
 // IncidenceIndex::ApplyGraphDelta — in-place index repair after a
 // committed base-graph edit (a graph::GraphDelta).
 //
-// A cold Build pays full enumeration over every target; an edit that
+// A cold build pays full enumeration over every target; an edit that
 // touches a handful of edges invalidates almost none of that work. The
 // repair exploits two facts:
 //

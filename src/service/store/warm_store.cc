@@ -65,13 +65,26 @@ Result<Record> ParseRecord(const uint8_t* data, uint64_t size, uint64_t off) {
   return record;
 }
 
+// True iff bytes [off, size) are the key -> offset footer older builds
+// appended to a closed segment: the footer, then a 32-byte trailer
+// {footer offset, entry count, footer checksum, "TPPF", padding} naming
+// `off`, whose checksum matches. It holds no records.
+bool IsLegacyFooter(const uint8_t* data, uint64_t size, uint64_t off) {
+  struct { uint64_t offset, entries, checksum; uint32_t magic, pad; } t;
+  if (off > size || size - off < sizeof t) return false;
+  std::memcpy(&t, data + size - sizeof t, sizeof t);
+  return t.magic == 0x46505054u && t.offset == off &&
+         t.checksum == HashBytes64(data + off, size - sizeof t - off);
+}
+
 // Walks the records of segment bytes [0, size) in order, calling
 // on_record(offset, record) for each. At a record that fails to parse it
-// stops and returns that offset unless `resync` is set; then it calls
-// on_skip(offset, next, status) and resumes at `next`, the first later
-// offset holding kRecordMagic whose record parses (the record checksum
-// guards against a false match), or `size` when none does. Returns `size`
-// when every byte was walked.
+// stops and returns that offset unless `resync` is set; then, unless the
+// rest is an older build's footer (no damage: it returns `size`), it
+// calls on_skip(offset, next, status) and resumes at `next`, the first
+// later offset holding kRecordMagic whose record parses (the record
+// checksum guards against a false match), or `size` when none does.
+// Returns `size` when every byte was walked.
 template <typename OnRecord, typename OnSkip>
 uint64_t ScanRecords(const uint8_t* data, uint64_t size, bool resync,
                      OnRecord on_record, OnSkip on_skip) {
@@ -84,6 +97,7 @@ uint64_t ScanRecords(const uint8_t* data, uint64_t size, bool resync,
       continue;
     }
     if (!resync) return off;
+    if (IsLegacyFooter(data, size, off)) return size;
     uint64_t next = off + 1;
     while (next + sizeof(RecordHeader) <= size &&
            (std::memcmp(data + next, &kRecordMagic, sizeof kRecordMagic) != 0 ||
@@ -225,8 +239,8 @@ Status WarmStore::RecoverSegments() {
     // loses at most that tail. A closed segment is never rewritten; its
     // scan skips a bad range and resumes at the next record that parses,
     // so a corrupt byte costs at most the record that holds it. (The key
-    // -> offset footer older builds appended to a full segment reads as
-    // one skipped range.)
+    // -> offset footer older builds appended to a full segment is walked
+    // past, not counted.)
     const bool last = &seg == &segments_.back();
     const uint64_t off = ScanRecords(
         blob.data(), blob.size(), /*resync=*/!last,

@@ -15,10 +15,12 @@
 //       append to the ACTIVE segment, the highest-numbered one; once it
 //       passes StoreOptions::plan_segment_bytes it is CLOSED (takes no
 //       more appends) and the next append starts a fresh segment. Every
-//       open recovers every segment by one forward scan that stops at the
-//       first torn record and truncates it away, so a crash mid-append
-//       loses at most the tail record. Within and across segments, the
-//       LAST record for a key wins.
+//       open recovers every segment by one forward scan. In the active
+//       segment the scan stops at the first torn record and truncates it
+//       away, so a crash mid-append loses at most the tail record. A
+//       closed segment is never rewritten: its scan skips a bad range and
+//       resumes at the next record that parses. Within and across
+//       segments, the LAST record for a key wins.
 //
 // Capacity: `capacity_bytes` caps the sum of all entry files. Entries
 // larger than the cap are not admitted at all; when the total exceeds

@@ -20,10 +20,12 @@
 #include "service/instance_repository.h"
 #include "service/plan_cache.h"
 #include "service/plan_service.h"
+#include "test_util.h"
 
 namespace tpp::service {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using Clock = CancellationToken::Clock;
 using graph::Graph;
 
@@ -314,7 +316,7 @@ TEST(BuildStageCancellationTest, IndexBuildPollsTheToken) {
   canceled.Cancel();
   motif::IncidenceIndex::BuildOptions options;
   options.cancel = &canceled;
-  Result<motif::IncidenceIndex> index = motif::IncidenceIndex::Build(
+  Result<motif::IncidenceIndex> index = BuildFreshIndex(
       released, {target}, motif::MotifKind::kTriangle, options);
   ASSERT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), StatusCode::kAborted)
@@ -324,16 +326,16 @@ TEST(BuildStageCancellationTest, IndexBuildPollsTheToken) {
   // deadline code.
   CancellationToken expired(Clock::now() - std::chrono::seconds(1));
   options.cancel = &expired;
-  index = motif::IncidenceIndex::Build(released, {target},
-                                       motif::MotifKind::kTriangle, options);
+  index = BuildFreshIndex(released, {target},
+                          motif::MotifKind::kTriangle, options);
   ASSERT_FALSE(index.ok());
   EXPECT_EQ(index.status().code(), StatusCode::kDeadlineExceeded)
       << index.status().ToString();
 
   // The same build without a token succeeds: polling is the only effect.
   options.cancel = nullptr;
-  index = motif::IncidenceIndex::Build(released, {target},
-                                       motif::MotifKind::kTriangle, options);
+  index = BuildFreshIndex(released, {target},
+                          motif::MotifKind::kTriangle, options);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
 }
 

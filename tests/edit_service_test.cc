@@ -27,6 +27,7 @@
 namespace tpp::service {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using graph::Edge;
 using graph::Graph;
 using graph::GraphDelta;
@@ -423,7 +424,7 @@ TEST(EvictStaleTest, DropsForeignSnapshotsAndStaleSealedSegments) {
   std::vector<Edge> targets = {E(0, 1)};
   core::TppInstance inst =
       *core::MakeInstance(g, targets, motif::MotifKind::kTriangle);
-  motif::IncidenceIndex index = *motif::IncidenceIndex::Build(
+  motif::IncidenceIndex index = *BuildFreshIndex(
       inst.released, targets, motif::MotifKind::kTriangle);
   motif::IndexSnapshotMeta live_meta{live_fp,
                                      graph::TargetSetHash(targets),

@@ -23,6 +23,7 @@
 namespace tpp::motif {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using core::CandidateScope;
 using core::IndexedEngine;
 using core::RoundGains;
@@ -112,8 +113,7 @@ TEST_P(GainFastPathStressTest, CachedCountsSurviveRandomDeletions) {
     ASSERT_EQ(realized, expected);
     ASSERT_EQ(engine.DeleteEdge(victim), 0u);  // idempotent re-delete
 
-    auto rebuilt = IncidenceIndex::Build(engine.CurrentGraph(), inst.targets,
-                                         kind);
+    auto rebuilt = BuildFreshIndex(engine.CurrentGraph(), inst.targets, kind);
     ASSERT_TRUE(rebuilt.ok());
     ASSERT_EQ(rebuilt->TotalAlive(), engine.TotalSimilarity());
     for (size_t tt = 0; tt < targets.size(); ++tt) {
@@ -135,7 +135,7 @@ TEST_P(GainFastPathStressTest, CsrMatchesLegacyReference) {
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 4);
   TppInstance inst = *core::MakeInstance(g, targets, kind);
 
-  auto csr = IncidenceIndex::Build(inst.released, inst.targets, kind);
+  auto csr = BuildFreshIndex(inst.released, inst.targets, kind);
   auto legacy =
       LegacyIncidenceIndex::Build(inst.released, inst.targets, kind);
   ASSERT_TRUE(csr.ok());

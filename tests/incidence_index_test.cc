@@ -10,6 +10,7 @@
 namespace tpp::motif {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using graph::Edge;
 using graph::Graph;
 using graph::MakeEdgeKey;
@@ -24,7 +25,7 @@ Graph Diamond() {
 
 TEST(IncidenceIndexTest, BuildCountsInstances) {
   Graph g = Diamond();
-  auto idx = IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
+  auto idx = BuildFreshIndex(g, {E(0, 1)}, MotifKind::kTriangle);
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(idx->NumTargets(), 1u);
   EXPECT_EQ(idx->TotalAlive(), 2u);
@@ -34,17 +35,31 @@ TEST(IncidenceIndexTest, BuildCountsInstances) {
   EXPECT_TRUE(idx->IsAlive(1));
 }
 
-TEST(IncidenceIndexTest, RejectsPresentTarget) {
-  Graph g = Diamond();
-  ASSERT_TRUE(g.AddEdge(0, 1).ok());
-  auto idx = IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
-  ASSERT_FALSE(idx.ok());
-  EXPECT_EQ(idx.status().code(), StatusCode::kFailedPrecondition);
+// The builder takes the base graph or G - T alike: an instance through a
+// target link is left out, so a target link present in the graph never
+// enters the index.
+TEST(IncidenceIndexTest, PresentTargetLinksAreLeftOut) {
+  Graph base = Diamond();
+  ASSERT_TRUE(base.AddEdge(0, 1).ok());
+  const std::vector<Edge> targets = {E(0, 1), E(0, 2)};
+  Graph released = base;
+  released.RemoveEdges(targets);
+  auto on_base = BuildFreshIndex(base, targets, MotifKind::kTriangle);
+  auto on_released = BuildFreshIndex(released, targets, MotifKind::kTriangle);
+  ASSERT_TRUE(on_base.ok());
+  ASSERT_TRUE(on_released.ok());
+  EXPECT_TRUE(on_base->BitIdentical(*on_released));
+  // (0,1) keeps 0-3-1 and loses 0-2-1, which runs through target (0,2);
+  // (0,2)'s one triangle 0-1-2 runs through target (0,1).
+  EXPECT_EQ(on_base->AliveForTarget(0), 1u);
+  EXPECT_EQ(on_base->AliveForTarget(1), 0u);
+  EXPECT_EQ(on_base->Gain(MakeEdgeKey(0, 1)), 0u);
+  EXPECT_EQ(on_base->Gain(MakeEdgeKey(0, 2)), 0u);
 }
 
 TEST(IncidenceIndexTest, GainCountsAliveInstances) {
   Graph g = Diamond();
-  auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
+  auto idx = *BuildFreshIndex(g, {E(0, 1)}, MotifKind::kTriangle);
   EXPECT_EQ(idx.Gain(MakeEdgeKey(0, 2)), 1u);
   EXPECT_EQ(idx.Gain(MakeEdgeKey(3, 1)), 1u);
   EXPECT_EQ(idx.Gain(MakeEdgeKey(3, 4)), 0u);   // not in any instance
@@ -53,7 +68,7 @@ TEST(IncidenceIndexTest, GainCountsAliveInstances) {
 
 TEST(IncidenceIndexTest, DeleteEdgeKillsAndIsIdempotent) {
   Graph g = Diamond();
-  auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
+  auto idx = *BuildFreshIndex(g, {E(0, 1)}, MotifKind::kTriangle);
   EXPECT_EQ(idx.DeleteEdge(MakeEdgeKey(0, 2)), 1u);
   EXPECT_EQ(idx.TotalAlive(), 1u);
   EXPECT_EQ(idx.AliveForTarget(0), 1u);
@@ -69,7 +84,7 @@ TEST(IncidenceIndexTest, SharedEdgeAcrossTargets) {
   // edge (0,2) serves triangles of both targets.
   Graph g = MakeGraph(5, {{0, 2}, {2, 1}, {2, 4}});
   auto idx =
-      *IncidenceIndex::Build(g, {E(0, 1), E(0, 4)}, MotifKind::kTriangle);
+      *BuildFreshIndex(g, {E(0, 1), E(0, 4)}, MotifKind::kTriangle);
   EXPECT_EQ(idx.TotalAlive(), 2u);
   EXPECT_EQ(idx.Gain(MakeEdgeKey(0, 2)), 2u);
   std::vector<size_t> split(2, 0);
@@ -83,7 +98,7 @@ TEST(IncidenceIndexTest, SharedEdgeAcrossTargets) {
 
 TEST(IncidenceIndexTest, CandidateEdgesTrackAliveness) {
   Graph g = Diamond();
-  auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
+  auto idx = *BuildFreshIndex(g, {E(0, 1)}, MotifKind::kTriangle);
   auto candidates = idx.AliveCandidateEdges();
   // The pendant edge (3,4) participates in no instance.
   EXPECT_EQ(candidates.size(), 4u);
@@ -97,7 +112,7 @@ TEST(IncidenceIndexTest, CandidateEdgesTrackAliveness) {
 
 TEST(IncidenceIndexTest, PerEdgeAliveCountsMatchPointQueries) {
   Graph g = Diamond();
-  auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
+  auto idx = *BuildFreshIndex(g, {E(0, 1)}, MotifKind::kTriangle);
   EXPECT_EQ(idx.NumInternedEdges(), 4u);  // pendant (3,4) never interned
   std::span<const graph::EdgeKey> keys = idx.InternedEdgeKeys();
   for (size_t id = 0; id < keys.size(); ++id) {
@@ -117,7 +132,7 @@ TEST(IncidenceIndexTest, PerEdgeAliveCountsMatchPointQueries) {
 
 TEST(IncidenceIndexTest, AliveCountsVectorMatchesQueries) {
   Graph g = Diamond();
-  auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kTriangle);
+  auto idx = *BuildFreshIndex(g, {E(0, 1)}, MotifKind::kTriangle);
   const std::vector<size_t>& counts = idx.AliveCounts();
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_EQ(counts[0], idx.AliveForTarget(0));
@@ -125,7 +140,7 @@ TEST(IncidenceIndexTest, AliveCountsVectorMatchesQueries) {
 
 TEST(IncidenceIndexTest, EmptyTargetsYieldEmptyIndex) {
   Graph g = Diamond();
-  auto idx = *IncidenceIndex::Build(g, {}, MotifKind::kTriangle);
+  auto idx = *BuildFreshIndex(g, {}, MotifKind::kTriangle);
   EXPECT_EQ(idx.TotalAlive(), 0u);
   EXPECT_TRUE(idx.AliveCandidateEdges().empty());
 }
@@ -133,7 +148,7 @@ TEST(IncidenceIndexTest, EmptyTargetsYieldEmptyIndex) {
 TEST(IncidenceIndexTest, RecTriInstancesHaveFourEdges) {
   // Full RecTri around target (0,1): w=2, x=3.
   Graph g = MakeGraph(4, {{0, 2}, {2, 1}, {2, 3}, {3, 1}});
-  auto idx = *IncidenceIndex::Build(g, {E(0, 1)}, MotifKind::kRecTri);
+  auto idx = *BuildFreshIndex(g, {E(0, 1)}, MotifKind::kRecTri);
   ASSERT_EQ(idx.TotalAlive(), 1u);
   EXPECT_EQ(idx.instances()[0].num_edges, 4u);
   // Deleting the 2-path edge (0,2) also kills the RecTri.
@@ -147,8 +162,8 @@ TEST(IncidenceIndexTest, MemoryBytesDoNotGrowWithIsolatedNodes) {
   Graph small = Diamond();
   Graph large = Diamond();
   for (int i = 0; i < 100000; ++i) large.AddNode();
-  auto a = *IncidenceIndex::Build(small, {E(0, 1)}, MotifKind::kTriangle);
-  auto b = *IncidenceIndex::Build(large, {E(0, 1)}, MotifKind::kTriangle);
+  auto a = *BuildFreshIndex(small, {E(0, 1)}, MotifKind::kTriangle);
+  auto b = *BuildFreshIndex(large, {E(0, 1)}, MotifKind::kTriangle);
   EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
   EXPECT_LT(b.MemoryBytes(), 1024u);
 

@@ -29,6 +29,7 @@
 namespace tpp::core {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
@@ -218,7 +219,7 @@ TEST_P(IncrementalRoundsTest, DirtySetsExactUnderRandomDeleteOrders) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const TppInstance inst = SampledInstance(g, 8, seed + 40, kind);
     IncidenceIndex idx =
-        *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+        *BuildFreshIndex(inst.released, inst.targets, inst.motif);
     LegacyIncidenceIndex legacy = *LegacyIncidenceIndex::Build(
         inst.released, inst.targets, inst.motif);
     // Dense ids are positions in the interned key span: all[k] has id k.
@@ -258,9 +259,9 @@ TEST_P(IncrementalRoundsTest, DeferredFlushGranularity) {
   const Graph g = TestGraph(31);
   const TppInstance inst = SampledInstance(g, 6, 9, kind);
   IncidenceIndex idx =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   IncidenceIndex eager =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   std::vector<EdgeKey> candidates = idx.AliveCandidateEdges();
   ASSERT_FALSE(candidates.empty());
   const EdgeKey victim = candidates[candidates.size() / 2];

@@ -1,6 +1,7 @@
 // Differential tests of the parallel, allocation-lean IncidenceIndex build
 // path against the serial reference: bit-identity at every thread count on
-// every motif, hub-split task planning, post-build DeleteEdge equivalence
+// every motif, on the released graph G - T and on the base G alike,
+// hub-split task planning, post-build DeleteEdge equivalence
 // (the slot-table fast path), the maintained alive-edge count, the
 // parallel TotalSimilarity sweep, heavy-style production builds through
 // the link cache (before and after an edit), and end-to-end byte-identity
@@ -27,6 +28,7 @@
 namespace tpp::motif {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using core::TppInstance;
 using graph::Edge;
 using graph::Graph;
@@ -58,10 +60,13 @@ TEST_P(IndexBuildParallelTest, BitIdenticalToSerialOnRandomGraphs) {
                    " threads=" + std::to_string(threads));
       IncidenceIndex::BuildOptions options;
       options.threads = threads;
-      auto parallel = IncidenceIndex::Build(inst.released, inst.targets,
-                                            inst.motif, options);
-      ASSERT_TRUE(parallel.ok());
-      EXPECT_TRUE(parallel->BitIdentical(*serial));
+      // On G - T and on the base G alike.
+      for (const Graph* graph : {&inst.released, &*g}) {
+        auto parallel = BuildFreshIndex(*graph, inst.targets, inst.motif,
+                                        options);
+        ASSERT_TRUE(parallel.ok()) << parallel.status();
+        EXPECT_TRUE(parallel->BitIdentical(*serial));
+      }
     }
   }
 }
@@ -78,8 +83,8 @@ TEST_P(IndexBuildParallelTest, BitIdenticalOnSparseRandomGraph) {
   for (int threads : {2, 8}) {
     IncidenceIndex::BuildOptions options;
     options.threads = threads;
-    auto parallel = IncidenceIndex::Build(inst.released, inst.targets,
-                                          inst.motif, options);
+    auto parallel = BuildFreshIndex(inst.released, inst.targets,
+                                    inst.motif, options);
     ASSERT_TRUE(parallel.ok());
     EXPECT_TRUE(parallel->BitIdentical(*serial));
   }
@@ -162,8 +167,8 @@ TEST_P(IndexBuildParallelTest, BitIdenticalWithMultiDigitNodeIds) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     IncidenceIndex::BuildOptions options;
     options.threads = threads;
-    auto built = IncidenceIndex::Build(inst.released, inst.targets,
-                                       inst.motif, options);
+    auto built = BuildFreshIndex(inst.released, inst.targets,
+                                 inst.motif, options);
     ASSERT_TRUE(built.ok());
     EXPECT_TRUE(built->BitIdentical(*serial));
   }
@@ -227,6 +232,47 @@ TEST_P(IndexBuildParallelTest, HeavyTargetSetsMatchSerialReference) {
   }
 }
 
+// The builder's contract on either input: BuildCached on G - T (no
+// target link to filter) and on G (every instance through a target link
+// filtered out) are BitIdentical to the serial reference on G - T, at 1
+// and 4 threads, for a target set whose enumeration fans out on both
+// graphs: links of a hub adjacent to 1,700 nodes, 200 of them for
+// Triangle (whose estimate is the hub's degree per link) and fewer for
+// the longer motifs, whose estimates grow faster.
+TEST_P(IndexBuildParallelTest, ReleasedAndBaseInputsAgreeAboveFanOut) {
+  const MotifKind kind = GetParam();
+  Rng rng(81);
+  Graph base = *graph::HolmeKim(2000, 4, 0.3, rng);
+  for (graph::NodeId x = 1; x <= 1700; ++x) {
+    if (!base.HasEdge(0, x)) ASSERT_TRUE(base.AddEdge(0, x).ok());
+  }
+  const size_t num_targets = kind == MotifKind::kTriangle   ? 200
+                             : kind == MotifKind::kPentagon ? 10
+                                                            : 40;
+  std::vector<Edge> targets;
+  for (graph::NodeId x = 1; targets.size() < num_targets; x += 7) {
+    targets.push_back(Edge(0, x));
+  }
+  const TppInstance inst = *core::MakeInstance(base, targets, kind);
+  ASSERT_GE(EstimateEnumerationWork(inst.released, targets, kind),
+            kMinParallelEnumerationWork);
+  ASSERT_GE(EstimateEnumerationWork(base, targets, kind),
+            kMinParallelEnumerationWork);
+  auto serial = BuildIndexSerialReference(inst.released, targets, kind);
+  ASSERT_TRUE(serial.ok());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    IncidenceIndex::BuildOptions options;
+    options.threads = threads;
+    auto on_released = BuildFreshIndex(inst.released, targets, kind, options);
+    auto on_base = BuildFreshIndex(base, targets, kind, options);
+    ASSERT_TRUE(on_released.ok()) << on_released.status();
+    ASSERT_TRUE(on_base.ok()) << on_base.status();
+    EXPECT_TRUE(on_released->BitIdentical(*serial));
+    EXPECT_TRUE(on_base->BitIdentical(*serial));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMotifs, IndexBuildParallelTest,
                          ::testing::ValuesIn(kAllMotifs),
                          [](const auto& info) {
@@ -251,8 +297,8 @@ TEST(IndexBuildFanOutTest, BitIdenticalAboveFanOutThresholds) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     IncidenceIndex::BuildOptions options;
     options.threads = threads;
-    auto built = IncidenceIndex::Build(inst.released, inst.targets,
-                                       inst.motif, options);
+    auto built = BuildFreshIndex(inst.released, inst.targets,
+                                 inst.motif, options);
     ASSERT_TRUE(built.ok());
     EXPECT_TRUE(built->BitIdentical(*serial));
   }
@@ -288,7 +334,7 @@ TEST(EnumerationTaskTest, HubTargetsSplitForHeavyMotifs) {
     ASSERT_TRUE(serial.ok());
     IncidenceIndex::BuildOptions options;
     options.threads = 4;
-    auto parallel = IncidenceIndex::Build(g, targets, kind, options);
+    auto parallel = BuildFreshIndex(g, targets, kind, options);
     ASSERT_TRUE(parallel.ok());
     EXPECT_TRUE(parallel->BitIdentical(*serial))
         << MotifName(kind);
@@ -307,8 +353,7 @@ TEST(EnumerationTaskTest, IsolatedTargetEndpointIsHandled) {
   ASSERT_TRUE(serial.ok());
   IncidenceIndex::BuildOptions options;
   options.threads = 4;
-  auto parallel = IncidenceIndex::Build(g, targets, MotifKind::kTriangle,
-                                        options);
+  auto parallel = BuildFreshIndex(g, targets, MotifKind::kTriangle, options);
   ASSERT_TRUE(parallel.ok());
   EXPECT_TRUE(parallel->BitIdentical(*serial));
   EXPECT_EQ(parallel->NumTargets(), 2u);
@@ -328,8 +373,8 @@ TEST(IndexBuildDeleteTest, DeleteSequencesMatchSerialBuild) {
         inst.released, inst.targets, inst.motif);
     IncidenceIndex::BuildOptions options;
     options.threads = 4;
-    auto parallel = *IncidenceIndex::Build(inst.released, inst.targets,
-                                           inst.motif, options);
+    auto parallel = *BuildFreshIndex(inst.released, inst.targets,
+                                     inst.motif, options);
     // Greedily delete the current best candidate until nothing is alive.
     while (serial.TotalAlive() > 0) {
       std::vector<graph::EdgeKey> edges = serial.AliveCandidateEdges();
@@ -353,7 +398,7 @@ TEST(IndexBuildDeleteTest, NumAliveEdgesTracksCandidateCount) {
   Result<Graph> g = graph::HolmeKim(150, 4, 0.3, rng);
   ASSERT_TRUE(g.ok());
   TppInstance inst = SampledInstance(*g, 8, 23, MotifKind::kRecTri);
-  auto idx = *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+  auto idx = *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   EXPECT_EQ(idx.NumAliveEdges(), idx.NumInternedEdges());
   Rng pick(5);
   while (idx.TotalAlive() > 0) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -22,14 +23,17 @@
 #include "core/problem.h"
 #include "core/report.h"
 #include "core/solver.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "motif/enumerate.h"
 #include "motif/incidence_index.h"
 #include "reference/legacy_incidence_index.h"
+#include "test_util.h"
 
 namespace tpp::core {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
@@ -98,7 +102,7 @@ TEST_P(IndexRepairTest, RepairedMatchesColdBuildUnderChurn) {
   for (const Edge& t : targets) target_keys.insert(t.Key());
   TppInstance inst = *MakeInstance(g, targets, kind);
   IncidenceIndex repaired =
-      *IncidenceIndex::Build(inst.released, targets, kind);
+      *BuildFreshIndex(inst.released, targets, kind);
 
   for (int commit = 0; commit < 6; ++commit) {
     GraphDelta delta = RandomDelta(inst.released, target_keys, 3, 3, rng);
@@ -108,7 +112,7 @@ TEST_P(IndexRepairTest, RepairedMatchesColdBuildUnderChurn) {
         << "commit " << commit;
 
     Result<IncidenceIndex> cold =
-        IncidenceIndex::Build(inst.released, targets, kind);
+        BuildFreshIndex(inst.released, targets, kind);
     ASSERT_TRUE(cold.ok());
     LegacyIncidenceIndex legacy =
         *LegacyIncidenceIndex::Build(inst.released, targets, kind);
@@ -156,7 +160,7 @@ TEST_P(IndexRepairTest, DirtySetsMatchColdBuildAfterRepair) {
   for (const Edge& t : targets) target_keys.insert(t.Key());
   TppInstance inst = *MakeInstance(g, targets, kind);
   IncidenceIndex repaired =
-      *IncidenceIndex::Build(inst.released, targets, kind);
+      *BuildFreshIndex(inst.released, targets, kind);
 
   GraphDelta delta = RandomDelta(inst.released, target_keys, 2, 3, rng);
   if (delta.empty()) GTEST_SKIP();
@@ -165,7 +169,7 @@ TEST_P(IndexRepairTest, DirtySetsMatchColdBuildAfterRepair) {
   // Cold-build the repaired index's twin; identical deletion sequences
   // must report identical dirty sets (the incremental round engine's
   // re-evaluation contract) and identical count arrays.
-  IncidenceIndex cold = *IncidenceIndex::Build(inst.released, targets, kind);
+  IncidenceIndex cold = *BuildFreshIndex(inst.released, targets, kind);
   // Dense ids differ between the two universes (the repaired one is a
   // superset), so dirty sets and count arrays compare by KEY.
   auto dirty_keys = [](const IncidenceIndex& idx,
@@ -208,7 +212,7 @@ TEST_P(IndexRepairTest, PlansByteIdenticalAfterRepair) {
   for (const Edge& t : targets) target_keys.insert(t.Key());
   TppInstance edited = *MakeInstance(g, targets, kind);
   IncidenceIndex repaired =
-      *IncidenceIndex::Build(edited.released, targets, kind);
+      *BuildFreshIndex(edited.released, targets, kind);
 
   SolverSpec spec;
   spec.algorithm = "sgb";
@@ -280,7 +284,7 @@ TEST_P(IndexRepairTest, RepairOnBaseIsBitIdenticalToRepairOnReleased) {
   }
   TppInstance inst = *MakeInstance(base, targets, kind);
   IncidenceIndex on_released =
-      *IncidenceIndex::Build(inst.released, targets, kind);
+      *BuildFreshIndex(inst.released, targets, kind);
   IncidenceIndex on_base = on_released;
 
   size_t through_target = 0;  // created base instances holding a target
@@ -332,6 +336,61 @@ TEST_P(IndexRepairTest, RepairOnBaseIsBitIdenticalToRepairOnReleased) {
   EXPECT_GT(through_target, 0u);
 }
 
+// Long churn on the Arenas-like fixture, the way InstanceRepository keeps a
+// group: one index built on the base, repaired in place on the edited
+// base through 1,000 seeded commits (one link removed and one inserted
+// each), and checked every 100 commits against a cold build of the edited
+// base — per-key gains, per-target splits, alive tallies and the alive
+// candidate set. The grow-only universe's dead rows (interned keys with
+// alive count 0) are exactly the keys the cold build does not intern;
+// their count at the last checkpoint is recorded per motif.
+TEST(IndexRepairLongChurnTest, ThousandCommitsMatchColdBuildAtCheckpoints) {
+  constexpr int kCommits = 1000;
+  constexpr int kCheckEvery = 100;
+  for (MotifKind kind : motif::kAllMotifs) {
+    SCOPED_TRACE(std::string(motif::MotifName(kind)));
+    Graph base = *graph::MakeArenasEmailLike(1);
+    Rng rng(4200 + static_cast<uint64_t>(kind));
+    const std::vector<Edge> targets =
+        rng.SampleK(base.Edges(), kind == MotifKind::kPentagon ? 40 : 100);
+    std::set<EdgeKey> target_keys;
+    for (const Edge& t : targets) target_keys.insert(t.Key());
+    IncidenceIndex repaired = *BuildFreshIndex(base, targets, kind);
+    size_t dead_rows = 0;
+    for (int commit = 1; commit <= kCommits; ++commit) {
+      const GraphDelta delta = RandomDelta(base, target_keys, 1, 1, rng);
+      ASSERT_TRUE(CommitEdit(base, repaired, targets, kind, delta).ok())
+          << "commit " << commit;
+      if (commit % kCheckEvery != 0) continue;
+      SCOPED_TRACE("commit " + std::to_string(commit));
+      IncidenceIndex cold = *BuildFreshIndex(base, targets, kind);
+      std::span<const EdgeKey> rk = repaired.InternedEdgeKeys();
+      std::span<const EdgeKey> ck = cold.InternedEdgeKeys();
+      ASSERT_TRUE(std::includes(rk.begin(), rk.end(), ck.begin(), ck.end()));
+      ASSERT_EQ(repaired.TotalAlive(), cold.TotalAlive());
+      ASSERT_EQ(repaired.AliveCounts(), cold.AliveCounts());
+      ASSERT_EQ(repaired.AliveCandidateEdges(), cold.AliveCandidateEdges());
+      std::vector<size_t> row_r(targets.size());
+      std::vector<size_t> row_c(targets.size());
+      dead_rows = 0;
+      for (EdgeKey key : rk) {
+        ASSERT_EQ(repaired.Gain(key), cold.Gain(key)) << key;
+        dead_rows += repaired.Gain(key) == 0 ? 1 : 0;
+        std::fill(row_r.begin(), row_r.end(), 0);
+        std::fill(row_c.begin(), row_c.end(), 0);
+        repaired.AccumulateGains(key, &row_r);
+        cold.AccumulateGains(key, &row_c);
+        ASSERT_EQ(row_r, row_c) << key;
+      }
+      ASSERT_EQ(dead_rows, rk.size() - ck.size());
+    }
+    ::testing::Test::RecordProperty(
+        "dead_rows_" + std::string(motif::MotifName(kind)),
+        std::to_string(dead_rows) + " of " +
+            std::to_string(repaired.NumInternedEdges()));
+  }
+}
+
 // A fresh index over a small random graph for the rejection cases.
 struct ErrorFixture {
   Graph released;
@@ -345,7 +404,7 @@ ErrorFixture MakeErrorFixture(uint64_t seed) {
   std::vector<Edge> targets = rng.SampleK(g.Edges(), 3);
   TppInstance inst = *MakeInstance(g, targets, MotifKind::kTriangle);
   IncidenceIndex index =
-      *IncidenceIndex::Build(inst.released, targets, MotifKind::kTriangle);
+      *BuildFreshIndex(inst.released, targets, MotifKind::kTriangle);
   return {std::move(inst.released), std::move(targets), std::move(index)};
 }
 

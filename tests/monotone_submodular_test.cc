@@ -10,10 +10,12 @@
 #include "core/problem.h"
 #include "graph/generators.h"
 #include "motif/incidence_index.h"
+#include "test_util.h"
 
 namespace tpp::core {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using graph::Edge;
 using graph::EdgeKey;
 using graph::Graph;
@@ -22,8 +24,8 @@ using motif::IncidenceIndex;
 // Applies a deletion set to a fresh index and returns s(P, T).
 size_t SimilarityAfter(const TppInstance& inst,
                        const std::vector<EdgeKey>& deletions) {
-  IncidenceIndex idx = *IncidenceIndex::Build(inst.released, inst.targets,
-                                              inst.motif);
+  IncidenceIndex idx = *BuildFreshIndex(inst.released, inst.targets,
+                                        inst.motif);
   for (EdgeKey e : deletions) idx.DeleteEdge(e);
   return idx.TotalAlive();
 }

@@ -18,6 +18,7 @@
 namespace tpp {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 using core::IndexedEngine;
 using core::MakeInstance;
 using core::TppInstance;
@@ -30,7 +31,7 @@ using ::tpp::testing::MakeGraph;
 // Marginal dissimilarity gain of deleting `p` after deleting `prior`.
 size_t MarginalGain(const TppInstance& inst, const std::vector<Edge>& prior,
                     Edge p) {
-  motif::IncidenceIndex idx = *motif::IncidenceIndex::Build(
+  motif::IncidenceIndex idx = *BuildFreshIndex(
       inst.released, inst.targets, inst.motif);
   for (const Edge& e : prior) idx.DeleteEdge(e.Key());
   return idx.Gain(p.Key());

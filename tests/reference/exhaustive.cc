@@ -5,6 +5,7 @@
 #include "common/strings.h"
 #include "graph/edge.h"
 #include "motif/incidence_index.h"
+#include "reference/serial_index_build.h"
 
 namespace tpp::core {
 
@@ -78,9 +79,9 @@ struct Searcher {
 Result<ExhaustiveResult> ExhaustiveOptimal(const TppInstance& instance,
                                            size_t k, size_t max_subsets) {
   TPP_ASSIGN_OR_RETURN(IncidenceIndex index,
-                       IncidenceIndex::Build(instance.released,
-                                             instance.targets,
-                                             instance.motif));
+                       motif::BuildIndexSerialReference(instance.released,
+                                                        instance.targets,
+                                                        instance.motif));
   std::vector<EdgeKey> candidates = index.AliveCandidateEdges();
   size_t bound = CountSubsets(candidates.size(), k, max_subsets);
   if (bound >= max_subsets) {

@@ -30,7 +30,8 @@ namespace tpp::motif {
 /// incident to the edge).
 class LegacyIncidenceIndex {
  public:
-  /// Same contract as IncidenceIndex::Build.
+  /// Same contract as BuildIndexSerialReference: `g` is the released
+  /// graph G - T.
   static Result<LegacyIncidenceIndex> Build(
       const graph::Graph& g, const std::vector<graph::Edge>& targets,
       MotifKind kind);

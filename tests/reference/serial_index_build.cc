@@ -16,7 +16,7 @@ using graph::NodeId;
 
 namespace {
 
-// Same check and message as IncidenceIndex::Build's.
+// Same check and message as IndexedEngine::Create's.
 Status ValidateTargetsAbsent(const Graph& g,
                              const std::vector<Edge>& targets) {
   for (const Edge& target : targets) {

@@ -1,7 +1,7 @@
 // The serial pre-parallel incidence-index build and its enumerator,
 // frozen as the baseline of the index_build bench and the reference of
 // the parallel-vs-serial differential tests. Test-only (tpp_reference
-// library); libtpp's IncidenceIndex::Build is the production path.
+// library); libtpp's IncidenceIndex::BuildCached is the production path.
 
 #ifndef TPP_REFERENCE_SERIAL_INDEX_BUILD_H_
 #define TPP_REFERENCE_SERIAL_INDEX_BUILD_H_
@@ -28,9 +28,11 @@ std::vector<TargetSubgraph> EnumerateTargetSubgraphsReference(
 
 /// The single-threaded pre-parallel build: serial per-target enumeration
 /// with materialized common-neighbor vectors and hash-map edge-id
-/// resolution. Same contract as IncidenceIndex::Build, whose result is
-/// required to be bit-identical to this one at any thread count. A friend
-/// of IncidenceIndex: it fills the same private layout.
+/// resolution, on the released graph `g` = G - T: fails with
+/// FailedPrecondition if a target is still present. IncidenceIndex::
+/// BuildCached, on G or on G - T, is required to be bit-identical to this
+/// one at any thread count. A friend of IncidenceIndex: it fills the same
+/// private layout.
 Result<IncidenceIndex> BuildIndexSerialReference(
     const graph::Graph& g, const std::vector<graph::Edge>& targets,
     MotifKind kind);

@@ -35,6 +35,7 @@
 namespace tpp::service::store {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 namespace fs = std::filesystem;
 
 using core::TppInstance;
@@ -92,7 +93,7 @@ TEST(IndexSnapshotTest, RoundTripIsBitIdentical) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   const IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
 
   std::unique_ptr<WarmStore> store = OpenStore(TempStoreDir("roundtrip"));
   ASSERT_TRUE(store->SaveIndex(built, meta).ok());
@@ -129,7 +130,7 @@ void ExpectCorruptionFallsBack(const std::string& dir_name,
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   const IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   const std::string dir = TempStoreDir(dir_name);
   {
     std::unique_ptr<WarmStore> store = OpenStore(dir);
@@ -209,7 +210,7 @@ TEST(IndexSnapshotCorruptionTest, FingerprintMismatchRejects) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   const std::string dir = TempStoreDir("fingerprint");
   std::unique_ptr<WarmStore> store = OpenStore(dir);
   ASSERT_TRUE(store->SaveIndex(built, meta).ok());
@@ -257,7 +258,7 @@ TEST(WarmStoreRepositoryTest, ColdBuildWritesBackAndSecondRunAdopts) {
   EXPECT_EQ(store->stats().index_hits, 1u);
   EXPECT_EQ(store->stats().index_writes, 0u);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   EXPECT_TRUE(engine->index().BitIdentical(built));
 }
 
@@ -383,17 +384,12 @@ TEST(PlanLogTest, RewrittenKeyCountsOnceAcrossReopen) {
   EXPECT_EQ(segments[0].plan_records, 2u);
 }
 
-// Older builds closed a full segment by appending a key -> offset footer
-// and a 32-byte trailer. Such a segment, written here byte for byte,
-// recovers every key by scan (the footer reads as a torn tail and is
-// truncated away), verifies clean, and takes no more appends.
-TEST(PlanLogTest, SegmentWithAnIndexFooterRecoversByScan) {
-  const std::vector<std::pair<std::string, std::string>> appends = {
-      {"k1", std::string(40, 'a')},
-      {"k2", std::string(40, 'b')},
-      {"k1", std::string(40, 'c')},
-      {"k3", std::string(40, 'd')},
-  };
+// A segment as older builds closed it, byte for byte: the records of
+// `appends`, then a key -> offset footer of the live keys and a 32-byte
+// trailer naming it. `records_bytes` receives the records' size.
+std::string LegacyClosedSegment(
+    const std::vector<std::pair<std::string, std::string>>& appends,
+    uint64_t* records_bytes) {
   std::string records;
   std::vector<std::pair<std::string, uint64_t>> live;  // key, offset
   auto append = [&](const void* bytes, size_t size, std::string* out) {
@@ -432,18 +428,37 @@ TEST(PlanLogTest, SegmentWithAnIndexFooterRecoversByScan) {
   append(&footer_checksum, 8, &segment);
   append(&footer_magic, 4, &segment);
   append(&padding, 4, &segment);
-  ASSERT_EQ(segment.size(), records.size() + footer.size() + 32);
+  EXPECT_EQ(segment.size(), records.size() + footer.size() + 32);
+  *records_bytes = records.size();
+  return segment;
+}
 
+void WriteFile(const fs::path& path, const std::string& bytes) {
+  fs::create_directories(path.parent_path());
+  std::ofstream f(path.string(), std::ios::binary);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+const std::vector<std::pair<std::string, std::string>> kLegacyAppends = {
+    {"k1", std::string(40, 'a')},
+    {"k2", std::string(40, 'b')},
+    {"k1", std::string(40, 'c')},
+    {"k3", std::string(40, 'd')},
+};
+
+// A legacy segment as the LAST segment recovers every key by scan (the
+// footer reads as a torn tail and is truncated away), verifies clean, and
+// takes no more appends.
+TEST(PlanLogTest, SegmentWithAnIndexFooterRecoversByScan) {
+  uint64_t records_bytes = 0;
+  const std::string segment = LegacyClosedSegment(kLegacyAppends,
+                                                  &records_bytes);
   StoreOptions options;
   options.plan_segment_bytes = 200;  // the records end past it: closed
-  ASSERT_GT(records.size(), options.plan_segment_bytes);
+  ASSERT_GT(records_bytes, options.plan_segment_bytes);
   const std::string dir = TempStoreDir("footer");
   const fs::path first = fs::path(dir) / "plans" / "seg-000001.log";
-  fs::create_directories(first.parent_path());
-  {
-    std::ofstream f(first.string(), std::ios::binary);
-    f.write(segment.data(), static_cast<std::streamsize>(segment.size()));
-  }
+  WriteFile(first, segment);
 
   std::unique_ptr<WarmStore> store = OpenStore(dir, options);
   std::string payload;
@@ -455,7 +470,7 @@ TEST(PlanLogTest, SegmentWithAnIndexFooterRecoversByScan) {
     ASSERT_TRUE(store->LoadPlan(key, &payload)) << key;
     EXPECT_EQ(payload, expected);
   }
-  EXPECT_EQ(fs::file_size(first), records.size());
+  EXPECT_EQ(fs::file_size(first), records_bytes);
   std::vector<std::string> problems;
   ASSERT_TRUE(store->VerifyAll(&problems).ok());
   EXPECT_TRUE(problems.empty());
@@ -465,13 +480,53 @@ TEST(PlanLogTest, SegmentWithAnIndexFooterRecoversByScan) {
   EXPECT_TRUE(segments[0].closed);
 
   ASSERT_TRUE(store->AppendPlan("k4", "payload-four").ok());
-  EXPECT_EQ(fs::file_size(first), records.size());
+  EXPECT_EQ(fs::file_size(first), records_bytes);
   EXPECT_TRUE(fs::exists(fs::path(dir) / "plans" / "seg-000002.log"));
   store = OpenStore(dir, options);
   ASSERT_TRUE(store->LoadPlan("k4", &payload));
   EXPECT_EQ(payload, "payload-four");
   ASSERT_TRUE(store->LoadPlan("k1", &payload));
   EXPECT_EQ(payload, std::string(40, 'c'));
+}
+
+// A legacy segment before the last one is a closed segment: its footer is
+// no damage, so every open serves its keys without a skipped range or a
+// degradation, and verify reports nothing.
+TEST(PlanLogTest, IndexFooterInAnEarlierSegmentIsNoDamage) {
+  uint64_t records_bytes = 0;
+  const std::string segment = LegacyClosedSegment(kLegacyAppends,
+                                                  &records_bytes);
+  const std::string dir = TempStoreDir("footer-closed");
+  const fs::path first = fs::path(dir) / "plans" / "seg-000001.log";
+  WriteFile(first, segment);
+  {
+    // The second segment, written by this build in a store of its own (an
+    // open of `dir` now would truncate the footer of its last segment).
+    const std::string other = TempStoreDir("footer-second");
+    ASSERT_TRUE(OpenStore(other)->AppendPlan("k4", "payload-four").ok());
+    fs::copy_file(fs::path(other) / "plans" / "seg-000001.log",
+                  fs::path(dir) / "plans" / "seg-000002.log");
+  }
+  for (int open = 0; open < 2; ++open) {
+    std::unique_ptr<WarmStore> store = OpenStore(dir);
+    EXPECT_EQ(store->stats().skipped_ranges, 0u);
+    EXPECT_EQ(store->stats().skipped_bytes, 0u);
+    EXPECT_EQ(store->stats().degradations(), 0u);
+    std::string payload;
+    for (const auto& [key, expected] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"k1", std::string(40, 'c')},
+             {"k2", std::string(40, 'b')},
+             {"k3", std::string(40, 'd')},
+             {"k4", "payload-four"}}) {
+      ASSERT_TRUE(store->LoadPlan(key, &payload)) << key;
+      EXPECT_EQ(payload, expected);
+    }
+    std::vector<std::string> problems;
+    ASSERT_TRUE(store->VerifyAll(&problems).ok());
+    EXPECT_TRUE(problems.empty()) << problems.front();
+    EXPECT_EQ(fs::file_size(first), segment.size());  // never rewritten
+  }
 }
 
 TEST(PlanLogTest, CorruptRecordIsAMissAndVerifyReportsIt) {
@@ -559,7 +614,7 @@ TEST(WarmStoreTest, CapacityEvictsOldestFirstAndSkipsOversized) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   const IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   Result<std::string> bytes = IndexSnapshotCodec::Serialize(built, meta);
   ASSERT_TRUE(bytes.ok());
 
@@ -612,8 +667,7 @@ TEST(WarmStoreTest, EvictByNameAndOlderThan) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   ASSERT_TRUE(
       store
-          ->SaveIndex(*IncidenceIndex::Build(inst.released, inst.targets,
-                                             inst.motif),
+          ->SaveIndex(*BuildFreshIndex(inst.released, inst.targets, inst.motif),
                       MetaFor(inst))
           .ok());
   Result<std::vector<StoreEntry>> entries = store->Scan();
@@ -841,7 +895,7 @@ TEST_F(FaultInjectedStoreTest, TransientSnapshotIoIsAbsorbedByRetries) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   const IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   std::unique_ptr<WarmStore> store = OpenStore(TempStoreDir("ft_snap"));
   ASSERT_TRUE(Arm("snapshot.save:n=1:transient;snapshot.load:n=1").ok());
   ASSERT_TRUE(store->SaveIndex(built, meta).ok());
@@ -874,7 +928,7 @@ TEST_F(FaultInjectedStoreTest, PermanentSnapshotSaveDegradesToUnpersisted) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   const IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   std::unique_ptr<WarmStore> store = OpenStore(TempStoreDir("ft_permsnap"));
   ASSERT_TRUE(Arm("snapshot.save:p=1:permanent").ok());
   EXPECT_FALSE(store->SaveIndex(built, meta).ok());
@@ -969,7 +1023,7 @@ TEST_F(FaultInjectedStoreTest, TornSnapshotWriteNeverSurfacesATear) {
   const TppInstance inst = MakeArenasInstance(MotifKind::kTriangle);
   const IndexSnapshotMeta meta = MetaFor(inst);
   IncidenceIndex built =
-      *IncidenceIndex::Build(inst.released, inst.targets, inst.motif);
+      *BuildFreshIndex(inst.released, inst.targets, inst.motif);
   Result<std::string> bytes = IndexSnapshotCodec::Serialize(built, meta);
   ASSERT_TRUE(bytes.ok());
   const uint64_t size = bytes->size();

@@ -26,6 +26,7 @@
 namespace tpp::service::store {
 namespace {
 
+using ::tpp::testing::BuildFreshIndex;
 namespace fs = std::filesystem;
 
 using core::TppInstance;
@@ -75,7 +76,7 @@ TEST(WarmStartBitIdentityTest, EveryMotifAndThreadCountMatchesSerial) {
     for (int threads : {1, 4}) {
       IncidenceIndex::BuildOptions options;
       options.threads = threads;
-      const IncidenceIndex built = *IncidenceIndex::Build(
+      const IncidenceIndex built = *BuildFreshIndex(
           inst.released, inst.targets, inst.motif, options);
       ASSERT_TRUE(built.BitIdentical(serial))
           << motif::MotifName(kind) << " threads=" << threads;
@@ -197,7 +198,7 @@ TEST(WarmStartRepositoryTest, EvictedGroupReadoptsItsSnapshot) {
   EXPECT_EQ(store->stats().index_writes, 1u);
   EXPECT_EQ(repository.NumLinkCacheMisses(), misses);
   EXPECT_EQ(repository.NumLinkCacheHits(), 0u);
-  EXPECT_TRUE(engine->index().BitIdentical(*IncidenceIndex::Build(
+  EXPECT_TRUE(engine->index().BitIdentical(*BuildFreshIndex(
       inst.released, inst.targets, inst.motif)));
 }
 

@@ -11,6 +11,8 @@
 #include "common/flags.h"
 #include "core/gain_table.h"
 #include "graph/graph.h"
+#include "motif/incidence_index.h"
+#include "motif/link_instances.h"
 
 namespace tpp::testing {
 
@@ -32,6 +34,20 @@ inline graph::Graph MakeGraph(size_t n,
 inline graph::Edge E(int u, int v) {
   return graph::Edge(static_cast<graph::NodeId>(u),
                      static_cast<graph::NodeId>(v));
+}
+
+/// The production index build, motif::IncidenceIndex::BuildCached, through
+/// a link cache of its own: the instances of each target on `g` with every
+/// target link left out. `g` may be the base graph or the released graph
+/// G - T; the index is the same.
+inline Result<motif::IncidenceIndex> BuildFreshIndex(
+    const graph::Graph& g, const std::vector<graph::Edge>& targets,
+    motif::MotifKind kind,
+    const motif::IncidenceIndex::BuildOptions& options = {},
+    motif::IncidenceIndex::BuildStats* stats = nullptr) {
+  motif::LinkInstanceCache cache;
+  return motif::IncidenceIndex::BuildCached(g, targets, kind, cache, options,
+                                            stats);
 }
 
 /// Row i of a per-target round view expanded to one gain per target (0
